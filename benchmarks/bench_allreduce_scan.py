@@ -29,7 +29,8 @@ def allreduce_time(which: str, nelems: int, n_pes: int = 8):
         ctx.barrier()
         t0 = ctx.pe.clock
         if which == "composed":
-            ctx.reduce_all(dest, src, nelems, 1, "sum", "long")
+            ctx.reduce(dest, src, nelems, 1, 0, "sum", "long")
+            ctx.broadcast(dest, dest, nelems, 1, 0, "long")
         else:
             ctx.allreduce(dest, src, nelems, 1, "sum", "long",
                           algorithm=which)

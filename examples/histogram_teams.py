@@ -57,7 +57,7 @@ def main(ctx):
     hist_buf = ctx.malloc(8 * N_BINS)
     ghist_buf = ctx.malloc(8 * N_BINS)
     ctx.view(hist_buf, "long", N_BINS)[:] = local_hist
-    ctx.reduce_all(ghist_buf, hist_buf, N_BINS, 1, "sum", "long")
+    ctx.allreduce(ghist_buf, hist_buf, N_BINS, 1, "sum", "long")
     ghist = np.array(ctx.view(ghist_buf, "long", N_BINS))
     assert ghist.sum() == N_SAMPLES
 

@@ -1,4 +1,4 @@
-"""Execution backends: the same xbrtime programs, two substrates.
+"""Execution backends: the same xbrtime programs, three substrates.
 
 * ``"sim"`` — the deterministic cooperative simulator (modelled time).
 * ``"mp"`` — true-parallel worker processes over shared memory
@@ -53,7 +53,7 @@ BACKENDS: dict[str, type[Backend]] = {
 
 
 def get_backend(name: str) -> Backend:
-    """Instantiate a backend by registry name (``"sim"`` / ``"mp"``)."""
+    """Instantiate a backend by registry name (``"sim"`` / ``"mp"`` / ``"vec"``)."""
     try:
         cls = BACKENDS[name]
     except KeyError:

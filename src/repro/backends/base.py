@@ -1,7 +1,7 @@
-"""The backend protocol: one contract, two ways to run PEs.
+"""The backend protocol: one contract, three ways to run PEs.
 
 The paper's runtime executes on real concurrent processing elements (a
-12-core Spike cluster bridged by MPICH).  This reproduction has two
+12-core Spike cluster bridged by MPICH).  This reproduction has three
 interchangeable execution substrates:
 
 * :class:`~repro.backends.sim.SimulatorBackend` — the deterministic
@@ -12,36 +12,59 @@ interchangeable execution substrates:
   processes; the symmetric heap lives in ``multiprocessing.shared_memory``
   segments mapped at the same offset on every PE, remote put/get are
   direct cross-segment memcpys, and reported times are wall-clock.
+* :class:`~repro.backends.vec.VecBackend` — the simulator's engine for
+  control flow, but every compiled schedule is evaluated for all ranks
+  at once as numpy batches and memory is costed in closed form;
+  modelled nanoseconds that *track* the simulator.
 
-Both run the *same* xbrtime programs: a program receives a per-PE
+All three run the *same* xbrtime programs: a program receives a per-PE
 context object implementing the **PE context protocol** — the surface
-:class:`~repro.runtime.context.XBRTime` documents, of which the
+of the one context core,
+:class:`~repro.runtime.collective_api.CollectiveAPI`, of which the
 collectives layer uses exactly:
 
-======================  ====================================================
-member                  used for
-======================  ====================================================
-``rank``                this PE's world rank (attribute)
-``config``              :class:`~repro.params.MachineConfig` (layout, costs)
-``world_group``         the all-PEs tuple
-``spans``               span recorder (``.enabled`` may be ``False``)
-``count_collective``    stats accounting per collective call
-``executing_rank()``    misuse detection for shared non-blocking handles
-``barrier/barrier_team``synchronisation (+ network quiescence)
-``put/get/amo``         one-sided data movement
-``put_nb/get_nb/wait/quiet``  non-blocking transfers
-``view``                numpy aliasing of local memory
-``is_symmetric``        address-segment classification
-``malloc/free``         collective symmetric heap
-``scratch_alloc/free``  symmetric scratch stack (LIFO)
-``private_malloc/free`` private segment
-``compute/charge_*``    cost charging (free on wall-clock backends)
-======================  ====================================================
+=======================================  ====================================================
+member                                   used for
+=======================================  ====================================================
+``rank``                                 this PE's world rank (attribute)
+``config``                               :class:`~repro.params.MachineConfig` (layout, costs)
+``world_group``                          the all-PEs tuple
+``spans``                                span recorder (``.enabled`` may be ``False``)
+``count_collective``                     stats accounting per collective call
+``executing_rank()``                     misuse detection for shared non-blocking handles
+``barrier/barrier_team``                 synchronisation (+ network quiescence)
+``put/get/amo``                          one-sided data movement
+``put_nb/get_nb/wait/quiet``             non-blocking transfers
+``view``                                 numpy aliasing of local memory
+``is_symmetric``                         address-segment classification
+``malloc/free``                          collective symmetric heap
+``scratch_alloc/scratch_free``           symmetric scratch stack (LIFO)
+``private_malloc/private_free``          private segment
+``compute/charge_access/charge_stream``  cost charging (free on wall-clock backends)
+=======================================  ====================================================
+
+**The seam contract.**  Every name above — and lifecycle, identity,
+argument validation, supersteps and the typed Table-1 surface — is
+implemented once, in the core.  What a backend's context may override,
+and nothing else (``tests/backends/test_context_protocol.py`` reads the
+table above and holds every context class to this list):
+
+* **sim** — the span recorder (``spans``) and the two-sided mailbox
+  calls (``msg_*``, ``schedule_transport``).  Its fault checkpoint runs
+  inside the core's ``_require_active`` whenever an injector is armed.
+* **mp** — the clock (``time_ns`` reads the host, ``compute`` and
+  ``charge_*`` are free, ``executing_rank`` is constant), the barrier
+  (``_sync``/``barrier_team`` over :class:`~repro.backends.shm.ShmBarrier`,
+  team-scoped through ``default_group``) and data movement (the
+  ``_transfer`` object: memcpy + ``bump_progress``, lock-serialised AMO).
+* **vec** — the ``schedule_evaluator`` hook; its memory-cost provider
+  (:class:`~repro.collectives.schedule.evaluate.CostModel` behind
+  ``hierarchy_of(pe)``) lives on the world, not the context.
 
 Because ``execute_schedule`` and every collective front-end reach shared
 state only through that protocol, each compiled
 :class:`~repro.collectives.schedule.ir.Schedule` runs unmodified — and
-produces byte-identical output buffers — on either backend (proved by
+produces byte-identical output buffers — on every backend (proved by
 ``tests/backends/test_conformance.py``).
 """
 
@@ -50,6 +73,7 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Sequence
 
+from ..errors import RuntimeStateError
 from ..params import MachineConfig
 
 __all__ = ["Backend", "BackendSession", "resolve_config"]
@@ -80,10 +104,18 @@ class BackendSession(abc.ABC):
     """
 
     config: MachineConfig
+    _closed = False
 
     @property
     def n_pes(self) -> int:
         return self.config.n_pes
+
+    def _require_open(self) -> None:
+        """Every ``run``/``submit`` starts here: a closed session is done."""
+        if self._closed:
+            raise RuntimeStateError(
+                f"{type(self).__name__} used after close()"
+            )
 
     @abc.abstractmethod
     def run(self, fn: Callable[..., Any],
@@ -104,7 +136,7 @@ class BackendSession(abc.ABC):
 class Backend(abc.ABC):
     """One execution substrate for xbrtime programs."""
 
-    #: Registry key (``"sim"`` / ``"mp"``).
+    #: Registry key (``"sim"`` / ``"mp"`` / ``"vec"``).
     name: str
 
     @abc.abstractmethod

@@ -49,28 +49,21 @@ import multiprocessing as mp
 import numpy as np
 
 from ..errors import (
-    AddressError,
     BackendTimeoutError,
-    CollectiveArgumentError,
     RuntimeStateError,
     WorkerAbortedError,
     WorkerFailedError,
 )
 from ..isa.cpu import amo_apply
+from ..isa.memory import Memory
 from ..params import MachineConfig
-from ..runtime.collective_api import CollectiveAPI, resolve_dtype
-from ..runtime.context import CODE_REGION_BYTES
-from ..runtime.symmetric_heap import (
-    FreeListAllocator,
-    ScratchStack,
-    SymmetricHeap,
-)
+from ..runtime.collective_api import CollectiveAPI
+from ..runtime.symmetric_heap import segment_layout
+from ..runtime.transfer import MASK64, TransferHandle
 from .base import Backend, BackendSession, resolve_config
 from .shm import ControlBlock, SegmentGroup, ShmBarrier, control_bytes
 
 __all__ = ["MultiprocessingBackend", "MPSession", "MPContext"]
-
-MASK64 = (1 << 64) - 1
 
 #: Extra seconds past the run watchdog before stuck workers are killed.
 _GRACE = 5.0
@@ -95,28 +88,66 @@ def scaled_timeout(base: float, payload_nbytes: int = 0) -> float:
     return base + max(0, payload_nbytes) / TIMEOUT_BYTES_PER_S
 
 
-class _DisabledSpans:
-    """Span-recorder stub: tracing is never available on wall-clock runs."""
+class _ShmTransfer:
+    """The data-movement seam over shared segments.
 
-    enabled = False
-
-
-_NO_SPANS = _DisabledSpans()
-
-
-class MPTransferHandle:
-    """Completion token of an (eagerly completed) non-blocking transfer.
-
-    Cross-segment memcpys are synchronous, so ``put_nb``/``get_nb``
-    finish before returning; the handle only preserves the call shape.
+    Same call shape as :class:`~repro.runtime.transfer.TransferEngine`
+    (the context core validates arguments and resolves dtypes before
+    calling either).  A remote put/get is a cross-segment memcpy by the
+    initiating PE, made visible by bumping its progress counter; it is
+    synchronous, so the non-blocking calls finish before returning and
+    their handles are born complete.
     """
 
-    __slots__ = ("kind", "nbytes", "done")
+    def __init__(self, rank: int, memories: Sequence[Memory],
+                 ctl: ControlBlock, amo_locks: Sequence[Any]):
+        self.rank = rank
+        self._memories = memories
+        self._ctl = ctl
+        self._amo_locks = amo_locks
 
-    def __init__(self, kind: str, nbytes: int):
-        self.kind = kind
-        self.nbytes = nbytes
-        self.done = True
+    def _memcpy(self, dpe: int, dest: int, spe: int, src: int, nelems: int,
+                stride: int, dtype: np.dtype) -> None:
+        if nelems == 0:
+            return
+        mems = self._memories
+        mems[dpe].view(dest, dtype, nelems, stride)[:] = \
+            mems[spe].view(src, dtype, nelems, stride)
+        self._ctl.bump_progress(self.rank)
+
+    def put(self, dest: int, src: int, nelems: int, stride: int, target: int,
+            dtype: np.dtype) -> None:
+        self._memcpy(target, dest, self.rank, src, nelems, stride, dtype)
+
+    def get(self, dest: int, src: int, nelems: int, stride: int, target: int,
+            dtype: np.dtype) -> None:
+        self._memcpy(self.rank, dest, target, src, nelems, stride, dtype)
+
+    def put_nb(self, dest: int, src: int, nelems: int, stride: int,
+               target: int, dtype: np.dtype) -> TransferHandle:
+        self.put(dest, src, nelems, stride, target, dtype)
+        return TransferHandle("put", nelems * dtype.itemsize, 0.0, done=True)
+
+    def get_nb(self, dest: int, src: int, nelems: int, stride: int,
+               target: int, dtype: np.dtype) -> TransferHandle:
+        self.get(dest, src, nelems, stride, target, dtype)
+        return TransferHandle("get", nelems * dtype.itemsize, 0.0, done=True)
+
+    def amo(self, addr: int, value: int, target: int, op: str) -> int:
+        """Fetch-and-op serialised by the target PE's AMO lock."""
+        mem = self._memories[target]
+        mem.check(addr, 8)
+        with self._amo_locks[target]:
+            old = mem.load(addr, 8)
+            mem.store(addr, 8, amo_apply(op, old, int(value) & MASK64))
+        self._ctl.bump_progress(self.rank)
+        return old
+
+    def wait(self, handle: TransferHandle) -> None:
+        handle.done = True
+
+    def quiet(self) -> None:
+        """Nothing is ever outstanding: memcpys already landed."""
 
 
 class MPContext(CollectiveAPI):
@@ -128,6 +159,12 @@ class MPContext(CollectiveAPI):
     run, exactly as a fresh simulated machine would.  Heap replicas stay
     identical across PEs because collective mallocs replay the same call
     log in the same order on every participant.
+
+    Overrides exactly the wall-clock seams of the context core: the
+    clock (``time_ns`` reads the host, ``compute``/``charge_*`` are
+    free, this process *is* the executing rank), the barrier
+    (:class:`~repro.backends.shm.ShmBarrier`) and data movement
+    (:class:`_ShmTransfer`).
 
     ``sync_group`` (a tuple of world ranks, this PE included) makes the
     context **team-scoped**: ``init``/``close``/``barrier`` synchronise
@@ -141,183 +178,37 @@ class MPContext(CollectiveAPI):
     segments are disjoint from every other group's.
     """
 
-    #: Which execution backend this context belongs to.
     backend_name = "mp"
 
-    def __init__(self, rank: int, config: MachineConfig, segs: SegmentGroup,
-                 ctl: ControlBlock, barrier: ShmBarrier,
-                 amo_locks: Sequence[Any],
+    def __init__(self, rank: int, config: MachineConfig,
+                 memories: Sequence[Memory], ctl: ControlBlock,
+                 barrier: ShmBarrier, amo_locks: Sequence[Any],
                  sync_group: Sequence[int] | None = None):
-        self.rank = rank
-        self.config = config
-        self.world_group = tuple(range(config.n_pes))
-        #: Default group for collectives (None = the whole world).
-        self.default_group = (
-            tuple(sync_group) if sync_group is not None else None
-        )
-        self._ctl = ctl
+        layout = segment_layout(config)
+        self._init_core(rank, config, memories,
+                        layout.symmetric_heap(config.n_pes),
+                        layout.scratch_stack(), layout.private_allocator(),
+                        Counter())
+        if sync_group is not None:
+            self.default_group = tuple(sync_group)
         self._barrier = barrier
-        self._amo_locks = amo_locks
-        self._mem_bytes = config.memory_bytes_per_pe
-        # Same layout arithmetic as Machine.__init__ (Figure 2).
-        heap_base = config.memory_bytes_per_pe - config.symmetric_heap_bytes
-        scratch = config.collective_scratch_bytes
-        self._heap_base = heap_base
-        self._scratch = ScratchStack(heap_base, scratch)
-        self._heap = SymmetricHeap(
-            heap_base + scratch, config.symmetric_heap_bytes - scratch,
-            config.n_pes,
-        )
-        self._private = FreeListAllocator(
-            CODE_REGION_BYTES, heap_base - CODE_REGION_BYTES
-        )
-        self._heap_calls = 0
-        self._bufs: list[np.ndarray] | None = [
-            np.frombuffer(seg.buf, dtype=np.uint8) for seg in segs.segments
-        ]
-        self.collective_calls: Counter[str] = Counter()
-        self._active = False
-        self._closed = False
+        self._transfer = _ShmTransfer(rank, memories, ctl, amo_locks)
         self._t0 = time.perf_counter()
 
-    # -- protocol accessors ------------------------------------------------------
+    def release(self) -> None:
+        """Drop the segment memories (required before unmapping segments)."""
+        self._memories = self._memory = self._transfer = None
 
-    @property
-    def spans(self) -> _DisabledSpans:
-        return _NO_SPANS
-
-    def count_collective(self, stats_key: str) -> None:
-        self.collective_calls[stats_key] += 1
+    # -- clock seam: wall time, free cost charging -------------------------------
 
     def executing_rank(self) -> int | None:
         # Each process *is* one PE: nothing else ever runs here.
         return self.rank
 
-    # -- lifecycle -------------------------------------------------------------
-
-    def _sync_barrier(self) -> None:
-        """The context's own barrier: world, or the sync group's."""
-        if self.default_group is None:
-            self._barrier.world()
-        else:
-            self._barrier.team(self.default_group)
-
-    def init(self) -> None:
-        """``xbrtime_init``: bring the runtime up; synchronises the group."""
-        if self._active:
-            raise RuntimeStateError(f"PE {self.rank}: init() called twice")
-        if self._closed:
-            raise RuntimeStateError(f"PE {self.rank}: init() after close()")
-        self._active = True
-        self._sync_barrier()
-
-    def close(self) -> None:
-        """``xbrtime_close``: tear the runtime down; synchronises the group."""
-        self._require_active()
-        self._sync_barrier()
-        self._active = False
-        self._closed = True
-
-    def _require_active(self) -> None:
-        if not self._active:
-            raise RuntimeStateError(
-                f"PE {self.rank}: runtime used outside init()/close()"
-            )
-
-    def release(self) -> None:
-        """Drop the segment views (required before unmapping segments)."""
-        self._bufs = None
-
-    # -- identity ---------------------------------------------------------------
-
-    def my_pe(self) -> int:
-        """``xbrtime_mype``."""
-        self._require_active()
-        return self.rank
-
-    def num_pes(self) -> int:
-        """``xbrtime_num_pes``."""
-        self._require_active()
-        return self.config.n_pes
-
-    def failed_pes(self) -> frozenset[int]:
-        """Fault injection does not exist here: nobody is ever dead."""
-        return frozenset()
-
-    def live_pes(self) -> tuple[int, ...]:
-        return self.world_group
-
     @property
     def time_ns(self) -> float:
         """Wall-clock nanoseconds since this context was created."""
         return (time.perf_counter() - self._t0) * 1e9
-
-    # -- memory management ---------------------------------------------------------
-
-    def malloc(self, nbytes: int, align: int = 16) -> int:
-        """Collective symmetric allocation (same address on every PE)."""
-        self._require_active()
-        idx = self._heap_calls
-        self._heap_calls += 1
-        return self._heap.collective_malloc(idx, nbytes, align)
-
-    def free(self, addr: int) -> None:
-        """Collective symmetric free."""
-        self._require_active()
-        idx = self._heap_calls
-        self._heap_calls += 1
-        self._heap.collective_free(idx, addr)
-
-    def scratch_alloc(self, nbytes: int, align: int = 16) -> int:
-        self._require_active()
-        return self._scratch.alloc(nbytes, align)
-
-    def scratch_free(self, addr: int) -> None:
-        self._require_active()
-        self._scratch.free(addr)
-
-    def private_malloc(self, nbytes: int, align: int = 16) -> int:
-        self._require_active()
-        return self._private.alloc(nbytes, align)
-
-    def private_free(self, addr: int) -> None:
-        self._require_active()
-        self._private.free(addr)
-
-    def is_symmetric(self, addr: int) -> bool:
-        return addr >= self._heap_base
-
-    def _segment_view(self, pe: int, addr: int, dtype: np.dtype,
-                      count: int, stride: int) -> np.ndarray:
-        """:meth:`repro.isa.memory.Memory.view` over PE ``pe``'s segment."""
-        if count < 0:
-            raise AddressError("count must be non-negative")
-        if stride < 1:
-            raise AddressError(f"stride must be >= 1, got {stride}")
-        if count == 0:
-            return np.empty(0, dtype=dtype)
-        span = ((count - 1) * stride + 1) * dtype.itemsize
-        if addr < 0 or addr + span > self._mem_bytes:
-            raise AddressError(
-                f"access [{addr:#x}, {addr + span:#x}) outside memory "
-                f"of {self._mem_bytes:#x} bytes"
-            )
-        dense = self._bufs[pe][addr : addr + span].view(dtype)
-        return dense[::stride]
-
-    def view(self, addr: int, dtype: str | np.dtype, count: int,
-             stride: int = 1) -> np.ndarray:
-        """A numpy view of local memory (aliases the shared segment)."""
-        return self._segment_view(self.rank, addr, resolve_dtype(dtype),
-                                  count, stride)
-
-    def view_on(self, pe: int, addr: int, dtype: str | np.dtype, count: int,
-                stride: int = 1) -> np.ndarray:
-        """A view of another PE's segment — tests/verification only."""
-        return self._segment_view(pe, addr, resolve_dtype(dtype), count,
-                                  stride)
-
-    # -- time charging (free on a wall-clock backend) ----------------------------------
 
     def compute(self, ns: float) -> None:
         """Modelled compute costs nothing here: real work takes real time."""
@@ -330,104 +221,18 @@ class MPContext(CollectiveAPI):
                       write: bool = False) -> float:
         return 0.0
 
-    # -- synchronisation -------------------------------------------------------------
+    # -- barrier seam ------------------------------------------------------------
 
-    def barrier(self) -> None:
-        """``xbrtime_barrier``: the world, or (team-scoped) the group."""
-        self._require_active()
-        self._sync_barrier()
+    def _sync(self) -> None:
+        """The context's own barrier: world, or the sync group's."""
+        if self.default_group is None:
+            self._barrier.world()
+        else:
+            self._barrier.team(self.default_group)
 
     def barrier_team(self, members: Sequence[int]) -> None:
         self._require_active()
         self._barrier.team(tuple(members))
-
-    # -- one-sided communication --------------------------------------------------------
-
-    def _check_args(self, nelems: int, stride: int, target: int) -> None:
-        if nelems < 0:
-            raise CollectiveArgumentError(f"nelems must be >= 0, got {nelems}")
-        if stride < 1:
-            raise CollectiveArgumentError(f"stride must be >= 1, got {stride}")
-        if not 0 <= target < self.config.n_pes:
-            raise CollectiveArgumentError(
-                f"pe {target} out of range [0, {self.config.n_pes})"
-            )
-
-    def put(self, dest: int, src: int, nelems: int, stride: int, pe: int,
-            dtype: str | np.dtype = "long") -> None:
-        """``xbrtime_TYPE_put`` as a cross-segment memcpy."""
-        self._require_active()
-        self._check_args(nelems, stride, pe)
-        if nelems == 0:
-            return
-        dt = resolve_dtype(dtype)
-        sview = self._segment_view(self.rank, src, dt, nelems, stride)
-        dview = self._segment_view(pe, dest, dt, nelems, stride)
-        # A local transfer may overlap itself; remote segments never alias.
-        dview[:] = sview.copy() if pe == self.rank else sview
-        self._ctl.bump_progress(self.rank)
-
-    def get(self, dest: int, src: int, nelems: int, stride: int, pe: int,
-            dtype: str | np.dtype = "long") -> None:
-        """``xbrtime_TYPE_get`` as a cross-segment memcpy."""
-        self._require_active()
-        self._check_args(nelems, stride, pe)
-        if nelems == 0:
-            return
-        dt = resolve_dtype(dtype)
-        sview = self._segment_view(pe, src, dt, nelems, stride)
-        dview = self._segment_view(self.rank, dest, dt, nelems, stride)
-        dview[:] = sview.copy() if pe == self.rank else sview
-        self._ctl.bump_progress(self.rank)
-
-    def put_nb(self, dest: int, src: int, nelems: int, stride: int, pe: int,
-               dtype: str | np.dtype = "long") -> MPTransferHandle:
-        """Non-blocking put (eagerly completed — memcpys are synchronous)."""
-        self.put(dest, src, nelems, stride, pe, dtype)
-        return MPTransferHandle("put", nelems * resolve_dtype(dtype).itemsize)
-
-    def get_nb(self, dest: int, src: int, nelems: int, stride: int, pe: int,
-               dtype: str | np.dtype = "long") -> MPTransferHandle:
-        """Non-blocking get (eagerly completed)."""
-        self.get(dest, src, nelems, stride, pe, dtype)
-        return MPTransferHandle("get", nelems * resolve_dtype(dtype).itemsize)
-
-    def amo(self, addr: int, value: int, pe: int, op: str = "add",
-            dtype: str | np.dtype = "uint64") -> int:
-        """Remote fetch-and-op, serialised by the target PE's AMO lock."""
-        self._require_active()
-        self._check_args(1, 1, pe)
-        dt = resolve_dtype(dtype)
-        if dt.itemsize != 8 or dt.kind not in "iu":
-            raise CollectiveArgumentError(
-                f"AMOs operate on 64-bit integer types, not {dt}"
-            )
-        if addr < 0 or addr + 8 > self._mem_bytes:
-            raise AddressError(
-                f"access [{addr:#x}, {addr + 8:#x}) outside memory "
-                f"of {self._mem_bytes:#x} bytes"
-            )
-        cell = self._bufs[pe][addr : addr + 8]
-        with self._amo_locks[pe]:
-            old = int.from_bytes(cell.tobytes(), "little")
-            new = amo_apply(op, old, int(value) & MASK64)
-            cell[:] = np.frombuffer(new.to_bytes(8, "little"), dtype=np.uint8)
-        self._ctl.bump_progress(self.rank)
-        if dt.kind == "i" and old >> 63:
-            return old - (1 << 64)
-        return old
-
-    def wait(self, handle: MPTransferHandle) -> None:
-        """Complete one non-blocking transfer (already complete)."""
-        self._require_active()
-        handle.done = True
-
-    def quiet(self) -> None:
-        """Complete all outstanding transfers (memcpys already landed)."""
-        self._require_active()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MPContext(pe={self.rank}/{self.config.n_pes})"
 
 
 # -- worker process -----------------------------------------------------------
@@ -464,6 +269,11 @@ def _worker_main(rank: int, config: MachineConfig, token: str,
     # A replacement worker attaching mid-session adopts the live barrier
     # state; on a freshly zeroed control block this is a no-op.
     barrier.attach_sync()
+    memories = [
+        Memory(buf=np.frombuffer(seg.buf, dtype=np.uint8)
+               [:config.memory_bytes_per_pe])
+        for seg in segs.segments
+    ]
     try:
         while True:
             task = task_q.get()
@@ -480,7 +290,7 @@ def _worker_main(rank: int, config: MachineConfig, token: str,
             _, run_id, fn, args, timeout, sync_group = task
             barrier.run_id = run_id
             barrier.timeout = timeout
-            ctx = MPContext(rank, config, segs, ctl, barrier, amo_locks,
+            ctx = MPContext(rank, config, memories, ctl, barrier, amo_locks,
                             sync_group=sync_group)
             try:
                 result = fn(ctx, *args)
@@ -502,6 +312,7 @@ def _worker_main(rank: int, config: MachineConfig, token: str,
                 ctx.release()
             result_q.put(msg)
     finally:
+        del memories  # exported views must die before the mappings close
         ctl.release()
         segs.close()
 
@@ -582,7 +393,6 @@ class MPSession(BackendSession):
                   or "fork")
         self._mp = mp.get_context(method)
         self._run_id = 0
-        self._closed = False
         token = SegmentGroup.new_token()
         self.token = token
         self._segs = SegmentGroup(
@@ -765,8 +575,7 @@ class MPSession(BackendSession):
         the watchdog deadline via :func:`scaled_timeout` so bulk
         transfers on a busy host never false-trip the deadlock detector.
         """
-        if self._closed:
-            raise RuntimeStateError("MPSession used after close()")
+        self._require_open()
         n = self.config.n_pes
         world = ranks is None
         members = tuple(range(n)) if world else tuple(ranks)
@@ -985,10 +794,3 @@ class MultiprocessingBackend(Backend):
     def session(self, config: MachineConfig | None = None, *,
                 n_pes: int | None = None, **opts: Any) -> MPSession:
         return MPSession(resolve_config(config, n_pes), **opts)
-
-
-# Install the per-TYPENAME call surface (Table 1) — same wrappers as the
-# simulator context, so typed programs are backend-portable too.
-from ..runtime import typed as _typed  # noqa: E402
-
-_typed.install_typed_api(MPContext)

@@ -27,12 +27,10 @@ class SimulatorSession(BackendSession):
         self._machine_kw = machine_kw
         #: The machine of the most recent ``run`` (None before the first).
         self.last_machine: Machine | None = None
-        self._closed = False
 
     def run(self, fn: Callable[..., Any],
             args_per_pe: Sequence[tuple] | None = None) -> list[Any]:
-        if self._closed:
-            raise RuntimeError("session is closed")
+        self._require_open()
         machine = Machine(self.config, **self._machine_kw)
         self.last_machine = machine
         return machine.run(fn, args_per_pe)

@@ -67,11 +67,11 @@ class MessageLayer:
         data = np.array(ctx.view(addr, dtype, max(nelems, 0)), copy=True)
         # The two-sided baseline models MPI over a reliable transport:
         # exempt from raw message-fault injection.
-        res = machine.network.send(pe.clock, ctx.rank, dst, nbytes,
-                                   faultable=False)
-        pe.advance_to(res.t_source_free)
+        t_free, t_delivered, _ = machine.network.send(
+            pe.clock, ctx.rank, dst, nbytes, faultable=False)
+        pe.advance_to(t_free)
         msg = _Message(src=ctx.rank, tag=tag, data=data,
-                       deliver_at=res.t_delivered)
+                       deliver_at=t_delivered)
         self._mailbox[dst].append(msg)
         machine.stats.puts += 1
         machine.stats.bytes_put += nbytes

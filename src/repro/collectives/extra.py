@@ -22,10 +22,7 @@ those compositions plus a personalised all-to-all:
   one-sided puts (each PE deposits its block directly at the
   destination offset of every peer).
 
-The historical ``reduce_all`` composition (reduce to rank 0, broadcast
-back) is gone; ``CollectiveAPI.reduce_all`` is now a deprecated alias
-of :func:`~repro.collectives.allreduce.allreduce`, which finishes in
-half the stages.
+Reduction-to-all is :func:`~repro.collectives.allreduce.allreduce`.
 """
 
 from __future__ import annotations

@@ -20,12 +20,13 @@ milliseconds:
   (no intra-segment write hazards).  The conformance suite asserts the
   outputs byte-identical against the simulator and the multiprocessing
   backend.
-* **Time** is modelled: per-lane costs mirror the transfer engine's
-  formulas (loop overhead, OLB lookup, LogGP network with injection
-  links / fabric channels / node buses) but replace the stateful
-  cache/TLB walk with a closed form (:class:`CostModel`) using
-  page-granular warmth.  Makespans therefore *track* the simulator's
-  ``ns`` within a pinned tolerance rather than matching it exactly.
+* **Time** is modelled: per-lane costs use the transfer engine's own
+  loop-overhead and OLB constants and the simulator's
+  :class:`~repro.machine.network.Network` (injection links, fabric
+  channels, node buses) but replace the stateful cache/TLB walk with a
+  closed form (:class:`CostModel`) using page-granular warmth.
+  Makespans therefore *track* the simulator's ``ns`` within a pinned
+  tolerance rather than matching it exactly.
 
 Entry points:
 
@@ -47,203 +48,21 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ...errors import SimulationError
+from ...isa.olb import OLB_LOOKUP_NS
+from ...machine.network import Network
 from ...params import MachineConfig
+from ...runtime.barrier import round_cost_ns
+from ...runtime.transfer import loop_overhead_ns
 from ...sim.trace import SimStats
 from ..ops import apply_op, identity_of
 from .ir import Schedule, step_span_bytes
 
 __all__ = [
     "CostModel",
-    "LiteNetwork",
     "ScheduleEvaluation",
     "evaluate_group",
     "evaluate_schedule",
-    "world_round_cost_ns",
 ]
-
-#: xBGAS OLB lookup cost charged per remote operation (matches the
-#: simulator's :class:`~repro.isa.olb.ObjectLookasideBuffer` default).
-OLB_LOOKUP_NS = 2.0
-
-#: Mirrors of the fabric/bus constants in :mod:`repro.machine.network`.
-_FABRIC_NS_PER_MSG = 45.0
-_FABRIC_CHANNELS = 2
-_HOP_LATENCY_FACTOR = 0.15
-_NODE_BUS_NS_PER_MSG = 16.0
-
-#: Transfer-loop instruction constants (see :mod:`repro.runtime.transfer`).
-_LOOP_INSTRS = 5
-_LOOP_OVERHEAD_INSTRS = 3
-_SETUP_INSTRS = 12
-
-#: Largest node count for which a non-analytic topology graph is built.
-_MAX_TOPOLOGY_NODES = 4096
-
-
-class LiteNetwork:
-    """The :class:`~repro.machine.network.Network` cost formulas without
-    fault injection and — for the fully-connected default — without
-    building a topology graph, so 64k-PE machines cost nothing to set
-    up.  Same per-message arithmetic: injection links, two fabric
-    channels, per-node buses, quiescence horizon.
-    """
-
-    def __init__(self, config: MachineConfig, stats: SimStats | None = None):
-        self.cfg = config
-        self.tp = config.transport
-        self.stats = stats if stats is not None else SimStats()
-        n_nodes = config.n_nodes
-        if config.topology == "fully-connected":
-            self._topology = None  # analytic: 1 hop between distinct nodes
-        else:
-            if n_nodes > _MAX_TOPOLOGY_NODES:
-                raise SimulationError(
-                    f"topology {config.topology!r} with {n_nodes} nodes is too "
-                    f"large to build (limit {_MAX_TOPOLOGY_NODES}); use "
-                    "topology='fully-connected' for large-PE evaluation"
-                )
-            from ...machine.topology import build_topology
-
-            self._topology = build_topology(config.topology, n_nodes)
-        self._link_free = [0.0] * n_nodes
-        self._bus_free = [0.0] * n_nodes
-        self._fabric_free = [0.0] * _FABRIC_CHANNELS
-        self.max_delivery = 0.0
-
-    # -- helpers (same formulas as Network) --------------------------------
-
-    def node_of(self, pe: int) -> int:
-        return self.cfg.node_of(pe)
-
-    def _wire_latency(self, src_node: int, dst_node: int) -> float:
-        if self._topology is None:
-            hops = 0 if src_node == dst_node else 1
-        else:
-            hops = self._topology.hops(src_node, dst_node)
-        return self.tp.latency_ns * (1.0 + _HOP_LATENCY_FACTOR * max(0, hops - 1))
-
-    def _cross_fabric(self, t_ready: float, nbytes: float) -> float:
-        occ = _FABRIC_NS_PER_MSG + nbytes * self.cfg.fabric_gap_ns_per_byte
-        free = self._fabric_free
-        ch = 0 if free[0] <= free[1] else 1
-        t_enter = t_ready if t_ready > free[ch] else free[ch]
-        free[ch] = t_enter + occ
-        if t_enter > t_ready:
-            self.stats.fabric_queued_ns += t_enter - t_ready
-        return t_enter
-
-    def _cross_bus(self, node: int, t_ready: float, nbytes: float) -> float:
-        occ = _NODE_BUS_NS_PER_MSG + nbytes * self.tp.intra_gap_ns_per_byte
-        free = self._bus_free[node]
-        t_enter = t_ready if t_ready > free else free
-        self._bus_free[node] = t_enter + occ
-        if t_enter > t_ready:
-            self.stats.fabric_queued_ns += t_enter - t_ready
-        return t_enter
-
-    def _sender_side(self, t_now: float, nbytes: int) -> float:
-        tp = self.tp
-        ns = tp.o_send + tp.kernel_ns + nbytes * tp.copy_ns_per_byte
-        if tp.handshake_ns and nbytes > tp.eager_threshold:
-            ns += tp.handshake_ns
-        return t_now + ns
-
-    # -- one-way message (put) ---------------------------------------------
-
-    def send(self, t_now: float, src_pe: int, dst_pe: int,
-             nbytes: int) -> tuple[float, float]:
-        """Cost a one-way payload; returns ``(t_source_free, t_delivered)``."""
-        tp = self.tp
-        self.stats.messages += 1
-        self.stats.bytes_on_wire += nbytes
-        src_node, dst_node = self.node_of(src_pe), self.node_of(dst_pe)
-        if src_node == dst_node:
-            t_ready = (t_now + tp.o_send + tp.kernel_ns
-                       + nbytes * tp.copy_ns_per_byte)
-            if tp.handshake_ns and nbytes > tp.eager_threshold:
-                t_ready += tp.handshake_ns
-            t_enter = self._cross_bus(src_node, t_ready, nbytes)
-            t_del = (t_enter + tp.intra_latency_ns
-                     + nbytes * tp.intra_gap_ns_per_byte)
-            if tp.two_sided:
-                t_del += tp.o_recv + nbytes * tp.copy_ns_per_byte
-            if t_del > self.max_delivery:
-                self.max_delivery = t_del
-            return (max(t_ready, t_enter), t_del)
-        t_ready = self._sender_side(t_now, nbytes)
-        t_inj_done = (max(t_ready, self._link_free[src_node])
-                      + nbytes * tp.inj_ns_per_byte)
-        self._link_free[src_node] = t_inj_done
-        t_enter = self._cross_fabric(t_inj_done, nbytes)
-        t_del = (t_enter + self._wire_latency(src_node, dst_node)
-                 + nbytes * tp.gap_ns_per_byte)
-        if tp.two_sided:
-            t_del += tp.o_recv + nbytes * tp.copy_ns_per_byte
-        if t_del > self.max_delivery:
-            self.max_delivery = t_del
-        return (max(t_ready, t_enter), t_del)
-
-    # -- round trip (get) --------------------------------------------------
-
-    def fetch(self, t_now: float, src_pe: int, dst_pe: int,
-              nbytes: int) -> float:
-        """Cost a one-sided read; returns ``t_complete``."""
-        tp = self.tp
-        src_node, dst_node = self.node_of(src_pe), self.node_of(dst_pe)
-        self.stats.messages += 2
-        self.stats.bytes_on_wire += nbytes + 16
-        if src_node == dst_node:
-            t_ready = t_now + tp.o_send + tp.kernel_ns
-            t_req = self._cross_bus(src_node, t_ready, 16)
-            t_arrive = t_req + tp.intra_latency_ns
-            if tp.two_sided:
-                t_arrive += tp.o_recv + tp.kernel_ns
-            t_rsp = self._cross_bus(src_node, t_arrive, nbytes)
-            t = (t_rsp + tp.intra_latency_ns
-                 + nbytes * tp.intra_gap_ns_per_byte)
-            if tp.two_sided:
-                t += nbytes * tp.copy_ns_per_byte
-            if t > self.max_delivery:
-                self.max_delivery = t
-            return t
-        t_ready = self._sender_side(t_now, 16)
-        t_req = (max(t_ready, self._link_free[src_node])
-                 + 16 * tp.inj_ns_per_byte)
-        self._link_free[src_node] = t_req
-        t_enter = self._cross_fabric(t_req, 16)
-        t_arrive = t_enter + self._wire_latency(src_node, dst_node)
-        if tp.two_sided:
-            t_arrive += tp.o_recv + tp.kernel_ns
-        t_rsp = (max(t_arrive, self._link_free[dst_node])
-                 + nbytes * tp.inj_ns_per_byte)
-        self._link_free[dst_node] = t_rsp
-        t_enter2 = self._cross_fabric(t_rsp, nbytes)
-        t_done = (t_enter2 + self._wire_latency(dst_node, src_node)
-                  + nbytes * tp.gap_ns_per_byte)
-        if tp.two_sided:
-            t_done += nbytes * tp.copy_ns_per_byte
-        if t_done > self.max_delivery:
-            self.max_delivery = t_done
-        return t_done
-
-    # -- mailbox support ---------------------------------------------------
-
-    def route_hops(self, src_node: int, dst_node: int) -> int:
-        """Node hop count for the mailbox postoffice routing charge."""
-        if src_node == dst_node:
-            return 0
-        if self._topology is None:
-            return 1
-        return self._topology.hops(src_node, dst_node)
-
-    # -- barrier support ---------------------------------------------------
-
-    def quiescence_time(self) -> float:
-        return self.max_delivery
-
-    def note_delivery(self, t: float) -> None:
-        if t > self.max_delivery:
-            self.max_delivery = t
 
 
 class CostModel:
@@ -273,26 +92,6 @@ class CostModel:
         self._l2_bytes = m.l2.size_bytes
         n_pages = -(-mem_bytes // m.tlb.page_bytes)
         self._touched = np.zeros((n_rows, max(n_pages, 1)), dtype=bool)
-        self._loop_ns_cache: dict[int, float] = {}
-
-    def loop_overhead_ns(self, nelems: int) -> float:
-        """Same memoized formula as the transfer engine (section 3.3)."""
-        ns = self._loop_ns_cache.get(nelems)
-        if ns is not None:
-            return ns
-        if nelems <= 0:
-            ns = 0.0
-        else:
-            cfg = self.cfg
-            if nelems > cfg.unroll_threshold:
-                per_elem = (_LOOP_INSTRS - _LOOP_OVERHEAD_INSTRS) + (
-                    _LOOP_OVERHEAD_INSTRS / cfg.unroll_factor
-                )
-            else:
-                per_elem = float(_LOOP_INSTRS)
-            ns = (_SETUP_INSTRS + per_elem * nelems) * cfg.cycle_ns
-        self._loop_ns_cache[nelems] = ns
-        return ns
 
     def _mark(self, rows: np.ndarray, first_page: np.ndarray,
               pages: np.ndarray) -> None:
@@ -346,22 +145,36 @@ class CostModel:
         self._mark(rows, first_page, pages)
         return ns
 
-    def strided_ns_one(self, row: int, addr: int, nelems: int,
-                       elem_bytes: int, stride: int,
+    def hierarchy_of(self, row: int) -> "_RowCost":
+        """Row ``row`` behind the scalar costing calls of
+        :class:`~repro.machine.memsys.MemoryHierarchy`."""
+        return _RowCost(self, row)
+
+
+class _RowCost:
+    """One :class:`CostModel` row as a memory-cost provider: the
+    ``access``/``access_range``/``access_strided`` shape the transfer
+    engine and the context core charge through."""
+
+    __slots__ = ("_cost", "_row")
+
+    def __init__(self, cost: CostModel, row: int):
+        self._cost = cost
+        self._row = np.array([row])
+
+    def access_range(self, addr: int, nbytes: int, write: bool = False,
+                     use_tlb: bool = True) -> float:
+        return float(self._cost.range_ns(self._row, np.array([addr]),
+                                         nbytes, use_tlb)[0])
+
+    access = access_range
+
+    def access_strided(self, addr: int, nelems: int, elem_bytes: int,
+                       stride: int, write: bool = False,
                        use_tlb: bool = True) -> float:
-        """Scalar convenience for the vec backend's raw put/get/amo."""
-        return float(self.strided_ns(
-            np.array([row]), np.array([addr]), nelems, elem_bytes, stride,
-            use_tlb,
-        )[0])
-
-
-def world_round_cost_ns(config: MachineConfig) -> float:
-    """One dissemination-barrier round over the full world (the same
-    formula as :meth:`~repro.runtime.barrier.BarrierController.round_cost_ns`)."""
-    tp = config.transport
-    lat = tp.intra_latency_ns if config.n_nodes <= 1 else tp.latency_ns
-    return tp.o_send + tp.kernel_ns + lat + 8 * tp.gap_ns_per_byte
+        return float(self._cost.strided_ns(self._row, np.array([addr]),
+                                           nelems, elem_bytes, stride,
+                                           use_tlb)[0])
 
 
 # -- batched data movement ----------------------------------------------------
@@ -470,8 +283,7 @@ def evaluate_group(
     sched: Schedule,
     dtype: np.dtype,
     start: np.ndarray,
-    net,
-    round_cost_ns: float,
+    net: Network,
     cost: CostModel,
     stats: SimStats,
 ) -> np.ndarray:
@@ -496,9 +308,11 @@ def evaluate_group(
     groups, n_barriers = _collect_groups(sched, addrs_per_rank, K)
     order = sorted(groups)
     cursor = 0
-    cycle_ns = sched_cycle = cost.cfg.cycle_ns
+    cfg = cost.cfg
+    cycle_ns = cfg.cycle_ns
     rounds = ceil(log2(K)) if K > 1 else 0
-    mbx = cost.cfg.mailbox
+    round_ns = round_cost_ns(cfg, world.tolist())
+    mbx = cfg.mailbox
     # In-flight mailbox messages: (src, dst) group-rank pair -> FIFO of
     # (tag, nelems, payload, t_avail).  Persists across segments (hoisted
     # get-requests are matched one barrier later).
@@ -539,13 +353,13 @@ def evaluate_group(
                         return
                     stats.bytes_put += nbytes * L
                     stats.remote_puts += L
-                    tg = tg + cost.loop_overhead_ns(e)
+                    tg = tg + loop_overhead_ns(cfg, e)
                     tg += cost.strided_ns(g_rows, src, e, b, s, use_tlb=True)
                     tg += OLB_LOOKUP_NS
                     wcost = cost.strided_ns(peer_rows, dst, e, b, s,
                                             use_tlb=False)
                     for i in np.lexsort((g, tg)):
-                        free, delivered = net.send(
+                        free, delivered, _ = net.send(
                             tg[i], int(world[g[i]]), int(world[peer[i]]),
                             nbytes)
                         if free > tg[i]:
@@ -561,13 +375,13 @@ def evaluate_group(
                         return
                     stats.bytes_got += nbytes * L
                     stats.remote_gets += L
-                    tg = tg + cost.loop_overhead_ns(e)
+                    tg = tg + loop_overhead_ns(cfg, e)
                     tg += OLB_LOOKUP_NS
                     rcost = cost.strided_ns(peer_rows, src, e, b, s,
                                             use_tlb=False)
                     for i in np.lexsort((g, tg)):
                         done = net.fetch(tg[i], int(world[g[i]]),
-                                         int(world[peer[i]]), nbytes)
+                                         int(world[peer[i]]), nbytes)[0]
                         done += rcost[i]
                         if done > tg[i]:
                             tg[i] = done
@@ -596,7 +410,7 @@ def evaluate_group(
                     if e == 0:
                         return
                     stats.bytes_put += e * b * L
-                    tg = t[g] + cost.loop_overhead_ns(e)
+                    tg = t[g] + loop_overhead_ns(cfg, e)
                     tg += cost.strided_ns(g_rows, src, e, b, s, use_tlb=True)
                     tg += cost.strided_ns(g_rows, dst, e, b, s, use_tlb=True)
                     t[g] = tg
@@ -641,14 +455,14 @@ def evaluate_group(
                 tg = t[g]
                 vals = None
                 if e:
-                    tg = tg + cost.loop_overhead_ns(e)
+                    tg = tg + loop_overhead_ns(cfg, e)
                     tg += cost.strided_ns(g_rows, src, e, b, s, use_tlb=True)
                     if mem is not None:
                         vals = _gather(mem, mview, g_rows, src, e, s, dtype)
                 wire = nbytes + mbx.header_bytes
                 for i in np.lexsort((g, tg)):
                     sp, dp = int(world[g[i]]), int(world[peer[i]])
-                    free, delivered = net.send(tg[i], sp, dp, wire)
+                    free, delivered, _ = net.send(tg[i], sp, dp, wire)
                     if free > tg[i]:
                         tg[i] = free
                     hops = net.route_hops(net.node_of(sp), net.node_of(dp))
@@ -689,7 +503,7 @@ def evaluate_group(
                     val_rows.append(mvals)
                 tg = np.maximum(t[g], avail) + mbx.match_ns
                 if e:
-                    tg = tg + cost.loop_overhead_ns(e)
+                    tg = tg + loop_overhead_ns(cfg, e)
                     tg += cost.strided_ns(g_rows, dst, e, b, s, use_tlb=True)
                     if mem is not None:
                         _scatter(mem, mview, g_rows, dst, e, s, dtype,
@@ -726,10 +540,10 @@ def evaluate_group(
         if seg < n_barriers:
             stats.barriers += 1
             if K == 1:
-                t += round_cost_ns
+                t += round_ns
             else:
                 release = max(float(t.max()), net.quiescence_time())
-                t[:] = release + rounds * round_cost_ns
+                t[:] = release + rounds * round_ns
     return t
 
 
@@ -828,13 +642,12 @@ def evaluate_schedule(
                     )
                 mem[r, base:base + rb.size] = rb
     stats = SimStats()
-    net = LiteNetwork(config, stats)
+    net = Network(config, stats)
     cost = CostModel(config, n, width)
     addrs = [layout] * n
     ranks = np.arange(n, dtype=np.int64)
     makespans = evaluate_group(
-        mem, ranks, ranks, addrs, sched, dt, np.zeros(n), net,
-        world_round_cost_ns(config), cost, stats,
+        mem, ranks, ranks, addrs, sched, dt, np.zeros(n), net, cost, stats,
     )
     return ScheduleEvaluation(
         schedule=sched, config=config, dtype=dt, makespans=makespans,

@@ -101,29 +101,24 @@ def execute_schedule(ctx: "XBRTime", sched: Schedule,
     simulated cost, so allocation never perturbs timing) and freed LIFO
     on exit, including on exceptions.
 
-    A context may take over whole-schedule execution by exposing a
-    ``schedule_evaluator`` method (the vec backend's batch rendezvous —
-    see :mod:`repro.backends.vec`); it assumes full responsibility for
-    buffer allocation, data movement and time accounting.
+    A context may take over whole-schedule execution through its
+    ``schedule_evaluator`` seam (the vec backend's batch rendezvous —
+    see :mod:`repro.backends.vec`): it is handed the bound addresses of
+    every buffer and does the data movement and time accounting;
+    allocation and the LIFO release stay here.
 
     A context whose ``schedule_transport`` is ``"mailbox"`` gets the
     schedule lowered onto matched send/recv pairs first (see
     :mod:`.mailbox`) — every collective, blocking or resilient or
     fused, inherits the two-sided transport with no per-algorithm code.
     """
-    hook = getattr(ctx, "schedule_evaluator", None)
-    if hook is not None:
-        hook(sched, tuple(members), me, dict(bindings), dtype)
-        return
-    if getattr(ctx, "schedule_transport", "onesided") == "mailbox":
+    hook = ctx.schedule_evaluator
+    if hook is None and ctx.schedule_transport == "mailbox":
         from .mailbox import lower_to_mailbox
 
         sched = lower_to_mailbox(sched)
-    prog = sched.program(me)
     addrs: dict[str, int] = dict(bindings)
     allocated: list[tuple[str, int]] = []
-    views: dict = {}
-    op = sched.op
     try:
         for buf in sched.buffers:
             if buf.kind == "user" or not buf.held_by(me):
@@ -134,6 +129,12 @@ def execute_schedule(ctx: "XBRTime", sched: Schedule,
                 addr = ctx.private_malloc(buf.nbytes)
             addrs[buf.name] = addr
             allocated.append((buf.kind, addr))
+        if hook is not None:
+            hook(sched, tuple(members), me, addrs, dtype)
+            return
+        prog = sched.program(me)
+        views: dict = {}
+        op = sched.op
         _run_steps(ctx, prog.prologue, addrs, members, dtype, op, views)
         # Pipeline blocks lower to their barrier-separated rounds here,
         # so sim and mp replay the exact step order the linter checked.

@@ -103,8 +103,8 @@ class Team:
         _gather.gather(self.ctx, dest, src, pe_msgs, pe_disp, nelems,
                        root, resolve_dtype(dtype), group=self.members)
 
-    def reduce_all(self, dest: int, src: int, nelems: int, stride: int,
-                   op: str = "sum", dtype: str | np.dtype = "long") -> None:
+    def allreduce(self, dest: int, src: int, nelems: int, stride: int,
+                  op: str = "sum", dtype: str | np.dtype = "long") -> None:
         from ..runtime.context import resolve_dtype
 
         from .allreduce import allreduce as _allreduce

@@ -19,13 +19,24 @@ MASK64 = (1 << 64) - 1
 
 
 class Memory:
-    """A flat little-endian memory of ``size`` bytes."""
+    """A flat little-endian memory of ``size`` bytes.
 
-    def __init__(self, size: int):
-        if size <= 0:
-            raise AddressError("memory size must be positive")
-        self.size = size
-        self.buf = np.zeros(size, dtype=np.uint8)
+    ``buf`` wraps an existing 1-D ``uint8`` array instead of allocating
+    (a shared-memory segment, a row of the vec backend's matrix): the
+    memory then aliases it, so stores are visible to every other holder.
+    """
+
+    def __init__(self, size: int | None = None, *,
+                 buf: np.ndarray | None = None):
+        if buf is None:
+            if size is None or size <= 0:
+                raise AddressError("memory size must be positive")
+            buf = np.zeros(size, dtype=np.uint8)
+        elif buf.dtype != np.uint8 or buf.ndim != 1 or buf.size == 0:
+            raise AddressError("a wrapped buffer must be a non-empty 1-D "
+                               "uint8 array")
+        self.size = buf.size
+        self.buf = buf
 
     # -- bounds ---------------------------------------------------------------
 

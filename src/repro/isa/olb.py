@@ -16,16 +16,19 @@ from __future__ import annotations
 
 from ..errors import OlbMissError
 
-__all__ = ["ObjectLookasideBuffer"]
+__all__ = ["ObjectLookasideBuffer", "OLB_LOOKUP_NS"]
 
 #: Object ID reserved for "the local processing element".
 LOCAL_OBJECT_ID = 0
+
+#: Cost of one OLB lookup, charged per remote operation.
+OLB_LOOKUP_NS = 2.0
 
 
 class ObjectLookasideBuffer:
     """Object-ID → PE translation table with hit/miss accounting."""
 
-    def __init__(self, owner_pe: int, lookup_ns: float = 2.0):
+    def __init__(self, owner_pe: int, lookup_ns: float = OLB_LOOKUP_NS):
         self.owner_pe = owner_pe
         self.lookup_ns = lookup_ns
         self._map: dict[int, int] = {}

@@ -10,7 +10,7 @@ from .cache import Cache, CacheLevelResult
 from .tlb import Tlb
 from .memsys import MemoryHierarchy
 from .topology import Topology, build_topology
-from .network import Network, PutResult, GetResult
+from .network import Network
 from .node import Node
 
 __all__ = [
@@ -21,7 +21,5 @@ __all__ = [
     "Topology",
     "build_topology",
     "Network",
-    "PutResult",
-    "GetResult",
     "Node",
 ]

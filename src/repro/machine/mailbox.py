@@ -116,10 +116,7 @@ class MailboxRouter:
     def route_ns(self, src_pe: int, dst_pe: int) -> float:
         """Postoffice routing charge: per-hop table work between nodes."""
         net = self.machine.network
-        src_node, dst_node = net.node_of(src_pe), net.node_of(dst_pe)
-        if src_node == dst_node:
-            return 0.0
-        hops = net.topology.hops(src_node, dst_node)
+        hops = net.route_hops(net.node_of(src_pe), net.node_of(dst_pe))
         return self.params.route_ns_per_hop * hops
 
     # -- send ----------------------------------------------------------------
@@ -168,9 +165,9 @@ class MailboxRouter:
         attempts = 1 + (retry.max_retries if retry is not None else 0)
         wire_bytes = nbytes + params.header_bytes
         for attempt in range(attempts):
-            res = machine.network.send(pe.clock, rank, target, wire_bytes)
-            pe.advance_to(res.t_source_free)
-            fault = res.fault
+            t_free, t_delivered, fault = machine.network.send(
+                pe.clock, rank, target, wire_bytes)
+            pe.advance_to(t_free)
             if (fault is not None and fault.kind in ("drop", "corrupt")
                     and retry is not None):
                 injector.note_retry(pe.clock, rank, target,
@@ -184,7 +181,7 @@ class MailboxRouter:
                 self.dropped += 1
                 machine.stats.mbx_dropped += 1
                 return
-            t_avail = res.t_delivered + self.route_ns(rank, target)
+            t_avail = t_delivered + self.route_ns(rank, target)
             machine.network.note_delivery(t_avail)
             corrupt = (fault if fault is not None
                        and fault.kind == "corrupt" else None)

@@ -29,67 +29,54 @@ All state updates happen at scheduler checkpoints, so the global order of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..errors import SimulationError
 from ..params import MachineConfig
 from ..sim.trace import SimStats
-from .topology import Topology, build_topology
+from .topology import build_topology
 
-__all__ = ["PutResult", "GetResult", "Network"]
+__all__ = ["Network"]
 
 #: Fixed fabric occupancy per message (routing/arbitration), ns.
 FABRIC_NS_PER_MSG = 45.0
-#: Number of independent fabric channels (bisection parallelism).
+#: Number of independent fabric channels (bisection parallelism); the
+#: earliest-free pick in ``_cross_fabric`` is written out for two.
 FABRIC_CHANNELS = 2
 #: Additional wire latency per extra hop, as a fraction of base latency.
 HOP_LATENCY_FACTOR = 0.15
 #: Per-message occupancy of a node's shared internal bus, ns.
 NODE_BUS_NS_PER_MSG = 16.0
-
-
-@dataclass(frozen=True)
-class PutResult:
-    """Timing of a one-way message.
-
-    ``t_source_free``: when the sender may proceed (includes backpressure).
-    ``t_delivered``: when the payload is visible at the target.
-    ``fault``: the :class:`~repro.faults.plan.FiredFault` that struck
-    this message (None on the clean path).  For a ``drop`` the payload
-    never lands and ``t_delivered`` is when it *would* have.
-    """
-
-    t_source_free: float
-    t_delivered: float
-    fault: object | None = None
-
-
-@dataclass(frozen=True)
-class GetResult:
-    """Timing of a round-trip read: ``t_complete`` is when data is local.
-
-    ``fault`` mirrors :attr:`PutResult.fault`; a dropped get means the
-    response was lost and no data arrived.
-    """
-
-    t_complete: float
-    fault: object | None = None
+#: Largest node count for which a topology graph is built; the
+#: fully-connected default is analytic and has no limit.
+MAX_TOPOLOGY_NODES = 4096
 
 
 class Network:
-    """Shared interconnect state for one simulated machine."""
+    """Shared interconnect state for one machine — the only network
+    model: the simulator, the vec backend and the standalone schedule
+    evaluator all price messages here."""
 
     def __init__(self, config: MachineConfig, stats: SimStats | None = None):
         self.cfg = config
         self.tp = config.transport
         self.stats = stats if stats is not None else SimStats()
-        self.topology: Topology = build_topology(
-            config.topology, config.n_nodes
-        )
+        n_nodes = config.n_nodes
+        if config.topology == "fully-connected":
+            # Analytic: one hop between distinct nodes.  A 64k-node
+            # complete graph must never be built.
+            self._topology = None
+        else:
+            if n_nodes > MAX_TOPOLOGY_NODES:
+                raise SimulationError(
+                    f"topology {config.topology!r} with {n_nodes} nodes is too "
+                    f"large to build (limit {MAX_TOPOLOGY_NODES}); use "
+                    "topology='fully-connected' for large-PE evaluation"
+                )
+            self._topology = build_topology(config.topology, n_nodes)
         # Next instant each node's injection link is free.
-        self._link_free = [0.0] * config.n_nodes
+        self._link_free = [0.0] * n_nodes
         # Next instant each node's shared internal bus is free.
-        self._bus_free = [0.0] * config.n_nodes
-        # Next instant each fabric channel is free (round-robin by load).
+        self._bus_free = [0.0] * n_nodes
+        # Next instant each fabric channel is free.
         self._fabric_free = [0.0] * FABRIC_CHANNELS
         # Latest delivery time of any in-flight message (barrier quiescence).
         self.max_delivery = 0.0
@@ -102,28 +89,32 @@ class Network:
     def node_of(self, pe: int) -> int:
         return self.cfg.node_of(pe)
 
-    def same_node(self, src_pe: int, dst_pe: int) -> bool:
-        return self.node_of(src_pe) == self.node_of(dst_pe)
+    def route_hops(self, src_node: int, dst_node: int) -> int:
+        """Hop count between two nodes (0 within a node)."""
+        if src_node == dst_node:
+            return 0
+        if self._topology is None:
+            return 1
+        return self._topology.hops(src_node, dst_node)
 
     def _wire_latency(self, src_node: int, dst_node: int) -> float:
-        hops = self.topology.hops(src_node, dst_node)
+        hops = self.route_hops(src_node, dst_node)
         return self.tp.latency_ns * (1.0 + HOP_LATENCY_FACTOR * max(0, hops - 1))
 
-    def _cross_fabric(self, t_ready: float, nbytes: float) -> tuple[float, float]:
-        """Serialise one message through the fabric.
+    def _cross_fabric(self, t_ready: float, nbytes: float) -> float:
+        """Serialise one message through the earliest-free fabric channel.
 
-        Returns ``(t_enter, queued_ns)`` where ``t_enter`` is when the
-        message starts crossing (sender is backpressured until then).
+        Returns the instant the message starts crossing; the sender is
+        backpressured until then.
         """
         occ = FABRIC_NS_PER_MSG + nbytes * self.cfg.fabric_gap_ns_per_byte
-        # Earliest-free channel.
-        ch = min(range(FABRIC_CHANNELS), key=self._fabric_free.__getitem__)
-        t_enter = max(t_ready, self._fabric_free[ch])
-        self._fabric_free[ch] = t_enter + occ
-        queued = t_enter - t_ready
-        if queued > 0:
-            self.stats.fabric_queued_ns += queued
-        return t_enter, queued
+        free = self._fabric_free
+        ch = 0 if free[0] <= free[1] else 1
+        t_enter = t_ready if t_ready > free[ch] else free[ch]
+        free[ch] = t_enter + occ
+        if t_enter > t_ready:
+            self.stats.fabric_queued_ns += t_enter - t_ready
+        return t_enter
 
     def _cross_bus(self, node: int, t_ready: float, nbytes: float) -> float:
         """Serialise one message on a node's shared internal bus.
@@ -132,36 +123,32 @@ class Network:
         backpressured until then.
         """
         occ = NODE_BUS_NS_PER_MSG + nbytes * self.tp.intra_gap_ns_per_byte
-        t_enter = max(t_ready, self._bus_free[node])
+        free = self._bus_free[node]
+        t_enter = t_ready if t_ready > free else free
         self._bus_free[node] = t_enter + occ
-        queued = t_enter - t_ready
-        if queued > 0:
-            self.stats.fabric_queued_ns += queued
+        if t_enter > t_ready:
+            self.stats.fabric_queued_ns += t_enter - t_ready
         return t_enter
 
-    def _sample_fault(self, t_now: float, src_pe: int, dst_pe: int,
-                      nbytes: int):
-        """Ask the injector (if any) whether this message is struck."""
-        if self.injector is None or src_pe == dst_pe:
-            return None
-        return self.injector.on_message(t_now, src_pe, dst_pe, nbytes)
-
-    @staticmethod
-    def _faulted_delivery(fault, t_del: float, nbytes: float,
-                          gap_ns_per_byte: float) -> float:
-        """Fold a fired fault's timing effect into a delivery instant.
+    def _land_faulted(self, fault, t_del: float, nbytes: float,
+                      gap_ns_per_byte: float) -> float:
+        """Fold a fired fault's timing effect into a delivery instant and
+        extend the quiescence horizon (the clean path does so inline).
 
         ``delay`` adds a fixed extra latency; ``degrade`` stretches the
         serialisation term by ``factor`` (the link ran slower).  Drops
         and corruption do not change *when* the bits land — only whether
-        they are any good.
+        they are any good; a dropped payload never lands, so it cannot
+        extend the horizon.
         """
-        if fault is None:
-            return t_del
         if fault.kind == "delay":
-            return t_del + fault.delay_ns
-        if fault.kind == "degrade":
-            return t_del + nbytes * gap_ns_per_byte * (fault.factor - 1.0)
+            t_del += fault.delay_ns
+        elif fault.kind == "degrade":
+            t_del += nbytes * gap_ns_per_byte * (fault.factor - 1.0)
+        elif fault.kind == "drop":
+            return t_del
+        if t_del > self.max_delivery:
+            self.max_delivery = t_del
         return t_del
 
     def _sender_side(self, t_now: float, nbytes: int) -> float:
@@ -175,8 +162,15 @@ class Network:
     # -- one-way message (put) ------------------------------------------------
 
     def send(self, t_now: float, src_pe: int, dst_pe: int, nbytes: int,
-             *, faultable: bool = True) -> PutResult:
+             *, faultable: bool = True) -> tuple[float, float, object | None]:
         """Cost a one-way payload transfer of ``nbytes``.
+
+        Returns ``(t_source_free, t_delivered, fault)`` — a plain tuple,
+        this is the hottest call of the evaluator: when the sender may
+        proceed (includes backpressure), when the payload is visible at
+        the target, and the :class:`~repro.faults.plan.FiredFault` that
+        struck the message (None on the clean path; for a ``drop`` the
+        payload never lands and ``t_delivered`` is when it *would* have).
 
         For one-sided transports the target CPU is not involved; for
         two-sided ones the caller must additionally charge ``o_recv`` and
@@ -189,44 +183,45 @@ class Network:
         tp = self.tp
         self.stats.messages += 1
         self.stats.bytes_on_wire += nbytes
-        fault = (self._sample_fault(t_now, src_pe, dst_pe, nbytes)
-                 if faultable else None)
+        fault = None
+        if self.injector is not None and faultable and src_pe != dst_pe:
+            fault = self.injector.on_message(t_now, src_pe, dst_pe, nbytes)
         src_node, dst_node = self.node_of(src_pe), self.node_of(dst_pe)
         if src_node == dst_node:
-            t_ready = t_now + tp.o_send + tp.kernel_ns + nbytes * tp.copy_ns_per_byte
+            t_ready = (t_now + tp.o_send + tp.kernel_ns
+                       + nbytes * tp.copy_ns_per_byte)
             if tp.handshake_ns and nbytes > tp.eager_threshold:
                 t_ready += tp.handshake_ns
             t_enter = self._cross_bus(src_node, t_ready, nbytes)
-            t_del = t_enter + tp.intra_latency_ns + nbytes * tp.intra_gap_ns_per_byte
-            if tp.two_sided:
-                t_del += tp.o_recv + nbytes * tp.copy_ns_per_byte
-            t_del = self._faulted_delivery(fault, t_del, nbytes,
-                                           tp.intra_gap_ns_per_byte)
-            if fault is None or fault.kind != "drop":
-                # A dropped payload never lands, so it cannot extend the
-                # quiescence horizon.
-                self.max_delivery = max(self.max_delivery, t_del)
-            return PutResult(t_source_free=max(t_ready, t_enter),
-                             t_delivered=t_del, fault=fault)
-        t_ready = self._sender_side(t_now, nbytes)
-        t_inj_done = max(t_ready, self._link_free[src_node]) + nbytes * tp.inj_ns_per_byte
-        self._link_free[src_node] = t_inj_done
-        t_enter, _ = self._cross_fabric(t_inj_done, nbytes)
-        t_del = t_enter + self._wire_latency(src_node, dst_node) + nbytes * tp.gap_ns_per_byte
+            gap = tp.intra_gap_ns_per_byte
+            t_del = t_enter + tp.intra_latency_ns + nbytes * gap
+        else:
+            t_ready = self._sender_side(t_now, nbytes)
+            t_inj_done = (max(t_ready, self._link_free[src_node])
+                          + nbytes * tp.inj_ns_per_byte)
+            self._link_free[src_node] = t_inj_done
+            t_enter = self._cross_fabric(t_inj_done, nbytes)
+            gap = tp.gap_ns_per_byte
+            t_del = (t_enter + self._wire_latency(src_node, dst_node)
+                     + nbytes * gap)
         if tp.two_sided:
             t_del += tp.o_recv + nbytes * tp.copy_ns_per_byte
-        t_del = self._faulted_delivery(fault, t_del, nbytes, tp.gap_ns_per_byte)
-        if fault is None or fault.kind != "drop":
-            self.max_delivery = max(self.max_delivery, t_del)
-        # Backpressure: the sender stalls until the fabric accepts.
-        return PutResult(t_source_free=max(t_ready, t_enter),
-                         t_delivered=t_del, fault=fault)
+        if fault is not None:
+            t_del = self._land_faulted(fault, t_del, nbytes, gap)
+        elif t_del > self.max_delivery:
+            self.max_delivery = t_del
+        # Backpressure: the sender stalls until the bus/fabric accepts.
+        return (t_ready if t_ready > t_enter else t_enter, t_del, fault)
 
     # -- round trip (get) -------------------------------------------------------
 
     def fetch(self, t_now: float, src_pe: int, dst_pe: int, nbytes: int,
-              *, faultable: bool = True) -> GetResult:
+              *, faultable: bool = True) -> tuple[float, object | None]:
         """Cost a one-sided read of ``nbytes`` from ``dst_pe`` to ``src_pe``.
+
+        Returns ``(t_complete, fault)``: when the data is local, and the
+        fired fault as for :meth:`send` (a dropped get means the response
+        was lost and no data arrived).
 
         The request is a small message; the response carries the payload.
         One-sided transports need no target-CPU participation (the xBGAS
@@ -241,8 +236,9 @@ class Network:
         self.stats.bytes_on_wire += nbytes + 16
         # One sample covers the request/response pair: losing either
         # direction loses the read.
-        fault = (self._sample_fault(t_now, src_pe, dst_pe, nbytes)
-                 if faultable else None)
+        fault = None
+        if self.injector is not None and faultable and src_pe != dst_pe:
+            fault = self.injector.on_message(t_now, src_pe, dst_pe, nbytes)
         if src_node == dst_node:
             t_ready = t_now + tp.o_send + tp.kernel_ns
             t_req = self._cross_bus(src_node, t_ready, 16)
@@ -250,34 +246,33 @@ class Network:
             if tp.two_sided:
                 t_arrive += tp.o_recv + tp.kernel_ns
             t_rsp = self._cross_bus(src_node, t_arrive, nbytes)
-            t = t_rsp + tp.intra_latency_ns + nbytes * tp.intra_gap_ns_per_byte
+            gap = tp.intra_gap_ns_per_byte
+            t_done = t_rsp + tp.intra_latency_ns + nbytes * gap
+        else:
+            t_ready = self._sender_side(t_now, 16)
+            # Request crosses the fabric...
+            t_req = (max(t_ready, self._link_free[src_node])
+                     + 16 * tp.inj_ns_per_byte)
+            self._link_free[src_node] = t_req
+            t_enter = self._cross_fabric(t_req, 16)
+            t_arrive = t_enter + self._wire_latency(src_node, dst_node)
             if tp.two_sided:
-                t += nbytes * tp.copy_ns_per_byte
-            t = self._faulted_delivery(fault, t, nbytes,
-                                       tp.intra_gap_ns_per_byte)
-            if fault is None or fault.kind != "drop":
-                self.max_delivery = max(self.max_delivery, t)
-            return GetResult(t_complete=t, fault=fault)
-        t_ready = self._sender_side(t_now, 16)
-        # Request crosses the fabric...
-        t_req = max(t_ready, self._link_free[src_node]) + 16 * tp.inj_ns_per_byte
-        self._link_free[src_node] = t_req
-        t_enter, _ = self._cross_fabric(t_req, 16)
-        t_arrive = t_enter + self._wire_latency(src_node, dst_node)
-        if tp.two_sided:
-            t_arrive += tp.o_recv + tp.kernel_ns
-        # ...and the response comes back through the target's link.
-        t_rsp = max(t_arrive, self._link_free[dst_node]) + nbytes * tp.inj_ns_per_byte
-        self._link_free[dst_node] = t_rsp
-        t_enter2, _ = self._cross_fabric(t_rsp, nbytes)
-        t_done = t_enter2 + self._wire_latency(dst_node, src_node) + nbytes * tp.gap_ns_per_byte
+                t_arrive += tp.o_recv + tp.kernel_ns
+            # ...and the response comes back through the target's link.
+            t_rsp = (max(t_arrive, self._link_free[dst_node])
+                     + nbytes * tp.inj_ns_per_byte)
+            self._link_free[dst_node] = t_rsp
+            t_enter2 = self._cross_fabric(t_rsp, nbytes)
+            gap = tp.gap_ns_per_byte
+            t_done = (t_enter2 + self._wire_latency(dst_node, src_node)
+                      + nbytes * gap)
         if tp.two_sided:
             t_done += nbytes * tp.copy_ns_per_byte
-        t_done = self._faulted_delivery(fault, t_done, nbytes,
-                                        tp.gap_ns_per_byte)
-        if fault is None or fault.kind != "drop":
-            self.max_delivery = max(self.max_delivery, t_done)
-        return GetResult(t_complete=t_done, fault=fault)
+        if fault is not None:
+            t_done = self._land_faulted(fault, t_done, nbytes, gap)
+        elif t_done > self.max_delivery:
+            self.max_delivery = t_done
+        return (t_done, fault)
 
     # -- barrier support ---------------------------------------------------------
 

@@ -31,14 +31,26 @@ diverging.
 from __future__ import annotations
 
 from math import ceil, log2
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from ..errors import CollectiveArgumentError, PeerFailedError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..params import MachineConfig
     from .context import Machine
 
-__all__ = ["BarrierController"]
+__all__ = ["BarrierController", "round_cost_ns"]
+
+
+def round_cost_ns(cfg: "MachineConfig", participants: Iterable[int]) -> float:
+    """Cost of one dissemination round among ``participants``."""
+    tp = cfg.transport
+    nodes = {cfg.node_of(r) for r in participants}
+    if len(nodes) <= 1:
+        lat = tp.intra_latency_ns
+    else:
+        lat = tp.latency_ns
+    return tp.o_send + tp.kernel_ns + lat + 8 * tp.gap_ns_per_byte
 
 
 class _Pending:
@@ -63,17 +75,6 @@ class BarrierController:
         #: participants (sorted tuple) -> in-progress instance
         self._pending: dict[tuple[int, ...], _Pending] = {}
 
-    def round_cost_ns(self, participants: tuple[int, ...]) -> float:
-        """Cost of one dissemination round among ``participants``."""
-        cfg = self.machine.config
-        tp = cfg.transport
-        nodes = {cfg.node_of(r) for r in participants}
-        if len(nodes) <= 1:
-            lat = tp.intra_latency_ns
-        else:
-            lat = tp.latency_ns
-        return tp.o_send + tp.kernel_ns + lat + 8 * tp.gap_ns_per_byte
-
     # -- release helpers ----------------------------------------------------
 
     def _release(self, inst: _Pending, waker: int | None) -> float:
@@ -95,7 +96,7 @@ class BarrierController:
         release = max(inst.arrivals.values())
         release = max(release, machine.network.quiescence_time())
         rounds = ceil(log2(len(key)))
-        release += rounds * self.round_cost_ns(key)
+        release += rounds * round_cost_ns(machine.config, key)
         if dead_members:
             # Survivors only learn of the death when the detector's
             # timeout on the missing peer expires.
@@ -152,7 +153,7 @@ class BarrierController:
         try:
             if len(key) == 1:
                 # Degenerate barrier: only the round cost.
-                engine.pes[rank].advance(self.round_cost_ns(key))
+                engine.pes[rank].advance(round_cost_ns(machine.config, key))
                 machine.stats.barriers += 1
                 return
             engine.checkpoint()

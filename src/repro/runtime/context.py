@@ -31,17 +31,11 @@ wraps a region as a numpy array for local computation.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..errors import (
-    AddressError,
-    PeerFailedError,
-    RuntimeStateError,
-    SimulationError,
-)
+from ..errors import MailboxProtocolError, RuntimeStateError
 from ..isa.memory import Memory
 from ..isa.olb import ObjectLookasideBuffer
 from ..machine.mailbox import MailboxRouter
@@ -50,19 +44,12 @@ from ..machine.network import Network
 from ..machine.node import Node
 from ..params import MachineConfig
 from ..sim.engine import Engine, PEProcess
-from ..types import typeinfo
 from .barrier import BarrierController
-from .symmetric_heap import FreeListAllocator, ScratchStack, SymmetricHeap
-from .transfer import TransferEngine, TransferHandle
+from .collective_api import CollectiveAPI, resolve_dtype
+from .symmetric_heap import CODE_REGION_BYTES, segment_layout
+from .transfer import TransferEngine, loop_overhead_ns
 
 __all__ = ["Machine", "XBRTime", "CODE_REGION_BYTES"]
-
-#: Low memory reserved for generated code in ``isa`` fidelity.
-CODE_REGION_BYTES = 64 * 1024
-
-
-# Backwards-compatible re-export: resolve_dtype predates collective_api.
-from .collective_api import CollectiveAPI, resolve_dtype  # noqa: E402,F401
 
 
 class Machine:
@@ -110,26 +97,15 @@ class Machine:
         if not fast_paths:
             for hier in self._hier.values():
                 hier.fast_path = False
-        #: The all-PEs group tuple, built once; ``resolve_group`` returns
-        #: it for every world collective instead of rebuilding the range.
-        self.world_group = tuple(range(cfg.n_pes))
         self.network = Network(cfg, self.stats)
-        # Shared-segment layout (identical on every PE, Figure 2):
-        # [heap_base, heap_base + scratch) = collective scratch stacks,
-        # [heap_base + scratch, end)       = the collective symmetric heap.
-        heap_base = cfg.memory_bytes_per_pe - cfg.symmetric_heap_bytes
-        scratch = cfg.collective_scratch_bytes
-        self.scratch_stacks = [
-            ScratchStack(heap_base, scratch) for _ in range(cfg.n_pes)
-        ]
-        self.heap = SymmetricHeap(
-            heap_base + scratch, cfg.symmetric_heap_bytes - scratch, cfg.n_pes
-        )
-        self._shared_base = heap_base
-        self.private_allocators = [
-            FreeListAllocator(CODE_REGION_BYTES, heap_base - CODE_REGION_BYTES)
-            for _ in range(cfg.n_pes)
-        ]
+        layout = segment_layout(cfg)
+        #: Start of the shared segment (scratch + collective heap).
+        self.heap_base = layout.heap_base
+        self.scratch_stacks = [layout.scratch_stack()
+                               for _ in range(cfg.n_pes)]
+        self.heap = layout.symmetric_heap(cfg.n_pes)
+        self.private_allocators = [layout.private_allocator()
+                                   for _ in range(cfg.n_pes)]
         self.olbs = [ObjectLookasideBuffer(pe) for pe in range(cfg.n_pes)]
         for olb in self.olbs:
             olb.install_default(cfg.n_pes)
@@ -137,11 +113,12 @@ class Machine:
         self.transfers = [TransferEngine(self, r) for r in range(cfg.n_pes)]
         self.mailbox = MailboxRouter(self)
         self._consumed = False
-        self._isa_path = None
+        #: Functional-core transfer path (``isa`` fidelity), else None.
+        self.isa_path = None
         if cfg.fidelity == "isa":
             from .isa_path import IsaTransferPath
 
-            self._isa_path = IsaTransferPath(self)
+            self.isa_path = IsaTransferPath(self)
         #: Armed fault injector (None = clean machine, zero overhead).
         self.faults = None
         self.retry = retry
@@ -153,27 +130,8 @@ class Machine:
 
     # -- shared-hardware accessors -------------------------------------------
 
-    @property
-    def heap_base(self) -> int:
-        """Start of the shared segment (scratch + collective heap)."""
-        return self._shared_base
-
     def hierarchy_of(self, pe: int) -> MemoryHierarchy:
         return self._hier[pe]
-
-    def isa_transfer(self, rank: int, dest: int, src: int, nelems: int,
-                     stride: int, target: int, elem_bytes: int, *,
-                     is_put: bool) -> None:
-        """Route a transfer through the functional-core path."""
-        assert self._isa_path is not None, "machine not in isa fidelity"
-        self._isa_path.transfer(rank, dest, src, nelems, stride, target,
-                                elem_bytes, is_put=is_put)
-
-    def isa_amo(self, rank: int, addr: int, value: int, target: int,
-                op: str) -> int:
-        """Route an AMO through the functional-core path."""
-        assert self._isa_path is not None, "machine not in isa fidelity"
-        return self._isa_path.amo(rank, addr, value, target, op)
 
     @property
     def elapsed_ns(self) -> float:
@@ -290,284 +248,19 @@ class Machine:
 
 
 class XBRTime(CollectiveAPI):
-    """Per-PE runtime context (the xbrtime API surface).
+    """The simulator's per-PE context.
 
-    Typed wrappers (``ctx.int_put``, ``ctx.double_broadcast``,
-    ``ctx.long_reduce_sum``, ...) are installed by
-    :mod:`repro.runtime.typed` at import time.
+    Everything but the sim seams is inherited from the context core
+    (:class:`~repro.runtime.collective_api.CollectiveAPI`): this class
+    adds only the span recorder and the two-sided mailbox calls.
     """
 
-    def __init__(self, machine: Machine, pe: PEProcess):
-        self.machine = machine
-        self.pe = pe
-        self.rank = pe.rank
-        self._active = False
-        self._closed = False
-        self._heap_calls = 0
-        self._transfer = machine.transfers[self.rank]
-        self._private = machine.private_allocators[self.rank]
-        self._memory = machine.memories[self.rank]
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def init(self) -> None:
-        """``xbrtime_init``: bring the runtime up; synchronises all PEs."""
-        if self._active:
-            raise RuntimeStateError(f"PE {self.rank}: init() called twice")
-        if self._closed:
-            raise RuntimeStateError(f"PE {self.rank}: init() after close()")
-        self._active = True
-        # OLB fill + bookkeeping cost, then the init barrier.
-        self.pe.advance(200.0)
-        self.machine.barriers.barrier(self.rank)
-
-    def close(self) -> None:
-        """``xbrtime_close``: tear the runtime down; synchronises all PEs."""
-        self._require_active()
-        try:
-            self.machine.barriers.barrier(self.rank)
-        except PeerFailedError:
-            pass  # dead peers cannot join teardown; survivors still close
-        self._active = False
-        self._closed = True
-
-    def _require_active(self) -> None:
-        if not self._active:
-            raise RuntimeStateError(
-                f"PE {self.rank}: runtime used outside init()/close()"
-            )
-        faults = self.machine.faults
-        if faults is not None:
-            # Every runtime call is a fault checkpoint: due stalls fire
-            # here, and a scheduled crash kills this PE here.
-            faults.check_pe(self.rank, self.pe.clock)
-
-    # -- backend protocol accessors ---------------------------------------------
-    #
-    # The collectives layer (schedule executor, front-ends, resilient
-    # wrappers) reaches shared state only through these names, so any
-    # context implementing them — this simulated one or
-    # :class:`repro.backends.mp.MPContext` — can run every compiled
-    # schedule unmodified.  See ``docs/API.md`` ("Backends").
-
-    #: Which execution backend this context belongs to.
     backend_name = "sim"
-
-    @property
-    def config(self) -> MachineConfig:
-        """The machine configuration (memory layout, topology, costs)."""
-        return self.machine.config
-
-    @property
-    def world_group(self) -> tuple[int, ...]:
-        """The all-PEs group tuple (built once per machine)."""
-        return self.machine.world_group
 
     @property
     def spans(self):
         """The span recorder (a disabled recorder when tracing is off)."""
         return self.machine.engine.spans
-
-    def count_collective(self, stats_key: str) -> None:
-        """Count one collective call under ``stats_key``."""
-        self.machine.stats.collective_calls[stats_key] += 1
-
-    def executing_rank(self) -> int | None:
-        """The rank whose code is executing on this OS thread right now.
-
-        ``None`` when called from outside PE code (driver / tests).  On
-        the simulator all PE contexts live in one process, so this is
-        how shared objects (non-blocking handles) detect being driven by
-        the wrong PE; on the multiprocessing backend each process *is*
-        one PE and the answer is constant.
-        """
-        try:
-            return self.machine.engine.current.rank
-        except SimulationError:
-            return None
-
-    # -- identity ---------------------------------------------------------------
-
-    def my_pe(self) -> int:
-        """``xbrtime_mype``."""
-        self._require_active()
-        return self.rank
-
-    def num_pes(self) -> int:
-        """``xbrtime_num_pes``."""
-        self._require_active()
-        return self.machine.config.n_pes
-
-    def failed_pes(self) -> frozenset[int]:
-        """Ranks this PE has *observed* dead so far (fault injection).
-
-        For group-membership decisions inside resilient collectives use
-        the :class:`~repro.errors.PeerFailedError` payload instead —
-        different PEs may observe a crash at different times, but all
-        survivors of one barrier instance receive the same payload.
-        """
-        return self.machine.failed_pes
-
-    def live_pes(self) -> tuple[int, ...]:
-        """World ranks not (yet) crashed, in rank order."""
-        dead = self.machine.failed_pes
-        return tuple(r for r in range(self.machine.config.n_pes)
-                     if r not in dead)
-
-    @property
-    def time_ns(self) -> float:
-        """This PE's simulated wall-clock time.
-
-        Internal event times are undilated; the reported clock applies
-        the host-oversubscription dilation
-        (:attr:`MachineConfig.time_dilation`) so measured throughput
-        reflects the paper's oversubscribed 12-core simulation host.
-        """
-        return self.pe.clock * self.machine.config.time_dilation
-
-    # -- memory management ---------------------------------------------------------
-
-    def malloc(self, nbytes: int, align: int = 16) -> int:
-        """Collective symmetric allocation: every PE receives the same
-        address (same offset in the shared segment, Figure 2)."""
-        self._require_active()
-        idx = self._heap_calls
-        self._heap_calls += 1
-        self.pe.advance(50.0)
-        return self.machine.heap.collective_malloc(idx, nbytes, align)
-
-    def free(self, addr: int) -> None:
-        """Collective symmetric free."""
-        self._require_active()
-        idx = self._heap_calls
-        self._heap_calls += 1
-        self.pe.advance(30.0)
-        self.machine.heap.collective_free(idx, addr)
-
-    def scratch_alloc(self, nbytes: int, align: int = 16) -> int:
-        """Symmetric *scratch* allocation for collective work buffers.
-
-        Unlike :meth:`malloc` this needs no participation from other
-        PEs: every PE's scratch stack starts at the same base, so the
-        participants of one collective (even a team subset) obtain the
-        same address by pushing the same sizes in the same order.
-        Frees are LIFO.
-        """
-        self._require_active()
-        return self.machine.scratch_stacks[self.rank].alloc(nbytes, align)
-
-    def scratch_free(self, addr: int) -> None:
-        self._require_active()
-        self.machine.scratch_stacks[self.rank].free(addr)
-
-    def private_malloc(self, nbytes: int, align: int = 16) -> int:
-        """Allocate in this PE's *private* segment (not remotely visible)."""
-        self._require_active()
-        return self._private.alloc(nbytes, align)
-
-    def private_free(self, addr: int) -> None:
-        self._require_active()
-        self._private.free(addr)
-
-    def is_symmetric(self, addr: int) -> bool:
-        """Whether ``addr`` lies in the shared (symmetric) segment."""
-        return addr >= self.machine.heap_base
-
-    def view(self, addr: int, dtype: str | np.dtype, count: int,
-             stride: int = 1) -> np.ndarray:
-        """A numpy view of local memory (aliases the PE's memory)."""
-        return self._memory.view(addr, resolve_dtype(dtype), count, stride)
-
-    def view_on(self, pe: int, addr: int, dtype: str | np.dtype, count: int,
-                stride: int = 1) -> np.ndarray:
-        """A view of *another* PE's memory — for tests and verification
-        phases only; simulated programs should use get/put."""
-        return self.machine.memories[pe].view(
-            addr, resolve_dtype(dtype), count, stride
-        )
-
-    # -- time charging (benchmark compute phases) -------------------------------------
-
-    def compute(self, ns: float) -> None:
-        """Charge ``ns`` of local computation to this PE."""
-        self.pe.advance(ns)
-
-    def charge_access(self, addr: int, nbytes: int = 8, write: bool = False) -> float:
-        """Charge one memory access through the cache/TLB hierarchy."""
-        ns = self.machine.hierarchy_of(self.rank).access(addr, nbytes, write)
-        self.pe.advance(ns)
-        return ns
-
-    def charge_stream(self, addr: int, nbytes: int, write: bool = False) -> float:
-        """Charge a sequential sweep over ``nbytes`` of memory."""
-        ns = self.machine.hierarchy_of(self.rank).access_range(addr, nbytes, write)
-        self.pe.advance(ns)
-        return ns
-
-    # -- synchronisation -------------------------------------------------------------
-
-    def barrier(self) -> None:
-        """``xbrtime_barrier``: synchronise all PEs and drain the network."""
-        self._require_active()
-        self.machine.barriers.barrier(self.rank)
-
-    def barrier_team(self, members: Sequence[int]) -> None:
-        """Barrier over a subset of PEs (teams, paper section 7)."""
-        self._require_active()
-        self.machine.barriers.barrier(self.rank, tuple(members))
-
-    # -- one-sided communication --------------------------------------------------------
-
-    def put(self, dest: int, src: int, nelems: int, stride: int, pe: int,
-            dtype: str | np.dtype = "long") -> None:
-        """``xbrtime_TYPE_put``: write ``nelems`` elements (``stride``
-        apart at both ends) from local ``src`` to ``dest`` on ``pe``."""
-        self._require_active()
-        self._transfer.put(dest, src, nelems, stride, pe, resolve_dtype(dtype))
-
-    def get(self, dest: int, src: int, nelems: int, stride: int, pe: int,
-            dtype: str | np.dtype = "long") -> None:
-        """``xbrtime_TYPE_get``: read ``nelems`` elements from ``src`` on
-        ``pe`` into local ``dest``."""
-        self._require_active()
-        self._transfer.get(dest, src, nelems, stride, pe, resolve_dtype(dtype))
-
-    def put_nb(self, dest: int, src: int, nelems: int, stride: int, pe: int,
-               dtype: str | np.dtype = "long") -> TransferHandle:
-        """Non-blocking put; complete with :meth:`wait` or :meth:`quiet`."""
-        self._require_active()
-        return self._transfer.put_nb(dest, src, nelems, stride, pe,
-                                     resolve_dtype(dtype))
-
-    def get_nb(self, dest: int, src: int, nelems: int, stride: int, pe: int,
-               dtype: str | np.dtype = "long") -> TransferHandle:
-        """Non-blocking get; data is valid after :meth:`wait`."""
-        self._require_active()
-        return self._transfer.get_nb(dest, src, nelems, stride, pe,
-                                     resolve_dtype(dtype))
-
-    def amo(self, addr: int, value: int, pe: int, op: str = "add",
-            dtype: str | np.dtype = "uint64") -> int:
-        """Remote atomic fetch-and-op (xBGAS ``eamoOP.d``): atomically
-        replace the 64-bit word at ``addr`` on ``pe`` with
-        ``old OP value`` and return ``old``.
-
-        Ops: add, xor, and, or, swap, min, max.  Unlike the
-        get-modify-put idiom, concurrent AMOs on one cell never lose
-        updates.
-        """
-        self._require_active()
-        return self._transfer.amo(addr, value, pe, op, resolve_dtype(dtype))
-
-    def wait(self, handle: TransferHandle) -> None:
-        """Complete one non-blocking transfer."""
-        self._require_active()
-        self._transfer.wait(handle)
-
-    def quiet(self) -> None:
-        """Complete all outstanding non-blocking transfers of this PE."""
-        self._require_active()
-        self._transfer.quiet()
 
     # -- two-sided mailbox messaging -----------------------------------------------------
 
@@ -586,8 +279,7 @@ class XBRTime(CollectiveAPI):
         """
         self._require_active()
         dt = resolve_dtype(dtype)
-        transfer = self._transfer
-        transfer._check_args(nelems, stride, pe)
+        self._check_args(nelems, stride, pe)
         nbytes = nelems * dt.itemsize
         machine = self.machine
         engine = machine.engine
@@ -602,14 +294,33 @@ class XBRTime(CollectiveAPI):
         try:
             payload = None
             if nelems:
-                self.pe.advance(transfer.loop_overhead_ns(nelems))
-                self.pe.advance(transfer._local_cost(
+                self.pe.advance(loop_overhead_ns(self.config, nelems))
+                self.pe.advance(self._transfer._local_cost(
                     src, nelems, dt.itemsize, stride, write=False))
                 payload = self._memory.view(src, dt, nelems, stride).copy()
             machine.mailbox.send(self.rank, pe, payload, nbytes, tag)
         finally:
             if traced:
                 engine.spans.end(self.rank)
+
+    def _msg_deliver(self, msg, dest: int, nelems: int, stride: int,
+                     dt: np.dtype) -> None:
+        """Check ``msg`` carries exactly ``nelems`` elements (mailbox
+        protocols are fixed-format by design) and scatter its payload."""
+        nbytes = nelems * dt.itemsize
+        if msg.nbytes != nbytes:
+            raise MailboxProtocolError(
+                f"PE {self.rank}: receive expected {nbytes}B but the "
+                f"message from PE {msg.src} carries {msg.nbytes}B"
+            )
+        if nelems:
+            self.pe.advance(loop_overhead_ns(self.config, nelems))
+            self.pe.advance(self._transfer._local_cost(
+                dest, nelems, dt.itemsize, stride, write=True))
+            dview = self._memory.view(dest, dt, nelems, stride)
+            dview[:] = msg.data
+            if msg.fault is not None:
+                self._faults.corrupt_payload(dview, msg.fault)
 
     def msg_recv(self, dest: int, nelems: int, stride: int, pe: int,
                  tag: int = 0, dtype: str | np.dtype = "long") -> None:
@@ -622,36 +333,20 @@ class XBRTime(CollectiveAPI):
         """
         self._require_active()
         dt = resolve_dtype(dtype)
-        transfer = self._transfer
-        transfer._check_args(nelems, stride, pe)
-        nbytes = nelems * dt.itemsize
-        machine = self.machine
-        engine = machine.engine
+        self._check_args(nelems, stride, pe)
+        engine = self.machine.engine
         engine.checkpoint()
         traced = engine.trace.enabled
         if traced:
+            nbytes = nelems * dt.itemsize
             engine.record("recv", f"{nbytes}B <- PE{pe} tag={tag}")
             engine.spans.begin(self.rank, "op", "recv", {
                 "bytes": nbytes, "nelems": nelems, "stride": stride,
                 "target": pe, "remote": pe != self.rank, "tag": tag,
             })
         try:
-            msg = machine.mailbox.recv(self.rank, pe, tag)
-            if msg.nbytes != nbytes:
-                from ..errors import MailboxProtocolError
-
-                raise MailboxProtocolError(
-                    f"PE {self.rank}: recv from PE {pe} expected "
-                    f"{nbytes}B but the message carries {msg.nbytes}B"
-                )
-            if nelems:
-                self.pe.advance(transfer.loop_overhead_ns(nelems))
-                self.pe.advance(transfer._local_cost(
-                    dest, nelems, dt.itemsize, stride, write=True))
-                dview = self._memory.view(dest, dt, nelems, stride)
-                dview[:] = msg.data
-                if msg.fault is not None:
-                    machine.faults.corrupt_payload(dview, msg.fault)
+            self._msg_deliver(self.machine.mailbox.recv(self.rank, pe, tag),
+                              dest, nelems, stride, dt)
         finally:
             if traced:
                 engine.spans.end(self.rank)
@@ -665,48 +360,19 @@ class XBRTime(CollectiveAPI):
         Returns ``(source, tag)`` after scattering the payload into
         ``dest``, or ``None`` when no delivered message (optionally from
         ``pe``) is queued.  The payload must carry exactly ``nelems``
-        elements — mailbox protocols are fixed-format by design.
+        elements.
         """
         self._require_active()
         dt = resolve_dtype(dtype)
-        transfer = self._transfer
-        transfer._check_args(nelems, stride, pe if pe is not None else 0)
-        machine = self.machine
-        machine.engine.checkpoint()
-        msg = machine.mailbox.try_recv(self.rank, pe)
+        self._check_args(nelems, stride, pe if pe is not None else 0)
+        self.machine.engine.checkpoint()
+        msg = self.machine.mailbox.try_recv(self.rank, pe)
         if msg is None:
             return None
-        nbytes = nelems * dt.itemsize
-        if msg.nbytes != nbytes:
-            from ..errors import MailboxProtocolError
-
-            raise MailboxProtocolError(
-                f"PE {self.rank}: try_recv expected {nbytes}B but the "
-                f"message from PE {msg.src} carries {msg.nbytes}B"
-            )
-        if nelems:
-            self.pe.advance(transfer.loop_overhead_ns(nelems))
-            self.pe.advance(transfer._local_cost(
-                dest, nelems, dt.itemsize, stride, write=True))
-            dview = self._memory.view(dest, dt, nelems, stride)
-            dview[:] = msg.data
-            if msg.fault is not None:
-                machine.faults.corrupt_payload(dview, msg.fault)
+        self._msg_deliver(msg, dest, nelems, stride, dt)
         return msg.src, msg.tag
 
     def msg_probe(self, pe: int | None = None) -> bool:
         """Whether a delivered message (optionally from ``pe``) awaits."""
         self._require_active()
         return self.machine.mailbox.probe(self.rank, pe)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"XBRTime(pe={self.rank}/{self.machine.config.n_pes}, "
-            f"t={self.pe.clock:.0f} ns)"
-        )
-
-
-# Install the per-TYPENAME call surface (Table 1).
-from . import typed as _typed  # noqa: E402  (import cycle: needs XBRTime)
-
-_typed.install_typed_api(XBRTime)

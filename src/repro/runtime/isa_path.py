@@ -104,23 +104,23 @@ class _RemotePort:
         # Per-instruction remote accesses have no software retry layer;
         # message-fault injection applies only to the model-fidelity
         # transfer engine.
-        res = m.network.fetch(t_now, self.rank, target_pe, nbytes,
-                              faultable=False)
+        t_complete, _ = m.network.fetch(t_now, self.rank, target_pe, nbytes,
+                                        faultable=False)
         value = m.memories[target_pe].load(addr, nbytes, signed)
-        return value, (res.t_complete - t_now) + rcost
+        return value, (t_complete - t_now) + rcost
 
     def remote_store(self, target_pe: int, addr: int, nbytes: int,
                      value: int) -> float:
         m = self.machine
         m.stats.remote_puts += 1
         t_now = self._now()
-        res = m.network.send(t_now, self.rank, target_pe, nbytes,
-                             faultable=False)
+        t_free, t_delivered, _ = m.network.send(
+            t_now, self.rank, target_pe, nbytes, faultable=False)
         wcost = m.hierarchy_of(target_pe).access(addr, nbytes, True,
                                                  use_tlb=False)
-        m.network.note_delivery(res.t_delivered + wcost)
+        m.network.note_delivery(t_delivered + wcost)
         m.memories[target_pe].store(addr, nbytes, value)
-        return res.t_source_free - t_now
+        return t_free - t_now
 
     def remote_amo(self, target_pe: int, addr: int, op: str,
                    value: int) -> tuple[int, float]:
@@ -129,12 +129,12 @@ class _RemotePort:
         m = self.machine
         t_now = self._now()
         wcost = m.hierarchy_of(target_pe).access(addr, 8, True, use_tlb=False)
-        res = m.network.fetch(t_now, self.rank, target_pe, 8,
-                              faultable=False)
+        t_complete, _ = m.network.fetch(t_now, self.rank, target_pe, 8,
+                                        faultable=False)
         mem = m.memories[target_pe]
         old = mem.load(addr, 8)
         mem.store(addr, 8, amo_apply(op, old, value))
-        return old, (res.t_complete - t_now) + wcost
+        return old, (t_complete - t_now) + wcost
 
 
 class IsaTransferPath:

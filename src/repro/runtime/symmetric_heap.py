@@ -6,8 +6,11 @@ every PE executes the same ``xbrtime_malloc`` call and receives the same
 offset from the beginning of its shared segment, keeping the shared
 segments of all PEs fully symmetric.
 
-Two pieces:
+The pieces:
 
+* :func:`segment_layout` — the Figure-2 address map of one PE, the one
+  place the private / scratch / symmetric-heap boundaries are computed;
+  every backend builds its allocators from it.
 * :class:`FreeListAllocator` — a first-fit free-list allocator with
   coalescing, also used for each PE's private segment.
 * :class:`SymmetricHeap` — wraps one allocator with a *collective call
@@ -18,9 +21,18 @@ Two pieces:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, NamedTuple
+
 from ..errors import AllocationError
 
-__all__ = ["FreeListAllocator", "SymmetricHeap", "ScratchStack"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..params import MachineConfig
+
+__all__ = ["CODE_REGION_BYTES", "SegmentLayout", "segment_layout",
+           "FreeListAllocator", "SymmetricHeap", "ScratchStack"]
+
+#: Low memory reserved for generated code in ``isa`` fidelity.
+CODE_REGION_BYTES = 64 * 1024
 
 
 def _align_up(value: int, align: int) -> int:
@@ -246,3 +258,38 @@ class ScratchStack:
             )
         self._stack.pop()
         self._top -= padded
+
+
+class SegmentLayout(NamedTuple):
+    """One PE's address map (Figure 2), identical on every PE::
+
+        [CODE_REGION_BYTES, heap_base)            private segment
+        [heap_base, heap_base + scratch_bytes)    collective scratch stack
+        [heap_base + scratch_bytes, memory end)   collective symmetric heap
+    """
+
+    #: Start of the shared segment (scratch + collective heap).
+    heap_base: int
+    scratch_bytes: int
+    heap_bytes: int
+
+    def scratch_stack(self) -> ScratchStack:
+        return ScratchStack(self.heap_base, self.scratch_bytes)
+
+    def symmetric_heap(self, n_pes: int) -> SymmetricHeap:
+        return SymmetricHeap(self.heap_base + self.scratch_bytes,
+                             self.heap_bytes, n_pes)
+
+    def private_allocator(self) -> FreeListAllocator:
+        return FreeListAllocator(CODE_REGION_BYTES,
+                                 self.heap_base - CODE_REGION_BYTES)
+
+
+def segment_layout(config: "MachineConfig") -> SegmentLayout:
+    """The Figure-2 layout of ``config`` — shared by every backend."""
+    scratch = config.collective_scratch_bytes
+    return SegmentLayout(
+        heap_base=config.memory_bytes_per_pe - config.symmetric_heap_bytes,
+        scratch_bytes=scratch,
+        heap_bytes=config.symmetric_heap_bytes - scratch,
+    )

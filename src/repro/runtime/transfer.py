@@ -26,16 +26,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import (
-    AddressError,
-    CollectiveArgumentError,
-    TransferTimeoutError,
-)
+from ..errors import AddressError, TransferTimeoutError
+from ..isa.cpu import amo_apply
+from ..isa.olb import OLB_LOOKUP_NS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..params import MachineConfig
     from .context import Machine
 
-__all__ = ["TransferHandle", "TransferEngine"]
+__all__ = ["TransferHandle", "TransferEngine", "loop_overhead_ns"]
 
 MASK64 = (1 << 64) - 1
 
@@ -47,6 +46,19 @@ _LOOP_INSTRS = 5
 _LOOP_OVERHEAD_INSTRS = 3
 #: Fixed call/setup instructions per transfer.
 _SETUP_INSTRS = 12
+
+
+def loop_overhead_ns(cfg: "MachineConfig", nelems: int) -> float:
+    """Instruction cost of the generated element loop (section 3.3)."""
+    if nelems <= 0:
+        return 0.0
+    if nelems > cfg.unroll_threshold:
+        per_elem = (_LOOP_INSTRS - _LOOP_OVERHEAD_INSTRS) + (
+            _LOOP_OVERHEAD_INSTRS / cfg.unroll_factor
+        )
+    else:
+        per_elem = float(_LOOP_INSTRS)
+    return (_SETUP_INSTRS + per_elem * nelems) * cfg.cycle_ns
 
 
 @dataclass
@@ -71,19 +83,6 @@ class TransferEngine:
         # transfers are outstanding (handles are kept alive by the dict
         # itself, so ids cannot be recycled while registered).
         self._pending: dict[int, TransferHandle] = {}
-        self._loop_ns_cache: dict[int, float] = {}
-
-    # -- validation helpers -------------------------------------------------
-
-    def _check_args(self, nelems: int, stride: int, target: int) -> None:
-        if nelems < 0:
-            raise CollectiveArgumentError(f"nelems must be >= 0, got {nelems}")
-        if stride < 1:
-            raise CollectiveArgumentError(f"stride must be >= 1, got {stride}")
-        if not 0 <= target < self.cfg.n_pes:
-            raise CollectiveArgumentError(
-                f"pe {target} out of range [0, {self.cfg.n_pes})"
-            )
 
     def _views(
         self, dest: int, src: int, nelems: int, stride: int,
@@ -102,29 +101,6 @@ class TransferEngine:
         return dview, sview
 
     # -- cost model -----------------------------------------------------------
-
-    def loop_overhead_ns(self, nelems: int) -> float:
-        """Instruction cost of the generated element loop (section 3.3).
-
-        Memoized per ``nelems``: collectives call this with the same few
-        chunk sizes thousands of times per run, and the config is frozen.
-        """
-        ns = self._loop_ns_cache.get(nelems)
-        if ns is not None:
-            return ns
-        if nelems <= 0:
-            ns = 0.0
-        else:
-            cfg = self.cfg
-            if nelems > cfg.unroll_threshold:
-                per_elem = (_LOOP_INSTRS - _LOOP_OVERHEAD_INSTRS) + (
-                    _LOOP_OVERHEAD_INSTRS / cfg.unroll_factor
-                )
-            else:
-                per_elem = float(_LOOP_INSTRS)
-            ns = (_SETUP_INSTRS + per_elem * nelems) * cfg.cycle_ns
-        self._loop_ns_cache[nelems] = ns
-        return ns
 
     def _local_cost(
         self, addr: int, nelems: int, elem_bytes: int, stride: int, write: bool
@@ -173,9 +149,9 @@ class TransferEngine:
         attempts = 1 + (retry.max_retries if retry is not None else 0)
         wcost = self._remote_cost(target, dest, nelems, eb, stride, write=True)
         for attempt in range(attempts):
-            res = network.send(pe.clock, self.rank, target, nbytes)
-            pe.advance_to(res.t_source_free)
-            fault = res.fault
+            t_free, t_delivered, fault = network.send(
+                pe.clock, self.rank, target, nbytes)
+            pe.advance_to(t_free)
             if (fault is not None and fault.kind in ("drop", "corrupt")
                     and retry is not None):
                 injector.note_retry(pe.clock, self.rank, target,
@@ -185,7 +161,7 @@ class TransferEngine:
                 continue
             if fault is not None and fault.kind == "drop":
                 return  # unreliable mode: the payload is simply gone
-            network.note_delivery(res.t_delivered + wcost)
+            network.note_delivery(t_delivered + wcost)
             dview[:] = sview
             if fault is not None and fault.kind == "corrupt":
                 injector.corrupt_payload(dview, fault)
@@ -193,7 +169,7 @@ class TransferEngine:
             if retry is not None:
                 # Positive acknowledgement: the sender may not declare
                 # success until the ack crosses back.
-                pe.advance_to(res.t_delivered + wcost
+                pe.advance_to(t_delivered + wcost
                               + machine.config.transport.latency_ns)
             return
         raise TransferTimeoutError(
@@ -217,8 +193,8 @@ class TransferEngine:
         attempts = 1 + (retry.max_retries if retry is not None else 0)
         rcost = self._remote_cost(target, src, nelems, eb, stride, write=False)
         for attempt in range(attempts):
-            res = network.fetch(pe.clock, self.rank, target, nbytes)
-            fault = res.fault
+            t_complete, fault = network.fetch(pe.clock, self.rank, target,
+                                              nbytes)
             if (fault is not None and fault.kind in ("drop", "corrupt")
                     and retry is not None):
                 injector.note_retry(pe.clock, self.rank, target,
@@ -228,7 +204,7 @@ class TransferEngine:
                 continue
             if fault is not None and fault.kind == "drop":
                 return  # response lost; destination buffer untouched
-            pe.advance_to(res.t_complete + rcost)
+            pe.advance_to(t_complete + rcost)
             pe.advance(self._local_cost(dest, nelems, eb, stride, write=True))
             dview[:] = sview
             if fault is not None and fault.kind == "corrupt":
@@ -246,7 +222,6 @@ class TransferEngine:
         dtype: np.dtype,
     ) -> None:
         """One-sided write of ``nelems`` elements to ``target``."""
-        self._check_args(nelems, stride, target)
         st = self.machine.stats
         st.puts += 1
         if nelems == 0:
@@ -266,12 +241,13 @@ class TransferEngine:
                 "dest": dest,
             })
         try:
-            if self.cfg.fidelity == "isa":
-                self.machine.isa_transfer(self.rank, dest, src, nelems,
-                                          stride, target, eb, is_put=True)
+            isa = self.machine.isa_path
+            if isa is not None:
+                isa.transfer(self.rank, dest, src, nelems, stride, target,
+                             eb, is_put=True)
                 return
             pe = self.pe
-            pe.advance(self.loop_overhead_ns(nelems))
+            pe.advance(loop_overhead_ns(self.cfg, nelems))
             pe.advance(self._local_cost(src, nelems, eb, stride, write=False))
             if target == self.rank:
                 pe.advance(self._local_cost(dest, nelems, eb, stride,
@@ -279,17 +255,17 @@ class TransferEngine:
                 dview[:] = sview
                 return
             st.remote_puts += 1
-            pe.advance(self.machine.olbs[self.rank].lookup_ns)
+            pe.advance(OLB_LOOKUP_NS)
             if self.machine.faults is not None:
                 self._reliable_put(dview, sview, dest, nelems, eb, stride,
                                    target, nbytes)
                 return
-            res = self.machine.network.send(pe.clock, self.rank, target,
-                                            nbytes)
-            pe.advance_to(res.t_source_free)
+            t_free, t_delivered, _ = self.machine.network.send(
+                pe.clock, self.rank, target, nbytes)
+            pe.advance_to(t_free)
             wcost = self._remote_cost(target, dest, nelems, eb, stride,
                                       write=True)
-            self.machine.network.note_delivery(res.t_delivered + wcost)
+            self.machine.network.note_delivery(t_delivered + wcost)
             dview[:] = sview
         finally:
             if traced:
@@ -302,7 +278,6 @@ class TransferEngine:
         dtype: np.dtype,
     ) -> None:
         """One-sided read of ``nelems`` elements from ``target``."""
-        self._check_args(nelems, stride, target)
         st = self.machine.stats
         st.gets += 1
         if nelems == 0:
@@ -322,12 +297,13 @@ class TransferEngine:
                 "dest": dest,
             })
         try:
-            if self.cfg.fidelity == "isa":
-                self.machine.isa_transfer(self.rank, dest, src, nelems,
-                                          stride, target, eb, is_put=False)
+            isa = self.machine.isa_path
+            if isa is not None:
+                isa.transfer(self.rank, dest, src, nelems, stride, target,
+                             eb, is_put=False)
                 return
             pe = self.pe
-            pe.advance(self.loop_overhead_ns(nelems))
+            pe.advance(loop_overhead_ns(self.cfg, nelems))
             if target == self.rank:
                 pe.advance(self._local_cost(src, nelems, eb, stride,
                                             write=False))
@@ -336,16 +312,16 @@ class TransferEngine:
                 dview[:] = sview
                 return
             st.remote_gets += 1
-            pe.advance(self.machine.olbs[self.rank].lookup_ns)
+            pe.advance(OLB_LOOKUP_NS)
             if self.machine.faults is not None:
                 self._reliable_get(dview, sview, dest, src, nelems, eb,
                                    stride, target, nbytes)
                 return
             rcost = self._remote_cost(target, src, nelems, eb, stride,
                                       write=False)
-            res = self.machine.network.fetch(pe.clock, self.rank, target,
-                                             nbytes)
-            pe.advance_to(res.t_complete + rcost)
+            t_complete, _ = self.machine.network.fetch(
+                pe.clock, self.rank, target, nbytes)
+            pe.advance_to(t_complete + rcost)
             pe.advance(self._local_cost(dest, nelems, eb, stride, write=True))
             dview[:] = sview
         finally:
@@ -371,7 +347,6 @@ class TransferEngine:
             self.put(dest, src, nelems, stride, target, dtype)
             return TransferHandle("put", nelems * dtype.itemsize,
                                   self.pe.clock, done=True)
-        self._check_args(nelems, stride, target)
         st = self.machine.stats
         st.puts += 1
         eb = dtype.itemsize
@@ -391,7 +366,7 @@ class TransferEngine:
             })
         try:
             pe = self.pe
-            pe.advance(self.loop_overhead_ns(nelems))
+            pe.advance(loop_overhead_ns(self.cfg, nelems))
             pe.advance(self._local_cost(src, nelems, eb, stride, write=False))
             if target == self.rank:
                 pe.advance(self._local_cost(dest, nelems, eb, stride,
@@ -399,13 +374,13 @@ class TransferEngine:
                 dview[:] = sview
                 return TransferHandle("put", nbytes, pe.clock, done=True)
             st.remote_puts += 1
-            pe.advance(self.machine.olbs[self.rank].lookup_ns)
-            res = self.machine.network.send(pe.clock, self.rank, target,
-                                            nbytes)
-            pe.advance_to(res.t_source_free)
+            pe.advance(OLB_LOOKUP_NS)
+            t_free, t_delivered, _ = self.machine.network.send(
+                pe.clock, self.rank, target, nbytes)
+            pe.advance_to(t_free)
             wcost = self._remote_cost(target, dest, nelems, eb, stride,
                                       write=True)
-            done_at = res.t_delivered + wcost
+            done_at = t_delivered + wcost
             self.machine.network.note_delivery(done_at)
             dview[:] = sview
             handle = TransferHandle("put", nbytes, done_at)
@@ -428,7 +403,6 @@ class TransferEngine:
             self.get(dest, src, nelems, stride, target, dtype)
             return TransferHandle("get", nelems * dtype.itemsize,
                                   self.pe.clock, done=True)
-        self._check_args(nelems, stride, target)
         st = self.machine.stats
         st.gets += 1
         eb = dtype.itemsize
@@ -448,7 +422,7 @@ class TransferEngine:
             })
         try:
             pe = self.pe
-            pe.advance(self.loop_overhead_ns(nelems))
+            pe.advance(loop_overhead_ns(self.cfg, nelems))
             if target == self.rank:
                 pe.advance(self._local_cost(src, nelems, eb, stride,
                                             write=False))
@@ -457,15 +431,15 @@ class TransferEngine:
                 dview[:] = sview
                 return TransferHandle("get", nbytes, pe.clock, done=True)
             st.remote_gets += 1
-            pe.advance(self.machine.olbs[self.rank].lookup_ns)
+            pe.advance(OLB_LOOKUP_NS)
             rcost = self._remote_cost(target, src, nelems, eb, stride,
                                       write=False)
-            res = self.machine.network.fetch(pe.clock, self.rank, target,
-                                             nbytes)
+            t_complete, _ = self.machine.network.fetch(
+                pe.clock, self.rank, target, nbytes)
             wcost = self._local_cost(dest, nelems, eb, stride, write=True)
             dview[:] = sview
             handle = TransferHandle("get", nbytes,
-                                    res.t_complete + rcost + wcost)
+                                    t_complete + rcost + wcost)
             self._pending[id(handle)] = handle
             return handle
         finally:
@@ -474,24 +448,15 @@ class TransferEngine:
 
     # -- remote atomics (xBGAS eamo*.d) ---------------------------------------------
 
-    def amo(self, addr: int, value: int, target: int, op: str,
-            dtype: np.dtype) -> int:
+    def amo(self, addr: int, value: int, target: int, op: str) -> int:
         """One-sided 64-bit fetch-and-op at ``addr`` on ``target``.
 
-        Returns the old value.  Unlike the get-modify-put idiom, the
-        read-modify-write executes atomically at the target's memory —
-        no lost updates under contention.
+        Returns the old value as an unsigned 64-bit integer.  Unlike the
+        get-modify-put idiom, the read-modify-write executes atomically
+        at the target's memory — no lost updates under contention.
         """
-        from ..isa.cpu import amo_apply
-
-        self._check_args(1, 1, target)
-        if dtype.itemsize != 8 or dtype.kind not in "iu":
-            raise CollectiveArgumentError(
-                f"AMOs operate on 64-bit integer types, not {dtype}"
-            )
-        st = self.machine.stats
-        st.amos += 1
         machine = self.machine
+        machine.stats.amos += 1
         mem = machine.memories[target]
         mem.check(addr, 8)
         engine = machine.engine
@@ -504,27 +469,23 @@ class TransferEngine:
             })
         try:
             pe = self.pe
-            signed = dtype.kind == "i"
-            if self.cfg.fidelity == "isa":
-                old = machine.isa_amo(self.rank, addr, int(value) & MASK64,
-                                      target, op)
-                return old - (1 << 64) if signed and old >> 63 else old
+            value = int(value) & MASK64
+            if machine.isa_path is not None:
+                return machine.isa_path.amo(self.rank, addr, value, target, op)
             if target == self.rank:
                 pe.advance(self._local_cost(addr, 1, 8, 1, write=True))
-                old = mem.load(addr, 8, signed=False)
-                mem.store(addr, 8, amo_apply(op, old, int(value) & MASK64))
-                return old - (1 << 64) if signed and old >> 63 else old
-            pe.advance(machine.olbs[self.rank].lookup_ns)
-            rcost = self._remote_cost(target, addr, 1, 8, 1, write=True)
-            # AMOs ride the NIC's reliable execution unit: exempt from
-            # message-fault injection (there is no software retry for a
-            # half-applied atomic).
-            res = machine.network.fetch(pe.clock, self.rank, target, 8,
-                                        faultable=False)
-            pe.advance_to(res.t_complete + rcost)
-            old = mem.load(addr, 8, signed=False)
-            mem.store(addr, 8, amo_apply(op, old, int(value) & MASK64))
-            return old - (1 << 64) if signed and old >> 63 else old
+            else:
+                pe.advance(OLB_LOOKUP_NS)
+                rcost = self._remote_cost(target, addr, 1, 8, 1, write=True)
+                # AMOs ride the NIC's reliable execution unit: exempt from
+                # message-fault injection (there is no software retry for
+                # a half-applied atomic).
+                t_complete, _ = machine.network.fetch(
+                    pe.clock, self.rank, target, 8, faultable=False)
+                pe.advance_to(t_complete + rcost)
+            old = mem.load(addr, 8)
+            mem.store(addr, 8, amo_apply(op, old, value))
+            return old
         finally:
             if traced:
                 engine.spans.end(self.rank)

@@ -4,7 +4,9 @@ The paper deliberately exposes one call per element type —
 ``xbrtime_int_put``, ``xbrtime_double_broadcast``,
 ``xbrtime_ulong_reduce_max``, ... — arguing explicit naming is more
 intuitive than OpenSHMEM's size-suffixed calls (section 4.7).  This
-module generates the equivalent Python methods on :class:`XBRTime`:
+module generates the equivalent Python methods on the context core
+(:class:`~repro.runtime.collective_api.CollectiveAPI`), so every
+backend's context carries the same ones:
 
 * ``ctx.<TYPENAME>_put / _get / _put_nb / _get_nb``
 * ``ctx.<TYPENAME>_broadcast``

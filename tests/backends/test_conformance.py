@@ -105,7 +105,7 @@ def _collective_program(ctx, spec: dict) -> bytes:
                                        op, dt)
             assert res.complete and res.contributors == tuple(range(n))
         out = read(dest, nelems) if me == root else b""
-    elif kind in ("allreduce", "reduce_all", "scan", "resilient_allreduce"):
+    elif kind in ("allreduce", "scan", "resilient_allreduce"):
         src = _alloc_strided(ctx, nelems, stride, dt.itemsize)
         dest = _alloc_strided(ctx, nelems, stride, dt.itemsize)
         ctx.view(src, dt, nelems, stride)[:] = _payload(me, nelems, dt, seed)
@@ -114,8 +114,6 @@ def _collective_program(ctx, spec: dict) -> bytes:
             ctx.allreduce(dest, src, nelems, stride, op, dt,
                           algorithm=spec.get("algorithm", "doubling"),
                           segments=spec.get("segments"))
-        elif kind == "reduce_all":
-            ctx.reduce_all(dest, src, nelems, stride, op, dt)
         elif kind == "scan":
             ctx.scan(dest, src, nelems, stride, op, dt,
                      inclusive=spec.get("inclusive", True))
@@ -384,7 +382,6 @@ def test_reduce_family(mp_sessions, sim_backend, vec_backend, kind, spec,
     ("allreduce", "ring"),
     ("allreduce", "rabenseifner"),
     ("allreduce", "dual-pipelined"),
-    ("reduce_all", None),
     ("scan", None),
     ("resilient_allreduce", None),
 ])

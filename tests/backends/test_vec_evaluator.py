@@ -29,10 +29,7 @@ from repro.collectives.extra import compile_allgather, compile_alltoall
 from repro.collectives.gather import compile_gather
 from repro.collectives.reduce import compile_reduce
 from repro.collectives.scatter import compile_scatter
-from repro.collectives.schedule.evaluate import (
-    LiteNetwork,
-    evaluate_schedule,
-)
+from repro.collectives.schedule.evaluate import evaluate_schedule
 from repro.collectives.teams import Team
 from repro.errors import SimulationError
 from repro.params import MachineConfig
@@ -292,7 +289,7 @@ def _team_program(ctx, shape):
     if me in members:
         team = Team(ctx, members)
         team.broadcast(dest, src, nelems, 1, 0, I64)
-        team.reduce_all(acc, src, nelems, 1, "sum", I64)
+        team.allreduce(acc, src, nelems, 1, "sum", I64)
         team.barrier()
     ctx.barrier()
     out = (ctx.view(dest, I64, nelems).copy().tobytes(),
@@ -386,27 +383,11 @@ def test_session_pe_cap():
 
 
 def test_lite_network_rejects_huge_graph_topologies():
+    """The guard the evaluator's former lite model carried, now on the
+    one network model: graph topologies past the node limit are refused
+    (the analytic fully-connected default has no limit)."""
+    from repro.machine.network import Network
+
     cfg = MachineConfig(n_pes=65536, cores_per_node=1, topology="ring")
     with pytest.raises(SimulationError, match="too "):
-        LiteNetwork(cfg)
-
-
-def test_lite_network_matches_network_formulas():
-    """Same send/fetch arithmetic as the stateful Network (no faults)."""
-    from repro.machine.network import Network
-    from repro.sim.trace import SimStats
-
-    cfg = small_config(8, cores_per_node=2)
-    real = Network(cfg, SimStats())
-    lite = LiteNetwork(cfg)
-    seq = [(0.0, 0, 1, 64), (10.0, 0, 5, 256), (12.0, 3, 4, 8),
-           (50.0, 7, 0, 1024), (60.0, 2, 2, 16)]
-    for t, s, d, nb in seq:
-        r = real.send(t, s, d, nb)
-        free, deliv = lite.send(t, s, d, nb)
-        assert free == pytest.approx(r.t_source_free)
-        assert deliv == pytest.approx(r.t_delivered)
-    for t, s, d, nb in seq:
-        r = real.fetch(t, s, d, nb)
-        assert lite.fetch(t, s, d, nb) == pytest.approx(r.t_complete)
-    assert lite.quiescence_time() == pytest.approx(real.quiescence_time())
+        Network(cfg)

@@ -53,7 +53,8 @@ class TestAllreduce:
             b = ctx.private_malloc(8 * 4)
             me = ctx.my_pe()
             ctx.view(src, "long", 4)[:] = (me + 2) * np.arange(1, 5)
-            ctx.reduce_all(a, src, 4, 1, "sum", "long")
+            ctx.reduce(a, src, 4, 1, 0, "sum", "long")
+            ctx.broadcast(a, a, 4, 1, 0, "long")
             ctx.allreduce(b, src, 4, 1, "sum", "long")
             same = list(ctx.view(a, "long", 4)) == list(ctx.view(b, "long", 4))
             ctx.close()

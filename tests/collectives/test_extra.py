@@ -16,7 +16,7 @@ class TestReduceAll:
             src = ctx.malloc(8 * 2)
             dest = ctx.malloc(8 * 2)
             ctx.view(src, "long", 2)[:] = [ctx.my_pe(), 1]
-            ctx.reduce_all(dest, src, 2, 1, "sum", "long")
+            ctx.allreduce(dest, src, 2, 1, "sum", "long")
             got = list(ctx.view(dest, "long", 2))
             ctx.close()
             return got
@@ -31,7 +31,7 @@ class TestReduceAll:
             src = ctx.malloc(8)
             dest = ctx.malloc(8)
             ctx.view(src, "long", 1)[0] = (ctx.my_pe() * 13) % 7
-            ctx.reduce_all(dest, src, 1, 1, "max", "long")
+            ctx.allreduce(dest, src, 1, 1, "max", "long")
             got = int(ctx.view(dest, "long", 1)[0])
             ctx.close()
             return got

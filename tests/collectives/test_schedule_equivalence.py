@@ -217,42 +217,6 @@ def test_scan_equivalence(case, inclusive):
     _assert_identical(case["n_pes"], make(legacy.legacy_scan), make(scan))
 
 
-@given(case=_cases(need_op=True, max_stride=1))
-@_SETTINGS
-def test_reduce_all_alias_equivalence(case):
-    """``ctx.reduce_all`` is a deprecated alias of ``ctx.allreduce``:
-    byte-identical results, plus the :class:`DeprecationWarning`."""
-    import warnings
-
-    dt = dtype_of(case["typename"])
-    nelems, op = case["nelems"], case["op"]
-    data = _values(case["seed"], (case["n_pes"], nelems), dt)
-    nbytes = _span_nbytes(nelems, 1, dt)
-
-    def make(use_alias):
-        def body(ctx):
-            ctx.init()
-            src = ctx.malloc(nbytes)
-            dest = ctx.malloc(nbytes)
-            ctx.view(src, dt, nelems, 1)[:] = data[ctx.my_pe()]
-            ctx.view(dest, dt, nelems, 1)[:] = 0
-            if use_alias:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    ctx.reduce_all(dest, src, nelems, 1, op, dt)
-                assert any(issubclass(w.category, DeprecationWarning)
-                           for w in caught)
-            else:
-                ctx.allreduce(dest, src, nelems, 1, op, dt,
-                              algorithm="doubling")
-            got = np.array(ctx.view(dest, dt, nelems, 1), copy=True)
-            ctx.close()
-            return got
-        return body
-
-    _assert_identical(case["n_pes"], make(True), make(False))
-
-
 # -- vector collectives (ragged counts, zero-count PEs) --------------------
 
 

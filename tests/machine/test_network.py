@@ -13,6 +13,16 @@ def intra_net(n_pes=4):
     return Network(MachineConfig(n_pes=n_pes, cores_per_node=12))
 
 
+def delivered(net, *msg):
+    """``t_delivered`` of ``net.send(*msg)``."""
+    return net.send(*msg)[1]
+
+
+def completed(net, *msg):
+    """``t_complete`` of ``net.fetch(*msg)``."""
+    return net.fetch(*msg)[0]
+
+
 def inter_net(n_pes=4, topology="fully-connected"):
     """One PE per node."""
     return Network(MachineConfig(n_pes=n_pes, cores_per_node=1,
@@ -22,61 +32,60 @@ def inter_net(n_pes=4, topology="fully-connected"):
 class TestIntraNode:
     def test_send_delivery_after_latency(self):
         net = intra_net()
-        res = net.send(0.0, 0, 1, 8)
         tp = net.tp
-        assert res.t_delivered >= tp.o_send + tp.intra_latency_ns
+        assert delivered(net, 0.0, 0, 1, 8) >= tp.o_send + tp.intra_latency_ns
 
     def test_sender_freed_before_delivery(self):
         net = intra_net()
-        res = net.send(0.0, 0, 1, 1024)
-        assert res.t_source_free <= res.t_delivered
+        t_source_free, t_delivered, fault = net.send(0.0, 0, 1, 1024)
+        assert t_source_free <= t_delivered
+        assert fault is None
 
     def test_bus_backpressure_builds(self):
         """Back-to-back messages at one instant queue on the node bus."""
         net = intra_net()
-        first = net.send(0.0, 0, 1, 8)
-        second = net.send(0.0, 2, 3, 8)
-        assert second.t_delivered >= first.t_delivered
+        first = delivered(net, 0.0, 0, 1, 8)
+        second = delivered(net, 0.0, 2, 3, 8)
+        assert second >= first
         assert net.stats.fabric_queued_ns > 0
 
     def test_fetch_round_trip_costs_two_crossings(self):
         net = intra_net()
-        one_way = net.send(0.0, 0, 1, 8).t_delivered
+        one_way = delivered(net, 0.0, 0, 1, 8)
         net2 = intra_net()
-        round_trip = net2.fetch(0.0, 0, 1, 8).t_complete
+        round_trip = completed(net2, 0.0, 0, 1, 8)
         assert round_trip > one_way
 
     def test_quiescence_tracks_max_delivery(self):
         net = intra_net()
-        r1 = net.send(0.0, 0, 1, 64)
-        assert net.quiescence_time() == pytest.approx(r1.t_delivered)
-        net.note_delivery(r1.t_delivered + 100)
-        assert net.quiescence_time() == pytest.approx(r1.t_delivered + 100)
+        t1 = delivered(net, 0.0, 0, 1, 64)
+        assert net.quiescence_time() == pytest.approx(t1)
+        net.note_delivery(t1 + 100)
+        assert net.quiescence_time() == pytest.approx(t1 + 100)
 
 
 class TestInterNode:
     def test_wire_latency_dominates(self):
         net = inter_net()
-        res = net.send(0.0, 0, 1, 8)
-        assert res.t_delivered >= net.tp.latency_ns
+        assert delivered(net, 0.0, 0, 1, 8) >= net.tp.latency_ns
 
     def test_injection_link_serialises_per_source(self):
         net = inter_net()
-        a = net.send(0.0, 0, 1, 10_000)
-        b = net.send(0.0, 0, 2, 10_000)  # same source link
-        assert b.t_delivered > a.t_delivered
+        a = delivered(net, 0.0, 0, 1, 10_000)
+        b = delivered(net, 0.0, 0, 2, 10_000)  # same source link
+        assert b > a
 
     def test_hops_scale_latency(self):
         ring = inter_net(8, topology="ring")
-        near = ring.send(0.0, 0, 1, 8).t_delivered
-        far = ring.send(0.0, 2, 6, 8).t_delivered  # 4 hops
+        near = delivered(ring, 0.0, 0, 1, 8)
+        far = delivered(ring, 0.0, 2, 6, 8)  # 4 hops
         assert far > near
 
     def test_fetch_completes_after_send(self):
         net = inter_net()
-        s = net.send(0.0, 0, 1, 8).t_delivered
+        s = delivered(net, 0.0, 0, 1, 8)
         net2 = inter_net()
-        f = net2.fetch(0.0, 0, 1, 8).t_complete
+        f = completed(net2, 0.0, 0, 1, 8)
         assert f > s
 
     def test_negative_bytes_rejected(self):
@@ -96,7 +105,7 @@ class TestTransportComparison:
             cores_per_node=12 if same_node else 1,
             transport=transport,
         )
-        return Network(cfg).send(0.0, 0, 1, nbytes).t_delivered
+        return delivered(Network(cfg), 0.0, 0, 1, nbytes)
 
     @pytest.mark.parametrize("nbytes", [8, 1024, 65536])
     def test_xbgas_beats_mpi(self, nbytes):
@@ -127,7 +136,7 @@ class TestBusSaturation:
         """Many simultaneous senders serialise at one message per
         NODE_BUS_NS_PER_MSG — the 8-PE contention mechanism."""
         net = intra_net(8)
-        deliveries = [net.send(0.0, i, (i + 1) % 8, 8).t_delivered
+        deliveries = [delivered(net, 0.0, i, (i + 1) % 8, 8)
                       for i in range(8)]
         span = max(deliveries) - min(deliveries)
         assert span >= (8 - 1) * NODE_BUS_NS_PER_MSG * 0.9

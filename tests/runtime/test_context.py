@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.errors import AllocationError, RuntimeStateError
 from repro.runtime import Machine
 
@@ -16,6 +17,43 @@ def run(n_pes, fn, **cfg_kw):
     return machine, machine.run(fn)
 
 
+# The lifecycle guards live once, in the context core: every backend
+# must raise the same exception type with the same message.  Bodies are
+# module-level so the mp backend can pickle them.
+
+BACKENDS = ["sim", "mp", "vec"]
+
+
+def _guard_message(call):
+    with pytest.raises(RuntimeStateError) as caught:
+        call()
+    return str(caught.value)
+
+
+def _use_before_init(ctx):
+    msg = _guard_message(ctx.my_pe)
+    ctx.init()
+    ctx.close()
+    return msg
+
+
+def _double_init(ctx):
+    ctx.init()
+    msg = _guard_message(ctx.init)
+    ctx.close()
+    return msg
+
+
+def _init_after_close(ctx):
+    ctx.init()
+    ctx.close()
+    return _guard_message(ctx.init)
+
+
+def _guard_messages(backend, body):
+    return get_backend(backend).run(body, config=small_config(2))
+
+
 class TestLifecycle:
     def test_init_close(self):
         def body(ctx):
@@ -25,23 +63,20 @@ class TestLifecycle:
 
         run(2, body)
 
-    def test_use_before_init_rejected(self):
-        def body(ctx):
-            with pytest.raises(RuntimeStateError):
-                ctx.my_pe()
-            ctx.init()
-            ctx.close()
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_use_before_init_rejected(self, backend):
+        assert _guard_messages(backend, _use_before_init) == [
+            f"PE {r}: runtime used outside init()/close()" for r in range(2)]
 
-        run(2, body)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_double_init_rejected(self, backend):
+        assert _guard_messages(backend, _double_init) == [
+            f"PE {r}: init() called twice" for r in range(2)]
 
-    def test_double_init_rejected(self):
-        def body(ctx):
-            ctx.init()
-            with pytest.raises(RuntimeStateError):
-                ctx.init()
-            ctx.close()
-
-        run(1, body)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_init_after_close_rejected(self, backend):
+        assert _guard_messages(backend, _init_after_close) == [
+            f"PE {r}: init() after close()" for r in range(2)]
 
     def test_use_after_close_rejected(self):
         def body(ctx):

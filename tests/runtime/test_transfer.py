@@ -231,10 +231,11 @@ class TestNonBlocking:
 class TestUnrolling:
     def test_loop_overhead_drops_above_threshold(self):
         """Section 3.3: the generated loop unrolls past the threshold."""
-        m = Machine(small_config(1, unroll_threshold=8, unroll_factor=4))
-        eng = m.transfers[0]
-        below = eng.loop_overhead_ns(8) / 8
-        above = eng.loop_overhead_ns(800) / 800
+        from repro.runtime.transfer import loop_overhead_ns
+
+        cfg = small_config(1, unroll_threshold=8, unroll_factor=4)
+        below = loop_overhead_ns(cfg, 8) / 8
+        above = loop_overhead_ns(cfg, 800) / 800
         assert above < below
 
 

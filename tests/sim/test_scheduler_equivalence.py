@@ -107,7 +107,9 @@ class TestMachineEquivalence:
     """
 
     @pytest.mark.parametrize("n_pes", [1, 2, 3, 5, 8, 12])
-    @pytest.mark.parametrize("op", ["broadcast", "reduce_all", "alltoall"])
+    @pytest.mark.parametrize("op", [
+        "broadcast", pytest.param("allreduce", id="reduction_to_all"),
+        "alltoall"])
     def test_collective_traces_byte_identical(self, n_pes, op):
         def body(ctx, op):
             ctx.init()
@@ -121,8 +123,8 @@ class TestMachineEquivalence:
             if op == "broadcast":
                 ctx.broadcast(src, src, nelems, 1, 0)
                 out = ctx.view(src, "int64", nelems).copy()
-            elif op == "reduce_all":
-                ctx.reduce_all(dest, src, nelems, 1, "sum")
+            elif op == "allreduce":
+                ctx.allreduce(dest, src, nelems, 1, "sum")
                 out = ctx.view(dest, "int64", nelems).copy()
             else:
                 ctx.alltoall(dest, src, nelems)
