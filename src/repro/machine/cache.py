@@ -1,56 +1,91 @@
-"""Set-associative, write-back, write-allocate cache with LRU replacement.
+"""Set-associative, write-back, write-allocate cache with exact LRU.
 
 Geometry comes from :class:`repro.params.CacheParams`; the paper's cores
-use 8-way L1 (16 KB) and L2 (8 MB) caches with 64-byte lines.
+use 8-way L1 (16 KB) and L2 (8 MB) caches with 64-byte lines.  The model
+tracks tags only — data lives in the functional
+:class:`repro.isa.memory.Memory`.
 
-The model tracks tags only — data lives in the functional
-:class:`repro.isa.memory.Memory`.  Sets are allocated lazily (a dict of
-per-set LRU lists) so an 8 MB L2 costs nothing until touched.  A line
-entry is a plain two-element list ``[tag, dirty]`` — the batch paths
-allocate entries in bulk, and a list literal is several times cheaper
-to construct than any object with named fields.
+State is two ``[n_sets, ways]`` int64 arrays and one counter:
 
-Two lookup granularities:
+* ``_tags[s, w]`` — ``tag + 1`` of the line in way ``w`` of set ``s``,
+  0 for an empty way.
+* ``_keys[s, w]`` — ``(stamp << 1) | dirty``, where ``stamp`` is the
+  value of ``_clock`` when the way was last touched; 0 for an empty way.
+  Within a set a larger key is a more recent use, so the LRU victim is
+  the way with the smallest key — and an empty way, at 0, is always
+  taken first.  The dirty bit rides in the key so that choosing a victim
+  also says whether it writes back.
 
-* :meth:`Cache.access` — one line, the reference model (and the GUPs
-  hot path).
-* :meth:`Cache.access_run` / :meth:`Cache.access_lines` — a batch of
-  distinct ascending lines classified set by set.  Within one batch no
-  line repeats, so per set the accessed tags are strictly increasing:
-  the outcome decomposes into pure-miss *spans* (no currently-resident
-  tag inside them, filled with one bulk LRU splice) separated by at
-  most ``ways`` individual hits.
+Both sit on anonymous ``mmap`` pages, which the kernel hands out zeroed
+and unbacked: an 8 MB L2 (2 MiB of state) costs no memory until lines
+land in it.  ``np.zeros`` only does that for the first few caches of a
+process — once a large array has been freed glibc serves the next from
+the heap and ``calloc`` clears it by hand, and a run that builds a fresh
+machine per job (the serve oracle) then pays 16 MiB per live 8-PE
+machine.
 
-Both granularities sit on a per-set MRU mirror: packed
-``(tag << 1) | dirty`` codes in an ``array('q')`` (zero-copy viewable
-by numpy), -1 for an empty set.  The mirror serves two purposes:
+Three lookup granularities share that state:
 
-* A run whose sets are each touched once is classified with one
-  vectorized probe when every line is an MRU hit or a cold miss.
-* A set holding exactly **one** line can live in the mirror alone —
-  no dict entry, no list.  Cold sequential fills (the dominant case
-  for a fresh machine) then cost one vectorized scatter instead of
-  thousands of Python list allocations.  The LRU list is materialized
-  from the mirror code the first time a second tag maps to the set.
+* :meth:`Cache.access` — one line, through memoryviews of the arrays
+  (no numpy on this path; it is the GUPs hot path and the reference the
+  batch paths are tested against).
+* :meth:`Cache.access_run` — consecutive lines.  Accesses to different
+  sets touch disjoint rows and so commute; only the order *within* a set
+  matters.  A run is therefore cut where the tag changes, each piece
+  holds one line in each of ≤ ``n_sets`` consecutive sets, and a piece
+  is one round of the batch primitive :meth:`Cache._touch_sets` (compare,
+  find the hit way or the smallest key, scatter).  Pieces are issued in
+  ascending order, which is the per-set access order, so the result is
+  exact.  A run many times longer than ``n_sets`` (every L1 run of NAS
+  IS) that can be shown to miss on every line is filled in closed form
+  instead (:meth:`Cache._fill_run`).
+* :meth:`Cache.access_lines` — ascending distinct lines, not contiguous:
+  round ``r`` takes the ``r``-th line of every set.
 
-Invariant: ``_mru[s] == -1`` iff set ``s`` is empty; if ``s`` is in
-``_sets`` the (non-empty) list is authoritative and ``_mru[s]`` mirrors
-its MRU entry; otherwise a non-negative code *is* the set's single
-line.  All paths produce bit-identical hit/miss/writeback counters and
-an identical effective LRU state to the per-line reference.
+Runs too short to repay numpy's per-call cost loop :meth:`Cache.access`.
+Every path leaves identical counters and an identical
+:meth:`Cache.lru_state`.
 """
 
 from __future__ import annotations
 
 import enum
-from array import array
-from bisect import bisect_left
+import mmap
+import struct
 
 import numpy as np
 
 from ..params import CacheParams
 
-__all__ = ["CacheLevelResult", "Cache"]
+__all__ = ["CacheLevelResult", "Cache", "SCALAR_CUTOVER"]
+
+#: Batches of fewer lines than this go line by line, here and in
+#: :class:`~repro.machine.memsys.MemoryHierarchy`.  Measured on the
+#: reference host with n-line runs at paper geometry: a cache round is
+#: 5.0 us (all hits) to 7.3 us (all misses) + 10-25 ns/line against
+#: 0.41-1.1 us/line for the scalar touch, crossing at 9 lines (hits) and
+#: 5 (misses); a whole ``access_range`` of 8 lines costs 5.9 / 15.0 /
+#: 21.5 us line by line (L1 hits / L2 hits / misses) against 6.4 / 13.2 /
+#: 17.2 us batched, and the gap widens either side.  The 1-2 line
+#: accesses of small collectives stay scalar; NAS IS runs (~1000 lines)
+#: batch.
+SCALAR_CUTOVER = 8
+
+#: :meth:`Cache._fill_run` costs the same whatever the run length — 30 us
+#: on the 32 x 8 L1, 5 ms on the 16384 x 8 L2 (it sorts the whole state)
+#: — and rounds cost per line: measured break-even is 4 rounds on that
+#: L1 and 12 on that L2.  The larger is used, so a long L2 run never
+#: loses and a refused attempt (the run had a hit) is wasted on few runs.
+_FILL_MIN_ROUNDS = 12
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
+def _zero_pages(n_sets: int, ways: int) -> np.ndarray:
+    """An all-zero int64 ``[n_sets, ways]`` array on untouched pages
+    (see the module docstring); unmapped when the array is dropped."""
+    buf = mmap.mmap(-1, 8 * n_sets * ways)
+    return np.frombuffer(buf, dtype=np.int64).reshape(n_sets, ways)
 
 
 class CacheLevelResult(enum.Enum):
@@ -75,19 +110,26 @@ class Cache:
             raise ValueError("cache line size must be a power of two")
         self.n_sets = params.n_sets
         self.ways = params.ways
-        #: set index -> LRU-ordered entries, each a ``[tag, dirty]`` list.
-        #: Single-line sets are elided — see the module docstring.
-        self._sets: dict[int, list[list]] = {}
-        self._mru = array("q", [-1]) * params.n_sets
-        #: Zero-copy int64 view of the mirror for the vectorized paths.
-        self._mru_view = np.frombuffer(self._mru, dtype=np.int64)
+        self._read_row = struct.Struct(f"{self.ways}q").unpack_from
+        self._clear()
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
 
+    def _clear(self) -> None:
+        self._tags = _zero_pages(self.n_sets, self.ways)
+        self._keys = _zero_pages(self.n_sets, self.ways)
+        # Flat views for the scalar path: element reads and writes on a
+        # memoryview cost a fraction of numpy scalar indexing.
+        self._tag_mv = memoryview(self._tags.reshape(-1))
+        self._key_mv = memoryview(self._keys.reshape(-1))
+        self._clock = 0
+
     def line_of(self, addr: int) -> int:
         """Line address containing byte address ``addr``."""
         return addr >> self.line_shift
+
+    # -- one line -------------------------------------------------------------
 
     def access(self, line: int, write: bool) -> CacheLevelResult:
         """Look up ``line``; allocate it on miss (write-allocate).
@@ -95,42 +137,126 @@ class Cache:
         Returns HIT or MISS.  A dirty eviction increments ``writebacks``
         (charged by the hierarchy as an extra memory-side transfer).
         """
-        set_idx = line % self.n_sets
-        tag = line // self.n_sets
-        lru = self._sets.get(set_idx)
-        if lru is None:
-            code = self._mru[set_idx]
-            if code < 0:
-                self.misses += 1
-                self._mru[set_idx] = (tag << 1) | write
-                return CacheLevelResult.MISS
-            if (code >> 1) == tag:
-                self.hits += 1
-                if write:
-                    self._mru[set_idx] = code | 1
-                return CacheLevelResult.HIT
-            # Second tag maps here: materialize the single-line set.
-            lru = [[code >> 1, code & 1]]
-            self._sets[set_idx] = lru
-        else:
-            for i, entry in enumerate(lru):
-                if entry[0] == tag:
-                    self.hits += 1
-                    if write:
-                        entry[1] = True
-                    if i != 0:
-                        lru.insert(0, lru.pop(i))
-                    self._mru[set_idx] = (tag << 1) | entry[1]
-                    return CacheLevelResult.HIT
-        # Miss: allocate, evicting the LRU way if the set is full.
-        self.misses += 1
-        if len(lru) >= self.ways:
-            victim = lru.pop()
-            if victim[1]:
-                self.writebacks += 1
-        lru.insert(0, [tag, write])
-        self._mru[set_idx] = (tag << 1) | write
+        if self.touch(line, write):
+            return CacheLevelResult.HIT
         return CacheLevelResult.MISS
+
+    def touch(self, line: int, write: bool) -> bool:
+        """:meth:`access` returning a plain ``True`` on hit."""
+        n_sets = self.n_sets
+        set_idx = line % n_sets
+        stored = line // n_sets + 1
+        at = set_idx * self.ways
+        read_row = self._read_row
+        row = read_row(self._tag_mv, at << 3)
+        keys = self._key_mv
+        self._clock = clock = self._clock + 1
+        if stored in row:
+            self.hits += 1
+            at += row.index(stored)
+            keys[at] = (clock << 1) | write | (keys[at] & 1)
+            return True
+        self.misses += 1
+        if row[-1]:
+            # Ways fill from 0 up, so this is a full set except after
+            # a partial fill elsewhere — and then an empty way holds the
+            # smallest key, 0.  Either way the smallest key is the way
+            # to replace and its low bit says whether it writes back.
+            krow = read_row(keys, at << 3)
+            victim = min(krow)
+            if victim & 1:
+                self.writebacks += 1
+            at += krow.index(victim)
+        else:
+            at += row.index(0)
+        self._tag_mv[at] = stored
+        keys[at] = (clock << 1) | write
+        return False
+
+    # -- batches --------------------------------------------------------------
+
+    def _touch_sets(self, sets, stored, write: bool) -> np.ndarray:
+        """Touch one line in each of k distinct sets.
+
+        ``sets`` is a slice of consecutive sets with ``stored`` their one
+        common stored tag, or an index array with ``stored`` the array of
+        per-set stored tags.  Returns the positions (0..k-1) that missed.
+        """
+        contiguous = isinstance(sets, slice)
+        tags = self._tags[sets]  # views for a slice, copies for indices
+        keys = self._keys[sets]
+        flat_tags = tags.reshape(-1)
+        flat_keys = keys.reshape(-1)
+        k = len(tags)
+        ways = self.ways
+        self._clock += 1
+        stamp = (self._clock << 1) | write
+        # Tags are unique within a set and never 0: at most one match a row.
+        hit_at = np.flatnonzero(tags == (stored if contiguous else stored[:, None]))
+        n_hit = len(hit_at)
+        if n_hit:
+            flat_keys[hit_at] = stamp if write else (flat_keys[hit_at] & 1) | stamp
+        missed = _NO_ROWS
+        if n_hit < k:
+            if n_hit:
+                is_miss = np.ones(k, dtype=bool)
+                is_miss[hit_at // ways] = False
+                missed = np.flatnonzero(is_miss)
+                fill_at = missed * ways + keys[missed].argmin(axis=1)
+            else:
+                missed = np.arange(k)
+                fill_at = missed * ways + keys.argmin(axis=1)
+            self.writebacks += int(np.count_nonzero(flat_keys[fill_at] & 1))
+            flat_tags[fill_at] = stored if contiguous else stored[missed]
+            flat_keys[fill_at] = stamp
+        if not contiguous:
+            self._tags[sets] = tags
+            self._keys[sets] = keys
+        self.hits += n_hit
+        self.misses += k - n_hit
+        return missed
+
+    def _fill_run(self, first_line: int, n_lines: int, write: bool) -> bool:
+        """Apply a run of at least ``n_sets`` lines in closed form if every
+        line of it misses; return False, with nothing changed, if not.
+
+        Set ``s`` receives ``cnt[s]`` consecutive ascending tags from
+        ``lo[s]``.  While they all miss, the n-th of them replaces the
+        way holding the n-th smallest key.  So a resident line whose tag
+        lies ``ahead`` accesses into its set's sequence has been evicted
+        by the time the run reaches it iff ``ahead`` exceeds the number
+        of ways with a smaller key (its ``rank``) — and the first line
+        for which that fails is a hit.  The test is exact both ways.
+        """
+        n_sets = self.n_sets
+        ways = self.ways
+        tags = self._tags
+        keys = self._keys
+        offset = (np.arange(n_sets) - first_line) % n_sets
+        cnt = ((n_lines - 1 - offset) // n_sets + 1)[:, None]
+        lo = ((first_line + offset) // n_sets + 1)[:, None]
+        rank = keys.argsort(axis=1, kind="stable").argsort(axis=1)
+        ahead = tags - lo
+        if ((ahead >= 0) & (ahead < cnt) & (ahead <= rank)).any():
+            return False
+        keep = np.minimum(cnt, ways)
+        replaced = rank < cnt
+        self.misses += n_lines
+        self.writebacks += int(np.count_nonzero(keys[replaced] & 1))
+        if write:
+            # Lines of the run itself pushed out by its later lines.
+            self.writebacks += n_lines - int(keep.sum())
+        # The way of rank j ends up with the (cnt - keep + j)-th access.
+        nth = cnt - keep + rank
+        np.copyto(tags, lo + nth, where=replaced)
+        np.copyto(keys, ((self._clock + 1 + nth) << 1) | write, where=replaced)
+        self._clock += int(cnt.max())
+        return True
+
+    def _touch_each(self, lines, write: bool) -> list[int]:
+        """Scalar loop over ``lines``; returns the ones that missed."""
+        touch = self.touch
+        return [line for line in lines if not touch(line, write)]
 
     def access_run(
         self,
@@ -142,332 +268,38 @@ class Cache:
         """Look up the sequential lines ``[first_line, first_line+n_lines)``.
 
         Equivalent to calling :meth:`access` once per line in ascending
-        order — same hit/miss/writeback counters, same final LRU state —
-        but classified one set at a time.  With ``collect_missed`` the
-        third element is the ascending array of line addresses that
-        missed (``None`` when every line hit or every line missed can be
-        reconstructed trivially by the caller); the hierarchy uses it to
-        feed exactly the L1-missing lines to L2.
+        order — same hit/miss/writeback counters, same final LRU state.
+        With ``collect_missed`` the third element is the ascending array
+        of line addresses that missed, or ``None`` when every line hit
+        or every line missed; the hierarchy uses it to feed exactly the
+        L1-missing lines to L2.
         """
         if n_lines <= 0:
             return 0, 0, None
         n_sets = self.n_sets
-        ways = self.ways
-        sets = self._sets
-        if 32 <= n_lines <= n_sets:
-            # Each set is touched once; one vectorized probe of the MRU
-            # mirror classifies the whole run as long as every line is
-            # either an MRU hit (a re-sweep: no promotion needed) or a
-            # cold miss (first touch: the scatter into the mirror below
-            # IS the fill — single-line sets have no list).  Only runs
-            # into occupied sets with a different or deeper tag fall
-            # through to the scalar walk.
-            lines = np.arange(first_line, first_line + n_lines, dtype=np.int64)
-            s_arr = lines % n_sets
-            t_arr = lines // n_sets
-            view = self._mru_view
-            codes = view[s_arr]
-            hit_mru = (codes >> 1) == t_arr
-            cold = codes == -1
-            n_hit = int(hit_mru.sum())
-            n_cold = int(cold.sum())
-            if n_hit + n_cold == n_lines:
-                self.hits += n_hit
-                self.misses += n_cold
-                if n_cold:
-                    view[s_arr[cold]] = (t_arr[cold] << 1) | write
-                if write and n_hit:
-                    clean = hit_mru & ((codes & 1) == 0)
-                    if clean.any():
-                        view[s_arr[clean]] |= 1
-                        for s in s_arr[clean].tolist():
-                            lru = sets.get(s)
-                            if lru is not None:
-                                lru[0][1] = True
-                missed = None
-                if collect_missed and n_cold and n_hit:
-                    missed = lines[cold]
-                return n_hit, n_cold, missed
-        hits = 0
-        misses = 0
-        wb = 0
-        spans: list[tuple[int, int, int]] | None = [] if collect_missed else None
-        append_span = spans.append if spans is not None else None
-        if n_lines <= n_sets:
-            # Every set is touched exactly once: walk the sets with an
-            # incremental index (no division per line) and short-circuit
-            # the three dominant outcomes straight off the mirror — an
-            # empty set (the mirror store is the whole fill), a
-            # single-line hit and an MRU hit.  Lines are visited
-            # ascending, so misses collect into a flat pre-sorted list.
-            missed_lines: list[int] | None = [] if collect_missed else None
-            add_missed = missed_lines.append if missed_lines is not None else None
-            mru = self._mru
-            s = first_line % n_sets
-            t = first_line // n_sets
-            for line in range(first_line, first_line + n_lines):
-                lru = sets.get(s)
-                if lru is None:
-                    code = mru[s]
-                    if code < 0:
-                        misses += 1
-                        mru[s] = (t << 1) | write
-                        if add_missed is not None:
-                            add_missed(line)
-                        lru = False
-                    elif (code >> 1) == t:
-                        hits += 1
-                        if write:
-                            mru[s] = code | 1
-                        lru = False
-                    else:
-                        lru = [[code >> 1, code & 1]]
-                        sets[s] = lru
-                if lru:
-                    e0 = lru[0]
-                    if e0[0] == t:
-                        hits += 1
-                        if write and not e0[1]:
-                            e0[1] = True
-                            mru[s] = (t << 1) | 1
-                    else:
-                        for i in range(1, len(lru)):
-                            entry = lru[i]
-                            if entry[0] == t:
-                                hits += 1
-                                if write:
-                                    entry[1] = True
-                                lru.insert(0, lru.pop(i))
-                                mru[s] = (t << 1) | entry[1]
-                                break
-                        else:
-                            misses += 1
-                            if len(lru) >= ways:
-                                victim = lru.pop()
-                                if victim[1]:
-                                    wb += 1
-                            lru.insert(0, [t, write])
-                            mru[s] = (t << 1) | write
-                            if add_missed is not None:
-                                add_missed(line)
-                s += 1
-                if s == n_sets:
-                    s = 0
-                    t += 1
-            self.hits += hits
-            self.misses += misses
-            self.writebacks += wb
-            missed = None
-            if missed_lines and hits:
-                missed = np.array(missed_lines, dtype=np.int64)
-            return hits, misses, missed
-        last_line = first_line + n_lines - 1
-        mru = self._mru
-        if not sets and n_sets >= 64:
-            # (Below 64 sets the numpy setup costs more than the plain
-            # per-off loop it replaces.)
-            view = self._mru_view
-            if not bool((view >= 0).any()):
-                # Whole cache cold: every line misses and the final state
-                # per set is just the last min(cnt, ways) of its segment
-                # tags, MRU-descending.  Vectorize the segment math and
-                # only materialize the lists.
-                offs = np.arange(n_sets, dtype=np.int64)
-                line0 = first_line + offs
-                s_arr = line0 % n_sets
-                t_lo_arr = line0 // n_sets
-                cnt_arr = (last_line - line0) // n_sets + 1
-                t_hi_arr = t_lo_arr + cnt_arr - 1
-                keep_arr = np.minimum(cnt_arr, ways)
-                self.misses += n_lines
-                if write:
-                    self.writebacks += int((cnt_arr - keep_arr).sum())
-                view[s_arr] = (t_hi_arr << 1) | write
-                for s, th, kp in zip(s_arr.tolist(), t_hi_arr.tolist(),
-                                     keep_arr.tolist()):
-                    if kp > 1:
-                        sets[s] = [[t, write] for t in range(th, th - kp, -1)]
-                return 0, n_lines, None
-        for off in range(min(n_sets, n_lines)):
-            line0 = first_line + off
-            set_idx = line0 % n_sets
-            t_lo = line0 // n_sets
-            cnt = (last_line - line0) // n_sets + 1
-            lru = sets.get(set_idx)
-            if lru is None:
-                code = mru[set_idx]
-                if code < 0:
-                    # Cold set: the whole segment misses.  A single line
-                    # stays mirror-only; a longer segment materializes.
-                    misses += cnt
-                    t_hi = t_lo + cnt - 1
-                    if cnt == 1:
-                        mru[set_idx] = (t_lo << 1) | write
-                    else:
-                        keep = cnt if cnt < ways else ways
-                        if write and cnt > keep:
-                            wb += cnt - keep
-                        sets[set_idx] = [
-                            [t, write] for t in range(t_hi, t_hi - keep, -1)
-                        ]
-                        mru[set_idx] = (t_hi << 1) | write
-                    if append_span is not None:
-                        append_span((t_lo, cnt, set_idx))
-                    continue
-                lru = [[code >> 1, code & 1]]
-                sets[set_idx] = lru
-            # A re-sweep of a previously filled segment finds its tags as
-            # the top cnt entries in exactly the consecutive-descending
-            # order the ascending hits would restore — all hit, no
-            # reorder.
-            t_hi = t_lo + cnt - 1
-            if cnt > 1 and len(lru) >= cnt and lru[0][0] == t_hi:
-                for i in range(1, cnt):
-                    if lru[i][0] != t_hi - i:
-                        break
-                else:
-                    hits += cnt
-                    if write:
-                        for i in range(cnt):
-                            lru[i][1] = True
-                        mru[set_idx] = (t_hi << 1) | 1
-                    else:
-                        mru[set_idx] = (t_hi << 1) | lru[0][1]
-                    continue
-            # The single-tag segment is inlined: scalar hit-or-miss.
-            if cnt == 1:
-                for i, entry in enumerate(lru):
-                    if entry[0] == t_lo:
-                        hits += 1
-                        if write:
-                            entry[1] = True
-                        if i:
-                            lru.insert(0, lru.pop(i))
-                        mru[set_idx] = (t_lo << 1) | entry[1]
-                        break
-                else:
-                    misses += 1
-                    if len(lru) >= ways:
-                        victim = lru.pop()
-                        if victim[1]:
-                            wb += 1
-                    lru.insert(0, [t_lo, write])
-                    mru[set_idx] = (t_lo << 1) | write
-                    if append_span is not None:
-                        append_span((t_lo, 1, set_idx))
-                continue
-            h, m = self._run_set(lru, t_lo, t_lo + cnt - 1, write, set_idx,
-                                 spans)
-            hits += h
-            misses += m
-            top = lru[0]
-            mru[set_idx] = (top[0] << 1) | top[1]
-        self.hits += hits
-        self.misses += misses
-        self.writebacks += wb
-        missed = None
-        if collect_missed and spans and hits:
-            parts = [
-                np.arange(t0, t0 + cnt, dtype=np.int64) * n_sets + s
-                for (t0, cnt, s) in spans
-            ]
-            missed = np.sort(np.concatenate(parts))
-        return hits, misses, missed
-
-    def _run_set(
-        self,
-        lru: list[list],
-        t_lo: int,
-        t_hi: int,
-        write: bool,
-        set_idx: int,
-        spans: list[tuple[int, int, int]] | None,
-    ) -> tuple[int, int]:
-        """Access the consecutive tags ``[t_lo, t_hi]`` of one set, ascending."""
-        cnt = t_hi - t_lo + 1
-        # One scan classifies the set: no resident tag in range is a
-        # pure-miss span; every tag resident collapses the cnt ascending
-        # promotions to one splice (promoted entries MRU-descending, the
-        # rest in their old order).  Only the mixed case needs the
-        # segment loop below.
-        by_tag: dict[int, list] = {}
-        rest: list[list] = []
-        for entry in lru:
-            if t_lo <= entry[0] <= t_hi:
-                by_tag[entry[0]] = entry
-            else:
-                rest.append(entry)
-        if not by_tag:
-            self._fill_span(lru, t_lo, t_hi, write)
-            if spans is not None:
-                spans.append((t_lo, cnt, set_idx))
-            return 0, cnt
-        if len(by_tag) == cnt:
-            promoted = [by_tag[t] for t in range(t_hi, t_lo - 1, -1)]
-            if write:
-                for entry in promoted:
-                    entry[1] = True
-            lru[:] = promoted + rest
-            return cnt, 0
-        hits = 0
-        misses = 0
-        t = t_lo
-        while t <= t_hi:
-            # Smallest resident tag inside the remaining range.  If it is
-            # not t itself, every tag before it misses as one span; the
-            # span's evictions may remove the resident tag, so re-probe
-            # rather than assuming a hit at r.
-            r = -1
-            hit_i = -1
-            for i, entry in enumerate(lru):
-                et = entry[0]
-                if t <= et <= t_hi and (r < 0 or et < r):
-                    r = et
-                    hit_i = i
-            if r != t:
-                end = t_hi if r < 0 else r - 1
-                cnt = end - t + 1
-                misses += cnt
-                self._fill_span(lru, t, end, write)
-                if spans is not None:
-                    spans.append((t, cnt, set_idx))
-                t = end + 1
-                continue
-            hits += 1
-            entry = lru[hit_i]
-            if write:
-                entry[1] = True
-            if hit_i:
-                lru.insert(0, lru.pop(hit_i))
-            t += 1
-        return hits, misses
-
-    def _fill_span(self, lru: list[list], t_first: int, t_last: int, write: bool) -> None:
-        """Allocate the all-missing tags ``[t_first, t_last]`` in one splice.
-
-        Matches the per-line sequence exactly: with initial occupancy o,
-        w ways and cnt insertions, o + cnt - w entries are evicted — the
-        LRU tail of the initial entries first (dirty ones write back),
-        then the oldest of the newly inserted entries (which are dirty
-        iff ``write``).  The survivors are the last min(cnt, w) inserted
-        tags, MRU-ordered descending, ahead of any surviving initial
-        entries in their old order.
-        """
-        cnt = t_last - t_first + 1
-        occ = len(lru)
-        ways = self.ways
-        n_ev = occ + cnt - ways
-        if n_ev > 0:
-            ev_init = n_ev if n_ev < occ else occ
-            if ev_init:
-                for entry in lru[occ - ev_init :]:
-                    if entry[1]:
-                        self.writebacks += 1
-                del lru[occ - ev_init :]
-            if write and n_ev > ev_init:
-                self.writebacks += n_ev - ev_init
-        keep = cnt if cnt < ways else ways
-        lru[:0] = [[t, write] for t in range(t_last, t_last - keep, -1)]
+        end = first_line + n_lines
+        if n_lines >= _FILL_MIN_ROUNDS * n_sets and self._fill_run(
+                first_line, n_lines, write):
+            return 0, n_lines, None
+        if min(n_lines, n_sets) < SCALAR_CUTOVER:
+            parts = [self._touch_each(range(first_line, end), write)]
+            misses = len(parts[0])
+        else:
+            misses = 0
+            parts = []
+            line = first_line
+            while line < end:
+                set_idx = line % n_sets
+                k = min(end - line, n_sets - set_idx)
+                rows = self._touch_sets(slice(set_idx, set_idx + k),
+                                        line // n_sets + 1, write)
+                misses += len(rows)
+                if collect_missed and len(rows):
+                    parts.append(rows + line)
+                line += k
+        if collect_missed and 0 < misses < n_lines:
+            return n_lines - misses, misses, np.concatenate(parts)
+        return n_lines - misses, misses, None
 
     def access_lines(self, lines: np.ndarray, write: bool) -> tuple[int, int]:
         """Look up an ascending array of distinct line addresses.
@@ -480,145 +312,57 @@ class Cache:
         if total == 0:
             return 0, 0
         n_sets = self.n_sets
-        sets = self._sets
-        hits = 0
+        if min(total, n_sets) < SCALAR_CUTOVER:
+            misses = len(self._touch_each(lines.tolist(), write))
+            return total - misses, misses
+        sets = lines % n_sets
+        stored = lines // n_sets + 1
+        if lines[-1] - lines[0] < n_sets:
+            misses = len(self._touch_sets(sets, stored, write))
+            return total - misses, misses
+        # Round r holds the r-th (ascending) line of every set.
+        order = np.argsort(sets, kind="stable")
+        in_order = sets[order]
+        position = np.arange(total)
+        group_start = np.maximum.accumulate(
+            np.where(np.r_[True, in_order[1:] != in_order[:-1]], position, 0))
+        nth = position - group_start
         misses = 0
-        if n_sets == 1:
-            groups: list[tuple[int, np.ndarray]] = [(0, lines)]
-        else:
-            set_idx = lines % n_sets
-            order = np.argsort(set_idx, kind="stable")
-            ss = set_idx[order]
-            ts = (lines // n_sets)[order]
-            starts = np.flatnonzero(np.r_[True, ss[1:] != ss[:-1]])
-            bounds = np.r_[starts, total]
-            groups = [
-                (int(ss[bounds[k]]), ts[bounds[k] : bounds[k + 1]])
-                for k in range(len(starts))
-            ]
-        mru = self._mru
-        for s, tags in groups:
-            lru = sets.get(s)
-            if lru is None:
-                code = mru[s]
-                lru = [] if code < 0 else [[code >> 1, code & 1]]
-                sets[s] = lru
-            h, m = self._run_set_list(lru, tags.tolist(), write)
-            hits += h
-            misses += m
-            top = lru[0]
-            mru[s] = (top[0] << 1) | top[1]
-        self.hits += hits
-        self.misses += misses
-        return hits, misses
+        for r in range(int(nth.max()) + 1):
+            sel = order[nth == r]
+            misses += len(self._touch_sets(sets[sel], stored[sel], write))
+        return total - misses, misses
 
-    def _run_set_list(
-        self, lru: list[list], tags: list[int], write: bool
-    ) -> tuple[int, int]:
-        """Access an ascending list of distinct tags of one set, in order."""
-        total = len(tags)
-        if total <= len(lru):
-            # Same warm-set collapse as :meth:`_run_set`, over an
-            # explicit tag list.
-            tagset = set(tags)
-            by_tag: dict[int, list] = {}
-            rest: list[list] = []
-            for entry in lru:
-                if entry[0] in tagset:
-                    by_tag[entry[0]] = entry
-                else:
-                    rest.append(entry)
-            if len(by_tag) == total:
-                promoted = [by_tag[t] for t in reversed(tags)]
-                if write:
-                    for entry in promoted:
-                        entry[1] = True
-                lru[:] = promoted + rest
-                return total, 0
-        hits = 0
-        misses = 0
-        idx = 0
-        while idx < total:
-            # Earliest remaining access whose tag is currently resident.
-            j = -1
-            hit_i = -1
-            for i, entry in enumerate(lru):
-                k = bisect_left(tags, entry[0], idx)
-                if k < total and tags[k] == entry[0] and (j < 0 or k < j):
-                    j = k
-                    hit_i = i
-            if j != idx:
-                end = total if j < 0 else j
-                span = tags[idx:end]
-                misses += len(span)
-                self._fill_list(lru, span, write)
-                idx = end
-                continue
-            hits += 1
-            entry = lru[hit_i]
-            if write:
-                entry[1] = True
-            if hit_i:
-                lru.insert(0, lru.pop(hit_i))
-            idx += 1
-        return hits, misses
-
-    def _fill_list(self, lru: list[list], span: list[int], write: bool) -> None:
-        """:meth:`_fill_span` for an explicit (ascending) tag list."""
-        cnt = len(span)
-        occ = len(lru)
-        ways = self.ways
-        n_ev = occ + cnt - ways
-        if n_ev > 0:
-            ev_init = n_ev if n_ev < occ else occ
-            if ev_init:
-                for entry in lru[occ - ev_init :]:
-                    if entry[1]:
-                        self.writebacks += 1
-                del lru[occ - ev_init :]
-            if write and n_ev > ev_init:
-                self.writebacks += n_ev - ev_init
-        keep = cnt if cnt < ways else ways
-        lru[:0] = [[t, write] for t in reversed(span[cnt - keep :])]
+    # -- inspection -------------------------------------------------------------
 
     def probe(self, line: int) -> bool:
         """Non-destructive presence check (no LRU update, no stats)."""
         set_idx = line % self.n_sets
-        tag = line // self.n_sets
-        lru = self._sets.get(set_idx)
-        if lru is None:
-            code = self._mru[set_idx]
-            return code >= 0 and (code >> 1) == tag
-        return any(e[0] == tag for e in lru)
+        row = self._read_row(self._tag_mv, set_idx * self.ways << 3)
+        return line // self.n_sets + 1 in row
+
+    def lru_state(self) -> dict[int, list[tuple[int, bool]]]:
+        """``{set: [(tag, dirty), ...]}``, most recent first, for every
+        non-empty set."""
+        state = {}
+        for s in np.flatnonzero(self._tags.any(axis=1)).tolist():
+            by_recency = sorted(
+                zip(self._keys[s].tolist(), self._tags[s].tolist()),
+                reverse=True)
+            state[s] = [(stored - 1, bool(key & 1))
+                        for key, stored in by_recency if stored]
+        return state
 
     def invalidate_all(self) -> int:
         """Drop every line; returns how many dirty lines were discarded."""
-        dirty = sum(
-            1 for lru in self._sets.values() for e in lru if e[1]
-        )
-        view = self._mru_view
-        solo_dirty = (view >= 0) & ((view & 1) == 1)
-        if self._sets:
-            materialized = np.fromiter(
-                self._sets.keys(), dtype=np.int64, count=len(self._sets)
-            )
-            solo_dirty[materialized] = False
-        dirty += int(solo_dirty.sum())
-        self._sets.clear()
-        self._mru = array("q", [-1]) * self.n_sets
-        self._mru_view = np.frombuffer(self._mru, dtype=np.int64)
+        dirty = int(np.count_nonzero(self._keys & 1))
+        self._clear()
         return dirty
 
     @property
     def occupancy(self) -> int:
         """Number of resident lines."""
-        view = self._mru_view
-        non_empty = int((view >= 0).sum())
-        return (
-            sum(len(lru) for lru in self._sets.values())
-            + non_empty
-            - len(self._sets)
-        )
+        return int(np.count_nonzero(self._tags))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         p = self.params

@@ -12,20 +12,22 @@ Two costing entry points:
   by the runtime's put/get transfer engine and the vectorised benchmark
   phases).
 
-Bulk ranges normally go through the batched fast path
-(:meth:`Cache.access_run` / :meth:`Tlb.access_run`), which classifies a
-whole run per cache set instead of making one Python call per line.
-Setting ``fast_path = False`` on an instance restores the per-line
-reference loop; the two are equivalent — identical counters, identical
-cache/TLB state, and identical ns because the grouped cost formula
-regroups exact (dyadic) per-line terms — and the equivalence suite
-asserts it bit for bit.
+Either way an access that touches a few lines costs each with
+:meth:`MemoryHierarchy._access_line` (pure Python, no numpy), and one
+that touches :data:`~repro.machine.cache.SCALAR_CUTOVER` or more goes to
+:meth:`MemoryHierarchy._run_cost`, which hands the whole run to
+:meth:`Cache.access_run` / :meth:`Tlb.access_run`.  Setting
+``fast_path = False`` on an instance costs every line with
+``_access_line``; the two are equivalent — identical counters,
+identical cache/TLB state, and identical ns because the grouped cost
+formula regroups exact (dyadic) per-line terms — and the equivalence
+suite asserts it bit for bit.
 """
 
 from __future__ import annotations
 
 from ..params import MemoryParams
-from .cache import Cache, CacheLevelResult
+from .cache import SCALAR_CUTOVER, Cache
 from .tlb import Tlb
 
 __all__ = ["MemoryHierarchy"]
@@ -43,10 +45,17 @@ class MemoryHierarchy:
             raise ValueError("L1 and L2 must share a line size")
         self._line_bytes = params.l1.line_bytes
         self._line_shift = self.l1.line_shift
-        self._page_shift = self.tlb.page_shift
-        #: Route bulk ranges through the batched run classifiers.  Set
-        #: False to fall back to the per-line reference loop (the oracle
-        #: the equivalence tests compare against).
+        # The scalar path reads these once per line; ``params`` is frozen.
+        self._walk_ns = params.tlb.walk_ns
+        self._l1_ns = params.l1.hit_ns
+        self._l2_ns = params.l2.hit_ns
+        self._dram_ns = params.dram_ns
+        self._dram_stream_ns = params.dram_stream_ns
+        #: line address >> this = page number
+        self._page_line_shift = self.tlb.page_shift - self._line_shift
+        #: Cost runs of ``SCALAR_CUTOVER`` lines or more in batches.  Set
+        #: False to cost every line on its own (the oracle the
+        #: equivalence tests compare against).
         self.fast_path = True
 
     # -- single access ----------------------------------------------------
@@ -61,33 +70,37 @@ class MemoryHierarchy:
         bypass the target core's TLB entirely (paper section 3.2).
         """
         first = addr >> self._line_shift
-        last = (addr + max(size, 1) - 1) >> self._line_shift
+        last = (addr + (size if size > 0 else 1) - 1) >> self._line_shift
         if first == last:
             return self._access_line(first, write, use_tlb)
-        if self.fast_path:
-            return self._run_cost(first, last - first + 1, write, use_tlb,
-                                  stream=False)
-        ns = 0.0
-        for line in range(first, last + 1):
-            ns += self._access_line(line, write, use_tlb)
-        return ns
+        return self._lines_cost(first, last - first + 1, write, use_tlb,
+                                stream=False)
 
     def _access_line(self, line: int, write: bool, use_tlb: bool = True,
                      stream: bool = False) -> float:
-        p = self.params
         ns = 0.0
-        if use_tlb:
-            page = (line << self._line_shift) >> self._page_shift
-            if not self.tlb.access(page):
-                ns += p.tlb.walk_ns
-        if self.l1.access(line, write) is CacheLevelResult.HIT:
-            return ns + p.l1.hit_ns
-        ns += p.l1.hit_ns  # L1 lookup still costs its hit time
-        if self.l2.access(line, write) is CacheLevelResult.HIT:
-            return ns + p.l2.hit_ns
+        if use_tlb and not self.tlb.access(line >> self._page_line_shift):
+            ns = self._walk_ns
+        ns += self._l1_ns  # an L1 miss still costs the L1 lookup
+        if self.l1.touch(line, write):
+            return ns
+        ns += self._l2_ns
+        if self.l2.touch(line, write):
+            return ns
         # Sequential misses pipeline in DRAM (row-buffer hits + MLP);
         # isolated random misses pay the full access latency.
-        return ns + p.l2.hit_ns + (p.dram_stream_ns if stream else p.dram_ns)
+        return ns + (self._dram_stream_ns if stream else self._dram_ns)
+
+    def _lines_cost(self, first: int, n_lines: int, write: bool,
+                    use_tlb: bool, stream: bool) -> float:
+        """Cost the sequential lines ``[first, first+n_lines)``: batched
+        when the run repays numpy's per-call cost, else line by line."""
+        if self.fast_path and n_lines >= SCALAR_CUTOVER:
+            return self._run_cost(first, n_lines, write, use_tlb, stream)
+        ns = 0.0
+        for line in range(first, first + n_lines):
+            ns += self._access_line(line, write, use_tlb, stream)
+        return ns
 
     def _run_cost(self, first: int, n_lines: int, write: bool,
                   use_tlb: bool, stream: bool) -> float:
@@ -115,7 +128,7 @@ class MemoryHierarchy:
         if l2_misses:
             ns += l2_misses * (p.dram_stream_ns if stream else p.dram_ns)
         if use_tlb:
-            shift = self._page_shift - self._line_shift
+            shift = self._page_line_shift
             first_page = first >> shift
             n_pages = ((first + n_lines - 1) >> shift) - first_page + 1
             _, tlb_misses = self.tlb.access_run(first_page, n_pages)
@@ -143,34 +156,26 @@ class MemoryHierarchy:
         first = addr >> self._line_shift
         last = (addr + nbytes - 1) >> self._line_shift
         n_lines = last - first + 1
+        if n_lines == 1:
+            return self._access_line(first, write, use_tlb, stream=True)
         p = self.params
         if n_lines > 4 * self.l2.params.n_lines:
             # Streaming regime: charge pipelined DRAM for every line, then
             # leave the caches holding the tail of the sweep so later
             # reuse behaves.
             per_line = p.l1.hit_ns + p.l2.hit_ns + p.dram_stream_ns
-            pages = ((last << self._line_shift) >> self._page_shift) - (
-                (first << self._line_shift) >> self._page_shift
-            ) + 1
+            shift = self._page_line_shift
+            pages = (last >> shift) - (first >> shift) + 1
             ns = n_lines * per_line
             if use_tlb:
                 ns += pages * p.tlb.walk_ns
             tail_lines = self.l2.params.n_lines
-            if self.fast_path:
-                # Same state transitions as the per-line tail touch; the
-                # returned ns is discarded exactly as the loop's was.
-                self._run_cost(last - tail_lines + 1, tail_lines, write,
-                               use_tlb, stream=True)
-            else:
-                for line in range(last - tail_lines + 1, last + 1):
-                    self._access_line(line, write, use_tlb, stream=True)
+            # Touch the tail for its state transitions; its ns is not
+            # charged.
+            self._lines_cost(last - tail_lines + 1, tail_lines, write,
+                             use_tlb, stream=True)
             return ns
-        if self.fast_path:
-            return self._run_cost(first, n_lines, write, use_tlb, stream=True)
-        ns = 0.0
-        for line in range(first, last + 1):
-            ns += self._access_line(line, write, use_tlb, stream=True)
-        return ns
+        return self._lines_cost(first, n_lines, write, use_tlb, stream=True)
 
     def access_strided(
         self, addr: int, nelems: int, elem_bytes: int, stride_elems: int,

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.machine import cache as cache_mod
 from repro.machine.cache import Cache, CacheLevelResult
 from repro.params import CacheParams
 
@@ -81,6 +83,100 @@ class TestBasics:
             Cache(CacheParams(size_bytes=960, ways=2, line_bytes=48))
 
 
+class ListLru:
+    """Textbook LRU cache, one ``[(tag, dirty), ...]`` list per set with
+    the most recent entry first.  Shares no code with :class:`Cache`."""
+
+    def __init__(self, n_sets: int, ways: int):
+        self.n_sets = n_sets
+        self.ways = ways
+        self.sets: dict[int, list[tuple[int, bool]]] = {}
+        self.hits = self.misses = self.writebacks = 0
+
+    def access(self, line: int, write: bool) -> bool:
+        tag = line // self.n_sets
+        lru = self.sets.setdefault(line % self.n_sets, [])
+        for i, (resident, dirty) in enumerate(lru):
+            if resident == tag:
+                del lru[i]
+                lru.insert(0, (tag, dirty or write))
+                self.hits += 1
+                return True
+        self.misses += 1
+        if len(lru) == self.ways:
+            _, dirty = lru.pop()
+            self.writebacks += dirty
+        lru.insert(0, (tag, write))
+        return False
+
+    def counters(self):
+        return self.hits, self.misses, self.writebacks
+
+
+def geometry(n_sets, ways):
+    return make(size=n_sets * ways * 64, ways=ways)
+
+
+def apply_both(cache: Cache, oracle: ListLru, op) -> None:
+    """Apply one trace op to both models and compare everything."""
+    kind, lines, write = op
+    missed = [line for line in lines if not oracle.access(line, write)]
+    n = len(lines)
+    if kind == "one":
+        (line,) = lines
+        got = cache.access(line, write)
+        assert (got is CacheLevelResult.MISS) == bool(missed)
+    elif kind == "run":
+        hits, misses, got = cache.access_run(lines[0], n, write,
+                                             collect_missed=True)
+        assert (hits, misses) == (n - len(missed), len(missed))
+        if 0 < len(missed) < n:
+            assert got.tolist() == missed
+        else:
+            assert got is None
+    else:
+        got = cache.access_lines(np.array(lines, dtype=np.int64), write)
+        assert got == (n - len(missed), len(missed))
+    assert (cache.hits, cache.misses, cache.writebacks) == oracle.counters()
+    assert cache.lru_state() == {s: lru for s, lru in oracle.sets.items()}
+    assert cache.occupancy == sum(len(lru) for lru in oracle.sets.values())
+
+
+def run_lengths(n_sets, ways):
+    """The run lengths at which access_run changes strategy."""
+    cut = cache_mod.SCALAR_CUTOVER
+    fill = cache_mod._FILL_MIN_ROUNDS * n_sets
+    return sorted({1, cut - 1, cut, cut + 1, n_sets - 1, n_sets, n_sets + 1,
+                   n_sets * ways - 1, n_sets * ways, n_sets * ways + 1,
+                   4 * n_sets + 1, fill - 1, fill, fill + n_sets // 2 + 1}
+                  - {0, -1})
+
+
+GEOMETRIES = [(1, 1), (1, 4), (4, 1), (8, 2), (16, 4), (32, 8), (64, 2)]
+
+
+@st.composite
+def traces(draw):
+    n_sets, ways = draw(st.sampled_from(GEOMETRIES))
+    span = 3 * cache_mod._FILL_MIN_ROUNDS * n_sets
+    ops = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["one", "run", "run", "lines"]))
+        write = draw(st.booleans())
+        first = draw(st.integers(0, span))
+        if kind == "one":
+            lines = [first]
+        elif kind == "run":
+            n = draw(st.one_of(st.sampled_from(run_lengths(n_sets, ways)),
+                               st.integers(1, span)))
+            lines = list(range(first, first + n))
+        else:
+            lines = sorted(draw(st.sets(st.integers(first, first + span),
+                                        min_size=1, max_size=80)))
+        ops.append((kind, lines, write))
+    return n_sets, ways, ops
+
+
 class TestCapacityProperties:
     def test_occupancy_bounded_by_capacity(self):
         c = make(size=512, ways=2, line=64)  # 8 lines
@@ -105,19 +201,64 @@ class TestCapacityProperties:
         assert c.hits == 0
 
     @given(st.lists(st.integers(0, 200), min_size=1, max_size=300),
-           st.sampled_from([1, 2, 4]))
-    def test_matches_reference_lru(self, lines, ways):
-        """The model must agree with a straightforward per-set LRU oracle."""
-        c = make(size=ways * 4 * 64, ways=ways, line=64)  # 4 sets
-        oracle: dict[int, list[int]] = {}
-        for line in lines:
-            s = line % c.n_sets
-            lru = oracle.setdefault(s, [])
-            expect_hit = line in lru
-            got = c.access(line, False)
-            assert (got is CacheLevelResult.HIT) == expect_hit
-            if expect_hit:
-                lru.remove(line)
-            elif len(lru) >= ways:
-                lru.pop()
-            lru.insert(0, line)
+           st.sampled_from([1, 2, 4]), st.booleans())
+    def test_matches_reference_lru(self, lines, ways, write):
+        """Single-line accesses against the independent oracle."""
+        cache, oracle = geometry(4, ways), ListLru(4, ways)
+        for i, line in enumerate(lines):
+            apply_both(cache, oracle, ("one", [line], write and i % 3 == 0))
+
+
+class TestAgainstIndependentOracle:
+    """Every Cache entry point against :class:`ListLru`: hits, misses,
+    writebacks, the missed-line array and the full MRU-to-LRU state."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(traces())
+    def test_mixed_traces(self, trace):
+        n_sets, ways, ops = trace
+        cache, oracle = geometry(n_sets, ways), ListLru(n_sets, ways)
+        for op in ops:
+            apply_both(cache, oracle, op)
+
+    @pytest.mark.parametrize("n_sets,ways", GEOMETRIES)
+    @pytest.mark.parametrize("write", [False, True])
+    def test_every_strategy_boundary_cold_warm_and_wrapping(
+            self, n_sets, ways, write):
+        """Each boundary length: into a cold cache, as a re-sweep over
+        what the first left behind, and starting mid-way through the set
+        index so the run wraps it."""
+        for n in run_lengths(n_sets, ways):
+            cache, oracle = geometry(n_sets, ways), ListLru(n_sets, ways)
+            for first in (0, 0, n_sets // 2 + 1, 3 * n_sets + n_sets - 1):
+                lines = list(range(first, first + n))
+                apply_both(cache, oracle, ("run", lines, write))
+                apply_both(cache, oracle, ("lines", lines[::3], not write))
+
+    @pytest.mark.parametrize("write", [False, True])
+    def test_resident_tail_is_evicted_before_the_resweep_reaches_it(
+            self, write):
+        """The NAS IS L1 pattern.  A long sweep leaves its last
+        ``ways`` tags in every set; sweeping the same range again finds
+        them resident *and in range*, yet each is pushed out by the
+        sweep's own earlier lines before its turn comes: all misses."""
+        n_sets, ways = 32, 8
+        n = 40 * n_sets
+        cache, oracle = geometry(n_sets, ways), ListLru(n_sets, ways)
+        sweep = ("run", list(range(5, 5 + n)), write)
+        apply_both(cache, oracle, sweep)
+        assert cache.probe(5 + n - 1)  # the tail is resident
+        apply_both(cache, oracle, sweep)
+        assert (cache.hits, cache.misses) == (0, 2 * n)
+
+    def test_resident_tail_reached_before_eviction_hits(self):
+        """The same shape, but the second sweep starts so near the tail
+        that some resident lines are reached while still resident: the
+        closed form must refuse and the hits be found."""
+        n_sets, ways = 32, 8
+        n = 40 * n_sets
+        cache, oracle = geometry(n_sets, ways), ListLru(n_sets, ways)
+        apply_both(cache, oracle, ("run", list(range(n)), True))
+        start = n - 3 * n_sets  # 3 resident tags per set lie ahead
+        apply_both(cache, oracle, ("run", list(range(start, start + n)), False))
+        assert cache.hits == 3 * n_sets

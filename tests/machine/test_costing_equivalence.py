@@ -5,8 +5,9 @@ The batched run classifiers (:meth:`repro.machine.cache.Cache.access_run`,
 :meth:`repro.machine.memsys.MemoryHierarchy` bulk entry points) must be
 *bit-identical* to the per-line reference loop they replace: identical
 returned nanoseconds, identical hit/miss/writeback counters, and an
-identical effective cache state.  These tests drive randomized access
-traces through both implementations and compare everything.
+identical LRU state (:meth:`Cache.lru_state`).  These tests drive
+randomized access traces through both implementations and compare
+everything.
 """
 
 from __future__ import annotations
@@ -30,26 +31,12 @@ def make_pair(**kwargs):
     return fast, ref
 
 
-def effective_cache_state(cache: Cache) -> dict:
-    """Canonical {set: [(tag, dirty), ...]} including mirror-only sets."""
-    state = {
-        s: [(e[0], bool(e[1])) for e in lru]
-        for s, lru in cache._sets.items()
-        if lru
-    }
-    for s in range(cache.n_sets):
-        code = cache._mru[s]
-        if code >= 0 and s not in cache._sets:
-            state[s] = [(code >> 1, bool(code & 1))]
-    return state
-
-
 def assert_hierarchies_identical(fast: MemoryHierarchy, ref: MemoryHierarchy):
     assert fast.stat_tuple() == ref.stat_tuple()
     assert fast.l1.writebacks == ref.l1.writebacks
     assert fast.l2.writebacks == ref.l2.writebacks
-    assert effective_cache_state(fast.l1) == effective_cache_state(ref.l1)
-    assert effective_cache_state(fast.l2) == effective_cache_state(ref.l2)
+    assert fast.l1.lru_state() == ref.l1.lru_state()
+    assert fast.l2.lru_state() == ref.l2.lru_state()
     assert list(fast.tlb._entries) == list(ref.tlb._entries)  # LRU order
 
 
@@ -186,7 +173,7 @@ class TestCacheRunOracle:
             assert len(ref_missed) in (0, n_lines)
         else:
             assert missed.tolist() == ref_missed
-        assert effective_cache_state(fast) == effective_cache_state(ref)
+        assert fast.lru_state() == ref.lru_state()
 
     def test_access_lines_matches_per_line(self):
         rng = np.random.default_rng(7)
@@ -204,12 +191,12 @@ class TestCacheRunOracle:
             assert h == ref.hits - h0
             assert m == ref.misses - m0
             assert fast.writebacks == ref.writebacks
-            assert effective_cache_state(fast) == effective_cache_state(ref)
+            assert fast.lru_state() == ref.lru_state()
 
-    def test_invalidate_all_counts_mirror_only_dirty_lines(self):
+    def test_invalidate_all_returns_dirty_count(self):
         params = CacheParams(size_bytes=8 * 1024 * 1024, ways=8)
         c = Cache(params)
-        c.access_run(0, 100, True)    # 100 dirty mirror-only lines
+        c.access_run(0, 100, True)    # 100 dirty lines
         c.access_run(200, 50, False)  # 50 clean ones
         c.access(0, False)
         assert c.occupancy == 150
@@ -217,12 +204,12 @@ class TestCacheRunOracle:
         assert c.occupancy == 0
         assert c.probe(0) is False
 
-    def test_occupancy_counts_mirror_only_sets(self):
+    def test_occupancy_at_paper_geometry(self):
         params = CacheParams(size_bytes=8 * 1024 * 1024, ways=8)
         c = Cache(params)
         c.access_run(0, 64, False)
         assert c.occupancy == 64
-        # Map a second tag onto set 0 to force materialization.
+        # A second tag in set 0 adds a line, it does not replace one.
         c.access(params.n_sets, False)
         assert c.occupancy == 65
         assert c.probe(0) and c.probe(params.n_sets)
