@@ -5,7 +5,8 @@ cooperative engine for program control flow — init/close, mallocs, raw
 one-sided transfers, barriers, teams — but intercepts every *compiled
 schedule* through the ``schedule_evaluator`` hook of
 :func:`~repro.collectives.schedule.executor.execute_schedule`: the
-first ``n-1`` participants of a collective park at a rendezvous, the
+first ``n-1`` participants of a collective park at a rendezvous (the
+record the simulator's replay driver also meets in), the
 last arrival evaluates the whole schedule for every rank at once with
 :func:`~repro.collectives.schedule.evaluate.evaluate_group`, then
 resumes each peer at its modelled completion time.  Data movement is
@@ -35,6 +36,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..collectives.schedule.evaluate import CostModel, evaluate_group
+from ..collectives.schedule.executor import _Rendezvous
 from ..errors import RuntimeStateError, SimulationError
 from ..isa.memory import Memory
 from ..machine.network import Network
@@ -51,19 +53,6 @@ __all__ = ["VecBackend", "VecSession", "VecContext", "VecWorld"]
 #: Sessions run one engine thread per PE; beyond this, use the
 #: standalone evaluator (``evaluate_schedule``) which needs neither.
 MAX_SESSION_PES = 1024
-
-
-class _Rendezvous:
-    """One in-progress schedule rendezvous (keyed by participant set)."""
-
-    __slots__ = ("sched", "dtype", "addrs", "clocks", "count")
-
-    def __init__(self, sched, dtype, n: int):
-        self.sched = sched
-        self.dtype = dtype
-        self.addrs: list[dict | None] = [None] * n
-        self.clocks = np.zeros(n)
-        self.count = 0
 
 
 class VecWorld:
@@ -137,15 +126,13 @@ class VecContext(CollectiveAPI):
         if rec is None:
             rec = world.rendezvous[key] = _Rendezvous(
                 sched, dtype, len(members))
-        elif rec.sched is not sched or rec.dtype != dtype:
+        rec.join(me, sched, dtype, (addrs, self.pe.clock))
+        if not rec.same:
             raise SimulationError(
                 f"PE {self.rank}: mismatched collective on group "
                 f"{key} ({sched.collective}:{sched.algorithm} vs "
                 f"{rec.sched.collective}:{rec.sched.algorithm})"
             )
-        rec.addrs[me] = addrs
-        rec.clocks[me] = self.pe.clock
-        rec.count += 1
         if rec.count < len(members):
             engine.suspend()  # resumed by the last arrival, below
             return
@@ -153,8 +140,9 @@ class VecContext(CollectiveAPI):
         # next schedule on the same member set.
         del world.rendezvous[key]
         rows = np.asarray(members, dtype=np.int64)
-        end = evaluate_group(world.mem, rows, rows, rec.addrs, sched, dtype,
-                             rec.clocks, world.network, world.cost,
+        group_addrs, clocks = zip(*rec.slots)
+        end = evaluate_group(world.mem, rows, rows, group_addrs, sched, dtype,
+                             clocks, world.network, world.cost,
                              world.stats)
         for g, rank in enumerate(members):
             if rank != self.rank:

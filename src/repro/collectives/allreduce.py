@@ -53,6 +53,7 @@ import numpy as np
 from ..errors import CollectiveArgumentError
 from .binomial import n_stages
 from .common import (
+    call_attrs,
     resolve_group,
     span_bytes,
     validate_counts,
@@ -157,7 +158,7 @@ def prepare_allreduce(
         )
     sched = compile_allreduce(n_pes, nelems, stride, dtype.itemsize, op,
                               algorithm=algorithm, segments=segments)
-    attrs = dict(algorithm=algorithm, op=op, nelems=nelems, dtype=str(dtype))
+    attrs = call_attrs(ctx, dtype, algorithm=algorithm, op=op, nelems=nelems)
     if algorithm == "dual-pipelined":
         attrs["segments"] = segments or auto_segments(nelems * dtype.itemsize)
     return PreparedCollective(

@@ -29,6 +29,7 @@ import numpy as np
 from ..errors import CollectiveArgumentError
 from .binomial import n_stages, tree_stages
 from .common import (
+    call_attrs,
     resolve_group,
     span_bytes,
     validate_counts,
@@ -113,8 +114,8 @@ def prepare_broadcast(
             "broadcast", nelems * dtype.itemsize, n_pes,
             ctx.config.topology,
         )
-    attrs = dict(algorithm=algorithm, root=root, nelems=nelems,
-                 dtype=str(dtype))
+    attrs = call_attrs(ctx, dtype, algorithm=algorithm, root=root,
+                       nelems=nelems)
     if algorithm == "hierarchical":
         from .hierarchy import broadcast_hierarchical
 

@@ -28,6 +28,7 @@ __all__ = [
     "charge_elementwise",
     "local_copy",
     "collective_span",
+    "call_attrs",
     "stage_span",
     "scratch_buffers",
     "private_buffer",
@@ -62,6 +63,15 @@ def collective_span(ctx: "XBRTime", name: str, members: Sequence[int],
         return _NULL_SPAN
     return spans.scope(ctx.rank, "collective", name,
                        {"group": tuple(members), **attrs})
+
+
+def call_attrs(ctx: "XBRTime", dtype: np.dtype, **attrs: object) -> dict:
+    """The span attributes of one collective call: ``attrs`` plus the
+    dtype's name — which costs more to format than the rest of the
+    call's set-up, so it is added only when spans are recorded."""
+    if ctx.spans.enabled:
+        attrs["dtype"] = str(dtype)
+    return attrs
 
 
 def stage_span(ctx: "XBRTime", index: int, **attrs: object):

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..errors import CollectiveArgumentError
 from .broadcast import broadcast
-from .common import collective_span, resolve_group
+from .common import call_attrs, collective_span, resolve_group
 from .gather import gather
 from .scatter import _validate
 from .schedule.executor import PreparedCollective
@@ -96,8 +96,8 @@ def allgather(
             ctx.config.topology,
         )
     if algorithm == "tree":
-        with collective_span(ctx, "allgather", members, nelems=nelems,
-                             dtype=str(dtype)):
+        with collective_span(ctx, "allgather", members,
+                             **call_attrs(ctx, dtype, nelems=nelems)):
             gather(ctx, dest, src, pe_msgs, pe_disp, nelems, 0, dtype,
                    group=group)
             broadcast(ctx, dest, dest, nelems, 1, 0, dtype, group=group)
@@ -115,7 +115,7 @@ def allgather(
                                   nelems, dtype.itemsize)
     PreparedCollective(
         name="allgather", members=members, me=me, dtype=dtype,
-        attrs=dict(algorithm=algorithm, nelems=nelems, dtype=str(dtype)),
+        attrs=call_attrs(ctx, dtype, algorithm=algorithm, nelems=nelems),
         schedule=sched, bindings={"dest": dest, "src": src},
         stats_key=f"allgather:{algorithm}", stats_rank=0,
     ).run(ctx)
@@ -350,7 +350,7 @@ def alltoall(
     sched = compile_alltoall(n, nelems_per_pe, dtype.itemsize)
     PreparedCollective(
         name="alltoall", members=members, me=me, dtype=dtype,
-        attrs=dict(nelems=nelems_per_pe, dtype=str(dtype)),
+        attrs=call_attrs(ctx, dtype, nelems=nelems_per_pe),
         schedule=sched, bindings={"dest": dest, "src": src},
         stats_key="alltoall:rotated", stats_rank=0,
     ).run(ctx)

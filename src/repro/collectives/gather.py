@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .binomial import tree_stages
-from .common import resolve_group, validate_root
+from .common import call_attrs, resolve_group, validate_root
 from .scatter import _io_buffers, _validate, adjusted_displacements
 from .schedule.executor import PreparedCollective
 from .schedule.ir import (
@@ -80,7 +80,7 @@ def prepare_gather(
                            nelems, dtype.itemsize)
     return PreparedCollective(
         name="gather", members=members, me=me, dtype=dtype,
-        attrs=dict(root=root, nelems=nelems, dtype=str(dtype)),
+        attrs=call_attrs(ctx, dtype, root=root, nelems=nelems),
         schedule=sched, bindings={"dest": dest, "src": src},
         stats_key="gather:binomial", stats_rank=root,
     )

@@ -27,7 +27,13 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .common import collective_span, resolve_group, span_bytes, validate_root
+from .common import (
+    call_attrs,
+    collective_span,
+    resolve_group,
+    span_bytes,
+    validate_root,
+)
 from .broadcast import run_binomial as _bcast_tree
 from .reduce import run_binomial as _reduce_tree
 
@@ -85,8 +91,9 @@ def broadcast_hierarchical(
     # Inter-node stage: binomial over the leaders, rooted at the root.
     if my_world in leaders:
         with collective_span(ctx, "broadcast.inter", tuple(leaders),
-                             root=leaders.index(root_world), nelems=nelems,
-                             dtype=str(dtype)):
+                             **call_attrs(ctx, dtype,
+                                          root=leaders.index(root_world),
+                                          nelems=nelems)):
             _bcast_tree(
                 ctx, dest, src, nelems, stride, leaders.index(root_world),
                 dtype, tuple(leaders), leaders.index(my_world),
@@ -95,8 +102,9 @@ def broadcast_hierarchical(
     # data the leader just received into dest (or src on the root).
     local_src = src if my_world == root_world else dest
     with collective_span(ctx, "broadcast.intra", my_group,
-                         root=my_group.index(my_leader), nelems=nelems,
-                         dtype=str(dtype)):
+                         **call_attrs(ctx, dtype,
+                                      root=my_group.index(my_leader),
+                                      nelems=nelems)):
         _bcast_tree(
             ctx, dest, local_src, nelems, stride, my_group.index(my_leader),
             dtype, my_group, my_group.index(my_world),
@@ -132,16 +140,18 @@ def reduce_hierarchical(
     nbytes = max(span_bytes(max(nelems, 1), stride, dtype.itemsize), 16)
     partial = ctx.scratch_alloc(nbytes)
     with collective_span(ctx, "reduce.intra", my_group,
-                         root=my_group.index(my_leader), op=op,
-                         nelems=nelems, dtype=str(dtype)):
+                         **call_attrs(ctx, dtype,
+                                      root=my_group.index(my_leader), op=op,
+                                      nelems=nelems)):
         _reduce_tree(
             ctx, partial, src, nelems, stride, my_group.index(my_leader), op,
             dtype, my_group, my_group.index(my_world),
         )
     if my_world in leaders:
         with collective_span(ctx, "reduce.inter", tuple(leaders),
-                             root=leaders.index(root_world), op=op,
-                             nelems=nelems, dtype=str(dtype)):
+                             **call_attrs(ctx, dtype,
+                                          root=leaders.index(root_world),
+                                          op=op, nelems=nelems)):
             _reduce_tree(
                 ctx, dest, partial, nelems, stride,
                 leaders.index(root_world), op, dtype, tuple(leaders),

@@ -33,6 +33,7 @@ import numpy as np
 from ..errors import CollectiveArgumentError
 from .binomial import tree_stages
 from .common import (
+    call_attrs,
     resolve_group,
     span_bytes,
     validate_counts,
@@ -117,8 +118,8 @@ def prepare_reduce(
             "reduce", nelems * dtype.itemsize, n_pes,
             ctx.config.topology,
         )
-    attrs = dict(algorithm=algorithm, root=root, op=op, nelems=nelems,
-                 dtype=str(dtype))
+    attrs = call_attrs(ctx, dtype, algorithm=algorithm, root=root, op=op,
+                       nelems=nelems)
     if algorithm == "hierarchical":
         from .hierarchy import reduce_hierarchical
 

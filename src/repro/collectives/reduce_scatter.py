@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..errors import CollectiveArgumentError
-from .common import resolve_group
+from .common import call_attrs, resolve_group
 from .ops import check_op
 from .scatter import _validate
 from .schedule.executor import PreparedCollective
@@ -148,8 +148,8 @@ def prepare_reduce_scatter(
     )
     return PreparedCollective(
         name="reduce_scatter", members=members, me=me, dtype=dtype,
-        attrs=dict(algorithm=algorithm, op=op, nelems=nelems,
-                   dtype=str(dtype)),
+        attrs=call_attrs(ctx, dtype, algorithm=algorithm, op=op,
+                         nelems=nelems),
         schedule=sched, bindings={"dest": dest, "src": src},
         stats_key=f"reduce_scatter:{algorithm}", stats_rank=0,
     )

@@ -24,6 +24,7 @@ import numpy as np
 from ..errors import CollectiveArgumentError
 from .binomial import n_stages
 from .common import (
+    call_attrs,
     resolve_group,
     span_bytes,
     validate_counts,
@@ -92,8 +93,8 @@ def prepare_scan(
                          inclusive)
     return PreparedCollective(
         name="scan", members=members, me=me, dtype=dtype,
-        attrs=dict(inclusive=inclusive, op=op, nelems=nelems,
-                   dtype=str(dtype)),
+        attrs=call_attrs(ctx, dtype, inclusive=inclusive, op=op,
+                         nelems=nelems),
         schedule=sched, bindings={"dest": dest, "src": src},
         stats_key=f"scan:{kind}", stats_rank=0,
     )

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import CollectiveArgumentError
 from .binomial import n_stages, tree_stages
-from .common import resolve_group, validate_root
+from .common import call_attrs, resolve_group, validate_root
 from .schedule.executor import PreparedCollective
 from .schedule.ir import (
     BARRIER,
@@ -120,7 +120,7 @@ def prepare_scatter(
                             nelems, dtype.itemsize)
     return PreparedCollective(
         name="scatter", members=members, me=me, dtype=dtype,
-        attrs=dict(root=root, nelems=nelems, dtype=str(dtype)),
+        attrs=call_attrs(ctx, dtype, root=root, nelems=nelems),
         schedule=sched, bindings={"dest": dest, "src": src},
         stats_key="scatter:binomial", stats_rank=root,
     )

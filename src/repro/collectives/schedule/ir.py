@@ -42,7 +42,7 @@ Step semantics (mirroring the legacy inline code they replaced):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Union
 
 __all__ = [
@@ -357,6 +357,17 @@ class Schedule:
         prog = self.programs[rank]
         assert prog.rank == rank
         return prog
+
+    @cached_property
+    def plans(self) -> list:
+        """One slot per rank for its flat execution plan.
+
+        The executor fills a slot the first time that rank executes
+        (:func:`~.executor.plan_of`) — never at compile time — so a plan
+        lives and dies with this schedule in its compile cache.  Not a
+        field: equality and hashing ignore it.
+        """
+        return [None] * self.n_pes
 
     def buffer(self, name: str) -> Buffer:
         for buf in self.buffers:

@@ -37,6 +37,8 @@ class Memory:
                                "uint8 array")
         self.size = buf.size
         self.buf = buf
+        #: dtype -> the whole memory as an array of it (see ``view``).
+        self._typed: dict[np.dtype, np.ndarray] = {}
 
     # -- bounds ---------------------------------------------------------------
 
@@ -101,10 +103,20 @@ class Memory:
             raise AddressError(f"stride must be >= 1, got {stride}")
         if count == 0:
             return np.empty(0, dtype=dt)
-        span = ((count - 1) * stride + 1) * dt.itemsize
+        width = dt.itemsize
+        reach = (count - 1) * stride + 1
+        span = reach * width
         self.check(addr, span)
-        dense = self.buf[addr : addr + span].view(dt)
-        return dense[:: stride]
+        first, misaligned = divmod(addr, width)
+        if misaligned:
+            return self.buf[addr : addr + span].view(dt)[:: stride]
+        # An aligned view is one slice of the whole memory seen as
+        # ``dt`` (the hot path of every put, get and reduction).
+        typed = self._typed.get(dt)
+        if typed is None:
+            typed = self._typed[dt] = self.buf[
+                : self.size - self.size % width].view(dt)
+        return typed[first : first + reach : stride]
 
     def fill(self, addr: int, nbytes: int, byte: int = 0) -> None:
         self.check(addr, nbytes)

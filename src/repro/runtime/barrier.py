@@ -56,7 +56,7 @@ def round_cost_ns(cfg: "MachineConfig", participants: Iterable[int]) -> float:
 class _Pending:
     """One in-progress barrier instance."""
 
-    __slots__ = ("key", "arrivals", "degraded")
+    __slots__ = ("key", "arrivals", "degraded", "rendezvous")
 
     def __init__(self, key: tuple[int, ...]):
         self.key = key
@@ -65,22 +65,76 @@ class _Pending:
         #: Set once on a degraded release: the dead members every
         #: survivor must report (the group-agreement payload).
         self.degraded: frozenset[int] | None = None
+        #: What the arrivals leave for the releaser (the schedule
+        #: executor's replay record); retired with the instance.
+        self.rendezvous = None
 
 
 class BarrierController:
-    """Shared barrier state for one machine."""
+    """Shared barrier state for one machine.
+
+    :meth:`barrier` is the whole operation for a PE on its own thread.
+    Its two halves are public for a thread that runs several PEs'
+    barriers itself (the schedule executor's replay): :meth:`arrive`
+    records one PE's arrival, :meth:`release` prices the instance and
+    wakes the waiters — the only copy of that arithmetic.
+    """
 
     def __init__(self, machine: "Machine"):
         self.machine = machine
-        #: participants (sorted tuple) -> in-progress instance
+        #: members (sorted tuple) -> in-progress instance
         self._pending: dict[tuple[int, ...], _Pending] = {}
+        #: participants as passed -> members, normalised once
+        self._members: dict[tuple[int, ...] | None, tuple[int, ...]] = {}
+        #: members -> what a release adds: rounds x round cost
+        self._cost: dict[tuple[int, ...], float] = {}
 
-    # -- release helpers ----------------------------------------------------
+    def members(self, participants: tuple[int, ...] | None) -> tuple[int, ...]:
+        """The sorted, duplicate-free member tuple that keys a barrier
+        over ``participants`` (``None`` = all PEs)."""
+        key = self._members.get(participants)
+        if key is None:
+            if participants is None:
+                key = tuple(range(self.machine.config.n_pes))
+            else:
+                key = tuple(sorted(set(participants)))
+            self._members[participants] = key
+            self._cost[key] = ceil(log2(len(key))) * round_cost_ns(
+                self.machine.config, key)
+        return key
 
-    def _release(self, inst: _Pending, waker: int | None) -> float:
+    # -- the two halves -----------------------------------------------------
+
+    def arrive(self, rank: int, key: tuple[int, ...]) -> tuple[_Pending, bool]:
+        """Record ``rank``'s arrival, at its current clock, at the
+        barrier over ``key``.
+
+        Returns the instance and whether ``rank`` was the last live
+        member to arrive — in which case the caller must
+        :meth:`release` it; otherwise ``rank`` waits to be woken.
+        """
+        inst = self._pending.get(key)
+        if inst is None:
+            inst = self._pending[key] = _Pending(key)
+        arrivals = inst.arrivals
+        if rank in arrivals:
+            raise SimulationError(
+                f"PE {rank} re-entered barrier {key} before it completed"
+            )
+        arrivals[rank] = self.machine.engine.pes[rank].clock
+        faults = self.machine.faults
+        if faults is None:
+            return inst, len(arrivals) == len(key)
+        dead = faults.dead_pes
+        return inst, all(r in arrivals or r in dead for r in key)
+
+    def release(self, inst: _Pending, waker: int | None,
+                resume=None) -> float:
         """Release ``inst``: compute the exit time, wake the arrived
         waiters and retire the instance.  ``waker`` (if not None) is the
-        arrived rank doing the waking — it advances itself.
+        arrived rank doing the waking — it advances itself to the
+        returned time.  ``resume(rank, at_time)`` wakes one waiter
+        (default: :meth:`Engine.resume <repro.sim.engine.Engine.resume>`).
 
         On a degraded release (some participants dead) the exit time
         additionally pays the failure detector's timeout and
@@ -88,25 +142,25 @@ class BarrierController:
         verdict.
         """
         machine = self.machine
-        engine = machine.engine
         key = inst.key
         faults = machine.faults
-        dead_members = (frozenset(r for r in key if faults.is_dead(r))
-                        if faults is not None else frozenset())
         release = max(inst.arrivals.values())
         release = max(release, machine.network.quiescence_time())
-        rounds = ceil(log2(len(key)))
-        release += rounds * round_cost_ns(machine.config, key)
-        if dead_members:
-            # Survivors only learn of the death when the detector's
-            # timeout on the missing peer expires.
-            release += faults.detector_timeout_ns
-            inst.degraded = dead_members
+        release += self._cost[key]
+        if faults is not None:
+            dead_members = frozenset(r for r in key if faults.is_dead(r))
+            if dead_members:
+                # Survivors only learn of the death when the detector's
+                # timeout on the missing peer expires.
+                release += faults.detector_timeout_ns
+                inst.degraded = dead_members
         del self._pending[key]
         machine.stats.barriers += 1
+        if resume is None:
+            resume = machine.engine.resume
         for other in inst.arrivals:
             if other != waker:
-                engine.resume(other, at_time=release)
+                resume(other, release)
         return release
 
     def handle_pe_death(self, dead_rank: int) -> None:
@@ -126,7 +180,7 @@ class BarrierController:
             live_missing = [r for r in key
                             if r not in inst.arrivals and r not in dead]
             if not live_missing:
-                self._release(inst, waker=None)
+                self.release(inst, waker=None)
 
     # -- the barrier itself -------------------------------------------------
 
@@ -137,14 +191,11 @@ class BarrierController:
         member of the set died before the instance released.
         """
         machine = self.machine
-        if participants is None:
-            key = tuple(range(machine.config.n_pes))
-        else:
-            key = tuple(sorted(set(participants)))
-            if rank not in key:
-                raise CollectiveArgumentError(
-                    f"PE {rank} called a barrier it does not participate in"
-                )
+        key = self.members(participants)
+        if participants is not None and rank not in key:
+            raise CollectiveArgumentError(
+                f"PE {rank} called a barrier it does not participate in"
+            )
         engine = machine.engine
         traced = engine.trace.enabled
         if traced:
@@ -159,25 +210,11 @@ class BarrierController:
             engine.checkpoint()
             if traced:
                 engine.record("barrier", f"arrive ({len(key)} PEs)")
-            inst = self._pending.get(key)
-            if inst is None:
-                inst = self._pending[key] = _Pending(key)
-            if rank in inst.arrivals:
-                raise SimulationError(
-                    f"PE {rank} re-entered barrier {key} before it completed"
-                )
-            me = engine.pes[rank]
-            inst.arrivals[rank] = me.clock
-            faults = machine.faults
-            dead = faults.dead_pes if faults is not None else frozenset()
-            live_missing = [r for r in key
-                            if r not in inst.arrivals and r not in dead]
-            if live_missing:
-                engine.suspend()  # released by the last live arriver
+            inst, last = self.arrive(rank, key)
+            if last:
+                engine.pes[rank].advance_to(self.release(inst, waker=rank))
             else:
-                # Last live PE to arrive: release everyone.
-                release = self._release(inst, waker=rank)
-                me.advance_to(release)
+                engine.suspend()  # released by the last live arriver
             if inst.degraded:
                 if traced:
                     engine.record("barrier",

@@ -92,6 +92,10 @@ class CollectiveAPI:
     #: the whole world); a team-scoped mp context sets its sync group.
     default_group: tuple[int, ...] | None = None
 
+    #: The engine-driven world this context runs on (``None`` on a
+    #: wall-clock backend, where each PE is a process of its own).
+    machine = None
+
     #: Seam (vec): a method taking over whole-schedule execution from the
     #: step interpreter — see ``execute_schedule``.
     schedule_evaluator = None

@@ -77,8 +77,13 @@ class TransferEngine:
     def __init__(self, machine: "Machine", rank: int):
         self.machine = machine
         self.rank = rank
-        self.pe = machine.engine.pes[rank]
+        self.engine = machine.engine
+        self.pe = self.engine.pes[rank]
         self.cfg = machine.config
+        self.stats = machine.stats
+        self.network = machine.network
+        #: This PE's own memory-cost provider.
+        self.hier = machine.hierarchy_of(rank)
         # Keyed by id(handle): O(1) insert/discard regardless of how many
         # transfers are outstanding (handles are kept alive by the dict
         # itself, so ids cannot be recycled while registered).
@@ -105,8 +110,8 @@ class TransferEngine:
     def _local_cost(
         self, addr: int, nelems: int, elem_bytes: int, stride: int, write: bool
     ) -> float:
-        hier = self.machine.hierarchy_of(self.rank)
-        return hier.access_strided(addr, nelems, elem_bytes, stride, write)
+        return self.hier.access_strided(addr, nelems, elem_bytes, stride,
+                                        write)
 
     def _remote_cost(
         self, target: int, addr: int, nelems: int, elem_bytes: int,
@@ -222,7 +227,7 @@ class TransferEngine:
         dtype: np.dtype,
     ) -> None:
         """One-sided write of ``nelems`` elements to ``target``."""
-        st = self.machine.stats
+        st = self.stats
         st.puts += 1
         if nelems == 0:
             return
@@ -230,7 +235,7 @@ class TransferEngine:
         nbytes = nelems * eb
         st.bytes_put += nbytes
         dview, sview = self._views(dest, src, nelems, stride, target, dtype, True)
-        engine = self.machine.engine
+        engine = self.engine
         engine.checkpoint()
         traced = engine.trace.enabled
         if traced:
@@ -260,12 +265,13 @@ class TransferEngine:
                 self._reliable_put(dview, sview, dest, nelems, eb, stride,
                                    target, nbytes)
                 return
-            t_free, t_delivered, _ = self.machine.network.send(
+            network = self.network
+            t_free, t_delivered, _ = network.send(
                 pe.clock, self.rank, target, nbytes)
             pe.advance_to(t_free)
             wcost = self._remote_cost(target, dest, nelems, eb, stride,
                                       write=True)
-            self.machine.network.note_delivery(t_delivered + wcost)
+            network.note_delivery(t_delivered + wcost)
             dview[:] = sview
         finally:
             if traced:
@@ -278,7 +284,7 @@ class TransferEngine:
         dtype: np.dtype,
     ) -> None:
         """One-sided read of ``nelems`` elements from ``target``."""
-        st = self.machine.stats
+        st = self.stats
         st.gets += 1
         if nelems == 0:
             return
@@ -286,7 +292,7 @@ class TransferEngine:
         nbytes = nelems * eb
         st.bytes_got += nbytes
         dview, sview = self._views(dest, src, nelems, stride, target, dtype, False)
-        engine = self.machine.engine
+        engine = self.engine
         engine.checkpoint()
         traced = engine.trace.enabled
         if traced:
@@ -319,7 +325,7 @@ class TransferEngine:
                 return
             rcost = self._remote_cost(target, src, nelems, eb, stride,
                                       write=False)
-            t_complete, _ = self.machine.network.fetch(
+            t_complete, _ = self.network.fetch(
                 pe.clock, self.rank, target, nbytes)
             pe.advance_to(t_complete + rcost)
             pe.advance(self._local_cost(dest, nelems, eb, stride, write=True))

@@ -16,6 +16,12 @@ PE code interacts with the engine through three primitives:
 * :meth:`Engine.suspend` / :meth:`Engine.resume` — block the calling PE
   until another PE wakes it (used by barriers and two-sided receives).
 
+A PE thread may also run *other* PEs' steps for them while they stay
+blocked (the schedule executor's barrier-to-barrier replay does):
+:meth:`Engine.act_as` says whose step the thread is on, and
+:meth:`Engine.yield_to` ends the arrangement by naming the blocked PE
+that runs next.
+
 Deadlock (no runnable PE while some are blocked) raises
 :class:`~repro.errors.DeadlockError` instead of hanging.
 
@@ -129,6 +135,9 @@ class Engine:
         self._current: PEProcess | None = None
         self._running = False
         self._direct = direct_handoff
+        #: Blocked PE that the next :meth:`checkpoint` dispatches
+        #: whatever the runnable clocks are (set by :meth:`yield_to`).
+        self._successor: PEProcess | None = None
         #: Runnable-set heap of ``(clock, rank)`` entries (direct mode).
         #: Entries are lazily invalidated: one is live iff its PE is
         #: RUNNABLE and its recorded clock matches the PE's clock.
@@ -184,6 +193,42 @@ class Engine:
             raise SimulationError("no PE is running (call from PE code only)")
         return self._current
 
+    @property
+    def direct_handoff(self) -> bool:
+        """Whether a yielding PE dispatches its successor itself."""
+        return self._direct
+
+    def act_as(self, rank: int) -> None:
+        """Attribute what the calling PE thread does next to PE ``rank``.
+
+        For a thread that runs the steps of PEs blocked behind it:
+        :attr:`current` (and with it every trace record) then names the
+        PE whose step it is.  The thread passes its own rank to take
+        its identity back.
+        """
+        self._current = self.pes[rank]
+
+    def yield_to(self, rank: int) -> None:
+        """Hand the machine to blocked PE ``rank``: it runs next,
+        whatever the runnable clocks are, and the caller stays runnable
+        at its own clock.
+
+        The order a barrier release leaves behind when its releaser is
+        not the calling thread's PE: the releaser keeps running and
+        everyone else, the caller included, queues up by ``(clock,
+        rank)``.  The caller parks inside :meth:`checkpoint`.
+        """
+        me = self.current
+        nxt = self.pes[rank]
+        if (not self._direct or me.state is not PEState.RUNNING
+                or nxt.state is not PEState.BLOCKED):
+            raise SimulationError(
+                f"PE {me.rank} ({me.state.value}) cannot yield to PE "
+                f"{rank} ({nxt.state.value})"
+            )
+        self._successor = nxt
+        self.checkpoint()
+
     def checkpoint(self) -> None:
         """Yield; the scheduler resumes the smallest-clock runnable PE.
 
@@ -193,15 +238,20 @@ class Engine:
         """
         me = self.current
         if self._direct:
-            top = self._peek_runnable_clock()
-            if top is None or top >= me.clock:
-                return
+            nxt = self._successor
+            if nxt is None:
+                top = self._peek_runnable_clock()
+                if top is None or top >= me.clock:
+                    return
             me.state = PEState.RUNNABLE
-            # me.clock > top, so the peeked entry stays at the heap root
-            # and _pop_next hands off to it, never back to me.
             heapq.heappush(self._runq, (me.clock, me.rank))
-            nxt = self._pop_next()
-            assert nxt is not None
+            if nxt is None:
+                # me.clock > top, so the peeked entry stays at the heap
+                # root and _pop_next hands off to it, never back to me.
+                nxt = self._pop_next()
+                assert nxt is not None
+            else:
+                self._successor = None
             self._handoff(me, nxt)
             return
         if self._min_other_runnable_clock() >= me.clock:

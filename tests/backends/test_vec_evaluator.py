@@ -391,3 +391,46 @@ def test_lite_network_rejects_huge_graph_topologies():
     cfg = MachineConfig(n_pes=65536, cores_per_node=1, topology="ring")
     with pytest.raises(SimulationError, match="too "):
         Network(cfg)
+
+
+def _vec_run(n_pes, body):
+    from repro.backends import get_backend
+
+    with get_backend("vec").session(small_config(n_pes)) as session:
+        return session.run(body)
+
+
+def test_session_survives_a_compile_cache_eviction_between_ranks():
+    """Two ranks of one collective may hold *equal* schedules that are
+    different objects — an ``lru_cache`` eviction (here: a clear) fell
+    between their ``compile_*`` calls.  The rendezvous compares by value
+    when identity misses; it used to reject the second rank."""
+    from repro.collectives.broadcast import _compile_binomial
+
+    def body(ctx):
+        ctx.init()
+        buf = ctx.malloc(8 * 4)
+        ctx.view(buf, "int64", 4)[:] = ctx.my_pe() + 5
+        if ctx.my_pe() == 1:
+            _compile_binomial.cache_clear()
+        ctx.broadcast(buf, buf, 4, 1, 0, dtype="int64")
+        out = ctx.view(buf, "int64", 4).tolist()
+        ctx.close()
+        return out
+
+    assert _vec_run(2, body) == [[5] * 4] * 2
+
+
+def test_session_still_rejects_different_collectives_on_one_group():
+    def body(ctx):
+        ctx.init()
+        buf = ctx.malloc(8 * 4)
+        if ctx.my_pe() == 0:
+            ctx.broadcast(buf, buf, 4, 1, 0, dtype="int64")
+        else:
+            ctx.broadcast(buf, buf, 3, 1, 0, dtype="int64")
+        ctx.close()
+
+    with pytest.raises(SimulationError) as info:
+        _vec_run(2, body)
+    assert "mismatched collective on group (0, 1)" in str(info.value.__cause__)

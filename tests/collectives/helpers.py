@@ -13,7 +13,31 @@ from repro.runtime import Machine
 from ..conftest import small_config
 
 __all__ = ["run_machine", "run_broadcast", "run_reduce", "run_scatter",
-           "run_gather"]
+           "run_gather", "ring_schedule"]
+
+
+def ring_schedule(n_pes, barriers=2, rank0_barriers=None):
+    """A hand-built schedule over one 16-byte symmetric buffer ``buf``:
+    every rank puts its second word into the first word of its
+    right-hand neighbour, after the first of ``barriers`` barriers and
+    before the rest.  ``rank0_barriers`` gives rank 0 a different count
+    (a schedule the linter would reject)."""
+    from repro.collectives.schedule.ir import (
+        BARRIER, Buffer, Put, RankProgram, Schedule, Stage)
+
+    programs = []
+    for r in range(n_pes):
+        put = Put("buf", 0, "buf", 8, 1, 1, (r + 1) % n_pes)
+        k = rank0_barriers if r == 0 and rank0_barriers is not None \
+            else barriers
+        if k == 0:
+            programs.append(RankProgram(r, (put,)))
+        else:
+            programs.append(RankProgram(
+                r, (BARRIER,), (Stage(0, (put,) + (BARRIER,) * (k - 1)),)))
+    return Schedule("ring", "test", n_pes, 8,
+                    buffers=(Buffer("buf", "user", 16, symmetric=True),),
+                    programs=tuple(programs))
 
 
 def run_machine(n_pes, fn, args=None, **cfg_kw):

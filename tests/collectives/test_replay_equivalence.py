@@ -1,0 +1,384 @@
+"""The two schedule drivers must be indistinguishable.
+
+On the simulator a whole-machine collective runs barrier-to-barrier on
+one thread (the executor's replay driver); ``Machine(fast_paths=False)``
+keeps every PE on its own thread (the per-rank driver) over the same
+flat plan, and is the oracle here.  Random programs — every builtin
+family and algorithm, ragged and zero counts, a fused superstep flush, a
+non-blocking collective completed at ``wait()``, with seeded user-level
+``put`` / ``get`` / ``put_nb`` / ``compute`` / ``barrier`` traffic
+between the calls so ranks reach each collective at different clocks and
+with transfers in flight — must agree bit for bit on everything the
+machine can show afterwards: per-PE results, final clocks, memory bytes,
+``SimStats``, per-PE cache / TLB counters and the network's link state.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.collectives.nonblocking import ibroadcast
+from repro.collectives.schedule import execute_schedule
+from repro.collectives.schedule.ir import (
+    BARRIER,
+    Buffer,
+    Copy,
+    Get,
+    Put,
+    RankProgram,
+    Schedule,
+    Stage,
+)
+from repro.collectives.teams import Team
+from repro.runtime import Machine
+
+from ..conftest import small_config
+from .helpers import ring_schedule
+
+_SETTINGS = settings(max_examples=30, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+I64 = np.dtype("int64")
+#: Elements per rank slot of the work buffers (6 elements, stride 2).
+WIDTH = 12
+#: Elements per rank slot of the user-traffic buffer.
+TRAFFIC = 4
+
+
+# -- observing a run ----------------------------------------------------------
+
+
+def _observe(config, body, **machine_kw):
+    n_pes = config.n_pes
+    machine = Machine(config, **machine_kw)
+    results = machine.run(body)
+    net = machine.network
+    return {
+        "results": results,
+        "clocks": [pe.clock for pe in machine.engine.pes],
+        "memory": [mem.buf for mem in machine.memories],
+        "stats": machine.stats,
+        "caches": [
+            (hier.stat_tuple(), hier.l1.writebacks, hier.l2.writebacks)
+            for hier in map(machine.hierarchy_of, range(n_pes))],
+        "network": (net._link_free, net._bus_free, net._fabric_free,
+                    net.max_delivery),
+    }
+
+
+def assert_drivers_agree(n_pes, body, **config_kw):
+    config = small_config(n_pes, **config_kw)
+    replay = _observe(config, body)
+    per_rank = _observe(config, body, fast_paths=False)
+    for pe, (a, b) in enumerate(zip(replay.pop("memory"),
+                                    per_rank.pop("memory"))):
+        assert np.array_equal(a, b), f"PE {pe} memory differs"
+    for what in replay:
+        assert replay[what] == per_rank[what], what
+    return replay
+
+
+# -- random programs ----------------------------------------------------------
+
+
+def _counts(draw, n_pes):
+    """Ragged per-rank element counts (zeros included) and their
+    displacements."""
+    msgs = tuple(draw(st.integers(0, 3)) for _ in range(n_pes))
+    disp = tuple(int(x) for x in np.cumsum((0,) + msgs[:-1]))
+    return msgs, disp
+
+
+@st.composite
+def _collective(draw, n_pes):
+    kind = draw(st.sampled_from([
+        "broadcast", "reduce", "allreduce", "scan", "scatter", "gather",
+        "allgather", "alltoall", "reduce_scatter", "superstep", "ibroadcast",
+    ]))
+    act = {"kind": kind,
+           "nelems": draw(st.integers(0, 6)),
+           "stride": draw(st.integers(1, 2)),
+           "root": draw(st.integers(0, n_pes - 1)),
+           "op": draw(st.sampled_from(["sum", "min", "max"]))}
+    if kind == "broadcast":
+        act["algorithm"] = draw(st.sampled_from(["binomial", "linear",
+                                                 "ring"]))
+    elif kind == "reduce":
+        act["algorithm"] = draw(st.sampled_from(["binomial", "linear"]))
+    elif kind == "allreduce":
+        act["algorithm"] = draw(st.sampled_from(
+            ["doubling", "rabenseifner", "ring", "dual-pipelined"]))
+        act["segments"] = draw(st.integers(1, 3))
+    elif kind == "scan":
+        act["inclusive"] = draw(st.booleans())
+    elif kind in ("scatter", "gather"):
+        act["msgs"], act["disp"] = _counts(draw, n_pes)
+    elif kind == "allgather":
+        act["algorithm"] = draw(st.sampled_from(["tree", "dissemination",
+                                                 "pat"]))
+        act["msgs"], act["disp"] = _counts(draw, n_pes)
+        act["segments"] = draw(st.integers(1, 2))
+    elif kind == "alltoall":
+        act["nelems"] = draw(st.integers(0, 3))
+    elif kind == "reduce_scatter":
+        act["algorithm"] = draw(st.sampled_from(["ring", "pat"]))
+        act["msgs"], act["disp"] = _counts(draw, n_pes)
+        act["segments"] = draw(st.integers(1, 2))
+    return act
+
+
+@st.composite
+def _programs(draw):
+    n_pes = draw(st.integers(2, 9))
+    actions = []
+    for _ in range(draw(st.integers(1, 5))):
+        actions.append({"kind": "traffic",
+                        "seed": draw(st.integers(0, 2**31)),
+                        "barrier": draw(st.booleans())})
+        actions.append(draw(_collective(n_pes)))
+    return {"n_pes": n_pes, "seed": draw(st.integers(0, 2**31)),
+            "actions": actions}
+
+
+def _traffic(ctx, act, traffic, tmp, handles):
+    """This rank's share of one round of user-level traffic: a seeded
+    few of put / get / put_nb / compute, then (all ranks or none) a
+    barrier.  Puts land in the sender's own slot of the target's traffic
+    buffer, so the bytes do not depend on who wins a race."""
+    me, n = ctx.my_pe(), ctx.num_pes()
+    rng = np.random.default_rng([act["seed"], me])
+    mine = traffic + 8 * TRAFFIC * me
+    for _ in range(int(rng.integers(0, 4))):
+        what = int(rng.integers(0, 4))
+        peer = int(rng.integers(0, n))
+        count = int(rng.integers(1, TRAFFIC + 1))
+        if what == 0:
+            ctx.put(mine, tmp, count, 1, peer, "int64")
+        elif what == 1:
+            ctx.get(tmp, traffic + 8 * TRAFFIC * peer, count, 1, peer,
+                    "int64")
+        elif what == 2:
+            handles.append(ctx.put_nb(mine, tmp, count, 1, peer, "int64"))
+        else:
+            ctx.compute(float(rng.integers(1, 700)))
+    if act["barrier"]:
+        ctx.barrier()
+
+
+def _run_collective(ctx, act, dst, src):
+    n = ctx.num_pes()
+    kind, k, stride = act["kind"], act["nelems"], act["stride"]
+    root, op = act["root"], act["op"]
+    if kind == "broadcast":
+        ctx.broadcast(dst, src, k, stride, root, "int64",
+                      algorithm=act["algorithm"])
+    elif kind == "reduce":
+        ctx.reduce(dst, src, k, stride, root, op, "int64",
+                   algorithm=act["algorithm"])
+    elif kind == "allreduce":
+        segments = (act["segments"]
+                    if act["algorithm"] == "dual-pipelined" else None)
+        ctx.allreduce(dst, src, k, stride, op, "int64",
+                      algorithm=act["algorithm"], segments=segments)
+    elif kind == "scan":
+        ctx.scan(dst, src, k, stride, op, "int64",
+                 inclusive=act["inclusive"])
+    elif kind == "scatter":
+        ctx.scatter(dst, src, act["msgs"], act["disp"], sum(act["msgs"]),
+                    root, "int64")
+    elif kind == "gather":
+        ctx.gather(dst, src, act["msgs"], act["disp"], sum(act["msgs"]),
+                   root, "int64")
+    elif kind == "allgather":
+        ctx.allgather(dst, src, act["msgs"], act["disp"], sum(act["msgs"]),
+                      "int64", algorithm=act["algorithm"],
+                      segments=act["segments"])
+    elif kind == "alltoall":
+        ctx.alltoall(dst, src, k, "int64")
+    elif kind == "reduce_scatter":
+        ctx.reduce_scatter(dst, src, act["msgs"], act["disp"],
+                           sum(act["msgs"]), op, "int64",
+                           algorithm=act["algorithm"],
+                           segments=act["segments"])
+    elif kind == "superstep":
+        # Two collectives on disjoint halves of the buffers: the flush
+        # fuses them into one schedule under shared barriers.
+        half = 8 * WIDTH * n // 2
+        with ctx.superstep():
+            ctx.broadcast(dst, src, k, 1, root, "int64")
+            ctx.allreduce(dst + half, src + half, k, 1, op, "int64")
+    else:  # ibroadcast: compiled here, run at wait()
+        handle = ibroadcast(ctx, dst, src, k, stride, root, I64)
+        ctx.compute(37.0 * (ctx.my_pe() + 1))
+        handle.wait()
+
+
+def _program(case):
+    def body(ctx):
+        ctx.init()
+        me, n = ctx.my_pe(), ctx.num_pes()
+        src = ctx.malloc(8 * WIDTH * n)
+        dst = ctx.malloc(8 * WIDTH * n)
+        traffic = ctx.malloc(8 * TRAFFIC * n)
+        tmp = ctx.private_malloc(8 * TRAFFIC)
+        ctx.view(tmp, "int64", TRAFFIC)[:] = 1000 + me
+        seen = hashlib.sha256()
+        handles = []
+        for step, act in enumerate(case["actions"]):
+            if act["kind"] == "traffic":
+                _traffic(ctx, act, traffic, tmp, handles)
+                continue
+            rng = np.random.default_rng([case["seed"], step, me])
+            ctx.view(src, "int64", WIDTH * n)[:] = rng.integers(
+                0, 8, WIDTH * n)
+            _run_collective(ctx, act, dst, src)
+            seen.update(ctx.view(dst, "int64", WIDTH * n).tobytes())
+        for handle in handles:
+            ctx.wait(handle)
+        now = ctx.time_ns
+        ctx.close()
+        return seen.hexdigest(), now
+
+    return body
+
+
+@_SETTINGS
+@given(case=_programs())
+def test_random_programs_agree(case):
+    assert_drivers_agree(case["n_pes"], _program(case))
+
+
+# -- directed cases -----------------------------------------------------------
+
+
+def _one(kind, **kw):
+    act = {"kind": kind, "nelems": 5, "stride": 1, "root": 1, "op": "sum"}
+    act.update(kw)
+    return act
+
+
+@pytest.mark.parametrize("n_pes", [2, 3, 8, 9])
+@pytest.mark.parametrize("act", [
+    # a charged copy before the first barrier and one after the last
+    _one("scan", inclusive=True),
+    _one("scan", inclusive=False),
+    # one barrier per pipeline round
+    _one("allreduce", algorithm="dual-pipelined", segments=3),
+    _one("reduce_scatter", algorithm="pat", msgs=None, segments=2),
+    _one("alltoall", nelems=0),
+    _one("broadcast", algorithm="binomial", nelems=0),
+    _one("superstep"),
+    _one("ibroadcast"),
+], ids=lambda act: "-".join(str(act[k]) for k in ("kind", "algorithm")
+                            if k in act))
+def test_each_shape_agrees_from_skewed_clocks(n_pes, act):
+    if act.get("msgs", 0) is None:
+        act = dict(act, msgs=(2,) * n_pes,
+                   disp=tuple(range(0, 2 * n_pes, 2)))
+    case = {"n_pes": n_pes, "seed": 7, "actions": [
+        {"kind": "traffic", "seed": 11, "barrier": False}, act,
+        {"kind": "traffic", "seed": 12, "barrier": False}, act]}
+    assert_drivers_agree(n_pes, _program(case))
+
+
+@pytest.mark.parametrize("barriers", [0, 1, 2])
+def test_schedules_with_no_one_or_two_barriers_agree(barriers):
+    n_pes = 4
+    sched = ring_schedule(n_pes, barriers)
+
+    def body(ctx):
+        ctx.init()
+        buf = ctx.malloc(16)
+        ctx.view(buf, "int64", 2)[:] = (-1, ctx.my_pe())
+        ctx.compute(100.0 * ctx.my_pe())
+        execute_schedule(ctx, sched, ctx.world_group, ctx.rank,
+                         {"buf": buf}, I64)
+        ctx.barrier()
+        got = int(ctx.view(buf, "int64", 1)[0])
+        ctx.close()
+        return got, ctx.pe.clock
+
+    seen = assert_drivers_agree(n_pes, body)
+    assert [got for got, _ in seen["results"]] == [3, 0, 1, 2]
+
+
+def test_a_charged_copy_yields_to_an_earlier_rank():
+    """A deliberately racy schedule pins the one checkpoint no builtin
+    family reaches with skewed clocks: rank 0 puts (its clock moves
+    ahead), then copies over the word rank 1 is about to get.  The
+    engine runs rank 1's get first — its clock is smaller when rank 0
+    reaches the copy's checkpoint — so rank 1 must read the old word."""
+    put = Put("buf", 16, "buf", 8, 1, 1, 1)
+    overwrite = Copy("buf", 0, "buf", 8, 1, 1)
+    get = Get("buf", 24, "buf", 0, 1, 1, 0)
+    sched = Schedule(
+        "race", "test", 2, 8,
+        buffers=(Buffer("buf", "user", 32, symmetric=True),),
+        programs=(
+            RankProgram(0, (BARRIER,),
+                        (Stage(0, (put, overwrite, BARRIER)),)),
+            RankProgram(1, (BARRIER,), (Stage(0, (get, BARRIER)),))))
+
+    def body(ctx):
+        ctx.init()
+        buf = ctx.malloc(32)
+        ctx.view(buf, "int64", 4)[:] = (100, 200, 0, 0)
+        execute_schedule(ctx, sched, ctx.world_group, ctx.rank,
+                         {"buf": buf}, I64)
+        got = ctx.view(buf, "int64", 4).tolist()
+        ctx.close()
+        return got
+
+    seen = assert_drivers_agree(2, body)
+    assert seen["results"] == [[200, 200, 0, 0], [100, 200, 200, 100]]
+
+
+def test_isa_fidelity_agrees():
+    """Transfers executed as generated xBGAS loops on the functional
+    cores take the same checkpoints, so they replay the same way."""
+    case = {"n_pes": 3, "seed": 5, "actions": [
+        {"kind": "traffic", "seed": 2, "barrier": False},
+        _one("allreduce", algorithm="doubling"),
+        _one("scan", inclusive=True)]}
+    assert_drivers_agree(3, _program(case), fidelity="isa")
+
+
+def test_single_pe_machine_agrees():
+    case = {"n_pes": 1, "seed": 3, "actions": [
+        _one("broadcast", algorithm="binomial", root=0),
+        _one("allreduce", algorithm="doubling", root=0),
+        _one("scan", inclusive=True, root=0)]}
+    assert_drivers_agree(1, _program(case))
+
+
+def test_team_collectives_side_by_side_then_a_whole_machine_one():
+    """Two disjoint teams run their (per-rank driven) collectives
+    concurrently and go straight into a whole-machine one: ranks of the
+    faster team arrive at its first barrier while the other team is
+    still mid-schedule."""
+    n_pes = 8
+
+    def body(ctx):
+        ctx.init()
+        me = ctx.my_pe()
+        src = ctx.malloc(8 * 8)
+        dst = ctx.malloc(8 * 8)
+        ctx.view(src, "int64", 8)[:] = np.arange(8) + 10 * me
+        team = Team(ctx, range(0, 3) if me < 3 else range(3, n_pes))
+        team.allreduce(dst, src, 6, 1, "sum", I64)
+        team.broadcast(src, dst, 6, 1, 0, I64)
+        ctx.allreduce(dst, src, 8, 1, "sum", "int64")
+        out = ctx.view(dst, "int64", 8).tolist()
+        now = ctx.time_ns
+        ctx.close()
+        return out, now
+
+    seen = assert_drivers_agree(n_pes, body)
+    low = sum(np.arange(6) + 10 * r for r in range(0, 3))
+    high = sum(np.arange(6) + 10 * r for r in range(3, n_pes))
+    assert seen["results"][0][0][:6] == (3 * low + 5 * high).tolist()

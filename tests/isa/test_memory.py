@@ -70,6 +70,21 @@ class TestViews:
         assert m.load(16, 8) == 20
         assert m.load(8, 8) == 0  # the gap is untouched
 
+    def test_misaligned_view_and_ragged_size(self):
+        """Aligned views are slices of the whole memory seen as the
+        dtype; an address off the element grid, or a memory whose size
+        is not a whole number of elements, must alias the same bytes."""
+        m = Memory(67)
+        off_grid = m.view(3, np.int64, 3, stride=2)
+        off_grid[:] = [7, 8, 9]
+        assert [m.load(3 + 16 * i, 8) for i in range(3)] == [7, 8, 9]
+        last = m.view(56, np.int64, 1)  # the last whole element
+        last[0] = 11
+        assert m.load(56, 8) == 11
+        with pytest.raises(AddressError):
+            m.view(64, np.int64, 1)
+        assert m.view(64, np.uint8, 3).size == 3
+
     def test_view_bounds_checked(self):
         m = Memory(64)
         with pytest.raises(AddressError):

@@ -127,3 +127,44 @@ class TestTeamBarrier:
             ctx.close()
 
         run(2, body)
+
+
+class TestMembersAndHalves:
+    def test_members_are_normalised_once(self):
+        machine = Machine(small_config(4))
+        barriers = machine.barriers
+        key = barriers.members((2, 0, 2, 1))
+        assert key == (0, 1, 2)
+        assert barriers.members((2, 0, 2, 1)) is key
+        assert barriers.members(None) == (0, 1, 2, 3)
+
+    def test_arrive_then_release_is_the_barrier(self):
+        """The two halves, called for every PE from one thread, price an
+        instance exactly as ``barrier()`` does from each PE's own."""
+        def whole(ctx):
+            ctx.init()
+            ctx.compute(100.0 * ctx.my_pe())
+            ctx.barrier()
+            return ctx.pe.clock
+
+        def halves(ctx):
+            ctx.init()
+            ctx.compute(100.0 * ctx.my_pe())
+            barriers = ctx.machine.barriers
+            engine = ctx.machine.engine
+            engine.checkpoint()  # rank 3, the latest, runs last
+            if ctx.my_pe() < 3:
+                engine.suspend()
+                return ctx.pe.clock
+            key = barriers.members(None)
+            for rank in range(4):
+                inst, last = barriers.arrive(rank, key)
+                assert last is (rank == 3)
+            ctx.pe.advance_to(barriers.release(inst, waker=3))
+            assert key not in barriers._pending
+            return ctx.pe.clock
+
+        m_whole, t_whole = run(4, whole)
+        m_halves, t_halves = run(4, halves)
+        assert t_halves == t_whole
+        assert m_halves.stats.barriers == m_whole.stats.barriers

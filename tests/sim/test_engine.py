@@ -7,6 +7,8 @@ import pytest
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.engine import Engine, PEState
 
+from ..collectives.helpers import ring_schedule
+
 
 class TestBasicExecution:
     def test_runs_all_pes(self):
@@ -215,3 +217,128 @@ class TestTrace:
             t.record(float(i), 0, "e")
         assert len(t) <= 10
         assert t.dropped > 0
+
+
+class TestHandOver:
+    """``act_as`` / ``yield_to``: one PE thread running blocked PEs'
+    steps, then handing the machine back (the schedule replay's needs)."""
+
+    def test_order_after_yield_to_is_named_pe_then_rank(self):
+        eng = Engine(4)
+        order = []
+
+        def body(pe):
+            if pe.rank == 0:
+                pe.advance(10)
+                eng.checkpoint()  # PEs 1-3 run and block meanwhile
+                eng.resume(1, at_time=10)
+                eng.resume(3, at_time=10)
+                eng.pes[2].advance_to(10)
+                eng.yield_to(2)  # all four clocks are equal now
+            else:
+                eng.suspend()
+            order.append(pe.rank)
+            pe.advance(1)
+            eng.checkpoint()
+
+        eng.run(body)
+        assert order == [2, 0, 1, 3]
+
+    def test_yield_to_needs_a_blocked_target(self):
+        eng = Engine(2)
+
+        def body(pe):
+            if pe.rank == 0:
+                eng.yield_to(1)  # PE 1 is runnable, not blocked
+
+        with pytest.raises(SimulationError, match="PE 0 failed") as info:
+            eng.run(body)
+        assert "cannot yield to PE 1" in str(info.value.__cause__)
+
+    def test_yield_to_needs_direct_handoff(self):
+        eng = Engine(2, direct_handoff=False)
+
+        def body(pe):
+            if pe.rank == 0:
+                pe.advance(1)
+                eng.checkpoint()
+                eng.yield_to(1)
+            else:
+                eng.suspend()
+
+        with pytest.raises(SimulationError, match="PE 0 failed"):
+            eng.run(body)
+
+    def test_act_as_names_the_pe_whose_step_it_is(self):
+        eng = Engine(2, trace=True)
+
+        def body(pe):
+            if pe.rank == 0:
+                pe.advance(1)
+                eng.checkpoint()  # PE 1 blocks meanwhile
+                eng.act_as(1)
+                assert eng.current is eng.pes[1]
+                eng.record("step", "run for PE 1")
+                eng.act_as(0)
+                eng.resume(1)
+            else:
+                eng.suspend()
+
+        eng.run(body)
+        (event,) = eng.trace.of_kind("step")
+        assert event.pe == 1
+
+
+class TestReplayedSchedules:
+    """The schedule executor's one-thread replay, where it can go wrong:
+    failures must land on the PE whose step failed, and a schedule whose
+    ranks disagree on the barrier count must not hang."""
+
+    @pytest.mark.parametrize("fast_paths", [True, False])
+    def test_failing_step_fails_the_rank_it_belongs_to(self, fast_paths):
+        import numpy as np
+
+        from repro.collectives.schedule import execute_schedule
+        from repro.errors import AddressError
+        from repro.params import MachineConfig
+        from repro.runtime.context import Machine
+
+        n_pes = 4
+        sched = ring_schedule(n_pes)
+
+        def body(ctx):
+            ctx.init()
+            buf = ctx.malloc(16)
+            if ctx.rank == 1:  # not the thread that replays the window
+                buf = ctx.config.memory_bytes_per_pe  # out of range
+            execute_schedule(ctx, sched, ctx.world_group, ctx.rank,
+                             {"buf": buf}, np.dtype("int64"))
+            ctx.close()
+
+        machine = Machine(MachineConfig(n_pes=n_pes), fast_paths=fast_paths)
+        with pytest.raises(SimulationError, match="PE 1 failed") as info:
+            machine.run(body)
+        assert isinstance(info.value.__cause__, AddressError)
+
+    @pytest.mark.parametrize("fast_paths", [True, False])
+    def test_unequal_barrier_counts_deadlock_instead_of_hanging(
+            self, fast_paths):
+        import numpy as np
+
+        from repro.collectives.schedule import execute_schedule
+        from repro.params import MachineConfig
+        from repro.runtime.context import Machine
+
+        n_pes = 3
+        sched = ring_schedule(n_pes, rank0_barriers=3)
+
+        def body(ctx):
+            ctx.init()
+            buf = ctx.malloc(16)
+            execute_schedule(ctx, sched, ctx.world_group, ctx.rank,
+                             {"buf": buf}, np.dtype("int64"))
+            return ctx.time_ns  # no close(): it would pair the barrier
+
+        machine = Machine(MachineConfig(n_pes=n_pes), fast_paths=fast_paths)
+        with pytest.raises(DeadlockError, match=r"PEs \[0\]"):
+            machine.run(body)

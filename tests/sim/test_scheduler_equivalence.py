@@ -144,3 +144,36 @@ class TestMachineEquivalence:
             ]
             runs[fast] = (res, m.engine.elapsed_ns, trace)
         assert runs[True] == runs[False]
+
+    @pytest.mark.parametrize("n_pes", [2, 5, 8])
+    def test_tracing_does_not_move_a_clock(self, n_pes):
+        """A traced machine keeps every collective on the per-rank
+        driver (barrier and stage spans open on each PE's own thread);
+        an untraced one replays whole-machine collectives from one
+        thread.  Turning tracing on must change what is recorded and
+        nothing else."""
+        def body(ctx):
+            ctx.init()
+            n, me = ctx.num_pes(), ctx.my_pe()
+            src = ctx.malloc(8 * 6 * n)
+            dest = ctx.malloc(8 * 6 * n)
+            ctx.view(src, "int64", 6 * n)[:] = np.arange(6 * n) * (me + 1)
+            ctx.compute(40.0 * me)
+            ctx.broadcast(dest, src, 6, 1, n - 1)
+            ctx.allreduce(dest, src, 6, 1, "sum",
+                          algorithm="dual-pipelined", segments=2)
+            ctx.scan(dest, src, 6, 1, "sum")
+            ctx.alltoall(dest, src, 6)
+            out = ctx.view(dest, "int64", 6 * n).tolist()
+            t = ctx.time_ns
+            ctx.close()
+            return out, t
+
+        runs = {}
+        for trace in (False, True):
+            m = Machine(MachineConfig(n_pes=n_pes), trace=trace)
+            res = m.run(body)
+            runs[trace] = (res, [pe.clock for pe in m.engine.pes],
+                           m.stats)
+            assert bool(len(m.engine.trace)) is trace
+        assert runs[True] == runs[False]
