@@ -70,7 +70,8 @@ from .schedule.ir import (
     RankProgram,
     Reduce,
     Schedule,
-    Stage,
+    barrier_stage,
+    closed_stage,
     segment_bounds,
 )
 from .virtual_rank import ring_neighbor
@@ -272,6 +273,11 @@ def _compile_folded(n_pes: int, nelems: int, stride: int, itemsize: int,
     )
 
 
+#: Span attrs of the two halves of Rabenseifner and ring.
+_REDUCE_SCATTER = (("phase", "reduce-scatter"),)
+_ALLGATHER = (("phase", "allgather"),)
+
+
 def _doubling_stages(active: bool, newrank: int, unfold, k: int,
                      nelems: int, stride: int) -> tuple[tuple, str]:
     """Recursive doubling: read the partner's *current* buffer, write the
@@ -287,8 +293,7 @@ def _doubling_stages(active: bool, newrank: int, unfold, k: int,
             steps.append(Get("l", 0, cur, 0, nelems, stride, partner))
             steps.append(Copy(nxt, 0, cur, 0, nelems, stride, charged=False))
             steps.append(Reduce(nxt, 0, "l", 0, nelems, stride, 2 * nelems))
-        steps.append(BARRIER)
-        stages.append(Stage(i, tuple(steps)))
+        stages.append(closed_stage(i, steps))
     return tuple(stages), ("a" if k % 2 == 0 else "b")
 
 
@@ -304,7 +309,7 @@ def _rabenseifner_stages(active: bool, newrank: int, unfold, pof2: int,
     schedule linter verifies the disjointness for every compiled shape.
     """
     if not active:
-        return tuple(Stage(i, (BARRIER,)) for i in range(2 * k)), "a"
+        return tuple(barrier_stage(i) for i in range(2 * k)), "a"
 
     def bound(rr: int) -> int:
         return nelems * rr // pof2
@@ -333,9 +338,7 @@ def _rabenseifner_stages(active: bool, newrank: int, unfold, pof2: int,
                              stride, partner))
             steps.append(Reduce("a", off(e_lo), "l", off(e_lo), e_hi - e_lo,
                                 stride, e_hi - e_lo))
-        steps.append(BARRIER)
-        stages.append(Stage(stage, tuple(steps),
-                            attrs=(("phase", "reduce-scatter"),)))
+        stages.append(closed_stage(stage, steps, _REDUCE_SCATTER))
         trail.append((partner_new, keep_lo, keep_hi))
         lo_r, hi_r = keep_lo, keep_hi
 
@@ -356,9 +359,7 @@ def _rabenseifner_stages(active: bool, newrank: int, unfold, pof2: int,
         if e_hi > e_lo:
             steps.append(Get("a", off(e_lo), "a", off(e_lo), e_hi - e_lo,
                              stride, partner))
-        steps.append(BARRIER)
-        stages.append(Stage(stage, tuple(steps),
-                            attrs=(("phase", "allgather"),)))
+        stages.append(closed_stage(stage, steps, _ALLGATHER))
     return tuple(stages), "a"
 
 
@@ -401,9 +402,7 @@ def _compile_ring(n_pes: int, nelems: int, stride: int, itemsize: int,
                                  e_hi - e_lo, stride, left))
                 steps.append(Reduce("a", off(e_lo), "l", off(e_lo),
                                     e_hi - e_lo, stride, e_hi - e_lo))
-            steps.append(BARRIER)
-            stages.append(Stage(s, tuple(steps),
-                                attrs=(("phase", "reduce-scatter"),)))
+            stages.append(closed_stage(s, steps, _REDUCE_SCATTER))
         for s in range(n_pes - 1):
             seg = (r - s) % n_pes
             e_lo, e_hi = bound(seg), bound(seg + 1)
@@ -411,9 +410,7 @@ def _compile_ring(n_pes: int, nelems: int, stride: int, itemsize: int,
             if e_hi > e_lo:
                 steps.append(Get("a", off(e_lo), "a", off(e_lo),
                                  e_hi - e_lo, stride, left))
-            steps.append(BARRIER)
-            stages.append(Stage(n_pes - 1 + s, tuple(steps),
-                                attrs=(("phase", "allgather"),)))
+            stages.append(closed_stage(n_pes - 1 + s, steps, _ALLGATHER))
         epilogue = (Copy("dest", 0, "a", 0, nelems, stride),)
         programs.append(RankProgram(r, prologue, tuple(stages), epilogue))
     return Schedule(

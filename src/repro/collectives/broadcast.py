@@ -43,7 +43,7 @@ from .schedule.ir import (
     Put,
     RankProgram,
     Schedule,
-    Stage,
+    closed_stage,
 )
 from .virtual_rank import logical_rank, ring_neighbor, virtual_rank
 
@@ -215,8 +215,7 @@ def _compile_binomial(n_pes: int, root: int, nelems: int, stride: int,
                 steps.append(Put("dest", 0, local_src, 0, nelems,
                                  stride, logical_rank(to, root, n_pes)))
             # A barrier closes every tree stage (section 4.3).
-            steps.append(BARRIER)
-            stages.append(Stage(ordinal, tuple(steps)))
+            stages.append(closed_stage(ordinal, steps))
         programs.append(RankProgram(r, tuple(prologue), tuple(stages)))
     return Schedule(
         collective="broadcast", algorithm="binomial", n_pes=n_pes,
@@ -290,8 +289,7 @@ def _compile_ring(n_pes: int, root: int, nelems: int, stride: int,
                     off = lo * stride * itemsize
                     steps.append(Put("dest", off, local_src, off, hi - lo,
                                      stride, nxt))
-            steps.append(BARRIER)
-            stages.append(Stage(step, tuple(steps)))
+            stages.append(closed_stage(step, steps))
         programs.append(RankProgram(r, tuple(prologue), tuple(stages)))
     return Schedule(
         collective="broadcast", algorithm="ring", n_pes=n_pes,

@@ -48,7 +48,7 @@ from .schedule.ir import (
     Put,
     RankProgram,
     Schedule,
-    Stage,
+    closed_stage,
     segment_bounds,
 )
 from .virtual_rank import ring_neighbor, rotated_peers
@@ -184,8 +184,7 @@ def compile_allgather(n_pes: int, counts: tuple[int, ...],
             steps: list = []
             if need:
                 steps.append(Get("s", have * eb, "s", 0, need, 1, partner))
-            steps.append(BARRIER)
-            stages.append(Stage(stage, tuple(steps)))
+            stages.append(closed_stage(stage, steps))
             width += grab
             stage += 1
         epilogue: list = []

@@ -32,7 +32,7 @@ from .schedule.ir import (
     Get,
     RankProgram,
     Schedule,
-    Stage,
+    closed_stage,
 )
 from .virtual_rank import logical_rank, virtual_rank
 
@@ -143,8 +143,7 @@ def compile_gather(n_pes: int, root: int, counts: tuple[int, ...],
                     steps.append(Get("s", adj[child] * eb, "s",
                                      adj[child] * eb, msg_size, 1,
                                      logical_rank(child, root, n_pes)))
-            steps.append(BARRIER)
-            stages.append(Stage(i, tuple(steps)))
+            stages.append(closed_stage(i, steps))
         epilogue: list = []
         if vir == 0:
             # Reorder from virtual-rank order into dest by logical rank.

@@ -49,7 +49,7 @@ from .schedule.ir import (
     RankProgram,
     Reduce,
     Schedule,
-    Stage,
+    closed_stage,
 )
 from .virtual_rank import logical_rank, virtual_rank
 
@@ -215,8 +215,7 @@ def _compile_binomial(n_pes: int, root: int, nelems: int, stride: int,
                                  logical_rank(child, root, n_pes)))
                 steps.append(Reduce("s", 0, "l", 0, nelems, stride,
                                     nelems))
-            steps.append(BARRIER)
-            stages.append(Stage(i, tuple(steps)))
+            stages.append(closed_stage(i, steps))
         epilogue = (Copy("dest", 0, "s", 0, nelems, stride),) if vir == 0 \
             else ()
         programs.append(RankProgram(r, prologue, tuple(stages), epilogue))

@@ -58,7 +58,7 @@ from .schedule.ir import (
     RankProgram,
     Reduce,
     Schedule,
-    Stage,
+    closed_stage,
     segment_bounds,
 )
 
@@ -244,8 +244,7 @@ def _compile_ring_rs(n_pes: int, counts: tuple[int, ...],
                 off = disps[blk] * eb
                 steps.append(Get("l", off, "a", off, cnt, 1, left))
                 steps.append(Reduce("a", off, "l", off, cnt, 1, cnt))
-            steps.append(BARRIER)
-            stages.append(Stage(s, tuple(steps)))
+            stages.append(closed_stage(s, steps))
         epilogue: tuple = ()
         if counts[r]:
             epilogue = (Copy("dest", 0, "a", disps[r] * eb, counts[r], 1,

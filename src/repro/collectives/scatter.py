@@ -40,7 +40,7 @@ from .schedule.ir import (
     Put,
     RankProgram,
     Schedule,
-    Stage,
+    closed_stage,
 )
 from .virtual_rank import logical_rank, virtual_rank
 
@@ -204,8 +204,7 @@ def compile_scatter(n_pes: int, root: int, counts: tuple[int, ...],
                     steps.append(Put("s", adj[to] * eb, "s",
                                      adj[to] * eb, msg_size, 1,
                                      logical_rank(to, root, n_pes)))
-            steps.append(BARRIER)
-            stages.append(Stage(ordinal, tuple(steps)))
+            stages.append(closed_stage(ordinal, steps))
         epilogue: tuple = ()
         if counts[r]:
             epilogue = (Copy("dest", 0, "s", adj[vir] * eb, counts[r], 1,

@@ -9,9 +9,11 @@ parallel batches over a dense per-rank memory matrix, producing both
 the collective *outputs* and per-rank *makespans* for 1k-64k PEs in
 milliseconds:
 
-* **Data** is exact: every Put/Get/Copy/Reduce/Fill/Send/Recv of a
-  barrier segment is grouped by ``(segment, step index, kind, shape)``
-  and applied as one fancy-indexed gather/scatter over the rank axis.
+* **Data** is exact: the rows of the schedule's columnar lowering
+  (:class:`~.ir.StepTable`, ``Schedule.table``) are sorted into lane
+  groups — every Put/Get/Copy/Reduce/Fill/Send/Recv at one ``(phase,
+  slot)`` with one shape — and each group is applied as one
+  fancy-indexed gather/scatter over the rank axis.
   Mailbox-lowered schedules batch too: sends deposit their payloads
   into per-(src, dst) FIFOs (costed through the same LogGP network
   plus the postoffice routing charge), recvs pop and verify tags.
@@ -26,7 +28,13 @@ milliseconds:
   channels, node buses) but replace the stateful cache/TLB walk with a
   closed form (:class:`CostModel`) using page-granular warmth.
   Makespans therefore *track* the simulator's ``ns`` within a pinned
-  tolerance rather than matching it exactly.
+  tolerance rather than matching it exactly.  Messages are priced one
+  by one, in order — the network is a recurrence over shared link state
+  — so the order groups run in (see :func:`_collect_groups`) is part of
+  the model.
+
+Nothing here walks the dataclass tree: the table is built once per
+schedule, whoever asks first, and the evaluator reads only its columns.
 
 Entry points:
 
@@ -55,7 +63,19 @@ from ...runtime.barrier import round_cost_ns
 from ...runtime.transfer import loop_overhead_ns
 from ...sim.trace import SimStats
 from ..ops import apply_op, identity_of
-from .ir import Schedule, step_span_bytes
+from .ir import (
+    OP_COPY,
+    OP_FILL,
+    OP_GET,
+    OP_NAMES,
+    OP_PUT,
+    OP_RECV,
+    OP_REDUCE,
+    OP_SEND,
+    Schedule,
+    StepTable,
+    step_span_bytes,
+)
 
 __all__ = [
     "CostModel",
@@ -96,7 +116,8 @@ class CostModel:
     def _mark(self, rows: np.ndarray, first_page: np.ndarray,
               pages: np.ndarray) -> None:
         touched = self._touched
-        for k in range(int(pages.max())):
+        touched[rows, first_page] = True  # a span covers its first page
+        for k in range(1, int(pages.max())):
             m = pages > k
             touched[rows[m], first_page[m] + k] = True
 
@@ -216,60 +237,64 @@ def _scatter(mem, mview, rows, addrs, nelems: int, stride: int,
 
 # -- group compilation --------------------------------------------------------
 
+#: Address of a buffer a rank's map does not bind (restricted buffers on
+#: the ranks that do not hold them): far enough below zero that no
+#: offset brings it back.
+_UNBOUND = -(1 << 62)
 
-def _collect_groups(sched: Schedule, addrs_per_rank: Sequence[Mapping[str, int]],
-                    n_ranks: int) -> tuple[dict, int]:
-    """Flatten every rank's program into ``(segment, idx)``-keyed lane
-    groups.  A *segment* is the run of steps between two barriers; the
-    linter guarantees every rank agrees on the barrier count, which this
-    re-checks (it is the property batch evaluation rests on)."""
-    groups: dict[tuple, list] = {}
-    n_barriers = -1
-    for g in range(n_ranks):
-        addrs = addrs_per_rank[g]
-        seg = 0
-        idx = 0
-        for step in sched.program(g).all_steps():
-            kind = step.kind
-            if kind == "barrier":
-                seg += 1
-                idx = 0
-                continue
-            if kind == "put" or kind == "get":
-                key = (seg, idx, kind, step.nelems, step.stride)
-                lane = (g, addrs[step.dst] + step.dst_off,
-                        addrs[step.src] + step.src_off, step.peer)
-            elif kind == "copy":
-                key = (seg, idx, kind, step.nelems, step.stride,
-                       step.charged, step.skip_noop)
-                lane = (g, addrs[step.dst] + step.dst_off,
-                        addrs[step.src] + step.src_off)
-            elif kind == "reduce":
-                key = (seg, idx, kind, step.nelems, step.stride,
-                       step.charge_elems)
-                lane = (g, addrs[step.acc] + step.acc_off,
-                        addrs[step.operand] + step.operand_off)
-            elif kind == "fill":
-                key = (seg, idx, kind, step.nelems, step.stride)
-                lane = (g, addrs[step.dst] + step.dst_off)
-            elif kind == "send":
-                key = (seg, idx, kind, step.nelems, step.stride, step.tag)
-                lane = (g, addrs[step.src] + step.src_off, step.peer)
-            elif kind == "recv":
-                key = (seg, idx, kind, step.nelems, step.stride, step.tag)
-                lane = (g, addrs[step.dst] + step.dst_off, step.peer)
-            else:  # pragma: no cover - compiler bug guard
-                raise AssertionError(f"unknown step kind {kind!r}")
-            groups.setdefault(key, []).append(lane)
-            idx += 1
-        if n_barriers < 0:
-            n_barriers = seg
-        elif seg != n_barriers:
+
+def _bind(table: StepTable, addrs_per_rank: Sequence[Mapping[str, int]],
+          sched: Schedule) -> tuple[np.ndarray, np.ndarray]:
+    """Absolute address of every row's ``a`` and ``b`` operand.
+
+    One base vector when every rank brought the same map (the standalone
+    arena), a ``(rank, buffer)`` matrix otherwise (the vec backend's
+    per-rank bindings); each row ends in a 0 that the ``-1`` of an absent
+    operand indexes.
+    """
+    names = table.names
+    shared = all(addrs is addrs_per_rank[0] for addrs in addrs_per_rank)
+    base = np.array(
+        [[addrs.get(name, _UNBOUND) for name in names] + [0]
+         for addrs in (addrs_per_rank[:1] if shared else addrs_per_rank)],
+        dtype=np.int64)
+    row = 0 if shared else table.rank
+    a_addr = base[row, table.a_buf] + table.a_off
+    b_addr = base[row, table.b_buf] + table.b_off
+    for addr, buf in ((a_addr, table.a_buf), (b_addr, table.b_buf)):
+        if len(addr) and addr.min() < _UNBOUND // 2:
+            bad = int(np.argmin(addr))
             raise SimulationError(
-                f"schedule {sched.collective}:{sched.algorithm} rank {g} has "
-                f"{seg} barriers, rank 0 has {n_barriers} — cannot batch"
-            )
-    return groups, n_barriers
+                f"schedule {sched.collective}:{sched.algorithm} rank "
+                f"{int(table.rank[bad])} uses buffer "
+                f"{names[buf[bad]]!r}, which it has no address for")
+    return a_addr, b_addr
+
+
+def _collect_groups(table: StepTable) -> tuple[np.ndarray, np.ndarray, list]:
+    """Sort the table's rows into lane groups.
+
+    A *group* is the set of rows sharing ``(phase, slot, op, nelems,
+    stride, aux)`` — one step position of one barrier phase, across the
+    ranks that do the same thing there — and is applied as one batch.
+    Returns the row permutation, the group start offsets into it (with
+    the row count appended) and the group heads as Python tuples.
+
+    The order is part of the model, because the groups of one phase
+    reserve links and fabric channels in the order they run: phase, then
+    slot, then kind name (the opcode numbering), then shape, then
+    flags / charge / tag, lanes in rank order (the sort is stable and
+    rows are stored by rank).
+    """
+    keys = (table.aux, table.stride, table.nelems, table.op, table.slot,
+            table.phase)
+    order = np.lexsort(keys)
+    sorted_keys = np.stack(keys[::-1])[:, order]
+    change = (sorted_keys[:, 1:] != sorted_keys[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(np.concatenate(([True], change, [True])))
+    if not len(order):
+        starts = starts[:1]
+    return order, starts, sorted_keys[:, starts[:-1]].T.tolist()
 
 
 # -- the core evaluator -------------------------------------------------------
@@ -305,239 +330,245 @@ def evaluate_group(
     mview = None
     if mem is not None and mem.shape[1] % b == 0:
         mview = mem.view(dtype)
-    groups, n_barriers = _collect_groups(sched, addrs_per_rank, K)
-    order = sorted(groups)
-    cursor = 0
+    table = sched.table
+    label = f"schedule {sched.collective}:{sched.algorithm}"
+    if len(table.barriers) != K:
+        raise SimulationError(
+            f"{label} has {len(table.barriers)} rank programs for a "
+            f"group of {K}")
+    # Every rank passes the same barriers: the property batch evaluation
+    # rests on (the linter's deadlock pass guarantees it).
+    n_barriers = int(table.barriers[0])
+    uneven = np.flatnonzero(table.barriers != n_barriers)
+    if len(uneven):
+        g = int(uneven[0])
+        raise SimulationError(
+            f"{label} rank {g} has {int(table.barriers[g])} barriers, "
+            f"rank 0 has {n_barriers} — cannot batch")
+    if table.unknown:  # pragma: no cover - compiler bug guard
+        raise AssertionError(f"unknown step kind {table.unknown[0][1]!r}")
+    if np.any((table.peer == table.rank)
+              & np.isin(table.op, (OP_PUT, OP_GET, OP_SEND))):
+        raise AssertionError(  # pragma: no cover - compiler bug guard
+            "put/get/send to self in schedule")
+    order, starts, heads = _collect_groups(table)
+    a_addr, b_addr = _bind(table, addrs_per_rank, sched)
+    rank_s, peer_s = table.rank[order], table.peer[order]
+    a_addr, b_addr = a_addr[order], b_addr[order]
+    starts = starts.tolist()
     cfg = cost.cfg
     cycle_ns = cfg.cycle_ns
     rounds = ceil(log2(K)) if K > 1 else 0
     round_ns = round_cost_ns(cfg, world.tolist())
     mbx = cfg.mailbox
     # In-flight mailbox messages: (src, dst) group-rank pair -> FIFO of
-    # (tag, nelems, payload, t_avail).  Persists across segments (hoisted
+    # (tag, nelems, payload, t_avail).  Persists across phases (hoisted
     # get-requests are matched one barrier later).
     pending: dict[tuple[int, int], deque] = {}
-    for seg in range(n_barriers + 1):
-        seg_keys = []
-        while cursor < len(order) and order[cursor][0] == seg:
-            seg_keys.append(order[cursor])
+
+    def _run_group(gi: int) -> None:
+        phase, _, op, e, s, aux = heads[gi]
+        lanes = slice(starts[gi], starts[gi + 1])
+        g = rank_s[lanes]
+        L = len(g)
+        g_rows = rows[g]
+        if op == OP_PUT or op == OP_GET:
+            dst, src, peer = a_addr[lanes], b_addr[lanes], peer_s[lanes]
+            nbytes = e * b
+            peer_rows = rows[peer]
+            tg = t[g]
+            src_pe, dst_pe = world[g].tolist(), world[peer].tolist()
+            if op == OP_PUT:
+                stats.puts += L
+                if e == 0:
+                    return
+                stats.bytes_put += nbytes * L
+                stats.remote_puts += L
+                tg = tg + loop_overhead_ns(cfg, e)
+                tg += cost.strided_ns(g_rows, src, e, b, s, use_tlb=True)
+                tg += OLB_LOOKUP_NS
+                wcost = cost.strided_ns(peer_rows, dst, e, b, s,
+                                        use_tlb=False).tolist()
+                issue = np.lexsort((g, tg)).tolist()
+                tg = tg.tolist()
+                for i in issue:
+                    now = tg[i]
+                    free, delivered, _ = net.send(now, src_pe[i], dst_pe[i],
+                                                  nbytes)
+                    if free > now:
+                        tg[i] = free
+                    net.note_delivery(delivered + wcost[i])
+                t[g] = tg
+                if mem is not None:
+                    vals = _gather(mem, mview, g_rows, src, e, s, dtype)
+                    _scatter(mem, mview, peer_rows, dst, e, s, dtype, vals)
+            else:
+                stats.gets += L
+                if e == 0:
+                    return
+                stats.bytes_got += nbytes * L
+                stats.remote_gets += L
+                tg = tg + loop_overhead_ns(cfg, e)
+                tg += OLB_LOOKUP_NS
+                rcost = cost.strided_ns(peer_rows, src, e, b, s,
+                                        use_tlb=False).tolist()
+                issue = np.lexsort((g, tg)).tolist()
+                tg = tg.tolist()
+                for i in issue:
+                    now = tg[i]
+                    done = net.fetch(now, src_pe[i], dst_pe[i],
+                                     nbytes)[0] + rcost[i]
+                    if done > now:
+                        tg[i] = done
+                tg = np.array(tg)
+                tg += cost.strided_ns(g_rows, dst, e, b, s, use_tlb=True)
+                t[g] = tg
+                if mem is not None:
+                    vals = _gather(mem, mview, peer_rows, src, e, s, dtype)
+                    _scatter(mem, mview, g_rows, dst, e, s, dtype, vals)
+        elif op == OP_COPY:
+            charged, skip_noop = aux & 2, aux & 1
+            dst, src = a_addr[lanes], b_addr[lanes]
+            if charged and skip_noop:
+                if e == 0:
+                    return  # the executor's local_copy guard
+                keep = dst != src
+                if not keep.all():
+                    g, dst, src = g[keep], dst[keep], src[keep]
+                    g_rows = rows[g]
+                    L = len(g)
+            if L == 0:
+                return
+            if charged:
+                # Costs like a put-to-self in the transfer engine.
+                stats.puts += L
+                if e == 0:
+                    return
+                stats.bytes_put += e * b * L
+                tg = t[g] + loop_overhead_ns(cfg, e)
+                tg += cost.strided_ns(g_rows, src, e, b, s, use_tlb=True)
+                tg += cost.strided_ns(g_rows, dst, e, b, s, use_tlb=True)
+                t[g] = tg
+            if e and mem is not None:
+                vals = _gather(mem, mview, g_rows, src, e, s, dtype)
+                _scatter(mem, mview, g_rows, dst, e, s, dtype, vals)
+        elif op == OP_REDUCE:
+            t[g] += aux * 2.0 * cycle_ns
+            if e and mem is not None:
+                acc, opd = a_addr[lanes], b_addr[lanes]
+                acc_vals = _gather(mem, mview, g_rows, acc, e, s, dtype)
+                opd_vals = _gather(mem, mview, g_rows, opd, e, s, dtype)
+                apply_op(sched.op, acc_vals, opd_vals)
+                _scatter(mem, mview, g_rows, acc, e, s, dtype, acc_vals)
+        elif op == OP_FILL:
+            dst = a_addr[lanes]
+            span = step_span_bytes(e, s, b)
+            t[g] += cost.range_ns(g_rows, dst, span, use_tlb=True)
+            if e and mem is not None:
+                vals = np.broadcast_to(
+                    np.asarray(identity_of(sched.op, dtype)),
+                    (L, e)).astype(dtype, copy=True)
+                _scatter(mem, mview, g_rows, dst, e, s, dtype, vals)
+        elif op == OP_SEND:
+            src, peer = b_addr[lanes], peer_s[lanes]
+            nbytes = e * b
+            stats.sends += L
+            stats.bytes_sent += nbytes * L
+            tg = t[g]
+            vals = None
+            if e:
+                tg = tg + loop_overhead_ns(cfg, e)
+                tg += cost.strided_ns(g_rows, src, e, b, s, use_tlb=True)
+                if mem is not None:
+                    vals = _gather(mem, mview, g_rows, src, e, s, dtype)
+            wire = nbytes + mbx.header_bytes
+            src_pe, dst_pe = world[g].tolist(), world[peer].tolist()
+            pairs = list(zip(g.tolist(), peer.tolist()))
+            issue = np.lexsort((g, tg)).tolist()
+            tg = tg.tolist()
+            for i in issue:
+                now, sp, dp = tg[i], src_pe[i], dst_pe[i]
+                free, delivered, _ = net.send(now, sp, dp, wire)
+                if free > now:
+                    tg[i] = free
+                hops = net.route_hops(net.node_of(sp), net.node_of(dp))
+                t_avail = delivered + mbx.route_ns_per_hop * hops
+                net.note_delivery(t_avail)
+                pending.setdefault(pairs[i], deque()).append(
+                    (aux, e, None if vals is None else vals[i], t_avail))
+            t[g] = tg
+        else:  # OP_RECV
+            dst = a_addr[lanes]
+            stats.recvs += L
+            avail = []
+            val_rows = []
+            for me, frm in zip(g.tolist(), peer_s[lanes].tolist()):
+                q = pending.get((frm, me))
+                if not q:
+                    raise SimulationError(
+                        f"{label} rank {me} segment {phase}: recv from "
+                        f"rank {frm} has no matching send — lint the "
+                        "schedule's message matching")
+                mtag, melems, mvals, t_avail = q.popleft()
+                if mtag != aux or melems != e:
+                    raise SimulationError(
+                        f"{label} rank {me} segment {phase}: recv(tag="
+                        f"{aux}, nelems={e}) mismatches the pair-FIFO "
+                        f"head (tag={mtag}, nelems={melems})")
+                avail.append(t_avail)
+                val_rows.append(mvals)
+            tg = np.maximum(t[g], avail) + mbx.match_ns
+            if e:
+                tg = tg + loop_overhead_ns(cfg, e)
+                tg += cost.strided_ns(g_rows, dst, e, b, s, use_tlb=True)
+                if mem is not None:
+                    _scatter(mem, mview, g_rows, dst, e, s, dtype,
+                             np.stack(val_rows))
+            t[g] = tg
+
+    # Each rank's next slot in the running phase.
+    ptr = np.zeros(K, dtype=np.int64)
+    cursor = 0
+    for phase in range(n_barriers + 1):
+        first = cursor
+        while cursor < len(heads) and heads[cursor][0] == phase:
             cursor += 1
-        # Execute the segment's groups in dataflow order: each rank's
-        # groups run in its program (step-index) order — cross-rank
-        # hazards are forbidden by the linter, but same-rank
-        # write-then-read within a segment (get-into-scratch feeding a
-        # reduce, recv feeding a reduce) is real sequencing.  A recv
-        # group additionally waits until every lane's (src, dst) FIFO
-        # holds its message, which may be deposited by a send group at a
-        # *higher* step index on another rank; the fixpoint scan below
+        # Execute the phase's groups in dataflow order: each rank's
+        # groups run in its program (slot) order — cross-rank hazards
+        # are forbidden by the linter, but same-rank write-then-read
+        # within a phase (get-into-scratch feeding a reduce, recv
+        # feeding a reduce) is real sequencing.  A recv group
+        # additionally waits until every lane's (src, dst) FIFO holds
+        # its message, which may be deposited by a send group at a
+        # *higher* slot on another rank; the fixpoint scan below
         # resolves those forward dependencies exactly as the concurrent
         # per-PE machine does.
-        def _run_group(key: tuple) -> None:
-            lanes = groups[key]
-            kind, e, s = key[2], key[3], key[4]
-            if kind == "put" or kind == "get":
-                g = np.fromiter((l[0] for l in lanes), np.int64, len(lanes))
-                dst = np.fromiter((l[1] for l in lanes), np.int64, len(lanes))
-                src = np.fromiter((l[2] for l in lanes), np.int64, len(lanes))
-                peer = np.fromiter((l[3] for l in lanes), np.int64, len(lanes))
-                L = len(g)
-                if np.any(peer == g):  # pragma: no cover - compiler bug guard
-                    raise AssertionError("put/get to self in schedule")
-                nbytes = e * b
-                g_rows = rows[g]
-                peer_rows = rows[peer]
-                tg = t[g]
-                if kind == "put":
-                    stats.puts += L
-                    if e == 0:
-                        return
-                    stats.bytes_put += nbytes * L
-                    stats.remote_puts += L
-                    tg = tg + loop_overhead_ns(cfg, e)
-                    tg += cost.strided_ns(g_rows, src, e, b, s, use_tlb=True)
-                    tg += OLB_LOOKUP_NS
-                    wcost = cost.strided_ns(peer_rows, dst, e, b, s,
-                                            use_tlb=False)
-                    for i in np.lexsort((g, tg)):
-                        free, delivered, _ = net.send(
-                            tg[i], int(world[g[i]]), int(world[peer[i]]),
-                            nbytes)
-                        if free > tg[i]:
-                            tg[i] = free
-                        net.note_delivery(delivered + wcost[i])
-                    t[g] = tg
-                    if mem is not None:
-                        vals = _gather(mem, mview, g_rows, src, e, s, dtype)
-                        _scatter(mem, mview, peer_rows, dst, e, s, dtype, vals)
-                else:
-                    stats.gets += L
-                    if e == 0:
-                        return
-                    stats.bytes_got += nbytes * L
-                    stats.remote_gets += L
-                    tg = tg + loop_overhead_ns(cfg, e)
-                    tg += OLB_LOOKUP_NS
-                    rcost = cost.strided_ns(peer_rows, src, e, b, s,
-                                            use_tlb=False)
-                    for i in np.lexsort((g, tg)):
-                        done = net.fetch(tg[i], int(world[g[i]]),
-                                         int(world[peer[i]]), nbytes)[0]
-                        done += rcost[i]
-                        if done > tg[i]:
-                            tg[i] = done
-                    tg += cost.strided_ns(g_rows, dst, e, b, s, use_tlb=True)
-                    t[g] = tg
-                    if mem is not None:
-                        vals = _gather(mem, mview, peer_rows, src, e, s, dtype)
-                        _scatter(mem, mview, g_rows, dst, e, s, dtype, vals)
-            elif kind == "copy":
-                charged, skip_noop = key[5], key[6]
-                g = np.fromiter((l[0] for l in lanes), np.int64, len(lanes))
-                dst = np.fromiter((l[1] for l in lanes), np.int64, len(lanes))
-                src = np.fromiter((l[2] for l in lanes), np.int64, len(lanes))
-                if charged and skip_noop:
-                    if e == 0:
-                        return  # the executor's local_copy guard
-                    keep = dst != src
-                    g, dst, src = g[keep], dst[keep], src[keep]
-                L = len(g)
-                if L == 0:
-                    return
-                g_rows = rows[g]
-                if charged:
-                    # Costs like a put-to-self in the transfer engine.
-                    stats.puts += L
-                    if e == 0:
-                        return
-                    stats.bytes_put += e * b * L
-                    tg = t[g] + loop_overhead_ns(cfg, e)
-                    tg += cost.strided_ns(g_rows, src, e, b, s, use_tlb=True)
-                    tg += cost.strided_ns(g_rows, dst, e, b, s, use_tlb=True)
-                    t[g] = tg
-                if e and mem is not None:
-                    vals = _gather(mem, mview, g_rows, src, e, s, dtype)
-                    _scatter(mem, mview, g_rows, dst, e, s, dtype, vals)
-            elif kind == "reduce":
-                charge_elems = key[5]
-                g = np.fromiter((l[0] for l in lanes), np.int64, len(lanes))
-                acc = np.fromiter((l[1] for l in lanes), np.int64, len(lanes))
-                opd = np.fromiter((l[2] for l in lanes), np.int64, len(lanes))
-                t[g] += charge_elems * 2.0 * cycle_ns
-                if e and mem is not None:
-                    g_rows = rows[g]
-                    acc_vals = _gather(mem, mview, g_rows, acc, e, s, dtype)
-                    opd_vals = _gather(mem, mview, g_rows, opd, e, s, dtype)
-                    apply_op(sched.op, acc_vals, opd_vals)
-                    _scatter(mem, mview, g_rows, acc, e, s, dtype, acc_vals)
-            elif kind == "fill":
-                g = np.fromiter((l[0] for l in lanes), np.int64, len(lanes))
-                dst = np.fromiter((l[1] for l in lanes), np.int64, len(lanes))
-                g_rows = rows[g]
-                span = step_span_bytes(e, s, b)
-                t[g] += cost.range_ns(g_rows, dst, span, use_tlb=True)
-                if e and mem is not None:
-                    vals = np.broadcast_to(
-                        np.asarray(identity_of(sched.op, dtype)),
-                        (len(g), e)).astype(dtype, copy=True)
-                    _scatter(mem, mview, g_rows, dst, e, s, dtype, vals)
-            elif kind == "send":
-                tag = key[5]
-                g = np.fromiter((l[0] for l in lanes), np.int64, len(lanes))
-                src = np.fromiter((l[1] for l in lanes), np.int64, len(lanes))
-                peer = np.fromiter((l[2] for l in lanes), np.int64, len(lanes))
-                L = len(g)
-                if np.any(peer == g):  # pragma: no cover - compiler bug guard
-                    raise AssertionError("send to self in schedule")
-                nbytes = e * b
-                stats.sends += L
-                stats.bytes_sent += nbytes * L
-                g_rows = rows[g]
-                tg = t[g]
-                vals = None
-                if e:
-                    tg = tg + loop_overhead_ns(cfg, e)
-                    tg += cost.strided_ns(g_rows, src, e, b, s, use_tlb=True)
-                    if mem is not None:
-                        vals = _gather(mem, mview, g_rows, src, e, s, dtype)
-                wire = nbytes + mbx.header_bytes
-                for i in np.lexsort((g, tg)):
-                    sp, dp = int(world[g[i]]), int(world[peer[i]])
-                    free, delivered, _ = net.send(tg[i], sp, dp, wire)
-                    if free > tg[i]:
-                        tg[i] = free
-                    hops = net.route_hops(net.node_of(sp), net.node_of(dp))
-                    t_avail = delivered + mbx.route_ns_per_hop * hops
-                    net.note_delivery(t_avail)
-                    pending.setdefault(
-                        (int(g[i]), int(peer[i])), deque()).append(
-                        (tag, e, None if vals is None else vals[i], t_avail))
-                t[g] = tg
-            elif kind == "recv":
-                tag = key[5]
-                g = np.fromiter((l[0] for l in lanes), np.int64, len(lanes))
-                dst = np.fromiter((l[1] for l in lanes), np.int64, len(lanes))
-                peer = np.fromiter((l[2] for l in lanes), np.int64, len(lanes))
-                L = len(g)
-                stats.recvs += L
-                g_rows = rows[g]
-                avail = np.empty(L)
-                val_rows = []
-                for i in range(L):
-                    q = pending.get((int(peer[i]), int(g[i])))
-                    if not q:
-                        raise SimulationError(
-                            f"schedule {sched.collective}:{sched.algorithm} "
-                            f"rank {int(g[i])} segment {seg}: recv from rank "
-                            f"{int(peer[i])} has no matching send — lint "
-                            "the schedule's message matching"
-                        )
-                    mtag, melems, mvals, t_avail = q.popleft()
-                    if mtag != tag or melems != e:
-                        raise SimulationError(
-                            f"schedule {sched.collective}:{sched.algorithm} "
-                            f"rank {int(g[i])} segment {seg}: recv(tag={tag},"
-                            f" nelems={e}) mismatches the pair-FIFO head "
-                            f"(tag={mtag}, nelems={melems})"
-                        )
-                    avail[i] = t_avail
-                    val_rows.append(mvals)
-                tg = np.maximum(t[g], avail) + mbx.match_ns
-                if e:
-                    tg = tg + loop_overhead_ns(cfg, e)
-                    tg += cost.strided_ns(g_rows, dst, e, b, s, use_tlb=True)
-                    if mem is not None:
-                        _scatter(mem, mview, g_rows, dst, e, s, dtype,
-                                 np.stack(val_rows))
-                t[g] = tg
-        by_rank: dict[int, list] = {}
-        for key in seg_keys:
-            for lane in groups[key]:
-                by_rank.setdefault(lane[0], []).append(key)
-        ptr = dict.fromkeys(by_rank, 0)
-        remaining = seg_keys
+        ptr[:] = 0
+        remaining = range(first, cursor)
         while remaining:
             deferred: list = []
-            for key in remaining:
-                lanes = groups[key]
-                ready = all(by_rank[l[0]][ptr[l[0]]] == key for l in lanes)
-                if ready and key[2] == "recv":
-                    ready = all(pending.get((int(l[2]), int(l[0])))
-                                for l in lanes)
+            for gi in remaining:
+                lanes = slice(starts[gi], starts[gi + 1])
+                g = rank_s[lanes]
+                ready = bool((ptr[g] == heads[gi][1]).all())
+                if ready and heads[gi][2] == OP_RECV:
+                    ready = all(pending.get(pair) for pair in
+                                zip(peer_s[lanes].tolist(), g.tolist()))
                 if not ready:
-                    deferred.append(key)
+                    deferred.append(gi)
                     continue
-                _run_group(key)
-                for l in groups[key]:
-                    ptr[l[0]] += 1
+                _run_group(gi)
+                ptr[g] += 1
             if len(deferred) == len(remaining):
+                stuck = [(p, slot, OP_NAMES[op], e, s)
+                         for p, slot, op, e, s, _ in
+                         (heads[gi] for gi in deferred)]
                 raise SimulationError(
-                    f"schedule {sched.collective}:{sched.algorithm} "
-                    f"segment {seg}: groups {deferred} cannot make "
+                    f"{label} segment {phase}: groups {stuck} cannot make "
                     "progress — a recv waits on a send that never "
-                    "deposits (batch-evaluation deadlock)"
-                )
+                    "deposits (batch-evaluation deadlock)")
             remaining = deferred
-        if seg < n_barriers:
+        if phase < n_barriers:
             stats.barriers += 1
             if K == 1:
                 t += round_ns

@@ -37,6 +37,13 @@ Step semantics (mirroring the legacy inline code they replaced):
   receiver) pair with the ``tag`` checked on arrival, so a lowering
   that reorders messages between the same pair is a protocol error the
   linter flags.
+
+The tree is what compilers emit, what :meth:`Schedule.describe` and the
+span tracer render, and what the executor's ``FlatPlan`` and the
+mailbox lowering still walk.  The plan-time consumers — the evaluator
+and the linter — read :attr:`Schedule.table` instead: one lazily built
+:class:`StepTable`, an ``int64`` row per non-barrier step (see "Schedule
+lowering" in ``DESIGN.md``).
 """
 
 from __future__ import annotations
@@ -44,6 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Union
+
+import numpy as np
 
 __all__ = [
     "Buffer",
@@ -61,6 +70,9 @@ __all__ = [
     "Pipeline",
     "RankProgram",
     "Schedule",
+    "StepTable",
+    "barrier_stage",
+    "closed_stage",
     "step_span_bytes",
     "segment_bounds",
 ]
@@ -246,6 +258,26 @@ class Stage:
         return dict(self.attrs)
 
 
+@lru_cache(maxsize=1 << 14)
+def barrier_stage(index: int, attrs: tuple = ()) -> Stage:
+    """The shared ``Stage(index, (BARRIER,), attrs)``.
+
+    What a rank with nothing to do in a stage carries — most of a large
+    tree (a 4096-PE binomial broadcast has 45 000 of them in 49 152
+    stages), so compilers take the one frozen node per ``(index,
+    attrs)`` from here instead of building an equal one per rank.
+    """
+    return Stage(index, (BARRIER,), attrs)
+
+
+def closed_stage(index: int, steps, attrs: tuple = ()) -> Stage:
+    """The stage that runs ``steps`` and then the stage-closing barrier
+    — :func:`barrier_stage`'s shared node when there are none."""
+    if not steps:
+        return barrier_stage(index, attrs)
+    return Stage(index, (*steps, BARRIER), attrs)
+
+
 @dataclass(frozen=True)
 class Pipeline:
     """A software-pipelined stage block: ``segments`` × step groups.
@@ -291,12 +323,162 @@ def _lower_pipeline(pipe: Pipeline) -> tuple:
         for g in range(max(0, t - pipe.segments + 1),
                        min(t, n_groups - 1) + 1):
             steps.extend(pipe.groups[g][t - g])
-        steps.append(BARRIER)
-        stages.append(Stage(
-            pipe.index + t, tuple(steps),
-            attrs=pipe.attrs + (("pipeline", pipe.index), ("round", t),
-                                ("segments", pipe.segments))))
+        stages.append(closed_stage(
+            pipe.index + t, steps,
+            pipe.attrs + (("pipeline", pipe.index), ("round", t),
+                          ("segments", pipe.segments))))
     return tuple(stages)
+
+
+# Step-table opcodes, numbered in kind-name order: the evaluator runs the
+# groups of one step position in that order, so a numeric sort on the
+# opcode column is the group-order rule.  0 marks a step of no known kind.
+OP_COPY, OP_FILL, OP_GET, OP_PUT, OP_RECV, OP_REDUCE, OP_SEND = range(1, 8)
+OP_NAMES = ("?", "copy", "fill", "get", "put", "recv", "reduce", "send")
+
+
+class _BufferIndex(dict):
+    """Buffer name -> table index.  Declared buffers take their
+    position in ``Schedule.buffers`` (a repeated name its last, as every
+    by-name lookup resolves it); a name no buffer declares numbers
+    itself after them on first use, so a malformed schedule still lowers
+    and the linter can report the name."""
+
+    def __init__(self, buffers: tuple):
+        super().__init__((buf.name, i) for i, buf in enumerate(buffers))
+        self.names = [buf.name for buf in buffers]
+
+    def __missing__(self, name) -> int:
+        self[name] = index = len(self.names)
+        self.names.append(name)
+        return index
+
+
+class StepTable:
+    """A :class:`Schedule` lowered to columns: what the evaluator and
+    the linter read instead of the dataclass tree.
+
+    One ``int64`` row per non-barrier step, ranks in order and each
+    rank's steps in program order (prologue, stages with every
+    :class:`Pipeline` expanded to its rounds, epilogue).  The columns,
+    each an attribute holding one contiguous vector:
+
+    ``rank``
+        the group rank executing the step;
+    ``phase``
+        how many barriers that rank has passed before it — steps of one
+        phase run concurrently across ranks;
+    ``slot``
+        the step's position among its rank's steps of that phase;
+    ``op``
+        ``OP_COPY`` … ``OP_SEND`` (0: no known kind, see ``unknown``);
+    ``a_buf``, ``a_off``
+        the operand written — ``dst``, or ``acc`` of a reduce — as an
+        index into ``names`` and a byte offset (``-1, 0`` for a send);
+    ``b_buf``, ``b_off``
+        the operand read — ``src``, or ``operand`` of a reduce
+        (``-1, 0`` for a fill and a recv);
+    ``nelems``, ``stride``
+        the access shape, in elements;
+    ``peer``
+        the other rank of a put, get, send or recv; the rank itself for
+        local steps;
+    ``aux``
+        ``tag`` of a send or recv, ``charge_elems`` of a reduce,
+        ``2 * charged + skip_noop`` of a copy, else 0.
+
+    A put writes ``a`` on ``peer`` and a get reads ``b`` on ``peer``;
+    every other access is the rank's own.  ``names[i]`` is the buffer
+    behind index ``i``: ``Schedule.buffers`` in order, then any name a
+    step uses that no buffer declares (``i >= n_declared``).
+    ``barriers[r]`` is rank ``r``'s barrier count and ``unknown`` lists
+    ``(row, kind)`` for rows whose ``op`` is 0.
+    """
+
+    COLUMNS = ("rank", "phase", "slot", "op", "a_buf", "a_off", "b_buf",
+               "b_off", "nelems", "stride", "peer", "aux")
+    __slots__ = COLUMNS + ("names", "n_declared", "barriers", "unknown")
+
+    def __init__(self, sched: "Schedule"):
+        index = _BufferIndex(sched.buffers)
+        width = len(self.COLUMNS)
+        flat: list = []
+        row = flat.extend
+        barriers = []
+        unknown = []
+        for r, prog in enumerate(sched.programs):
+            phase = slot = 0
+            for step in prog.all_steps():
+                kind = step.kind
+                if kind == "barrier":
+                    phase += 1
+                    slot = 0
+                    continue
+                if kind == "put" or kind == "get":
+                    row((r, phase, slot, OP_PUT if kind == "put" else OP_GET,
+                         index[step.dst], step.dst_off,
+                         index[step.src], step.src_off,
+                         step.nelems, step.stride, step.peer, 0))
+                elif kind == "copy":
+                    row((r, phase, slot, OP_COPY,
+                         index[step.dst], step.dst_off,
+                         index[step.src], step.src_off,
+                         step.nelems, step.stride, r,
+                         2 * step.charged + step.skip_noop))
+                elif kind == "reduce":
+                    row((r, phase, slot, OP_REDUCE,
+                         index[step.acc], step.acc_off,
+                         index[step.operand], step.operand_off,
+                         step.nelems, step.stride, r, step.charge_elems))
+                elif kind == "fill":
+                    row((r, phase, slot, OP_FILL,
+                         index[step.dst], step.dst_off, -1, 0,
+                         step.nelems, step.stride, r, 0))
+                elif kind == "send":
+                    row((r, phase, slot, OP_SEND, -1, 0,
+                         index[step.src], step.src_off,
+                         step.nelems, step.stride, step.peer, step.tag))
+                elif kind == "recv":
+                    row((r, phase, slot, OP_RECV,
+                         index[step.dst], step.dst_off, -1, 0,
+                         step.nelems, step.stride, step.peer, step.tag))
+                else:
+                    unknown.append((len(flat) // width, kind))
+                    row((r, phase, slot, 0, -1, 0, -1, 0, 0, 1, r, 0))
+                slot += 1
+            barriers.append(phase)
+        cols = np.array(flat, dtype=np.int64).reshape(-1, width).T
+        for name, col in zip(self.COLUMNS, np.ascontiguousarray(cols)):
+            setattr(self, name, col)
+        self.names = tuple(index.names)
+        self.n_declared = len(sched.buffers)
+        self.barriers = np.array(barriers, dtype=np.int64)
+        self.unknown = tuple(unknown)
+
+    def __len__(self) -> int:
+        return len(self.rank)
+
+    def step(self, row: int) -> Step:
+        """Row ``row`` as the step node it was lowered from (for
+        messages; rows of no known kind have none)."""
+        op = int(self.op[row])
+        a = (self.names[self.a_buf[row]], int(self.a_off[row]))
+        b = (self.names[self.b_buf[row]], int(self.b_off[row]))
+        shape = (int(self.nelems[row]), int(self.stride[row]))
+        peer, aux = int(self.peer[row]), int(self.aux[row])
+        if op == OP_PUT or op == OP_GET:
+            return (Put if op == OP_PUT else Get)(*a, *b, *shape, peer)
+        if op == OP_COPY:
+            return Copy(*a, *b, *shape, bool(aux & 2), bool(aux & 1))
+        if op == OP_REDUCE:
+            return Reduce(*a, *b, *shape, aux)
+        if op == OP_FILL:
+            return Fill(*a, *shape)
+        if op == OP_SEND:
+            return Send(*b, *shape, peer, aux)
+        if op == OP_RECV:
+            return Recv(*a, *shape, peer, aux)
+        raise ValueError(f"row {row} has no known step kind")
 
 
 @dataclass(frozen=True)
@@ -368,6 +550,14 @@ class Schedule:
         field: equality and hashing ignore it.
         """
         return [None] * self.n_pes
+
+    @cached_property
+    def table(self) -> StepTable:
+        """The columnar lowering (:class:`StepTable`), built by one walk
+        of the tree the first time the evaluator or the linter asks and
+        kept for the life of the schedule.  Like ``plans``, not a field.
+        """
+        return StepTable(self)
 
     def buffer(self, name: str) -> Buffer:
         for buf in self.buffers:

@@ -39,14 +39,38 @@ the inline tree walks hard to extend safely:
 Checks are conservative: strided accesses are widened to their byte
 span.  All builtin algorithms lint clean at 1–16 PEs (enforced in CI
 via ``python -m repro.collectives.schedule``).
+
+Every pass but the two pre-lowering pipeline ones reads the schedule's
+columnar lowering (:class:`~.ir.StepTable`, ``Schedule.table``) — one
+walk of the tree, shared with the evaluator — and works on whole
+columns: masks for peers, visibility and bounds, a sort-and-count sweep
+for phase overlap, merged write runs for conservation, a stable group-by
+for message matching.  What a vector pass flags is then *worded* by a
+scalar loop over just those rows or keys, in the order a walk of the
+tree would have met them; ``tests/collectives/lint_reference.py`` is
+that walk, kept as the oracle.  An access whose target PE lies outside
+the group is the peers pass's finding and takes no part in the memory
+passes; an access of zero bytes touches nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, replace
 
-from .ir import Pipeline, Schedule, step_span_bytes
+import numpy as np
+
+from .ir import (
+    OP_GET,
+    OP_NAMES,
+    OP_PUT,
+    OP_RECV,
+    OP_REDUCE,
+    OP_SEND,
+    Pipeline,
+    RankProgram,
+    Schedule,
+    StepTable,
+)
 
 __all__ = ["LintIssue", "lint_schedule", "lint_fused_schedule"]
 
@@ -70,56 +94,127 @@ class LintIssue:
         return f"{self.check}{loc}: {self.message}"
 
 
-# One memory access: (phase, pe, buffer, lo, hi, mode, origin_rank)
-# mode: "lw" local write, "lr" local read, "rw" remote write,
-#       "rr" remote read.
-_Access = tuple
+# Access modes: local read / local write by the owning rank, remote
+# read (a get's source) / remote write (a put's destination).
+_LR, _LW, _RR, _RW = range(4)
 
 
-def _step_accesses(step, rank: int, itemsize: int) -> Iterator[tuple]:
-    """Accesses of one non-barrier step: (pe, buffer, lo, hi, mode)."""
-    kind = step.kind
-    span = step_span_bytes(step.nelems, step.stride, itemsize)
-    if kind == "put":
-        yield (rank, step.src, step.src_off, step.src_off + span, "lr")
-        yield (step.peer, step.dst, step.dst_off, step.dst_off + span, "rw")
-    elif kind == "get":
-        yield (step.peer, step.src, step.src_off, step.src_off + span, "rr")
-        yield (rank, step.dst, step.dst_off, step.dst_off + span, "lw")
-    elif kind == "copy":
-        yield (rank, step.src, step.src_off, step.src_off + span, "lr")
-        yield (rank, step.dst, step.dst_off, step.dst_off + span, "lw")
-    elif kind == "reduce":
-        yield (rank, step.operand, step.operand_off,
-               step.operand_off + span, "lr")
-        yield (rank, step.acc, step.acc_off, step.acc_off + span, "lr")
-        yield (rank, step.acc, step.acc_off, step.acc_off + span, "lw")
-    elif kind == "fill":
-        yield (rank, step.dst, step.dst_off, step.dst_off + span, "lw")
-    elif kind == "send":
-        # Two-sided: the payload is *copied* at the send, so only the
-        # local source buffer is touched here; the matching recv owns
-        # the destination write.
-        yield (rank, step.src, step.src_off, step.src_off + span, "lr")
-    elif kind == "recv":
-        yield (rank, step.dst, step.dst_off, step.dst_off + span, "lw")
+class _Accesses:
+    """Every memory access of a table's steps, as parallel vectors.
+
+    ``row`` is the step's table row; ``order`` ranks accesses the way a
+    walk of the tree meets them — by row, and within a step the operand
+    read (``b``), then a reduce's read of its accumulator, then the
+    operand written (``a``) — which is the order issues are reported in;
+    ``pe`` owns the memory touched, ``origin`` is the rank executing the
+    step, ``[lo, hi)`` the byte span (strided accesses widened to it).
+    An access whose target PE lies outside the group is left out: the
+    peers pass reports the step, and there is no memory to check.
+    """
+
+    __slots__ = ("row", "order", "phase", "pe", "origin", "buf", "lo", "hi",
+                 "mode")
+
+    def __init__(self, table: StepTable, n_pes: int, itemsize: int):
+        op, rank, peer = table.op, table.rank, table.peer
+        span = np.where(table.nelems == 0, 0,
+                        ((table.nelems - 1) * table.stride + 1) * itemsize)
+        reads = np.flatnonzero(table.b_buf >= 0)
+        folds = np.flatnonzero(op == OP_REDUCE)
+        writes = np.flatnonzero(table.a_buf >= 0)
+        row = np.concatenate((reads, folds, writes))
+        from_peer = op[reads] == OP_GET
+        to_peer = op[writes] == OP_PUT
+        pe = np.concatenate((np.where(from_peer, peer[reads], rank[reads]),
+                             rank[folds],
+                             np.where(to_peer, peer[writes], rank[writes])))
+        keep = (pe >= 0) & (pe < n_pes)
+        self.row = row[keep]
+        self.order = (row * 3 + np.repeat(
+            (0, 1, 2), (len(reads), len(folds), len(writes))))[keep]
+        self.pe = pe[keep]
+        self.mode = np.concatenate((
+            np.where(from_peer, _RR, _LR), np.full(len(folds), _LR),
+            np.where(to_peer, _RW, _LW)))[keep]
+        self.buf = np.concatenate((
+            table.b_buf[reads], table.a_buf[folds], table.a_buf[writes]))[keep]
+        self.lo = np.concatenate((
+            table.b_off[reads], table.a_off[folds], table.a_off[writes]))[keep]
+        self.hi = self.lo + span[self.row]
+        self.phase = table.phase[self.row]
+        self.origin = rank[self.row]
 
 
-def _accesses(sched: Schedule, rank: int) -> Iterator[_Access]:
-    """Yield every access of ``rank``'s program, tagged by barrier phase."""
-    phase = 0
-    for step in sched.program(rank).all_steps():
-        if step.kind == "barrier":
-            phase += 1
-            continue
-        for pe, name, lo, hi, mode in _step_accesses(step, rank,
-                                                     sched.itemsize):
-            yield (phase, pe, name, lo, hi, mode, rank)
+class _BufferFacts:
+    """What the declared buffers allow, indexed like ``table.names``:
+    ``symmetric[i]``, ``held[i, rank]`` and ``extent[i, rank]`` (bytes).
+    Names no buffer declares read as held everywhere with no bytes; the
+    passes report them before consulting either."""
+
+    __slots__ = ("symmetric", "held", "extent")
+
+    def __init__(self, sched: Schedule, table: StepTable):
+        n = sched.n_pes
+        k = max(len(table.names), 1)
+        self.symmetric = np.ones(k, dtype=bool)
+        self.held = np.ones((k, n), dtype=bool)
+        self.extent = np.zeros((k, n), dtype=np.int64)
+        for i, buf in enumerate(sched.buffers):
+            self.symmetric[i] = buf.symmetric
+            if buf.ranks is not None:
+                self.held[i] = False
+                self.held[i, [r for r in buf.ranks if 0 <= r < n]] = True
+            if isinstance(buf.nbytes, tuple):
+                self.extent[i, :len(buf.nbytes)] = buf.nbytes[:n]
+            else:
+                self.extent[i] = buf.nbytes
 
 
-def _barrier_count(sched: Schedule, rank: int) -> int:
-    return sum(1 for s in sched.program(rank).all_steps()
-               if s.kind == "barrier")
+# Sorted-key packing for the sweeps: a group id in the high bits, a byte
+# offset in the low 38.  Offsets are clipped to +-2**36 first — far past
+# any real buffer — in a way that keeps overlapping ranges overlapping,
+# so a sweep can only flag too much, never too little, out there.
+_SHIFT = 38
+_HALF = 1 << 36
+
+
+def _lo_key(group: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    return (group << _SHIFT) + (np.clip(lo, -_HALF, _HALF - 1) + _HALF)
+
+
+def _hi_key(group: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    return (group << _SHIFT) + (np.clip(hi, 1 - _HALF, _HALF) + _HALF)
+
+
+def _count_overlaps(gx, lox, hix, gy, loy, hiy) -> np.ndarray:
+    """For each range ``y``, how many ranges ``x`` of its group overlap
+    it (all ranges non-empty): those starting before ``y`` ends, less
+    those ending by the time it starts."""
+    starts = np.sort(_lo_key(gx, lox))
+    ends = np.sort(_hi_key(gx, hix))
+    return (np.searchsorted(starts, _hi_key(gy, hiy), "left")
+            - np.searchsorted(ends, _lo_key(gy, loy), "right"))
+
+
+def _dense(*keys: np.ndarray) -> np.ndarray:
+    """One id per distinct key tuple, numbered in sorted key order."""
+    order = np.lexsort(keys[::-1])
+    change = np.zeros(len(order), dtype=bool)
+    for key in keys:
+        key = key[order]
+        change[1:] |= key[1:] != key[:-1]
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.cumsum(change)
+    return ids
+
+
+def _runs(sorted_ids: np.ndarray) -> list:
+    """Bounds of every run of equal values: run ``i`` is
+    ``[bounds[i], bounds[i + 1])``."""
+    if not len(sorted_ids):
+        return [0]
+    cuts = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
+    return [0, *cuts.tolist(), len(sorted_ids)]
 
 
 def _stage_signature(prog) -> list:
@@ -139,16 +234,12 @@ def _stage_signature(prog) -> list:
     return sig
 
 
-def _check_structure(sched: Schedule, issues: list) -> None:
-    n = sched.n_pes
-    if len(sched.programs) != n:
-        issues.append(LintIssue(
-            "structure", f"{len(sched.programs)} programs for {n} ranks"))
-        return
+def _check_structure(sched: Schedule, table: StepTable,
+                     issues: list) -> None:
     ref_sig = _stage_signature(sched.programs[0])
-    ref_barriers = _barrier_count(sched, 0)
-    for r in range(n):
-        prog = sched.programs[r]
+    barriers = table.barriers.tolist()
+    ref_barriers = barriers[0]
+    for r, prog in enumerate(sched.programs):
         if prog.rank != r:
             issues.append(LintIssue(
                 "structure", f"program {r} claims rank {prog.rank}", rank=r))
@@ -158,12 +249,11 @@ def _check_structure(sched: Schedule, issues: list) -> None:
                 "deadlock",
                 f"stage structure {sig} differs from rank 0's {ref_sig} "
                 "(span structure would diverge)", rank=r))
-        got = _barrier_count(sched, r)
-        if got != ref_barriers:
+        if barriers[r] != ref_barriers:
             issues.append(LintIssue(
                 "deadlock",
-                f"{got} barriers vs rank 0's {ref_barriers} — the team "
-                "barrier would never complete", rank=r))
+                f"{barriers[r]} barriers vs rank 0's {ref_barriers} — the "
+                "team barrier would never complete", rank=r))
 
 
 def _check_buffers(sched: Schedule, issues: list) -> None:
@@ -194,112 +284,164 @@ def _check_buffers(sched: Schedule, issues: list) -> None:
                 "buffers", f"{buf.name}: private memory is never symmetric"))
 
 
-def _check_steps(sched: Schedule, issues: list) -> None:
+def _check_steps(sched: Schedule, table: StepTable, acc: _Accesses,
+                 facts: _BufferFacts, issues: list) -> None:
     """Peer validity, buffer existence/visibility and bounds."""
     n = sched.n_pes
-    names = {buf.name: buf for buf in sched.buffers}
-    for r in range(n):
-        for step in sched.program(r).all_steps():
-            kind = step.kind
-            if kind == "barrier":
-                continue
-            if kind not in ("put", "get", "copy", "reduce", "fill",
-                            "send", "recv"):
+    declared = table.n_declared
+    op, rank, peer = table.op, table.rank, table.peer
+    paired = np.isin(op, (OP_PUT, OP_GET, OP_SEND, OP_RECV))
+    outside = paired & ((peer < 0) | (peer >= n))
+    # The buffer a one-sided step touches on its peer.
+    remote = np.where(op == OP_PUT, table.a_buf, table.b_buf)
+    visible = (((op == OP_PUT) | (op == OP_GET)) & ~outside
+               & (remote < declared))
+    there = (np.clip(remote, 0, None), np.clip(peer, 0, n - 1))
+    suspect = np.flatnonzero(
+        (op == 0) | outside | (paired & (peer == rank))
+        | (visible & ~(facts.symmetric[there[0]] & facts.held[there])))
+    kinds = dict(table.unknown)
+    for i in suspect.tolist():
+        r, q = int(rank[i]), int(peer[i])
+        if i in kinds:
+            issues.append(LintIssue(
+                "steps", f"unknown step kind {kinds[i]!r} — the executor "
+                "and evaluator would reject it", rank=r))
+            continue
+        kind = OP_NAMES[op[i]]
+        if not 0 <= q < n:
+            issues.append(LintIssue(
+                "peers", f"{kind} peer {q} outside group of {n}", rank=r))
+            continue
+        if q == r:
+            issues.append(LintIssue(
+                "peers", f"{kind} targets its own rank — use Copy "
+                "for local movement", rank=r))
+        if visible[i]:
+            # Two-sided steps touch only local buffers (covered by the
+            # access checks below); their pairing is the
+            # message-matching pass's job.
+            buf = sched.buffers[remote[i]]
+            if not buf.symmetric:
                 issues.append(LintIssue(
-                    "steps", f"unknown step kind {kind!r} — the executor "
-                    "and evaluator would reject it", rank=r))
-                continue
-            if kind in ("put", "get", "send", "recv"):
-                if not 0 <= step.peer < n:
-                    issues.append(LintIssue(
-                        "peers", f"{kind} peer {step.peer} outside group of "
-                        f"{n}", rank=r))
-                    continue
-                if step.peer == r:
-                    issues.append(LintIssue(
-                        "peers", f"{kind} targets its own rank — use Copy "
-                        "for local movement", rank=r))
-                if kind in ("send", "recv"):
-                    # Two-sided steps touch only local buffers (covered
-                    # by the access checks below); the pairing itself is
-                    # the message-matching pass's job.
-                    continue
-                remote_name = step.dst if kind == "put" else step.src
-                buf = names.get(remote_name)
-                if buf is not None:
-                    if not buf.symmetric:
-                        issues.append(LintIssue(
-                            "peers",
-                            f"{kind} of non-symmetric buffer "
-                            f"{remote_name!r} on peer {step.peer}", rank=r))
-                    if not buf.held_by(step.peer):
-                        issues.append(LintIssue(
-                            "peers",
-                            f"{kind} touches {remote_name!r} which rank "
-                            f"{step.peer} does not hold", rank=r))
-    for phase, pe, name, lo, hi, mode, origin in _all_accesses(sched):
-        buf = names.get(name)
-        if buf is None:
+                    "peers",
+                    f"{kind} of non-symmetric buffer {buf.name!r} on peer "
+                    f"{q}", rank=r))
+            if not buf.held_by(q):
+                issues.append(LintIssue(
+                    "peers",
+                    f"{kind} touches {buf.name!r} which rank {q} does not "
+                    "hold", rank=r))
+    undeclared = acc.buf >= declared
+    own = acc.pe == acc.origin
+    extent = facts.extent[acc.buf, acc.pe]
+    suspect = np.flatnonzero(
+        undeclared | (own & ~facts.held[acc.buf, acc.origin])
+        | (acc.lo < 0) | (acc.hi > extent))
+    suspect = suspect[np.argsort(acc.order[suspect])]
+    for j in suspect.tolist():
+        name = table.names[acc.buf[j]]
+        origin = int(acc.origin[j])
+        if undeclared[j]:
             issues.append(LintIssue(
                 "buffers", f"step references unknown buffer {name!r}",
                 rank=origin))
             continue
-        if not buf.held_by(origin) and pe == origin:
+        if own[j] and not facts.held[acc.buf[j], origin]:
             issues.append(LintIssue(
-                "buffers",
-                f"rank {origin} uses {name!r} it does not hold",
+                "buffers", f"rank {origin} uses {name!r} it does not hold",
                 rank=origin))
-        if lo < 0 or hi > buf.nbytes_on(pe):
+        lo, hi = int(acc.lo[j]), int(acc.hi[j])
+        if lo < 0 or hi > extent[j]:
             issues.append(LintIssue(
                 "bounds",
                 f"access [{lo}, {hi}) outside {name!r} "
-                f"({buf.nbytes_on(pe)} bytes on rank {pe})", rank=origin,
-                phase=phase))
-
-
-def _all_accesses(sched: Schedule) -> Iterator[_Access]:
-    for r in range(sched.n_pes):
-        yield from _accesses(sched, r)
+                f"({int(extent[j])} bytes on rank {int(acc.pe[j])})",
+                rank=origin, phase=int(acc.phase[j])))
 
 
 def _overlap(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> bool:
     return a_lo < b_hi and b_lo < a_hi
 
 
-def _check_phase_overlap(sched: Schedule, issues: list) -> None:
-    """Concurrent-access hazards between two consecutive barriers."""
-    by_key: dict = {}
-    for acc in _all_accesses(sched):
-        phase, pe, name = acc[0], acc[1], acc[2]
-        by_key.setdefault((phase, pe, name), []).append(acc)
-    for (phase, pe, name), accs in sorted(by_key.items()):
-        if len(accs) < 2:
-            continue
-        for i, a in enumerate(accs):
-            for b in accs[i + 1:]:
-                _, _, _, a_lo, a_hi, a_mode, a_org = a
-                _, _, _, b_lo, b_hi, b_mode, b_org = b
+def _check_phase_overlap(table: StepTable, acc: _Accesses,
+                         issues: list) -> None:
+    """Concurrent-access hazards between two consecutive barriers.
+
+    Within one ``(phase, pe, buffer)`` key a remote write may overlap
+    nothing but the same origin's other remote accesses, and a remote
+    read may not overlap the owner's local write.  A sort-and-count
+    sweep over all keys at once finds the keys where some such pair
+    exists — O(M log M) — and only those go through the all-pairs loop
+    that words the issues; an access of zero bytes touches nothing and
+    takes no part.
+    """
+    live = np.flatnonzero(acc.hi > acc.lo)
+    phase, pe, buf = acc.phase[live], acc.pe[live], acc.buf[live]
+    lo, hi, mode, origin = (acc.lo[live], acc.hi[live], acc.mode[live],
+                            acc.origin[live])
+    key = _dense(phase, pe, buf)
+    rw = np.flatnonzero(mode == _RW)
+    rr = np.flatnonzero(mode == _RR)
+    flagged = []
+    if len(rw):
+        local = np.flatnonzero(mode <= _LW)
+        flagged.append(key[rw[_count_overlaps(
+            key[local], lo[local], hi[local], key[rw], lo[rw], hi[rw]) > 0]])
+        # Remote accesses of other origins: all that overlap, less those
+        # of the writer itself (the write counts itself in both).
+        far = np.concatenate((rw, rr))
+        by_origin = _dense(key[far], origin[far])
+        mine = by_origin[:len(rw)]
+        flagged.append(key[rw[
+            _count_overlaps(key[far], lo[far], hi[far],
+                            key[rw], lo[rw], hi[rw])
+            > _count_overlaps(by_origin, lo[far], hi[far],
+                              mine, lo[rw], hi[rw])]])
+    if len(rr):
+        lw = np.flatnonzero(mode == _LW)
+        flagged.append(key[rr[_count_overlaps(
+            key[lw], lo[lw], hi[lw], key[rr], lo[rr], hi[rr]) > 0]])
+    flagged = np.concatenate(flagged) if flagged else key[:0]
+    if not len(flagged):
+        return
+    hot = np.zeros(len(key), dtype=bool)  # key ids are dense
+    hot[flagged] = True
+    # The flagged keys' accesses, keys in (phase, pe, buffer name) order
+    # and each key's accesses in program order: what the walk produced.
+    pick = np.flatnonzero(hot[key])
+    by_name = {name: i for i, name in enumerate(sorted(set(table.names)))}
+    name_rank = np.array([by_name[name] for name in table.names])
+    pick = pick[np.lexsort((acc.order[live][pick], name_rank[buf[pick]],
+                            pe[pick], phase[pick]))]
+    cols = [x[pick].tolist() for x in (lo, hi, mode, origin)]
+    bounds = _runs(key[pick])
+    for start, end in zip(bounds, bounds[1:]):
+        at = pick[start]
+        name, on, ph = table.names[buf[at]], int(pe[at]), int(phase[at])
+        accs = list(zip(*(col[start:end] for col in cols)))
+        for i, (a_lo, a_hi, a_mode, a_org) in enumerate(accs):
+            for b_lo, b_hi, b_mode, b_org in accs[i + 1:]:
                 if not _overlap(a_lo, a_hi, b_lo, b_hi):
                     continue
                 modes = {a_mode, b_mode}
                 hazard = None
-                if modes == {"rw"} and a_org != b_org:
+                if modes == {_RW} and a_org != b_org:
                     hazard = "two ranks remotely write the same range"
-                elif modes == {"rw", "lw"}:
+                elif modes == {_RW, _LW}:
                     hazard = "remote write races the owner's local write"
-                elif modes == {"rw", "lr"}:
+                elif modes == {_RW, _LR}:
                     hazard = "remote write races the owner's local read"
-                elif modes == {"rw", "rr"} and a_org != b_org:
+                elif modes == {_RW, _RR} and a_org != b_org:
                     hazard = "remote write races another rank's remote read"
-                elif modes == {"lw", "rr"}:
+                elif modes == {_LW, _RR}:
                     hazard = "owner's local write races a remote read"
                 if hazard:
                     issues.append(LintIssue(
                         "overlap",
-                        f"{name!r} on rank {pe} bytes "
+                        f"{name!r} on rank {on} bytes "
                         f"[{max(a_lo, b_lo)}, {min(a_hi, b_hi)}): {hazard} "
-                        f"(ranks {a_org} and {b_org})", rank=pe,
-                        phase=phase))
+                        f"(ranks {a_org} and {b_org})", rank=on, phase=ph))
 
 
 def _check_pipeline_shape(sched: Schedule, issues: list) -> None:
@@ -347,49 +489,51 @@ def _check_pipelines(sched: Schedule, issues: list) -> None:
     pass's job (the lowered rounds feed it); this pass catches the
     staleness bugs segmentation introduces, e.g. segment boundaries
     that do not match the producing group's.
+
+    Each pipeline index is lowered on its own — every rank's block of
+    that index as a schedule of nothing else — so that a step's barrier
+    phase *is* its round, and the accesses come from the same table
+    code every other pass reads.
     """
-    # Cross-segment ordering over all ranks' aligned pipeline blocks.
-    by_index: dict = {}
-    for r in range(sched.n_pes):
-        for pipe in sched.program(r).stages:
+    blocks: dict = {}
+    for r, prog in enumerate(sched.programs):
+        for pipe in prog.stages:
             if isinstance(pipe, Pipeline):
-                by_index.setdefault(pipe.index, []).append((r, pipe))
-    for index, pipes in sorted(by_index.items()):
-        writes: list = []   # (round, pe, buffer, lo, hi, origin)
-        reads: list = []    # remote reads: (round, pe, buffer, lo, hi, origin)
-        for r, pipe in pipes:
-            for g, group in enumerate(pipe.groups):
-                for k, steps in enumerate(group):
-                    if k >= pipe.segments:
-                        break
-                    t = g + k
-                    for step in steps:
-                        if step.kind == "barrier":
-                            continue
-                        for pe, name, lo, hi, mode in _step_accesses(
-                                step, r, sched.itemsize):
-                            if hi <= lo:
-                                continue
-                            if mode in ("lw", "rw"):
-                                writes.append((t, pe, name, lo, hi, r))
-                            elif mode == "rr":
-                                reads.append((t, pe, name, lo, hi, r))
+                blocks.setdefault(pipe.index, {}).setdefault(
+                    r, []).append(pipe)
+    for index, by_rank in sorted(blocks.items()):
+        alone = replace(sched, deliver=(), programs=tuple(
+            RankProgram(r, stages=tuple(by_rank.get(r, ())))
+            for r in range(sched.n_pes)))
+        table = alone.table
+        acc = _Accesses(table, sched.n_pes, sched.itemsize)
+        live = np.flatnonzero(acc.hi > acc.lo)
+        live = live[np.argsort(acc.order[live])]
+        rounds, pes, bufs, los, his, modes, origins = (
+            x[live].tolist() for x in (acc.phase, acc.pe, acc.buf, acc.lo,
+                                       acc.hi, acc.mode, acc.origin))
         by_target: dict = {}
-        for t, pe, name, lo, hi, org in writes:
-            by_target.setdefault((pe, name), []).append((t, lo, hi, org))
-        for t_r, pe, name, lo, hi, org in reads:
-            for t_w, w_lo, w_hi, w_org in by_target.get((pe, name), ()):
+        for t, pe, buf, lo, hi, mode, org in zip(
+                rounds, pes, bufs, los, his, modes, origins):
+            if mode == _LW or mode == _RW:
+                by_target.setdefault((pe, buf), []).append((t, lo, hi, org))
+        for t_r, pe, buf, lo, hi, mode, org in zip(
+                rounds, pes, bufs, los, his, modes, origins):
+            if mode != _RR:
+                continue
+            for t_w, w_lo, w_hi, w_org in by_target.get((pe, buf), ()):
                 if t_w > t_r and _overlap(lo, hi, w_lo, w_hi):
                     issues.append(LintIssue(
                         "pipeline",
                         f"cross-segment ordering: rank {org} reads "
-                        f"{name!r} bytes [{max(lo, w_lo)}, {min(hi, w_hi)}) "
+                        f"{table.names[buf]!r} bytes "
+                        f"[{max(lo, w_lo)}, {min(hi, w_hi)}) "
                         f"on rank {pe} in round {t_r}, written by rank "
                         f"{w_org} only in round {t_w}", rank=pe,
                         phase=t_r))
 
 
-def _check_message_matching(sched: Schedule, issues: list) -> None:
+def _check_message_matching(table: StepTable, n: int, issues: list) -> None:
     """Two-sided protocol: every (src, dst) pair's send and recv lists
     must agree element-by-element.
 
@@ -401,25 +545,31 @@ def _check_message_matching(sched: Schedule, issues: list) -> None:
     barrier phase must be at or after its send's — a recv whose
     matching send only happens in a *later* phase blocks the barrier
     the sender needs to reach it: guaranteed deadlock.
+
+    Rows are stored by rank in program order, so a stable sort on the
+    pair id is the order-preserving group-by: the i-th row of a pair's
+    run is its i-th message.
     """
-    n = sched.n_pes
-    sends: dict = {}
-    recvs: dict = {}
-    for r in range(n):
-        phase = 0
-        for step in sched.program(r).all_steps():
-            kind = step.kind
-            if kind == "barrier":
-                phase += 1
-            elif kind == "send" and 0 <= step.peer < n:
-                sends.setdefault((r, step.peer), []).append(
-                    (phase, step.tag, step.nelems))
-            elif kind == "recv" and 0 <= step.peer < n:
-                recvs.setdefault((step.peer, r), []).append(
-                    (phase, step.tag, step.nelems))
-    for src, dst in sorted(set(sends) | set(recvs)):
-        ss = sends.get((src, dst), [])
-        rr = recvs.get((src, dst), [])
+    inside = (table.peer >= 0) & (table.peer < n)
+
+    def by_pair(op: int, src: np.ndarray, dst: np.ndarray) -> dict:
+        # pair id -> its messages, in order, as (phase, tag, nelems).
+        rows = np.flatnonzero((table.op == op) & inside)
+        pair = src[rows] * n + dst[rows]
+        order = np.argsort(pair, kind="stable")
+        rows, pair = rows[order], pair[order]
+        msgs = list(zip(table.phase[rows].tolist(), table.aux[rows].tolist(),
+                        table.nelems[rows].tolist()))
+        bounds = _runs(pair)
+        return {int(pair[lo]): msgs[lo:hi]
+                for lo, hi in zip(bounds, bounds[1:])}
+
+    sends = by_pair(OP_SEND, table.rank, table.peer)
+    recvs = by_pair(OP_RECV, table.peer, table.rank)
+    for which in sorted(set(sends) | set(recvs)):
+        src, dst = divmod(which, n)
+        ss = sends.get(which, [])
+        rr = recvs.get(which, [])
         if len(ss) != len(rr):
             kind, rank = (("send", src) if len(ss) > len(rr)
                           else ("recv", dst))
@@ -450,26 +600,45 @@ def _check_message_matching(sched: Schedule, issues: list) -> None:
                     rank=dst, phase=rp))
 
 
-def _check_conservation(sched: Schedule, issues: list) -> None:
-    """Every promised ``deliver`` range is covered by some write."""
-    written: dict = {}
-    for _, pe, name, lo, hi, mode, _ in _all_accesses(sched):
-        if mode in ("lw", "rw") and hi > lo:
-            written.setdefault((pe, name), []).append((lo, hi))
-    for rank, name, lo, hi in sched.deliver:
-        if hi <= lo:
-            continue
-        ivs = sorted(written.get((rank, name), []))
-        cover = lo
-        for iv_lo, iv_hi in ivs:
-            if iv_lo > cover:
-                break
-            cover = max(cover, iv_hi)
-        if cover < hi:
-            issues.append(LintIssue(
-                "conservation",
-                f"deliver contract [{lo}, {hi}) of {name!r} on rank {rank} "
-                f"only covered up to byte {cover}", rank=rank))
+def _check_conservation(sched: Schedule, table: StepTable, acc: _Accesses,
+                        issues: list) -> None:
+    """Every promised ``deliver`` range is covered by some write.
+
+    The writes landing in each ``(pe, buffer)`` are merged into disjoint
+    runs (sort by start, cut where a start passes the running end); a
+    promise is kept iff the run holding its first byte reaches its last.
+    """
+    promised = [d for d in sched.deliver if d[3] > d[2]]
+    if not promised:
+        return
+    n, k = sched.n_pes, len(table.names)
+    wrote = np.flatnonzero((acc.hi > acc.lo)
+                           & ((acc.mode == _LW) | (acc.mode == _RW)))
+    group = acc.pe[wrote] * k + acc.buf[wrote]
+    order = np.lexsort((acc.lo[wrote], group))
+    group, lo, hi = group[order], acc.lo[wrote][order], acc.hi[wrote][order]
+    # Packed keys sort by group first, so one running maximum serves all.
+    reach = np.maximum.accumulate(_hi_key(group, hi))
+    first = np.flatnonzero(
+        np.append(True, _lo_key(group, lo)[1:] > reach[:-1])[:len(lo)])
+    run_start = _lo_key(group[first], lo[first])
+    # One trailing run of no group: where index -1 lands.
+    run_group = np.append(group[first], -1)
+    run_end = np.append(np.maximum.reduceat(hi, first), 0)
+    index = {name: i for i, name in enumerate(table.names)}
+    want_group, want_lo, want_hi = np.array(
+        [(rank * k + index[name] if name in index and 0 <= rank < n else -2,
+          lo, hi) for rank, name, lo, hi in promised], dtype=np.int64).T
+    run = np.searchsorted(run_start, _lo_key(want_group, want_lo),
+                          "right") - 1
+    cover = np.where(run_group[run] == want_group,
+                     np.maximum(run_end[run], want_lo), want_lo)
+    for j in np.flatnonzero(cover < want_hi).tolist():
+        rank, name, lo, hi = promised[j]
+        issues.append(LintIssue(
+            "conservation",
+            f"deliver contract [{lo}, {hi}) of {name!r} on rank {rank} "
+            f"only covered up to byte {int(cover[j])}", rank=rank))
 
 
 def lint_schedule(sched: Schedule) -> list:
@@ -478,32 +647,25 @@ def lint_schedule(sched: Schedule) -> list:
     _check_pipeline_shape(sched, issues)
     if any(i.check == "pipeline" for i in issues):
         _check_buffers(sched, issues)
-        return issues  # malformed pipelines crash the lowering passes
-    _check_structure(sched, issues)
+        return issues  # malformed pipelines crash the lowering
+    n = sched.n_pes
+    if len(sched.programs) != n:
+        issues.append(LintIssue(
+            "structure", f"{len(sched.programs)} programs for {n} ranks"))
+        _check_buffers(sched, issues)
+        return issues  # no table to check: its ranks are the programs
+    table = sched.table
+    _check_structure(sched, table, issues)
     _check_buffers(sched, issues)
     if any(i.check == "structure" for i in issues):
-        return issues  # program list malformed; later passes would crash
-    _check_steps(sched, issues)
+        return issues  # program list malformed
+    acc = _Accesses(table, n, sched.itemsize)
+    _check_steps(sched, table, acc, _BufferFacts(sched, table), issues)
     _check_pipelines(sched, issues)
-    _check_phase_overlap(sched, issues)
-    _check_message_matching(sched, issues)
-    _check_conservation(sched, issues)
+    _check_phase_overlap(table, acc, issues)
+    _check_message_matching(table, n, issues)
+    _check_conservation(sched, table, acc, issues)
     return issues
-
-
-def _step_buffer_names(step) -> tuple:
-    kind = step.kind
-    if kind == "barrier":
-        return ()
-    if kind == "reduce":
-        return (step.acc, step.operand)
-    if kind == "fill":
-        return (step.dst,)
-    if kind == "send":
-        return (step.src,)
-    if kind == "recv":
-        return (step.dst,)
-    return (step.dst, step.src)
 
 
 def _check_fused_prefixes(sched: Schedule, issues: list) -> None:
@@ -517,15 +679,18 @@ def _check_fused_prefixes(sched: Schedule, issues: list) -> None:
                 "fused",
                 f"buffer {buf.name!r} carries no request prefix — it is "
                 "not attributable to any fused sub-request"))
-    for r in range(sched.n_pes):
-        for step in sched.program(r).all_steps():
-            owners = {name.split(":", 1)[0]
-                      for name in _step_buffer_names(step)}
-            if len(owners) > 1:
-                issues.append(LintIssue(
-                    "fused",
-                    f"step {step!r} mixes buffers of requests "
-                    f"{sorted(owners)} (cross-request aliasing)", rank=r))
+    table = sched.table
+    owners = [name.split(":", 1)[0] for name in table.names]
+    ids = {owner: i for i, owner in enumerate(dict.fromkeys(owners))}
+    owner = np.array([ids[o] for o in owners] + [-1])
+    mixed = np.flatnonzero((table.a_buf >= 0) & (table.b_buf >= 0)
+                           & (owner[table.a_buf] != owner[table.b_buf]))
+    for i in mixed.tolist():
+        pair = sorted({owners[table.a_buf[i]], owners[table.b_buf[i]]})
+        issues.append(LintIssue(
+            "fused",
+            f"step {table.step(i)!r} mixes buffers of requests {pair} "
+            "(cross-request aliasing)", rank=int(table.rank[i])))
 
 
 def _check_fused_conservation(sched: Schedule, issues: list) -> None:

@@ -42,8 +42,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from .ir import (
     BARRIER,
+    OP_SEND,
     Pipeline,
     RankProgram,
     Recv,
@@ -218,20 +221,13 @@ def max_fan_in(sched: Schedule) -> int:
     mailbox ``recv_depth`` must be at least this bound to guarantee the
     schedule runs without exhausting backpressure retries.
     """
-    from collections import Counter
-
-    incoming: Counter = Counter()  # (dst, phase) -> send count
-    max_phase = 0
-    for r in range(sched.n_pes):
-        phase = 0
-        for step in sched.program(r).all_steps():
-            if step.kind == "barrier":
-                phase += 1
-            elif step.kind == "send":
-                incoming[(step.peer, phase)] += 1
-        max_phase = max(max_phase, phase)
-    return max(
-        (incoming[(d, p)] + incoming[(d, p - 1)]
-         for d in range(sched.n_pes) for p in range(max_phase + 1)),
-        default=0,
-    )
+    table = sched.table
+    n = sched.n_pes
+    sends = np.flatnonzero((table.op == OP_SEND) & (table.peer >= 0)
+                           & (table.peer < n))
+    # load[d, p + 1]: messages addressed to rank d in phase p (column 0
+    # stays empty, standing in for "phase -1").
+    width = int(table.barriers.max(initial=0)) + 2
+    load = np.bincount(table.peer[sends] * width + table.phase[sends] + 1,
+                       minlength=n * width).reshape(n, width)
+    return int((load[:, 1:] + load[:, :-1]).max(initial=0))

@@ -1,0 +1,515 @@
+"""Brute-force reference for the schedule linter (test tree only).
+
+The linter in ``repro.collectives.schedule.lint`` runs every pass on the
+columnar :class:`~repro.collectives.schedule.ir.StepTable` — sorts,
+sweeps and ``searchsorted`` — and keeps an exact scalar loop only to
+render what those flag.  This module is the other way of computing the
+same verdict: the per-step walk of the dataclass tree and the all-pairs
+overlap loop the linter had before the table existed (commit 4ab22ab),
+kept here as the oracle ``test_lint_oracle.py`` compares against, the
+way ``ListLru`` stands behind the array-backed cache.  It must produce
+the same issues in the same order.
+
+Two deliberate differences from the 4ab22ab code, both bug fixes the
+table-driven linter shares: an access whose target PE lies outside the
+group is the peers pass's finding alone (the old bounds loop indexed a
+per-rank extent tuple with it), and an access of zero bytes takes no
+part in the phase-overlap pass (it touches nothing).  The cross-segment
+pass visits a pipeline's steps in lowered round order, as the table
+stores them.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+from repro.collectives.schedule.ir import Pipeline, Schedule, step_span_bytes
+from repro.collectives.schedule.lint import LintIssue
+
+__all__ = ["reference_lint", "reference_lint_fused"]
+
+
+# One memory access: (phase, pe, buffer, lo, hi, mode, origin_rank)
+# mode: "lw" local write, "lr" local read, "rw" remote write,
+#       "rr" remote read.
+_Access = tuple
+
+
+def _step_accesses(step, rank: int, itemsize: int) -> Iterator[tuple]:
+    """Accesses of one non-barrier step: (pe, buffer, lo, hi, mode)."""
+    kind = step.kind
+    span = step_span_bytes(step.nelems, step.stride, itemsize)
+    if kind == "put":
+        yield (rank, step.src, step.src_off, step.src_off + span, "lr")
+        yield (step.peer, step.dst, step.dst_off, step.dst_off + span, "rw")
+    elif kind == "get":
+        yield (step.peer, step.src, step.src_off, step.src_off + span, "rr")
+        yield (rank, step.dst, step.dst_off, step.dst_off + span, "lw")
+    elif kind == "copy":
+        yield (rank, step.src, step.src_off, step.src_off + span, "lr")
+        yield (rank, step.dst, step.dst_off, step.dst_off + span, "lw")
+    elif kind == "reduce":
+        yield (rank, step.operand, step.operand_off,
+               step.operand_off + span, "lr")
+        yield (rank, step.acc, step.acc_off, step.acc_off + span, "lr")
+        yield (rank, step.acc, step.acc_off, step.acc_off + span, "lw")
+    elif kind == "fill":
+        yield (rank, step.dst, step.dst_off, step.dst_off + span, "lw")
+    elif kind == "send":
+        # Two-sided: the payload is *copied* at the send, so only the
+        # local source buffer is touched here; the matching recv owns
+        # the destination write.
+        yield (rank, step.src, step.src_off, step.src_off + span, "lr")
+    elif kind == "recv":
+        yield (rank, step.dst, step.dst_off, step.dst_off + span, "lw")
+
+
+def _accesses(sched: Schedule, rank: int) -> Iterator[_Access]:
+    """Yield every access of ``rank``'s program, tagged by barrier phase."""
+    phase = 0
+    for step in sched.program(rank).all_steps():
+        if step.kind == "barrier":
+            phase += 1
+            continue
+        for pe, name, lo, hi, mode in _step_accesses(step, rank,
+                                                     sched.itemsize):
+            if 0 <= pe < sched.n_pes:
+                yield (phase, pe, name, lo, hi, mode, rank)
+
+
+def _barrier_count(sched: Schedule, rank: int) -> int:
+    return sum(1 for s in sched.program(rank).all_steps()
+               if s.kind == "barrier")
+
+
+def _stage_signature(prog) -> list:
+    """Per-slot shape: plain stage index, or pipeline (index, S, G).
+
+    Ranks must agree on this signature — a :class:`~.ir.Pipeline` whose
+    segment or group count differs between ranks lowers to a different
+    number of rounds, so some rank would wait at a barrier nobody else
+    reaches (deadlock with segment counts).
+    """
+    sig = []
+    for st in prog.stages:
+        if isinstance(st, Pipeline):
+            sig.append(("pipeline", st.index, st.segments, len(st.groups)))
+        else:
+            sig.append(st.index)
+    return sig
+
+
+def _check_structure(sched: Schedule, issues: list) -> None:
+    n = sched.n_pes
+    if len(sched.programs) != n:
+        issues.append(LintIssue(
+            "structure", f"{len(sched.programs)} programs for {n} ranks"))
+        return
+    ref_sig = _stage_signature(sched.programs[0])
+    ref_barriers = _barrier_count(sched, 0)
+    for r in range(n):
+        prog = sched.programs[r]
+        if prog.rank != r:
+            issues.append(LintIssue(
+                "structure", f"program {r} claims rank {prog.rank}", rank=r))
+        sig = _stage_signature(prog)
+        if sig != ref_sig:
+            issues.append(LintIssue(
+                "deadlock",
+                f"stage structure {sig} differs from rank 0's {ref_sig} "
+                "(span structure would diverge)", rank=r))
+        got = _barrier_count(sched, r)
+        if got != ref_barriers:
+            issues.append(LintIssue(
+                "deadlock",
+                f"{got} barriers vs rank 0's {ref_barriers} — the team "
+                "barrier would never complete", rank=r))
+
+
+def _check_buffers(sched: Schedule, issues: list) -> None:
+    seen = set()
+    for buf in sched.buffers:
+        if buf.name in seen:
+            issues.append(LintIssue(
+                "buffers", f"duplicate buffer name {buf.name!r}"))
+        seen.add(buf.name)
+        if buf.kind not in ("user", "scratch", "private"):
+            issues.append(LintIssue(
+                "buffers", f"{buf.name}: unknown kind {buf.kind!r}"))
+        if buf.kind == "scratch":
+            if buf.ranks is not None:
+                issues.append(LintIssue(
+                    "buffers",
+                    f"{buf.name}: scratch must be allocated by every rank "
+                    "(position-dependent symmetric addresses)"))
+            if not isinstance(buf.nbytes, int):
+                issues.append(LintIssue(
+                    "buffers",
+                    f"{buf.name}: scratch extent must be uniform"))
+            if not buf.symmetric:
+                issues.append(LintIssue(
+                    "buffers", f"{buf.name}: scratch is always symmetric"))
+        if buf.kind == "private" and buf.symmetric:
+            issues.append(LintIssue(
+                "buffers", f"{buf.name}: private memory is never symmetric"))
+
+
+def _check_steps(sched: Schedule, issues: list) -> None:
+    """Peer validity, buffer existence/visibility and bounds."""
+    n = sched.n_pes
+    names = {buf.name: buf for buf in sched.buffers}
+    for r in range(n):
+        for step in sched.program(r).all_steps():
+            kind = step.kind
+            if kind == "barrier":
+                continue
+            if kind not in ("put", "get", "copy", "reduce", "fill",
+                            "send", "recv"):
+                issues.append(LintIssue(
+                    "steps", f"unknown step kind {kind!r} — the executor "
+                    "and evaluator would reject it", rank=r))
+                continue
+            if kind in ("put", "get", "send", "recv"):
+                if not 0 <= step.peer < n:
+                    issues.append(LintIssue(
+                        "peers", f"{kind} peer {step.peer} outside group of "
+                        f"{n}", rank=r))
+                    continue
+                if step.peer == r:
+                    issues.append(LintIssue(
+                        "peers", f"{kind} targets its own rank — use Copy "
+                        "for local movement", rank=r))
+                if kind in ("send", "recv"):
+                    # Two-sided steps touch only local buffers (covered
+                    # by the access checks below); the pairing itself is
+                    # the message-matching pass's job.
+                    continue
+                remote_name = step.dst if kind == "put" else step.src
+                buf = names.get(remote_name)
+                if buf is not None:
+                    if not buf.symmetric:
+                        issues.append(LintIssue(
+                            "peers",
+                            f"{kind} of non-symmetric buffer "
+                            f"{remote_name!r} on peer {step.peer}", rank=r))
+                    if not buf.held_by(step.peer):
+                        issues.append(LintIssue(
+                            "peers",
+                            f"{kind} touches {remote_name!r} which rank "
+                            f"{step.peer} does not hold", rank=r))
+    for phase, pe, name, lo, hi, mode, origin in _all_accesses(sched):
+        buf = names.get(name)
+        if buf is None:
+            issues.append(LintIssue(
+                "buffers", f"step references unknown buffer {name!r}",
+                rank=origin))
+            continue
+        if not buf.held_by(origin) and pe == origin:
+            issues.append(LintIssue(
+                "buffers",
+                f"rank {origin} uses {name!r} it does not hold",
+                rank=origin))
+        if lo < 0 or hi > buf.nbytes_on(pe):
+            issues.append(LintIssue(
+                "bounds",
+                f"access [{lo}, {hi}) outside {name!r} "
+                f"({buf.nbytes_on(pe)} bytes on rank {pe})", rank=origin,
+                phase=phase))
+
+
+def _all_accesses(sched: Schedule) -> Iterator[_Access]:
+    for r in range(sched.n_pes):
+        yield from _accesses(sched, r)
+
+
+def _overlap(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> bool:
+    return a_lo < b_hi and b_lo < a_hi
+
+
+def _check_phase_overlap(sched: Schedule, issues: list) -> None:
+    """Concurrent-access hazards between two consecutive barriers."""
+    by_key: dict = {}
+    for acc in _all_accesses(sched):
+        phase, pe, name, lo, hi = acc[:5]
+        if hi > lo:
+            by_key.setdefault((phase, pe, name), []).append(acc)
+    for (phase, pe, name), accs in sorted(by_key.items()):
+        if len(accs) < 2:
+            continue
+        for i, a in enumerate(accs):
+            for b in accs[i + 1:]:
+                _, _, _, a_lo, a_hi, a_mode, a_org = a
+                _, _, _, b_lo, b_hi, b_mode, b_org = b
+                if not _overlap(a_lo, a_hi, b_lo, b_hi):
+                    continue
+                modes = {a_mode, b_mode}
+                hazard = None
+                if modes == {"rw"} and a_org != b_org:
+                    hazard = "two ranks remotely write the same range"
+                elif modes == {"rw", "lw"}:
+                    hazard = "remote write races the owner's local write"
+                elif modes == {"rw", "lr"}:
+                    hazard = "remote write races the owner's local read"
+                elif modes == {"rw", "rr"} and a_org != b_org:
+                    hazard = "remote write races another rank's remote read"
+                elif modes == {"lw", "rr"}:
+                    hazard = "owner's local write races a remote read"
+                if hazard:
+                    issues.append(LintIssue(
+                        "overlap",
+                        f"{name!r} on rank {pe} bytes "
+                        f"[{max(a_lo, b_lo)}, {min(a_hi, b_hi)}): {hazard} "
+                        f"(ranks {a_org} and {b_org})", rank=pe,
+                        phase=phase))
+
+
+def _check_pipeline_shape(sched: Schedule, issues: list) -> None:
+    """Pipeline well-formedness, checked *before* anything lowers.
+
+    * ``segments >= 1``;
+    * every group carries exactly ``segments`` step tuples (a ragged
+      group would shift the wavefront — and crash the lowering — so
+      this pass short-circuits the rest of the linter);
+    * group steps never contain barriers (the lowering owns them).
+    """
+    for r in range(sched.n_pes):
+        if r >= len(sched.programs):
+            break
+        for pipe in sched.programs[r].stages:
+            if not isinstance(pipe, Pipeline):
+                continue
+            if pipe.segments < 1:
+                issues.append(LintIssue(
+                    "pipeline", f"pipeline {pipe.index}: segment count "
+                    f"{pipe.segments} must be >= 1", rank=r))
+                continue
+            for g, group in enumerate(pipe.groups):
+                if len(group) != pipe.segments:
+                    issues.append(LintIssue(
+                        "pipeline",
+                        f"pipeline {pipe.index} group {g} has "
+                        f"{len(group)} segment step tuples, expected "
+                        f"{pipe.segments}", rank=r))
+                    continue
+                for steps in group:
+                    if any(s.kind == "barrier" for s in steps):
+                        issues.append(LintIssue(
+                            "pipeline",
+                            f"pipeline {pipe.index} group {g} contains a "
+                            "barrier — rounds own their barriers", rank=r))
+
+
+def _check_pipelines(sched: Schedule, issues: list) -> None:
+    """Cross-segment ordering on well-formed pipeline blocks.
+
+    Within one pipeline, a remote read must not target bytes that any
+    rank writes in a *later* round: the reader would observe
+    pre-pipeline data.  Same-round conflicts are the phase-overlap
+    pass's job (the lowered rounds feed it); this pass catches the
+    staleness bugs segmentation introduces, e.g. segment boundaries
+    that do not match the producing group's.
+    """
+    # Cross-segment ordering over all ranks' aligned pipeline blocks.
+    by_index: dict = {}
+    for r in range(sched.n_pes):
+        for pipe in sched.program(r).stages:
+            if isinstance(pipe, Pipeline):
+                by_index.setdefault(pipe.index, []).append((r, pipe))
+    for index, pipes in sorted(by_index.items()):
+        writes: list = []   # (round, pe, buffer, lo, hi, origin)
+        reads: list = []    # remote reads: (round, pe, buffer, lo, hi, origin)
+        for r, pipe in pipes:
+            for t in range(pipe.rounds):
+                for g in range(max(0, t - pipe.segments + 1),
+                               min(t, len(pipe.groups) - 1) + 1):
+                    for step in pipe.groups[g][t - g]:
+                        for pe, name, lo, hi, mode in _step_accesses(
+                                step, r, sched.itemsize):
+                            if hi <= lo or not 0 <= pe < sched.n_pes:
+                                continue
+                            if mode in ("lw", "rw"):
+                                writes.append((t, pe, name, lo, hi, r))
+                            elif mode == "rr":
+                                reads.append((t, pe, name, lo, hi, r))
+        by_target: dict = {}
+        for t, pe, name, lo, hi, org in writes:
+            by_target.setdefault((pe, name), []).append((t, lo, hi, org))
+        for t_r, pe, name, lo, hi, org in reads:
+            for t_w, w_lo, w_hi, w_org in by_target.get((pe, name), ()):
+                if t_w > t_r and _overlap(lo, hi, w_lo, w_hi):
+                    issues.append(LintIssue(
+                        "pipeline",
+                        f"cross-segment ordering: rank {org} reads "
+                        f"{name!r} bytes [{max(lo, w_lo)}, {min(hi, w_hi)}) "
+                        f"on rank {pe} in round {t_r}, written by rank "
+                        f"{w_org} only in round {t_w}", rank=pe,
+                        phase=t_r))
+
+
+def _check_message_matching(sched: Schedule, issues: list) -> None:
+    """Two-sided protocol: every (src, dst) pair's send and recv lists
+    must agree element-by-element.
+
+    Mailbox matching is FIFO per pair, so the i-th send from ``src`` to
+    ``dst`` is consumed by the i-th recv at ``dst`` naming ``src``: the
+    lists must have equal length, agree on ``tag`` and ``nelems`` at
+    every index (a mismatch is the runtime's
+    :class:`~repro.errors.MailboxProtocolError`), and every recv's
+    barrier phase must be at or after its send's — a recv whose
+    matching send only happens in a *later* phase blocks the barrier
+    the sender needs to reach it: guaranteed deadlock.
+    """
+    n = sched.n_pes
+    sends: dict = {}
+    recvs: dict = {}
+    for r in range(n):
+        phase = 0
+        for step in sched.program(r).all_steps():
+            kind = step.kind
+            if kind == "barrier":
+                phase += 1
+            elif kind == "send" and 0 <= step.peer < n:
+                sends.setdefault((r, step.peer), []).append(
+                    (phase, step.tag, step.nelems))
+            elif kind == "recv" and 0 <= step.peer < n:
+                recvs.setdefault((step.peer, r), []).append(
+                    (phase, step.tag, step.nelems))
+    for src, dst in sorted(set(sends) | set(recvs)):
+        ss = sends.get((src, dst), [])
+        rr = recvs.get((src, dst), [])
+        if len(ss) != len(rr):
+            kind, rank = (("send", src) if len(ss) > len(rr)
+                          else ("recv", dst))
+            issues.append(LintIssue(
+                "messages",
+                f"pair PE {src} -> PE {dst}: {len(ss)} sends vs "
+                f"{len(rr)} recvs — the surplus {kind}s never match",
+                rank=rank))
+        for i, ((sp, st, sn), (rp, rt, rn)) in enumerate(zip(ss, rr)):
+            if st != rt:
+                issues.append(LintIssue(
+                    "messages",
+                    f"pair PE {src} -> PE {dst} message {i}: send tag "
+                    f"{st} vs recv tag {rt} (FIFO order disagreement)",
+                    rank=dst, phase=rp))
+            if sn != rn:
+                issues.append(LintIssue(
+                    "messages",
+                    f"pair PE {src} -> PE {dst} message {i}: send "
+                    f"carries {sn} elements but recv expects {rn}",
+                    rank=dst, phase=rp))
+            if sp > rp:
+                issues.append(LintIssue(
+                    "messages",
+                    f"pair PE {src} -> PE {dst} message {i}: recv in "
+                    f"phase {rp} blocks on a send issued only in phase "
+                    f"{sp} — the sender can never reach it (deadlock)",
+                    rank=dst, phase=rp))
+
+
+def _check_conservation(sched: Schedule, issues: list) -> None:
+    """Every promised ``deliver`` range is covered by some write."""
+    written: dict = {}
+    for _, pe, name, lo, hi, mode, _ in _all_accesses(sched):
+        if mode in ("lw", "rw") and hi > lo:
+            written.setdefault((pe, name), []).append((lo, hi))
+    for rank, name, lo, hi in sched.deliver:
+        if hi <= lo:
+            continue
+        ivs = sorted(written.get((rank, name), []))
+        cover = lo
+        for iv_lo, iv_hi in ivs:
+            if iv_lo > cover:
+                break
+            cover = max(cover, iv_hi)
+        if cover < hi:
+            issues.append(LintIssue(
+                "conservation",
+                f"deliver contract [{lo}, {hi}) of {name!r} on rank {rank} "
+                f"only covered up to byte {cover}", rank=rank))
+
+
+def reference_lint(sched: Schedule) -> list:
+    """Run every check; returns the (possibly empty) issue list."""
+    issues: list = []
+    _check_pipeline_shape(sched, issues)
+    if any(i.check == "pipeline" for i in issues):
+        _check_buffers(sched, issues)
+        return issues  # malformed pipelines crash the lowering passes
+    _check_structure(sched, issues)
+    _check_buffers(sched, issues)
+    if any(i.check == "structure" for i in issues):
+        return issues  # program list malformed; later passes would crash
+    _check_steps(sched, issues)
+    _check_pipelines(sched, issues)
+    _check_phase_overlap(sched, issues)
+    _check_message_matching(sched, issues)
+    _check_conservation(sched, issues)
+    return issues
+
+
+def _step_buffer_names(step) -> tuple:
+    kind = step.kind
+    if kind == "barrier":
+        return ()
+    if kind == "reduce":
+        return (step.acc, step.operand)
+    if kind == "fill":
+        return (step.dst,)
+    if kind == "send":
+        return (step.src,)
+    if kind == "recv":
+        return (step.dst,)
+    return (step.dst, step.src)
+
+
+def _check_fused_prefixes(sched: Schedule, issues: list) -> None:
+    """Fused-schedule isolation: every buffer belongs to exactly one
+    sub-request (``r{i}:`` prefix) and no step mixes two requests'
+    buffers — a cross-request reference would mean the fusion aliased
+    one tenant's data into another's schedule."""
+    for buf in sched.buffers:
+        if ":" not in buf.name:
+            issues.append(LintIssue(
+                "fused",
+                f"buffer {buf.name!r} carries no request prefix — it is "
+                "not attributable to any fused sub-request"))
+    for r in range(sched.n_pes):
+        for step in sched.program(r).all_steps():
+            owners = {name.split(":", 1)[0]
+                      for name in _step_buffer_names(step)}
+            if len(owners) > 1:
+                issues.append(LintIssue(
+                    "fused",
+                    f"step {step!r} mixes buffers of requests "
+                    f"{sorted(owners)} (cross-request aliasing)", rank=r))
+
+
+def _check_fused_conservation(sched: Schedule, issues: list) -> None:
+    """Every fused sub-request must still deliver something somewhere:
+    a request whose entire ``deliver`` contract vanished in fusion was
+    silently dropped (the per-range coverage itself is re-checked by
+    the ordinary conservation pass over the prefixed buffers)."""
+    promised = {rank_name[1].split(":", 1)[0]
+                for rank_name in sched.deliver}
+    for buf in sched.buffers:
+        if ":" not in buf.name:
+            continue  # already reported by the prefix pass
+        owner = buf.name.split(":", 1)[0]
+        base = buf.name.split(":", 1)[1]
+        if base.startswith("dest") and buf.nbytes_on(0) and \
+                owner not in promised:
+            issues.append(LintIssue(
+                "fused",
+                f"sub-request {owner!r} has output buffer {buf.name!r} "
+                "but no deliver contract — dropped in fusion?"))
+
+
+def reference_lint_fused(sched: Schedule) -> list:
+    """Lint a fused superstep schedule: every ordinary pass plus the
+    fused-specific isolation checks (no cross-request buffer aliasing,
+    per-sub-request delivery)."""
+    issues = reference_lint(sched)
+    _check_fused_prefixes(sched, issues)
+    _check_fused_conservation(sched, issues)
+    return issues

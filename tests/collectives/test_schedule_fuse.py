@@ -125,11 +125,8 @@ class TestFuseSchedules:
     def test_barrier_counts_align_across_ranks(self):
         """Every rank of the fused schedule passes the same number of
         barriers — the deadlock-freedom invariant fusion must keep."""
-        from repro.collectives.schedule.lint import _barrier_count
-
         fused = fuse_schedules(self._parts(8))
-        counts = {_barrier_count(fused, r) for r in range(8)}
-        assert len(counts) == 1
+        assert len(set(fused.table.barriers.tolist())) == 1
 
     def test_single_schedule_fuses_to_itself_renamed(self):
         one = compile_allreduce(4, 8, 1, 8, "sum", algorithm="doubling")

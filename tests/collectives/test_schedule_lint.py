@@ -169,6 +169,31 @@ class TestBrokenSchedules:
         )
         assert "buffers" in _checks(lint_schedule(sched))
 
+    def test_out_of_range_peer_with_per_rank_extents_is_an_issue(self):
+        """The peers pass reports the step; the bounds pass must not
+        then index the per-rank extent tuple with the bad PE (it raised
+        IndexError, and a negative peer read another rank's extent)."""
+        ragged = Buffer("d", "user", (16, 16), symmetric=True)
+        for peer in (5, -1):
+            sched = _two_rank(
+                (ragged, _SYM),
+                RankProgram(0, (Put("d", 0, "s", 0, 2, 1, peer), BARRIER)),
+                RankProgram(1, (BARRIER,)),
+            )
+            issues = lint_schedule(sched)
+            assert [i.check for i in issues] == ["peers"], issues
+            assert f"peer {peer} outside group of 2" in issues[0].message
+
+    def test_zero_length_access_is_not_an_overlap(self):
+        """An empty range strictly inside another touches nothing."""
+        buf = Buffer("d", "user", 64, symmetric=True)
+        sched = _two_rank(
+            (buf, _SYM),
+            RankProgram(0, (Put("d", 8, "s", 8, 0, 1, 1), BARRIER)),
+            RankProgram(1, (Copy("s", 0, "d", 0, 2, 1), BARRIER)),
+        )
+        assert lint_schedule(sched) == []
+
     def test_stage_count_mismatch(self):
         sched = _two_rank(
             (_DST, _SYM),

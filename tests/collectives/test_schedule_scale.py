@@ -31,6 +31,8 @@ from repro.collectives.broadcast import compile_broadcast
 from repro.collectives.gather import compile_gather
 from repro.collectives.reduce import compile_reduce
 from repro.collectives.scatter import compile_scatter
+from repro.collectives.schedule.evaluate import evaluate_schedule
+from repro.collectives.schedule.ir import RankProgram
 from repro.collectives.schedule.lint import lint_schedule
 
 
@@ -44,8 +46,8 @@ def _ragged(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
 
 
 def _total_steps(sched) -> int:
-    return sum(sum(1 for _ in sched.program(r).all_steps())
-               for r in range(sched.n_pes))
+    """Steps of every rank, barriers included, off the cached table."""
+    return len(sched.table) + int(sched.table.barriers.sum())
 
 
 #: (name, compile thunk factory, seconds budget by tier).  Budgets are
@@ -134,3 +136,26 @@ def test_quadratic_families_lint_clean_at_1k():
         assert issues == [], (
             f"{name}: " + "; ".join(str(i) for i in issues[:5])
         )
+
+
+def test_one_walk_of_the_tree_serves_linter_and_evaluator(monkeypatch):
+    """The perf gate with no clock in it: linting a schedule and
+    evaluating it twice walks each rank's program once — the table
+    build — and never again."""
+    n_pes = 256
+    sched = compile_allreduce(n_pes, 96, 1, 8, "sum",
+                              algorithm="rabenseifner")
+    walks = 0
+    walk = RankProgram.all_steps
+
+    def counted(self):
+        nonlocal walks
+        walks += 1
+        return walk(self)
+
+    monkeypatch.setattr(RankProgram, "all_steps", counted)
+    assert lint_schedule(sched) == []
+    first = evaluate_schedule(sched, collect_data=False)
+    again = evaluate_schedule(sched, collect_data=False)
+    assert first.elapsed_ns == again.elapsed_ns > 0
+    assert 0 < walks <= n_pes
