@@ -16,6 +16,8 @@ from ..errors import AddressError
 __all__ = ["Memory"]
 
 MASK64 = (1 << 64) - 1
+#: ``memoryview`` formats of the unsigned words :meth:`Memory.words` casts to.
+_WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class Memory:
@@ -39,6 +41,8 @@ class Memory:
         self.buf = buf
         #: dtype -> the whole memory as an array of it (see ``view``).
         self._typed: dict[np.dtype, np.ndarray] = {}
+        #: width -> the whole memory as words of it (see ``words``).
+        self._words: dict[int, memoryview | None] = {}
 
     # -- bounds ---------------------------------------------------------------
 
@@ -117,6 +121,27 @@ class Memory:
             typed = self._typed[dt] = self.buf[
                 : self.size - self.size % width].view(dt)
         return typed[first : first + reach : stride]
+
+    def words(self, width: int) -> memoryview | None:
+        """The whole memory as a cached ``memoryview`` of unsigned
+        ``width``-byte words in host byte order (like :meth:`view`), or
+        ``None`` when there is no such cast: a width with no native
+        format, a wrapped buffer that is not contiguous.
+
+        Word ``i`` is the bytes ``[i * width, (i + 1) * width)``;
+        indexing yields and takes Python ints — raw bits, whatever type
+        the program stores there — without building an array, which is
+        what moving or updating one aligned element wants.  The caller
+        checks bounds and alignment.
+        """
+        if width not in self._words:
+            view = None
+            fmt = _WORD_FORMATS.get(width)
+            if fmt is not None and self.buf.flags.c_contiguous:
+                view = memoryview(self.buf)[: self.size - self.size % width]
+                view = view.cast(fmt)
+            self._words[width] = view
+        return self._words[width]
 
     def fill(self, addr: int, nbytes: int, byte: int = 0) -> None:
         self.check(addr, nbytes)

@@ -185,11 +185,17 @@ class MemoryHierarchy:
         ``stride_elems`` elements (the runtime's strided put/get)."""
         if nelems <= 0:
             return 0.0
-        step = elem_bytes * max(stride_elems, 1)
-        if step <= self._line_bytes and stride_elems >= 1:
-            # Dense or near-dense: equivalent to a sequential sweep.
+        step = elem_bytes * stride_elems
+        if stride_elems >= 1 and step <= self._line_bytes:
+            # Dense or near-dense: equivalent to a sequential sweep —
+            # most often (every scalar remote element) of one line.
             span = (nelems - 1) * step + elem_bytes
+            first = addr >> self._line_shift
+            if (addr + span - 1) >> self._line_shift == first:
+                return self._access_line(first, write, use_tlb, True)
             return self.access_range(addr, span, write, use_tlb)
+        if stride_elems < 1:
+            step = elem_bytes
         ns = 0.0
         a = addr
         for _ in range(nelems):

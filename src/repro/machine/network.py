@@ -30,6 +30,7 @@ All state updates happen at scheduler checkpoints, so the global order of
 from __future__ import annotations
 
 from ..errors import SimulationError
+from ..memo import Memo
 from ..params import MachineConfig
 from ..sim.trace import SimStats
 from .topology import build_topology
@@ -59,6 +60,9 @@ class Network:
         self.cfg = config
         self.tp = config.transport
         self.stats = stats if stats is not None else SimStats()
+        #: pe -> node, filled as PEs first send (``cfg.node_of`` raises
+        #: for a PE outside the machine, every time).
+        self._node = Memo(config.node_of)
         n_nodes = config.n_nodes
         if config.topology == "fully-connected":
             # Analytic: one hop between distinct nodes.  A 64k-node
@@ -87,7 +91,7 @@ class Network:
     # -- helpers -----------------------------------------------------------
 
     def node_of(self, pe: int) -> int:
-        return self.cfg.node_of(pe)
+        return self._node[pe]
 
     def route_hops(self, src_node: int, dst_node: int) -> int:
         """Hop count between two nodes (0 within a node)."""
@@ -186,7 +190,8 @@ class Network:
         fault = None
         if self.injector is not None and faultable and src_pe != dst_pe:
             fault = self.injector.on_message(t_now, src_pe, dst_pe, nbytes)
-        src_node, dst_node = self.node_of(src_pe), self.node_of(dst_pe)
+        node = self._node
+        src_node, dst_node = node[src_pe], node[dst_pe]
         if src_node == dst_node:
             t_ready = (t_now + tp.o_send + tp.kernel_ns
                        + nbytes * tp.copy_ns_per_byte)
@@ -231,7 +236,8 @@ class Network:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         tp = self.tp
-        src_node, dst_node = self.node_of(src_pe), self.node_of(dst_pe)
+        node = self._node
+        src_node, dst_node = node[src_pe], node[dst_pe]
         self.stats.messages += 2
         self.stats.bytes_on_wire += nbytes + 16
         # One sample covers the request/response pair: losing either

@@ -31,12 +31,14 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from ..errors import (
+    AddressError,
     CollectiveArgumentError,
     PeerFailedError,
     RuntimeStateError,
     SimulationError,
 )
 from ..isa.memory import Memory
+from ..memo import Memo
 from ..params import MachineConfig
 from ..types import typeinfo
 from .symmetric_heap import FreeListAllocator, ScratchStack, SymmetricHeap
@@ -50,11 +52,22 @@ MALLOC_NS = 50.0
 FREE_NS = 30.0
 
 
-def resolve_dtype(t: str | np.dtype | type) -> np.dtype:
-    """Accept a Table 1 TYPENAME, a numpy dtype or a Python/numpy type."""
+def _resolve_dtype(t: str | np.dtype | type) -> np.dtype:
     if isinstance(t, str):
         return typeinfo(t).dtype
     return np.dtype(t)
+
+
+#: Every TYPENAME / dtype / type resolved so far (a few dozen at most).
+_DTYPES = Memo(_resolve_dtype)
+
+
+def resolve_dtype(t: str | np.dtype | type) -> np.dtype:
+    """Accept a Table 1 TYPENAME, a numpy dtype or a Python/numpy type."""
+    try:
+        return _DTYPES[t]
+    except TypeError:  # an unhashable dtype spec (a list of fields)
+        return np.dtype(t)
 
 
 class _DisabledSpans:
@@ -345,16 +358,20 @@ class CollectiveAPI:
             dtype: str | np.dtype = "long") -> None:
         """``xbrtime_TYPE_put``: write ``nelems`` elements (``stride``
         apart at both ends) from local ``src`` to ``dest`` on ``pe``."""
-        self._require_active()
-        self._check_args(nelems, stride, pe)
+        if not self._active or self._faults is not None:
+            self._require_active()
+        if nelems < 0 or stride < 1 or not 0 <= pe < self.config.n_pes:
+            self._check_args(nelems, stride, pe)
         self._transfer.put(dest, src, nelems, stride, pe, resolve_dtype(dtype))
 
     def get(self, dest: int, src: int, nelems: int, stride: int, pe: int,
             dtype: str | np.dtype = "long") -> None:
         """``xbrtime_TYPE_get``: read ``nelems`` elements from ``src`` on
         ``pe`` into local ``dest``."""
-        self._require_active()
-        self._check_args(nelems, stride, pe)
+        if not self._active or self._faults is not None:
+            self._require_active()
+        if nelems < 0 or stride < 1 or not 0 <= pe < self.config.n_pes:
+            self._check_args(nelems, stride, pe)
         self._transfer.get(dest, src, nelems, stride, pe, resolve_dtype(dtype))
 
     def put_nb(self, dest: int, src: int, nelems: int, stride: int, pe: int,
@@ -381,14 +398,22 @@ class CollectiveAPI:
 
         Ops: add, xor, and, or, swap, min, max.  Unlike the
         get-modify-put idiom, concurrent AMOs on one cell never lose
-        updates.
+        updates.  ``addr`` must be 8-byte aligned, as RISC-V AMOs
+        require (:class:`~repro.errors.AddressError` otherwise).
         """
-        self._require_active()
-        self._check_args(1, 1, pe)
+        if not self._active or self._faults is not None:
+            self._require_active()
+        if not 0 <= pe < self.config.n_pes:
+            self._check_args(1, 1, pe)
         dt = resolve_dtype(dtype)
         if dt.itemsize != 8 or dt.kind not in "iu":
             raise CollectiveArgumentError(
                 f"AMOs operate on 64-bit integer types, not {dt}"
+            )
+        if addr & 7:
+            raise AddressError(
+                f"PE {self.rank}: AMO at {addr:#x} on PE {pe} is not "
+                "8-byte aligned (eamo*.d requires natural alignment)"
             )
         old = self._transfer.amo(addr, value, pe, op)
         return old - (1 << 64) if dt.kind == "i" and old >> 63 else old

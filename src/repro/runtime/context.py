@@ -47,7 +47,7 @@ from ..sim.engine import Engine, PEProcess
 from .barrier import BarrierController
 from .collective_api import CollectiveAPI, resolve_dtype
 from .symmetric_heap import CODE_REGION_BYTES, segment_layout
-from .transfer import TransferEngine, loop_overhead_ns
+from .transfer import TransferEngine
 
 __all__ = ["Machine", "XBRTime", "CODE_REGION_BYTES"]
 
@@ -294,8 +294,8 @@ class XBRTime(CollectiveAPI):
         try:
             payload = None
             if nelems:
-                self.pe.advance(loop_overhead_ns(self.config, nelems))
-                self.pe.advance(self._transfer._local_cost(
+                self.pe.advance(self._transfer.loop_ns[nelems])
+                self.pe.advance(machine.hierarchy_of(self.rank).access_strided(
                     src, nelems, dt.itemsize, stride, write=False))
                 payload = self._memory.view(src, dt, nelems, stride).copy()
             machine.mailbox.send(self.rank, pe, payload, nbytes, tag)
@@ -314,9 +314,10 @@ class XBRTime(CollectiveAPI):
                 f"message from PE {msg.src} carries {msg.nbytes}B"
             )
         if nelems:
-            self.pe.advance(loop_overhead_ns(self.config, nelems))
-            self.pe.advance(self._transfer._local_cost(
-                dest, nelems, dt.itemsize, stride, write=True))
+            self.pe.advance(self._transfer.loop_ns[nelems])
+            self.pe.advance(
+                self.machine.hierarchy_of(self.rank).access_strided(
+                    dest, nelems, dt.itemsize, stride, write=True))
             dview = self._memory.view(dest, dt, nelems, stride)
             dview[:] = msg.data
             if msg.fault is not None:

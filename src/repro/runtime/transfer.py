@@ -1,13 +1,13 @@
-"""Low-level strided transfer engine behind ``get``/``put``.
+"""Low-level strided transfer engine behind ``get``/``put``/``amo``.
 
 The paper's runtime "directly translates these high-level function calls
 into assembly instructions whenever possible" and unrolls the generated
 loop when ``nelems`` exceeds a threshold (section 3.3).  This engine
 offers both fidelity levels of the reproduction:
 
-* ``model`` (default) — functional copy with numpy strided views plus an
-  analytic cost that mirrors the generated loop's instruction counts,
-  the local cache/TLB traffic and one network transfer for the payload.
+* ``model`` (default) — functional copy plus an analytic cost that
+  mirrors the generated loop's instruction counts, the local cache/TLB
+  traffic and one network transfer for the payload.
 * ``isa`` — actually generates xBGAS assembly for the element loop
   (``eld``/``esd`` with the target's object ID in the extended register,
   unrolled above the threshold), executes it on the PE's functional core
@@ -17,6 +17,31 @@ offers both fidelity levels of the reproduction:
 
 Both paths move exactly the same bytes; the test suite checks them
 against each other.
+
+Every operation has the same shape ("Remote-op path" in ``DESIGN.md``):
+
+1. *Admit.*  Both operands are bounds-checked once, before anything
+   else: a rejected transfer raises :class:`AddressError` having
+   yielded to nobody, charged nothing and counted nothing.
+2. *Yield* (``Engine.checkpoint``), then *charge*: the PE's clock is
+   carried in a local through a fixed sequence of float additions and
+   written back once.  The sequence — and the order in which the two
+   memory hierarchies and the network are touched (get: target
+   hierarchy, ``Network.fetch``, own hierarchy; put: own read,
+   ``Network.send``, target write) — is part of the model: every one
+   of those calls updates shared state, and float addition does not
+   reassociate.  Memory time comes from the cost provider
+   ``machine.hierarchy_of(pe)`` through its public ``access_strided``
+   only (the vec backend's provider has nothing else).  One-sided
+   operations do not involve the target CPU, but its memory system
+   still serves the access — cache pollution included deliberately —
+   and because the access resolves through the requester's OLB to a
+   physical address, the target TLB is bypassed (``use_tlb=False``,
+   paper section 3.2).
+3. *Move* (:meth:`TransferEngine._move`): one aligned element is one
+   word copied between the two memories' :meth:`Memory.words` views —
+   the ``eld``/``esd`` pair — and only multi-element, misaligned and
+   fault-injected transfers build numpy views.
 """
 
 from __future__ import annotations
@@ -29,6 +54,7 @@ import numpy as np
 from ..errors import AddressError, TransferTimeoutError
 from ..isa.cpu import amo_apply
 from ..isa.olb import OLB_LOOKUP_NS
+from ..memo import Memo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..params import MachineConfig
@@ -79,144 +105,121 @@ class TransferEngine:
         self.rank = rank
         self.engine = machine.engine
         self.pe = self.engine.pes[rank]
-        self.cfg = machine.config
+        self.cfg = cfg = machine.config
         self.stats = machine.stats
         self.network = machine.network
         #: This PE's own memory-cost provider.
         self.hier = machine.hierarchy_of(rank)
+        #: nelems -> :func:`loop_overhead_ns`.
+        self.loop_ns = Memo(lambda nelems: loop_overhead_ns(cfg, nelems))
+        memories = machine.memories
+        #: (pe, width) -> that PE's memory as words (:meth:`Memory.words`).
+        self._words = Memo(lambda key: memories[key[0]].words(key[1]))
         # Keyed by id(handle): O(1) insert/discard regardless of how many
         # transfers are outstanding (handles are kept alive by the dict
         # itself, so ids cannot be recycled while registered).
         self._pending: dict[int, TransferHandle] = {}
 
-    def _views(
-        self, dest: int, src: int, nelems: int, stride: int,
-        target: int, dtype: np.dtype, dest_remote: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _reject(self, dpe: int, dest: int, spe: int, src: int,
+                span: int) -> None:
+        """Raise for a transfer whose ``span`` bytes leave PE ``dpe``'s
+        memory at ``dest`` or PE ``spe``'s at ``src``."""
         mems = self.machine.memories
-        if dest_remote:
-            dmem, smem = mems[target], mems[self.rank]
-        else:
-            dmem, smem = mems[self.rank], mems[target]
         try:
-            dview = dmem.view(dest, dtype, nelems, stride)
-            sview = smem.view(src, dtype, nelems, stride)
+            mems[dpe].check(dest, span)
+            mems[spe].check(src, span)
         except AddressError as exc:
             raise AddressError(f"PE {self.rank} transfer: {exc}") from exc
-        return dview, sview
 
-    # -- cost model -----------------------------------------------------------
+    def _move(self, dpe: int, dest: int, spe: int, src: int, nelems: int,
+              stride: int, dtype: np.dtype) -> None:
+        """Copy the elements from PE ``spe``'s memory to PE ``dpe``'s."""
+        eb = dtype.itemsize
+        # Widths are powers of two: both addresses aligned <=> no low bit.
+        if nelems == 1 and not (dest | src) & (eb - 1):
+            dwords = self._words[dpe, eb]
+            swords = self._words[spe, eb]
+            if dwords is not None and swords is not None:
+                dwords[dest // eb] = swords[src // eb]
+                return
+        mems = self.machine.memories
+        mems[dpe].view(dest, dtype, nelems, stride)[:] = mems[spe].view(
+            src, dtype, nelems, stride)
 
-    def _local_cost(
-        self, addr: int, nelems: int, elem_bytes: int, stride: int, write: bool
-    ) -> float:
-        return self.hier.access_strided(addr, nelems, elem_bytes, stride,
-                                        write)
-
-    def _remote_cost(
-        self, target: int, addr: int, nelems: int, elem_bytes: int,
-        stride: int, write: bool,
-    ) -> float:
-        """Target-side memory time, folded into the message latency.
-
-        One-sided operations do not involve the target CPU, but its
-        memory system still serves the access (and its caches see the
-        traffic — pollution included deliberately).  The access resolves
-        through the requester's OLB to a physical address, so the target
-        TLB is bypassed (paper section 3.2).
-        """
-        hier = self.machine.hierarchy_of(target)
-        return hier.access_strided(addr, nelems, elem_bytes, stride, write,
-                                   use_tlb=False)
+    def _begin_span(self, name: str, nbytes: int, nelems: int, stride: int,
+                    target: int, dest: int, **extra: object) -> None:
+        self.engine.spans.begin(self.rank, "op", name, {
+            "bytes": nbytes, "nelems": nelems, "stride": stride,
+            "target": target, "remote": target != self.rank,
+            "dest": dest, **extra,
+        })
 
     # -- reliable delivery under fault injection ----------------------------------
 
-    def _reliable_put(
-        self, dview: np.ndarray, sview: np.ndarray, dest: int, nelems: int,
-        eb: int, stride: int, target: int, nbytes: int,
-    ) -> None:
-        """Remote put with ack/retry semantics when faults are enabled.
+    def _reliable(self, is_put: bool, dest: int, src: int, nelems: int,
+                  stride: int, target: int, dtype: np.dtype) -> None:
+        """Remote put or get with ack/retry semantics when faults are
+        enabled.
 
         Each attempt is a fresh message (new sequence number, fresh fault
         draw).  With a :class:`~repro.faults.plan.RetryConfig` the sender
-        waits for an acknowledgement: a dropped or corrupted payload is
-        detected at timeout and retransmitted with exponential backoff,
-        up to ``max_retries`` before :class:`TransferTimeoutError`.
-        Without one, losses are silent and corruption lands in memory —
-        the raw unreliable substrate.
+        waits for an acknowledgement — a get's round trip is its own — so
+        a dropped or corrupted payload is detected at timeout and
+        retransmitted with exponential backoff, up to ``max_retries``
+        before :class:`TransferTimeoutError`.  Without one, losses are
+        silent and corruption lands in memory — the raw unreliable
+        substrate.
         """
         machine = self.machine
         injector = machine.faults
         retry = machine.retry
         network = machine.network
         pe = self.pe
+        rank = self.rank
+        eb = dtype.itemsize
+        nbytes = nelems * eb
         timeout = retry.timeout_ns if retry is not None else 0.0
         attempts = 1 + (retry.max_retries if retry is not None else 0)
-        wcost = self._remote_cost(target, dest, nelems, eb, stride, write=True)
+        # Target-side memory time: the put's write, the get's read.
+        tcost = machine.hierarchy_of(target).access_strided(
+            dest if is_put else src, nelems, eb, stride, is_put, False)
         for attempt in range(attempts):
-            t_free, t_delivered, fault = network.send(
-                pe.clock, self.rank, target, nbytes)
-            pe.advance_to(t_free)
+            if is_put:
+                t_free, t_done, fault = network.send(pe.clock, rank, target,
+                                                     nbytes)
+                pe.advance_to(t_free)
+            else:
+                t_done, fault = network.fetch(pe.clock, rank, target, nbytes)
             if (fault is not None and fault.kind in ("drop", "corrupt")
                     and retry is not None):
-                injector.note_retry(pe.clock, self.rank, target,
-                                    fault.seq, attempt, timeout)
+                injector.note_retry(pe.clock, rank, target, fault.seq,
+                                    attempt, timeout)
                 pe.advance(timeout)
                 timeout *= retry.backoff
                 continue
             if fault is not None and fault.kind == "drop":
-                return  # unreliable mode: the payload is simply gone
-            network.note_delivery(t_delivered + wcost)
-            dview[:] = sview
+                return  # unreliable mode: payload or response simply gone
+            if is_put:
+                network.note_delivery(t_done + tcost)
+                self._move(target, dest, rank, src, nelems, stride, dtype)
+            else:
+                pe.advance_to(t_done + tcost)
+                pe.advance(self.hier.access_strided(dest, nelems, eb, stride,
+                                                    True))
+                self._move(rank, dest, target, src, nelems, stride, dtype)
             if fault is not None and fault.kind == "corrupt":
-                injector.corrupt_payload(dview, fault)
-                return
-            if retry is not None:
+                injector.corrupt_payload(
+                    machine.memories[target if is_put else rank].view(
+                        dest, dtype, nelems, stride), fault)
+            elif is_put and retry is not None:
                 # Positive acknowledgement: the sender may not declare
                 # success until the ack crosses back.
-                pe.advance_to(t_delivered + wcost
+                pe.advance_to(t_done + tcost
                               + machine.config.transport.latency_ns)
             return
+        what = "put of {}B to" if is_put else "get of {}B from"
         raise TransferTimeoutError(
-            f"PE {self.rank}: put of {nbytes}B to PE {target} lost "
-            f"{attempts} times (max_retries={retry.max_retries} exhausted)"
-        )
-
-    def _reliable_get(
-        self, dview: np.ndarray, sview: np.ndarray, dest: int, src: int,
-        nelems: int, eb: int, stride: int, target: int, nbytes: int,
-    ) -> None:
-        """Remote get counterpart of :meth:`_reliable_put` (the round
-        trip is its own acknowledgement, so success needs no extra ack
-        wait)."""
-        machine = self.machine
-        injector = machine.faults
-        retry = machine.retry
-        network = machine.network
-        pe = self.pe
-        timeout = retry.timeout_ns if retry is not None else 0.0
-        attempts = 1 + (retry.max_retries if retry is not None else 0)
-        rcost = self._remote_cost(target, src, nelems, eb, stride, write=False)
-        for attempt in range(attempts):
-            t_complete, fault = network.fetch(pe.clock, self.rank, target,
-                                              nbytes)
-            if (fault is not None and fault.kind in ("drop", "corrupt")
-                    and retry is not None):
-                injector.note_retry(pe.clock, self.rank, target,
-                                    fault.seq, attempt, timeout)
-                pe.advance(timeout)
-                timeout *= retry.backoff
-                continue
-            if fault is not None and fault.kind == "drop":
-                return  # response lost; destination buffer untouched
-            pe.advance_to(t_complete + rcost)
-            pe.advance(self._local_cost(dest, nelems, eb, stride, write=True))
-            dview[:] = sview
-            if fault is not None and fault.kind == "corrupt":
-                injector.corrupt_payload(dview, fault)
-            return
-        raise TransferTimeoutError(
-            f"PE {self.rank}: get of {nbytes}B from PE {target} lost "
+            f"PE {rank}: {what.format(nbytes)} PE {target} lost "
             f"{attempts} times (max_retries={retry.max_retries} exhausted)"
         )
 
@@ -228,54 +231,58 @@ class TransferEngine:
     ) -> None:
         """One-sided write of ``nelems`` elements to ``target``."""
         st = self.stats
-        st.puts += 1
         if nelems == 0:
+            st.puts += 1
             return
+        rank = self.rank
         eb = dtype.itemsize
+        span = ((nelems - 1) * stride + 1) * eb
+        mems = self.machine.memories
+        if (dest < 0 or dest + span > mems[target].size
+                or src < 0 or src + span > mems[rank].size):
+            self._reject(target, dest, rank, src, span)
         nbytes = nelems * eb
+        st.puts += 1
         st.bytes_put += nbytes
-        dview, sview = self._views(dest, src, nelems, stride, target, dtype, True)
         engine = self.engine
         engine.checkpoint()
         traced = engine.trace.enabled
         if traced:
             engine.record("put", f"{nbytes}B -> PE{target} @{dest:#x}")
-            engine.spans.begin(self.rank, "op", "put", {
-                "bytes": nbytes, "nelems": nelems, "stride": stride,
-                "target": target, "remote": target != self.rank,
-                "dest": dest,
-            })
+            self._begin_span("put", nbytes, nelems, stride, target, dest)
         try:
             isa = self.machine.isa_path
             if isa is not None:
-                isa.transfer(self.rank, dest, src, nelems, stride, target,
+                isa.transfer(rank, dest, src, nelems, stride, target,
                              eb, is_put=True)
                 return
             pe = self.pe
-            pe.advance(loop_overhead_ns(self.cfg, nelems))
-            pe.advance(self._local_cost(src, nelems, eb, stride, write=False))
-            if target == self.rank:
-                pe.advance(self._local_cost(dest, nelems, eb, stride,
-                                            write=True))
-                dview[:] = sview
+            hier = self.hier
+            clock = pe.clock + self.loop_ns[nelems]
+            clock += hier.access_strided(src, nelems, eb, stride, False)
+            if target == rank:
+                pe.clock = clock + hier.access_strided(dest, nelems, eb,
+                                                       stride, True)
+                self._move(rank, dest, rank, src, nelems, stride, dtype)
                 return
             st.remote_puts += 1
-            pe.advance(OLB_LOOKUP_NS)
+            pe.clock = clock = clock + OLB_LOOKUP_NS
             if self.machine.faults is not None:
-                self._reliable_put(dview, sview, dest, nelems, eb, stride,
-                                   target, nbytes)
+                self._reliable(True, dest, src, nelems, stride, target,
+                               dtype)
                 return
             network = self.network
-            t_free, t_delivered, _ = network.send(
-                pe.clock, self.rank, target, nbytes)
-            pe.advance_to(t_free)
-            wcost = self._remote_cost(target, dest, nelems, eb, stride,
-                                      write=True)
-            network.note_delivery(t_delivered + wcost)
-            dview[:] = sview
+            t_free, t_delivered, _ = network.send(clock, rank, target, nbytes)
+            if t_free > clock:
+                pe.clock = t_free
+            t_delivered += self.machine.hierarchy_of(target).access_strided(
+                dest, nelems, eb, stride, True, False)
+            if t_delivered > network.max_delivery:
+                network.max_delivery = t_delivered
+            self._move(target, dest, rank, src, nelems, stride, dtype)
         finally:
             if traced:
-                engine.spans.end(self.rank)
+                engine.spans.end(rank)
 
     # -- blocking get -------------------------------------------------------------
 
@@ -285,54 +292,58 @@ class TransferEngine:
     ) -> None:
         """One-sided read of ``nelems`` elements from ``target``."""
         st = self.stats
-        st.gets += 1
         if nelems == 0:
+            st.gets += 1
             return
+        rank = self.rank
         eb = dtype.itemsize
+        span = ((nelems - 1) * stride + 1) * eb
+        mems = self.machine.memories
+        if (dest < 0 or dest + span > mems[rank].size
+                or src < 0 or src + span > mems[target].size):
+            self._reject(rank, dest, target, src, span)
         nbytes = nelems * eb
+        st.gets += 1
         st.bytes_got += nbytes
-        dview, sview = self._views(dest, src, nelems, stride, target, dtype, False)
         engine = self.engine
         engine.checkpoint()
         traced = engine.trace.enabled
         if traced:
             engine.record("get", f"{nbytes}B <- PE{target} @{src:#x}")
-            engine.spans.begin(self.rank, "op", "get", {
-                "bytes": nbytes, "nelems": nelems, "stride": stride,
-                "target": target, "remote": target != self.rank,
-                "dest": dest,
-            })
+            self._begin_span("get", nbytes, nelems, stride, target, dest)
         try:
             isa = self.machine.isa_path
             if isa is not None:
-                isa.transfer(self.rank, dest, src, nelems, stride, target,
+                isa.transfer(rank, dest, src, nelems, stride, target,
                              eb, is_put=False)
                 return
             pe = self.pe
-            pe.advance(loop_overhead_ns(self.cfg, nelems))
-            if target == self.rank:
-                pe.advance(self._local_cost(src, nelems, eb, stride,
-                                            write=False))
-                pe.advance(self._local_cost(dest, nelems, eb, stride,
-                                            write=True))
-                dview[:] = sview
+            hier = self.hier
+            clock = pe.clock + self.loop_ns[nelems]
+            if target == rank:
+                clock += hier.access_strided(src, nelems, eb, stride, False)
+                pe.clock = clock + hier.access_strided(dest, nelems, eb,
+                                                       stride, True)
+                self._move(rank, dest, rank, src, nelems, stride, dtype)
                 return
             st.remote_gets += 1
-            pe.advance(OLB_LOOKUP_NS)
+            pe.clock = clock = clock + OLB_LOOKUP_NS
             if self.machine.faults is not None:
-                self._reliable_get(dview, sview, dest, src, nelems, eb,
-                                   stride, target, nbytes)
+                self._reliable(False, dest, src, nelems, stride, target,
+                               dtype)
                 return
-            rcost = self._remote_cost(target, src, nelems, eb, stride,
-                                      write=False)
-            t_complete, _ = self.network.fetch(
-                pe.clock, self.rank, target, nbytes)
-            pe.advance_to(t_complete + rcost)
-            pe.advance(self._local_cost(dest, nelems, eb, stride, write=True))
-            dview[:] = sview
+            rcost = self.machine.hierarchy_of(target).access_strided(
+                src, nelems, eb, stride, False, False)
+            t_complete, _ = self.network.fetch(clock, rank, target, nbytes)
+            t_complete += rcost
+            if t_complete > clock:
+                clock = t_complete
+            pe.clock = clock + hier.access_strided(dest, nelems, eb, stride,
+                                                   True)
+            self._move(rank, dest, target, src, nelems, stride, dtype)
         finally:
             if traced:
-                engine.spans.end(self.rank)
+                engine.spans.end(rank)
 
     # -- non-blocking variants ---------------------------------------------------
 
@@ -349,52 +360,56 @@ class TransferEngine:
         blocking reliable path (retransmission is inherently
         synchronous) and return an already-completed handle.
         """
+        pe = self.pe
         if self.machine.faults is not None:
             self.put(dest, src, nelems, stride, target, dtype)
             return TransferHandle("put", nelems * dtype.itemsize,
-                                  self.pe.clock, done=True)
-        st = self.machine.stats
-        st.puts += 1
-        eb = dtype.itemsize
-        nbytes = nelems * eb
+                                  pe.clock, done=True)
+        st = self.stats
         if nelems == 0:
-            return TransferHandle("put", 0, self.pe.clock, done=True)
+            st.puts += 1
+            return TransferHandle("put", 0, pe.clock, done=True)
+        rank = self.rank
+        eb = dtype.itemsize
+        span = ((nelems - 1) * stride + 1) * eb
+        mems = self.machine.memories
+        if (dest < 0 or dest + span > mems[target].size
+                or src < 0 or src + span > mems[rank].size):
+            self._reject(target, dest, rank, src, span)
+        nbytes = nelems * eb
+        st.puts += 1
         st.bytes_put += nbytes
-        dview, sview = self._views(dest, src, nelems, stride, target, dtype, True)
-        engine = self.machine.engine
+        engine = self.engine
         engine.checkpoint()
         traced = engine.trace.enabled
         if traced:
-            engine.spans.begin(self.rank, "op", "put", {
-                "bytes": nbytes, "nelems": nelems, "stride": stride,
-                "target": target, "remote": target != self.rank,
-                "dest": dest, "nb": True,
-            })
+            self._begin_span("put", nbytes, nelems, stride, target, dest,
+                             nb=True)
         try:
-            pe = self.pe
-            pe.advance(loop_overhead_ns(self.cfg, nelems))
-            pe.advance(self._local_cost(src, nelems, eb, stride, write=False))
-            if target == self.rank:
-                pe.advance(self._local_cost(dest, nelems, eb, stride,
-                                            write=True))
-                dview[:] = sview
-                return TransferHandle("put", nbytes, pe.clock, done=True)
+            hier = self.hier
+            clock = pe.clock + self.loop_ns[nelems]
+            clock += hier.access_strided(src, nelems, eb, stride, False)
+            if target == rank:
+                pe.clock = clock = clock + hier.access_strided(
+                    dest, nelems, eb, stride, True)
+                self._move(rank, dest, rank, src, nelems, stride, dtype)
+                return TransferHandle("put", nbytes, clock, done=True)
             st.remote_puts += 1
-            pe.advance(OLB_LOOKUP_NS)
-            t_free, t_delivered, _ = self.machine.network.send(
-                pe.clock, self.rank, target, nbytes)
-            pe.advance_to(t_free)
-            wcost = self._remote_cost(target, dest, nelems, eb, stride,
-                                      write=True)
-            done_at = t_delivered + wcost
-            self.machine.network.note_delivery(done_at)
-            dview[:] = sview
-            handle = TransferHandle("put", nbytes, done_at)
+            clock += OLB_LOOKUP_NS
+            network = self.network
+            t_free, t_delivered, _ = network.send(clock, rank, target, nbytes)
+            pe.clock = t_free if t_free > clock else clock
+            t_delivered += self.machine.hierarchy_of(target).access_strided(
+                dest, nelems, eb, stride, True, False)
+            if t_delivered > network.max_delivery:
+                network.max_delivery = t_delivered
+            self._move(target, dest, rank, src, nelems, stride, dtype)
+            handle = TransferHandle("put", nbytes, t_delivered)
             self._pending[id(handle)] = handle
             return handle
         finally:
             if traced:
-                engine.spans.end(self.rank)
+                engine.spans.end(rank)
 
     def get_nb(
         self, dest: int, src: int, nelems: int, stride: int, target: int,
@@ -405,52 +420,54 @@ class TransferEngine:
         Degrades to the blocking reliable path under fault injection,
         like :meth:`put_nb`.
         """
+        pe = self.pe
         if self.machine.faults is not None:
             self.get(dest, src, nelems, stride, target, dtype)
             return TransferHandle("get", nelems * dtype.itemsize,
-                                  self.pe.clock, done=True)
-        st = self.machine.stats
-        st.gets += 1
-        eb = dtype.itemsize
-        nbytes = nelems * eb
+                                  pe.clock, done=True)
+        st = self.stats
         if nelems == 0:
-            return TransferHandle("get", 0, self.pe.clock, done=True)
+            st.gets += 1
+            return TransferHandle("get", 0, pe.clock, done=True)
+        rank = self.rank
+        eb = dtype.itemsize
+        span = ((nelems - 1) * stride + 1) * eb
+        mems = self.machine.memories
+        if (dest < 0 or dest + span > mems[rank].size
+                or src < 0 or src + span > mems[target].size):
+            self._reject(rank, dest, target, src, span)
+        nbytes = nelems * eb
+        st.gets += 1
         st.bytes_got += nbytes
-        dview, sview = self._views(dest, src, nelems, stride, target, dtype, False)
-        engine = self.machine.engine
+        engine = self.engine
         engine.checkpoint()
         traced = engine.trace.enabled
         if traced:
-            engine.spans.begin(self.rank, "op", "get", {
-                "bytes": nbytes, "nelems": nelems, "stride": stride,
-                "target": target, "remote": target != self.rank,
-                "dest": dest, "nb": True,
-            })
+            self._begin_span("get", nbytes, nelems, stride, target, dest,
+                             nb=True)
         try:
-            pe = self.pe
-            pe.advance(loop_overhead_ns(self.cfg, nelems))
-            if target == self.rank:
-                pe.advance(self._local_cost(src, nelems, eb, stride,
-                                            write=False))
-                pe.advance(self._local_cost(dest, nelems, eb, stride,
-                                            write=True))
-                dview[:] = sview
-                return TransferHandle("get", nbytes, pe.clock, done=True)
+            hier = self.hier
+            clock = pe.clock + self.loop_ns[nelems]
+            if target == rank:
+                clock += hier.access_strided(src, nelems, eb, stride, False)
+                pe.clock = clock = clock + hier.access_strided(
+                    dest, nelems, eb, stride, True)
+                self._move(rank, dest, rank, src, nelems, stride, dtype)
+                return TransferHandle("get", nbytes, clock, done=True)
             st.remote_gets += 1
-            pe.advance(OLB_LOOKUP_NS)
-            rcost = self._remote_cost(target, src, nelems, eb, stride,
-                                      write=False)
-            t_complete, _ = self.machine.network.fetch(
-                pe.clock, self.rank, target, nbytes)
-            wcost = self._local_cost(dest, nelems, eb, stride, write=True)
-            dview[:] = sview
+            pe.clock = clock = clock + OLB_LOOKUP_NS
+            rcost = self.machine.hierarchy_of(target).access_strided(
+                src, nelems, eb, stride, False, False)
+            t_complete, _ = self.network.fetch(clock, rank, target, nbytes)
+            wcost = hier.access_strided(dest, nelems, eb, stride, True)
+            self._move(rank, dest, target, src, nelems, stride, dtype)
             handle = TransferHandle("get", nbytes,
                                     t_complete + rcost + wcost)
             self._pending[id(handle)] = handle
             return handle
         finally:
             if traced:
-                engine.spans.end(self.rank)
+                engine.spans.end(rank)
 
     # -- remote atomics (xBGAS eamo*.d) ---------------------------------------------
 
@@ -462,39 +479,48 @@ class TransferEngine:
         at the target's memory — no lost updates under contention.
         """
         machine = self.machine
-        machine.stats.amos += 1
         mem = machine.memories[target]
-        mem.check(addr, 8)
-        engine = machine.engine
+        if addr < 0 or addr + 8 > mem.size:
+            mem.check(addr, 8)
+        machine.stats.amos += 1
+        rank = self.rank
+        engine = self.engine
         engine.checkpoint()
         traced = engine.trace.enabled
         if traced:
-            engine.spans.begin(self.rank, "op", "amo", {
+            engine.spans.begin(rank, "op", "amo", {
                 "bytes": 8, "op": op, "target": target,
-                "remote": target != self.rank,
+                "remote": target != rank,
             })
         try:
             pe = self.pe
             value = int(value) & MASK64
             if machine.isa_path is not None:
-                return machine.isa_path.amo(self.rank, addr, value, target, op)
-            if target == self.rank:
-                pe.advance(self._local_cost(addr, 1, 8, 1, write=True))
+                return machine.isa_path.amo(rank, addr, value, target, op)
+            if target == rank:
+                pe.clock += self.hier.access_strided(addr, 1, 8, 1, True)
             else:
-                pe.advance(OLB_LOOKUP_NS)
-                rcost = self._remote_cost(target, addr, 1, 8, 1, write=True)
+                clock = pe.clock + OLB_LOOKUP_NS
+                rcost = machine.hierarchy_of(target).access_strided(
+                    addr, 1, 8, 1, True, False)
                 # AMOs ride the NIC's reliable execution unit: exempt from
                 # message-fault injection (there is no software retry for
                 # a half-applied atomic).
-                t_complete, _ = machine.network.fetch(
-                    pe.clock, self.rank, target, 8, faultable=False)
-                pe.advance_to(t_complete + rcost)
-            old = mem.load(addr, 8)
-            mem.store(addr, 8, amo_apply(op, old, value))
+                t_complete, _ = self.network.fetch(clock, rank, target, 8,
+                                                   faultable=False)
+                t_complete += rcost
+                pe.clock = t_complete if t_complete > clock else clock
+            words = self._words[target, 8]
+            if words is None or addr & 7:
+                old = mem.load(addr, 8)
+                mem.store(addr, 8, amo_apply(op, old, value))
+            else:
+                old = words[addr >> 3]
+                words[addr >> 3] = amo_apply(op, old, value)
             return old
         finally:
             if traced:
-                engine.spans.end(self.rank)
+                engine.spans.end(rank)
 
     # -- completion ---------------------------------------------------------------
 

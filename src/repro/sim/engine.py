@@ -236,23 +236,41 @@ class Engine:
         path: if the calling PE still has the smallest clock it keeps
         running without a context switch.
         """
-        me = self.current
+        me = self._current
+        if me is None:
+            me = self.current  # raises: not called from PE code
         if self._direct:
+            q = self._runq
             nxt = self._successor
-            if nxt is None:
-                top = self._peek_runnable_clock()
-                if top is None or top >= me.clock:
-                    return
-            me.state = PEState.RUNNABLE
-            heapq.heappush(self._runq, (me.clock, me.rank))
-            if nxt is None:
-                # me.clock > top, so the peeked entry stays at the heap
-                # root and _pop_next hands off to it, never back to me.
-                nxt = self._pop_next()
-                assert nxt is not None
-            else:
+            if nxt is not None:
                 self._successor = None
-            self._handoff(me, nxt)
+                heapq.heappush(q, (me.clock, me.rank))
+            else:
+                # Settle the live heap root (see ``_pop_next``); keep
+                # running unless it is strictly earlier than the caller.
+                pes = self.pes
+                while q:
+                    clock, rank = q[0]
+                    nxt = pes[rank]
+                    if nxt.state is not PEState.RUNNABLE:
+                        heapq.heappop(q)
+                    elif nxt.clock != clock:
+                        heapq.heapreplace(q, (nxt.clock, rank))
+                    elif clock < me.clock:
+                        # The root sorts before the caller's entry, so
+                        # one sift swaps them.
+                        heapq.heappushpop(q, (me.clock, me.rank))
+                        break
+                    else:
+                        return
+                else:
+                    return
+            # Hand the baton over from this thread, then park.
+            me.state = PEState.RUNNABLE
+            nxt.state = PEState.RUNNING
+            self._current = nxt
+            nxt._baton.release()
+            me._baton.acquire()
             return
         if self._min_other_runnable_clock() >= me.clock:
             return
@@ -330,21 +348,6 @@ class Engine:
                     return pe
                 # A runnable PE's clock moved since it was enqueued
                 # (defensive: no current caller does this) — re-key it.
-                heapq.heapreplace(q, (pe.clock, rank))
-            else:
-                heapq.heappop(q)
-        return None
-
-    def _peek_runnable_clock(self) -> float | None:
-        """Clock of the live heap root without removing it."""
-        q = self._runq
-        pes = self.pes
-        while q:
-            clock, rank = q[0]
-            pe = pes[rank]
-            if pe.state is PEState.RUNNABLE:
-                if pe.clock == clock:
-                    return clock
                 heapq.heapreplace(q, (pe.clock, rank))
             else:
                 heapq.heappop(q)

@@ -16,7 +16,7 @@ import pytest
 from repro.backends import base, get_backend
 from repro.backends.mp import MPContext
 from repro.backends.vec import VecContext
-from repro.errors import RuntimeStateError
+from repro.errors import AddressError, RuntimeStateError
 from repro.runtime.collective_api import CollectiveAPI
 from repro.runtime.context import XBRTime
 
@@ -98,3 +98,38 @@ def test_closed_session_raises_runtime_state_error(backend):
     session.close()
     with pytest.raises(RuntimeStateError, match="used after close"):
         session.run(_noop)
+
+
+def _amo_alignment(ctx):
+    ctx.init()
+    cell = ctx.malloc(16)
+    ctx.view(cell, "uint64", 2)[:] = (7, 9)
+    ctx.barrier()
+    other = 1 - ctx.my_pe()
+    try:
+        refused = ctx.amo(cell + 3, 5, other, "add")
+    except AddressError as exc:
+        refused = str(exc)
+    ctx.barrier()
+    untouched = ctx.view(cell, "uint64", 2).tolist()
+    ctx.barrier()
+    old = ctx.amo(cell + 8, 5, other, "add", "int64")
+    ctx.barrier()
+    after = ctx.view(cell, "uint64", 2).tolist()
+    ctx.close()
+    return refused, untouched, old, after
+
+
+@pytest.mark.parametrize("backend", sorted(CONTEXTS))
+def test_misaligned_amo_is_refused_everywhere(backend):
+    """RISC-V AMOs need natural alignment: the context core refuses a
+    misaligned one by PE and address, before any backend touches
+    memory; the aligned neighbour still works."""
+    with get_backend(backend).session(small_config(2)) as session:
+        results = session.run(_amo_alignment)
+    for rank, (refused, untouched, old, after) in enumerate(results):
+        assert re.fullmatch(
+            rf"PE {rank}: AMO at 0x[0-9a-f]+3 on PE {1 - rank} is not "
+            r"8-byte aligned \(.*\)", refused), refused
+        assert untouched == [7, 9]
+        assert (old, after) == (9, [7, 14])

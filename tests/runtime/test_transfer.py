@@ -97,6 +97,33 @@ class TestPut:
 
         run(2, body)
 
+    @pytest.mark.parametrize("op", ["put", "get", "put_nb", "get_nb", "amo"])
+    def test_rejected_transfer_is_not_counted(self, op):
+        """An out-of-range address raises before anything is counted or
+        charged; a zero-element call still counts as a call."""
+        def body(ctx):
+            ctx.init()
+            a = ctx.malloc(64)
+            ctx.barrier()
+            st = ctx.machine.stats
+            if ctx.my_pe() == 0:
+                counted = lambda: (st.puts, st.gets, st.amos, st.bytes_put,
+                                   st.bytes_got, ctx.pe.clock)
+                before = counted()
+                with pytest.raises(AddressError, match="outside memory"):
+                    if op == "amo":
+                        ctx.amo(1 << 40, 1, 1, "add")
+                    else:
+                        getattr(ctx, op)(1 << 40, a, 1, 1, 1, "uint64")
+                assert counted() == before
+                if op != "amo":
+                    getattr(ctx, op)(1 << 40, a, 0, 1, 1, "uint64")
+                    assert st.puts + st.gets == before[0] + before[1] + 1
+            ctx.barrier()
+            ctx.close()
+
+        run(2, body)
+
     def test_remote_put_sender_returns_before_delivery(self):
         """One-sided puts are fire-and-forget: the sender is freed as
         soon as the message is injected, well before remote delivery."""
