@@ -251,16 +251,16 @@ def test_large_pe_crossover_vec(once, benchmark):
     schedules at once, so the crossover curves extend to the PE counts
     the paper's future-work section asks about.  The committed
     reference copy of the full sweep is ``BENCH_vec.json``
-    (``python -m repro.bench.vec_sweep --out BENCH_vec.json``).
+    (``python -m repro.bench.sweeps --write vec``).
     """
-    from repro.bench.vec_sweep import sweep_point
+    from repro.bench.sweeps import vec_point
 
     def sweep():
         rows = {}
         for n_pes in LARGE_PE_COUNTS:
             for nelems in (8, 4096):
                 rows[(n_pes, nelems)] = {
-                    c: sweep_point(c, n_pes, nelems)
+                    c: vec_point(c, n_pes, nelems)
                     for c in ("broadcast", "allreduce")
                 }
         return rows
@@ -292,15 +292,15 @@ def test_pipelined_allreduce_large_payload_vec(once, benchmark):
     The PR 8 acceptance sweep, in-process: the vec evaluator prices the
     three large-payload allreduce schedules at the PE counts where the
     pipeline depth pays off.  The committed reference copy is
-    ``BENCH_pipeline.json`` (``python -m repro.bench.pipeline_sweep
-    --out BENCH_pipeline.json``; CI's perf-smoke re-validates it with
-    ``--check``).
+    ``BENCH_pipeline.json`` (``python -m repro.bench.sweeps --write
+    pipeline``; CI's perf-smoke checks it with ``python -m
+    repro.bench.sweeps``).
     """
-    from repro.bench.pipeline_sweep import sweep_point
+    from repro.bench.sweeps import pipeline_point
 
     def sweep():
         return {
-            n_pes: sweep_point(n_pes, 8192)  # 64 KiB of int64
+            n_pes: pipeline_point(n_pes, 8192)  # 64 KiB of int64
             for n_pes in PIPELINE_PE_COUNTS
         }
 

@@ -47,9 +47,9 @@ def allreduce_program(ctx, nelems: int, algorithm: str,
 
 def price_large_payload(n_pes: int, nelems: int) -> None:
     """Makespans from the vec evaluator — no data arena, just the model."""
-    from repro.bench.pipeline_sweep import sweep_point
+    from repro.bench.sweeps import pipeline_point
 
-    p = sweep_point(n_pes, nelems)
+    p = pipeline_point(n_pes, nelems)
     kib = p["nbytes"] // 1024
     print(f"\nvec evaluator, {n_pes} PEs x {kib} KiB "
           f"(auto segments: {p['segments']}):")

@@ -54,9 +54,9 @@ def burst_program(ctx, nelems: int, batch: int, deferred: bool) -> bytes:
 
 def price_batch(n_pes: int, nelems: int, batch: int) -> None:
     """Makespans from the vec evaluator — the BENCH_batch.json model."""
-    from repro.bench.batch_sweep import sweep_point
+    from repro.bench.sweeps import batch_point
 
-    p = sweep_point(n_pes, nelems, batch)
+    p = batch_point(n_pes, nelems, batch)
     print(f"\nvec evaluator, {n_pes} PEs x {p['nbytes']} B x K={batch}:")
     print(f"  {'eager (K calls)':>18}: {p['eager_ns']:>12.0f} ns")
     print(f"  {'superstep (fused)':>18}: {p['superstep_ns']:>12.0f} ns")

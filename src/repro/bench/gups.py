@@ -251,15 +251,11 @@ def _gups_pe(ctx: XBRTime, params: GupsParams) -> dict:
     }
 
 
-def run_gups(config: MachineConfig, params: GupsParams | None = None, *,
-             fast_paths: bool = True) -> GupsResult:
-    """Run GUPs on a fresh machine built from ``config``.
-
-    ``fast_paths=False`` runs on the reference simulator paths (same
-    simulated result, slower wall clock) — used by the perf harness.
-    """
+def run_gups(config: MachineConfig,
+             params: GupsParams | None = None) -> GupsResult:
+    """Run GUPs on a fresh machine built from ``config``."""
     params = params if params is not None else GupsParams()
-    machine = Machine(config, fast_paths=fast_paths)
+    machine = Machine(config)
     wall0 = time.perf_counter()
     results = machine.run(_gups_pe, [(params,) for _ in range(config.n_pes)])
     wall = time.perf_counter() - wall0

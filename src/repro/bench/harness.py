@@ -28,8 +28,6 @@ from .nas_is import IsParams, IsResult, generate_keys, run_is
 
 __all__ = [
     "SweepPoint",
-    "add_traffic_args",
-    "traffic_metadata",
     "PE_COUNTS",
     "sweep_gups",
     "sweep_gups_backend",
@@ -380,39 +378,9 @@ def oversubscription_gate(pe_counts: Sequence[int],
     )
 
 
-def add_traffic_args(parser) -> None:
-    """Install the traffic-shape flags shared by the bench CLIs.
-
-    ``--duration`` and ``--arrival-rate`` parameterise traffic-driven
-    benchmarks (``repro.bench.serve_sweep``'s open-loop generator); the
-    figure sweeps here accept them so one flag vocabulary drives every
-    bench entry point, and record them — set or not — in the report
-    JSON next to the seed, following the ``--oversubscribe``
-    host-metadata pattern: a committed report always says what traffic
-    shape produced it.
-    """
-    parser.add_argument("--duration", type=float, default=None,
-                        help="traffic duration in seconds (open-loop "
-                             "generators; recorded in the report JSON)")
-    parser.add_argument("--arrival-rate", type=float, default=None,
-                        help="mean job arrivals per second (Poisson "
-                             "open-loop; recorded in the report JSON)")
-
-
-def traffic_metadata(*, seed: int, duration: float | None = None,
-                     arrival_rate: float | None = None) -> dict:
-    """The ``traffic`` block of a report JSON (always carries the seed)."""
-    return {
-        "seed": seed,
-        "duration_s": duration,
-        "arrival_rate_per_s": arrival_rate,
-    }
-
-
 def bench_report(bench: str, backend: str,
                  points: Sequence[SweepPoint], *,
-                 oversubscribed: bool | None = None,
-                 traffic: dict | None = None) -> dict:
+                 oversubscribed: bool | None = None) -> dict:
     """A JSON-serialisable record of one sweep, with host metadata.
 
     Wall-clock numbers are only interpretable next to the host they were
@@ -441,7 +409,6 @@ def bench_report(bench: str, backend: str,
             **({} if oversubscribed is None
                else {"oversubscribed": oversubscribed}),
         },
-        **({} if traffic is None else {"traffic": traffic}),
         "points": [
             {
                 "n_pes": pt.n_pes,
@@ -489,12 +456,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--oversubscribe", action="store_true",
                         help="allow --backend mp with more PEs than host "
                              "cores (numbers are flagged in the JSON)")
-    add_traffic_args(parser)
     parser.add_argument("--out", default=None,
                         help="write the sweep as JSON to this path")
     args = parser.parse_args(argv)
-    traffic = traffic_metadata(seed=args.seed, duration=args.duration,
-                               arrival_rate=args.arrival_rate)
 
     status = 0
     report = None
@@ -517,8 +481,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         status |= not all(pt.verified for pt in points)
         report = bench_report(
             "gups", "mp", points,
-            oversubscribed=max(args.pes) > (os.cpu_count() or 1),
-            traffic=traffic)
+            oversubscribed=max(args.pes) > (os.cpu_count() or 1))
     else:
         if args.bench in ("gups", "both"):
             gp = GupsParams()
@@ -528,8 +491,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             bad = check_figure4_shape(points)
             _print_points(f"GUPs (Figure 4), seed={args.seed}", points, bad)
             status |= bool(bad)
-            report = bench_report("gups", "sim", points,
-                                  traffic=traffic)
+            report = bench_report("gups", "sim", points)
         if args.bench in ("is", "both"):
             ip = IsParams()
             if args.is_class is not None:

@@ -33,7 +33,6 @@ from typing import Sequence
 from ..faults.plan import keyed_salt, keyed_u01
 from ..errors import QueueFullError
 from ..serve import JobSpec, ServePool
-from .harness import add_traffic_args, traffic_metadata
 
 __all__ = [
     "TrafficProfile",
@@ -182,8 +181,9 @@ def run_serve_sweep(*, n_pes: int = 4, backend: str = "auto",
         "backend": backend_used,
         "host": _host_metadata(),
         "traffic": {
-            **traffic_metadata(seed=seed, duration=duration_s,
-                               arrival_rate=rate_per_s),
+            "seed": seed,
+            "duration_s": duration_s,
+            "arrival_rate_per_s": rate_per_s,
             "tenants": tenants,
             "fault_rate": fault_rate,
             "offered_jobs": len(jobs),
@@ -284,7 +284,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="number of tenants (default 8)")
     parser.add_argument("--fault-rate", type=float, default=0.0,
                         help="fraction of jobs that get a seeded crash")
-    add_traffic_args(parser)
+    parser.add_argument("--duration", type=float, default=5.0,
+                        help="traffic duration in seconds (default 5)")
+    parser.add_argument("--arrival-rate", type=float, default=25.0,
+                        help="mean Poisson job arrivals per second "
+                             "(default 25)")
     parser.add_argument("--out", default=None,
                         help="write the report JSON to this path")
     parser.add_argument("--check", default=None, metavar="REPORT",
@@ -300,11 +304,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{args.check}: OK")
         return 1 if bad else 0
 
-    duration = args.duration if args.duration is not None else 5.0
-    rate = args.arrival_rate if args.arrival_rate is not None else 25.0
     report = run_serve_sweep(
-        n_pes=args.pes, backend=args.backend, duration_s=duration,
-        rate_per_s=rate, tenants=args.tenants, seed=args.seed,
+        n_pes=args.pes, backend=args.backend, duration_s=args.duration,
+        rate_per_s=args.arrival_rate, tenants=args.tenants, seed=args.seed,
         fault_rate=args.fault_rate,
     )
     res = report["results"]

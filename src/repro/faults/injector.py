@@ -121,16 +121,21 @@ class FaultInjector:
 
     @staticmethod
     def corrupt_payload(view: np.ndarray, fault: FiredFault) -> None:
-        """Flip one deterministic bit of the delivered payload."""
+        """Flip one deterministic bit of the delivered payload, in place
+        and among the element's value bytes: an x86 ``long double`` keeps
+        80 value bits in 16 bytes, and a flip in its padding is no fault."""
         flat = view.reshape(-1)
         if flat.size == 0:
             return
         idx = fault.salt % flat.size
         nbits = flat.dtype.itemsize * 8
+        if flat.dtype.kind == "f":
+            # Sign, exponent and mantissa bits, rounded up to whole
+            # bytes (which also takes in x87's explicit integer bit).
+            fi = np.finfo(flat.dtype)
+            nbits = min(nbits, (fi.nexp + fi.nmant + 8) // 8 * 8)
         bit = (fault.salt >> 20) % nbits
-        raw = bytearray(flat[idx].tobytes())
-        raw[bit // 8] ^= 1 << (bit % 8)
-        flat[idx] = np.frombuffer(bytes(raw), dtype=flat.dtype)[0]
+        flat[idx:idx + 1].view(np.uint8)[bit // 8] ^= 1 << (bit % 8)
 
     # -- runtime call boundary ---------------------------------------------
 

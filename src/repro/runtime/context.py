@@ -76,8 +76,8 @@ class Machine:
         ``fast_paths=False`` selects the reference implementations of the
         scheduler (scheduler-thread bounce) and of bulk memory costing
         (per-line loop).  Simulated results are identical either way —
-        the flag exists for the equivalence tests and as the "before"
-        arm of the wall-clock perf harness (``repro.perf``)."""
+        the flag selects the reference the equivalence tests compare
+        against."""
         if transport not in ("onesided", "mailbox"):
             raise ValueError(
                 f"unknown schedule transport {transport!r}; expected "

@@ -34,7 +34,7 @@ Two scheduling strategies produce the identical event order:
 * **Scheduler bounce** (``direct_handoff=False``): every yield returns
   to the scheduler thread, which rescans all PEs — the original
   reference implementation, kept as the oracle for the determinism
-  tests and as the "before" arm of the perf harness.
+  tests.
 """
 
 from __future__ import annotations

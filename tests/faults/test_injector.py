@@ -18,6 +18,7 @@ from repro.faults.plan import (
 )
 from repro.faults.injector import FaultInjector
 from repro.runtime import Machine
+from repro.types import TYPENAMES, typeinfo
 
 from ..conftest import small_config
 
@@ -63,17 +64,22 @@ class TestMessageFaults:
         assert m.stats.retries == 2
         assert m.stats.faults_injected["drop"] == 2
 
-    def test_corrupt_flips_exactly_one_deterministic_bit(self):
-        view = np.zeros(8, dtype=np.int64)
-        fault = FiredFault(kind="corrupt", rule_index=0, seq=0, salt=0xABCDEF)
-        FaultInjector.corrupt_payload(view, fault)
-        assert np.count_nonzero(view) == 1
-        changed = int(np.flatnonzero(view)[0])
-        assert bin(int(view[changed]) & ((1 << 64) - 1)).count("1") == 1
-        # Deterministic: the same fault flips the same bit.
-        view2 = np.zeros(8, dtype=np.int64)
-        FaultInjector.corrupt_payload(view2, fault)
-        assert np.array_equal(view, view2)
+    @pytest.mark.parametrize("typename", TYPENAMES)
+    def test_corrupt_flips_exactly_one_deterministic_bit(self, typename):
+        """Every salt changes exactly one element's value — never just
+        the padding of a ``long double`` — and a fault is replayable:
+        two applications leave identical bytes."""
+        base = np.arange(1, 9).astype(typeinfo(typename).dtype)
+        # Bits 20+ of the salt draw the bit, the low bits the element:
+        # this sweep draws every bit position of a 16-byte element.
+        for salt in ((b << 20) | b for b in range(128)):
+            fault = FiredFault(kind="corrupt", rule_index=0, seq=0,
+                               salt=salt)
+            view, view2 = base.copy(), base.copy()
+            FaultInjector.corrupt_payload(view, fault)
+            FaultInjector.corrupt_payload(view2, fault)
+            assert np.count_nonzero(view != base) == 1, hex(salt)
+            assert view.tobytes() == view2.tobytes()
 
     def test_corrupt_empty_payload_is_noop(self):
         fault = FiredFault(kind="corrupt", rule_index=0, seq=0, salt=99)

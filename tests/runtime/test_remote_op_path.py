@@ -320,9 +320,11 @@ VARIANTS = {
     "trace": {"trace": True},
     "faults": {"faults": FAULTS,
                "retry": RetryConfig(max_retries=2, timeout_ns=3000.0)},
-    # No ack/retry: losses are silent and corruption lands in memory —
-    # through a numpy scalar, which leaves the six padding bytes of a
-    # corrupted ``long double`` undefined, so this variant moves none.
+    # No ack/retry: losses are silent and corruption lands in memory.
+    # Its digests were frozen when a corrupted ``long double`` left its
+    # padding bytes undefined, so this variant moves none; the in-place
+    # value-bit flip is pinned per dtype in tests/faults/test_injector.py
+    # (test_corrupt_flips_exactly_one_deterministic_bit).
     "unreliable": {"faults": FAULTS},
     "isa": {"fidelity": "isa"},
 }
