@@ -61,20 +61,24 @@ from .common import (
 from .ops import check_op
 from .schedule.executor import PreparedCollective
 from .schedule.ir import (
+    AUX_COPY,
+    AUX_MOVE,
     BARRIER,
+    OP_COPY,
+    OP_GET,
+    OP_PUT,
+    OP_REDUCE,
     Buffer,
     Copy,
     Get,
     Pipeline,
-    Put,
     RankProgram,
     Reduce,
+    Rows,
     Schedule,
-    barrier_stage,
-    closed_stage,
     segment_bounds,
+    skeleton,
 )
-from .virtual_rank import ring_neighbor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
@@ -193,22 +197,24 @@ def compile_allreduce(n_pes: int, nelems: int, stride: int, itemsize: int,
     )
 
 
+#: Buffer indices (``_buffers`` order); ``l`` comes after the scratch,
+#: at ``_A + 1`` or, double-buffered, ``_B + 1``.
+_DEST, _SRC, _A, _B = range(4)
+
+
 def _degenerate(n_pes: int, nelems: int, stride: int, itemsize: int,
                 op: str, algorithm: str) -> Schedule:
     nbytes = span_bytes(nelems, stride, itemsize)
-    programs = tuple(
-        RankProgram(r, (Copy("dest", 0, "src", 0, nelems, stride), BARRIER))
-        for r in range(n_pes)
-    )
-    return Schedule(
-        collective="allreduce", algorithm=algorithm, n_pes=n_pes,
-        itemsize=itemsize, op=op,
+    rows = Rows()
+    rows.add(np.arange(n_pes), 0, 0, OP_COPY, (_DEST, 0), (_SRC, 0), nelems,
+             stride, aux=AUX_COPY)
+    return Schedule.from_rows(
+        "allreduce", algorithm, n_pes, itemsize, rows, (skeleton(1, (), 0),),
+        op=op,
         buffers=(Buffer("dest", "user", nbytes),
                  Buffer("src", "user", nbytes)),
-        programs=programs,
         deliver=tuple((r, "dest", 0, nbytes) for r in range(n_pes))
-        if nbytes else (),
-    )
+        if nbytes else ())
 
 
 def _buffers(nbytes: int, double: bool) -> tuple[Buffer, ...]:
@@ -221,56 +227,88 @@ def _buffers(nbytes: int, double: bool) -> tuple[Buffer, ...]:
     ) + scratch + (Buffer("l", "private", nbytes),)
 
 
+def _schedule(algorithm: str, n_pes: int, nelems: int, stride: int,
+              itemsize: int, op: str, rows: Rows, skeletons: tuple,
+              skeleton_of=None) -> Schedule:
+    nbytes = span_bytes(nelems, stride, itemsize)
+    return Schedule.from_rows(
+        "allreduce", algorithm, n_pes, itemsize, rows, skeletons,
+        skeleton_of=skeleton_of, op=op,
+        buffers=_buffers(nbytes, double=algorithm == "doubling"),
+        deliver=tuple((r, "dest", 0, nbytes) for r in range(n_pes)))
+
+
+def _pull_and_fold(rows: Rows, rank, section, phase, lo, count, stride,
+                   itemsize, peer, l_buf: int, where=None) -> None:
+    """``rank`` gets ``count`` elements from ``lo`` of ``peer``'s ``a``
+    into its ``l`` and folds them into its own ``a``: a get and a reduce,
+    in that order, on every rank (``rank`` and the rest broadcast over a
+    trailing axis of two)."""
+    def pair(x):
+        return np.asarray(x)[..., None]
+
+    off = pair(lo * stride * itemsize)
+    rows.add(pair(rank), pair(section), pair(phase), [OP_GET, OP_REDUCE],
+             ([l_buf, _A], off), ([_A, l_buf], off), pair(count), stride,
+             peer=np.stack(np.broadcast_arrays(peer, rank), -1),
+             aux=np.stack(np.broadcast_arrays(0, count), -1),
+             where=None if where is None else pair(where))
+
+
 @lru_cache(maxsize=512)
 def _compile_folded(n_pes: int, nelems: int, stride: int, itemsize: int,
                     op: str, algorithm: str) -> Schedule:
     """Doubling / Rabenseifner over the MPICH power-of-two fold."""
     if nelems == 0 or n_pes == 1:
         return _degenerate(n_pes, nelems, stride, itemsize, op, algorithm)
-    nbytes = span_bytes(nelems, stride, itemsize)
     pof2 = 1 << (n_pes.bit_length() - 1)
     if pof2 * 2 <= n_pes:  # n_pes is an exact power of two
         pof2 = n_pes
     rem = n_pes - pof2
     k = n_stages(pof2)
+    l_buf = _B + 1 if algorithm == "doubling" else _A + 1
+    ranks = np.arange(n_pes)
+    rows = Rows()
+    rows.add(ranks, 0, 0, OP_COPY, (_A, 0), (_SRC, 0), nelems, stride,
+             aux=AUX_COPY)
+    # Fold the remainder into the largest power-of-two subset: even
+    # front ranks absorb their odd neighbour's contribution.
+    evens = np.arange(0, 2 * rem, 2)
+    _pull_and_fold(rows, evens, 0, 1, np.zeros_like(evens),
+                   np.full_like(evens, nelems), stride, itemsize, evens + 1,
+                   l_buf)
+    active = ranks[(ranks >= 2 * rem) | (ranks % 2 == 0)]
+    newrank = np.where(active < 2 * rem, active // 2, active - rem)
 
-    def unfold(new: int) -> int:
-        return new * 2 if new < rem else new + rem
+    def unfold(new):
+        return np.where(new < rem, new * 2, new + rem)
 
-    programs = []
-    for r in range(n_pes):
-        prologue: list = [Copy("a", 0, "src", 0, nelems, stride), BARRIER]
-        # Fold the remainder into the largest power-of-two subset: even
-        # front ranks absorb their odd neighbour's contribution.
-        if r < 2 * rem and r % 2 == 0:
-            prologue.append(Get("l", 0, "a", 0, nelems, stride, r + 1))
-            prologue.append(Reduce("a", 0, "l", 0, nelems, stride, nelems))
-        prologue.append(BARRIER)
-        active = r >= 2 * rem or r % 2 == 0
-        newrank = (r // 2) if r < 2 * rem else r - rem
-        if algorithm == "doubling":
-            stages, final = _doubling_stages(active, newrank, unfold, k,
-                                             nelems, stride)
-        else:
-            stages, final = _rabenseifner_stages(active, newrank, unfold,
-                                                 pof2, k, nelems, stride,
-                                                 itemsize)
-        # Push results back to the folded-out odd ranks (same address on
-        # both sides thanks to the shared buffer parity).
-        epilogue: list = []
-        if r < 2 * rem and r % 2 == 0:
-            epilogue.append(Put(final, 0, final, 0, nelems, stride, r + 1))
-        epilogue.append(BARRIER)
-        epilogue.append(Copy("dest", 0, final, 0, nelems, stride))
-        programs.append(RankProgram(r, tuple(prologue), stages,
-                                    tuple(epilogue)))
-    return Schedule(
-        collective="allreduce", algorithm=algorithm, n_pes=n_pes,
-        itemsize=itemsize, op=op,
-        buffers=_buffers(nbytes, double=algorithm == "doubling"),
-        programs=tuple(programs),
-        deliver=tuple((r, "dest", 0, nbytes) for r in range(n_pes)),
-    )
+    if algorithm == "doubling":
+        n_st = _doubling(rows, active, newrank, unfold, k, nelems, stride,
+                         l_buf)
+        final = _A if k % 2 == 0 else _B
+        skeletons = (skeleton(2, ((i, ()) for i in range(k)), 1),)
+        skeleton_of = None
+    else:
+        n_st = _rabenseifner(rows, active, newrank, unfold, pof2, k, nelems,
+                             stride, itemsize, l_buf)
+        final = _A
+        # Folded-out ranks idle through stages that carry no span attrs.
+        skeletons = (
+            skeleton(2, [(i, _REDUCE_SCATTER) for i in range(k)]
+                     + [(i, _ALLGATHER) for i in range(k, 2 * k)], 1),
+            skeleton(2, ((i, ()) for i in range(2 * k)), 1))
+        skeleton_of = np.ones(n_pes, dtype=np.int64)
+        skeleton_of[active] = 0
+    # Push results back to the folded-out odd ranks (same address on
+    # both sides thanks to the shared buffer parity), then every rank
+    # copies out.
+    rows.add(evens, n_st + 1, n_st + 2, OP_PUT, (final, 0), (final, 0),
+             nelems, stride, peer=evens + 1)
+    rows.add(ranks, n_st + 1, n_st + 3, OP_COPY, (_DEST, 0), (final, 0),
+             nelems, stride, aux=AUX_COPY)
+    return _schedule(algorithm, n_pes, nelems, stride, itemsize, op, rows,
+                     skeletons, skeleton_of)
 
 
 #: Span attrs of the two halves of Rabenseifner and ring.
@@ -278,89 +316,57 @@ _REDUCE_SCATTER = (("phase", "reduce-scatter"),)
 _ALLGATHER = (("phase", "allgather"),)
 
 
-def _doubling_stages(active: bool, newrank: int, unfold, k: int,
-                     nelems: int, stride: int) -> tuple[tuple, str]:
+def _doubling(rows: Rows, active, newrank, unfold, k: int, nelems: int,
+              stride: int, l_buf: int) -> int:
     """Recursive doubling: read the partner's *current* buffer, write the
     *next* — folded-out ranks idle through the stages but join every
     barrier and track the buffer parity, so the final buffer names the
     same scratch on every PE."""
-    stages = []
     for i in range(k):
-        cur, nxt = ("a", "b") if i % 2 == 0 else ("b", "a")
-        steps: list = []
-        if active:
-            partner = unfold(newrank ^ (1 << i))
-            steps.append(Get("l", 0, cur, 0, nelems, stride, partner))
-            steps.append(Copy(nxt, 0, cur, 0, nelems, stride, charged=False))
-            steps.append(Reduce(nxt, 0, "l", 0, nelems, stride, 2 * nelems))
-        stages.append(closed_stage(i, steps))
-    return tuple(stages), ("a" if k % 2 == 0 else "b")
+        cur, nxt = (_A, _B) if i % 2 == 0 else (_B, _A)
+        partner = unfold(newrank ^ (1 << i))
+        rows.add(active[:, None], i + 1, i + 2, [OP_GET, OP_COPY, OP_REDUCE],
+                 ([l_buf, nxt, nxt], 0), ([cur, cur, l_buf], 0), nelems,
+                 stride, peer=np.stack((partner, active, active), axis=1),
+                 aux=[0, AUX_MOVE, 2 * nelems])
+    return k
 
 
-def _rabenseifner_stages(active: bool, newrank: int, unfold, pof2: int,
-                         k: int, nelems: int, stride: int,
-                         itemsize: int) -> tuple[tuple, str]:
+def _rabenseifner(rows: Rows, active, newrank, unfold, pof2: int, k: int,
+                  nelems: int, stride: int, itemsize: int, l_buf: int) -> int:
     """Reduce-scatter (recursive halving) + allgather (recursive
     doubling) over the active power-of-two subset.
 
-    Every stage's remote reads target regions the local PE does not
-    write in that stage (each side touches only its own kept/grown
-    segment), so a single buffer plus per-stage barriers is safe — the
-    schedule linter verifies the disjointness for every compiled shape.
+    Reduce-scatter stage ``s`` splits the rank range a PE still
+    accumulates at bit ``j = k-1-s``: it keeps the half holding its own
+    new rank and folds that half from the partner across the bit.
+    Allgather stage ``k + j`` replays bit ``j`` in reverse, fetching the
+    partner's fully reduced half.  Every stage's remote reads target
+    regions the local PE does not write in that stage, so a single
+    buffer plus per-stage barriers is safe — the schedule linter
+    verifies the disjointness for every compiled shape.
     """
-    if not active:
-        return tuple(barrier_stage(i) for i in range(2 * k)), "a"
-
-    def bound(rr: int) -> int:
-        return nelems * rr // pof2
-
-    def off(e: int) -> int:
-        return e * stride * itemsize
-
-    # Phase 1: reduce-scatter.  Track the rank range whose elements this
-    # PE still accumulates; halve it every stage.
-    stages = []
-    lo_r, hi_r = 0, pof2
-    trail: list[tuple[int, int, int]] = []  # (partner_new, keep_lo, keep_hi)
-    for stage in range(k):
-        half = (hi_r - lo_r) // 2
-        if newrank < lo_r + half:
-            partner_new = newrank + half
-            keep_lo, keep_hi = lo_r, lo_r + half
-        else:
-            partner_new = newrank - half
-            keep_lo, keep_hi = lo_r + half, hi_r
-        e_lo, e_hi = bound(keep_lo), bound(keep_hi)
-        steps: list = []
-        if e_hi > e_lo:
-            partner = unfold(partner_new)
-            steps.append(Get("l", off(e_lo), "a", off(e_lo), e_hi - e_lo,
-                             stride, partner))
-            steps.append(Reduce("a", off(e_lo), "l", off(e_lo), e_hi - e_lo,
-                                stride, e_hi - e_lo))
-        stages.append(closed_stage(stage, steps, _REDUCE_SCATTER))
-        trail.append((partner_new, keep_lo, keep_hi))
-        lo_r, hi_r = keep_lo, keep_hi
-
-    # Phase 2: allgather, replaying the recursion in reverse — fetch the
-    # partner's (fully reduced) segment, doubling owned data each stage.
-    for stage, (partner_new, keep_lo, keep_hi) in enumerate(reversed(trail),
-                                                            start=k):
-        partner = unfold(partner_new)
+    for s in range(k):
+        j = k - 1 - s
+        keep_lo = newrank >> j << j
+        e_lo = nelems * keep_lo // pof2
+        e_hi = nelems * (keep_lo + (1 << j)) // pof2
+        _pull_and_fold(rows, active, s + 1, s + 2, e_lo, e_hi - e_lo,
+                       stride, itemsize, unfold(newrank ^ (1 << j)), l_buf,
+                       where=e_hi > e_lo)
+    for j in range(k):
         # The partner owns the complement of my kept rank range within
         # the enclosing range of this (reversed) stage.
-        span = keep_hi - keep_lo
-        if partner_new < keep_lo:
-            need_lo, need_hi = keep_lo - span, keep_lo
-        else:
-            need_lo, need_hi = keep_hi, keep_hi + span
-        e_lo, e_hi = bound(need_lo), bound(need_hi)
-        steps = []
-        if e_hi > e_lo:
-            steps.append(Get("a", off(e_lo), "a", off(e_lo), e_hi - e_lo,
-                             stride, partner))
-        stages.append(closed_stage(stage, steps, _ALLGATHER))
-    return tuple(stages), "a"
+        keep_lo = newrank >> j << j
+        need_lo = np.where(newrank >> j & 1, keep_lo - (1 << j),
+                           keep_lo + (1 << j))
+        e_lo = nelems * need_lo // pof2
+        e_hi = nelems * (need_lo + (1 << j)) // pof2
+        off = e_lo * stride * itemsize
+        rows.add(active, k + j + 1, k + j + 2, OP_GET, (_A, off), (_A, off),
+                 e_hi - e_lo, stride, peer=unfold(newrank ^ (1 << j)),
+                 where=e_hi > e_lo)
+    return 2 * k
 
 
 @lru_cache(maxsize=512)
@@ -380,46 +386,30 @@ def _compile_ring(n_pes: int, nelems: int, stride: int, itemsize: int,
     """
     if nelems == 0 or n_pes == 1:
         return _degenerate(n_pes, nelems, stride, itemsize, op, "ring")
-    nbytes = span_bytes(nelems, stride, itemsize)
-
-    def bound(i: int) -> int:
-        return nelems * i // n_pes
-
-    def off(e: int) -> int:
-        return e * stride * itemsize
-
-    programs = []
-    for r in range(n_pes):
-        left = ring_neighbor(r, n_pes, -1)
-        prologue = (Copy("a", 0, "src", 0, nelems, stride), BARRIER)
-        stages = []
-        for s in range(n_pes - 1):
-            seg = (r - 1 - s) % n_pes
-            e_lo, e_hi = bound(seg), bound(seg + 1)
-            steps: list = []
-            if e_hi > e_lo:
-                steps.append(Get("l", off(e_lo), "a", off(e_lo),
-                                 e_hi - e_lo, stride, left))
-                steps.append(Reduce("a", off(e_lo), "l", off(e_lo),
-                                    e_hi - e_lo, stride, e_hi - e_lo))
-            stages.append(closed_stage(s, steps, _REDUCE_SCATTER))
-        for s in range(n_pes - 1):
-            seg = (r - s) % n_pes
-            e_lo, e_hi = bound(seg), bound(seg + 1)
-            steps = []
-            if e_hi > e_lo:
-                steps.append(Get("a", off(e_lo), "a", off(e_lo),
-                                 e_hi - e_lo, stride, left))
-            stages.append(closed_stage(n_pes - 1 + s, steps, _ALLGATHER))
-        epilogue = (Copy("dest", 0, "a", 0, nelems, stride),)
-        programs.append(RankProgram(r, prologue, tuple(stages), epilogue))
-    return Schedule(
-        collective="allreduce", algorithm="ring", n_pes=n_pes,
-        itemsize=itemsize, op=op,
-        buffers=_buffers(nbytes, double=False),
-        programs=tuple(programs),
-        deliver=tuple((r, "dest", 0, nbytes) for r in range(n_pes)),
-    )
+    ranks = np.arange(n_pes)[:, None]
+    left = (ranks - 1) % n_pes
+    steps = np.arange(n_pes - 1)
+    rows = Rows()
+    rows.add(ranks, 0, 0, OP_COPY, (_A, 0), (_SRC, 0), nelems, stride,
+             aux=AUX_COPY)
+    seg = (ranks - 1 - steps) % n_pes
+    e_lo = nelems * seg // n_pes
+    count = nelems * (seg + 1) // n_pes - e_lo
+    _pull_and_fold(rows, ranks, steps + 1, steps + 1, e_lo, count, stride,
+                   itemsize, left, _A + 1, where=count > 0)
+    seg = (ranks - steps) % n_pes
+    e_lo = nelems * seg // n_pes
+    count = nelems * (seg + 1) // n_pes - e_lo
+    off = e_lo * stride * itemsize
+    rows.add(ranks, n_pes + steps, n_pes + steps, OP_GET, (_A, off),
+             (_A, off), count, stride, peer=left, where=count > 0)
+    rows.add(ranks, 2 * n_pes - 1, 2 * n_pes - 1, OP_COPY, (_DEST, 0),
+             (_A, 0), nelems, stride, aux=AUX_COPY)
+    return _schedule(
+        "ring", n_pes, nelems, stride, itemsize, op, rows,
+        (skeleton(1, [(s, _REDUCE_SCATTER) for s in range(n_pes - 1)]
+                  + [(s, _ALLGATHER) for s in range(n_pes - 1,
+                                                     2 * n_pes - 2)], 0),))
 
 
 def _heap_depth(v: int) -> int:

@@ -3,11 +3,12 @@
 The binomial tree is expressed as a compiler: :func:`compile_broadcast`
 turns ``(n_pes, root, nelems, stride)`` into a
 :class:`~repro.collectives.schedule.Schedule` whose per-rank stages
-carry exactly the puts the paper's mask loop produced — the pairings
-come from :func:`~repro.collectives.binomial.tree_stages`, the oracle
-for that mask arithmetic, so the ``vir_rank < vir_part`` guard lives in
-one place.  The single schedule executor then replays it (entry
-barrier, root's local copy, one put per stage edge, barrier per stage).
+carry exactly the puts the paper's mask loop produced — the pairings of
+:func:`~repro.collectives.binomial.tree_stages`, written as index
+arithmetic over whole stages of virtual ranks, so the compiler emits
+the schedule's step-table rows directly.  The single schedule executor
+then replays it (entry barrier, root's local copy, one put per stage
+edge, barrier per stage).
 
 ``dest`` must be a symmetric address (it is written remotely on every
 PE); ``src`` need only exist on the root.  Non-root senders forward out
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..errors import CollectiveArgumentError
-from .binomial import n_stages, tree_stages
+from .binomial import n_stages
 from .common import (
     call_attrs,
     resolve_group,
@@ -37,15 +38,15 @@ from .common import (
 )
 from .schedule.executor import PreparedCollective
 from .schedule.ir import (
-    BARRIER,
+    AUX_COPY,
+    OP_COPY,
+    OP_PUT,
     Buffer,
-    Copy,
-    Put,
-    RankProgram,
+    Rows,
     Schedule,
-    closed_stage,
+    Skeleton,
+    skeleton,
 )
-from .virtual_rank import logical_rank, ring_neighbor, virtual_rank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
@@ -167,6 +168,10 @@ def compile_broadcast(n_pes: int, root: int, nelems: int, stride: int,
     raise CollectiveArgumentError(f"unknown broadcast algorithm {algorithm!r}")
 
 
+#: Buffer indices of every broadcast schedule (``_buffers`` order).
+_DEST, _SRC = 0, 1
+
+
 def _buffers(n_pes: int, root: int, nbytes: int) -> tuple[Buffer, ...]:
     return (
         Buffer("dest", "user", nbytes, symmetric=n_pes > 1),
@@ -184,69 +189,62 @@ def _deliver(n_pes: int, root: int, nbytes: int,
     )
 
 
+def _entry(root: int, nelems: int, stride: int,
+           copy_to_root_dest: bool) -> Rows:
+    """What every broadcast begins with: an entry barrier — a put-based
+    tree must order every participant's *prior* writes to dest before
+    the root's first put can land (the paper's Algorithm 1 only barriers
+    at stage ends) — after which the root copies its own ``dest``."""
+    rows = Rows()
+    if copy_to_root_dest:
+        rows.add(root, 0, 1, OP_COPY, (_DEST, 0), (_SRC, 0), nelems, stride,
+                 aux=AUX_COPY)
+    return rows
+
+
+def _schedule(algorithm: str, n_pes: int, root: int, nelems: int,
+              stride: int, itemsize: int, copy_to_root_dest: bool,
+              rows: Rows, structure: Skeleton) -> Schedule:
+    nbytes = span_bytes(nelems, stride, itemsize)
+    return Schedule.from_rows(
+        "broadcast", algorithm, n_pes, itemsize, rows, (structure,),
+        root=root,
+        buffers=_buffers(n_pes, root, nbytes),
+        deliver=_deliver(n_pes, root, nbytes, copy_to_root_dest))
+
+
 @lru_cache(maxsize=512)
 def _compile_binomial(n_pes: int, root: int, nelems: int, stride: int,
                       itemsize: int, copy_to_root_dest: bool) -> Schedule:
-    nbytes = span_bytes(nelems, stride, itemsize)
-    # Index each stage's pairs by sender so the per-rank loop below is
-    # O(log N) per rank instead of rescanning all N-1 tree edges.
-    stage_targets: list[dict[int, list[int]]] = []
-    for pairs in tree_stages(n_pes, "halving"):
-        by_sender: dict[int, list[int]] = {}
-        for frm, to in pairs:
-            by_sender.setdefault(frm, []).append(to)
-        stage_targets.append(by_sender)
-    programs = []
-    for r in range(n_pes):
-        vir = virtual_rank(r, root, n_pes)
-        # Entry barrier: the paper's Algorithm 1 only barriers at stage
-        # ends, but a put-based tree must order every participant's
-        # *prior* writes to dest before the root's first put can land.
-        prologue: list = [BARRIER]
-        if r == root and copy_to_root_dest:
-            prologue.append(Copy("dest", 0, "src", 0, nelems, stride))
-        local_src = "src" if r == root else "dest"
-        stages = []
-        for ordinal, by_sender in enumerate(stage_targets):
-            steps: list = []
-            for to in by_sender.get(vir, ()):
-                # The mask loop emitted the put even for nelems == 0
-                # (counted in stats.puts); preserve that.
-                steps.append(Put("dest", 0, local_src, 0, nelems,
-                                 stride, logical_rank(to, root, n_pes)))
-            # A barrier closes every tree stage (section 4.3).
-            stages.append(closed_stage(ordinal, steps))
-        programs.append(RankProgram(r, tuple(prologue), tuple(stages)))
-    return Schedule(
-        collective="broadcast", algorithm="binomial", n_pes=n_pes,
-        itemsize=itemsize, root=root,
-        buffers=_buffers(n_pes, root, nbytes), programs=tuple(programs),
-        deliver=_deliver(n_pes, root, nbytes, copy_to_root_dest),
-    )
+    """Stage ``o`` halves the tree at bit ``i = k-1-o``: every virtual
+    rank with its low ``i+1`` bits clear puts to ``vir + 2**i`` when that
+    exists (the pairings of :func:`~.binomial.tree_stages`), out of
+    ``src`` at the root and out of its own ``dest`` elsewhere."""
+    k = n_stages(n_pes)
+    rows = _entry(root, nelems, stride, copy_to_root_dest)
+    for o in range(k):
+        bit = 1 << (k - 1 - o)
+        vir = np.arange(0, n_pes - bit, 2 * bit)
+        # The mask loop emitted the put even for nelems == 0 (counted in
+        # stats.puts); preserve that.
+        rows.add((vir + root) % n_pes, o + 1, o + 1, OP_PUT, (_DEST, 0),
+                 (np.where(vir == 0, _SRC, _DEST), 0), nelems, stride,
+                 peer=(vir + bit + root) % n_pes)
+    # A barrier closes every tree stage (section 4.3).
+    return _schedule("binomial", n_pes, root, nelems, stride, itemsize,
+                     copy_to_root_dest, rows,
+                     skeleton(1, ((o, ()) for o in range(k)), 0))
 
 
 @lru_cache(maxsize=512)
 def _compile_linear(n_pes: int, root: int, nelems: int, stride: int,
                     itemsize: int, copy_to_root_dest: bool) -> Schedule:
     """Flat algorithm: the root puts to every PE in turn (no stages)."""
-    nbytes = span_bytes(nelems, stride, itemsize)
-    programs = []
-    for r in range(n_pes):
-        prologue: list = [BARRIER]
-        if r == root:
-            if copy_to_root_dest:
-                prologue.append(Copy("dest", 0, "src", 0, nelems, stride))
-            for other in range(n_pes):
-                if other != root:
-                    prologue.append(Put("dest", 0, "src", 0, nelems, stride,
-                                        other))
-        programs.append(RankProgram(r, tuple(prologue), (), (BARRIER,)))
-    return Schedule(
-        collective="broadcast", algorithm="linear", n_pes=n_pes,
-        itemsize=itemsize, root=root,
-        buffers=_buffers(n_pes, root, nbytes), programs=tuple(programs),
-        deliver=_deliver(n_pes, root, nbytes, copy_to_root_dest),
-    )
+    rows = _entry(root, nelems, stride, copy_to_root_dest)
+    rows.add(root, 0, 1, OP_PUT, (_DEST, 0), (_SRC, 0), nelems, stride,
+             peer=np.delete(np.arange(n_pes), root))
+    return _schedule("linear", n_pes, root, nelems, stride, itemsize,
+                     copy_to_root_dest, rows, skeleton(1, (), 1))
 
 
 #: Payload chunks the pipelined ring splits a broadcast into.
@@ -264,36 +262,22 @@ def _compile_ring(n_pes: int, root: int, nelems: int, stride: int,
     ``(N-1) + (chunks-1)`` steps instead of the unchunked ring's
     ``N-1`` full-payload steps.
     """
-    nbytes = span_bytes(nelems, stride, itemsize)
-    programs = []
-    degenerate = n_pes == 1 or nelems == 0
+    rows = _entry(root, nelems, stride, copy_to_root_dest)
+    if n_pes == 1 or nelems == 0:
+        return _schedule("ring", n_pes, root, nelems, stride, itemsize,
+                         copy_to_root_dest, rows, skeleton(1, (), 1))
     chunks = min(_RING_CHUNKS, nelems)
-    bounds = [nelems * c // chunks for c in range(chunks + 1)] if chunks else []
-    for r in range(n_pes):
-        prologue: list = [BARRIER]
-        if r == root and copy_to_root_dest:
-            prologue.append(Copy("dest", 0, "src", 0, nelems, stride))
-        if degenerate:
-            programs.append(RankProgram(r, tuple(prologue), (), (BARRIER,)))
-            continue
-        pos = virtual_rank(r, root, n_pes)  # ring position behind the root
-        nxt = ring_neighbor(r, n_pes, 1)
-        local_src = "src" if r == root else "dest"
-        stages = []
-        for step in range(n_pes - 1 + chunks - 1):
-            steps: list = []
-            c = step - pos
-            if 0 <= c < chunks and pos < n_pes - 1:
-                lo, hi = bounds[c], bounds[c + 1]
-                if hi > lo:
-                    off = lo * stride * itemsize
-                    steps.append(Put("dest", off, local_src, off, hi - lo,
-                                     stride, nxt))
-            stages.append(closed_stage(step, steps))
-        programs.append(RankProgram(r, tuple(prologue), tuple(stages)))
-    return Schedule(
-        collective="broadcast", algorithm="ring", n_pes=n_pes,
-        itemsize=itemsize, root=root,
-        buffers=_buffers(n_pes, root, nbytes), programs=tuple(programs),
-        deliver=_deliver(n_pes, root, nbytes, copy_to_root_dest),
-    )
+    bounds = nelems * np.arange(chunks + 1) // chunks
+    # Ring position ``pos`` behind the root forwards chunk ``c`` at step
+    # ``pos + c`` to the next rank; the last position forwards nothing.
+    pos = np.arange(n_pes - 1)[:, None]
+    rank = (pos + root) % n_pes
+    step = pos + np.arange(chunks)
+    off = bounds[:-1] * stride * itemsize
+    rows.add(rank, step + 1, step + 1, OP_PUT, (_DEST, off),
+             (np.where(pos == 0, _SRC, _DEST), off), np.diff(bounds), stride,
+             peer=(rank + 1) % n_pes, where=np.diff(bounds) > 0)
+    return _schedule("ring", n_pes, root, nelems, stride, itemsize,
+                     copy_to_root_dest, rows,
+                     skeleton(1, ((s, ()) for s in range(
+                         n_pes - 1 + chunks - 1)), 0))

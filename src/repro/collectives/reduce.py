@@ -1,10 +1,11 @@
 """Reduction (paper section 4.4, Algorithm 2), compiled to a schedule.
 
-Binomial tree with recursive doubling: the pairings come from
+Binomial tree with recursive doubling: the pairings are those of
 :func:`~repro.collectives.binomial.tree_stages` in the ``"doubling"``
-direction — each stage's parent *gets* its child's accumulated values
-and folds them with the reduction operator, moving data from the leaves
-toward the root.
+direction, emitted as step-table rows with index arithmetic — each
+stage's parent *gets* its child's accumulated values and folds them
+with the reduction operator, moving data from the leaves toward the
+root.
 
 Buffers: every PE first copies its contribution into a *shared* scratch
 buffer ``s`` (so partners can read it one-sidedly) and receives partner
@@ -31,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..errors import CollectiveArgumentError
-from .binomial import tree_stages
+from .binomial import n_stages
 from .common import (
     call_attrs,
     resolve_group,
@@ -42,16 +43,15 @@ from .common import (
 from .ops import check_op
 from .schedule.executor import PreparedCollective, execute_schedule
 from .schedule.ir import (
-    BARRIER,
+    AUX_COPY,
+    OP_COPY,
+    OP_GET,
+    OP_REDUCE,
     Buffer,
-    Copy,
-    Get,
-    RankProgram,
-    Reduce,
+    Rows,
     Schedule,
-    closed_stage,
+    skeleton,
 )
-from .virtual_rank import logical_rank, virtual_rank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
@@ -163,72 +163,75 @@ def compile_reduce(n_pes: int, root: int, nelems: int, stride: int,
     raise CollectiveArgumentError(f"unknown reduce algorithm {algorithm!r}")
 
 
+#: Buffer indices of every reduce schedule (``_buffers`` order).
+_DEST, _SRC, _S, _L = range(4)
+
+
+def _buffers(root: int, nbytes: int, l_ranks) -> tuple[Buffer, ...]:
+    return (Buffer("dest", "user", nbytes, ranks=(root,)),
+            Buffer("src", "user", nbytes),
+            Buffer("s", "scratch", nbytes, symmetric=True),
+            Buffer("l", "private", nbytes, ranks=l_ranks))
+
+
 def _degenerate(n_pes: int, root: int, nelems: int, stride: int,
                 itemsize: int, op: str, algorithm: str) -> Schedule:
     """1 PE or empty payload: the root copies src→dest, everyone syncs."""
     nbytes = span_bytes(nelems, stride, itemsize)
-    programs = []
-    for r in range(n_pes):
-        prologue: list = []
-        if r == root:
-            prologue.append(Copy("dest", 0, "src", 0, nelems, stride))
-        prologue.append(BARRIER)
-        programs.append(RankProgram(r, tuple(prologue)))
-    return Schedule(
-        collective="reduce", algorithm=algorithm, n_pes=n_pes,
-        itemsize=itemsize, root=root, op=op,
-        buffers=(Buffer("dest", "user", nbytes, ranks=(root,)),
-                 Buffer("src", "user", nbytes)),
-        programs=tuple(programs),
-        deliver=((root, "dest", 0, nbytes),) if nbytes else (),
-    )
+    rows = Rows()
+    rows.add(root, 0, 0, OP_COPY, (_DEST, 0), (_SRC, 0), nelems, stride,
+             aux=AUX_COPY)
+    return Schedule.from_rows(
+        "reduce", algorithm, n_pes, itemsize, rows, (skeleton(1, (), 0),),
+        root=root, op=op, buffers=_buffers(root, nbytes, None)[:2],
+        deliver=((root, "dest", 0, nbytes),) if nbytes else ())
+
+
+def _loaded(n_pes: int, nelems: int, stride: int) -> Rows:
+    """Every rank loads its contribution into the shared ``s`` (so
+    partners can read it one-sidedly), then the barrier that orders
+    every load before the first get."""
+    rows = Rows()
+    rows.add(np.arange(n_pes), 0, 0, OP_COPY, (_S, 0), (_SRC, 0), nelems,
+             stride, aux=AUX_COPY)
+    return rows
+
+
+def _fold(rows: Rows, parent, child, section: int, phase: int,
+          nelems: int, stride: int) -> None:
+    """``parent`` pulls ``child``'s *accumulated* values (see module
+    note) and folds them into ``s``: a get and a reduce per pair, in
+    that order on every parent."""
+    parent, child = np.broadcast_arrays(parent, child)
+    rows.add(parent[:, None], section, phase, [OP_GET, OP_REDUCE],
+             ([_L, _S], 0), ([_S, _L], 0), nelems, stride,
+             peer=np.stack((child, parent), axis=1), aux=[0, nelems])
 
 
 @lru_cache(maxsize=512)
 def _compile_binomial(n_pes: int, root: int, nelems: int, stride: int,
                       itemsize: int, op: str) -> Schedule:
+    """Stage ``i`` (recursive doubling): every virtual rank with its low
+    ``i+1`` bits clear folds in ``vir + 2**i`` when that exists — the
+    pairings of :func:`~.binomial.tree_stages` — and the root finally
+    copies ``s`` out."""
     if nelems == 0 or n_pes == 1:
         return _degenerate(n_pes, root, nelems, stride, itemsize, op,
                            "binomial")
     nbytes = span_bytes(nelems, stride, itemsize)
-    # Index each stage's pairs by parent so the per-rank loop below is
-    # O(log N) per rank instead of rescanning all N-1 tree edges.
-    stage_children: list[dict[int, list[int]]] = []
-    for pairs in tree_stages(n_pes, "doubling"):
-        by_parent: dict[int, list[int]] = {}
-        for child, parent in pairs:
-            by_parent.setdefault(parent, []).append(child)
-        stage_children.append(by_parent)
-    programs = []
-    for r in range(n_pes):
-        vir = virtual_rank(r, root, n_pes)
-        # Load the shared buffer, then order every load before the first
-        # stage's one-sided gets.
-        prologue = (Copy("s", 0, "src", 0, nelems, stride), BARRIER)
-        stages = []
-        for i, by_parent in enumerate(stage_children):
-            steps: list = []
-            for child in by_parent.get(vir, ()):
-                # Pull the child's *accumulated* values (see module
-                # note) and fold them in.
-                steps.append(Get("l", 0, "s", 0, nelems, stride,
-                                 logical_rank(child, root, n_pes)))
-                steps.append(Reduce("s", 0, "l", 0, nelems, stride,
-                                    nelems))
-            stages.append(closed_stage(i, steps))
-        epilogue = (Copy("dest", 0, "s", 0, nelems, stride),) if vir == 0 \
-            else ()
-        programs.append(RankProgram(r, prologue, tuple(stages), epilogue))
-    return Schedule(
-        collective="reduce", algorithm="binomial", n_pes=n_pes,
-        itemsize=itemsize, root=root, op=op,
-        buffers=(Buffer("dest", "user", nbytes, ranks=(root,)),
-                 Buffer("src", "user", nbytes),
-                 Buffer("s", "scratch", nbytes, symmetric=True),
-                 Buffer("l", "private", nbytes)),
-        programs=tuple(programs),
-        deliver=((root, "dest", 0, nbytes),),
-    )
+    k = n_stages(n_pes)
+    rows = _loaded(n_pes, nelems, stride)
+    for i in range(k):
+        vir = np.arange(0, n_pes - (1 << i), 2 << i)
+        _fold(rows, (vir + root) % n_pes, (vir + (1 << i) + root) % n_pes,
+              i + 1, i + 1, nelems, stride)
+    rows.add(root, k + 1, k + 1, OP_COPY, (_DEST, 0), (_S, 0), nelems,
+             stride, aux=AUX_COPY)
+    return Schedule.from_rows(
+        "reduce", "binomial", n_pes, itemsize, rows,
+        (skeleton(1, ((i, ()) for i in range(k)), 0),), root=root, op=op,
+        buffers=_buffers(root, nbytes, None),
+        deliver=((root, "dest", 0, nbytes),))
 
 
 @lru_cache(maxsize=512)
@@ -239,25 +242,12 @@ def _compile_linear(n_pes: int, root: int, nelems: int, stride: int,
         return _degenerate(n_pes, root, nelems, stride, itemsize, op,
                            "linear")
     nbytes = span_bytes(nelems, stride, itemsize)
-    programs = []
-    for r in range(n_pes):
-        prologue: list = [Copy("s", 0, "src", 0, nelems, stride), BARRIER]
-        if r == root:
-            for other in range(n_pes):
-                if other == root:
-                    continue
-                prologue.append(Get("l", 0, "s", 0, nelems, stride, other))
-                prologue.append(Reduce("s", 0, "l", 0, nelems, stride,
-                                       nelems))
-            prologue.append(Copy("dest", 0, "s", 0, nelems, stride))
-        programs.append(RankProgram(r, tuple(prologue), (), (BARRIER,)))
-    return Schedule(
-        collective="reduce", algorithm="linear", n_pes=n_pes,
-        itemsize=itemsize, root=root, op=op,
-        buffers=(Buffer("dest", "user", nbytes, ranks=(root,)),
-                 Buffer("src", "user", nbytes),
-                 Buffer("s", "scratch", nbytes, symmetric=True),
-                 Buffer("l", "private", nbytes, ranks=(root,))),
-        programs=tuple(programs),
-        deliver=((root, "dest", 0, nbytes),),
-    )
+    rows = _loaded(n_pes, nelems, stride)
+    _fold(rows, root, np.delete(np.arange(n_pes), root), 0, 1, nelems,
+          stride)
+    rows.add(root, 0, 1, OP_COPY, (_DEST, 0), (_S, 0), nelems, stride,
+             aux=AUX_COPY)
+    return Schedule.from_rows(
+        "reduce", "linear", n_pes, itemsize, rows, (skeleton(1, (), 1),),
+        root=root, op=op, buffers=_buffers(root, nbytes, (root,)),
+        deliver=((root, "dest", 0, nbytes),))

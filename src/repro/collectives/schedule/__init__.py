@@ -4,12 +4,13 @@ An *algorithm* no longer walks the binomial tree inline; it **compiles**
 ``(n_pes, root, counts/displacements, op)`` into a :class:`~.ir.Schedule`
 — per-rank lists of stages of primitive steps (:class:`~.ir.Put`,
 :class:`~.ir.Get`, :class:`~.ir.Reduce`, :class:`~.ir.Copy`,
-:class:`~.ir.Fill`, :class:`~.ir.Barrier`) — and a single executor
-(:func:`~.executor.execute_schedule`) runs the schedule over the runtime
-context.  Blocking, non-blocking and fault-resilient execution all drive
-the same compiled schedule: non-blocking collectives compile at
-initiation and execute at ``wait()``; resilient collectives recompile
-over the survivor group after a failure.
+:class:`~.ir.Fill`, :class:`~.ir.Barrier`), held as one step table (the
+regular algorithms emit it directly; the tree is a view of it) — and a
+single executor (:func:`~.executor.execute_schedule`) runs the schedule
+over the runtime context.  Blocking, non-blocking and fault-resilient
+execution all drive the same compiled schedule: non-blocking
+collectives compile at initiation and execute at ``wait()``; resilient
+collectives recompile over the survivor group after a failure.
 
 Compilation is pure and cached (``functools.lru_cache``): every PE of a
 call compiles once per argument shape and shares the result.

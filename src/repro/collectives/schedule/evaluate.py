@@ -33,8 +33,8 @@ milliseconds:
   — so the order groups run in (see :func:`_collect_groups`) is part of
   the model.
 
-Nothing here walks the dataclass tree: the table is built once per
-schedule, whoever asks first, and the evaluator reads only its columns.
+Nothing here walks the dataclass tree: the evaluator reads only the
+table's columns and barrier counts.
 
 Entry points:
 
@@ -332,6 +332,9 @@ def evaluate_group(
         mview = mem.view(dtype)
     table = sched.table
     label = f"schedule {sched.collective}:{sched.algorithm}"
+    if table.faults:
+        raise SimulationError(
+            f"{label} has a malformed pipeline block — lint the schedule")
     if len(table.barriers) != K:
         raise SimulationError(
             f"{label} has {len(table.barriers)} rank programs for a "

@@ -1,18 +1,20 @@
 """How a compiled :class:`~.ir.Schedule` executes: one plan, one step
 interpreter, two drivers.
 
-**The plan.**  The first time a rank executes a schedule, its
-:class:`~.ir.RankProgram` is lowered into a :class:`FlatPlan`
-(:func:`plan_of`, kept in ``Schedule.plans`` beside the compile cache):
-prologue, every stage with its :class:`~.ir.Pipeline` blocks expanded to
-rounds, and epilogue become one tuple of small op tuples in execution
-order — buffers by index, stage-span boundaries as ops of their own,
-the positions of the first and last barrier noted — and the checks that
-do not depend on the call (peers in range, counts, strides) are made
-there, once.  :func:`execute_schedule` binds a plan to one call
-(:class:`_RankRun`: buffer addresses, dtype, the rank's context, a
-program counter) and allocates and LIFO-frees the schedule's scratch
-and private buffers around it, exception-safe.
+**The plan.**  The first time a rank executes a schedule, its rows of
+the step table (``Schedule.table``) are lowered into a
+:class:`FlatPlan` (:func:`plan_of`, kept in ``Schedule.plans`` beside
+the compile cache): walked section by section of the rank's barrier
+skeleton — prologue, every stage (a :class:`~.ir.Pipeline` round is
+one), epilogue — they become one tuple of small op tuples in execution
+order, buffers by index, barriers where the rows' phases put them and
+stage-span boundaries as ops of their own, the positions of the first
+and last barrier noted; and the checks that do not depend on the call
+(peers in range, counts, strides) are made there, once.
+:func:`execute_schedule` binds a plan to one call (:class:`_RankRun`:
+buffer addresses, dtype, the rank's context, a program counter) and
+allocates and LIFO-frees the schedule's scratch and private buffers
+around it, exception-safe.
 
 **The interpreter.**  :func:`_advance` is the only step executor, on
 every backend that moves data step by step (the vec backend takes the
@@ -65,7 +67,16 @@ import numpy as np
 from ...errors import CollectiveArgumentError
 from ..common import charge_elementwise, collective_span, validate_counts
 from ..ops import apply_op, identity_of
-from .ir import Schedule, step_span_bytes
+from .ir import (
+    OP_COPY,
+    OP_FILL,
+    OP_GET,
+    OP_PUT,
+    OP_REDUCE,
+    OP_SEND,
+    Schedule,
+    step_span_bytes,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...runtime.context import XBRTime
@@ -83,7 +94,7 @@ _REDUCE = 5   # (acc, acc_off, operand, operand_off, nelems, stride, charge_elem
 _FILL = 6     # (dst, dst_off, nelems, stride)
 _SEND = 7     # (src, src_off, nelems, stride, peer, tag)
 _RECV = 8     # (dst, dst_off, nelems, stride, peer, tag)
-_OPEN = 9     # stage span begins: (stage,)
+_OPEN = 9     # stage span begins: (index, attrs)
 _CLOSE = 10   # stage span ends: ()
 
 _BARRIER_OP = (_BARRIER,)
@@ -97,54 +108,66 @@ class FlatPlan:
                  "first_barrier", "last_barrier")
 
     def __init__(self, sched: Schedule, rank: int):
-        index: dict[str, int] = {}
-
-        def buf(name: str) -> int:
-            return index.setdefault(name, len(index))
-
-        def lower(step) -> tuple:
-            kind = step.kind
-            if kind == "barrier":
-                return _BARRIER_OP
-            validate_counts(step.nelems, step.stride)
-            if not 0 <= getattr(step, "peer", 0) < sched.n_pes:
+        table = sched.table
+        if table.faults:
+            raise CollectiveArgumentError(
+                f"{sched.collective}:{sched.algorithm} has a malformed "
+                "pipeline block; lint the schedule")
+        rows, parts = table.layout(rank)
+        op, a, a_off, b, b_off, nelems, stride, peer, aux = \
+            table.rows_of(rows)
+        n = sched.n_pes
+        # The call-independent checks, on the first step that fails one.
+        bad = np.flatnonzero(
+            (table.nelems[rows] < 0) | (table.stride[rows] < 1)
+            | (table.peer[rows] < 0) | (table.peer[rows] >= n)
+            | (table.op[rows] == 0))
+        if len(bad):
+            k = int(bad[0])
+            validate_counts(nelems[k], stride[k])
+            if not 0 <= peer[k] < n:
                 raise CollectiveArgumentError(
-                    f"pe {step.peer} out of range [0, {sched.n_pes})")
-            if kind in ("put", "get"):
-                return (_PUT if kind == "put" else _GET,
-                        buf(step.dst), step.dst_off, buf(step.src),
-                        step.src_off, step.nelems, step.stride, step.peer)
-            if kind == "copy":
-                if step.charged:
-                    return (_COPY, buf(step.dst), step.dst_off,
-                            buf(step.src), step.src_off, step.nelems,
-                            step.stride, step.skip_noop)
-                return (_MOVE, buf(step.dst), step.dst_off, buf(step.src),
-                        step.src_off, step.nelems, step.stride)
-            if kind == "reduce":
-                return (_REDUCE, buf(step.acc), step.acc_off,
-                        buf(step.operand), step.operand_off, step.nelems,
-                        step.stride, step.charge_elems)
-            if kind == "fill":
-                return (_FILL, buf(step.dst), step.dst_off, step.nelems,
-                        step.stride)
-            if kind == "send":
-                return (_SEND, buf(step.src), step.src_off, step.nelems,
-                        step.stride, step.peer, step.tag)
-            if kind == "recv":
-                return (_RECV, buf(step.dst), step.dst_off, step.nelems,
-                        step.stride, step.peer, step.tag)
-            raise AssertionError(f"unknown step kind {kind!r}")
+                    f"pe {peer[k]} out of range [0, {n})")
+            raise AssertionError(
+                f"unknown step kind {dict(table.unknown)[rows.start + k]!r}")
+        index: dict[int, int] = {}
 
-        prog = sched.program(rank)
-        traced = [lower(step) for step in prog.prologue]
-        # Pipeline blocks lower to their barrier-separated rounds here,
-        # so every backend replays the step order the linter checked.
-        for stage in prog.lowered_stages():
-            traced.append((_OPEN, stage))
-            traced.extend(lower(step) for step in stage.steps)
-            traced.append(_CLOSE_OP)
-        traced.extend(lower(step) for step in prog.epilogue)
+        def buf(i: int) -> int:
+            return index.setdefault(i, len(index))
+
+        def lower(k: int) -> tuple:
+            code = op[k]
+            if code == OP_PUT or code == OP_GET:
+                return (_PUT if code == OP_PUT else _GET, buf(a[k]),
+                        a_off[k], buf(b[k]), b_off[k], nelems[k], stride[k],
+                        peer[k])
+            if code == OP_COPY:
+                if aux[k] & 2:
+                    return (_COPY, buf(a[k]), a_off[k], buf(b[k]), b_off[k],
+                            nelems[k], stride[k], bool(aux[k] & 1))
+                return (_MOVE, buf(a[k]), a_off[k], buf(b[k]), b_off[k],
+                        nelems[k], stride[k])
+            if code == OP_REDUCE:
+                return (_REDUCE, buf(a[k]), a_off[k], buf(b[k]), b_off[k],
+                        nelems[k], stride[k], aux[k])
+            if code == OP_FILL:
+                return (_FILL, buf(a[k]), a_off[k], nelems[k], stride[k])
+            if code == OP_SEND:
+                return (_SEND, buf(b[k]), b_off[k], nelems[k], stride[k],
+                        peer[k], aux[k])
+            return (_RECV, buf(a[k]), a_off[k], nelems[k], stride[k],
+                    peer[k], aux[k])
+
+        # Pipeline blocks are already rounds of their own here, so every
+        # backend replays the step order the linter checked.
+        traced: list = []
+        for sec, items in parts:
+            if sec.kind == "stage":
+                traced.append((_OPEN, sec.index, sec.attrs))
+            traced.extend(_BARRIER_OP if k is None else lower(k)
+                          for k in items)
+            if sec.kind == "stage":
+                traced.append(_CLOSE_OP)
         #: The ops in execution order, with the stage-span boundaries —
         #: what a run that records spans interprets.
         self.traced_ops = tuple(traced)
@@ -152,7 +175,7 @@ class FlatPlan:
         #: below index this tuple.
         self.ops = ops = tuple(op for op in traced if op[0] < _OPEN)
         #: Buffer names the ops index into.
-        self.names = tuple(index)
+        self.names = tuple(table.names[i] for i in index)
         #: ``(name, is_scratch, nbytes)`` of the buffers this rank
         #: allocates, in declaration order (which makes the
         #: position-dependent scratch addresses match on every rank).
@@ -265,9 +288,8 @@ def _advance(run: _RankRun, limit: float | None = None) -> None:
                     break
                 mover.put(dst, src, nelems, stride, ctx.rank, dtype)
         elif code == _OPEN:
-            stage = op[1]
             ctx.spans.begin(ctx.rank, "stage", "stage",
-                            {"index": stage.index, **stage.span_attrs()})
+                            {"index": op[1], **dict(op[2])})
             run.in_stage = True
         elif code == _CLOSE:
             ctx.spans.end(ctx.rank)

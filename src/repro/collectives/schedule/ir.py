@@ -1,11 +1,25 @@
-"""IR nodes for compiled collective schedules.
+"""IR of compiled collective schedules: a step table, readable as a tree.
 
 A :class:`Schedule` is a pure, immutable description of one collective
 call: which buffers it touches and, for every group rank, which
-primitive steps it performs in which barrier-delimited stage.  All
-nodes are frozen dataclasses built from hashable scalars and tuples, so
-schedules can be cached (``lru_cache``), compared and linted without a
-runtime context.
+primitive steps it performs in which barrier-delimited stage.  It can
+be cached (``lru_cache``), compared and linted without a runtime
+context.
+
+Its canonical form is :attr:`Schedule.table`, a :class:`StepTable`: one
+``int64`` row per non-barrier step plus a record of each rank's barrier
+structure (its :class:`Skeleton` of prologue, stage and epilogue
+:class:`Section`\\ s).  The evaluator, the linter and the executor's
+``FlatPlan`` read nothing else.  The regular compilers — binomial,
+linear and ring broadcast, binomial and linear reduce, doubling,
+Rabenseifner and ring allreduce — emit it directly as numpy columns
+(:class:`Rows`, :meth:`Schedule.from_rows`), and their tree of frozen
+dataclasses (:attr:`Schedule.programs`) is a lazy view rebuilt from the
+rows the first time ``repr``, :meth:`Schedule.describe`, the mailbox
+lowering or fusion asks for it.  Every other compiler, and any
+hand-built schedule, still writes the tree; one walk of it
+(:meth:`StepTable.of_tree`) produces the same table and record (see
+"Schedule lowering" in ``DESIGN.md``).
 
 Addressing is symbolic: steps name buffers (see :class:`Buffer`) plus a
 **byte** offset; the executor binds names to concrete addresses (user
@@ -37,20 +51,13 @@ Step semantics (mirroring the legacy inline code they replaced):
   receiver) pair with the ``tag`` checked on arrival, so a lowering
   that reorders messages between the same pair is a protocol error the
   linter flags.
-
-The tree is what compilers emit, what :meth:`Schedule.describe` and the
-span tracer render, and what the executor's ``FlatPlan`` and the
-mailbox lowering still walk.  The plan-time consumers — the evaluator
-and the linter — read :attr:`Schedule.table` instead: one lazily built
-:class:`StepTable`, an ``int64`` row per non-barrier step (see "Schedule
-lowering" in ``DESIGN.md``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -71,6 +78,10 @@ __all__ = [
     "RankProgram",
     "Schedule",
     "StepTable",
+    "Section",
+    "Skeleton",
+    "Rows",
+    "skeleton",
     "barrier_stage",
     "closed_stage",
     "step_span_bytes",
@@ -254,9 +265,6 @@ class Stage:
     steps: tuple
     attrs: tuple = ()
 
-    def span_attrs(self) -> dict:
-        return dict(self.attrs)
-
 
 @lru_cache(maxsize=1 << 14)
 def barrier_stage(index: int, attrs: tuple = ()) -> Stage:
@@ -336,6 +344,102 @@ def _lower_pipeline(pipe: Pipeline) -> tuple:
 OP_COPY, OP_FILL, OP_GET, OP_PUT, OP_RECV, OP_REDUCE, OP_SEND = range(1, 8)
 OP_NAMES = ("?", "copy", "fill", "get", "put", "recv", "reduce", "send")
 
+#: ``aux`` of a copy row, ``2 * charged + skip_noop``: a :class:`Copy`
+#: with its defaults, and one with ``charged=False``.
+AUX_COPY, AUX_MOVE = 3, 1
+
+
+class Section(NamedTuple):
+    """One contiguous part of a rank's program: its prologue, one stage
+    (each round of a :class:`Pipeline` block is one) or its epilogue."""
+
+    kind: str        # "prologue" | "stage" | "epilogue"
+    index: int       # the stage's span index; -1 outside stages
+    attrs: tuple     # the stage's span attrs
+    nbars: int       # barriers among its steps
+    pipeline: int = -1  # index of the Pipeline block a round lowers
+    round: int = -1     # which round of that block
+
+
+class Skeleton(NamedTuple):
+    """A rank's barrier structure: its sections in program order, and
+    the per-slot stage signature the linter's deadlock pass compares
+    across ranks — a stage's index, or ``("pipeline", index, segments,
+    groups)`` for a :class:`Pipeline` block."""
+
+    sections: tuple
+    signature: tuple
+
+    @property
+    def n_barriers(self) -> int:
+        return sum(sec.nbars for sec in self.sections)
+
+
+def skeleton(prologue: int, stages, epilogue: int) -> Skeleton:
+    """The skeleton of a program whose stages each end in one barrier:
+    ``prologue`` and ``epilogue`` barrier counts and one ``(index,
+    attrs)`` per stage."""
+    stages = [Section("stage", index, attrs, 1) for index, attrs in stages]
+    return Skeleton(
+        (Section("prologue", -1, (), prologue), *stages,
+         Section("epilogue", -1, (), epilogue)),
+        tuple(sec.index for sec in stages))
+
+
+class Rows:
+    """Step-table rows as a compiler emits them, in blocks.
+
+    Blocks are added in program order; within one block a rank's rows
+    come in its program order.  Each value of :meth:`add` is a scalar or
+    an array, broadcast together with the others (and with ``where``,
+    which keeps the rows it marks) and raveled in C order, so a block
+    laid out rank-major keeps each rank's rows in order; :meth:`columns`
+    merges the blocks with one stable sort on the rank.
+    """
+
+    FIELDS = ("rank", "section", "phase", "op", "a_buf", "a_off", "b_buf",
+              "b_off", "nelems", "stride", "peer", "aux")
+
+    def __init__(self):
+        self._blocks: list = []
+
+    def add(self, rank, section, phase, op, a=(-1, 0), b=(-1, 0),
+            nelems=0, stride=1, peer=None, aux=0, where=None) -> None:
+        """Rows of ``op`` run by ``rank`` in section ``section`` (its
+        position in the rank's :class:`Skeleton`) after ``phase``
+        barriers; ``a`` and ``b`` are ``(buffer index, byte offset)``
+        and ``peer`` defaults to the rank itself (a local step)."""
+        values = (rank, section, phase, op, *a, *b, nelems, stride,
+                  rank if peer is None else peer, aux)
+        shapes = [np.shape(v) for v in values]
+        if where is not None:
+            shapes.append(np.shape(where))
+        shape = np.broadcast_shapes(*shapes)
+        block = np.empty((len(values), *shape), dtype=np.int64)
+        for i, value in enumerate(values):
+            block[i] = value
+        block = block.reshape(len(values), -1)
+        if where is not None:
+            block = block[:, np.broadcast_to(where, shape).reshape(-1)]
+        self._blocks.append(block)
+
+    def columns(self) -> dict:
+        """Every row, ranks in order and each rank's in program order."""
+        rows = np.concatenate(self._blocks, axis=1) if self._blocks \
+            else np.zeros((len(self.FIELDS), 0), dtype=np.int64)
+        # ``take`` keeps each field one contiguous vector.
+        rows = np.take(rows, np.argsort(rows[0], kind="stable"), axis=1)
+        return dict(zip(self.FIELDS, rows))
+
+
+def _slots(rank: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Each row's position among its rank's rows of the same phase."""
+    n = len(rank)
+    first = np.ones(n, dtype=bool)
+    first[1:] = (rank[1:] != rank[:-1]) | (phase[1:] != phase[:-1])
+    starts = np.flatnonzero(first)
+    return np.arange(n) - np.repeat(starts, np.diff(np.append(starts, n)))
+
 
 class _BufferIndex(dict):
     """Buffer name -> table index.  Declared buffers take their
@@ -354,9 +458,48 @@ class _BufferIndex(dict):
         return index
 
 
+def _signature(prog: "RankProgram") -> tuple:
+    return tuple(("pipeline", st.index, st.segments, len(st.groups))
+                 if isinstance(st, Pipeline) else st.index
+                 for st in prog.stages)
+
+
+def _lowers(pipe: Pipeline, rank: int, faults: list) -> bool:
+    """Note ``pipe``'s shape faults (rank-major, in stage order, as the
+    linter words them); whether it can lower at all."""
+    if pipe.segments < 1:
+        faults.append((rank, pipe.index, "segments", pipe.segments))
+        return False
+    lowers = True
+    for g, group in enumerate(pipe.groups):
+        if len(group) != pipe.segments:
+            faults.append((rank, pipe.index, "ragged", g, len(group),
+                           pipe.segments))
+            lowers = False
+            continue
+        for steps in group:
+            if any(s.kind == "barrier" for s in steps):
+                faults.append((rank, pipe.index, "barrier", g))
+    return lowers
+
+
+def _sections(prog: "RankProgram", rank: int,
+              faults: list) -> Iterator[tuple[Section, tuple]]:
+    """The program's sections (``nbars`` still 0) with their steps."""
+    yield Section("prologue", -1, (), 0), prog.prologue
+    for stage in prog.stages:
+        if not isinstance(stage, Pipeline):
+            yield Section("stage", stage.index, stage.attrs, 0), stage.steps
+        elif _lowers(stage, rank, faults):
+            for t, lowered in enumerate(stage.lower()):
+                yield (Section("stage", lowered.index, lowered.attrs, 0,
+                               stage.index, t), lowered.steps)
+    yield Section("epilogue", -1, (), 0), prog.epilogue
+
+
 class StepTable:
-    """A :class:`Schedule` lowered to columns: what the evaluator and
-    the linter read instead of the dataclass tree.
+    """A :class:`Schedule` as columns: what the evaluator, the linter
+    and the executor read.
 
     One ``int64`` row per non-barrier step, ranks in order and each
     rank's steps in program order (prologue, stages with every
@@ -391,94 +534,230 @@ class StepTable:
     every other access is the rank's own.  ``names[i]`` is the buffer
     behind index ``i``: ``Schedule.buffers`` in order, then any name a
     step uses that no buffer declares (``i >= n_declared``).
-    ``barriers[r]`` is rank ``r``'s barrier count and ``unknown`` lists
-    ``(row, kind)`` for rows whose ``op`` is 0.
+
+    The barrier record: rank ``r`` has the :class:`Skeleton`
+    ``skeletons[skeleton_of[r]]`` (a compiled schedule has one or two
+    for all its ranks), each row's ``section`` is its position in it,
+    and ``barriers[r]`` is the rank's barrier count; a row's ``phase``
+    places it among its section's barriers.  What a tree can hold that
+    no table row can is kept beside: ``unknown`` lists ``(row, kind)``
+    for rows whose ``op`` is 0, ``claims`` ``(r, rank)`` for a program
+    that names another rank, ``faults`` the :class:`Pipeline` blocks
+    too malformed to lower (``(rank, index, what, ...)``; they have no
+    rows).
     """
 
     COLUMNS = ("rank", "phase", "slot", "op", "a_buf", "a_off", "b_buf",
                "b_off", "nelems", "stride", "peer", "aux")
-    __slots__ = COLUMNS + ("names", "n_declared", "barriers", "unknown")
+    #: The columns a step is made of, in :meth:`_step`'s argument order.
+    _STEP = ("op", "a_buf", "a_off", "b_buf", "b_off", "nelems", "stride",
+             "peer", "aux")
+    __slots__ = COLUMNS + ("names", "n_declared", "section", "skeletons",
+                           "skeleton_of", "barriers", "unknown", "claims",
+                           "faults")
 
-    def __init__(self, sched: "Schedule"):
+    def __init__(self, columns: dict, names, n_declared: int,
+                 section: np.ndarray, skeletons: tuple, skeleton_of,
+                 unknown: tuple = (), claims: tuple = (),
+                 faults: tuple = ()):
+        for name in self.COLUMNS:
+            setattr(self, name, columns[name])
+        self.names = tuple(names)
+        self.n_declared = n_declared
+        self.section = section
+        self.skeletons = skeletons
+        self.skeleton_of = np.asarray(skeleton_of, dtype=np.int64)
+        self.barriers = np.array(
+            [sk.n_barriers for sk in skeletons] or [0],
+            dtype=np.int64)[self.skeleton_of]
+        self.unknown = unknown
+        self.claims = claims
+        self.faults = faults
+
+    @classmethod
+    def of_tree(cls, sched: "Schedule") -> "StepTable":
+        """The table of a schedule written as a tree: one walk."""
         index = _BufferIndex(sched.buffers)
-        width = len(self.COLUMNS)
+        width = len(cls.COLUMNS) + 1  # and the section
         flat: list = []
         row = flat.extend
-        barriers = []
-        unknown = []
+        unknown: list = []
+        claims: list = []
+        faults: list = []
+        skeletons: dict = {}
+        skeleton_of = []
         for r, prog in enumerate(sched.programs):
+            if prog.rank != r:
+                claims.append((r, prog.rank))
             phase = slot = 0
-            for step in prog.all_steps():
-                kind = step.kind
-                if kind == "barrier":
-                    phase += 1
-                    slot = 0
-                    continue
-                if kind == "put" or kind == "get":
-                    row((r, phase, slot, OP_PUT if kind == "put" else OP_GET,
-                         index[step.dst], step.dst_off,
-                         index[step.src], step.src_off,
-                         step.nelems, step.stride, step.peer, 0))
-                elif kind == "copy":
-                    row((r, phase, slot, OP_COPY,
-                         index[step.dst], step.dst_off,
-                         index[step.src], step.src_off,
-                         step.nelems, step.stride, r,
-                         2 * step.charged + step.skip_noop))
-                elif kind == "reduce":
-                    row((r, phase, slot, OP_REDUCE,
-                         index[step.acc], step.acc_off,
-                         index[step.operand], step.operand_off,
-                         step.nelems, step.stride, r, step.charge_elems))
-                elif kind == "fill":
-                    row((r, phase, slot, OP_FILL,
-                         index[step.dst], step.dst_off, -1, 0,
-                         step.nelems, step.stride, r, 0))
-                elif kind == "send":
-                    row((r, phase, slot, OP_SEND, -1, 0,
-                         index[step.src], step.src_off,
-                         step.nelems, step.stride, step.peer, step.tag))
-                elif kind == "recv":
-                    row((r, phase, slot, OP_RECV,
-                         index[step.dst], step.dst_off, -1, 0,
-                         step.nelems, step.stride, step.peer, step.tag))
-                else:
-                    unknown.append((len(flat) // width, kind))
-                    row((r, phase, slot, 0, -1, 0, -1, 0, 0, 1, r, 0))
-                slot += 1
-            barriers.append(phase)
-        cols = np.array(flat, dtype=np.int64).reshape(-1, width).T
-        for name, col in zip(self.COLUMNS, np.ascontiguousarray(cols)):
-            setattr(self, name, col)
-        self.names = tuple(index.names)
-        self.n_declared = len(sched.buffers)
-        self.barriers = np.array(barriers, dtype=np.int64)
-        self.unknown = tuple(unknown)
+            sections = []
+            for sec, steps in _sections(prog, r, faults):
+                j = len(sections)
+                nbars = 0
+                for step in steps:
+                    kind = step.kind
+                    if kind == "barrier":
+                        phase += 1
+                        slot = 0
+                        nbars += 1
+                        continue
+                    if kind == "put" or kind == "get":
+                        row((r, phase, slot,
+                             OP_PUT if kind == "put" else OP_GET,
+                             index[step.dst], step.dst_off,
+                             index[step.src], step.src_off,
+                             step.nelems, step.stride, step.peer, 0, j))
+                    elif kind == "copy":
+                        row((r, phase, slot, OP_COPY,
+                             index[step.dst], step.dst_off,
+                             index[step.src], step.src_off,
+                             step.nelems, step.stride, r,
+                             2 * step.charged + step.skip_noop, j))
+                    elif kind == "reduce":
+                        row((r, phase, slot, OP_REDUCE,
+                             index[step.acc], step.acc_off,
+                             index[step.operand], step.operand_off,
+                             step.nelems, step.stride, r, step.charge_elems,
+                             j))
+                    elif kind == "fill":
+                        row((r, phase, slot, OP_FILL,
+                             index[step.dst], step.dst_off, -1, 0,
+                             step.nelems, step.stride, r, 0, j))
+                    elif kind == "send":
+                        row((r, phase, slot, OP_SEND, -1, 0,
+                             index[step.src], step.src_off,
+                             step.nelems, step.stride, step.peer, step.tag,
+                             j))
+                    elif kind == "recv":
+                        row((r, phase, slot, OP_RECV,
+                             index[step.dst], step.dst_off, -1, 0,
+                             step.nelems, step.stride, step.peer, step.tag,
+                             j))
+                    else:
+                        unknown.append((len(flat) // width, kind))
+                        row((r, phase, slot, 0, -1, 0, -1, 0, 0, 1, r, 0, j))
+                    slot += 1
+                sections.append(sec._replace(nbars=nbars))
+            structure = Skeleton(tuple(sections), _signature(prog))
+            skeleton_of.append(skeletons.setdefault(structure,
+                                                    len(skeletons)))
+        cols = np.ascontiguousarray(
+            np.array(flat, dtype=np.int64).reshape(-1, width).T)
+        return cls(dict(zip(cls.COLUMNS, cols)), index.names,
+                   len(sched.buffers), cols[-1], tuple(skeletons),
+                   skeleton_of, tuple(unknown), tuple(claims), tuple(faults))
 
     def __len__(self) -> int:
         return len(self.rank)
 
-    def step(self, row: int) -> Step:
-        """Row ``row`` as the step node it was lowered from (for
-        messages; rows of no known kind have none)."""
-        op = int(self.op[row])
-        a = (self.names[self.a_buf[row]], int(self.a_off[row]))
-        b = (self.names[self.b_buf[row]], int(self.b_off[row]))
-        shape = (int(self.nelems[row]), int(self.stride[row]))
-        peer, aux = int(self.peer[row]), int(self.aux[row])
-        if op == OP_PUT or op == OP_GET:
-            return (Put if op == OP_PUT else Get)(*a, *b, *shape, peer)
+    def span(self, rank: int) -> slice:
+        """The rows of ``rank``."""
+        lo, hi = np.searchsorted(self.rank, (rank, rank + 1)).tolist()
+        return slice(lo, hi)
+
+    def layout(self, rank: int) -> tuple[slice, list]:
+        """``rank``'s program: its rows, and its sections in program
+        order each with its steps — a row's offset in those rows, or
+        ``None`` for a barrier."""
+        rows = self.span(rank)
+        return rows, self._parts(rank, self.phase[rows].tolist(),
+                                 self.section[rows].tolist())
+
+    def _parts(self, rank: int, phase: list, owner: list) -> list:
+        parts = []
+        k = bar = 0  # the next row; the barriers placed so far
+        for j, sec in enumerate(self.skeletons[self.skeleton_of[rank]]
+                                .sections):
+            end = bar + sec.nbars
+            items: list = []
+            while k < len(owner) and owner[k] == j:
+                items += [None] * (phase[k] - bar)
+                bar = phase[k]
+                items.append(k)
+                k += 1
+            items += [None] * (end - bar)
+            bar = end
+            parts.append((sec, items))
+        return parts
+
+    def rows_of(self, rows: slice) -> list:
+        """The columns a step is made of, over ``rows``, as lists of
+        ints in :meth:`_step`'s argument order."""
+        return [getattr(self, name)[rows].tolist() for name in self._STEP]
+
+    def _step(self, op, a_buf, a_off, b_buf, b_off, nelems, stride, peer,
+              aux) -> Step:
+        names = self.names
+        if op == OP_PUT:
+            return Put(names[a_buf], a_off, names[b_buf], b_off, nelems,
+                       stride, peer)
+        if op == OP_GET:
+            return Get(names[a_buf], a_off, names[b_buf], b_off, nelems,
+                       stride, peer)
         if op == OP_COPY:
-            return Copy(*a, *b, *shape, bool(aux & 2), bool(aux & 1))
+            return Copy(names[a_buf], a_off, names[b_buf], b_off, nelems,
+                        stride, bool(aux & 2), bool(aux & 1))
         if op == OP_REDUCE:
-            return Reduce(*a, *b, *shape, aux)
+            return Reduce(names[a_buf], a_off, names[b_buf], b_off, nelems,
+                          stride, aux)
         if op == OP_FILL:
-            return Fill(*a, *shape)
+            return Fill(names[a_buf], a_off, nelems, stride)
         if op == OP_SEND:
-            return Send(*b, *shape, peer, aux)
+            return Send(names[b_buf], b_off, nelems, stride, peer, aux)
         if op == OP_RECV:
-            return Recv(*a, *shape, peer, aux)
-        raise ValueError(f"row {row} has no known step kind")
+            return Recv(names[a_buf], a_off, nelems, stride, peer, aux)
+        raise ValueError("a row of no known step kind has no step")
+
+    def step(self, row: int) -> Step:
+        """Row ``row`` as its step node (for messages; rows of no known
+        kind have none)."""
+        return self._step(*(int(getattr(self, name)[row])
+                            for name in self._STEP))
+
+    def programs(self) -> tuple:
+        """The tree these rows are read as: one :class:`RankProgram` per
+        rank, equal to the one a compiler writing the tree built."""
+        n = len(self.skeleton_of)
+        starts = np.searchsorted(self.rank, np.arange(n + 1)).tolist()
+        steps = [self._step(*values)
+                 for values in zip(*self.rows_of(slice(None)))]
+        phase, owner = self.phase.tolist(), self.section.tolist()
+        if any(sec.pipeline >= 0 for sk in self.skeletons
+               for sec in sk.sections):
+            raise ValueError("a pipeline round has no tree of its own to "
+                             "rebuild")
+        programs = []
+        for r in range(n):
+            lo, hi = starts[r], starts[r + 1]
+            prologue = epilogue = ()
+            stages = []
+            for sec, items in self._parts(r, phase[lo:hi], owner[lo:hi]):
+                if sec.kind == "stage" and items == [None]:
+                    stages.append(barrier_stage(sec.index, sec.attrs))
+                    continue
+                body = tuple(BARRIER if k is None else steps[lo + k]
+                             for k in items)
+                if sec.kind == "prologue":
+                    prologue = body
+                elif sec.kind == "epilogue":
+                    epilogue = body
+                else:
+                    stages.append(Stage(sec.index, body, sec.attrs))
+            programs.append(RankProgram(r, prologue, tuple(stages),
+                                        epilogue))
+        return tuple(programs)
+
+    def same(self, other: "StepTable") -> bool:
+        """Whether ``other`` holds the same rows and barrier record."""
+        return (self.names == other.names
+                and self.n_declared == other.n_declared
+                and (self.unknown, self.claims, self.faults)
+                == (other.unknown, other.claims, other.faults)
+                and all(np.array_equal(getattr(self, name),
+                                       getattr(other, name))
+                        for name in self.COLUMNS + ("section",))
+                and [self.skeletons[i] for i in self.skeleton_of.tolist()]
+                == [other.skeletons[i] for i in other.skeleton_of.tolist()])
 
 
 @dataclass(frozen=True)
@@ -486,8 +765,7 @@ class RankProgram:
     """Everything one group rank does: prologue, staged steps, epilogue.
 
     ``stages`` holds :class:`Stage` nodes and/or :class:`Pipeline`
-    blocks; consumers that need the flat barrier-separated form
-    (executor, evaluator, linter) iterate :meth:`lowered_stages`.
+    blocks; :meth:`lowered_stages` gives the flat barrier-separated form.
 
     Prologue/epilogue steps run outside any stage span (entry barriers,
     staging copies, final reorders — the metrics layer counts their
@@ -515,7 +793,7 @@ class RankProgram:
         yield from self.epilogue
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """A compiled collective: buffers + one :class:`RankProgram` per rank.
 
@@ -523,6 +801,11 @@ class Schedule:
     write — tuples ``(rank, buffer, lo, hi)`` — which the linter checks
     are covered by the union of local and incoming remote writes (the
     data-conservation pass).
+
+    A schedule built by :meth:`from_rows` holds its :attr:`table` from
+    the start and makes ``programs`` from it only when first read;
+    equality of two such schedules compares tables, and the hash of any
+    schedule covers everything but its steps, so neither builds a tree.
     """
 
     collective: str
@@ -532,8 +815,64 @@ class Schedule:
     root: int = None  # type: ignore[assignment]
     op: str = None  # type: ignore[assignment]
     buffers: tuple = ()
-    programs: tuple = ()
+    programs: tuple = field(default_factory=tuple)
     deliver: tuple = ()
+
+    #: Whether the table is the source and ``programs`` a view of it.
+    _columnar = False
+
+    @classmethod
+    def from_rows(cls, collective: str, algorithm: str, n_pes: int,
+                  itemsize: int, rows: Rows, skeletons: tuple, *,
+                  skeleton_of=None, root: int = None, op: str = None,
+                  buffers: tuple = (), deliver: tuple = ()) -> "Schedule":
+        """A schedule whose canonical form is ``rows``: every rank has
+        ``skeletons[0]`` unless ``skeleton_of`` says otherwise."""
+        cols = rows.columns()
+        section = cols.pop("section")
+        cols["slot"] = _slots(cols["rank"], cols["phase"])
+        table = StepTable(
+            cols, [buf.name for buf in buffers], len(buffers), section,
+            tuple(skeletons),
+            np.zeros(n_pes, dtype=np.int64) if skeleton_of is None
+            else skeleton_of)
+        sched = object.__new__(cls)
+        for name, value in (("collective", collective),
+                            ("algorithm", algorithm), ("n_pes", n_pes),
+                            ("itemsize", itemsize), ("root", root),
+                            ("op", op), ("buffers", buffers),
+                            ("deliver", deliver), ("_columnar", True)):
+            object.__setattr__(sched, name, value)
+        sched.__dict__["table"] = table
+        return sched
+
+    def __getattr__(self, name: str):
+        # Reached only for what the instance lacks: the programs of a
+        # schedule made from rows, until first read.
+        if name == "programs" and self._columnar:
+            programs = self.table.programs()
+            object.__setattr__(self, "programs", programs)
+            return programs
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def _header(self) -> tuple:
+        return (self.collective, self.algorithm, self.n_pes, self.itemsize,
+                self.root, self.op, self.buffers, self.deliver)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        if self._header() != other._header():
+            return False
+        if self._columnar and other._columnar:
+            return self.table.same(other.table)
+        return self.programs == other.programs
+
+    def __hash__(self) -> int:
+        return hash(self._header())
 
     def program(self, rank: int) -> RankProgram:
         prog = self.programs[rank]
@@ -553,11 +892,19 @@ class Schedule:
 
     @cached_property
     def table(self) -> StepTable:
-        """The columnar lowering (:class:`StepTable`), built by one walk
-        of the tree the first time the evaluator or the linter asks and
-        kept for the life of the schedule.  Like ``plans``, not a field.
-        """
-        return StepTable(self)
+        """The :class:`StepTable`: what :meth:`from_rows` was given, or
+        one walk of the tree the first time anything asks.  Like
+        ``plans``, not a field."""
+        return StepTable.of_tree(self)
+
+    @cached_property
+    def mailbox(self) -> "Schedule":
+        """This schedule lowered onto the two-sided transport, made the
+        first time :func:`~.mailbox.lower_to_mailbox` asks and kept like
+        ``plans`` and ``table``."""
+        from .mailbox import lower
+
+        return lower(self)
 
     def buffer(self, name: str) -> Buffer:
         for buf in self.buffers:
@@ -566,7 +913,9 @@ class Schedule:
         raise KeyError(name)
 
     def n_stage_spans(self, rank: int = 0) -> int:
-        return sum(1 for _ in self.programs[rank].lowered_stages())
+        table = self.table
+        return sum(sec.kind == "stage" for sec in
+                   table.skeletons[table.skeleton_of[rank]].sections)
 
     def describe(self, rank: int = 0) -> str:
         """One-line human summary (used by the lint CLI).

@@ -40,22 +40,24 @@ Checks are conservative: strided accesses are widened to their byte
 span.  All builtin algorithms lint clean at 1–16 PEs (enforced in CI
 via ``python -m repro.collectives.schedule``).
 
-Every pass but the two pre-lowering pipeline ones reads the schedule's
-columnar lowering (:class:`~.ir.StepTable`, ``Schedule.table``) — one
-walk of the tree, shared with the evaluator — and works on whole
-columns: masks for peers, visibility and bounds, a sort-and-count sweep
-for phase overlap, merged write runs for conservation, a stable group-by
-for message matching.  What a vector pass flags is then *worded* by a
-scalar loop over just those rows or keys, in the order a walk of the
-tree would have met them; ``tests/collectives/lint_reference.py`` is
-that walk, kept as the oracle.  An access whose target PE lies outside
-the group is the peers pass's finding and takes no part in the memory
-passes; an access of zero bytes touches nothing.
+Every pass reads the schedule's step table (:class:`~.ir.StepTable`,
+``Schedule.table``) and its barrier record — never the dataclass tree —
+and works on whole columns: masks for peers, visibility and bounds, a
+sort-and-count sweep for phase overlap, merged write runs for
+conservation, a stable group-by for message matching.  The structure
+passes compare each rank's :class:`~.ir.Skeleton`; a row's section in it
+names the pipeline round the cross-segment pass needs.  What a vector
+pass flags is then *worded* by a scalar loop over just those rows or
+keys, in the order a walk of the tree would have met them;
+``tests/collectives/lint_reference.py`` is that walk, kept as the
+oracle.  An access whose target PE lies outside the group is the peers
+pass's finding and takes no part in the memory passes; an access of
+zero bytes touches nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,8 +68,6 @@ from .ir import (
     OP_RECV,
     OP_REDUCE,
     OP_SEND,
-    Pipeline,
-    RankProgram,
     Schedule,
     StepTable,
 )
@@ -217,38 +217,27 @@ def _runs(sorted_ids: np.ndarray) -> list:
     return [0, *cuts.tolist(), len(sorted_ids)]
 
 
-def _stage_signature(prog) -> list:
-    """Per-slot shape: plain stage index, or pipeline (index, S, G).
-
-    Ranks must agree on this signature — a :class:`~.ir.Pipeline` whose
-    segment or group count differs between ranks lowers to a different
-    number of rounds, so some rank would wait at a barrier nobody else
-    reaches (deadlock with segment counts).
-    """
-    sig = []
-    for st in prog.stages:
-        if isinstance(st, Pipeline):
-            sig.append(("pipeline", st.index, st.segments, len(st.groups)))
-        else:
-            sig.append(st.index)
-    return sig
-
-
-def _check_structure(sched: Schedule, table: StepTable,
-                     issues: list) -> None:
-    ref_sig = _stage_signature(sched.programs[0])
+def _check_structure(table: StepTable, issues: list) -> None:
+    """Every rank must agree with rank 0 on its stage signature — a
+    :class:`~.ir.Pipeline` whose segment or group count differs between
+    ranks lowers to a different number of rounds, so some rank would
+    wait at a barrier nobody else reaches (deadlock with segment counts)
+    — and on its barrier count."""
+    claims = dict(table.claims)
+    signatures = [sk.signature for sk in table.skeletons]
+    of = table.skeleton_of.tolist()
     barriers = table.barriers.tolist()
-    ref_barriers = barriers[0]
-    for r, prog in enumerate(sched.programs):
-        if prog.rank != r:
+    ref_sig, ref_barriers = signatures[of[0]], barriers[0]
+    for r in range(len(of)):
+        if r in claims:
             issues.append(LintIssue(
-                "structure", f"program {r} claims rank {prog.rank}", rank=r))
-        sig = _stage_signature(prog)
-        if sig != ref_sig:
+                "structure", f"program {r} claims rank {claims[r]}", rank=r))
+        sig = signatures[of[r]]
+        if sig is not ref_sig and sig != ref_sig:
             issues.append(LintIssue(
                 "deadlock",
-                f"stage structure {sig} differs from rank 0's {ref_sig} "
-                "(span structure would diverge)", rank=r))
+                f"stage structure {list(sig)} differs from rank 0's "
+                f"{list(ref_sig)} (span structure would diverge)", rank=r))
         if barriers[r] != ref_barriers:
             issues.append(LintIssue(
                 "deadlock",
@@ -444,43 +433,33 @@ def _check_phase_overlap(table: StepTable, acc: _Accesses,
                         f"(ranks {a_org} and {b_org})", rank=on, phase=ph))
 
 
-def _check_pipeline_shape(sched: Schedule, issues: list) -> None:
-    """Pipeline well-formedness, checked *before* anything lowers.
+def _check_pipeline_shape(table: StepTable, n: int, issues: list) -> None:
+    """Pipeline well-formedness, as the table build found it:
 
     * ``segments >= 1``;
     * every group carries exactly ``segments`` step tuples (a ragged
-      group would shift the wavefront — and crash the lowering — so
+      group would shift the wavefront — such a block cannot lower, so
       this pass short-circuits the rest of the linter);
     * group steps never contain barriers (the lowering owns them).
     """
-    for r in range(sched.n_pes):
-        if r >= len(sched.programs):
-            break
-        for pipe in sched.programs[r].stages:
-            if not isinstance(pipe, Pipeline):
-                continue
-            if pipe.segments < 1:
-                issues.append(LintIssue(
-                    "pipeline", f"pipeline {pipe.index}: segment count "
-                    f"{pipe.segments} must be >= 1", rank=r))
-                continue
-            for g, group in enumerate(pipe.groups):
-                if len(group) != pipe.segments:
-                    issues.append(LintIssue(
-                        "pipeline",
-                        f"pipeline {pipe.index} group {g} has "
-                        f"{len(group)} segment step tuples, expected "
-                        f"{pipe.segments}", rank=r))
-                    continue
-                for steps in group:
-                    if any(s.kind == "barrier" for s in steps):
-                        issues.append(LintIssue(
-                            "pipeline",
-                            f"pipeline {pipe.index} group {g} contains a "
-                            "barrier — rounds own their barriers", rank=r))
+    for rank, index, what, *detail in table.faults:
+        if rank >= n:
+            continue
+        if what == "segments":
+            message = (f"pipeline {index}: segment count {detail[0]} must "
+                       "be >= 1")
+        elif what == "ragged":
+            g, got, segments = detail
+            message = (f"pipeline {index} group {g} has {got} segment step "
+                       f"tuples, expected {segments}")
+        else:
+            message = (f"pipeline {index} group {detail[0]} contains a "
+                       "barrier — rounds own their barriers")
+        issues.append(LintIssue("pipeline", message, rank=rank))
 
 
-def _check_pipelines(sched: Schedule, issues: list) -> None:
+def _check_pipelines(table: StepTable, acc: _Accesses,
+                     issues: list) -> None:
     """Cross-segment ordering on well-formed pipeline blocks.
 
     Within one pipeline, a remote read must not target bytes that any
@@ -490,27 +469,23 @@ def _check_pipelines(sched: Schedule, issues: list) -> None:
     staleness bugs segmentation introduces, e.g. segment boundaries
     that do not match the producing group's.
 
-    Each pipeline index is lowered on its own — every rank's block of
-    that index as a schedule of nothing else — so that a step's barrier
-    phase *is* its round, and the accesses come from the same table
-    code every other pass reads.
+    A row's section in its rank's skeleton says which pipeline block
+    and which round of it the row runs in.
     """
-    blocks: dict = {}
-    for r, prog in enumerate(sched.programs):
-        for pipe in prog.stages:
-            if isinstance(pipe, Pipeline):
-                blocks.setdefault(pipe.index, {}).setdefault(
-                    r, []).append(pipe)
-    for index, by_rank in sorted(blocks.items()):
-        alone = replace(sched, deliver=(), programs=tuple(
-            RankProgram(r, stages=tuple(by_rank.get(r, ())))
-            for r in range(sched.n_pes)))
-        table = alone.table
-        acc = _Accesses(table, sched.n_pes, sched.itemsize)
-        live = np.flatnonzero(acc.hi > acc.lo)
+    sections = [sec for sk in table.skeletons for sec in sk.sections]
+    if all(sec.pipeline < 0 for sec in sections):
+        return
+    first = np.cumsum([0] + [len(sk.sections) for sk in table.skeletons])
+    pipe = np.array([sec.pipeline for sec in sections], dtype=np.int64)
+    at = (first[:-1][table.skeleton_of[table.rank[acc.row]]]
+          + table.section[acc.row])
+    of = pipe[at]
+    turn = np.array([sec.round for sec in sections], dtype=np.int64)[at]
+    for index in np.unique(of[of >= 0]).tolist():
+        live = np.flatnonzero((of == index) & (acc.hi > acc.lo))
         live = live[np.argsort(acc.order[live])]
         rounds, pes, bufs, los, his, modes, origins = (
-            x[live].tolist() for x in (acc.phase, acc.pe, acc.buf, acc.lo,
+            x[live].tolist() for x in (turn, acc.pe, acc.buf, acc.lo,
                                        acc.hi, acc.mode, acc.origin))
         by_target: dict = {}
         for t, pe, buf, lo, hi, mode, org in zip(
@@ -604,7 +579,9 @@ def _check_conservation(sched: Schedule, table: StepTable, acc: _Accesses,
                         issues: list) -> None:
     """Every promised ``deliver`` range is covered by some write.
 
-    The writes landing in each ``(pe, buffer)`` are merged into disjoint
+    A write covers its span and, when strided, the trailing hole of its
+    last element's stride.  The writes landing in each ``(pe, buffer)``
+    are merged into disjoint
     runs (sort by start, cut where a start passes the running end); a
     promise is kept iff the run holding its first byte reaches its last.
     """
@@ -615,8 +592,14 @@ def _check_conservation(sched: Schedule, table: StepTable, acc: _Accesses,
     wrote = np.flatnonzero((acc.hi > acc.lo)
                            & ((acc.mode == _LW) | (acc.mode == _RW)))
     group = acc.pe[wrote] * k + acc.buf[wrote]
+    # A strided write also covers the hole after its last element, up to
+    # where its next element would land: nothing of its layout is there,
+    # and the next chunk of the same layout starts exactly at that end.
+    row = acc.row[wrote]
+    reach = (acc.lo[wrote]
+             + table.nelems[row] * table.stride[row] * sched.itemsize)
     order = np.lexsort((acc.lo[wrote], group))
-    group, lo, hi = group[order], acc.lo[wrote][order], acc.hi[wrote][order]
+    group, lo, hi = group[order], acc.lo[wrote][order], reach[order]
     # Packed keys sort by group first, so one running maximum serves all.
     reach = np.maximum.accumulate(_hi_key(group, hi))
     first = np.flatnonzero(
@@ -644,24 +627,24 @@ def _check_conservation(sched: Schedule, table: StepTable, acc: _Accesses,
 def lint_schedule(sched: Schedule) -> list:
     """Run every check; returns the (possibly empty) issue list."""
     issues: list = []
-    _check_pipeline_shape(sched, issues)
-    if any(i.check == "pipeline" for i in issues):
-        _check_buffers(sched, issues)
-        return issues  # malformed pipelines crash the lowering
     n = sched.n_pes
-    if len(sched.programs) != n:
-        issues.append(LintIssue(
-            "structure", f"{len(sched.programs)} programs for {n} ranks"))
-        _check_buffers(sched, issues)
-        return issues  # no table to check: its ranks are the programs
     table = sched.table
-    _check_structure(sched, table, issues)
+    _check_pipeline_shape(table, n, issues)
+    if issues:
+        _check_buffers(sched, issues)
+        return issues  # a malformed pipeline has no rows to check
+    if len(table.barriers) != n:
+        issues.append(LintIssue(
+            "structure", f"{len(table.barriers)} programs for {n} ranks"))
+        _check_buffers(sched, issues)
+        return issues  # the table's ranks are the programs
+    _check_structure(table, issues)
     _check_buffers(sched, issues)
     if any(i.check == "structure" for i in issues):
         return issues  # program list malformed
     acc = _Accesses(table, n, sched.itemsize)
     _check_steps(sched, table, acc, _BufferFacts(sched, table), issues)
-    _check_pipelines(sched, issues)
+    _check_pipelines(table, acc, issues)
     _check_phase_overlap(table, acc, issues)
     _check_message_matching(table, n, issues)
     _check_conservation(sched, table, acc, issues)

@@ -40,8 +40,6 @@ The per-PE receive-queue depth must cover a phase's worst-case fan-in;
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .ir import (
@@ -80,20 +78,28 @@ def _units(prog: RankProgram) -> list[tuple[str, Stage | None, list]]:
     return units
 
 
-@lru_cache(maxsize=256)
 def lower_to_mailbox(sched: Schedule) -> Schedule:
-    """The mailbox-transport equivalent of ``sched`` (pure, cached)."""
+    """The mailbox-transport equivalent of ``sched`` (pure; made once
+    per schedule and kept on it, ``Schedule.mailbox``)."""
+    return sched.mailbox
+
+
+def lower(sched: Schedule) -> Schedule:
+    """What :func:`lower_to_mailbox` returns, made afresh."""
     n = sched.n_pes
     units = [_units(sched.program(r)) for r in range(n)]
-    # Flat step positions and barrier positions per rank.
+    # Flat step positions and barrier positions per rank; ``bar_at[r][k]``
+    # is the index into ``flat[r]`` of rank r's k-th barrier.
     flat: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     bar_pos: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    bar_at: list[list[int]] = [[] for _ in range(n)]
     for r in range(n):
         for u, (_, _, steps) in enumerate(units[r]):
             for i, step in enumerate(steps):
-                flat[r].append((u, i))
                 if step.kind == "barrier":
                     bar_pos[r].append((u, i))
+                    bar_at[r].append(len(flat[r]))
+                flat[r].append((u, i))
     n_bars = len(bar_pos[0])
     if any(len(b) != n_bars for b in bar_pos):
         raise ValueError(
@@ -108,9 +114,8 @@ def lower_to_mailbox(sched: Schedule) -> Schedule:
     tail: list[list] = [[] for _ in range(n)]
 
     def region(r: int, k: int) -> list[tuple[int, int]]:
-        lo = flat[r].index(bar_pos[r][k - 1]) + 1 if k else 0
-        hi = (flat[r].index(bar_pos[r][k]) if k < n_bars
-              else len(flat[r]))
+        lo = bar_at[r][k - 1] + 1 if k else 0
+        hi = bar_at[r][k] if k < n_bars else len(flat[r])
         return flat[r][lo:hi]
 
     def step_at(r: int, pos: tuple[int, int]):

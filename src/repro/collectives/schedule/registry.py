@@ -10,8 +10,9 @@ run.
 
 The shapes are chosen to hit the structurally distinct paths of every
 compiler: degenerate (one PE, zero elements), power-of-two and
-non-power-of-two PE counts, non-zero roots, and — for the vector
-collectives — ragged per-PE counts including zero-count PEs.
+non-power-of-two PE counts, non-zero roots, for the vector collectives
+ragged per-PE counts including zero-count PEs, and for the collectives
+that take an element stride a stride of 2.
 """
 
 from __future__ import annotations
@@ -57,7 +58,10 @@ def _ragged(n_pes: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
 
 
 def _shapes_for(collective: str, algorithm: str, n_pes: int,
-                nelems: int, itemsize: int) -> Iterator[tuple[str, Schedule]]:
+                nelems: int, itemsize: int,
+                stride: int = 1) -> Iterator[tuple[str, Schedule]]:
+    """The call shapes of one pair at one PE count; ``stride`` reaches
+    the collectives in :data:`STRIDED`."""
     roots = sorted({0, n_pes - 1, n_pes // 2})
     if collective == "broadcast":
         from ..broadcast import compile_broadcast
@@ -65,7 +69,7 @@ def _shapes_for(collective: str, algorithm: str, n_pes: int,
         for root in roots:
             for ne in (0, nelems):
                 yield (f"root={root} nelems={ne}",
-                       compile_broadcast(n_pes, root, ne, 1, itemsize,
+                       compile_broadcast(n_pes, root, ne, stride, itemsize,
                                          algorithm=algorithm))
     elif collective == "reduce":
         from ..reduce import compile_reduce
@@ -73,29 +77,30 @@ def _shapes_for(collective: str, algorithm: str, n_pes: int,
         for root in roots:
             for ne in (0, nelems):
                 yield (f"root={root} nelems={ne}",
-                       compile_reduce(n_pes, root, ne, 1, itemsize, "sum",
-                                      algorithm=algorithm))
+                       compile_reduce(n_pes, root, ne, stride, itemsize,
+                                      "sum", algorithm=algorithm))
     elif collective == "allreduce":
         from ..allreduce import compile_allreduce
 
         for ne in (0, nelems):
             yield (f"nelems={ne}",
-                   compile_allreduce(n_pes, ne, 1, itemsize, "sum",
+                   compile_allreduce(n_pes, ne, stride, itemsize, "sum",
                                      algorithm=algorithm))
         if algorithm == "dual-pipelined":
             # Segment counts straddling nelems hit the pipelined
             # wavefront's clamping and idle-round paths.
             for segs in (1, 3, nelems + 1):
                 yield (f"nelems={nelems} segments={segs}",
-                       compile_allreduce(n_pes, nelems, 1, itemsize, "sum",
-                                         algorithm=algorithm,
+                       compile_allreduce(n_pes, nelems, stride, itemsize,
+                                         "sum", algorithm=algorithm,
                                          segments=segs))
     elif collective == "scan":
         from ..scan import compile_scan
 
         for inclusive in (True, False):
             yield (f"inclusive={inclusive}",
-                   compile_scan(n_pes, nelems, 1, itemsize, "sum", inclusive))
+                   compile_scan(n_pes, nelems, stride, itemsize, "sum",
+                                inclusive))
     elif collective in ("scatter", "gather"):
         from ..gather import compile_gather
         from ..scatter import compile_scatter
@@ -196,6 +201,12 @@ def _shapes_for(collective: str, algorithm: str, n_pes: int,
         raise ValueError(f"no shape generator for {collective!r}")
 
 
+#: Collectives whose compilers take an element stride: their shapes are
+#: also compiled at stride 2, where every chunked write leaves a hole
+#: between its last element and the next chunk's first.
+STRIDED = ("broadcast", "reduce", "allreduce", "scan")
+
+
 def builtin_schedules(
     pe_counts: Sequence[int] = tuple(range(1, 17)),
     nelems: int = 12,
@@ -204,10 +215,14 @@ def builtin_schedules(
     """Yield ``(label, schedule)`` for every builtin algorithm and shape.
 
     Covers every :data:`BUILTIN_ALGORITHMS` pair at each PE count in
-    ``pe_counts`` with degenerate, uniform and ragged call shapes.
+    ``pe_counts`` with degenerate, uniform and ragged call shapes, and
+    the collectives in :data:`STRIDED` at stride 2 as well.
     """
     for collective, algorithm in BUILTIN_ALGORITHMS:
         for n_pes in pe_counts:
-            for desc, sched in _shapes_for(collective, algorithm, n_pes,
-                                           nelems, itemsize):
-                yield f"{collective}:{algorithm} n_pes={n_pes} {desc}", sched
+            for stride in (1, 2) if collective in STRIDED else (1,):
+                tag = f" stride={stride}" if stride > 1 else ""
+                for desc, sched in _shapes_for(collective, algorithm, n_pes,
+                                               nelems, itemsize, stride):
+                    yield (f"{collective}:{algorithm} n_pes={n_pes} "
+                           f"{desc}{tag}", sched)

@@ -10,11 +10,13 @@ kept here as the oracle ``test_lint_oracle.py`` compares against, the
 way ``ListLru`` stands behind the array-backed cache.  It must produce
 the same issues in the same order.
 
-Two deliberate differences from the 4ab22ab code, both bug fixes the
+Three deliberate differences from the 4ab22ab code, all bug fixes the
 table-driven linter shares: an access whose target PE lies outside the
 group is the peers pass's finding alone (the old bounds loop indexed a
-per-rank extent tuple with it), and an access of zero bytes takes no
-part in the phase-overlap pass (it touches nothing).  The cross-segment
+per-rank extent tuple with it), an access of zero bytes takes no part
+in the phase-overlap pass (it touches nothing), and a strided write
+covers the hole after its last element in the conservation pass (two
+chunks of one strided payload left that hole "uncovered").  The cross-segment
 pass visits a pipeline's steps in lowered round order, as the table
 stores them.
 """
@@ -408,11 +410,20 @@ def _check_message_matching(sched: Schedule, issues: list) -> None:
 
 
 def _check_conservation(sched: Schedule, issues: list) -> None:
-    """Every promised ``deliver`` range is covered by some write."""
+    """Every promised ``deliver`` range is covered by some write; a
+    strided write covers the trailing hole of its last element's stride
+    too (``nelems * stride * itemsize`` bytes from its start)."""
     written: dict = {}
-    for _, pe, name, lo, hi, mode, _ in _all_accesses(sched):
-        if mode in ("lw", "rw") and hi > lo:
-            written.setdefault((pe, name), []).append((lo, hi))
+    for r in range(sched.n_pes):
+        for step in sched.program(r).all_steps():
+            if step.kind == "barrier":
+                continue
+            reach = step.nelems * step.stride * sched.itemsize
+            for pe, name, lo, hi, mode in _step_accesses(step, r,
+                                                         sched.itemsize):
+                if mode in ("lw", "rw") and hi > lo and 0 <= pe < sched.n_pes:
+                    written.setdefault((pe, name), []).append(
+                        (lo, lo + reach))
     for rank, name, lo, hi in sched.deliver:
         if hi <= lo:
             continue

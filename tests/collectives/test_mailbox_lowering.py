@@ -126,6 +126,52 @@ def test_lowering_is_cached_and_pure():
                for step in sched.program(r).all_steps())
 
 
+def _allreduce_thrice(ctx) -> bool:
+    ctx.init()
+    me, n, k = ctx.my_pe(), ctx.num_pes(), 11
+    i64 = np.dtype(np.int64)
+    src = ctx.malloc(8 * k)
+    dest = ctx.malloc(8 * k)
+    ctx.view(src, i64, k)[:] = np.arange(k) * (me + 1)
+    ok = True
+    for _ in range(3):
+        ctx.allreduce(dest, src, k, 1, "sum", i64, algorithm="rabenseifner")
+        ok &= np.array_equal(ctx.view(dest, i64, k),
+                             np.arange(k) * n * (n + 1) // 2)
+    ctx.close()
+    return ok
+
+
+def test_mailbox_calls_lower_once_and_hash_nothing(monkeypatch):
+    """Every rank of every mailbox-transport call asks for the lowering;
+    it is made once per schedule and kept on it, and no schedule is
+    hashed on the way (a compiled one would have to hash its tree)."""
+    from repro.collectives import allreduce
+    from repro.collectives.schedule import ir, mailbox
+    from repro.runtime.context import Machine
+
+    allreduce._compile_folded.cache_clear()  # a schedule never lowered
+    lowered = hashed = 0
+    lower, hash_ = mailbox.lower, ir.Schedule.__hash__
+
+    def counted_lower(sched):
+        nonlocal lowered
+        lowered += 1
+        return lower(sched)
+
+    def counted_hash(sched):
+        nonlocal hashed
+        hashed += 1
+        return hash_(sched)
+
+    monkeypatch.setattr(mailbox, "lower", counted_lower)
+    monkeypatch.setattr(ir.Schedule, "__hash__", counted_hash)
+    machine = Machine(small_config(4), transport="mailbox")
+    assert all(machine.run(_allreduce_thrice))
+    assert machine.stats.sends > 0
+    assert (lowered, hashed) == (1, 0)
+
+
 # ---------------------------------------------------------------------------
 # the linter vs deliberately broken lowerings
 # ---------------------------------------------------------------------------

@@ -1,0 +1,85 @@
+"""Frozen digests of every registry schedule, in each of its forms.
+
+A compiled schedule is read four ways: its dataclass tree (``repr``,
+``describe`` per rank), its step table (the twelve columns, the
+per-rank barrier counts and the buffer names) and its mailbox lowering
+(``repr``).  One digest per registry shape — sha256 over all four — pins
+them together, so a compiler that emits its step table directly must
+still produce, through its lazily rebuilt tree, exactly the tree the
+tree-building compiler produced.  The digests were generated on commit
+e115b60 (the last one whose compilers built the tree) with nothing but
+the registry's stride-2 shapes added to it.
+
+To regenerate after an *intended* change to a compiler:
+``PYTHONPATH=src python tests/collectives/test_schedule_digest.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.collectives.schedule.mailbox import lower_to_mailbox
+from repro.collectives.schedule.registry import (
+    BUILTIN_ALGORITHMS,
+    builtin_schedules,
+)
+
+GOLDEN_PATH = Path(__file__).with_name("schedule_digests.json")
+PE_COUNTS = tuple(range(1, 20)) + (33, 64)
+#: The step-table columns, in the order they are hashed.
+COLUMNS = ("rank", "phase", "slot", "op", "a_buf", "a_off", "b_buf",
+           "b_off", "nelems", "stride", "peer", "aux")
+
+
+def schedule_digest(sched) -> str:
+    h = hashlib.sha256()
+
+    def part(data: bytes) -> None:
+        h.update(data)
+        h.update(b"\0")
+
+    part(repr(sched).encode())
+    for r in range(sched.n_pes):
+        part(sched.describe(r).encode())
+    table = sched.table
+    for name in COLUMNS:
+        part(np.asarray(getattr(table, name), dtype=np.int64).tobytes())
+    part(np.asarray(table.barriers, dtype=np.int64).tobytes())
+    part(repr(tuple(table.names)).encode())
+    part(repr(lower_to_mailbox(sched)).encode())
+    return h.hexdigest()[:20]
+
+
+def pair_digests(collective: str, algorithm: str) -> dict:
+    prefix = f"{collective}:{algorithm} "
+    return {label: schedule_digest(sched)
+            for label, sched in builtin_schedules(PE_COUNTS)
+            if label.startswith(prefix)}
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("collective,algorithm", BUILTIN_ALGORITHMS)
+def test_schedule_digests_unchanged(collective, algorithm):
+    want = {label: digest for label, digest in _golden().items()
+            if label.startswith(f"{collective}:{algorithm} ")}
+    got = pair_digests(collective, algorithm)
+    assert sorted(got) == sorted(want), "registry shapes changed"
+    wrong = [label for label in got if got[label] != want[label]]
+    assert not wrong, f"schedule digests changed: {wrong[:5]}"
+
+
+if __name__ == "__main__":  # pragma: no cover - regeneration helper
+    table: dict = {}
+    for pair in BUILTIN_ALGORITHMS:
+        table.update(pair_digests(*pair))
+    GOLDEN_PATH.write_text(json.dumps(table, indent=0, sort_keys=True)
+                           + "\n")
+    print(f"wrote {len(table)} digests to {GOLDEN_PATH}")

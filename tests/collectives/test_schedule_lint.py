@@ -2,8 +2,9 @@
 
 The first half is the CI ``schedule-lint`` gate in-process: every
 builtin ``(collective, algorithm)`` pair compiles and lints clean at
-1–16 PEs.  The second half hand-builds minimally broken schedules — one
-per lint check — and asserts the right check fires, so the linter can't
+1–16 PEs, at stride 1 and — for the collectives that take one — 2.
+The second half hand-builds minimally broken schedules — one per lint
+check — and asserts the right check fires, so the linter can't
 silently rot into always-green.
 """
 
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.collectives.allreduce import compile_allreduce
+from repro.collectives.broadcast import compile_broadcast
 from repro.collectives.schedule import lint_schedule
 from repro.collectives.schedule.ir import (
     BARRIER,
@@ -159,6 +162,37 @@ class TestBrokenSchedules:
             deliver=((0, "dest", 0, 16),),
         )
         assert lint_schedule(sched) == []
+
+    def test_strided_chunks_cover_the_holes_between_them(self):
+        """Two chunks of one stride-2 payload: the first's last element
+        ends 8 bytes before the second's first begins.  That hole holds
+        no element of the payload, so the contract is kept; drop the
+        second chunk and it is broken from the hole on."""
+        dest = Buffer("dest", "user", 96, symmetric=True)
+        first = Put("dest", 0, "s", 0, 3, 2, 0)
+        second = Put("dest", 48, "s", 0, 3, 2, 0)
+        deliver = ((0, "dest", 0, 88),)
+        kept = _two_rank((dest, _SYM), RankProgram(0, (BARRIER,)),
+                         RankProgram(1, (first, second, BARRIER)), deliver)
+        assert lint_schedule(kept) == []
+        broken = _two_rank((dest, _SYM), RankProgram(0, (BARRIER,)),
+                           RankProgram(1, (first, BARRIER)), deliver)
+        assert [i.message for i in lint_schedule(broken)] == [
+            "deliver contract [0, 88) of 'dest' on rank 0 only covered up "
+            "to byte 48"]
+
+    @pytest.mark.parametrize("stride", [2, 3])
+    def test_strided_chunked_algorithms_lint_clean(self, stride):
+        """The compilers that split a payload into chunks: ring broadcast
+        and the dual-pipelined allreduce."""
+        for n_pes in (2, 3, 5, 8, 12):
+            for sched in (
+                    compile_broadcast(n_pes, n_pes - 1, 12, stride, 8,
+                                      algorithm="ring"),
+                    compile_allreduce(n_pes, 12, stride, 8, "sum",
+                                      algorithm="dual-pipelined",
+                                      segments=3)):
+                assert lint_schedule(sched) == [], sched.describe()
 
     def test_non_symmetric_scratch_rejected(self):
         bad = Buffer("s", "scratch", 64, symmetric=False)

@@ -1,7 +1,7 @@
 """Compile + lint at scale: 1k–64k PEs stay clean, fast and sub-quadratic.
 
 The vec evaluator makes large-PE schedules routine, which makes the
-*compilers* the new scaling bottleneck.  These tests pin three things
+*compilers* the new scaling bottleneck.  These tests pin four things
 per algorithm family:
 
 * the linter finds nothing at 1k/4k PEs (deadlock freedom, matched
@@ -11,7 +11,9 @@ per algorithm family:
   over measured times on the CI class of machine), so an accidentally
   quadratic compile path fails loudly instead of slowing every sweep;
 * total step-object counts grow O(N log N), the direct structural
-  check for the same regression.
+  check for the same regression;
+* the compilers that emit step-table rows stay tree-free on the hot
+  path: lint, evaluation and execution never build their tree.
 
 Ring, linear, alltoall and dissemination-allgather schedules are
 inherently Θ(N²) total steps (every rank touches every other rank or
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 import time
 
+import numpy as np
 import pytest
 
 from repro.collectives.allreduce import compile_allreduce
@@ -34,6 +37,10 @@ from repro.collectives.scatter import compile_scatter
 from repro.collectives.schedule.evaluate import evaluate_schedule
 from repro.collectives.schedule.ir import RankProgram
 from repro.collectives.schedule.lint import lint_schedule
+from repro.runtime.context import Machine
+
+from ..conftest import small_config
+from .helpers import ROW_FAMILIES
 
 
 def _ragged(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -138,24 +145,70 @@ def test_quadratic_families_lint_clean_at_1k():
         )
 
 
-def test_one_walk_of_the_tree_serves_linter_and_evaluator(monkeypatch):
-    """The perf gate with no clock in it: linting a schedule and
-    evaluating it twice walks each rank's program once — the table
-    build — and never again."""
-    n_pes = 256
-    sched = compile_allreduce(n_pes, 96, 1, 8, "sum",
-                              algorithm="rabenseifner")
-    walks = 0
-    walk = RankProgram.all_steps
+def _compile(collective: str, algorithm: str, n_pes: int, root: int,
+             nelems: int):
+    if collective == "broadcast":
+        return compile_broadcast(n_pes, root, nelems, 1, 8,
+                                 algorithm=algorithm)
+    if collective == "reduce":
+        return compile_reduce(n_pes, root, nelems, 1, 8, "sum",
+                              algorithm=algorithm)
+    return compile_allreduce(n_pes, nelems, 1, 8, "sum", algorithm=algorithm)
 
-    def counted(self):
+
+def _run_once(ctx, collective: str, algorithm: str) -> bool:
+    """One call of the collective on this PE; whether its output is
+    right."""
+    ctx.init()
+    me, n, k, root = ctx.my_pe(), ctx.num_pes(), 5, 1
+    i64 = np.dtype(np.int64)
+    src = ctx.malloc(8 * k)
+    dest = ctx.malloc(8 * k)
+    ctx.view(src, i64, k)[:] = np.arange(k) + 10 * me
+    ctx.barrier()
+    if collective == "broadcast":
+        ctx.broadcast(dest, src, k, 1, root, i64, algorithm=algorithm)
+        want = np.arange(k) + 10 * root
+    elif collective == "reduce":
+        ctx.reduce(dest, src, k, 1, root, "sum", i64, algorithm=algorithm)
+        want = n * np.arange(k) + 10 * sum(range(n)) if me == root else None
+    else:
+        ctx.allreduce(dest, src, k, 1, "sum", i64, algorithm=algorithm)
+        want = n * np.arange(k) + 10 * sum(range(n))
+    ok = want is None or np.array_equal(ctx.view(dest, i64, k), want)
+    ctx.barrier()
+    ctx.close()
+    return ok
+
+
+@pytest.mark.parametrize("collective,algorithm", ROW_FAMILIES,
+                         ids=[f"{c}-{a}" for c, a in ROW_FAMILIES])
+def test_lint_evaluate_and_execute_build_no_tree(collective, algorithm,
+                                                 monkeypatch):
+    """The perf gate with no clock in it: for a compiler that emits
+    step-table rows, linting its schedule, evaluating it twice and
+    running it once on the simulator build no ``RankProgram`` and walk
+    none — the tree stays a view nobody on the hot path asks for."""
+    built = walks = 0
+    init, walk = RankProgram.__init__, RankProgram.all_steps
+
+    def counted_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    def counted_walk(self):
         nonlocal walks
         walks += 1
         return walk(self)
 
-    monkeypatch.setattr(RankProgram, "all_steps", counted)
+    monkeypatch.setattr(RankProgram, "__init__", counted_init)
+    monkeypatch.setattr(RankProgram, "all_steps", counted_walk)
+    sched = _compile(collective, algorithm, 48, 5, 37)
     assert lint_schedule(sched) == []
     first = evaluate_schedule(sched, collect_data=False)
     again = evaluate_schedule(sched, collect_data=False)
     assert first.elapsed_ns == again.elapsed_ns > 0
-    assert 0 < walks <= n_pes
+    machine = Machine(small_config(8))
+    assert all(machine.run(_run_once, [(collective, algorithm)] * 8))
+    assert (built, walks) == (0, 0)
