@@ -28,10 +28,23 @@ milliseconds:
   channels, node buses) but replace the stateful cache/TLB walk with a
   closed form (:class:`CostModel`) using page-granular warmth.
   Makespans therefore *track* the simulator's ``ns`` within a pinned
-  tolerance rather than matching it exactly.  Messages are priced one
-  by one, in order — the network is a recurrence over shared link state
-  — so the order groups run in (see :func:`_collect_groups`) is part of
-  the model.
+  tolerance rather than matching it exactly.
+
+An evaluation is three passes over the table:
+
+1. **Order** (:func:`_run_order`): the order the groups run in.  It
+   follows from the schedule's structure — slots, and for mailbox
+   schedules which FIFOs hold a message — never from a clock.
+2. **Cost once** (:func:`_access_costs`): every row's memory accesses,
+   priced by one :meth:`CostModel.price` call.  Warmth, the cost
+   model's only state, depends only on the order of the accesses, which
+   pass 1 fixed.
+3. **Clock in order**: one Python loop walks the groups in that order
+   and carries the clocks.  What it must compute message by message is
+   the network: every message read-modify-writes shared link, bus and
+   fabric state, so messages are priced one by one, in order, and the
+   order groups run in (see :func:`_collect_groups`) is part of the
+   model.
 
 Nothing here walks the dataclass tree: the evaluator reads only the
 table's columns and barrier counts.
@@ -74,7 +87,6 @@ from .ir import (
     OP_SEND,
     Schedule,
     StepTable,
-    step_span_bytes,
 )
 
 __all__ = [
@@ -93,8 +105,12 @@ class CostModel:
     (rank, 4 KiB page) pair carries one "touched" bit: the first access
     whose span starts on an untouched page is costed cold (DRAM stream
     + TLB walks), later accesses are costed by where the span fits in
-    the cache hierarchy.  All formulas vectorise over a lane's address
-    array, so a 4096-lane stage costs one numpy expression.
+    the cache hierarchy.
+
+    Warmth is the only state, and it depends on the *order* of the
+    accesses, never on a clock.  So :meth:`price` costs any number of
+    accesses in one vector pass, each given its place in that order: a
+    whole schedule's memory traffic is one call.
     """
 
     def __init__(self, config: MachineConfig, n_rows: int, mem_bytes: int):
@@ -104,72 +120,93 @@ class CostModel:
         self._line_shift = m.l1.line_bytes.bit_length() - 1
         self._page_shift = m.tlb.page_bytes.bit_length() - 1
         self._l1_ns = m.l1.hit_ns
-        self._l2_ns = m.l2.hit_ns
-        self._dram_ns = m.dram_ns
-        self._stream_ns = m.dram_stream_ns
+        self._l1_l2_ns = m.l1.hit_ns + m.l2.hit_ns
+        self._stream_line_ns = m.l1.hit_ns + m.l2.hit_ns + m.dram_stream_ns
+        self._dram_elem_ns = m.l1.hit_ns + m.l2.hit_ns + m.dram_ns
         self._walk_ns = m.tlb.walk_ns
         self._l1_bytes = m.l1.size_bytes
         self._l2_bytes = m.l2.size_bytes
         n_pages = -(-mem_bytes // m.tlb.page_bytes)
         self._touched = np.zeros((n_rows, max(n_pages, 1)), dtype=bool)
 
-    def _mark(self, rows: np.ndarray, first_page: np.ndarray,
-              pages: np.ndarray) -> None:
-        touched = self._touched
-        touched[rows, first_page] = True  # a span covers its first page
-        for k in range(1, int(pages.max())):
-            m = pages > k
-            touched[rows[m], first_page[m] + k] = True
+    def price(self, rows: np.ndarray, addrs: np.ndarray, nelems: np.ndarray,
+              step: np.ndarray, elem_bytes, tlb: np.ndarray,
+              when: np.ndarray) -> np.ndarray:
+        """ns of a batch of accesses, one per entry.
 
-    def range_ns(self, rows: np.ndarray, addrs: np.ndarray, span: int,
-                 use_tlb: bool = True) -> np.ndarray:
-        """Per-lane ns for a dense sweep of ``span`` bytes at ``addrs``."""
-        if span <= 0:
-            return np.zeros(len(rows))
-        last = addrs + (span - 1)
-        lines = (last >> self._line_shift) - (addrs >> self._line_shift) + 1
-        first_page = addrs >> self._page_shift
-        pages = (last >> self._page_shift) - first_page + 1
-        warm = self._touched[rows, first_page]
-        cold = lines * (self._l1_ns + self._l2_ns + self._stream_ns)
-        if use_tlb:
-            cold = cold + pages * self._walk_ns
-        if span <= self._l1_bytes:
-            warm_per_line = self._l1_ns
-        elif span <= self._l2_bytes:
-            warm_per_line = self._l1_ns + self._l2_ns
-        else:
-            warm_per_line = self._l1_ns + self._l2_ns + self._stream_ns
-        ns = np.where(warm, lines * warm_per_line, cold)
-        self._mark(rows, first_page, pages)
-        return ns
+        Access ``i`` touches ``nelems[i] >= 1`` elements of
+        ``elem_bytes`` bytes, ``step[i]`` bytes apart, from ``addrs[i]``
+        in memory row ``rows[i]``.  Up to a cache line apart that is a
+        dense sweep, priced per line; further apart every element is its
+        own line (and, cold, its own DRAM access).  ``tlb[i]`` adds the
+        page walks to a cold access (False for the target side of a
+        remote access: the OLB translates it).
 
-    def strided_ns(self, rows: np.ndarray, addrs: np.ndarray, nelems: int,
-                   elem_bytes: int, stride: int,
-                   use_tlb: bool = True) -> np.ndarray:
-        """Per-lane ns for a strided access (put/get side cost)."""
-        if nelems <= 0:
-            return np.zeros(len(rows))
-        step = elem_bytes * max(stride, 1)
+        ``when[i]`` places the access in program order: it is warm when
+        an earlier call, or an access with a smaller ``when``, touched
+        its first page.  Accesses with equal ``when`` — the lanes of one
+        step group — do not see each other.
+        """
+        if not len(rows):
+            return np.zeros(0)
         span = (nelems - 1) * step + elem_bytes
-        if step <= self._line_bytes:
-            return self.range_ns(rows, addrs, span, use_tlb)
-        # Sparse: one line (and, cold, one DRAM access) per element.
         last = addrs + (span - 1)
         first_page = addrs >> self._page_shift
         pages = (last >> self._page_shift) - first_page + 1
-        warm = self._touched[rows, first_page]
-        cold = nelems * (self._l1_ns + self._l2_ns + self._dram_ns)
-        if use_tlb:
-            cold = cold + pages * self._walk_ns
-        ns = np.where(warm, nelems * self._l1_ns, cold)
-        self._mark(rows, first_page, pages)
-        return ns
+        warm = self._warm(rows, first_page, pages, when)
+        lines = (last >> self._line_shift) - (addrs >> self._line_shift) + 1
+        sparse = step > self._line_bytes
+        cold = np.where(sparse, nelems * self._dram_elem_ns,
+                        lines * self._stream_line_ns)
+        cold = np.where(tlb, cold + pages * self._walk_ns, cold)
+        per_line = np.where(
+            span <= self._l1_bytes, self._l1_ns,
+            np.where(span <= self._l2_bytes, self._l1_l2_ns,
+                     self._stream_line_ns))
+        hot = np.where(sparse, nelems * self._l1_ns, lines * per_line)
+        return np.where(warm, hot, cold)
+
+    def _warm(self, rows: np.ndarray, first_page: np.ndarray,
+              pages: np.ndarray, when: np.ndarray) -> np.ndarray:
+        """Whether each access starts on a touched page; then touch every
+        page of every access."""
+        touched = self._touched
+        warm = touched[rows, first_page]
+        n = len(rows)
+        if n > 1:
+            # Only first pages are asked about.  Number them, find the
+            # run of them each access's span covers (its own first page,
+            # maybe more), and keep the smallest ``when`` per page.
+            key = rows * touched.shape[1] + first_page
+            keys, at = np.unique(key, return_inverse=True)
+            covers = np.searchsorted(keys, key + pages) - at
+            if int(covers.max()) > 1:
+                each = np.repeat(np.arange(n), covers)
+                page_of, when_of = at[each] + _ramp(covers), when[each]
+            else:
+                page_of, when_of = at, when
+            earliest = np.full(len(keys), np.iinfo(np.int64).max)
+            np.minimum.at(earliest, page_of, when_of)
+            warm |= earliest[at] < when
+        touched[rows, first_page] = True
+        for k in range(1, int(pages.max())):
+            more = pages > k
+            touched[rows[more], first_page[more] + k] = True
+        return warm
 
     def hierarchy_of(self, row: int) -> "_RowCost":
         """Row ``row`` behind the scalar costing calls of
         :class:`~repro.machine.memsys.MemoryHierarchy`."""
         return _RowCost(self, row)
+
+
+def _ramp(counts: np.ndarray) -> np.ndarray:
+    """``0 .. c-1`` for each ``c`` of ``counts``, concatenated."""
+    return (np.arange(int(counts.sum()))
+            - np.repeat(np.cumsum(counts) - counts, counts))
+
+
+_FIRST = np.zeros(1, dtype=np.int64)
 
 
 class _RowCost:
@@ -185,17 +222,19 @@ class _RowCost:
 
     def access_range(self, addr: int, nbytes: int, write: bool = False,
                      use_tlb: bool = True) -> float:
-        return float(self._cost.range_ns(self._row, np.array([addr]),
-                                         nbytes, use_tlb)[0])
+        return self.access_strided(addr, nbytes, 1, 1, write, use_tlb)
 
     access = access_range
 
     def access_strided(self, addr: int, nelems: int, elem_bytes: int,
                        stride: int, write: bool = False,
                        use_tlb: bool = True) -> float:
-        return float(self._cost.strided_ns(self._row, np.array([addr]),
-                                           nelems, elem_bytes, stride,
-                                           use_tlb)[0])
+        if nelems <= 0:
+            return 0.0
+        return float(self._cost.price(
+            self._row, np.array([addr]), np.array([nelems]),
+            np.array([elem_bytes * max(stride, 1)]), elem_bytes,
+            np.array([use_tlb]), _FIRST)[0])
 
 
 # -- batched data movement ----------------------------------------------------
@@ -297,6 +336,124 @@ def _collect_groups(table: StepTable) -> tuple[np.ndarray, np.ndarray, list]:
     return order, starts, sorted_keys[:, starts[:-1]].T.tolist()
 
 
+def _run_order(heads: list, bounds: list, rank_s: np.ndarray,
+               peer_s: np.ndarray, n_barriers: int, n_ranks: int,
+               label: str) -> list:
+    """The groups of each phase, in the order they run.
+
+    Each rank's groups run in its program (slot) order — cross-rank
+    hazards are forbidden by the linter, but same-rank write-then-read
+    within a phase (get-into-scratch feeding a reduce, recv feeding a
+    reduce) is real sequencing.  A recv group additionally waits until
+    every lane's (src, dst) FIFO holds its message, which may be
+    deposited by a send group at a *higher* slot on another rank; the
+    fixpoint scan below resolves those forward dependencies exactly as
+    the concurrent per-PE machine does, and checks each message's tag
+    and size as its recv takes it.  Without recvs every group is ready
+    in sorted order.
+    """
+    edges = [0]
+    for phase in range(n_barriers + 1):
+        cursor = edges[-1]
+        while cursor < len(heads) and heads[cursor][0] == phase:
+            cursor += 1
+        edges.append(cursor)
+    phases = [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    if not any(head[2] == OP_RECV for head in heads):
+        return phases
+    rank_l, peer_l = rank_s.tolist(), peer_s.tolist()
+    # In-flight messages: (src, dst) group-rank pair -> FIFO of (tag,
+    # nelems).  Persists across phases (hoisted get-requests are matched
+    # one barrier later).
+    fifo: dict[tuple[int, int], deque] = {}
+    ordered = []
+    for phase, remaining in enumerate(phases):
+        ptr = [0] * n_ranks  # each rank's next slot in this phase
+        ran: list[int] = []
+        while remaining:
+            deferred: list[int] = []
+            for gi in remaining:
+                _, slot, op, e, _, tag = heads[gi]
+                lo, hi = bounds[gi], bounds[gi + 1]
+                g, peers = rank_l[lo:hi], peer_l[lo:hi]
+                ready = all(ptr[r] == slot for r in g)
+                if ready and op == OP_RECV:
+                    ready = all(fifo.get(pair) for pair in zip(peers, g))
+                if not ready:
+                    deferred.append(gi)
+                    continue
+                if op == OP_SEND:
+                    for pair in zip(g, peers):
+                        fifo.setdefault(pair, deque()).append((tag, e))
+                elif op == OP_RECV:
+                    for me, frm in zip(g, peers):
+                        mtag, melems = fifo[frm, me].popleft()
+                        if mtag != tag or melems != e:
+                            raise SimulationError(
+                                f"{label} rank {me} segment {phase}: "
+                                f"recv(tag={tag}, nelems={e}) mismatches "
+                                f"the pair-FIFO head (tag={mtag}, "
+                                f"nelems={melems})")
+                for r in g:
+                    ptr[r] += 1
+                ran.append(gi)
+            if len(deferred) == len(remaining):
+                stuck = [(p, slot, OP_NAMES[op], e, s)
+                         for p, slot, op, e, s, _ in
+                         (heads[gi] for gi in deferred)]
+                raise SimulationError(
+                    f"{label} segment {phase}: groups {stuck} cannot make "
+                    "progress — a recv waits on a send that never "
+                    "deposits (batch-evaluation deadlock)")
+            remaining = deferred
+        ordered.append(ran)
+    return ordered
+
+
+def _access_costs(cost: CostModel, table: StepTable, order: np.ndarray,
+                  starts: np.ndarray, phases: list, own: np.ndarray,
+                  other: np.ndarray, a_addr: np.ndarray, b_addr: np.ndarray,
+                  itemsize: int) -> tuple[np.ndarray, np.ndarray]:
+    """Memory ns of every (sorted) row's first and second access — 0
+    where it has none — priced by one :meth:`CostModel.price` call.
+
+    A put reads its source (own memory, through the TLB), then writes
+    the target (the peer's, OLB-translated); a get reads the target,
+    then writes its destination; a charged copy reads, then writes its
+    own memory; a send reads, a recv writes, a fill sweeps its whole
+    span densely.  The group at run position ``p`` makes its first
+    accesses at ``2p`` and its second at ``2p + 1``.
+    """
+    op, e = table.op[order], table.nelems[order]
+    stride, aux = table.stride[order], table.aux[order]
+    position = np.empty(len(starts) - 1, dtype=np.int64)
+    ran = [gi for groups in phases for gi in groups]
+    position[ran] = np.arange(len(ran))
+    when = 2 * np.repeat(position, np.diff(starts))
+    put, get, fill = op == OP_PUT, op == OP_GET, op == OP_FILL
+    copy = op == OP_COPY
+    charged = copy & ((aux & 2) > 0) & (((aux & 1) == 0) | (a_addr != b_addr))
+    live = e > 0
+    first = np.flatnonzero(live & (op != OP_REDUCE) & (~copy | charged))
+    second = np.flatnonzero(live & (put | get | charged))
+    nelems = np.where(fill, ((e - 1) * stride + 1) * itemsize, e)
+    step = np.where(fill, 1, itemsize * np.maximum(stride, 1))
+    size = np.where(fill, 1, itemsize)
+    both = np.concatenate((first, second))
+    ns = cost.price(
+        np.concatenate((np.where(get, other, own)[first],
+                        np.where(put, other, own)[second])),
+        np.concatenate((np.where(fill | (op == OP_RECV), a_addr,
+                                 b_addr)[first], a_addr[second])),
+        nelems[both], step[both], size[both],
+        np.concatenate((~get[first], ~put[second])),
+        np.concatenate((when[first], when[second] + 1)))
+    first_ns, second_ns = np.zeros(len(op)), np.zeros(len(op))
+    first_ns[first] = ns[:len(first)]
+    second_ns[second] = ns[len(first):]
+    return first_ns, second_ns
+
+
 # -- the core evaluator -------------------------------------------------------
 
 
@@ -312,7 +469,8 @@ def evaluate_group(
     cost: CostModel,
     stats: SimStats,
 ) -> np.ndarray:
-    """Evaluate ``sched`` for one participant group in a single pass.
+    """Evaluate ``sched`` for one participant group: order, cost once,
+    clock in order (the module docstring's three passes).
 
     ``mem`` is the dense ``(total_rows, width)`` uint8 matrix (``None``
     skips data movement — makespans only); ``rows[g]`` is group rank
@@ -325,7 +483,6 @@ def evaluate_group(
     K = len(rows)
     rows = np.asarray(rows, dtype=np.int64)
     world = np.asarray(world_pes, dtype=np.int64)
-    t = np.asarray(start, dtype=np.float64).copy()
     b = dtype.itemsize
     mview = None
     if mem is not None and mem.shape[1] % b == 0:
@@ -358,227 +515,178 @@ def evaluate_group(
     a_addr, b_addr = _bind(table, addrs_per_rank, sched)
     rank_s, peer_s = table.rank[order], table.peer[order]
     a_addr, b_addr = a_addr[order], b_addr[order]
-    starts = starts.tolist()
+    bounds = starts.tolist()
+    phases = _run_order(heads, bounds, rank_s, peer_s, n_barriers, K, label)
+    own, other = rows[rank_s], rows[peer_s]
+    first_ns, second_ns = _access_costs(cost, table, order, starts, phases,
+                                        own, other, a_addr, b_addr, b)
+    # What the clock loop reads lane by lane, as Python values.
+    t = np.asarray(start, dtype=np.float64).tolist()
+    rank_l, peer_l = rank_s.tolist(), peer_s.tolist()
+    src_pe, dst_pe = world[rank_s].tolist(), world[peer_s].tolist()
+    c0, c1 = first_ns.tolist(), second_ns.tolist()
     cfg = cost.cfg
     cycle_ns = cfg.cycle_ns
     rounds = ceil(log2(K)) if K > 1 else 0
     round_ns = round_cost_ns(cfg, world.tolist())
     mbx = cfg.mailbox
-    # In-flight mailbox messages: (src, dst) group-rank pair -> FIFO of
-    # (tag, nelems, payload, t_avail).  Persists across phases (hoisted
-    # get-requests are matched one barrier later).
+    send, fetch, note = net.send, net.fetch, net.note_delivery
+    # In-flight mailbox payloads: (src, dst) group-rank pair -> FIFO of
+    # (payload, t_avail); ``_run_order`` has matched them already.
     pending: dict[tuple[int, int], deque] = {}
 
     def _run_group(gi: int) -> None:
-        phase, _, op, e, s, aux = heads[gi]
-        lanes = slice(starts[gi], starts[gi + 1])
-        g = rank_s[lanes]
-        L = len(g)
-        g_rows = rows[g]
+        _, _, op, e, s, aux = heads[gi]
+        lo, hi = bounds[gi], bounds[gi + 1]
+        lanes = slice(lo, hi)
+        L = hi - lo
+        g = rank_l[lo:hi]
         if op == OP_PUT or op == OP_GET:
-            dst, src, peer = a_addr[lanes], b_addr[lanes], peer_s[lanes]
             nbytes = e * b
-            peer_rows = rows[peer]
-            tg = t[g]
-            src_pe, dst_pe = world[g].tolist(), world[peer].tolist()
             if op == OP_PUT:
                 stats.puts += L
                 if e == 0:
                     return
                 stats.bytes_put += nbytes * L
                 stats.remote_puts += L
-                tg = tg + loop_overhead_ns(cfg, e)
-                tg += cost.strided_ns(g_rows, src, e, b, s, use_tlb=True)
-                tg += OLB_LOOKUP_NS
-                wcost = cost.strided_ns(peer_rows, dst, e, b, s,
-                                        use_tlb=False).tolist()
-                issue = np.lexsort((g, tg)).tolist()
-                tg = tg.tolist()
-                for i in issue:
-                    now = tg[i]
-                    free, delivered, _ = net.send(now, src_pe[i], dst_pe[i],
-                                                  nbytes)
+                loop_ns = loop_overhead_ns(cfg, e)
+                tg = [((t[r] + loop_ns) + c) + OLB_LOOKUP_NS
+                      for r, c in zip(g, c0[lo:hi])]
+                for i in sorted(range(L), key=tg.__getitem__):
+                    now, j = tg[i], lo + i
+                    free, delivered, _ = send(now, src_pe[j], dst_pe[j],
+                                              nbytes)
                     if free > now:
                         tg[i] = free
-                    net.note_delivery(delivered + wcost[i])
-                t[g] = tg
+                    note(delivered + c1[j])
                 if mem is not None:
-                    vals = _gather(mem, mview, g_rows, src, e, s, dtype)
-                    _scatter(mem, mview, peer_rows, dst, e, s, dtype, vals)
+                    vals = _gather(mem, mview, own[lanes], b_addr[lanes],
+                                   e, s, dtype)
+                    _scatter(mem, mview, other[lanes], a_addr[lanes], e, s,
+                             dtype, vals)
             else:
                 stats.gets += L
                 if e == 0:
                     return
                 stats.bytes_got += nbytes * L
                 stats.remote_gets += L
-                tg = tg + loop_overhead_ns(cfg, e)
-                tg += OLB_LOOKUP_NS
-                rcost = cost.strided_ns(peer_rows, src, e, b, s,
-                                        use_tlb=False).tolist()
-                issue = np.lexsort((g, tg)).tolist()
-                tg = tg.tolist()
-                for i in issue:
-                    now = tg[i]
-                    done = net.fetch(now, src_pe[i], dst_pe[i],
-                                     nbytes)[0] + rcost[i]
+                loop_ns = loop_overhead_ns(cfg, e)
+                tg = [(t[r] + loop_ns) + OLB_LOOKUP_NS for r in g]
+                for i in sorted(range(L), key=tg.__getitem__):
+                    now, j = tg[i], lo + i
+                    done = fetch(now, src_pe[j], dst_pe[j], nbytes)[0] + c0[j]
                     if done > now:
                         tg[i] = done
-                tg = np.array(tg)
-                tg += cost.strided_ns(g_rows, dst, e, b, s, use_tlb=True)
-                t[g] = tg
+                tg = [x + c for x, c in zip(tg, c1[lo:hi])]
                 if mem is not None:
-                    vals = _gather(mem, mview, peer_rows, src, e, s, dtype)
-                    _scatter(mem, mview, g_rows, dst, e, s, dtype, vals)
+                    vals = _gather(mem, mview, other[lanes], b_addr[lanes],
+                                   e, s, dtype)
+                    _scatter(mem, mview, own[lanes], a_addr[lanes], e, s,
+                             dtype, vals)
+            for r, x in zip(g, tg):
+                t[r] = x
         elif op == OP_COPY:
             charged, skip_noop = aux & 2, aux & 1
-            dst, src = a_addr[lanes], b_addr[lanes]
+            live = range(lo, hi)
             if charged and skip_noop:
                 if e == 0:
                     return  # the executor's local_copy guard
-                keep = dst != src
+                keep = a_addr[lanes] != b_addr[lanes]
                 if not keep.all():
-                    g, dst, src = g[keep], dst[keep], src[keep]
-                    g_rows = rows[g]
-                    L = len(g)
-            if L == 0:
+                    lanes = np.flatnonzero(keep) + lo
+                    live = lanes.tolist()
+            if not live:
                 return
             if charged:
                 # Costs like a put-to-self in the transfer engine.
-                stats.puts += L
+                stats.puts += len(live)
                 if e == 0:
                     return
-                stats.bytes_put += e * b * L
-                tg = t[g] + loop_overhead_ns(cfg, e)
-                tg += cost.strided_ns(g_rows, src, e, b, s, use_tlb=True)
-                tg += cost.strided_ns(g_rows, dst, e, b, s, use_tlb=True)
-                t[g] = tg
+                stats.bytes_put += e * b * len(live)
+                loop_ns = loop_overhead_ns(cfg, e)
+                for j in live:
+                    r = rank_l[j]
+                    t[r] = ((t[r] + loop_ns) + c0[j]) + c1[j]
             if e and mem is not None:
-                vals = _gather(mem, mview, g_rows, src, e, s, dtype)
-                _scatter(mem, mview, g_rows, dst, e, s, dtype, vals)
+                g_rows = own[lanes]
+                vals = _gather(mem, mview, g_rows, b_addr[lanes], e, s, dtype)
+                _scatter(mem, mview, g_rows, a_addr[lanes], e, s, dtype, vals)
         elif op == OP_REDUCE:
-            t[g] += aux * 2.0 * cycle_ns
+            charge = aux * 2.0 * cycle_ns
+            for r in g:
+                t[r] += charge
             if e and mem is not None:
-                acc, opd = a_addr[lanes], b_addr[lanes]
+                g_rows, acc = own[lanes], a_addr[lanes]
                 acc_vals = _gather(mem, mview, g_rows, acc, e, s, dtype)
-                opd_vals = _gather(mem, mview, g_rows, opd, e, s, dtype)
+                opd_vals = _gather(mem, mview, g_rows, b_addr[lanes], e, s,
+                                   dtype)
                 apply_op(sched.op, acc_vals, opd_vals)
                 _scatter(mem, mview, g_rows, acc, e, s, dtype, acc_vals)
         elif op == OP_FILL:
-            dst = a_addr[lanes]
-            span = step_span_bytes(e, s, b)
-            t[g] += cost.range_ns(g_rows, dst, span, use_tlb=True)
-            if e and mem is not None:
-                vals = np.broadcast_to(
-                    np.asarray(identity_of(sched.op, dtype)),
-                    (L, e)).astype(dtype, copy=True)
-                _scatter(mem, mview, g_rows, dst, e, s, dtype, vals)
+            if e:
+                for r, c in zip(g, c0[lo:hi]):
+                    t[r] += c
+                if mem is not None:
+                    vals = np.broadcast_to(
+                        np.asarray(identity_of(sched.op, dtype)),
+                        (L, e)).astype(dtype, copy=True)
+                    _scatter(mem, mview, own[lanes], a_addr[lanes], e, s,
+                             dtype, vals)
         elif op == OP_SEND:
-            src, peer = b_addr[lanes], peer_s[lanes]
             nbytes = e * b
             stats.sends += L
             stats.bytes_sent += nbytes * L
-            tg = t[g]
             vals = None
             if e:
-                tg = tg + loop_overhead_ns(cfg, e)
-                tg += cost.strided_ns(g_rows, src, e, b, s, use_tlb=True)
+                loop_ns = loop_overhead_ns(cfg, e)
+                tg = [(t[r] + loop_ns) + c for r, c in zip(g, c0[lo:hi])]
                 if mem is not None:
-                    vals = _gather(mem, mview, g_rows, src, e, s, dtype)
+                    vals = _gather(mem, mview, own[lanes], b_addr[lanes],
+                                   e, s, dtype)
+            else:
+                tg = [t[r] for r in g]
             wire = nbytes + mbx.header_bytes
-            src_pe, dst_pe = world[g].tolist(), world[peer].tolist()
-            pairs = list(zip(g.tolist(), peer.tolist()))
-            issue = np.lexsort((g, tg)).tolist()
-            tg = tg.tolist()
-            for i in issue:
-                now, sp, dp = tg[i], src_pe[i], dst_pe[i]
-                free, delivered, _ = net.send(now, sp, dp, wire)
+            for i in sorted(range(L), key=tg.__getitem__):
+                now, j = tg[i], lo + i
+                sp, dp = src_pe[j], dst_pe[j]
+                free, delivered, _ = send(now, sp, dp, wire)
                 if free > now:
                     tg[i] = free
                 hops = net.route_hops(net.node_of(sp), net.node_of(dp))
                 t_avail = delivered + mbx.route_ns_per_hop * hops
-                net.note_delivery(t_avail)
-                pending.setdefault(pairs[i], deque()).append(
-                    (aux, e, None if vals is None else vals[i], t_avail))
-            t[g] = tg
+                note(t_avail)
+                pending.setdefault((g[i], peer_l[j]), deque()).append(
+                    (None if vals is None else vals[i], t_avail))
+            for r, x in zip(g, tg):
+                t[r] = x
         else:  # OP_RECV
-            dst = a_addr[lanes]
             stats.recvs += L
-            avail = []
+            tg = []
             val_rows = []
-            for me, frm in zip(g.tolist(), peer_s[lanes].tolist()):
-                q = pending.get((frm, me))
-                if not q:
-                    raise SimulationError(
-                        f"{label} rank {me} segment {phase}: recv from "
-                        f"rank {frm} has no matching send — lint the "
-                        "schedule's message matching")
-                mtag, melems, mvals, t_avail = q.popleft()
-                if mtag != aux or melems != e:
-                    raise SimulationError(
-                        f"{label} rank {me} segment {phase}: recv(tag="
-                        f"{aux}, nelems={e}) mismatches the pair-FIFO "
-                        f"head (tag={mtag}, nelems={melems})")
-                avail.append(t_avail)
+            for me, frm in zip(g, peer_l[lo:hi]):
+                mvals, t_avail = pending[frm, me].popleft()
+                tg.append(max(t[me], t_avail) + mbx.match_ns)
                 val_rows.append(mvals)
-            tg = np.maximum(t[g], avail) + mbx.match_ns
             if e:
-                tg = tg + loop_overhead_ns(cfg, e)
-                tg += cost.strided_ns(g_rows, dst, e, b, s, use_tlb=True)
+                loop_ns = loop_overhead_ns(cfg, e)
+                tg = [(x + loop_ns) + c for x, c in zip(tg, c0[lo:hi])]
                 if mem is not None:
-                    _scatter(mem, mview, g_rows, dst, e, s, dtype,
-                             np.stack(val_rows))
-            t[g] = tg
+                    _scatter(mem, mview, own[lanes], a_addr[lanes], e, s,
+                             dtype, np.stack(val_rows))
+            for r, x in zip(g, tg):
+                t[r] = x
 
-    # Each rank's next slot in the running phase.
-    ptr = np.zeros(K, dtype=np.int64)
-    cursor = 0
-    for phase in range(n_barriers + 1):
-        first = cursor
-        while cursor < len(heads) and heads[cursor][0] == phase:
-            cursor += 1
-        # Execute the phase's groups in dataflow order: each rank's
-        # groups run in its program (slot) order — cross-rank hazards
-        # are forbidden by the linter, but same-rank write-then-read
-        # within a phase (get-into-scratch feeding a reduce, recv
-        # feeding a reduce) is real sequencing.  A recv group
-        # additionally waits until every lane's (src, dst) FIFO holds
-        # its message, which may be deposited by a send group at a
-        # *higher* slot on another rank; the fixpoint scan below
-        # resolves those forward dependencies exactly as the concurrent
-        # per-PE machine does.
-        ptr[:] = 0
-        remaining = range(first, cursor)
-        while remaining:
-            deferred: list = []
-            for gi in remaining:
-                lanes = slice(starts[gi], starts[gi + 1])
-                g = rank_s[lanes]
-                ready = bool((ptr[g] == heads[gi][1]).all())
-                if ready and heads[gi][2] == OP_RECV:
-                    ready = all(pending.get(pair) for pair in
-                                zip(peer_s[lanes].tolist(), g.tolist()))
-                if not ready:
-                    deferred.append(gi)
-                    continue
-                _run_group(gi)
-                ptr[g] += 1
-            if len(deferred) == len(remaining):
-                stuck = [(p, slot, OP_NAMES[op], e, s)
-                         for p, slot, op, e, s, _ in
-                         (heads[gi] for gi in deferred)]
-                raise SimulationError(
-                    f"{label} segment {phase}: groups {stuck} cannot make "
-                    "progress — a recv waits on a send that never "
-                    "deposits (batch-evaluation deadlock)")
-            remaining = deferred
+    for phase, groups in enumerate(phases):
+        for gi in groups:
+            _run_group(gi)
         if phase < n_barriers:
             stats.barriers += 1
             if K == 1:
-                t += round_ns
+                t[0] += round_ns
             else:
-                release = max(float(t.max()), net.quiescence_time())
-                t[:] = release + rounds * round_ns
-    return t
+                release = max(max(t), net.quiescence_time())
+                t[:] = [release + rounds * round_ns] * K
+    return np.array(t, dtype=np.float64)
 
 
 # -- standalone entry ---------------------------------------------------------
@@ -656,7 +764,8 @@ def evaluate_schedule(
     offset = 0
     for buf in sched.buffers:
         layout[buf.name] = offset
-        width = max(buf.nbytes_on(r) for r in range(n))
+        width = max(buf.nbytes) if isinstance(buf.nbytes, tuple) \
+            else buf.nbytes
         offset += _align64(max(width, 1))
     width = max(_align64(offset), 64)
     mem = np.zeros((n, width), dtype=np.uint8) if collect_data else None

@@ -76,6 +76,9 @@ class Network:
                     "topology='fully-connected' for large-PE evaluation"
                 )
             self._topology = build_topology(config.topology, n_nodes)
+        #: Wire latency between two nodes one hop apart — any two nodes
+        #: of the fully-connected fabric.
+        self._one_hop_ns = float(self.tp.latency_ns)
         # Next instant each node's injection link is free.
         self._link_free = [0.0] * n_nodes
         # Next instant each node's shared internal bus is free.
@@ -102,6 +105,8 @@ class Network:
         return self._topology.hops(src_node, dst_node)
 
     def _wire_latency(self, src_node: int, dst_node: int) -> float:
+        if self._topology is None:
+            return self._one_hop_ns
         hops = self.route_hops(src_node, dst_node)
         return self.tp.latency_ns * (1.0 + HOP_LATENCY_FACTOR * max(0, hops - 1))
 
