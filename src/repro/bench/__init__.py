@@ -5,13 +5,15 @@ GUPs benchmarks adapted from Oak Ridge's OpenSHMEM benchmark suite
 (section 5.2), both of which exercise the reduction and broadcast
 collectives.  :mod:`~repro.bench.gups` and :mod:`~repro.bench.nas_is`
 are faithful ports; :mod:`~repro.bench.harness` sweeps them over PE
-counts and :mod:`~repro.bench.reporting` prints the same rows Figures
-4-5 plot (operations per second, total and per PE).
+counts, :mod:`~repro.bench.paper` commits Figures 4-5 and the ablations
+as model-time records of :mod:`~repro.bench.sweeps`, and
+:mod:`~repro.bench.reporting` prints the same rows Figures 4-5 plot
+(operations per second, total and per PE).  The harness is not
+imported here, so ``python -m repro.bench.harness`` runs without warning.
 """
 
 from .gups import GupsParams, GupsResult, run_gups
 from .nas_is import IsParams, IsResult, run_is, CLASS_PARAMS
-from .harness import sweep_gups, sweep_is, SweepPoint
 from .micro import (
     MicroResult,
     put_latency,
@@ -29,9 +31,6 @@ __all__ = [
     "IsResult",
     "run_is",
     "CLASS_PARAMS",
-    "sweep_gups",
-    "sweep_is",
-    "SweepPoint",
     "MicroResult",
     "put_latency",
     "get_latency",

@@ -7,19 +7,20 @@ measured numbers (EXPERIMENTS.md records the comparison).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..collectives.binomial import render_tree
 from ..collectives.virtual_rank import rank_table
 from ..types import TYPE_TABLE
-from .harness import SweepPoint
+
+if TYPE_CHECKING:
+    from .harness import SweepPoint
 
 __all__ = [
     "render_table1",
     "render_table2",
     "render_figure3",
     "render_figure",
-    "render_sweep_series",
     "sweep_to_csv",
     "render_collective_metrics",
 ]
@@ -47,7 +48,7 @@ def render_figure3(n_pes: int = 8) -> str:
     return render_tree(n_pes)
 
 
-def render_figure(points: Sequence[SweepPoint], title: str) -> str:
+def render_figure(points: Sequence["SweepPoint"], title: str) -> str:
     """A Figure 4/5-style series: MOPS total and per PE by PE count."""
     lines = [
         title,
@@ -62,22 +63,11 @@ def render_figure(points: Sequence[SweepPoint], title: str) -> str:
     return "\n".join(lines)
 
 
-def render_sweep_series(series: dict[str, Sequence[SweepPoint]],
-                        title: str) -> str:
-    """Several labelled sweeps side by side (ablation output)."""
-    out = [title]
-    for label, points in series.items():
-        out.append("")
-        out.append(render_figure(points, f"-- {label} --"))
-    return "\n".join(out)
-
-
 def render_collective_metrics(metrics: Sequence) -> str:
     """Per-collective span metrics as text.
 
     Takes the :class:`~repro.sim.metrics.CollectiveMetrics` list from
-    :meth:`Machine.collective_metrics` (or
-    :func:`~repro.bench.harness.profile_collective`) and renders one
+    :meth:`Machine.collective_metrics` and renders one
     block per logical call: the stage table (messages, bytes, barriers,
     latency) plus the per-PE busy/blocked split and the critical path.
     """
@@ -117,7 +107,7 @@ def render_collective_metrics(metrics: Sequence) -> str:
     return "\n".join(out).rstrip("\n")
 
 
-def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
+def sweep_to_csv(points: Sequence["SweepPoint"]) -> str:
     """A Figure 4/5-style sweep as CSV (for external plotting)."""
     lines = ["n_pes,mops_total,mops_per_pe,verified"]
     for p in points:

@@ -1,15 +1,17 @@
-"""Model-time sweeps: the committed ``BENCH_*.json`` curves, one registry.
+"""Model-time sweeps: the committed ``BENCH_*.json`` files, one registry.
 
-Four committed files record curves of *simulated* time, priced by the
-cost-only schedule evaluator (the mailbox queue-depth curve by the
-cooperative simulator): ``vec`` (broadcast/allreduce algorithm
-crossovers at 64–4096 PEs against the tuning layer's picks),
+Four records are priced by the cost-only schedule evaluator (the
+mailbox queue-depth curve by the cooperative simulator): ``vec``
+(broadcast/allreduce algorithm crossovers at 64–4096 PEs against the
+tuning layer's picks),
 ``pipeline`` (the dual-root pipelined allreduce against ring and
 Rabenseifner), ``batch`` (K eager small allreduces against one widened
 superstep flush) and ``mailbox`` (two-sided overhead over one-sided,
 and the receive-queue-depth curve).  Ring and linear schedules are
 Θ(N²) / Θ(N) root-serialised steps, so the sweeps stop them at
-``RING_MAX_PES`` / ``LINEAR_MAX_PES`` and record the caps.
+``RING_MAX_PES`` / ``LINEAR_MAX_PES`` and record the caps.  The paper's
+figures and ablations, run on the simulator, register from
+:mod:`repro.bench.paper`.
 
 Model time is deterministic, so a file is a pure function of the code.
 ``--write`` regenerates it.  The default checks it: the document is the
@@ -19,11 +21,12 @@ acceptance rules hold, and one fresh point, re-measured, **equals** the
 committed one — any drift in the cost model or the tuning picks fails.
 Host time has its own home, ``bench_e2e/``::
 
-    python -m repro.bench.sweeps                # check all four files
-    python -m repro.bench.sweeps pipeline       # check BENCH_pipeline.json
+    python -m repro.bench.sweeps                # check every file
+    python -m repro.bench.sweeps fig4 fig5      # check the paper's figures
     python -m repro.bench.sweeps --write vec    # regenerate BENCH_vec.json
 
-Files are read from and written to the current directory.
+Files are read from and written to the current directory.  ``--write``
+prints the markdown tables EXPERIMENTS.md quotes (:func:`render_sweep`).
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ __all__ = [
     "depth_point",
     "run_sweep",
     "check_sweep",
+    "render_sweep",
     "main",
 ]
 
@@ -322,15 +326,15 @@ class Axis(NamedTuple):
 @dataclass(frozen=True)
 class Table:
     """One list of points: the product of ``axes``, measured by
-    ``point(**coords)``.  ``columns`` are ``(header, key path, width,
-    format spec)``; their first path segments are the keys every point
-    must carry."""
+    ``point(**coords)``.  ``columns`` are ``(header, key path, format
+    spec)``; their first path segments are the keys every point must
+    carry."""
 
     key: str
     title: str
     axes: tuple[Axis, ...]
     point: Callable[..., dict]
-    columns: tuple[tuple[str, str, int, str], ...]
+    columns: tuple[tuple[str, str, str], ...]
 
     def grid(self) -> list[dict]:
         names = [a.coord for a in self.axes]
@@ -356,7 +360,7 @@ class Sweep:
     summary: Callable[[dict], dict] = lambda tables: {}
 
 
-_MS = (13, ".0f")
+_MS = ",.0f"
 
 SWEEPS: dict[str, Sweep] = {s.name: s for s in (
     Sweep(
@@ -372,13 +376,13 @@ SWEEPS: dict[str, Sweep] = {s.name: s for s in (
              Axis("n_pes", (64, 256, 1024, 4096), "pe_counts"),
              Axis("nelems", (8, 512, 4096, 65536), "sizes")),
             vec_point,
-            (("collective", "collective", 10, ""), ("pes", "n_pes", 5, ""),
-             ("bytes", "nbytes", 7, ""),
-             *((a, f"makespans_ns.{a}", *_MS)
+            (("collective", "collective", ""), ("pes", "n_pes", ""),
+             ("bytes", "nbytes", ""),
+             *((a, f"makespans_ns.{a}", _MS)
                for a in ("binomial", "linear", "doubling", "rabenseifner",
                          "ring")),
-             ("winner", "winner", 13, ""), ("tuning", "tuning_pick", 13, ""),
-             ("<=1.25x", "tuning_within_1p25x", 8, ""))),),
+             ("winner", "winner", ""), ("tuning", "tuning_pick", ""),
+             ("<=1.25x", "tuning_within_1p25x", ""))),),
         rules=_caps_hold,
         fresh={"collective": "allreduce", "n_pes": 64, "nelems": 512},
         summary=_tuning_fraction),
@@ -395,13 +399,13 @@ SWEEPS: dict[str, Sweep] = {s.name: s for s in (
                   "pe_counts"),
              Axis("nelems", (8192, 32768, 131072), "sizes")),
             pipeline_point,
-            (("pes", "n_pes", 5, ""), ("bytes", "nbytes", 8, ""),
-             ("segs", "segments", 4, ""),
-             *((a, f"makespans_ns.{a}", *_MS)
+            (("pes", "n_pes", ""), ("bytes", "nbytes", ""),
+             ("segs", "segments", ""),
+             *((a, f"makespans_ns.{a}", _MS)
                for a in ("ring", "rabenseifner", "dual-pipelined")),
-             ("ring/dual", "ring_over_dual", 9, ".2f"),
-             ("winner", "winner", 15, ""), ("tuning", "tuning_pick", 15, ""),
-             ("<=1.25x", "tuning_within_1p25x", 8, ""))),),
+             ("ring/dual", "ring_over_dual", ".2f"),
+             ("winner", "winner", ""), ("tuning", "tuning_pick", ""),
+             ("<=1.25x", "tuning_within_1p25x", ""))),),
         rules=_pipeline_rules,
         fresh={"n_pes": 64, "nelems": 8192},
         summary=_tuning_fraction),
@@ -416,10 +420,10 @@ SWEEPS: dict[str, Sweep] = {s.name: s for s in (
              Axis("nelems", (8, 64, 512), "sizes"),
              Axis("batch", (8, 32), "batches")),
             batch_point,
-            (("pes", "n_pes", 5, ""), ("bytes", "nbytes", 6, ""),
-             ("K", "batch", 4, ""), ("eager ns", "eager_ns", *_MS),
-             ("superstep ns", "superstep_ns", *_MS),
-             ("speedup", "speedup", 8, ".2f"))),),
+            (("pes", "n_pes", ""), ("bytes", "nbytes", ""),
+             ("K", "batch", ""), ("eager ns", "eager_ns", _MS),
+             ("superstep ns", "superstep_ns", _MS),
+             ("speedup", "speedup", ".2f"))),),
         rules=_batch_rules,
         fresh={"n_pes": 16, "nelems": 64, "batch": 8}),
     Sweep(
@@ -436,20 +440,20 @@ SWEEPS: dict[str, Sweep] = {s.name: s for s in (
                   (Axis("n_pes", (4, 8, 16, 64), "pe_counts"),
                    Axis("nelems", (64, 1024, 8192), "sizes")),
                   mailbox_point,
-                  (("pes", "n_pes", 5, ""), ("bytes", "nbytes", 8, ""),
-                   ("one-sided", "onesided_ns", 12, ".0f"),
-                   ("mailbox", "mailbox_ns", 12, ".0f"),
-                   ("overhead", "overhead", 8, ".3f"),
-                   ("fan-in", "max_fan_in", 6, ""), ("sends", "sends", 6, ""),
-                   ("wire B", "wire_bytes", 8, ""))),
+                  (("pes", "n_pes", ""), ("bytes", "nbytes", ""),
+                   ("one-sided", "onesided_ns", ".0f"),
+                   ("mailbox", "mailbox_ns", ".0f"),
+                   ("overhead", "overhead", ".3f"),
+                   ("fan-in", "max_fan_in", ""), ("sends", "sends", ""),
+                   ("wire B", "wire_bytes", ""))),
             Table("depth_curve", f"queue-depth curve ({DEPTH_PES} PEs x "
                                  f"{DEPTH_NELEMS * _ITEMSIZE} B, "
                                  "cooperative simulator)",
                   (Axis("recv_depth", (1, 2, 4, 8, 64), "depths"),),
                   depth_point,
-                  (("depth", "recv_depth", 6, ""),
-                   ("elapsed_ns", "elapsed_ns", 12, ".0f"),
-                   ("stalls", "stalls", 7, ""), ("sends", "sends", 6, "")))),
+                  (("depth", "recv_depth", ""),
+                   ("elapsed_ns", "elapsed_ns", ".0f"),
+                   ("stalls", "stalls", ""), ("sends", "sends", "")))),
         rules=_mailbox_rules,
         fresh={"n_pes": 8, "nelems": 1024}),
 )}
@@ -493,7 +497,7 @@ def check_sweep(sweep: Sweep, doc: dict) -> list[str]:
                 f"{table.key}: {len(points)} points do not match the "
                 f"registry's {len(grid)}-point grid")
         keys = set(grid[0]) | {path.split(".")[0]
-                               for _, path, _, _ in table.columns}
+                               for _, path, _ in table.columns}
         for i, p in enumerate(points):
             if keys - set(p):
                 problems.append(f"{table.key}[{i}] missing keys: "
@@ -514,21 +518,25 @@ def check_sweep(sweep: Sweep, doc: dict) -> list[str]:
     return problems
 
 
-def _cell(point: dict, path: str, width: int, spec: str) -> str:
+def _cell(point: dict, path: str, spec: str) -> str:
     value = point
     for part in path.split("."):
         value = value.get(part) if isinstance(value, dict) else None
-    return ("—" if value is None else format(value, spec)).rjust(width)
+    return "—" if value is None else format(value, spec)
 
 
-def _print_sweep(sweep: Sweep, doc: dict) -> None:
+def render_sweep(sweep: Sweep, doc: dict) -> str:
+    """Every table of ``doc`` as markdown, then the derived summary."""
+    out = []
     for table in sweep.tables:
-        print(f"\n{table.title}")
-        print(" ".join(h.rjust(w) for h, _, w, _ in table.columns))
-        for p in doc[table.key]:
-            print(" ".join(_cell(p, *col[1:]) for col in table.columns))
-    for key, value in sweep.summary(doc).items():
-        print(f"{key}: {value}")
+        out += [table.title, "",
+                "| " + " | ".join(h for h, _, _ in table.columns) + " |",
+                "|" + "---|" * len(table.columns)]
+        out += ["| " + " | ".join(_cell(p, *col[1:]) for col in table.columns)
+                + " |" for p in doc[table.key]]
+        out.append("")
+    out += [f"- {key}: {value}" for key, value in sweep.summary(doc).items()]
+    return "\n".join(out).rstrip("\n")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -554,7 +562,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     for sweep in (SWEEPS[n] for n in args.names or SWEEPS):
         if args.write:
             doc = run_sweep(sweep)
-            _print_sweep(sweep, doc)
+            print(render_sweep(sweep, doc))
             with open(sweep.file, "w") as fh:
                 json.dump(doc, fh, indent=2)
                 fh.write("\n")
@@ -572,5 +580,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     return status
 
 
+# The paper's figures and ablations register themselves into SWEEPS.
+from . import paper  # noqa: E402,F401
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    # Under ``-m`` this file runs as ``__main__``, a second copy of the
+    # module; paper.py registered into the imported one.
+    from repro.bench import sweeps
+
+    raise SystemExit(sweeps.main())

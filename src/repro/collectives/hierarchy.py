@@ -14,11 +14,11 @@ These collectives run in two levels:
   leader, over the cheap intra-node path.
 
 With the paper's sequential rank assignment, plain recursive halving is
-already near-optimal (it crosses the node boundary only ⌈log₂ nodes⌉
+already near-optimal (it crosses the node boundary only nodes − 1
 times); the hierarchical variant matters when ranks are *scattered*
 across nodes — e.g. a round-robin placement — where the flat tree pays
-an inter-node hop at almost every edge.
-``benchmarks/bench_ablation_locality.py`` quantifies both placements.
+an inter-node hop at almost every edge.  The ``locality`` sweep record
+(:mod:`repro.bench.paper`) measures both placements.
 """
 
 from __future__ import annotations

@@ -8,12 +8,13 @@ tree; this module supplies the selection layer its future work calls
 for, choosing between the implemented algorithms by message size, PE
 count and topology.
 
-The default thresholds come from this reproduction's own ablation
-(``benchmarks/bench_ablation_algorithms.py``), and they differ from the
-classic MPI folklore in an instructive way: with *one-sided, user-space*
-puts the root's per-message overhead is tiny, so a pipelined linear
-broadcast beats the barrier-synchronised binomial tree for small
-payloads; the tree takes over once the payload is large enough that the
+The default thresholds come from this reproduction's own 8-node
+algorithm ablation (A1 in EXPERIMENTS.md; the ``vec`` sweep record,
+``BENCH_vec.json``, now scores them at 64–4096 PEs), and they differ
+from the classic MPI folklore in an instructive way: with *one-sided,
+user-space* puts the root's per-message overhead is tiny, so a
+pipelined linear broadcast beats the barrier-synchronised binomial tree
+for small payloads; the tree takes over once the payload is large enough that the
 root's injection link serialises the linear scheme; and the chunked
 pipelined ring wins the bandwidth-bound regime.  (Under the two-sided
 MPI transport the small-message crossover moves toward the tree, which

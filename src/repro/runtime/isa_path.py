@@ -6,7 +6,7 @@ the configured threshold, section 3.3) and *executes* it on the PE's
 functional core.  Remote elements each cost one network operation, which
 is the true per-element behaviour of remote load/store instructions;
 the default ``model`` fidelity instead aggregates a transfer into one
-bulk message.  ``benchmarks/bench_isa.py`` quantifies the difference.
+bulk message (``tests/isa/test_fidelity.py`` pins the difference).
 
 Calling convention of the generated loops::
 

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.bench.harness import (
@@ -140,10 +145,10 @@ class TestOversubscriptionGate:
         assert ok and why == ""
 
     def test_cli_refuses_without_override(self, capsys):
-        status = harness_main(["--backend", "mp", "--pes", "1", "2", "4096"])
+        status = harness_main(["--pes", "1", "2", "4096"])
         assert status == 2
         out = capsys.readouterr().out
-        assert "refusing --backend mp" in out
+        assert "refusing the mp sweep" in out
         assert "--oversubscribe" in out
 
     def test_report_records_gating(self):
@@ -157,3 +162,17 @@ class TestOversubscriptionGate:
     def test_sim_reports_omit_the_flag(self):
         rep = bench_report("gups", "sim", [pt(1, 1.0, 1.0)])
         assert "oversubscribed" not in rep["host"]
+
+
+@pytest.mark.parametrize("module", ["repro.bench.harness",
+                                    "repro.bench.sweeps"])
+def test_cli_runs_without_runpy_warning(module):
+    """``python -m`` must find the module unimported by its package:
+    runpy's "found in sys.modules" RuntimeWarning is an error here."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+         "--help"], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
