@@ -1,7 +1,8 @@
 """Composing compiled schedules into one fused superstep schedule.
 
 Two transforms turn a superstep's deferred collectives into fewer,
-larger executions:
+larger executions.  Both go table to table: they renumber buffer
+indices, add rows and lay out skeletons, and never read or build a tree.
 
 * :func:`compile_widened` merges K same-shape calls of **one**
   collective into a single call over the concatenated payload.  Only
@@ -15,10 +16,13 @@ larger executions:
 * :func:`fuse_schedules` interleaves N compiled schedules — of
   different collectives, roots or shapes — into one schedule that runs
   them concurrently under **shared barriers**.  Buffers are renamed
-  ``r{i}:{name}`` so the address spaces stay disjoint, barrier phases
-  are front-aligned (a schedule with fewer phases simply idles through
-  the extras), stage slots merge positionally and pipeline blocks of
-  identical geometry merge round-for-round.
+  ``r{i}:{name}`` so the address spaces stay disjoint, and barrier
+  phases are front-aligned (a schedule with fewer phases simply idles
+  through the extras).  Stage slots follow one rule: where every
+  contributor's slot has the same shape — a stage's barrier count, or a
+  :class:`~.ir.Pipeline` block's segments and groups — they merge
+  barrier chunk by barrier chunk, one schedule after another; otherwise
+  they run back to back.
 
 Both transforms preserve the per-schedule phase mapping monotonically:
 two steps that shared a barrier phase still share one, and no two
@@ -28,10 +32,10 @@ do — :func:`~.lint.lint_schedule` plus the fused-specific passes in
 fused family.
 
 Fusion is intentionally strict: any structural surprise (rank-divergent
-phase counts, stages not closed by a barrier, mixed reduction
-operators) raises :class:`~repro.errors.FusionError`, and the superstep
-flush falls back to sequential execution — fusion may only ever be a
-performance upgrade, never a semantic change.
+phase counts, stages not closed by a barrier, malformed pipeline blocks,
+mixed reduction operators) raises :class:`~repro.errors.FusionError`,
+and the superstep flush falls back to sequential execution — fusion may
+only ever be a performance upgrade, never a semantic change.
 """
 
 from __future__ import annotations
@@ -39,16 +43,10 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import lru_cache
 
+import numpy as np
+
 from ...errors import FusionError
-from .ir import (
-    BARRIER,
-    Buffer,
-    Copy,
-    Pipeline,
-    RankProgram,
-    Schedule,
-    Stage,
-)
+from .ir import AUX_COPY, OP_COPY, Buffer, Rows, Schedule, Section, Skeleton
 
 __all__ = ["WIDENABLE", "fuse_schedules", "compile_widened"]
 
@@ -61,92 +59,48 @@ WIDENABLE = frozenset({
 })
 
 
-def _rename_step(step, prefix: str):
-    """One step with every buffer reference moved into ``prefix``."""
-    kind = step.kind
-    if kind == "barrier":
-        return step
-    if kind == "reduce":
-        return replace(step, acc=prefix + step.acc,
-                       operand=prefix + step.operand)
-    if kind == "fill":
-        return replace(step, dst=prefix + step.dst)
-    return replace(step, dst=prefix + step.dst, src=prefix + step.src)
-
-
-def _rename_steps(steps, prefix: str) -> tuple:
-    return tuple(_rename_step(s, prefix) for s in steps)
-
-
-def _split_phases(steps) -> tuple[tuple, tuple]:
-    """Barrier-separated ``(chunks, tail)`` of a flat step tuple.
-
-    ``chunks[p]`` holds the steps before the ``p``-th barrier; ``tail``
-    is whatever follows the last barrier (possibly everything, when the
-    tuple has no barrier at all).
-    """
-    chunks: list = []
-    cur: list = []
-    for step in steps:
-        if step.kind == "barrier":
-            chunks.append(tuple(cur))
-            cur = []
-        else:
-            cur.append(step)
-    return tuple(chunks), tuple(cur)
-
-
-def _slot_signature(slot) -> tuple:
-    """Rank-comparable shape of one stage slot."""
-    if isinstance(slot, Pipeline):
-        return ("pipe", slot.segments, len(slot.groups))
-    chunks, tail = _split_phases(slot.steps)
-    if tail:
-        raise FusionError(
-            f"stage {slot.index} does not end with a barrier — cannot "
-            "align its phases for fusion")
-    return ("stage", len(chunks))
-
-
 def _structure(sched: Schedule) -> tuple:
-    """The schedule's rank-uniform phase structure, or FusionError.
-
-    Fusion interleaves the schedules under shared barriers, so every
-    rank of every schedule must agree on how many barrier phases each
-    region (prologue, stage slots, epilogue) contributes — otherwise
-    some rank would sit at a barrier nobody else reaches.
-    """
-    ref = None
-    for r in range(sched.n_pes):
-        prog = sched.programs[r]
-        pro_chunks, _ = _split_phases(prog.prologue)
-        slots = tuple(_slot_signature(s) for s in prog.stages)
-        epi_chunks, _ = _split_phases(prog.epilogue)
-        struct = (len(pro_chunks), slots, len(epi_chunks))
-        if ref is None:
-            ref = struct
-        elif struct != ref:
+    """The schedule's rank-uniform phase structure — prologue barriers,
+    one ``(shape, section count)`` per stage slot, epilogue barriers — or
+    FusionError: fusion interleaves the schedules under shared barriers,
+    and a rank that disagreed would sit at a barrier nobody else
+    reaches."""
+    table = sched.table
+    label = f"{sched.collective}:{sched.algorithm}"
+    if table.faults or table.unknown:
+        raise FusionError(
+            f"{label} has a pipeline block or step that does not lower")
+    structs = {}
+    for j in dict.fromkeys(table.skeleton_of.tolist()):
+        sections = table.skeletons[j].sections
+        slots, at = [], 1
+        for entry in table.skeletons[j].signature:
+            if isinstance(entry, tuple):
+                _, _, segments, groups = entry
+                width = groups + segments - 1 if groups else 0
+                shape = ("pipe", segments, groups)
+            else:
+                width, shape = 1, ("stage", sections[at].nbars)
+            slots.append((shape, width))
+            at += width
+        structs[j] = (sections[0].nbars, tuple(slots), sections[-1].nbars)
+    ref = structs[int(table.skeleton_of[0])]
+    for r, j in enumerate(table.skeleton_of.tolist()):
+        if structs[j] != ref:
             raise FusionError(
-                f"{sched.collective}:{sched.algorithm} rank {r} phase "
-                f"structure {struct} differs from rank 0's {ref}")
-    assert ref is not None
+                f"{label} rank {r} phase structure {structs[j]} differs "
+                f"from rank 0's {ref}")
+    # A stage row past its section's last barrier has no chunk to merge.
+    sections = table.skeletons[int(table.skeleton_of[0])].sections
+    ends = np.cumsum([sec.nbars for sec in sections])
+    late = np.flatnonzero(
+        (table.section > 0) & (table.section < len(sections) - 1)
+        & (table.phase >= ends[table.section]))
+    if len(late):
+        raise FusionError(
+            f"stage {sections[table.section[late[0]]].index} does not end "
+            "with a barrier — cannot align its phases for fusion")
     return ref
-
-
-def _merge_phase_region(parts: list, n_phases: int) -> tuple:
-    """Front-align the schedules' ``(chunks, tail)`` pairs under shared
-    barriers: phase ``p`` holds every schedule's chunk ``p``, and the
-    tails (steps after each schedule's own last barrier) run together
-    after the final shared barrier."""
-    steps: list = []
-    for p in range(n_phases):
-        for chunks, _tail, prefix in parts:
-            if p < len(chunks):
-                steps.extend(_rename_steps(chunks[p], prefix))
-        steps.append(BARRIER)
-    for _chunks, tail, prefix in parts:
-        steps.extend(_rename_steps(tail, prefix))
-    return tuple(steps)
 
 
 @lru_cache(maxsize=256)
@@ -175,106 +129,92 @@ def fuse_schedules(scheds: tuple) -> Schedule:
             f"mixed reduction operators {sorted(ops)} — the executor "
             "applies one operator per schedule")
     structures = [_structure(s) for s in scheds]
-    pro_phases = max(st[0] for st in structures)
-    epi_phases = max(st[2] for st in structures)
-    n_slots = max(len(st[1]) for st in structures)
+    tables = [s.table for s in scheds]
 
-    # Rank-independent merge plan per fused slot: positional merge when
-    # the contributors agree on shape, sequential emission otherwise.
-    slot_plans: list = []
-    for j in range(n_slots):
-        contributors = [(i, structures[i][1][j])
-                        for i in range(len(scheds))
-                        if j < len(structures[i][1])]
-        sigs = {sig for _, sig in contributors}
-        if len(sigs) == 1:
-            sig = next(iter(sigs))
-            slot_plans.append(("merge", sig, [i for i, _ in contributors]))
-        else:
-            slot_plans.append(("seq", None, contributors))
+    # The fused sections, rank-independent but for the attrs of a slot
+    # run back to back: a ``source`` ``(i, j)`` prefixes a section's
+    # attrs with those of input ``i``'s section ``j`` (less its pipeline
+    # tags).  ``into[i][j]``: the fused section input i's section j is in.
+    out = [(Section("prologue", -1, (), max(st[0] for st in structures)),
+            None)]
+    into = [[0] for _ in scheds]
+    signature = []
+    idx = 0
+    for slot in range(max(len(st[1]) for st in structures)):
+        members = [i for i, st in enumerate(structures)
+                   if slot < len(st[1])]
+        merged = len({structures[i][1][slot] for i in members}) == 1
+        for group in [members] if merged else [[i] for i in members]:
+            (kind, *geometry), width = structures[group[0]][1][slot]
+            at = len(into[group[0]])
+            for t in range(width):
+                out.append((Section("stage", idx, (), geometry[0])
+                            if kind == "stage" else
+                            Section("stage", idx + t, (
+                                ("pipeline", idx), ("round", t),
+                                ("segments", geometry[0])), 1, idx, t),
+                            None if merged else (group[0], at + t)))
+                for i in group:
+                    into[i].append(len(out) - 1)
+            signature.append(
+                idx if kind == "stage" else ("pipeline", idx, *geometry))
+            idx += width
+    out.append((Section("epilogue", -1, (), max(st[2] for st in structures)),
+                None))
+    for i in range(len(scheds)):
+        into[i].append(len(out) - 1)
+    out_bars = np.array([sec.nbars for sec, _ in out])
+    out_base = np.cumsum(out_bars) - out_bars
 
-    buffers = tuple(
-        replace(buf, name=f"r{i}:{buf.name}")
-        for i, s in enumerate(scheds) for buf in s.buffers
-    )
-    deliver = tuple(
-        (rank, f"r{i}:{name}", lo, hi)
-        for i, s in enumerate(scheds) for rank, name, lo, hi in s.deliver
-    )
+    # Rows: each input's land in its fused sections, a chunk keeping its
+    # place among the section's barriers (a prologue or epilogue tail
+    # after the last shared one); within a fused phase, input by input.
+    names = [f"r{i}:{buf.name}" for i, s in enumerate(scheds)
+             for buf in s.buffers]
+    parts = []
+    for i, table in enumerate(tables):
+        sections = table.skeletons[int(table.skeleton_of[0])].sections
+        bars = np.array([sec.nbars for sec in sections])
+        chunk = table.phase - (np.cumsum(bars) - bars)[table.section]
+        sec = np.array(into[i])[table.section]
+        first = sum(len(s.buffers) for s in scheds[:i])
+        bufs = np.append(np.arange(len(table.names)) + first, -1)
+        bufs[table.n_declared:-1] += len(names) - first - table.n_declared
+        names += [f"r{i}:{name}" for name in table.names[table.n_declared:]]
+        parts.append((
+            np.full(len(table), i), table.rank, sec, out_base[sec]
+            + np.where(chunk < bars[table.section], chunk, out_bars[sec]),
+            table.op, bufs[table.a_buf], table.a_off, bufs[table.b_buf],
+            table.b_off, table.nelems, table.stride, table.peer, table.aux))
+    cols = [np.concatenate(col) for col in zip(*parts)]
+    order = np.lexsort((cols[0], cols[3], cols[2], cols[1]))
 
-    programs = []
-    for r in range(n_pes):
-        progs = [s.programs[r] for s in scheds]
-        prefixes = [f"r{i}:" for i in range(len(scheds))]
-        prologue = _merge_phase_region(
-            [(*_split_phases(p.prologue), pre)
-             for p, pre in zip(progs, prefixes)], pro_phases)
-        built: list = []
-        slot_pos = [0] * len(scheds)  # next unconsumed slot per schedule
-        idx = 0  # fused stage/pipeline index — advances identically on
-        #          every rank, so span structure stays rank-uniform
-
-        def take(i: int):
-            slot = progs[i].stages[slot_pos[i]]
-            slot_pos[i] += 1
-            return slot
-
-        for plan, sig, members in slot_plans:
-            if plan == "merge" and sig[0] == "stage":
-                n_chunks = sig[1]
-                per = [(i, _split_phases(take(i).steps)[0])
-                       for i in members]
-                steps: list = []
-                for c in range(n_chunks):
-                    for i, chunks in per:
-                        if c < len(chunks):
-                            steps.extend(
-                                _rename_steps(chunks[c], prefixes[i]))
-                    steps.append(BARRIER)
-                built.append(Stage(idx, tuple(steps)))
-                idx += 1
-            elif plan == "merge":
-                _, segments, n_groups = sig
-                pipes = [(i, take(i)) for i in members]
-                groups = []
-                for g in range(n_groups):
-                    segs = []
-                    for k in range(segments):
-                        steps = []
-                        for i, pipe in pipes:
-                            steps.extend(
-                                _rename_steps(pipe.groups[g][k],
-                                              prefixes[i]))
-                        segs.append(tuple(steps))
-                    groups.append(tuple(segs))
-                built.append(Pipeline(idx, segments, tuple(groups)))
-                idx += segments + n_groups - 1
-            else:
-                for i, _s_sig in members:
-                    slot = take(i)
-                    if isinstance(slot, Pipeline):
-                        groups = tuple(
-                            tuple(_rename_steps(steps, prefixes[i])
-                                  for steps in group)
-                            for group in slot.groups)
-                        built.append(replace(slot, index=idx,
-                                             groups=groups))
-                        idx += slot.rounds
-                    else:
-                        built.append(Stage(
-                            idx, _rename_steps(slot.steps, prefixes[i]),
-                            attrs=slot.attrs))
-                        idx += 1
-        epilogue = _merge_phase_region(
-            [(*_split_phases(p.epilogue), pre)
-             for p, pre in zip(progs, prefixes)], epi_phases)
-        programs.append(RankProgram(r, prologue, tuple(built), epilogue))
-
-    return Schedule(
-        collective="superstep", algorithm="fused", n_pes=n_pes,
-        itemsize=itemsize, op=ops.pop() if ops else None,
-        buffers=buffers, programs=tuple(programs), deliver=deliver,
-    )
+    # One fused skeleton per combination of the inputs' skeletons.
+    combos: dict = {}
+    skeleton_of = [combos.setdefault(combo, len(combos)) for combo in zip(
+        *(t.skeleton_of.tolist() for t in tables))]
+    skeletons = []
+    for combo in combos:
+        sections = []
+        for sec, source in out:
+            if source is not None:
+                own = tables[source[0]].skeletons[combo[source[0]]] \
+                    .sections[source[1]].attrs
+                sec = sec._replace(attrs=(
+                    own[:-3] if sec.pipeline >= 0 else own) + sec.attrs)
+            sections.append(sec)
+        skeletons.append(Skeleton(tuple(sections), tuple(signature)))
+    return Schedule.from_rows(
+        "superstep", "fused", n_pes, itemsize,
+        {name: col[order] for name, col in zip(Rows.FIELDS, cols[1:])},
+        tuple(skeletons), skeleton_of=skeleton_of,
+        op=ops.pop() if ops else None,
+        buffers=tuple(replace(buf, name=f"r{i}:{buf.name}")
+                      for i, s in enumerate(scheds) for buf in s.buffers),
+        deliver=tuple((rank, f"r{i}:{name}", lo, hi)
+                      for i, s in enumerate(scheds)
+                      for rank, name, lo, hi in s.deliver),
+        names=names)
 
 
 def _compile_inner(collective: str, algorithm: str, n_pes: int,
@@ -320,39 +260,16 @@ def compile_widened(collective: str, algorithm: str, n_pes: int,
         raise FusionError(f"bad widening counts {counts}")
     inner = _compile_inner(collective, algorithm, n_pes, root, op,
                            itemsize, total)
+    table = inner.table
     src_buf = inner.buffer("src")
     dest_buf = inner.buffer("dest")
-    receivers = tuple(sorted({rank for rank, name, _lo, _hi
-                              in inner.deliver if name == "dest"}))
-    rename = {"src": "w:src", "dest": "w:dest"}
+    receivers = np.array(sorted({rank for rank, name, _lo, _hi
+                                 in inner.deliver if name == "dest"}),
+                         dtype=np.int64)
 
-    def ren(step):
-        kind = step.kind
-        if kind == "barrier":
-            return step
-        if kind == "reduce":
-            return replace(step, acc=rename.get(step.acc, step.acc),
-                           operand=rename.get(step.operand, step.operand))
-        if kind == "fill":
-            return replace(step, dst=rename.get(step.dst, step.dst))
-        return replace(step, dst=rename.get(step.dst, step.dst),
-                       src=rename.get(step.src, step.src))
-
-    def ren_all(steps):
-        return tuple(ren(s) for s in steps)
-
-    offsets = []
-    off = 0
-    for c in counts:
-        offsets.append(off * itemsize)
-        off += c
-
-    buffers = []
-    for j, c in enumerate(counts):
-        buffers.append(Buffer(f"src{j}", "user", c * itemsize,
-                              ranks=src_buf.ranks))
-        buffers.append(Buffer(f"dest{j}", "user", c * itemsize,
-                              ranks=dest_buf.ranks))
+    buffers = [Buffer(f"{name}{j}", "user", c * itemsize, ranks=buf.ranks)
+               for j, c in enumerate(counts)
+               for name, buf in (("src", src_buf), ("dest", dest_buf))]
     # ``w:src`` is only ever read locally by the inner algorithm
     # (every WIDENABLE compiler stages src through scratch or puts from
     # the local copy), so private memory suffices; ``w:dest`` is written
@@ -361,43 +278,33 @@ def compile_widened(collective: str, algorithm: str, n_pes: int,
                           ranks=src_buf.ranks))
     buffers.append(Buffer("w:dest", "scratch", total * itemsize,
                           symmetric=True))
-    for buf in inner.buffers:
-        if buf.name not in ("src", "dest"):
-            buffers.append(buf)
+    buffers += [buf for buf in inner.buffers
+                if buf.name not in ("src", "dest")]
+    at = {buf.name: i for i, buf in enumerate(buffers)}
+    bufs = np.array([at["w:" + name if name in ("src", "dest") else name]
+                     for name in table.names] + [-1])
 
-    programs = []
-    for r in range(n_pes):
-        prog = inner.programs[r]
-        staging = tuple(
-            Copy("w:src", offsets[j], f"src{j}", 0, c, 1)
-            for j, c in enumerate(counts)
-            if c and src_buf.held_by(r)
-        )
-        copyout = tuple(
-            Copy(f"dest{j}", 0, "w:dest", offsets[j], c, 1)
-            for j, c in enumerate(counts)
-            if c and r in receivers
-        )
-        stages = tuple(
-            replace(st, groups=tuple(
-                tuple(ren_all(steps) for steps in group)
-                for group in st.groups))
-            if isinstance(st, Pipeline)
-            else replace(st, steps=ren_all(st.steps))
-            for st in prog.stages
-        )
-        programs.append(RankProgram(
-            r, staging + ren_all(prog.prologue), stages,
-            ren_all(prog.epilogue) + copyout))
-
-    deliver = tuple(
-        (r, f"dest{j}", 0, c * itemsize)
-        for j, c in enumerate(counts) if c
-        for r in receivers
-    )
-    return Schedule(
-        collective=collective, algorithm=f"{algorithm}-widened",
-        n_pes=n_pes, itemsize=itemsize, root=inner.root, op=inner.op,
-        buffers=tuple(buffers), programs=tuple(programs),
-        deliver=deliver,
-    )
+    # The inner rows on the work buffers, after the staging copies and
+    # before the copy-outs, whose offsets are the requests' places.
+    live = np.flatnonzero(counts)
+    nelems = np.array(counts)[live]
+    offsets = (np.cumsum(counts) - counts)[live] * itemsize
+    holders = np.flatnonzero([src_buf.held_by(r) for r in range(n_pes)])
+    last = np.array([len(sk.sections) - 1 for sk in table.skeletons])
+    rows = Rows()
+    rows.add(holders[:, None], 0, 0, OP_COPY, (at["w:src"], offsets),
+             (2 * live, 0), nelems, aux=AUX_COPY)
+    rows.add(table.rank, table.section, table.phase, table.op,
+             (bufs[table.a_buf], table.a_off),
+             (bufs[table.b_buf], table.b_off), table.nelems, table.stride,
+             table.peer, table.aux)
+    rows.add(receivers[:, None], last[table.skeleton_of[receivers]][:, None],
+             table.barriers[receivers][:, None], OP_COPY, (2 * live + 1, 0),
+             (at["w:dest"], offsets), nelems, aux=AUX_COPY)
+    return Schedule.from_rows(
+        collective, f"{algorithm}-widened", n_pes, itemsize, rows,
+        table.skeletons, skeleton_of=table.skeleton_of, root=inner.root,
+        op=inner.op, buffers=tuple(buffers),
+        deliver=tuple((r, f"dest{j}", 0, c * itemsize)
+                      for j, c in enumerate(counts) if c
+                      for r in receivers.tolist()))

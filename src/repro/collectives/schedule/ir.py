@@ -13,13 +13,14 @@ structure (its :class:`Skeleton` of prologue, stage and epilogue
 ``FlatPlan`` read nothing else.  The regular compilers — binomial,
 linear and ring broadcast, binomial and linear reduce, doubling,
 Rabenseifner and ring allreduce — emit it directly as numpy columns
-(:class:`Rows`, :meth:`Schedule.from_rows`), and their tree of frozen
-dataclasses (:attr:`Schedule.programs`) is a lazy view rebuilt from the
-rows the first time ``repr``, :meth:`Schedule.describe`, the mailbox
-lowering or fusion asks for it.  Every other compiler, and any
-hand-built schedule, still writes the tree; one walk of it
-(:meth:`StepTable.of_tree`) produces the same table and record (see
-"Schedule lowering" in ``DESIGN.md``).
+(:class:`Rows`, :meth:`Schedule.from_rows`), and so do the three
+rewrites of a schedule, the mailbox lowering, widening and fusion,
+which read their input's table and never its tree.  The tree of frozen
+dataclasses (:attr:`Schedule.programs`) of such a schedule is a lazy
+view rebuilt from the rows the first time ``repr`` asks for it.  Every
+other compiler, and any hand-built schedule, still writes the tree; one
+walk of it (:meth:`StepTable.of_tree`) produces the same table and
+record (see "Schedule lowering" in ``DESIGN.md``).
 
 Addressing is symbolic: steps name buffers (see :class:`Buffer`) plus a
 **byte** offset; the executor binds names to concrete addresses (user
@@ -716,16 +717,14 @@ class StepTable:
 
     def programs(self) -> tuple:
         """The tree these rows are read as: one :class:`RankProgram` per
-        rank, equal to the one a compiler writing the tree built."""
+        rank, equal to the one a compiler writing the tree built — but
+        for a :class:`Pipeline` block, which reads as the stages it
+        lowers to (rows do not record a step's group)."""
         n = len(self.skeleton_of)
         starts = np.searchsorted(self.rank, np.arange(n + 1)).tolist()
         steps = [self._step(*values)
                  for values in zip(*self.rows_of(slice(None)))]
         phase, owner = self.phase.tolist(), self.section.tolist()
-        if any(sec.pipeline >= 0 for sk in self.skeletons
-               for sec in sk.sections):
-            raise ValueError("a pipeline round has no tree of its own to "
-                             "rebuild")
         programs = []
         for r in range(n):
             lo, hi = starts[r], starts[r + 1]
@@ -823,17 +822,22 @@ class Schedule:
 
     @classmethod
     def from_rows(cls, collective: str, algorithm: str, n_pes: int,
-                  itemsize: int, rows: Rows, skeletons: tuple, *,
+                  itemsize: int, rows, skeletons: tuple, *,
                   skeleton_of=None, root: int = None, op: str = None,
-                  buffers: tuple = (), deliver: tuple = ()) -> "Schedule":
-        """A schedule whose canonical form is ``rows``: every rank has
-        ``skeletons[0]`` unless ``skeleton_of`` says otherwise."""
-        cols = rows.columns()
+                  buffers: tuple = (), deliver: tuple = (),
+                  names=None) -> "Schedule":
+        """A schedule whose canonical form is ``rows`` — a :class:`Rows`,
+        or its columns already in table order: every rank has
+        ``skeletons[0]`` unless ``skeleton_of`` says otherwise.
+        ``names`` (the buffer names by table index) defaults to
+        ``buffers``' names; a rewrite passes those of its input, which
+        may go on past them."""
+        cols = rows.columns() if isinstance(rows, Rows) else dict(rows)
         section = cols.pop("section")
         cols["slot"] = _slots(cols["rank"], cols["phase"])
         table = StepTable(
-            cols, [buf.name for buf in buffers], len(buffers), section,
-            tuple(skeletons),
+            cols, [buf.name for buf in buffers] if names is None else names,
+            len(buffers), section, tuple(skeletons),
             np.zeros(n_pes, dtype=np.int64) if skeleton_of is None
             else skeleton_of)
         sched = object.__new__(cls)
@@ -920,17 +924,17 @@ class Schedule:
     def describe(self, rank: int = 0) -> str:
         """One-line human summary (used by the lint CLI).
 
-        Pipeline blocks render as ``pipe(G×S→R)`` — ``G`` wavefront
+        Read off the rank's skeleton signature: a stage renders as
+        ``1`` and a Pipeline block as ``pipe(G×S→R)`` — ``G`` wavefront
         groups over ``S`` segments lowering to ``R`` rounds — instead
         of disappearing into the flat lowered-stage count.
         """
-        parts = []
-        for stage in self.programs[rank].stages:
-            if isinstance(stage, Pipeline):
-                parts.append(f"pipe({len(stage.groups)}x{stage.segments}"
-                             f"->{stage.rounds})")
-            else:
-                parts.append("1")
+        table = self.table
+        parts = [
+            f"pipe({entry[3]}x{entry[2]}->"
+            f"{entry[3] + entry[2] - 1 if entry[3] else 0})"
+            if isinstance(entry, tuple) else "1"
+            for entry in table.skeletons[table.skeleton_of[rank]].signature]
         shape = "+".join(parts) if parts else "0"
         return (
             f"{self.collective}:{self.algorithm} n_pes={self.n_pes} "

@@ -1,37 +1,38 @@
 """Lower one-sided schedules onto the two-sided mailbox transport.
 
-:func:`lower_to_mailbox` rewrites every remote :class:`~.ir.Put` /
-:class:`~.ir.Get` step of a compiled schedule into matched
-:class:`~.ir.Send` / :class:`~.ir.Recv` pairs, preserving the schedule's
-stage/barrier structure (Pipeline blocks are expanded to their lowered
-rounds first, keeping the ``("pipeline", i)`` / ``("round", t)`` span
-attrs) so the executor, the vec evaluator, the linter and the span
-tracer all run the result unmodified.
+:func:`lower_to_mailbox` rewrites the remote put / get rows of a
+schedule's :class:`~.ir.StepTable` into matched send / recv rows, table
+to table (no tree is read or built).  Each rank keeps its skeleton, a
+:class:`~.ir.Pipeline` round read as the plain stage it lowers to (span
+attrs kept), so the executor, the vec evaluator, the linter and the
+span tracer all run the result unmodified.
 
-The rewrite works one *barrier phase* at a time — the steps between two
+The rewrite works one *barrier phase* at a time — the rows between two
 consecutive barriers, aligned across ranks (barrier counts are
 rank-uniform by the linter's deadlock pass).  Within phase ``p``:
 
-* ``Put(peer=q)`` on rank ``r`` becomes ``Send(tag=TAG_PUT)`` in place;
-  the matching ``Recv`` is appended to rank ``q``'s phase *tail* (just
+* A put to ``q`` on rank ``r`` becomes a send (``TAG_PUT``) in place;
+  the matching recv is appended to rank ``q``'s phase *tail* (just
   before the phase-ending barrier), ordered by (sender, sender's step
   order) so each (src, dst) pair's FIFO order is consistent by
   construction.
-* ``Get(peer=q)`` becomes a request/reply exchange.  All requester
-  ranks hoist a payload-free ``Send(tag=TAG_GET_REQ)`` to the phase
+* A get from ``q`` becomes a request/reply exchange.  All requester
+  ranks hoist a payload-free send (``TAG_GET_REQ``) to the phase
   *head*, every rank then joins one extra barrier (inserted only in
-  phases containing a Get, and for every rank, so counts stay
-  uniform), after which each serving rank runs
-  ``Recv(request) + Send(reply)`` pairs ordered by (requester,
-  request order) and the requester's in-place ``Recv(tag=TAG_GET_REPLY)``
-  collects the payload.
+  phases containing a get, and for every rank, so counts stay
+  uniform), after which each serving rank runs request-recv +
+  reply-send pairs ordered by (requester, request order) and the
+  requester's in-place recv (``TAG_GET_REPLY``) collects the payload.
 
 Deadlock freedom follows from the phase ordering: head sends complete
 eagerly, the extra barrier guarantees every request is enqueued before
 any server blocks on it, serving pairs precede all in-place blocking
 receives, and tail receives wait only on in-place sends — a strict
 happens-before chain with no cycles.  Zero-element puts/gets are
-dropped outright (they move no data on the one-sided path either).
+dropped outright (they move no data on the one-sided path either).  A
+schedule the rewrite cannot keep deadlock-free — rank-divergent barrier
+counts, a pipeline block too malformed to lower, a step of no known
+kind, a put or get naming its own rank — raises ``ValueError``.
 
 The per-PE receive-queue depth must cover a phase's worst-case fan-in;
 :func:`max_fan_in` reports the floor for a schedule so callers can size
@@ -42,16 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ir import (
-    BARRIER,
-    OP_SEND,
-    Pipeline,
-    RankProgram,
-    Recv,
-    Schedule,
-    Send,
-    Stage,
-)
+from .ir import OP_GET, OP_PUT, OP_RECV, OP_SEND, Rows, Schedule, Skeleton
 
 __all__ = ["lower_to_mailbox", "max_fan_in",
            "TAG_PUT", "TAG_GET_REQ", "TAG_GET_REPLY"]
@@ -62,22 +54,6 @@ TAG_GET_REQ = 1
 TAG_GET_REPLY = 2
 
 
-def _units(prog: RankProgram) -> list[tuple[str, Stage | None, list]]:
-    """The program as editable units: prologue, stages (pipelines
-    expanded), epilogue."""
-    units: list[tuple[str, Stage | None, list]] = [
-        ("prologue", None, list(prog.prologue))
-    ]
-    for stage in prog.stages:
-        if isinstance(stage, Pipeline):
-            for lowered in stage.lower():
-                units.append(("stage", lowered, list(lowered.steps)))
-        else:
-            units.append(("stage", stage, list(stage.steps)))
-    units.append(("epilogue", None, list(prog.epilogue)))
-    return units
-
-
 def lower_to_mailbox(sched: Schedule) -> Schedule:
     """The mailbox-transport equivalent of ``sched`` (pure; made once
     per schedule and kept on it, ``Schedule.mailbox``)."""
@@ -86,134 +62,96 @@ def lower_to_mailbox(sched: Schedule) -> Schedule:
 
 def lower(sched: Schedule) -> Schedule:
     """What :func:`lower_to_mailbox` returns, made afresh."""
-    n = sched.n_pes
-    units = [_units(sched.program(r)) for r in range(n)]
-    # Flat step positions and barrier positions per rank; ``bar_at[r][k]``
-    # is the index into ``flat[r]`` of rank r's k-th barrier.
-    flat: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    bar_pos: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    bar_at: list[list[int]] = [[] for _ in range(n)]
-    for r in range(n):
-        for u, (_, _, steps) in enumerate(units[r]):
-            for i, step in enumerate(steps):
-                if step.kind == "barrier":
-                    bar_pos[r].append((u, i))
-                    bar_at[r].append(len(flat[r]))
-                flat[r].append((u, i))
-    n_bars = len(bar_pos[0])
-    if any(len(b) != n_bars for b in bar_pos):
+    t = sched.table
+    label = f"{sched.collective}:{sched.algorithm}"
+    if t.faults or t.unknown:
+        raise ValueError(f"{label} has a pipeline block or step that does "
+                         f"not lower ({(t.faults or t.unknown)[0]}); lint "
+                         "the schedule before lowering")
+    if len(set(t.barriers.tolist())) > 1:
         raise ValueError(
-            f"{sched.collective}:{sched.algorithm} has rank-divergent "
-            "barrier counts; lint the schedule before lowering"
-        )
+            f"{label} has rank-divergent barrier counts; lint the "
+            "schedule before lowering")
+    remote = (t.op == OP_PUT) | (t.op == OP_GET)
+    selfish = np.flatnonzero(remote & (t.peer == t.rank))
+    if len(selfish):
+        raise ValueError(
+            f"{label} rank {t.rank[selfish[0]]} has a remote step "
+            f"targeting itself: {t.step(int(selfish[0]))!r}")
+    ph = t.phase
+    put = np.flatnonzero((t.op == OP_PUT) & (t.nelems > 0))
+    get = np.flatnonzero((t.op == OP_GET) & (t.nelems > 0))
+    keep = np.flatnonzero(~remote | (t.nelems > 0))
+    # A phase with a get gains a barrier after its head: ``shift[p]`` is
+    # what the rest of phase p moves by, ``shift[p] - split[p]`` its head.
+    split = np.zeros(int(t.barriers[0]) + 1, dtype=np.int64)
+    split[ph[get]] = 1
+    shift = np.cumsum(split)
+    # ``at[r, p]``: the section holding rank r's barrier p (for the last
+    # phase, the epilogue) — where the phase's tail goes; ``start[r, p]``
+    # where its head goes: the section of the rank's first row in it.
+    used = np.unique(t.skeleton_of)
+    at = np.array([
+        np.repeat(np.arange(len(secs)), [sec.nbars for sec in secs]
+                  ).tolist() + [len(secs) - 1]
+        for secs in (t.skeletons[j].sections for j in used.tolist())
+    ])[np.searchsorted(used, t.skeleton_of)]
+    start = at.copy()
+    first = np.flatnonzero(t.slot == 0)
+    start[t.rank[first], ph[first]] = t.section[first]
 
-    # Rewrite maps per rank: steps inserted *before* a position, full
-    # replacements for a position, and appends at end of program.
-    before: list[dict] = [{} for _ in range(n)]
-    replace: list[dict] = [{} for _ in range(n)]
-    tail: list[list] = [[] for _ in range(n)]
+    # Blocks of rows — a get's request at its phase's head, the serving
+    # pair after the extra barrier, every row in place, a put's recv at
+    # the tail — each keyed (phase, that part, row), then Rows.FIELDS.
+    g_ph, g_r, g_q, g_src = ph[get], t.rank[get], t.peer[get], t.b_buf[get]
+    k_op, k_ph = t.op[keep], ph[keep]
+    is_put, is_get = k_op == OP_PUT, k_op == OP_GET
+    p_ph, p_q = ph[put], t.peer[put]
+    blocks = [np.broadcast_arrays(*cols) for cols in (
+        (g_ph, 0, 2 * get, g_r, start[g_r, g_ph], g_ph + shift[g_ph]
+         - split[g_ph], OP_SEND, -1, 0, t.a_buf[get], t.a_off[get], 0, 1,
+         g_q, TAG_GET_REQ),
+        (g_ph, 1, 2 * get, g_q, start[g_q, g_ph], g_ph + shift[g_ph],
+         OP_RECV, g_src, t.b_off[get], -1, 0, 0, 1, g_r, TAG_GET_REQ),
+        (g_ph, 1, 2 * get + 1, g_q, start[g_q, g_ph], g_ph + shift[g_ph],
+         OP_SEND, -1, 0, g_src, t.b_off[get], t.nelems[get], t.stride[get],
+         g_r, TAG_GET_REPLY),
+        (k_ph, 2, 2 * keep, t.rank[keep], t.section[keep],
+         k_ph + shift[k_ph],
+         np.where(is_put, OP_SEND, np.where(is_get, OP_RECV, k_op)),
+         np.where(is_put, -1, t.a_buf[keep]),
+         np.where(is_put, 0, t.a_off[keep]),
+         np.where(is_get, -1, t.b_buf[keep]),
+         np.where(is_get, 0, t.b_off[keep]), t.nelems[keep],
+         t.stride[keep], t.peer[keep],
+         np.where(is_put, TAG_PUT,
+                  np.where(is_get, TAG_GET_REPLY, t.aux[keep]))),
+        (p_ph, 3, 2 * put, p_q, at[p_q, p_ph], p_ph + shift[p_ph], OP_RECV,
+         t.a_buf[put], t.a_off[put], -1, 0, t.nelems[put], t.stride[put],
+         t.rank[put], TAG_PUT))]
+    cols = np.concatenate([np.stack(b) for b in blocks], axis=1)
+    cols = cols[:, np.lexsort((cols[2], cols[1], cols[0], cols[3]))]
 
-    def region(r: int, k: int) -> list[tuple[int, int]]:
-        lo = bar_at[r][k - 1] + 1 if k else 0
-        hi = bar_at[r][k] if k < n_bars else len(flat[r])
-        return flat[r][lo:hi]
-
-    def step_at(r: int, pos: tuple[int, int]):
-        u, i = pos
-        return units[r][u][2][i]
-
-    for k in range(n_bars + 1):
-        regions = [region(r, k) for r in range(n)]
-        head: list[list] = [[] for _ in range(n)]   # hoisted requests
-        serve: list[list] = [[] for _ in range(n)]  # (requester, get) pairs
-        endq: list[list] = [[] for _ in range(n)]   # tail put-receives
-        split = False
-        for r in range(n):
-            for pos in regions[r]:
-                step = step_at(r, pos)
-                kind = step.kind
-                if kind not in ("put", "get"):
-                    continue
-                assert step.peer != r, "remote step targeting self"
-                if step.nelems == 0:
-                    replace[r][pos] = []
-                    continue
-                if kind == "put":
-                    replace[r][pos] = [Send(
-                        step.src, step.src_off, step.nelems, step.stride,
-                        step.peer, TAG_PUT)]
-                    endq[step.peer].append(Recv(
-                        step.dst, step.dst_off, step.nelems, step.stride,
-                        r, TAG_PUT))
-                else:
-                    split = True
-                    replace[r][pos] = [Recv(
-                        step.dst, step.dst_off, step.nelems, step.stride,
-                        step.peer, TAG_GET_REPLY)]
-                    head[r].append(Send(
-                        step.dst, step.dst_off, 0, 1, step.peer,
-                        TAG_GET_REQ))
-                    serve[step.peer].append((r, step))
-        if not split and not any(endq):
-            continue
-        for r in range(n):
-            start = list(head[r])
-            if split:
-                start.append(BARRIER)
-                for requester, g in serve[r]:
-                    start.append(Recv(g.src, g.src_off, 0, 1, requester,
-                                      TAG_GET_REQ))
-                    start.append(Send(g.src, g.src_off, g.nelems,
-                                      g.stride, requester, TAG_GET_REPLY))
-            if regions[r]:
-                start_pos = regions[r][0]
-            elif k < n_bars:
-                start_pos = bar_pos[r][k]
-            else:
-                start_pos = None
-            if start:
-                if start_pos is None:
-                    tail[r].extend(start)
-                else:
-                    before[r].setdefault(start_pos, []).extend(start)
-            if endq[r]:
-                if k < n_bars:
-                    before[r].setdefault(bar_pos[r][k], []).extend(endq[r])
-                else:
-                    tail[r].extend(endq[r])
-
-    programs = []
-    for r in range(n):
-        rebuilt: list[list] = []
-        for u, (_, _, steps) in enumerate(units[r]):
-            out: list = []
-            for i, step in enumerate(steps):
-                out.extend(before[r].get((u, i), ()))
-                out.extend(replace[r].get((u, i), (step,)))
-            rebuilt.append(out)
-        rebuilt[-1].extend(tail[r])
-        stages = tuple(
-            Stage(stage.index, tuple(rebuilt[u]), attrs=stage.attrs)
-            for u, (ukind, stage, _) in enumerate(units[r])
-            if ukind == "stage"
-        )
-        programs.append(RankProgram(
-            rank=r,
-            prologue=tuple(rebuilt[0]),
-            stages=stages,
-            epilogue=tuple(rebuilt[-1]),
-        ))
-    return Schedule(
-        collective=sched.collective,
-        algorithm=sched.algorithm + "+mailbox",
-        n_pes=n,
-        itemsize=sched.itemsize,
-        root=sched.root,
-        op=sched.op,
-        buffers=sched.buffers,
-        programs=tuple(programs),
-        deliver=sched.deliver,
-    )
+    # Each rank's skeleton gains the extra barriers where its heads went;
+    # every section reads as a plain stage.
+    kinds: dict = {}
+    skeleton_of = [kinds.setdefault(key, len(kinds)) for key in map(
+        tuple, np.column_stack([t.skeleton_of, start[:, split == 1]])
+        .tolist())]
+    skeletons = []
+    for base, *where in kinds:
+        sections = t.skeletons[base].sections
+        extra = np.bincount(where, minlength=len(sections)).tolist()
+        sections = tuple(
+            sec._replace(nbars=sec.nbars + more, pipeline=-1, round=-1)
+            for sec, more in zip(sections, extra))
+        skeletons.append(Skeleton(sections, tuple(
+            sec.index for sec in sections if sec.kind == "stage")))
+    return Schedule.from_rows(
+        sched.collective, sched.algorithm + "+mailbox", sched.n_pes,
+        sched.itemsize, dict(zip(Rows.FIELDS, cols[3:])), tuple(skeletons),
+        skeleton_of=skeleton_of, root=sched.root, op=sched.op,
+        buffers=sched.buffers, deliver=sched.deliver, names=t.names)
 
 
 def max_fan_in(sched: Schedule) -> int:

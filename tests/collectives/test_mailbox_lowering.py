@@ -29,6 +29,7 @@ import pytest
 from repro.collectives.schedule import (
     BARRIER,
     Buffer,
+    Put,
     RankProgram,
     Recv,
     Schedule,
@@ -39,11 +40,13 @@ from repro.collectives.schedule import (
     max_fan_in,
 )
 from repro.collectives.schedule.evaluate import evaluate_schedule
+from repro.collectives.schedule.ir import Pipeline
 from repro.collectives.schedule.registry import (BUILTIN_ALGORITHMS,
                                                   builtin_schedules)
 from repro.params import MachineConfig, MailboxParams
 
 from ..conftest import small_config
+from .helpers import ring_schedule
 
 PE_COUNTS = (1, 2, 3, 5, 8, 16)
 
@@ -243,6 +246,60 @@ class TestBrokenLowerings:
         issues = _message_issues(sched)
         assert len(issues) == 2
         assert all("FIFO order disagreement" in i.message for i in issues)
+
+
+# ---------------------------------------------------------------------------
+# schedules the lowering must refuse
+# ---------------------------------------------------------------------------
+
+def _put(r):
+    """Rank ``r``'s put of one word to the other rank of two."""
+    return Put("s", 0, "s", 8, 1, 1, peer=1 - r)
+
+
+def _pipelined(segments, groups):
+    """A 2-PE schedule of one Pipeline block, ``groups(r)`` on rank r."""
+    return Schedule(
+        collective="toy", algorithm="handmade", n_pes=2, itemsize=8,
+        buffers=(Buffer("s", "scratch", 64, symmetric=True),),
+        programs=tuple(RankProgram(r, (BARRIER,),
+                                   (Pipeline(0, segments, groups(r)),))
+                       for r in range(2)))
+
+
+class _Teleport:
+    kind = "teleport"
+    nelems = stride = 1
+
+
+class TestMalformedInputIsRefused:
+    """A schedule the lowering cannot keep deadlock-free raises
+    ``ValueError`` rather than lowering to something else."""
+
+    def _refused(self, sched, match):
+        assert lint_schedule(sched) != []
+        with pytest.raises(ValueError, match=match):
+            lower_to_mailbox(sched)
+
+    def test_pipeline_without_segments(self):
+        self._refused(_pipelined(0, lambda r: ((),)), "does not lower")
+
+    def test_ragged_pipeline(self):
+        self._refused(_pipelined(2, lambda r: (((_put(r),),),)),
+                      "does not lower")
+
+    def test_put_to_own_rank(self):
+        """Refused by a check, not an ``assert`` that ``python -O``
+        strips."""
+        self._refused(_toy([(Put("s", 0, "s", 8, 1, 1, peer=0),)], [()]),
+                      "targeting itself")
+
+    def test_step_of_no_known_kind(self):
+        self._refused(_toy([(_Teleport(),)], [()]), "does not lower")
+
+    def test_rank_divergent_barrier_counts(self):
+        self._refused(ring_schedule(3, rank0_barriers=1),
+                      "rank-divergent")
 
 
 # ---------------------------------------------------------------------------

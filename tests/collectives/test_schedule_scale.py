@@ -212,3 +212,75 @@ def test_lint_evaluate_and_execute_build_no_tree(collective, algorithm,
     machine = Machine(small_config(8))
     assert all(machine.run(_run_once, [(collective, algorithm)] * 8))
     assert (built, walks) == (0, 0)
+
+
+def _flush_once(ctx) -> bool:
+    """Two doubling allreduces (widened into one) and a binomial
+    broadcast deferred into one superstep, flushed fused."""
+    ctx.init()
+    me, n, k = ctx.my_pe(), ctx.num_pes(), 6
+    i64 = np.dtype(np.int64)
+    bufs = [ctx.malloc(8 * k) for _ in range(6)]
+    for buf in bufs:
+        ctx.view(buf, i64, k)[:] = np.arange(k) + 10 * me
+    ctx.barrier()
+    with ctx.superstep():
+        ctx.allreduce(bufs[1], bufs[0], k, 1, "sum", i64,
+                      algorithm="doubling")
+        ctx.allreduce(bufs[3], bufs[2], k, 1, "sum", i64,
+                      algorithm="doubling")
+        ctx.broadcast(bufs[5], bufs[4], k, 1, 2, i64, algorithm="binomial")
+    total = n * np.arange(k) + 10 * sum(range(n))
+    ok = (np.array_equal(ctx.view(bufs[1], i64, k), total)
+          and np.array_equal(ctx.view(bufs[3], i64, k), total)
+          and np.array_equal(ctx.view(bufs[5], i64, k), np.arange(k) + 20))
+    ctx.barrier()
+    ctx.close()
+    return ok
+
+
+def test_rewrites_build_no_tree(monkeypatch):
+    """The same gate for the rewrites of a schedule: lowering row-built
+    schedules onto the mailbox, widening and fusing them, linting and
+    evaluating the results, one mailbox-transport run and one fused
+    superstep flush construct no ``RankProgram`` — the rewrites read and
+    write rows."""
+    from repro.collectives import allreduce, broadcast, reduce
+    from repro.collectives.schedule.fuse import (compile_widened,
+                                                 fuse_schedules)
+    from repro.collectives.schedule.lint import lint_fused_schedule
+    from repro.collectives.schedule.mailbox import lower_to_mailbox
+
+    for cache in (allreduce._compile_folded, allreduce._compile_ring,
+                  broadcast._compile_binomial, reduce._compile_binomial,
+                  compile_widened, fuse_schedules):
+        cache.cache_clear()  # every schedule below made and rewritten here
+    built = 0
+    init = RankProgram.__init__
+
+    def counted_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RankProgram, "__init__", counted_init)
+    ring = compile_allreduce(24, 29, 1, 8, "sum", algorithm="ring")
+    rab = compile_allreduce(24, 29, 1, 8, "sum", algorithm="rabenseifner")
+    gets = compile_reduce(24, 5, 29, 1, 8, "sum", algorithm="binomial")
+    widened = compile_widened("allreduce", "doubling", 24, 0, "sum", 8,
+                              (5, 0, 9))
+    fused = fuse_schedules((widened, gets,
+                            compile_broadcast(24, 3, 29, 1, 8)))
+    for sched in (ring, rab, gets, widened, fused):
+        lowered = lower_to_mailbox(sched)
+        for result in (sched, lowered):
+            assert lint_fused_schedule(result) == [] \
+                if result.collective == "superstep" \
+                else lint_schedule(result) == []
+            assert evaluate_schedule(result).elapsed_ns > 0
+    machine = Machine(small_config(8), transport="mailbox")
+    assert all(machine.run(_run_once, [("reduce", "binomial")] * 8))
+    assert machine.stats.sends > 0
+    machine = Machine(small_config(8))
+    assert all(machine.run(_flush_once))
+    assert built == 0
