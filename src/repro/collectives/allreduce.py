@@ -63,20 +63,14 @@ from .schedule.executor import PreparedCollective
 from .schedule.ir import (
     AUX_COPY,
     AUX_MOVE,
-    BARRIER,
     OP_COPY,
     OP_GET,
     OP_PUT,
     OP_REDUCE,
     Buffer,
-    Copy,
-    Get,
-    Pipeline,
-    RankProgram,
-    Reduce,
     Rows,
     Schedule,
-    segment_bounds,
+    pipeline_skeleton,
     skeleton,
 )
 
@@ -234,16 +228,19 @@ def _schedule(algorithm: str, n_pes: int, nelems: int, stride: int,
     return Schedule.from_rows(
         "allreduce", algorithm, n_pes, itemsize, rows, skeletons,
         skeleton_of=skeleton_of, op=op,
-        buffers=_buffers(nbytes, double=algorithm == "doubling"),
+        buffers=_buffers(nbytes, double=algorithm in ("doubling",
+                                                      "dual-pipelined")),
         deliver=tuple((r, "dest", 0, nbytes) for r in range(n_pes)))
 
 
 def _pull_and_fold(rows: Rows, rank, section, phase, lo, count, stride,
-                   itemsize, peer, l_buf: int, where=None) -> None:
+                   itemsize, peer, l_buf: int, where=None,
+                   group=-1) -> None:
     """``rank`` gets ``count`` elements from ``lo`` of ``peer``'s ``a``
     into its ``l`` and folds them into its own ``a``: a get and a reduce,
     in that order, on every rank (``rank`` and the rest broadcast over a
-    trailing axis of two)."""
+    trailing axis of two).  Reduce-scatter pulls and folds the same
+    way."""
     def pair(x):
         return np.asarray(x)[..., None]
 
@@ -252,7 +249,7 @@ def _pull_and_fold(rows: Rows, rank, section, phase, lo, count, stride,
              ([l_buf, _A], off), ([_A, l_buf], off), pair(count), stride,
              peer=np.stack(np.broadcast_arrays(peer, rank), -1),
              aux=np.stack(np.broadcast_arrays(0, count), -1),
-             where=None if where is None else pair(where))
+             where=None if where is None else pair(where), group=group)
 
 
 @lru_cache(maxsize=512)
@@ -412,9 +409,10 @@ def _compile_ring(n_pes: int, nelems: int, stride: int, itemsize: int,
                                                      2 * n_pes - 2)], 0),))
 
 
-def _heap_depth(v: int) -> int:
-    """Depth of virtual rank ``v`` in the heap-ordered binary tree."""
-    return (v + 1).bit_length() - 1
+def _heap_depth(v: np.ndarray) -> np.ndarray:
+    """Depth of each virtual rank ``v`` in the heap-ordered binary
+    tree: ``floor(log2(v + 1))``."""
+    return np.frexp(v + 1)[1] - 1
 
 
 @lru_cache(maxsize=512)
@@ -446,62 +444,47 @@ def _compile_dual_pipelined(n_pes: int, nelems: int, stride: int,
     if nelems == 0 or n_pes == 1:
         return _degenerate(n_pes, nelems, stride, itemsize, op,
                            "dual-pipelined")
-    nbytes = span_bytes(nelems, stride, itemsize)
     S = max(1, min(segments, nelems))
-    roots = (0, n_pes // 2)
-    depth_max = _heap_depth(n_pes - 1)
+    roots = np.where(np.arange(S) % 2, n_pes // 2, 0)
+    # Segment k is elements [bounds[k], bounds[k+1]): the balanced split
+    # of the ring and Rabenseifner bounds.
+    bounds = nelems * np.arange(S + 1) // S
+    depth_max = int(_heap_depth(n_pes - 1))
     n_groups = 2 * depth_max
-
-    def off(e: int) -> int:
-        return e * stride * itemsize
-
-    programs = []
-    for r in range(n_pes):
-        groups = [[()] * S for _ in range(n_groups)]
-        for k in range(S):
-            root = roots[k % 2]
-            v = (r - root) % n_pes
-            d = _heap_depth(v)
-            e_lo, e_hi = segment_bounds(nelems, S, k)
-            ne = e_hi - e_lo
-            if ne == 0:
+    l_buf = _B + 1
+    ranks = np.arange(n_pes)
+    rows = Rows()
+    rows.add(ranks, 0, 0, OP_COPY, (_A, 0), (_SRC, 0), nelems, stride,
+             aux=AUX_COPY)
+    for t in range(n_groups + S - 1):
+        for g in range(max(0, t - S + 1), min(t, n_groups - 1) + 1):
+            k = t - g
+            root = roots[k]
+            v = (ranks - root) % n_pes
+            lo, count = bounds[k], bounds[k + 1] - bounds[k]
+            if g < depth_max:  # parents at depth depth_max-1-g fold
+                child = 2 * v[:, None] + np.array([1, 2])
+                _pull_and_fold(
+                    rows, ranks[:, None], 1 + t, 1 + t, lo, count, stride,
+                    itemsize, (child + root) % n_pes, l_buf,
+                    where=(_heap_depth(v) == depth_max - 1 - g)[:, None]
+                    & (child < n_pes), group=g)
                 continue
-            children = [c for c in (2 * v + 1, 2 * v + 2) if c < n_pes]
-            if children:
-                steps: list = []
-                for c in children:
-                    peer = (c + root) % n_pes
-                    steps.append(Get("l", off(e_lo), "a", off(e_lo), ne,
-                                     stride, peer))
-                    steps.append(Reduce("a", off(e_lo), "l", off(e_lo), ne,
-                                        stride, ne))
-                groups[depth_max - 1 - d][k] = tuple(steps)
-            if v > 0:
-                parent_v = (v - 1) // 2
-                peer = (parent_v + root) % n_pes
-                srcbuf = "a" if parent_v == 0 else "b"
-                groups[depth_max + d - 1][k] = (
-                    Get("b", off(e_lo), srcbuf, off(e_lo), ne, stride, peer),
-                )
-        pipe = Pipeline(0, S, tuple(tuple(g) for g in groups),
-                        attrs=(("phase", "dual-tree"),))
-        # Unsegmented local copy-out: roots keep their tree's segments
-        # in ``a``, every other rank received them in ``b``.
-        epilogue: list = []
-        for k in range(S):
-            e_lo, e_hi = segment_bounds(nelems, S, k)
-            if e_hi == e_lo:
-                continue
-            srcbuf = "a" if r == roots[k % 2] else "b"
-            epilogue.append(Copy("dest", off(e_lo), srcbuf, off(e_lo),
-                                 e_hi - e_lo, stride))
-        programs.append(RankProgram(
-            r, (Copy("a", 0, "src", 0, nelems, stride), BARRIER),
-            (pipe,), tuple(epilogue)))
-    return Schedule(
-        collective="allreduce", algorithm="dual-pipelined", n_pes=n_pes,
-        itemsize=itemsize, op=op,
-        buffers=_buffers(nbytes, double=True),
-        programs=tuple(programs),
-        deliver=tuple((r, "dest", 0, nbytes) for r in range(n_pes)),
-    )
+            # Children at depth g-depth_max+1 pull from their parent.
+            parent = (v - 1) // 2
+            off = lo * stride * itemsize
+            rows.add(ranks, 1 + t, 1 + t, OP_GET, (_B, off),
+                     (np.where(parent == 0, _A, _B), off), count, stride,
+                     peer=(parent + root) % n_pes,
+                     where=(v > 0) & (_heap_depth(v) == g - depth_max + 1),
+                     group=g)
+    # Unsegmented local copy-out: roots keep their tree's segments in
+    # ``a``, every other rank received them in ``b``.
+    off = bounds[:-1] * stride * itemsize
+    rows.add(ranks[:, None], n_groups + S, n_groups + S, OP_COPY,
+             (_DEST, off),
+             (np.where(ranks[:, None] == roots, _A, _B), off),
+             np.diff(bounds), stride, aux=AUX_COPY)
+    return _schedule(
+        "dual-pipelined", n_pes, nelems, stride, itemsize, op, rows,
+        (pipeline_skeleton(1, S, n_groups, (("phase", "dual-tree"),), 0),))

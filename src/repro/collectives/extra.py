@@ -36,22 +36,20 @@ from ..errors import CollectiveArgumentError
 from .broadcast import broadcast
 from .common import call_attrs, collective_span, resolve_group
 from .gather import gather
+from .reduce_scatter import coalesce_runs, pat_width_steps
 from .scatter import _validate
 from .schedule.executor import PreparedCollective
-from .reduce_scatter import pat_width_steps
 from .schedule.ir import (
-    BARRIER,
+    AUX_PLACE,
+    OP_COPY,
+    OP_GET,
+    OP_PUT,
     Buffer,
-    Copy,
-    Get,
-    Pipeline,
-    Put,
-    RankProgram,
+    Rows,
     Schedule,
-    closed_stage,
-    segment_bounds,
+    pipeline_skeleton,
+    skeleton,
 )
-from .virtual_rank import ring_neighbor, rotated_peers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
@@ -88,6 +86,7 @@ def allgather(
     n_pes = len(members)
     if n_pes > 1 and not ctx.is_symmetric(dest):
         raise CollectiveArgumentError("allgather dest must be symmetric")
+    _validate(pe_msgs, pe_disp, nelems, n_pes, "allgather", disjoint=True)
     if algorithm == "auto":
         from .tuning import select_algorithm
 
@@ -106,7 +105,6 @@ def allgather(
         raise CollectiveArgumentError(
             f"unknown allgather algorithm {algorithm!r}"
         )
-    _validate(pe_msgs, pe_disp, nelems, n_pes, "allgather")
     if algorithm == "pat":
         sched = compile_allgather_pat(n_pes, tuple(pe_msgs), tuple(pe_disp),
                                       nelems, dtype.itemsize, segments)
@@ -119,6 +117,36 @@ def allgather(
         schedule=sched, bindings={"dest": dest, "src": src},
         stats_key=f"allgather:{algorithm}", stats_rank=0,
     ).run(ctx)
+
+
+def _ag_buffers(counts: tuple[int, ...], disps: tuple[int, ...],
+                itemsize: int, n_pes: int) -> tuple[Buffer, Buffer]:
+    """The symmetric ``dest`` every block lands in, and the per-rank
+    ``src`` of each rank's own block."""
+    dest_nbytes = max((d + c) for d, c in zip(disps, counts)) * itemsize \
+        if any(counts) else 0
+    return (Buffer("dest", "user", dest_nbytes, symmetric=n_pes > 1),
+            Buffer("src", "user", tuple(c * itemsize for c in counts)))
+
+
+def _ag_deliver(counts: tuple[int, ...], disps: tuple[int, ...],
+                itemsize: int, n_pes: int) -> tuple:
+    return tuple(
+        (r, "dest", disps[i] * itemsize, (disps[i] + counts[i]) * itemsize)
+        for r in range(n_pes) for i in range(n_pes) if counts[i])
+
+
+#: Buffer indices of every allgather schedule (``_ag_buffers`` order,
+#: then the dissemination's scratch).
+_DEST, _SRC, _S = range(3)
+
+
+def _barrier_only(algorithm: str, n_pes: int, itemsize: int,
+                  buffers: tuple) -> Schedule:
+    """An empty allgather: one barrier on every rank."""
+    return Schedule.from_rows("allgather", algorithm, n_pes, itemsize,
+                              Rows(), (skeleton(1, (), 0),),
+                              buffers=buffers)
 
 
 @lru_cache(maxsize=256)
@@ -137,73 +165,36 @@ def compile_allgather(n_pes: int, counts: tuple[int, ...],
     An epilogue unrotates into ``dest`` by ``pe_disp``.
     """
     eb = itemsize
-    # Prefix sums over two laps of the ring make every blocks_len query
-    # O(1); the old per-query summation was O(width), turning the whole
-    # compile into O(N^2).
-    pref = [0] * (2 * n_pes + 1)
-    for j in range(2 * n_pes):
-        pref[j + 1] = pref[j] + counts[j % n_pes]
-
-    def blocks_len(start: int, width: int) -> int:
-        """Total elements of ``width`` ring-consecutive blocks."""
-        return pref[start + width] - pref[start]
-
-    dest_nbytes = max((d + c) for d, c in zip(disps, counts)) * eb \
-        if any(counts) else 0
-    buffers = (
-        Buffer("dest", "user", dest_nbytes, symmetric=n_pes > 1),
-        Buffer("src", "user", tuple(c * eb for c in counts)),
-        Buffer("s", "scratch", nelems * eb, symmetric=True),
-    )
-    deliver = tuple(
-        (r, "dest", disps[i] * eb, (disps[i] + counts[i]) * eb)
-        for r in range(n_pes) for i in range(n_pes) if counts[i]
-    )
+    buffers = _ag_buffers(counts, disps, eb, n_pes)
     if nelems == 0:
-        return Schedule(
-            collective="allgather", algorithm="dissemination", n_pes=n_pes,
-            itemsize=eb, buffers=buffers[:2],
-            programs=tuple(RankProgram(r, (BARRIER,))
-                           for r in range(n_pes)),
-        )
-    programs = []
-    for r in range(n_pes):
-        prologue: list = []
-        if counts[r]:
-            prologue.append(Copy("s", 0, "src", 0, counts[r], 1,
-                                 skip_noop=False))
-        prologue.append(BARRIER)
-        stages = []
-        stage = 0
-        width = 1  # ring-consecutive blocks this rank already holds
-        while width < n_pes:
-            grab = min(width, n_pes - width)
-            partner = ring_neighbor(r, n_pes, width)
-            have = blocks_len(r, width)       # elements already staged
-            need = blocks_len(partner, grab)  # front of partner's scratch
-            steps: list = []
-            if need:
-                steps.append(Get("s", have * eb, "s", 0, need, 1, partner))
-            stages.append(closed_stage(stage, steps))
-            width += grab
-            stage += 1
-        epilogue: list = []
-        pos = 0
-        for j in range(n_pes):
-            blk = (r + j) % n_pes
-            cnt = counts[blk]
-            if cnt:
-                epilogue.append(Copy("dest", disps[blk] * eb, "s", pos * eb,
-                                     cnt, 1, skip_noop=False))
-                pos += cnt
-        epilogue.append(BARRIER)
-        programs.append(RankProgram(r, tuple(prologue), tuple(stages),
-                                    tuple(epilogue)))
-    return Schedule(
-        collective="allgather", algorithm="dissemination", n_pes=n_pes,
-        itemsize=eb, buffers=buffers, programs=tuple(programs),
-        deliver=deliver,
-    )
+        return _barrier_only("dissemination", n_pes, eb, buffers)
+    count = np.array(counts)
+    ranks = np.arange(n_pes)
+    # Prefix sums over two laps of the ring: the elements of ``width``
+    # ring-consecutive blocks from ``start`` are pref[start + width] -
+    # pref[start].
+    pref = np.concatenate(([0], np.cumsum(np.tile(count, 2))))
+    rows = Rows()
+    rows.add(ranks, 0, 0, OP_COPY, (_S, 0), (_SRC, 0), count,
+             aux=AUX_PLACE, where=count > 0)
+    ladder = pat_width_steps(n_pes)
+    for i, (width, grab) in enumerate(ladder):
+        partner = (ranks + width) % n_pes
+        have = pref[ranks + width] - pref[ranks]      # already staged
+        need = pref[partner + grab] - pref[partner]   # partner's front
+        rows.add(ranks, i + 1, i + 1, OP_GET, (_S, have * eb), (_S, 0),
+                 need, peer=partner, where=need > 0)
+    blk = (ranks[:, None] + ranks) % n_pes
+    pos = np.cumsum(count[blk], axis=1) - count[blk]
+    rows.add(ranks[:, None], len(ladder) + 1, len(ladder) + 1, OP_COPY,
+             (_DEST, np.array(disps)[blk] * eb), (_S, pos * eb), count[blk],
+             aux=AUX_PLACE, where=count[blk] > 0)
+    return Schedule.from_rows(
+        "allgather", "dissemination", n_pes, eb, rows,
+        (skeleton(1, ((i, ()) for i in range(len(ladder))), 1),),
+        buffers=buffers + (Buffer("s", "scratch", nelems * eb,
+                                  symmetric=True),),
+        deliver=_ag_deliver(counts, disps, eb, n_pes))
 
 
 @lru_cache(maxsize=256)
@@ -231,77 +222,39 @@ def compile_allgather_pat(n_pes: int, counts: tuple[int, ...],
     (the linter's pipelined cross-segment ordering check).
     """
     eb = itemsize
-    dest_nbytes = max((d + c) for d, c in zip(disps, counts)) * eb \
-        if any(counts) else 0
-    buffers = (
-        Buffer("dest", "user", dest_nbytes, symmetric=n_pes > 1),
-        Buffer("src", "user", tuple(c * eb for c in counts)),
-    )
-    deliver = tuple(
-        (r, "dest", disps[i] * eb, (disps[i] + counts[i]) * eb)
-        for r in range(n_pes) for i in range(n_pes) if counts[i]
-    )
+    buffers = _ag_buffers(counts, disps, eb, n_pes)
     if nelems == 0:
-        return Schedule(
-            collective="allgather", algorithm="pat", n_pes=n_pes,
-            itemsize=eb, buffers=buffers,
-            programs=tuple(RankProgram(r, (BARRIER,))
-                           for r in range(n_pes)),
-        )
+        return _barrier_only("pat", n_pes, eb, buffers)
     S = max(1, min(segments, max(counts)))
     ladder = pat_width_steps(n_pes)
-    programs = []
-    for r in range(n_pes):
-        prologue: list = []
-        if counts[r]:
-            prologue.append(Copy("dest", disps[r] * eb, "src", 0,
-                                 counts[r], 1, skip_noop=False))
-        prologue.append(BARRIER)
-        groups = [[()] * S for _ in range(len(ladder))]
-        for g, (w, grab) in enumerate(ladder):
-            peer = (r + w) % n_pes
-            blocks = [(r + w + o) % n_pes for o in range(grab)]
+    count, disp = np.array(counts), np.array(disps)
+    ranks = np.arange(n_pes)
+    rows = Rows()
+    rows.add(ranks, 0, 0, OP_COPY, (_DEST, disp * eb), (_SRC, 0), count,
+             aux=AUX_PLACE, where=count > 0)
+    for t in range(len(ladder) + S - 1):
+        for g in range(max(0, t - S + 1), min(t, len(ladder) - 1) + 1):
+            w, grab = ladder[g]
+            blocks = (ranks[:, None] + w + np.arange(grab)) % n_pes
             if S == 1:
-                steps: list = []
-                for lo, hi in _coalesce_ascending(blocks, counts, disps):
-                    steps.append(Get("dest", lo * eb, "dest", lo * eb,
-                                     hi - lo, 1, peer))
-                groups[g][0] = tuple(steps)
+                rank, lo, hi = coalesce_runs(disp[blocks],
+                                             (disp + count)[blocks])
+                rows.add(rank, 1 + t, 1 + t, OP_GET, (_DEST, lo * eb),
+                         (_DEST, lo * eb), hi - lo,
+                         peer=(rank + w) % n_pes, group=g)
                 continue
-            for k in range(S):
-                steps = []
-                for d in blocks:
-                    e_lo, e_hi = segment_bounds(counts[d], S, k)
-                    if e_hi == e_lo:
-                        continue
-                    off = (disps[d] + e_lo) * eb
-                    steps.append(Get("dest", off, "dest", off,
-                                     e_hi - e_lo, 1, peer))
-                groups[g][k] = tuple(steps)
-        pipe = Pipeline(0, S, tuple(tuple(g) for g in groups),
-                        attrs=(("phase", "pat-bcast"),))
-        programs.append(RankProgram(r, tuple(prologue), (pipe,), ()))
-    return Schedule(
-        collective="allgather", algorithm="pat", n_pes=n_pes,
-        itemsize=eb, buffers=buffers, programs=tuple(programs),
-        deliver=deliver,
-    )
-
-
-def _coalesce_ascending(blocks, counts, disps) -> list:
-    """Merge disp-adjacent blocks into element ranges ``[lo, hi)``."""
-    runs: list = []
-    for d in blocks:
-        if counts[d] == 0:
-            continue
-        lo, hi = disps[d], disps[d] + counts[d]
-        if runs and runs[-1][1] == lo:
-            runs[-1][1] = hi
-        elif runs and runs[-1][0] == hi:
-            runs[-1][0] = lo
-        else:
-            runs.append([lo, hi])
-    return runs
+            e_lo = count[blocks] * (t - g) // S
+            e_hi = count[blocks] * (t - g + 1) // S
+            off = (disp[blocks] + e_lo) * eb
+            rows.add(ranks[:, None], 1 + t, 1 + t, OP_GET, (_DEST, off),
+                     (_DEST, off), e_hi - e_lo,
+                     peer=(ranks[:, None] + w) % n_pes, where=e_hi > e_lo,
+                     group=g)
+    return Schedule.from_rows(
+        "allgather", "pat", n_pes, eb, rows,
+        (pipeline_skeleton(1, S, len(ladder), (("phase", "pat-bcast"),),
+                           0),),
+        buffers=buffers, deliver=_ag_deliver(counts, disps, eb, n_pes))
 
 
 def fcollect(
@@ -358,29 +311,24 @@ def alltoall(
 @lru_cache(maxsize=256)
 def compile_alltoall(n_pes: int, nelems_per_pe: int,
                      itemsize: int) -> Schedule:
-    """Compile one alltoall call shape into a schedule (pure, cached)."""
+    """Compile one alltoall call shape into a schedule (pure, cached).
+
+    After an entry barrier — which orders every participant's prior
+    writes to dest before the incoming puts can land — rank ``r`` walks
+    the ring from itself: its own block is a local copy, block ``q`` a
+    put to rank ``q``."""
     blk = nelems_per_pe * itemsize
     nbytes = n_pes * blk
-    programs = []
-    for r in range(n_pes):
-        # Entry barrier: order every participant's prior writes to dest
-        # before the incoming puts can land.
-        prologue: list = [BARRIER]
-        if nelems_per_pe:
-            for peer in rotated_peers(r, n_pes):
-                if peer == r:
-                    prologue.append(Copy("dest", r * blk, "src", peer * blk,
-                                         nelems_per_pe, 1, skip_noop=False))
-                else:
-                    prologue.append(Put("dest", r * blk, "src", peer * blk,
-                                        nelems_per_pe, 1, peer))
-        programs.append(RankProgram(r, tuple(prologue), (), (BARRIER,)))
-    return Schedule(
-        collective="alltoall", algorithm="rotated", n_pes=n_pes,
-        itemsize=itemsize,
+    ranks = np.arange(n_pes)[:, None]
+    peer = (ranks + ranks.T) % n_pes
+    rows = Rows()
+    rows.add(ranks, 0, 1, np.where(peer == ranks, OP_COPY, OP_PUT),
+             (_DEST, ranks * blk), (_SRC, peer * blk), nelems_per_pe,
+             peer=peer, aux=np.where(peer == ranks, AUX_PLACE, 0),
+             where=nelems_per_pe > 0)
+    return Schedule.from_rows(
+        "alltoall", "rotated", n_pes, itemsize, rows, (skeleton(1, (), 1),),
         buffers=(Buffer("dest", "user", nbytes, symmetric=n_pes > 1),
                  Buffer("src", "user", nbytes)),
-        programs=tuple(programs),
         deliver=tuple((r, "dest", 0, nbytes) for r in range(n_pes))
-        if nelems_per_pe else (),
-    )
+        if nelems_per_pe else ())

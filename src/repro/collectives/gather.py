@@ -21,20 +21,27 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .binomial import tree_stages
+from .binomial import n_stages
 from .common import call_attrs, resolve_group, validate_root
-from .scatter import _io_buffers, _validate, adjusted_displacements
+from .scatter import (
+    _DEST,
+    _S,
+    _SRC,
+    _io_buffers,
+    _one_block,
+    _validate,
+    adjusted_displacements,
+)
 from .schedule.executor import PreparedCollective
 from .schedule.ir import (
-    BARRIER,
+    AUX_PLACE,
+    OP_COPY,
+    OP_GET,
     Buffer,
-    Copy,
-    Get,
-    RankProgram,
+    Rows,
     Schedule,
-    closed_stage,
+    skeleton,
 )
-from .virtual_rank import logical_rank, virtual_rank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
@@ -90,76 +97,43 @@ def prepare_gather(
 def compile_gather(n_pes: int, root: int, counts: tuple[int, ...],
                    disps: tuple[int, ...], nelems: int,
                    itemsize: int) -> Schedule:
-    """Compile one gather call shape into a schedule (pure, cached)."""
+    """Compile one gather call shape into a schedule (pure, cached).
+
+    Stage ``i`` (recursive doubling) has every virtual rank with its low
+    ``i+1`` bits clear pull, from ``vir + 2**i`` when that exists, the
+    partner's segment plus everything it aggregated — one contiguous get
+    at the partner's ``adj_disp`` offset."""
     eb = itemsize
-    dest_buf, src_buf = _io_buffers(n_pes, root, counts, disps, eb, "dest")
+    buffers = _io_buffers(n_pes, root, counts, disps, eb, "dest")
     deliver = tuple((root, "dest", disps[i] * eb, (disps[i] + counts[i]) * eb)
                     for i in range(n_pes) if counts[i])
-    if nelems == 0:
-        return Schedule(
-            collective="gather", algorithm="binomial", n_pes=n_pes,
-            itemsize=eb, root=root, buffers=(dest_buf, src_buf),
-            programs=tuple(RankProgram(r, (BARRIER,))
-                           for r in range(n_pes)),
-        )
-    if n_pes == 1:
-        steps: list = []
-        if counts[0]:
-            steps.append(Copy("dest", disps[0] * eb, "src", 0, counts[0], 1,
-                              skip_noop=False))
-        steps.append(BARRIER)
-        return Schedule(
-            collective="gather", algorithm="binomial", n_pes=n_pes,
-            itemsize=eb, root=root, buffers=(dest_buf, src_buf),
-            programs=(RankProgram(0, tuple(steps)),), deliver=deliver,
-        )
-    adj = adjusted_displacements(counts, root)
-    # Index each stage's pairs by parent so the per-rank loop below is
-    # O(log N) per rank instead of rescanning all N-1 tree edges.
-    stage_children: list[dict[int, list[int]]] = []
-    for pairs in tree_stages(n_pes, "doubling"):
-        by_parent: dict[int, list[int]] = {}
-        for child, parent in pairs:
-            by_parent.setdefault(parent, []).append(child)
-        stage_children.append(by_parent)
-    programs = []
-    for r in range(n_pes):
-        vir = virtual_rank(r, root, n_pes)
-        # Stage this PE's contribution at its virtual-rank displacement,
-        # then order every staging store before the first stage's gets.
-        prologue: list = []
-        if counts[r]:
-            prologue.append(Copy("s", adj[vir] * eb, "src", 0, counts[r], 1,
-                                 skip_noop=False))
-        prologue.append(BARRIER)
-        stages = []
-        for i, by_parent in enumerate(stage_children):
-            steps = []
-            for child in by_parent.get(vir, ()):
-                # The partner's segment plus everything it aggregated.
-                end = min(child + (1 << i), n_pes)
-                msg_size = adj[end] - adj[child]
-                if msg_size:
-                    steps.append(Get("s", adj[child] * eb, "s",
-                                     adj[child] * eb, msg_size, 1,
-                                     logical_rank(child, root, n_pes)))
-            stages.append(closed_stage(i, steps))
-        epilogue: list = []
-        if vir == 0:
-            # Reorder from virtual-rank order into dest by logical rank.
-            for v in range(n_pes):
-                log = logical_rank(v, root, n_pes)
-                cnt = counts[log]
-                if cnt:
-                    epilogue.append(Copy("dest", disps[log] * eb, "s",
-                                         adj[v] * eb, cnt, 1,
-                                         skip_noop=False))
-        programs.append(RankProgram(r, tuple(prologue), tuple(stages),
-                                    tuple(epilogue)))
-    return Schedule(
-        collective="gather", algorithm="binomial", n_pes=n_pes,
-        itemsize=eb, root=root,
-        buffers=(dest_buf, src_buf,
-                 Buffer("s", "scratch", nelems * eb, symmetric=True)),
-        programs=tuple(programs), deliver=deliver,
-    )
+    if nelems == 0 or n_pes == 1:
+        return _one_block("gather", n_pes, root, buffers, nelems, eb,
+                          disps[0] * eb, 0, counts[0], deliver)
+    count = np.array(counts)
+    adj = np.array(adjusted_displacements(counts, root))
+    k = n_stages(n_pes)
+    rows = Rows()
+    # Stage every contribution at its virtual-rank displacement; the
+    # prologue's barrier orders the stores before the first stage's gets.
+    ranks = np.arange(n_pes)
+    rows.add(ranks, 0, 0, OP_COPY, (_S, adj[(ranks - root) % n_pes] * eb),
+             (_SRC, 0), count, aux=AUX_PLACE, where=count > 0)
+    for i in range(k):
+        bit = 1 << i
+        child = np.arange(bit, n_pes, 2 * bit)
+        size = adj[np.minimum(child + bit, n_pes)] - adj[child]
+        rows.add((child - bit + root) % n_pes, i + 1, i + 1, OP_GET,
+                 (_S, adj[child] * eb), (_S, adj[child] * eb), size,
+                 peer=(child + root) % n_pes, where=size > 0)
+    # Reorder from virtual-rank order into dest by logical rank.
+    log = (ranks + root) % n_pes
+    rows.add(root, k + 1, k + 1, OP_COPY, (_DEST, np.array(disps)[log] * eb),
+             (_S, adj[:-1] * eb), count[log], aux=AUX_PLACE,
+             where=count[log] > 0)
+    return Schedule.from_rows(
+        "gather", "binomial", n_pes, eb, rows,
+        (skeleton(1, ((i, ()) for i in range(k)), 0),), root=root,
+        buffers=buffers + (Buffer("s", "scratch", nelems * eb,
+                                  symmetric=True),),
+        deliver=deliver)

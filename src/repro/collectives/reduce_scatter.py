@@ -45,28 +45,26 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..errors import CollectiveArgumentError
+from .allreduce import _A, _pull_and_fold
 from .common import call_attrs, resolve_group
 from .ops import check_op
 from .scatter import _validate
 from .schedule.executor import PreparedCollective
 from .schedule.ir import (
-    BARRIER,
+    AUX_PLACE,
+    OP_COPY,
     Buffer,
-    Copy,
-    Get,
-    Pipeline,
-    RankProgram,
-    Reduce,
+    Rows,
     Schedule,
-    closed_stage,
-    segment_bounds,
+    pipeline_skeleton,
+    skeleton,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
 
 __all__ = ["reduce_scatter", "prepare_reduce_scatter",
-           "compile_reduce_scatter", "pat_width_steps"]
+           "compile_reduce_scatter", "pat_width_steps", "coalesce_runs"]
 
 #: Algorithms :func:`compile_reduce_scatter` accepts.
 ALGORITHMS = ("ring", "pat")
@@ -84,6 +82,40 @@ def pat_width_steps(n_pes: int) -> tuple[tuple[int, int], ...]:
         steps.append((width, grab))
         width += grab
     return tuple(steps)
+
+
+def coalesce_runs(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """Merge each rank's blocks into runs of adjacent elements.
+
+    ``lo`` and ``hi`` are ``[rank, block]`` element bounds, each rank's
+    blocks in the order its ladder step walks them.  A block extends the
+    rank's open run when it ends where the run starts or starts where
+    it ends (never both: blocks are disjoint and non-empty), else it
+    opens a new run; empty blocks are skipped.  With packed
+    displacements a whole grab collapses into one or two (at the N-wrap)
+    runs.  Returns the runs' ``(rank, lo, hi)`` in the order they
+    closed — each rank's in the order they opened, as one
+    :class:`~.schedule.ir.Rows` block wants them.
+    """
+    n, m = lo.shape
+    run_lo = np.zeros(n, dtype=np.int64)
+    run_hi = np.zeros(n, dtype=np.int64)
+    is_open = np.zeros(n, dtype=bool)
+    runs = []
+    for j in range(m):
+        b_lo, b_hi = lo[:, j], hi[:, j]
+        live = b_hi > b_lo
+        down = live & is_open & (run_lo == b_hi)
+        up = live & is_open & (run_hi == b_lo)
+        new = live & ~(down | up)
+        closed = np.flatnonzero(new & is_open)
+        runs.append((closed, run_lo[closed], run_hi[closed]))
+        run_lo = np.where(new | down, b_lo, run_lo)
+        run_hi = np.where(new | up, b_hi, run_hi)
+        is_open |= new
+    last = np.flatnonzero(is_open)
+    runs.append((last, run_lo[last], run_hi[last]))
+    return tuple(map(np.concatenate, zip(*runs)))
 
 
 def reduce_scatter(
@@ -130,7 +162,8 @@ def prepare_reduce_scatter(
         raise CollectiveArgumentError("segments must be >= 1")
     members, me = resolve_group(ctx, group)
     n_pes = len(members)
-    _validate(pe_msgs, pe_disp, nelems, n_pes, "reduce_scatter")
+    _validate(pe_msgs, pe_disp, nelems, n_pes, "reduce_scatter",
+              disjoint=True)
     if algorithm == "auto":
         from .tuning import select_algorithm
 
@@ -177,6 +210,11 @@ def _rs_extent(counts: tuple[int, ...], disps: tuple[int, ...]) -> int:
     return max((d + c for d, c in zip(disps, counts)), default=0)
 
 
+#: Buffer indices of every reduce-scatter schedule (``_rs_buffers``
+#: order): the accumulator ``a`` where allreduce keeps it, then ``l``.
+_DEST, _SRC, _L = 0, 1, _A + 1
+
+
 def _rs_buffers(n_pes: int, counts: tuple[int, ...], extent: int,
                 itemsize: int) -> tuple[Buffer, ...]:
     return (
@@ -197,146 +235,111 @@ def _rs_degenerate(n_pes: int, counts: tuple[int, ...],
                    disps: tuple[int, ...], nelems: int, itemsize: int,
                    op: str, algorithm: str) -> Schedule:
     """n_pes == 1 or empty vector: a local copy of the own block."""
-    programs = []
-    for r in range(n_pes):
-        steps: list = []
-        if counts[r]:
-            steps.append(Copy("dest", 0, "src", disps[r] * itemsize,
-                              counts[r], 1, skip_noop=False))
-        steps.append(BARRIER)
-        programs.append(RankProgram(r, tuple(steps)))
-    return Schedule(
-        collective="reduce_scatter", algorithm=algorithm, n_pes=n_pes,
-        itemsize=itemsize, op=op,
-        buffers=(Buffer("dest", "user",
-                        tuple(c * itemsize for c in counts)),
-                 Buffer("src", "user",
-                        _rs_extent(counts, disps) * itemsize)),
-        programs=tuple(programs),
-        deliver=_rs_deliver(n_pes, counts, itemsize),
-    )
+    count = np.array(counts)
+    rows = Rows()
+    rows.add(np.arange(n_pes), 0, 0, OP_COPY, (_DEST, 0),
+             (_SRC, np.array(disps) * itemsize), count, aux=AUX_PLACE,
+             where=count > 0)
+    return Schedule.from_rows(
+        "reduce_scatter", algorithm, n_pes, itemsize, rows,
+        (skeleton(1, (), 0),), op=op,
+        buffers=_rs_buffers(n_pes, counts, _rs_extent(counts, disps),
+                            itemsize)[:2],
+        deliver=_rs_deliver(n_pes, counts, itemsize))
+
+
+def _rs_schedule(algorithm: str, n_pes: int, counts: tuple[int, ...],
+                 disps: tuple[int, ...], itemsize: int, op: str, rows: Rows,
+                 structure) -> Schedule:
+    """Every rank's block copied out of the accumulator after ``rows``
+    (which begin with the accumulator's load), in the last section."""
+    count = np.array(counts)
+    last = len(structure.sections) - 1
+    rows.add(np.arange(n_pes), last, structure.n_barriers, OP_COPY,
+             (_DEST, 0), (_A, np.array(disps) * itemsize), count,
+             aux=AUX_PLACE, where=count > 0)
+    return Schedule.from_rows(
+        "reduce_scatter", algorithm, n_pes, itemsize, rows, (structure,),
+        op=op,
+        buffers=_rs_buffers(n_pes, counts, _rs_extent(counts, disps),
+                            itemsize),
+        deliver=_rs_deliver(n_pes, counts, itemsize))
+
+
+def _loaded(n_pes: int, counts: tuple[int, ...],
+            disps: tuple[int, ...]) -> Rows:
+    """Every rank loads its whole ``src`` into the shared accumulator,
+    then the barrier that orders every load before the first get."""
+    rows = Rows()
+    rows.add(np.arange(n_pes), 0, 0, OP_COPY, (_A, 0), (_SRC, 0),
+             _rs_extent(counts, disps), aux=AUX_PLACE)
+    return rows
 
 
 @lru_cache(maxsize=256)
 def _compile_ring_rs(n_pes: int, counts: tuple[int, ...],
                      disps: tuple[int, ...], nelems: int, itemsize: int,
                      op: str) -> Schedule:
-    """Rotating ring reduce-scatter: N-1 one-block stages."""
+    """Rotating ring reduce-scatter: N-1 one-block stages.
+
+    After stage ``s`` rank ``r``'s accumulator block ``(r-2-s) mod N``
+    holds the partial over ranks ``r-1-s..r``, pulled from the left
+    neighbour and folded; the walk ends with block ``r`` complete at
+    ``s = N-2``."""
     if n_pes == 1 or nelems == 0:
         return _rs_degenerate(n_pes, counts, disps, nelems, itemsize, op,
                               "ring")
-    eb = itemsize
-    extent = _rs_extent(counts, disps)
-    programs = []
-    for r in range(n_pes):
-        left = (r - 1) % n_pes
-        prologue = (Copy("a", 0, "src", 0, extent, 1, skip_noop=False),
-                    BARRIER)
-        stages = []
-        for s in range(n_pes - 1):
-            # After stage s, this rank's accumulator block (r-2-s) mod N
-            # holds the partial over ranks r-1-s..r; the walk ends with
-            # block r complete at s = N-2.
-            blk = (r - 2 - s) % n_pes
-            cnt = counts[blk]
-            steps: list = []
-            if cnt:
-                off = disps[blk] * eb
-                steps.append(Get("l", off, "a", off, cnt, 1, left))
-                steps.append(Reduce("a", off, "l", off, cnt, 1, cnt))
-            stages.append(closed_stage(s, steps))
-        epilogue: tuple = ()
-        if counts[r]:
-            epilogue = (Copy("dest", 0, "a", disps[r] * eb, counts[r], 1,
-                             skip_noop=False),)
-        programs.append(RankProgram(r, prologue, tuple(stages), epilogue))
-    return Schedule(
-        collective="reduce_scatter", algorithm="ring", n_pes=n_pes,
-        itemsize=eb, op=op,
-        buffers=_rs_buffers(n_pes, counts, extent, eb),
-        programs=tuple(programs),
-        deliver=_rs_deliver(n_pes, counts, eb),
-    )
-
-
-def _coalesce_blocks(blocks, counts, disps) -> list:
-    """Merge disp-adjacent blocks into element ranges ``[lo, hi)``.
-
-    ``blocks`` walks ring-consecutive ranks in descending order, so with
-    the usual packed displacements the whole grab collapses into one or
-    two (at the N-wrap) contiguous gets.
-    """
-    runs: list = []
-    for d in blocks:
-        if counts[d] == 0:
-            continue
-        lo, hi = disps[d], disps[d] + counts[d]
-        if runs and runs[-1][0] == hi:    # extends the last run downward
-            runs[-1][0] = lo
-        elif runs and runs[-1][1] == lo:  # extends it upward
-            runs[-1][1] = hi
-        else:
-            runs.append([lo, hi])
-    return runs
+    ranks = np.arange(n_pes)[:, None]
+    steps = np.arange(n_pes - 1)
+    blk = (ranks - 2 - steps) % n_pes
+    count = np.array(counts)[blk]
+    rows = _loaded(n_pes, counts, disps)
+    _pull_and_fold(rows, ranks, steps + 1, steps + 1, np.array(disps)[blk],
+                   count, 1, itemsize, (ranks - 1) % n_pes, _L,
+                   where=count > 0)
+    return _rs_schedule("ring", n_pes, counts, disps, itemsize, op, rows,
+                        skeleton(1, ((s, ()) for s in range(n_pes - 1)), 0))
 
 
 @lru_cache(maxsize=256)
 def _compile_pat_rs(n_pes: int, counts: tuple[int, ...],
                     disps: tuple[int, ...], nelems: int, itemsize: int,
                     op: str, segments: int) -> Schedule:
-    """Parallel aggregated trees: the dissemination dual, pipelined."""
+    """Parallel aggregated trees: the dissemination dual, pipelined.
+
+    Group ``g`` is the ``g``-th step of the allgather ladder reversed —
+    the window of blocks each rank still accumulates shrinks from N
+    down to 1 (its own block): at width ``w`` rank ``r`` pulls blocks
+    ``r, r-1, …, r-grab+1`` from ``(r+w) mod N``'s accumulator and
+    folds them.  Unsegmented, ring-adjacent blocks coalesce into one
+    get and fold per run; segmented, segment ``k`` of every block is
+    cut so that it reads exactly the bytes segment ``k`` of the
+    previous (larger-width) step finished folding — the per-block
+    pipeline hazard contract the linter verifies."""
     if n_pes == 1 or nelems == 0:
         return _rs_degenerate(n_pes, counts, disps, nelems, itemsize, op,
                               "pat")
-    eb = itemsize
-    extent = _rs_extent(counts, disps)
     S = max(1, min(segments, max(counts)))
-    # The allgather ladder reversed: the window of blocks each rank
-    # still accumulates shrinks from N down to 1 (its own block).
-    steps_desc = tuple(reversed(pat_width_steps(n_pes)))
-    n_groups = len(steps_desc)
-    programs = []
-    for r in range(n_pes):
-        prologue = (Copy("a", 0, "src", 0, extent, 1, skip_noop=False),
-                    BARRIER)
-        groups = [[()] * S for _ in range(n_groups)]
-        for g, (w, grab) in enumerate(steps_desc):
-            peer = (r + w) % n_pes
-            blocks = [(r - o) % n_pes for o in range(grab)]
+    ladder = pat_width_steps(n_pes)[::-1]
+    count, disp = np.array(counts), np.array(disps)
+    ranks = np.arange(n_pes)
+    rows = _loaded(n_pes, counts, disps)
+    for t in range(len(ladder) + S - 1):
+        for g in range(max(0, t - S + 1), min(t, len(ladder) - 1) + 1):
+            w, grab = ladder[g]
+            blocks = (ranks[:, None] - np.arange(grab)) % n_pes
             if S == 1:
-                steps: list = []
-                for lo, hi in _coalesce_blocks(blocks, counts, disps):
-                    off, cnt = lo * eb, hi - lo
-                    steps.append(Get("l", off, "a", off, cnt, 1, peer))
-                    steps.append(Reduce("a", off, "l", off, cnt, 1, cnt))
-                groups[g][0] = tuple(steps)
+                rank, lo, hi = coalesce_runs(disp[blocks],
+                                             (disp + count)[blocks])
+                _pull_and_fold(rows, rank, 1 + t, 1 + t, lo, hi - lo, 1,
+                               itemsize, (rank + w) % n_pes, _L, group=g)
                 continue
-            # Segmented: cut within each block so that segment k of this
-            # step reads exactly the bytes segment k of the previous
-            # (larger-width) step finished folding — the per-block
-            # pipeline hazard contract the linter verifies.
-            for k in range(S):
-                steps = []
-                for d in blocks:
-                    e_lo, e_hi = segment_bounds(counts[d], S, k)
-                    if e_hi == e_lo:
-                        continue
-                    off = (disps[d] + e_lo) * eb
-                    cnt = e_hi - e_lo
-                    steps.append(Get("l", off, "a", off, cnt, 1, peer))
-                    steps.append(Reduce("a", off, "l", off, cnt, 1, cnt))
-                groups[g][k] = tuple(steps)
-        pipe = Pipeline(0, S, tuple(tuple(g) for g in groups),
-                        attrs=(("phase", "pat-reduce"),))
-        epilogue: tuple = ()
-        if counts[r]:
-            epilogue = (Copy("dest", 0, "a", disps[r] * eb, counts[r], 1,
-                             skip_noop=False),)
-        programs.append(RankProgram(r, prologue, (pipe,), epilogue))
-    return Schedule(
-        collective="reduce_scatter", algorithm="pat", n_pes=n_pes,
-        itemsize=eb, op=op,
-        buffers=_rs_buffers(n_pes, counts, extent, eb),
-        programs=tuple(programs),
-        deliver=_rs_deliver(n_pes, counts, eb),
-    )
+            e_lo = count[blocks] * (t - g) // S
+            e_hi = count[blocks] * (t - g + 1) // S
+            _pull_and_fold(rows, ranks[:, None], 1 + t, 1 + t,
+                           disp[blocks] + e_lo, e_hi - e_lo, 1, itemsize,
+                           (ranks[:, None] + w) % n_pes, _L,
+                           where=e_hi > e_lo, group=g)
+    return _rs_schedule(
+        "pat", n_pes, counts, disps, itemsize, op, rows,
+        pipeline_skeleton(1, S, len(ladder), (("phase", "pat-reduce"),), 0))

@@ -18,8 +18,10 @@ Two complications the paper works through:
   exactly one contiguous ``put``.
 
 The tree walk itself (stage order, partner selection, barrier per
-stage) is identical to broadcast's recursive halving and comes from the
-same :func:`~repro.collectives.binomial.tree_stages` oracle.
+stage) is identical to broadcast's recursive halving — the pairings of
+:func:`~repro.collectives.binomial.tree_stages`, written as index
+arithmetic over whole stages of virtual ranks, so the compiler emits
+the schedule's step-table rows directly.
 """
 
 from __future__ import annotations
@@ -30,19 +32,18 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..errors import CollectiveArgumentError
-from .binomial import n_stages, tree_stages
+from .binomial import n_stages
 from .common import call_attrs, resolve_group, validate_root
 from .schedule.executor import PreparedCollective
 from .schedule.ir import (
-    BARRIER,
+    AUX_PLACE,
+    OP_COPY,
+    OP_PUT,
     Buffer,
-    Copy,
-    Put,
-    RankProgram,
+    Rows,
     Schedule,
-    closed_stage,
+    skeleton,
 )
-from .virtual_rank import logical_rank, virtual_rank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
@@ -56,16 +57,16 @@ def adjusted_displacements(
 ) -> list[int]:
     """``adj_disp``: element offset of each *virtual* rank's segment in
     the virtual-rank-ordered buffer (one extra entry = total count)."""
-    n_pes = len(pe_msgs)
-    adj = [0] * (n_pes + 1)
-    for vir in range(n_pes):
-        log = (vir + root) % n_pes
-        adj[vir + 1] = adj[vir] + pe_msgs[log]
-    return adj
+    return np.concatenate(
+        ([0], np.cumsum(np.roll(np.asarray(pe_msgs, dtype=np.int64),
+                                -root)))).tolist()
 
 
 def _validate(pe_msgs: Sequence[int], pe_disp: Sequence[int], nelems: int,
-              n_pes: int, what: str) -> None:
+              n_pes: int, what: str, *, disjoint: bool = False) -> None:
+    """Check the per-PE counts and displacements; ``disjoint`` also
+    rejects two non-empty blocks that overlap (a collective that writes
+    every block into one buffer would race on the shared bytes)."""
     if len(pe_msgs) != n_pes or len(pe_disp) != n_pes:
         raise CollectiveArgumentError(
             f"{what}: pe_msgs/pe_disp must have one entry per PE "
@@ -80,6 +81,14 @@ def _validate(pe_msgs: Sequence[int], pe_disp: Sequence[int], nelems: int,
         raise CollectiveArgumentError(
             f"{what}: sum(pe_msgs)={total} does not match nelems={nelems}"
         )
+    if disjoint:
+        blocks = sorted((d, d + m, pe) for pe, (m, d)
+                        in enumerate(zip(pe_msgs, pe_disp)) if m)
+        for (_, end, a), (lo, _, b) in zip(blocks, blocks[1:]):
+            if lo < end:
+                raise CollectiveArgumentError(
+                    f"{what}: the blocks of PEs {min(a, b)} and "
+                    f"{max(a, b)} overlap (pe_disp/pe_msgs)")
 
 
 def scatter(
@@ -142,79 +151,68 @@ def _io_buffers(n_pes: int, root: int, counts: tuple[int, ...],
     return (flat, rooted) if root_side == "src" else (rooted, flat)
 
 
+#: Buffer indices of every scatter and gather schedule (``_io_buffers``
+#: order, then the scratch).
+_DEST, _SRC, _S = range(3)
+
+
+def _one_block(collective: str, n_pes: int, root: int, buffers: tuple,
+               nelems: int, itemsize: int, dst_off: int, src_off: int,
+               count: int, deliver: tuple) -> Schedule:
+    """No elements, or one PE: rank 0 copies its block (when there is
+    one) and every rank joins one barrier."""
+    rows = Rows()
+    if nelems:
+        rows.add(0, 0, 0, OP_COPY, (_DEST, dst_off), (_SRC, src_off), count,
+                 aux=AUX_PLACE, where=count > 0)
+    return Schedule.from_rows(
+        collective, "binomial", n_pes, itemsize, rows, (skeleton(1, (), 0),),
+        root=root, buffers=buffers, deliver=deliver if nelems else ())
+
+
 @lru_cache(maxsize=256)
 def compile_scatter(n_pes: int, root: int, counts: tuple[int, ...],
                     disps: tuple[int, ...], nelems: int,
                     itemsize: int) -> Schedule:
-    """Compile one scatter call shape into a schedule (pure, cached)."""
+    """Compile one scatter call shape into a schedule (pure, cached).
+
+    The root first copies ``src`` into the shared ``s`` in virtual-rank
+    order (``adj_disp``), so stage ``o`` — the tree bit ``i = k-1-o``
+    broadcast halves — is one contiguous put per sender ``vir`` of the
+    partner ``vir + 2**i``'s segment and those of its children; every
+    rank finally copies its own segment out of ``s``."""
     eb = itemsize
-    dest_buf, src_buf = _io_buffers(n_pes, root, counts, disps, eb, "src")
+    buffers = _io_buffers(n_pes, root, counts, disps, eb, "src")
     deliver = tuple((r, "dest", 0, counts[r] * eb) for r in range(n_pes)
                     if counts[r])
-    if nelems == 0:
-        return Schedule(
-            collective="scatter", algorithm="binomial", n_pes=n_pes,
-            itemsize=eb, root=root, buffers=(dest_buf, src_buf),
-            programs=tuple(RankProgram(r, (BARRIER,))
-                           for r in range(n_pes)),
-        )
-    if n_pes == 1:
-        steps: list = []
-        if counts[0]:
-            steps.append(Copy("dest", 0, "src", disps[0] * eb, counts[0], 1,
-                              skip_noop=False))
-        steps.append(BARRIER)
-        return Schedule(
-            collective="scatter", algorithm="binomial", n_pes=n_pes,
-            itemsize=eb, root=root, buffers=(dest_buf, src_buf),
-            programs=(RankProgram(0, tuple(steps)),), deliver=deliver,
-        )
-    adj = adjusted_displacements(counts, root)
+    if nelems == 0 or n_pes == 1:
+        return _one_block("scatter", n_pes, root, buffers, nelems, eb, 0,
+                          disps[0] * eb, counts[0], deliver)
+    count = np.array(counts)
+    adj = np.array(adjusted_displacements(counts, root))
     k = n_stages(n_pes)
-    # Index each stage's pairs by sender so the per-rank loop below is
-    # O(log N) per rank instead of rescanning all N-1 tree edges.
-    stage_targets: list[dict[int, list[int]]] = []
-    for pairs in tree_stages(n_pes, "halving"):
-        by_sender: dict[int, list[int]] = {}
-        for frm, to in pairs:
-            by_sender.setdefault(frm, []).append(to)
-        stage_targets.append(by_sender)
-    programs = []
-    for r in range(n_pes):
-        vir = virtual_rank(r, root, n_pes)
-        prologue: list = []
-        if vir == 0:
-            # Reorder src by virtual rank so every subtree is contiguous.
-            for v in range(n_pes):
-                log = logical_rank(v, root, n_pes)
-                cnt = counts[log]
-                if cnt:
-                    prologue.append(Copy("s", adj[v] * eb, "src",
-                                         disps[log] * eb, cnt, 1,
-                                         skip_noop=False))
-        stages = []
-        for ordinal, by_sender in enumerate(stage_targets):
-            i = k - 1 - ordinal  # the tree bit this stage halves over
-            steps = []
-            for to in by_sender.get(vir, ()):
-                # The partner's segment plus those of its children.
-                end = min(to + (1 << i), n_pes)
-                msg_size = adj[end] - adj[to]
-                if msg_size:
-                    steps.append(Put("s", adj[to] * eb, "s",
-                                     adj[to] * eb, msg_size, 1,
-                                     logical_rank(to, root, n_pes)))
-            stages.append(closed_stage(ordinal, steps))
-        epilogue: tuple = ()
-        if counts[r]:
-            epilogue = (Copy("dest", 0, "s", adj[vir] * eb, counts[r], 1,
-                             skip_noop=False),)
-        programs.append(RankProgram(r, tuple(prologue), tuple(stages),
-                                    epilogue))
-    return Schedule(
-        collective="scatter", algorithm="binomial", n_pes=n_pes,
-        itemsize=eb, root=root,
-        buffers=(dest_buf, src_buf,
-                 Buffer("s", "scratch", nelems * eb, symmetric=True)),
-        programs=tuple(programs), deliver=deliver,
-    )
+    rows = Rows()
+    # Reorder src by virtual rank (virtual rank v is logical rank
+    # (v + root) mod N) so every subtree is contiguous.
+    ranks = np.arange(n_pes)
+    log = (ranks + root) % n_pes
+    rows.add(root, 0, 0, OP_COPY, (_S, adj[:-1] * eb),
+             (_SRC, np.array(disps)[log] * eb), count[log], aux=AUX_PLACE,
+             where=count[log] > 0)
+    for o in range(k):
+        bit = 1 << (k - 1 - o)
+        to = np.arange(bit, n_pes, 2 * bit)
+        # The partner's segment plus those of its children.
+        size = adj[np.minimum(to + bit, n_pes)] - adj[to]
+        rows.add((to - bit + root) % n_pes, o + 1, o, OP_PUT,
+                 (_S, adj[to] * eb), (_S, adj[to] * eb), size,
+                 peer=(to + root) % n_pes, where=size > 0)
+    rows.add(ranks, k + 1, k, OP_COPY, (_DEST, 0),
+             (_S, adj[(ranks - root) % n_pes] * eb), count, aux=AUX_PLACE,
+             where=count > 0)
+    return Schedule.from_rows(
+        "scatter", "binomial", n_pes, eb, rows,
+        (skeleton(0, ((o, ()) for o in range(k)), 0),), root=root,
+        buffers=buffers + (Buffer("s", "scratch", nelems * eb,
+                                  symmetric=True),),
+        deliver=deliver)

@@ -3,13 +3,16 @@
 Compiles every ``(collective, algorithm)`` pair in the registry across
 1–16 PEs (degenerate, uniform and ragged call shapes) and runs the
 static linter over each schedule.  Exits non-zero if any schedule has a
-lint issue — CI runs this as the ``schedule-lint`` job.
+lint issue — CI runs this as the ``schedule-lint`` job.  The summary
+line also reports the run's wall seconds and peak resident set size.
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
+import time
 
 from .lint import lint_fused_schedule, lint_schedule
 from .registry import builtin_schedules
@@ -28,6 +31,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="print every schedule checked, not just totals")
     args = parser.parse_args(argv)
 
+    start = time.perf_counter()
     checked = 0
     failures = 0
     for label, sched in builtin_schedules(
@@ -45,8 +49,11 @@ def main(argv: list[str] | None = None) -> int:
         elif args.verbose:
             print(f"ok   {label}")
     status = "FAILED" if failures else "clean"
+    # ru_maxrss is in KiB on Linux.
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"schedule-lint: {checked} schedules checked, "
-          f"{failures} with issues ({status})")
+          f"{failures} with issues ({status}) in "
+          f"{time.perf_counter() - start:.1f} s, peak RSS {peak_mb:.0f} MiB")
     return 1 if failures else 0
 
 

@@ -135,10 +135,13 @@ def fuse_schedules(scheds: tuple) -> Schedule:
     # run back to back: a ``source`` ``(i, j)`` prefixes a section's
     # attrs with those of input ``i``'s section ``j`` (less its pipeline
     # tags).  ``into[i][j]``: the fused section input i's section j is in.
+    # ``pipes``: the source of each fused pipeline block's own attrs —
+    # ``(i, b)``, input i's b-th block, for one run back to back.
     out = [(Section("prologue", -1, (), max(st[0] for st in structures)),
             None)]
     into = [[0] for _ in scheds]
     signature = []
+    pipes = []
     idx = 0
     for slot in range(max(len(st[1]) for st in structures)):
         members = [i for i, st in enumerate(structures)
@@ -158,6 +161,10 @@ def fuse_schedules(scheds: tuple) -> Schedule:
                     into[i].append(len(out) - 1)
             signature.append(
                 idx if kind == "stage" else ("pipeline", idx, *geometry))
+            if kind == "pipe":
+                pipes.append(None if merged else (group[0], sum(
+                    shape[0] == "pipe"
+                    for shape, _ in structures[group[0]][1][:slot])))
             idx += width
     out.append((Section("epilogue", -1, (), max(st[2] for st in structures)),
                 None))
@@ -168,7 +175,9 @@ def fuse_schedules(scheds: tuple) -> Schedule:
 
     # Rows: each input's land in its fused sections, a chunk keeping its
     # place among the section's barriers (a prologue or epilogue tail
-    # after the last shared one); within a fused phase, input by input.
+    # after the last shared one); within a fused phase, input by input —
+    # so a merged pipeline round is not in group order, and its rows
+    # name no group (the tree view reads the round as its stage).
     names = [f"r{i}:{buf.name}" for i, s in enumerate(scheds)
              for buf in s.buffers]
     parts = []
@@ -185,7 +194,8 @@ def fuse_schedules(scheds: tuple) -> Schedule:
             np.full(len(table), i), table.rank, sec, out_base[sec]
             + np.where(chunk < bars[table.section], chunk, out_bars[sec]),
             table.op, bufs[table.a_buf], table.a_off, bufs[table.b_buf],
-            table.b_off, table.nelems, table.stride, table.peer, table.aux))
+            table.b_off, table.nelems, table.stride, table.peer, table.aux,
+            np.full(len(table), -1)))
     cols = [np.concatenate(col) for col in zip(*parts)]
     order = np.lexsort((cols[0], cols[3], cols[2], cols[1]))
 
@@ -203,7 +213,10 @@ def fuse_schedules(scheds: tuple) -> Schedule:
                 sec = sec._replace(attrs=(
                     own[:-3] if sec.pipeline >= 0 else own) + sec.attrs)
             sections.append(sec)
-        skeletons.append(Skeleton(tuple(sections), tuple(signature)))
+        skeletons.append(Skeleton(tuple(sections), tuple(signature), tuple(
+            () if src is None
+            else tables[src[0]].skeletons[combo[src[0]]].pipelines[src[1]]
+            for src in pipes)))
     return Schedule.from_rows(
         "superstep", "fused", n_pes, itemsize,
         {name: col[order] for name, col in zip(Rows.FIELDS, cols[1:])},

@@ -10,17 +10,16 @@ Its canonical form is :attr:`Schedule.table`, a :class:`StepTable`: one
 ``int64`` row per non-barrier step plus a record of each rank's barrier
 structure (its :class:`Skeleton` of prologue, stage and epilogue
 :class:`Section`\\ s).  The evaluator, the linter and the executor's
-``FlatPlan`` read nothing else.  The regular compilers — binomial,
-linear and ring broadcast, binomial and linear reduce, doubling,
-Rabenseifner and ring allreduce — emit it directly as numpy columns
-(:class:`Rows`, :meth:`Schedule.from_rows`), and so do the three
-rewrites of a schedule, the mailbox lowering, widening and fusion,
-which read their input's table and never its tree.  The tree of frozen
-dataclasses (:attr:`Schedule.programs`) of such a schedule is a lazy
-view rebuilt from the rows the first time ``repr`` asks for it.  Every
-other compiler, and any hand-built schedule, still writes the tree; one
-walk of it (:meth:`StepTable.of_tree`) produces the same table and
-record (see "Schedule lowering" in ``DESIGN.md``).
+``FlatPlan`` read nothing else.  Every compiler emits it directly as
+numpy columns (:class:`Rows`, :meth:`Schedule.from_rows`), a step of a
+:class:`Pipeline` block with its group, and so do the three rewrites of
+a schedule, the mailbox lowering, widening and fusion, which read their
+input's table and never its tree.  The tree of frozen dataclasses
+(:attr:`Schedule.programs`) of such a schedule is a lazy view rebuilt
+from the rows the first time ``repr`` asks for it.  A schedule built by
+hand may still be written as the tree; one walk of it
+(:meth:`StepTable.of_tree`) produces the same table and record (see
+"Schedule lowering" in ``DESIGN.md``).
 
 Addressing is symbolic: steps name buffers (see :class:`Buffer`) plus a
 **byte** offset; the executor binds names to concrete addresses (user
@@ -58,7 +57,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple, Union
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -84,21 +84,9 @@ __all__ = [
     "Rows",
     "skeleton",
     "barrier_stage",
-    "closed_stage",
+    "pipeline_skeleton",
     "step_span_bytes",
-    "segment_bounds",
 ]
-
-
-def segment_bounds(nelems: int, segments: int, k: int) -> tuple[int, int]:
-    """Element bounds ``[lo, hi)`` of segment ``k`` of ``segments``.
-
-    The same balanced integer split every compiler uses for payload
-    segmentation (mirroring the ``nelems*i//n_pes`` ring/Rabenseifner
-    bounds), so pipelined producers and consumers agree on byte ranges
-    by construction.
-    """
-    return nelems * k // segments, nelems * (k + 1) // segments
 
 
 def step_span_bytes(nelems: int, stride: int, itemsize: int) -> int:
@@ -273,18 +261,16 @@ def barrier_stage(index: int, attrs: tuple = ()) -> Stage:
 
     What a rank with nothing to do in a stage carries — most of a large
     tree (a 4096-PE binomial broadcast has 45 000 of them in 49 152
-    stages), so compilers take the one frozen node per ``(index,
+    stages), so the tree view takes the one frozen node per ``(index,
     attrs)`` from here instead of building an equal one per rank.
     """
     return Stage(index, (BARRIER,), attrs)
 
 
-def closed_stage(index: int, steps, attrs: tuple = ()) -> Stage:
-    """The stage that runs ``steps`` and then the stage-closing barrier
-    — :func:`barrier_stage`'s shared node when there are none."""
-    if not steps:
-        return barrier_stage(index, attrs)
-    return Stage(index, (*steps, BARRIER), attrs)
+def _round_attrs(attrs: tuple, index: int, t: int, segments: int) -> tuple:
+    """The span attrs of round ``t`` of the :class:`Pipeline` block at
+    ``index``: the block's own, then its pipeline tags."""
+    return attrs + (("pipeline", index), ("round", t), ("segments", segments))
 
 
 @dataclass(frozen=True)
@@ -306,7 +292,9 @@ class Pipeline:
     appends exactly one team barrier per round.  Lowered stages are
     tagged ``("pipeline", index)``, ``("round", t)`` and
     ``("segments", S)`` on top of ``attrs`` so metrics and the span
-    tree can fold per-round message counts like any other stage.
+    tree can fold per-round message counts like any other stage.  In
+    the step table each round is one section and each of its rows
+    records its group.
     """
 
     index: int
@@ -318,25 +306,21 @@ class Pipeline:
     def rounds(self) -> int:
         return len(self.groups) + self.segments - 1 if self.groups else 0
 
+    def round_groups(self, t: int) -> list:
+        """Round ``t``'s ``(group, steps)`` pairs, in group order."""
+        return [(g, self.groups[g][t - g])
+                for g in range(max(0, t - self.segments + 1),
+                               min(t, len(self.groups) - 1) + 1)]
+
     def lower(self) -> tuple:
         """The equivalent barrier-separated :class:`Stage` tuple."""
-        return _lower_pipeline(self)
-
-
-@lru_cache(maxsize=4096)
-def _lower_pipeline(pipe: Pipeline) -> tuple:
-    n_groups = len(pipe.groups)
-    stages = []
-    for t in range(pipe.rounds):
-        steps: list = []
-        for g in range(max(0, t - pipe.segments + 1),
-                       min(t, n_groups - 1) + 1):
-            steps.extend(pipe.groups[g][t - g])
-        stages.append(closed_stage(
-            pipe.index + t, steps,
-            pipe.attrs + (("pipeline", pipe.index), ("round", t),
-                          ("segments", pipe.segments))))
-    return tuple(stages)
+        stages = []
+        for t in range(self.rounds):
+            steps = [s for _, run in self.round_groups(t) for s in run]
+            attrs = _round_attrs(self.attrs, self.index, t, self.segments)
+            stages.append(Stage(self.index + t, (*steps, BARRIER), attrs)
+                          if steps else barrier_stage(self.index + t, attrs))
+        return tuple(stages)
 
 
 # Step-table opcodes, numbered in kind-name order: the evaluator runs the
@@ -346,8 +330,9 @@ OP_COPY, OP_FILL, OP_GET, OP_PUT, OP_RECV, OP_REDUCE, OP_SEND = range(1, 8)
 OP_NAMES = ("?", "copy", "fill", "get", "put", "recv", "reduce", "send")
 
 #: ``aux`` of a copy row, ``2 * charged + skip_noop``: a :class:`Copy`
-#: with its defaults, and one with ``charged=False``.
-AUX_COPY, AUX_MOVE = 3, 1
+#: with its defaults, one with ``charged=False`` and one with
+#: ``skip_noop=False`` (how the vector collectives place their blocks).
+AUX_COPY, AUX_MOVE, AUX_PLACE = 3, 1, 2
 
 
 class Section(NamedTuple):
@@ -366,10 +351,12 @@ class Skeleton(NamedTuple):
     """A rank's barrier structure: its sections in program order, and
     the per-slot stage signature the linter's deadlock pass compares
     across ranks — a stage's index, or ``("pipeline", index, segments,
-    groups)`` for a :class:`Pipeline` block."""
+    groups)`` for a :class:`Pipeline` block — with each such block's
+    own span attrs (a block of no groups has no round to carry them)."""
 
     sections: tuple
     signature: tuple
+    pipelines: tuple = ()
 
     @property
     def n_barriers(self) -> int:
@@ -387,6 +374,21 @@ def skeleton(prologue: int, stages, epilogue: int) -> Skeleton:
         tuple(sec.index for sec in stages))
 
 
+def pipeline_skeleton(prologue: int, segments: int, n_groups: int,
+                      attrs: tuple, epilogue: int) -> Skeleton:
+    """The skeleton of a program whose one stage is a :class:`Pipeline`
+    block at index 0 of ``n_groups`` groups over ``segments`` segments:
+    one single-barrier section per round, between ``prologue`` and
+    ``epilogue`` barrier counts."""
+    rounds = n_groups + segments - 1 if n_groups else 0
+    return Skeleton(
+        (Section("prologue", -1, (), prologue),
+         *(Section("stage", t, _round_attrs(attrs, 0, t, segments), 1, 0, t)
+           for t in range(rounds)),
+         Section("epilogue", -1, (), epilogue)),
+        (("pipeline", 0, segments, n_groups),), (attrs,))
+
+
 class Rows:
     """Step-table rows as a compiler emits them, in blocks.
 
@@ -399,19 +401,21 @@ class Rows:
     """
 
     FIELDS = ("rank", "section", "phase", "op", "a_buf", "a_off", "b_buf",
-              "b_off", "nelems", "stride", "peer", "aux")
+              "b_off", "nelems", "stride", "peer", "aux", "group")
 
     def __init__(self):
         self._blocks: list = []
 
     def add(self, rank, section, phase, op, a=(-1, 0), b=(-1, 0),
-            nelems=0, stride=1, peer=None, aux=0, where=None) -> None:
+            nelems=0, stride=1, peer=None, aux=0, where=None,
+            group=-1) -> None:
         """Rows of ``op`` run by ``rank`` in section ``section`` (its
         position in the rank's :class:`Skeleton`) after ``phase``
-        barriers; ``a`` and ``b`` are ``(buffer index, byte offset)``
-        and ``peer`` defaults to the rank itself (a local step)."""
+        barriers; ``a`` and ``b`` are ``(buffer index, byte offset)``,
+        ``peer`` defaults to the rank itself (a local step) and
+        ``group`` is the :class:`Pipeline` group of a round's step."""
         values = (rank, section, phase, op, *a, *b, nelems, stride,
-                  rank if peer is None else peer, aux)
+                  rank if peer is None else peer, aux, group)
         shapes = [np.shape(v) for v in values]
         if where is not None:
             shapes.append(np.shape(where))
@@ -485,17 +489,41 @@ def _lowers(pipe: Pipeline, rank: int, faults: list) -> bool:
 
 
 def _sections(prog: "RankProgram", rank: int,
-              faults: list) -> Iterator[tuple[Section, tuple]]:
-    """The program's sections (``nbars`` still 0) with their steps."""
-    yield Section("prologue", -1, (), 0), prog.prologue
+              faults: list) -> Iterator[tuple[Section, tuple, Iterable]]:
+    """The program's sections (``nbars`` still 0) with their steps and
+    each step's :class:`Pipeline` group (``-1`` outside one)."""
+    yield Section("prologue", -1, (), 0), prog.prologue, repeat(-1)
     for stage in prog.stages:
         if not isinstance(stage, Pipeline):
-            yield Section("stage", stage.index, stage.attrs, 0), stage.steps
+            yield (Section("stage", stage.index, stage.attrs, 0),
+                   stage.steps, repeat(-1))
         elif _lowers(stage, rank, faults):
-            for t, lowered in enumerate(stage.lower()):
-                yield (Section("stage", lowered.index, lowered.attrs, 0,
-                               stage.index, t), lowered.steps)
-    yield Section("epilogue", -1, (), 0), prog.epilogue
+            for t in range(stage.rounds):
+                runs = stage.round_groups(t)
+                yield (Section("stage", stage.index + t,
+                               _round_attrs(stage.attrs, stage.index, t,
+                                            stage.segments),
+                               0, stage.index, t),
+                       (*(s for _, run in runs for s in run), BARRIER),
+                       [*(g for g, run in runs for _ in run), -1])
+    yield Section("epilogue", -1, (), 0), prog.epilogue, repeat(-1)
+
+
+def _pipeline(entry: tuple, attrs: tuple, block: list, steps: list,
+              group: list) -> "Pipeline | None":
+    """The :class:`Pipeline` node ``block`` — the ``(section, items)``
+    of one block's rounds, as :meth:`StepTable._parts` gives them, each
+    its rows and then its barrier — reads as; ``None`` when a row names
+    no group (a fused round's rows run schedule by schedule)."""
+    _, index, segments, n_groups = entry
+    groups = [[()] * segments for _ in range(n_groups)]
+    for t, (_, items) in enumerate(block):
+        for k in items[:-1]:
+            g = group[k]
+            if g < 0:
+                return None
+            groups[g][t - g] += (steps[k],)
+    return Pipeline(index, segments, tuple(map(tuple, groups)), attrs)
 
 
 class StepTable:
@@ -529,7 +557,10 @@ class StepTable:
         local steps;
     ``aux``
         ``tag`` of a send or recv, ``charge_elems`` of a reduce,
-        ``2 * charged + skip_noop`` of a copy, else 0.
+        ``2 * charged + skip_noop`` of a copy, else 0;
+    ``group``
+        the step's group in its :class:`Pipeline` block (its segment is
+        the round less the group); ``-1`` outside one.
 
     A put writes ``a`` on ``peer`` and a get reads ``b`` on ``peer``;
     every other access is the rank's own.  ``names[i]`` is the buffer
@@ -549,7 +580,7 @@ class StepTable:
     """
 
     COLUMNS = ("rank", "phase", "slot", "op", "a_buf", "a_off", "b_buf",
-               "b_off", "nelems", "stride", "peer", "aux")
+               "b_off", "nelems", "stride", "peer", "aux", "group")
     #: The columns a step is made of, in :meth:`_step`'s argument order.
     _STEP = ("op", "a_buf", "a_off", "b_buf", "b_off", "nelems", "stride",
              "peer", "aux")
@@ -592,10 +623,10 @@ class StepTable:
                 claims.append((r, prog.rank))
             phase = slot = 0
             sections = []
-            for sec, steps in _sections(prog, r, faults):
+            for sec, steps, groups in _sections(prog, r, faults):
                 j = len(sections)
                 nbars = 0
-                for step in steps:
+                for step, g in zip(steps, groups):
                     kind = step.kind
                     if kind == "barrier":
                         phase += 1
@@ -607,39 +638,41 @@ class StepTable:
                              OP_PUT if kind == "put" else OP_GET,
                              index[step.dst], step.dst_off,
                              index[step.src], step.src_off,
-                             step.nelems, step.stride, step.peer, 0, j))
+                             step.nelems, step.stride, step.peer, 0, g, j))
                     elif kind == "copy":
                         row((r, phase, slot, OP_COPY,
                              index[step.dst], step.dst_off,
                              index[step.src], step.src_off,
                              step.nelems, step.stride, r,
-                             2 * step.charged + step.skip_noop, j))
+                             2 * step.charged + step.skip_noop, g, j))
                     elif kind == "reduce":
                         row((r, phase, slot, OP_REDUCE,
                              index[step.acc], step.acc_off,
                              index[step.operand], step.operand_off,
                              step.nelems, step.stride, r, step.charge_elems,
-                             j))
+                             g, j))
                     elif kind == "fill":
                         row((r, phase, slot, OP_FILL,
                              index[step.dst], step.dst_off, -1, 0,
-                             step.nelems, step.stride, r, 0, j))
+                             step.nelems, step.stride, r, 0, g, j))
                     elif kind == "send":
                         row((r, phase, slot, OP_SEND, -1, 0,
                              index[step.src], step.src_off,
                              step.nelems, step.stride, step.peer, step.tag,
-                             j))
+                             g, j))
                     elif kind == "recv":
                         row((r, phase, slot, OP_RECV,
                              index[step.dst], step.dst_off, -1, 0,
                              step.nelems, step.stride, step.peer, step.tag,
-                             j))
+                             g, j))
                     else:
                         unknown.append((len(flat) // width, kind))
-                        row((r, phase, slot, 0, -1, 0, -1, 0, 0, 1, r, 0, j))
+                        row((r, phase, slot, 0, -1, 0, -1, 0, 0, 1, r, 0, g,
+                             j))
                     slot += 1
                 sections.append(sec._replace(nbars=nbars))
-            structure = Skeleton(tuple(sections), _signature(prog))
+            structure = Skeleton(tuple(sections), _signature(prog), tuple(
+                st.attrs for st in prog.stages if isinstance(st, Pipeline)))
             skeleton_of.append(skeletons.setdefault(structure,
                                                     len(skeletons)))
         cols = np.ascontiguousarray(
@@ -717,33 +750,51 @@ class StepTable:
 
     def programs(self) -> tuple:
         """The tree these rows are read as: one :class:`RankProgram` per
-        rank, equal to the one a compiler writing the tree built — but
-        for a :class:`Pipeline` block, which reads as the stages it
-        lowers to (rows do not record a step's group)."""
+        rank, equal to the one a compiler writing the tree would build.
+        A :class:`Pipeline` block reads as its node, rebuilt from each
+        row's group, unless a row of it names none; then it reads as
+        the stages it lowers to."""
         n = len(self.skeleton_of)
         starts = np.searchsorted(self.rank, np.arange(n + 1)).tolist()
         steps = [self._step(*values)
                  for values in zip(*self.rows_of(slice(None)))]
         phase, owner = self.phase.tolist(), self.section.tolist()
+        group = self.group.tolist()
         programs = []
         for r in range(n):
             lo, hi = starts[r], starts[r + 1]
-            prologue = epilogue = ()
-            stages = []
-            for sec, items in self._parts(r, phase[lo:hi], owner[lo:hi]):
-                if sec.kind == "stage" and items == [None]:
-                    stages.append(barrier_stage(sec.index, sec.attrs))
-                    continue
-                body = tuple(BARRIER if k is None else steps[lo + k]
+            mine = steps[lo:hi]
+            parts = self._parts(r, phase[lo:hi], owner[lo:hi])
+
+            def body(items):
+                return tuple(BARRIER if k is None else mine[k]
                              for k in items)
-                if sec.kind == "prologue":
-                    prologue = body
-                elif sec.kind == "epilogue":
-                    epilogue = body
+
+            def stage(sec, items):
+                if items == [None]:
+                    return barrier_stage(sec.index, sec.attrs)
+                return Stage(sec.index, body(items), sec.attrs)
+
+            stages = []
+            at = 1  # parts[0] is the prologue
+            shape = self.skeletons[self.skeleton_of[r]]
+            attrs = iter(shape.pipelines)
+            for entry in shape.signature:
+                if not isinstance(entry, tuple):
+                    stages.append(stage(*parts[at]))
+                    at += 1
+                    continue
+                width = entry[3] + entry[2] - 1 if entry[3] else 0
+                block = parts[at:at + width]
+                pipe = _pipeline(entry, next(attrs), block, mine,
+                                 group[lo:hi])
+                if pipe is None:
+                    stages.extend(stage(*part) for part in block)
                 else:
-                    stages.append(Stage(sec.index, body, sec.attrs))
-            programs.append(RankProgram(r, prologue, tuple(stages),
-                                        epilogue))
+                    stages.append(pipe)
+                at += width
+            programs.append(RankProgram(r, body(parts[0][1]), tuple(stages),
+                                        body(parts[-1][1])))
         return tuple(programs)
 
     def same(self, other: "StepTable") -> bool:

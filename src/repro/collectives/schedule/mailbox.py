@@ -149,7 +149,9 @@ def lower(sched: Schedule) -> Schedule:
             sec.index for sec in sections if sec.kind == "stage")))
     return Schedule.from_rows(
         sched.collective, sched.algorithm + "+mailbox", sched.n_pes,
-        sched.itemsize, dict(zip(Rows.FIELDS, cols[3:])), tuple(skeletons),
+        sched.itemsize,
+        dict(zip(Rows.FIELDS, (*cols[3:], np.full(cols.shape[1], -1)))),
+        tuple(skeletons),
         skeleton_of=skeleton_of, root=sched.root, op=sched.op,
         buffers=sched.buffers, deliver=sched.deliver, names=t.names)
 

@@ -13,7 +13,7 @@ Table 2's example (7 PEs, root 4): logical 4,5,6,0,1,2,3 → virtual
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ..errors import CollectiveArgumentError
 
@@ -22,9 +22,6 @@ __all__ = [
     "logical_rank",
     "rank_table",
     "remap_root",
-    "ring_neighbor",
-    "hillis_steele_partner",
-    "rotated_peers",
 ]
 
 
@@ -62,48 +59,6 @@ def logical_rank(vir_rank: int, root: int, n_pes: int) -> int:
 def rank_table(root: int, n_pes: int) -> list[tuple[int, int]]:
     """The full (log_rank, vir_rank) table — Table 2 for root=4, n_pes=7."""
     return [(lr, virtual_rank(lr, root, n_pes)) for lr in range(n_pes)]
-
-
-def ring_neighbor(rank: int, n_pes: int, offset: int = 1) -> int:
-    """Rank ``offset`` hops around the ring from ``rank`` (mod ``n_pes``).
-
-    ``offset=1`` is the downstream (send-to) neighbour, ``offset=-1``
-    the upstream (receive-from) one — the ring broadcast, ring
-    allreduce and dissemination allgather all derive their peers here
-    instead of re-spelling the mod arithmetic.
-    """
-    if n_pes <= 0:
-        raise CollectiveArgumentError(f"n_pes must be positive, got {n_pes}")
-    if not 0 <= rank < n_pes:
-        raise CollectiveArgumentError(
-            f"rank {rank} out of range [0, {n_pes})"
-        )
-    return (rank + offset) % n_pes
-
-
-def hillis_steele_partner(rank: int, stage: int) -> int | None:
-    """The left partner rank ``rank - 2**stage`` of a Hillis-Steele
-    scan stage, or ``None`` when the rank has no partner (it keeps its
-    running value unchanged that stage)."""
-    if rank < 0 or stage < 0:
-        raise CollectiveArgumentError(
-            f"rank/stage must be non-negative, got {rank}/{stage}"
-        )
-    left = rank - (1 << stage)
-    return left if left >= 0 else None
-
-
-def rotated_peers(rank: int, n_pes: int) -> Iterator[int]:
-    """Every rank, starting at ``rank`` and walking the ring once.
-
-    The all-to-all exchange visits peers in this order so one stage's
-    messages spread across distinct targets instead of all hitting PE 0
-    at once.
-    """
-    if n_pes <= 0:
-        raise CollectiveArgumentError(f"n_pes must be positive, got {n_pes}")
-    for step in range(n_pes):
-        yield (rank + step) % n_pes
 
 
 def remap_root(members: Sequence[int], root: int,

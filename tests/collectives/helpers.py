@@ -13,14 +13,7 @@ from repro.runtime import Machine
 from ..conftest import small_config
 
 __all__ = ["run_machine", "run_broadcast", "run_reduce", "run_scatter",
-           "run_gather", "ring_schedule", "ROW_FAMILIES"]
-
-#: The ``(collective, algorithm)`` pairs whose compilers emit step-table
-#: rows (the tree of their schedules is a view).
-ROW_FAMILIES = (("broadcast", "binomial"), ("broadcast", "linear"),
-                ("broadcast", "ring"), ("reduce", "binomial"),
-                ("reduce", "linear"), ("allreduce", "doubling"),
-                ("allreduce", "rabenseifner"), ("allreduce", "ring"))
+           "run_gather", "ring_schedule"]
 
 
 def ring_schedule(n_pes, barriers=2, rank0_barriers=None):

@@ -133,3 +133,60 @@ class TestAllToAll:
             ctx.close()
 
         run_machine(2, body)
+
+
+class TestOverlappingBlocks:
+    """Two non-empty blocks that share elements race in every algorithm
+    that writes all blocks into one buffer (reduce-scatter would fold
+    the shared elements more than once), so both collectives refuse
+    such a layout, whichever algorithm runs."""
+
+    COUNTS, DISPS = (2, 2, 2, 2), (0, 1, 4, 6)
+
+    @pytest.mark.parametrize("collective,algorithm", [
+        ("reduce_scatter", "ring"), ("reduce_scatter", "pat"),
+        ("reduce_scatter", "auto"), ("allgather", "tree"),
+        ("allgather", "dissemination"), ("allgather", "pat"),
+        ("allgather", "auto"),
+    ])
+    def test_overlapping_blocks_are_refused(self, collective, algorithm):
+        from repro.errors import CollectiveArgumentError
+
+        def body(ctx):
+            ctx.init()
+            src = ctx.malloc(8 * 8)
+            dest = ctx.malloc(8 * 8)
+            ctx.view(src, "long", 8)[:] = np.arange(8) * (ctx.my_pe() + 1)
+            call = getattr(ctx, collective)
+            try:
+                if collective == "reduce_scatter":
+                    call(dest, src, self.COUNTS, self.DISPS, 8, "sum",
+                         "long", algorithm=algorithm)
+                else:
+                    call(dest, src, self.COUNTS, self.DISPS, 8, "long",
+                         algorithm=algorithm)
+            except CollectiveArgumentError as exc:
+                return "overlap" in str(exc)
+            finally:
+                ctx.close()
+            return False
+
+        assert run_machine(4, body) == [True] * 4
+
+    def test_touching_blocks_are_not_overlapping(self):
+        """Adjacent blocks and empty blocks anywhere stay legal."""
+        def body(ctx):
+            ctx.init()
+            me = ctx.my_pe()
+            src = ctx.malloc(8 * 6)
+            dest = ctx.malloc(8 * 6)
+            ctx.view(src, "long", 6)[:] = np.arange(6) * (me + 1)
+            ctx.reduce_scatter(dest, src, (2, 0, 3, 1), (4, 1, 1, 0), 6,
+                               "sum", "long", algorithm="pat")
+            got = list(ctx.view(dest, "long", (2, 0, 3, 1)[me]))
+            ctx.close()
+            return got
+
+        scale = sum(range(1, 5))
+        assert run_machine(4, body) == [[4 * scale, 5 * scale], [],
+                                        [scale, 2 * scale, 3 * scale], [0]]

@@ -7,8 +7,10 @@ per-rank barrier counts and the buffer names) and its mailbox lowering
 them together, so a compiler that emits its step table directly must
 still produce, through its lazily rebuilt tree, exactly the tree the
 tree-building compiler produced.  The digests were generated on commit
-e115b60 (the last one whose compilers built the tree) with nothing but
-the registry's stride-2 shapes added to it.
+e115b60, when most compilers still built the tree, with nothing but
+the registry's stride-2 shapes added to it; every compiler has emitted
+rows since (a ``Pipeline`` block rebuilt from each row's group), and
+not one digest has changed.
 
 To regenerate after an *intended* change to a compiler:
 ``PYTHONPATH=src python tests/collectives/test_schedule_digest.py``.

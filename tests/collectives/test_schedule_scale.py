@@ -12,8 +12,8 @@ per algorithm family:
   quadratic compile path fails loudly instead of slowing every sweep;
 * total step-object counts grow O(N log N), the direct structural
   check for the same regression;
-* the compilers that emit step-table rows stay tree-free on the hot
-  path: lint, evaluation and execution never build their tree.
+* every compiler stays tree-free on the hot path: lint, evaluation and
+  execution never build the tree of a schedule.
 
 Ring, linear, alltoall and dissemination-allgather schedules are
 inherently Θ(N²) total steps (every rank touches every other rank or
@@ -31,16 +31,23 @@ import pytest
 
 from repro.collectives.allreduce import compile_allreduce
 from repro.collectives.broadcast import compile_broadcast
+from repro.collectives.extra import (
+    compile_allgather,
+    compile_allgather_pat,
+    compile_alltoall,
+)
 from repro.collectives.gather import compile_gather
 from repro.collectives.reduce import compile_reduce
+from repro.collectives.reduce_scatter import compile_reduce_scatter
+from repro.collectives.scan import compile_scan
 from repro.collectives.scatter import compile_scatter
 from repro.collectives.schedule.evaluate import evaluate_schedule
 from repro.collectives.schedule.ir import RankProgram
 from repro.collectives.schedule.lint import lint_schedule
+from repro.collectives.schedule.registry import BUILTIN_ALGORITHMS
 from repro.runtime.context import Machine
 
 from ..conftest import small_config
-from .helpers import ROW_FAMILIES
 
 
 def _ragged(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -147,13 +154,32 @@ def test_quadratic_families_lint_clean_at_1k():
 
 def _compile(collective: str, algorithm: str, n_pes: int, root: int,
              nelems: int):
+    """One shape of the pair: ragged blocks with zero-count PEs for the
+    vector collectives, four segments for the pipelined ones."""
+    counts, disps, total = _ragged(n_pes)
     if collective == "broadcast":
         return compile_broadcast(n_pes, root, nelems, 1, 8,
                                  algorithm=algorithm)
     if collective == "reduce":
         return compile_reduce(n_pes, root, nelems, 1, 8, "sum",
                               algorithm=algorithm)
-    return compile_allreduce(n_pes, nelems, 1, 8, "sum", algorithm=algorithm)
+    if collective == "allreduce":
+        return compile_allreduce(n_pes, nelems, 1, 8, "sum",
+                                 algorithm=algorithm, segments=4)
+    if collective == "scan":
+        return compile_scan(n_pes, nelems, 1, 8, "sum", False)
+    if collective == "scatter":
+        return compile_scatter(n_pes, root, counts, disps, total, 8)
+    if collective == "gather":
+        return compile_gather(n_pes, root, counts, disps, total, 8)
+    if collective == "allgather":
+        if algorithm == "pat":
+            return compile_allgather_pat(n_pes, counts, disps, total, 8, 4)
+        return compile_allgather(n_pes, counts, disps, total, 8)
+    if collective == "alltoall":
+        return compile_alltoall(n_pes, nelems, 8)
+    return compile_reduce_scatter(n_pes, counts, disps, total, 8, "sum",
+                                  algorithm=algorithm, segments=4)
 
 
 def _run_once(ctx, collective: str, algorithm: str) -> bool:
@@ -161,34 +187,65 @@ def _run_once(ctx, collective: str, algorithm: str) -> bool:
     right."""
     ctx.init()
     me, n, k, root = ctx.my_pe(), ctx.num_pes(), 5, 1
+    counts, disps, total = _ragged(n)
     i64 = np.dtype(np.int64)
-    src = ctx.malloc(8 * k)
-    dest = ctx.malloc(8 * k)
-    ctx.view(src, i64, k)[:] = np.arange(k) + 10 * me
+    src = ctx.malloc(8 * k * n)
+    dest = ctx.malloc(8 * k * n)
+    ctx.view(src, i64, k * n)[:] = np.arange(k * n) + 100 * me
     ctx.barrier()
+    mine = np.arange(k) + 100 * me
+    block = np.arange(counts[me]) + disps[me]
+    laid = np.concatenate([np.arange(c) + 100 * p
+                           for p, c in enumerate(counts)])
     if collective == "broadcast":
         ctx.broadcast(dest, src, k, 1, root, i64, algorithm=algorithm)
-        want = np.arange(k) + 10 * root
+        want = mine - 100 * (me - root)
     elif collective == "reduce":
         ctx.reduce(dest, src, k, 1, root, "sum", i64, algorithm=algorithm)
-        want = n * np.arange(k) + 10 * sum(range(n)) if me == root else None
+        want = n * np.arange(k) + 100 * sum(range(n)) if me == root else None
+    elif collective == "allreduce":
+        ctx.allreduce(dest, src, k, 1, "sum", i64, algorithm=algorithm,
+                      segments=4)
+        want = n * np.arange(k) + 100 * sum(range(n))
+    elif collective == "scan":
+        ctx.scan(dest, src, k, 1, "sum", i64)
+        want = (me + 1) * np.arange(k) + 100 * sum(range(me + 1))
+    elif collective == "scatter":
+        ctx.scatter(dest, src, counts, disps, total, root, i64)
+        want = block + 100 * root
+    elif collective == "gather":
+        ctx.gather(dest, src, counts, disps, total, root, i64)
+        want = laid if me == root else None
+    elif collective == "allgather":
+        ctx.allgather(dest, src, counts, disps, total, i64,
+                      algorithm=algorithm, segments=4)
+        want = laid
+    elif collective == "alltoall":
+        ctx.alltoall(dest, src, 1, i64)
+        want = me + 100 * np.arange(n)
     else:
-        ctx.allreduce(dest, src, k, 1, "sum", i64, algorithm=algorithm)
-        want = n * np.arange(k) + 10 * sum(range(n))
-    ok = want is None or np.array_equal(ctx.view(dest, i64, k), want)
+        ctx.reduce_scatter(dest, src, counts, disps, total, "sum", i64,
+                           algorithm=algorithm, segments=4)
+        want = n * block + 100 * sum(range(n))
+    ok = want is None or np.array_equal(ctx.view(dest, i64, len(want)),
+                                        want)
     ctx.barrier()
     ctx.close()
     return ok
 
 
-@pytest.mark.parametrize("collective,algorithm", ROW_FAMILIES,
-                         ids=[f"{c}-{a}" for c, a in ROW_FAMILIES])
+#: Every compiled registry pair; the fused superstep has its own gate.
+_COMPILED = [pair for pair in BUILTIN_ALGORITHMS if pair[0] != "superstep"]
+
+
+@pytest.mark.parametrize("collective,algorithm", _COMPILED,
+                         ids=[f"{c}-{a}" for c, a in _COMPILED])
 def test_lint_evaluate_and_execute_build_no_tree(collective, algorithm,
                                                  monkeypatch):
-    """The perf gate with no clock in it: for a compiler that emits
-    step-table rows, linting its schedule, evaluating it twice and
-    running it once on the simulator build no ``RankProgram`` and walk
-    none — the tree stays a view nobody on the hot path asks for."""
+    """The perf gate with no clock in it: for every compiler, linting
+    its schedule, evaluating it twice and running it once on the
+    simulator build no ``RankProgram`` and walk none — the tree stays a
+    view nobody on the hot path asks for."""
     built = walks = 0
     init, walk = RankProgram.__init__, RankProgram.all_steps
 

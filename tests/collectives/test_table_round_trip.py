@@ -1,14 +1,15 @@
-"""The compilers that emit step-table rows agree with their own tree.
+"""Every compiler's step-table rows agree with their own tree.
 
-Binomial, linear and ring broadcast, binomial and linear reduce, and
-doubling, Rabenseifner and ring allreduce write their
-:class:`~repro.collectives.schedule.ir.StepTable` directly; their tree
-of dataclasses is a view rebuilt from those rows.  Walking that tree
-the way a hand-built schedule is walked (``StepTable.of_tree``) must
-give back the same table — every column, every rank's barrier
-skeleton and each row's section — over PE counts, roots, empty, single
-and ragged payloads, strides and element sizes.  Comparing and hashing
-such schedules reads the table and never builds the tree.
+Each compiler writes its :class:`~repro.collectives.schedule.ir.StepTable`
+directly; its tree of dataclasses is a view rebuilt from those rows — a
+:class:`~repro.collectives.schedule.ir.Pipeline` block from each row's
+group.  Walking that tree the way a hand-built schedule is walked
+(``StepTable.of_tree``) must give back the same table — every column,
+the group included, every rank's barrier skeleton and each row's
+section — for every registry pair, over PE counts, roots, empty, single
+and ragged payloads (with a zero-count PE and out-of-order, gapped
+displacements), segment counts, strides and element sizes.  Comparing
+and hashing such schedules reads the table and never builds the tree.
 """
 
 from __future__ import annotations
@@ -21,20 +22,46 @@ from hypothesis import strategies as st
 
 from repro.collectives.allreduce import compile_allreduce
 from repro.collectives.broadcast import compile_broadcast
+from repro.collectives.extra import (
+    compile_allgather,
+    compile_allgather_pat,
+    compile_alltoall,
+)
+from repro.collectives.gather import compile_gather
 from repro.collectives.reduce import compile_reduce
+from repro.collectives.reduce_scatter import compile_reduce_scatter
+from repro.collectives.scan import compile_scan
+from repro.collectives.scatter import compile_scatter
+from repro.collectives.schedule.fuse import compile_widened, fuse_schedules
 from repro.collectives.schedule.ir import StepTable
+from repro.collectives.schedule.registry import BUILTIN_ALGORITHMS
 
-from .helpers import ROW_FAMILIES
+
+@st.composite
+def blocks(draw, n_pes):
+    """Ragged per-PE counts with a zero-count PE, and disjoint
+    displacements laid out in a drawn rank order with gaps."""
+    counts = draw(st.lists(st.integers(0, 4), min_size=n_pes,
+                           max_size=n_pes))
+    counts[draw(st.integers(0, n_pes - 1))] = 0
+    disps = [0] * n_pes
+    off = 0
+    for r in draw(st.permutations(range(n_pes))):
+        off += draw(st.integers(0, 2))
+        disps[r] = off
+        off += counts[r]
+    return tuple(counts), tuple(disps), sum(counts)
 
 
 @st.composite
 def compiled(draw):
-    collective, algorithm = draw(st.sampled_from(ROW_FAMILIES))
+    collective, algorithm = draw(st.sampled_from(BUILTIN_ALGORITHMS))
     n_pes = draw(st.integers(1, 40))
     root = draw(st.integers(0, n_pes - 1))
     nelems = draw(st.sampled_from((0, 1, 7, 13, 2 * n_pes + 3)))
     stride = draw(st.integers(1, 3))
     itemsize = draw(st.sampled_from((1, 8, 16)))
+    segments = draw(st.sampled_from((1, 2, 4)))
     if collective == "broadcast":
         return compile_broadcast(
             n_pes, root, nelems, stride, itemsize, algorithm=algorithm,
@@ -42,8 +69,36 @@ def compiled(draw):
     if collective == "reduce":
         return compile_reduce(n_pes, root, nelems, stride, itemsize, "sum",
                               algorithm=algorithm)
-    return compile_allreduce(n_pes, nelems, stride, itemsize, "sum",
-                             algorithm=algorithm)
+    if collective == "allreduce":
+        return compile_allreduce(n_pes, nelems, stride, itemsize, "sum",
+                                 algorithm=algorithm, segments=segments)
+    if collective == "scan":
+        return compile_scan(n_pes, nelems, stride, itemsize, "sum",
+                            draw(st.booleans()))
+    if collective == "alltoall":
+        return compile_alltoall(n_pes, nelems, itemsize)
+    if collective == "superstep":
+        if draw(st.booleans()):
+            return compile_widened("allreduce", "doubling", n_pes, 0, "sum",
+                                   itemsize, (nelems + 1, 0, 3))
+        return fuse_schedules((
+            compile_broadcast(n_pes, root, nelems, 1, itemsize),
+            compile_reduce(n_pes, 0, nelems + 1, 1, itemsize, "sum"),
+            compile_allreduce(n_pes, nelems, 1, itemsize, "sum")))
+    counts, disps, total = draw(blocks(n_pes))
+    if collective == "scatter":
+        return compile_scatter(n_pes, root, counts, disps, total, itemsize)
+    if collective == "gather":
+        return compile_gather(n_pes, root, counts, disps, total, itemsize)
+    if collective == "allgather":
+        if algorithm == "pat":
+            return compile_allgather_pat(n_pes, counts, disps, total,
+                                         itemsize, segments)
+        return compile_allgather(n_pes, counts, disps, total, itemsize)
+    assert collective == "reduce_scatter", collective
+    return compile_reduce_scatter(n_pes, counts, disps, total, itemsize,
+                                  "sum", algorithm=algorithm,
+                                  segments=segments)
 
 
 @settings(max_examples=300, deadline=None)
