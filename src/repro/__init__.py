@@ -13,7 +13,9 @@ The package simulates the paper's full stack in Python:
   typed one-sided get/put, barrier);
 * :mod:`repro.collectives` — the paper's binomial-tree broadcast,
   reduction, scatter and gather, plus the future-work extensions;
-* :mod:`repro.baselines` — OpenSHMEM-style and MPI-style comparators;
+* :mod:`repro.baselines` — the OpenSHMEM-style comparator (MPI-style
+  collectives are the compiled schedules on ``transport="mailbox"``
+  under ``with_transport("mpi")`` costs);
 * :mod:`repro.bench` — the GUPs and NAS Integer Sort workloads and the
   harness regenerating every table and figure.
 

@@ -1,21 +1,15 @@
-"""Baseline communication stacks the paper compares against.
+"""The OpenSHMEM API surface the paper compares against (section 4.7).
 
-Section 3.1 argues xBGAS one-sided remote load/store beats both MPI-class
-two-sided messaging (socket setup, handshaking, kernel crossings, staging
-copies) and RDMA-class libraries (expensive per-operation calls);
-section 4.7 compares the collective API surface against OpenSHMEM.
-
-* :mod:`~repro.baselines.p2p` — a two-sided send/recv message layer
-  (eager + rendezvous) over the same network model.
-* :mod:`~repro.baselines.mpi` — MPI-style collectives built on p2p
-  (binomial bcast/reduce, recursive-doubling allreduce, scatterv/
-  gatherv), intended to run with ``MachineConfig.with_transport("mpi")``.
 * :mod:`~repro.baselines.shmem` — an OpenSHMEM-1.4-style API surface
   (size-suffixed calls, ``*_to_all`` reductions, collect/fcollect,
-  active-set addressing) for the section 4.7 comparison.
+  active-set addressing) over the library's own collectives.
+
+Section 3.1's other comparator, MPI-class two-sided messaging, needs no
+module of its own: an MPI-style collective is the compiled schedule run
+on ``Machine(config.with_transport("mpi"), transport="mailbox")``, and
+the ``transport`` sweep record's ``two_sided`` table holds the ordering.
 """
 
-from .p2p import MessageLayer, attach_message_layer
-from . import mpi, shmem
+from . import shmem
 
-__all__ = ["MessageLayer", "attach_message_layer", "mpi", "shmem"]
+__all__ = ["shmem"]

@@ -84,15 +84,21 @@ class ShmemAPI:
 
     def barrier(self, pe_start: int, log_pe_stride: int, pe_size: int,
                 psync: object = None) -> None:
-        members = active_set(pe_start, log_pe_stride, pe_size, self.n_pes())
-        self.ctx.barrier_team(members)
+        self.ctx.barrier_team(self._members(pe_start, log_pe_stride, pe_size))
+
+    def _members(self, pe_start: int, log_pe_stride: int,
+                 pe_size: int | None) -> tuple[int, ...]:
+        """The active set; ``pe_size=None`` means every PE (0 is refused)."""
+        n = self.n_pes()
+        return active_set(pe_start, log_pe_stride,
+                          n if pe_size is None else pe_size, n)
 
     # -- broadcast (size-suffixed; root dest NOT updated) ----------------------
 
     def _bcast(self, elem_bytes: int, dest: int, source: int, nelems: int,
                pe_root: int, pe_start: int, log_pe_stride: int,
-               pe_size: int) -> None:
-        members = active_set(pe_start, log_pe_stride, pe_size, self.n_pes())
+               pe_size: int | None) -> None:
+        members = self._members(pe_start, log_pe_stride, pe_size)
         dtype = np.dtype(f"u{elem_bytes}")
         _broadcast.broadcast(
             self.ctx, dest, source, nelems, 1, pe_root, dtype,
@@ -104,14 +110,14 @@ class ShmemAPI:
                     pe_size: int | None = None, psync: object = None) -> None:
         """``shmem_broadcast32``: 4-byte elements."""
         self._bcast(4, dest, source, nelems, pe_root, pe_start,
-                    log_pe_stride, pe_size or self.n_pes())
+                    log_pe_stride, pe_size)
 
     def broadcast64(self, dest: int, source: int, nelems: int, pe_root: int,
                     pe_start: int = 0, log_pe_stride: int = 0,
                     pe_size: int | None = None, psync: object = None) -> None:
         """``shmem_broadcast64``: 8-byte elements."""
         self._bcast(8, dest, source, nelems, pe_root, pe_start,
-                    log_pe_stride, pe_size or self.n_pes())
+                    log_pe_stride, pe_size)
 
     # -- reductions: TYPE_OP_to_all ------------------------------------------------
 
@@ -128,8 +134,7 @@ class ShmemAPI:
             )
         if op not in _REDUCTION_OPS:
             raise CollectiveArgumentError(f"unknown reduction op {op!r}")
-        members = active_set(pe_start, log_pe_stride,
-                             pe_size or self.n_pes(), self.n_pes())
+        members = self._members(pe_start, log_pe_stride, pe_size)
         from ..collectives.allreduce import allreduce as _allreduce
 
         _allreduce(self.ctx, dest, source, nreduce, 1, op,
@@ -156,8 +161,7 @@ class ShmemAPI:
                  pe_start: int = 0, log_pe_stride: int = 0,
                  pe_size: int | None = None, psync: object = None) -> None:
         """``shmem_fcollect{32,64}``: fixed-size concatenation on all PEs."""
-        members = active_set(pe_start, log_pe_stride,
-                             pe_size or self.n_pes(), self.n_pes())
+        members = self._members(pe_start, log_pe_stride, pe_size)
         dtype = np.dtype(f"u{elem_bytes}")
         _extra.fcollect(self.ctx, dest, source, nelems, dtype, group=members)
 
@@ -173,8 +177,7 @@ class ShmemAPI:
         """``shmem_collect{32,64}``: variable-size concatenation on all
         PEs — the per-PE counts are exchanged first (as real
         implementations must)."""
-        members = active_set(pe_start, log_pe_stride,
-                             pe_size or self.n_pes(), self.n_pes())
+        members = self._members(pe_start, log_pe_stride, pe_size)
         ctx = self.ctx
         n = len(members)
         me = members.index(ctx.rank)

@@ -3,10 +3,10 @@
 Importing this module registers them in :mod:`repro.bench.sweeps`:
 ``fig4`` and ``fig5`` (Figures 4 and 5; the harness's shape checks are
 their rules) and the ablations of EXPERIMENTS.md, whose claims are
-their rules — ``transport`` (A2, plus the M1 micro-suite), ``unroll``
-(A3), ``topology`` (A4), ``locality`` (A6), ``amo`` (A7) and
-``allreduce_scan`` (A8).  Ablations time the undilated ``ctx.pe.clock``.
-Rules judge only the points a document holds.
+their rules — ``transport`` (A2 and its two-sided table, plus the M1
+micro-suite), ``unroll`` (A3), ``topology`` (A4), ``locality`` (A6),
+``amo`` (A7) and ``allreduce_scan`` (A8).  Ablations time the undilated
+``ctx.pe.clock``.  Rules judge only the points a document holds.
 """
 
 from __future__ import annotations
@@ -74,11 +74,13 @@ def _config(n_pes: int = 8, **kw) -> MachineConfig:
 
 
 def _timed(config: MachineConfig, op, nbytes: int = 8, *, sync: bool = True,
-           private: bool = True) -> tuple[list[float], Machine]:
-    """Per-PE ns of ``op(ctx, a, b)`` on a fresh machine, and the machine.
-    ``a`` is a symmetric buffer, ``b`` a private one (unless not
-    ``private``); the clock runs from a barrier to after ``op``, and
-    through a closing barrier if ``sync`` (delivered time)."""
+           private: bool = True, transport: str = "onesided"
+           ) -> tuple[list[float], Machine]:
+    """Per-PE ns of ``op(ctx, a, b)`` on a fresh machine (schedules on
+    ``transport``), and the machine.  ``a`` is a symmetric buffer, ``b``
+    a private one (unless not ``private``); the clock runs from a barrier
+    to after ``op``, and through a closing barrier if ``sync`` (delivered
+    time)."""
     def body(ctx):
         ctx.init()
         a = ctx.malloc(nbytes)
@@ -92,7 +94,7 @@ def _timed(config: MachineConfig, op, nbytes: int = 8, *, sync: bool = True,
         ctx.close()
         return dt
 
-    machine = Machine(config)
+    machine = Machine(config, transport=transport)
     return machine.run(body), machine
 
 
@@ -147,6 +149,22 @@ def transport_point(nelems: int) -> dict:
                              for t in TRANSPORTS}}
 
 
+def two_sided_point(collective: str, nelems: int) -> dict:
+    """One compiled collective of ``nelems`` longs, one-sided xBGAS
+    against two-sided MPI: the mailbox transport under MPI costs."""
+    op = (_broadcast(nelems) if collective == "broadcast" else
+          lambda ctx, dest, src: ctx.allreduce(dest, src, nelems, 1))
+
+    def cost(costs, transport):
+        cfg = _config(cores_per_node=1).with_transport(costs)
+        return max(_timed(cfg, op, 8 * nelems, private=False,
+                          transport=transport)[0])
+
+    return {"collective": collective, "nelems": nelems,
+            "xbgas_ns": cost("xbgas", "onesided"),
+            "mpi_ns": cost("mpi", "mailbox")}
+
+
 def micro_point(transport: str) -> dict:
     """The OSB point-to-point suite on two single-core nodes."""
     cfg = _config(2, cores_per_node=1).with_transport(transport)
@@ -161,7 +179,8 @@ def micro_point(transport: str) -> dict:
 
 
 def _transport_rules(doc: dict) -> list[str]:
-    """§3.1: xBGAS < RDMA < MPI everywhere; a get costs more than a put."""
+    """§3.1: xBGAS < RDMA < MPI everywhere, and one-sided xBGAS beats
+    the two-sided collectives; a get costs more than a put."""
     claims = {f"{p['nelems']}-element {kind}: xbgas < rdma < mpi":
               _falling([p[f"{kind}_ns"][t] for t in reversed(TRANSPORTS)])
               for p in doc["points"] for kind in ("put", "broadcast")}
@@ -173,6 +192,9 @@ def _transport_rules(doc: dict) -> list[str]:
         [m["bandwidth_mbps"] for m in micro], strict=False)
     claims["message rate: xbgas > rdma > mpi"] = _falling(
         [m["rate_mops"] for m in micro])
+    claims.update({f"{p['nelems']}-element {p['collective']}: xbgas "
+                   f"one-sided < mpi two-sided": p["xbgas_ns"] < p["mpi_ns"]
+                   for p in doc["two_sided"]})
     return _unmet(claims)
 
 
@@ -431,7 +453,15 @@ SWEEPS.update({s.name: s for s in (
            *((f"{kind} {n} B", f"{kind}_us.{n}", ".3f")
              for kind in ("put", "get") for n in MICRO_SIZES),
            ("256 KiB put MB/s", "bandwidth_mbps", ",.0f"),
-           ("8 B put Mops/s", "rate_mops", ".2f")))),
+           ("8 B put Mops/s", "rate_mops", ".2f"))),
+         ("two_sided", "A2: compiled collective (ns), one-sided xBGAS vs "
+                       "two-sided MPI (mailbox transport), 8 single-core "
+                       "nodes",
+          (Axis("collective", ("broadcast", "allreduce"), None),
+           Axis("nelems", (1, 64, 256, 4096), None)), two_sided_point,
+          (("collective", "collective", ""), ("elems", "nelems", ""),
+           ("xbgas one-sided", "xbgas_ns", _NS),
+           ("mpi two-sided", "mpi_ns", _NS)))),
         _transport_rules, {"nelems": 256},
         micro={"n_pes": 2, "latency_iterations": 16, "bandwidth_window": 8,
                "rate_iterations": 128}),

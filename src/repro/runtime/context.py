@@ -376,4 +376,6 @@ class XBRTime(CollectiveAPI):
     def msg_probe(self, pe: int | None = None) -> bool:
         """Whether a delivered message (optionally from ``pe``) awaits."""
         self._require_active()
+        if pe is not None:
+            self._check_args(0, 1, pe)
         return self.machine.mailbox.probe(self.rank, pe)

@@ -93,6 +93,29 @@ class TestBroadcastSemantics:
         assert results[2] == 55
         assert results[1] == -1 and results[3] == -1
 
+    @pytest.mark.parametrize("call", [
+        lambda sh, dest, src: sh.broadcast64(dest, src, 1, 0, pe_size=0),
+        lambda sh, dest, src: sh.long_sum_to_all(dest, src, 1, pe_size=0),
+        lambda sh, dest, src: sh.fcollect64(dest, src, 1, pe_size=0),
+        lambda sh, dest, src: sh.collect64(dest, src, 1, pe_size=0),
+    ], ids=["broadcast64", "long_sum_to_all", "fcollect64", "collect64"])
+    def test_empty_active_set_rejected(self, call):
+        """``pe_size=0`` is an empty active set, not "every PE"; only an
+        omitted ``pe_size`` means the whole machine."""
+        def body(ctx):
+            ctx.init()
+            src = ctx.malloc(64)
+            dest = ctx.malloc(64)
+            try:
+                call(ShmemAPI(ctx), dest, src)
+                got = "accepted"
+            except CollectiveArgumentError:
+                got = "rejected"
+            ctx.close()
+            return got
+
+        assert run(4, body) == ["rejected"] * 4
+
 
 class TestToAllReductions:
     def test_sum_to_all_via_getattr(self):

@@ -206,6 +206,10 @@ def _slow_xbgas_put(doc):
         p["put_ns"]["xbgas"] = p["put_ns"]["mpi"] + 1
 
 
+def _slow_one_sided_allreduce(doc):
+    doc["two_sided"][-1]["xbgas_ns"] = doc["two_sided"][-1]["mpi_ns"]
+
+
 def _slow_scattered_hierarchy(doc):
     doc["points"][-1]["makespans_ns"]["hierarchical"] = 1e9
 
@@ -219,6 +223,8 @@ def _many_doubling_barriers(doc):
     ("fig4", _set_all("points", "verified", False), "verification failed"),
     ("fig5", _raise_8pe_per_pe, "8-PE per-PE drop only"),
     ("transport", _slow_xbgas_put, "put: xbgas < rdma < mpi"),
+    ("transport", _slow_one_sided_allreduce,
+     "4096-element allreduce: xbgas one-sided < mpi two-sided"),
     ("unroll", _set_all("points", "isa_instructions", 1),
      "fewer instructions than rolled"),
     ("topology", _set_all("halving", "inter_node_edges", 5),
@@ -228,7 +234,7 @@ def _many_doubling_barriers(doc):
     ("amo", _set_all("points", "errors", 5), "verifies with 0 errors"),
     ("allreduce_scan", _many_doubling_barriers,
      "doubling barriers < composed"),
-], ids=PAPER)
+], ids=[*PAPER[:3], "transport-two_sided", *PAPER[3:]])
 def test_paper_claim_breach_fails(name, breach, message):
     """Each record's rules hold the claim its section makes."""
     doc = committed(name)

@@ -24,7 +24,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MailboxBackpressureError, MailboxProtocolError
+from repro.errors import (
+    CollectiveArgumentError,
+    MailboxBackpressureError,
+    MailboxProtocolError,
+)
 from repro.faults import FaultPlan, RetryConfig, drop
 from repro.params import MailboxParams
 from repro.runtime.context import Machine
@@ -298,6 +302,22 @@ class TestProtocol:
         results = Machine(small_config(2)).run(prog)
         assert results[0] is False
         assert results[1] == (True, False)
+
+    def test_probe_rejects_unknown_pe(self):
+        """``msg_probe`` checks its source like ``msg_try_recv`` does,
+        instead of reporting "nothing queued" for a PE that cannot exist."""
+        @_spmd
+        def prog(ctx):
+            outcomes = []
+            for pe in (99, -1, ctx.num_pes()):
+                try:
+                    ctx.msg_probe(pe)
+                    outcomes.append("accepted")
+                except CollectiveArgumentError:
+                    outcomes.append("rejected")
+            return outcomes
+
+        assert Machine(small_config(2)).run(prog) == [["rejected"] * 3] * 2
 
 
 # ---------------------------------------------------------------------------
