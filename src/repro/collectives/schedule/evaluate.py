@@ -12,8 +12,11 @@ milliseconds:
 * **Data** is exact: the rows of the schedule's columnar lowering
   (:class:`~.ir.StepTable`, ``Schedule.table``) are sorted into lane
   groups — every Put/Get/Copy/Reduce/Fill/Send/Recv at one ``(phase,
-  slot)`` with one shape — and each group is applied as one
-  fancy-indexed gather/scatter over the rank axis.
+  slot)`` with one shape — and each group moves its data a run at a
+  time: a lane's ``nelems`` strided elements are one row of a window
+  view over the arena (:func:`_window`, indexed by row and start byte),
+  so one fancy index on ``(rows, starts)`` copies every lane's whole
+  run, aligned or not.
   Mailbox-lowered schedules batch too: sends deposit their payloads
   into per-(src, dst) FIFOs (costed through the same LogGP network
   plus the postoffice routing charge), recvs pop and verify tags.
@@ -63,6 +66,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from math import ceil, log2
 from typing import Mapping, Sequence
 
@@ -71,6 +75,7 @@ import numpy as np
 from ...errors import SimulationError
 from ...isa.olb import OLB_LOOKUP_NS
 from ...machine.network import Network
+from ...memo import Memo
 from ...params import MachineConfig
 from ...runtime.barrier import round_cost_ns
 from ...runtime.transfer import loop_overhead_ns
@@ -240,38 +245,45 @@ class _RowCost:
 # -- batched data movement ----------------------------------------------------
 
 
-def _gather(mem, mview, rows, addrs, nelems: int, stride: int,
+def _window(mem: np.ndarray, nelems: int, stride: int,
             dtype: np.dtype) -> np.ndarray:
-    """Materialise ``(len(rows), nelems)`` strided values (always a copy)."""
-    b = dtype.itemsize
-    if mview is not None and not np.any(addrs % b):
-        idx = ((addrs // b)[:, None]
-               + np.arange(nelems, dtype=np.int64)[None, :] * stride)
-        return mview[rows[:, None], idx]
-    step = b * stride
-    bidx = (addrs[:, None, None]
-            + np.arange(nelems, dtype=np.int64)[None, :, None] * step
-            + np.arange(b, dtype=np.int64)[None, None, :])
-    raw = mem[rows[:, None, None], bidx]
-    return np.ascontiguousarray(raw).reshape(len(rows), nelems * b).view(dtype)
+    """Every strided run of ``nelems`` elements that fits in a row of
+    ``mem``, as one view: ``[row, start]`` is the run of ``dtype``
+    elements ``stride`` apart beginning at byte ``start`` of ``row``.
+
+    The start axis counts bytes, so aligned and unaligned runs are the
+    same view, and it stops where a run would reach past the row's last
+    byte.  No data is copied.
+    """
+    width = mem.shape[1]
+    step = stride * dtype.itemsize
+    starts = width - ((nelems - 1) * step + dtype.itemsize) + 1
+    return np.ndarray((mem.shape[0], max(starts, 0), nelems), dtype=dtype,
+                      buffer=mem, strides=(mem.strides[0], 1, step))
 
 
-def _scatter(mem, mview, rows, addrs, nelems: int, stride: int,
-             dtype: np.dtype, vals: np.ndarray) -> None:
-    """Write ``(len(rows), nelems)`` values at strided addresses."""
-    b = dtype.itemsize
-    if mview is not None and not np.any(addrs % b):
-        idx = ((addrs // b)[:, None]
-               + np.arange(nelems, dtype=np.int64)[None, :] * stride)
-        mview[rows[:, None], idx] = vals
-        return
-    step = b * stride
-    bidx = (addrs[:, None, None]
-            + np.arange(nelems, dtype=np.int64)[None, :, None] * step
-            + np.arange(b, dtype=np.int64)[None, None, :])
-    mem[rows[:, None, None], bidx] = (
-        np.ascontiguousarray(vals).view(np.uint8).reshape(len(rows), nelems, b)
-    )
+def _check_starts(win: np.ndarray, starts: np.ndarray) -> None:
+    # numpy would wrap a negative start round to the row's end.
+    if starts.min() < 0:
+        raise IndexError(f"run start {int(starts.min())} is below the row "
+                         f"(window of {win.shape[1]} starts)")
+
+
+def _gather(win: np.ndarray, rows: np.ndarray,
+            starts: np.ndarray) -> np.ndarray:
+    """The runs of ``win`` (see :func:`_window`) at ``(rows[i],
+    starts[i])``: a fresh ``(len(rows), nelems)`` array."""
+    _check_starts(win, starts)
+    return win[rows, starts]
+
+
+def _scatter(win: np.ndarray, rows: np.ndarray, starts: np.ndarray,
+             vals) -> None:
+    """Write ``vals`` (one run per lane, or a broadcastable value) over
+    the runs of ``win`` at ``(rows[i], starts[i])``, lane by lane: where
+    runs overlap the later lane wins."""
+    _check_starts(win, starts)
+    win[rows, starts] = vals
 
 
 # -- group compilation --------------------------------------------------------
@@ -484,9 +496,6 @@ def evaluate_group(
     rows = np.asarray(rows, dtype=np.int64)
     world = np.asarray(world_pes, dtype=np.int64)
     b = dtype.itemsize
-    mview = None
-    if mem is not None and mem.shape[1] % b == 0:
-        mview = mem.view(dtype)
     table = sched.table
     label = f"schedule {sched.collective}:{sched.algorithm}"
     if table.faults:
@@ -531,9 +540,18 @@ def evaluate_group(
     round_ns = round_cost_ns(cfg, world.tolist())
     mbx = cfg.mailbox
     send, fetch, note = net.send, net.fetch, net.note_delivery
+    loop_of = Memo(partial(loop_overhead_ns, cfg))
     # In-flight mailbox payloads: (src, dst) group-rank pair -> FIFO of
     # (payload, t_avail); ``_run_order`` has matched them already.
     pending: dict[tuple[int, int], deque] = {}
+    # One window view of ``mem`` per run shape, for this call only.
+    windows: dict[tuple[int, int], np.ndarray] = {}
+
+    def window(e: int, s: int) -> np.ndarray:
+        win = windows.get((e, s))
+        if win is None:
+            win = windows[e, s] = _window(mem, e, s, dtype)
+        return win
 
     def _run_group(gi: int) -> None:
         _, _, op, e, s, aux = heads[gi]
@@ -549,42 +567,42 @@ def evaluate_group(
                     return
                 stats.bytes_put += nbytes * L
                 stats.remote_puts += L
-                loop_ns = loop_overhead_ns(cfg, e)
+                loop_ns = loop_of[e]
                 tg = [((t[r] + loop_ns) + c) + OLB_LOOKUP_NS
                       for r, c in zip(g, c0[lo:hi])]
+                sp, dp, late = src_pe[lo:hi], dst_pe[lo:hi], c1[lo:hi]
                 for i in sorted(range(L), key=tg.__getitem__):
-                    now, j = tg[i], lo + i
-                    free, delivered, _ = send(now, src_pe[j], dst_pe[j],
-                                              nbytes)
+                    now = tg[i]
+                    free, delivered, _ = send(now, sp[i], dp[i], nbytes)
                     if free > now:
                         tg[i] = free
-                    note(delivered + c1[j])
+                    note(delivered + late[i])
+                for r, x in zip(g, tg):
+                    t[r] = x
                 if mem is not None:
-                    vals = _gather(mem, mview, own[lanes], b_addr[lanes],
-                                   e, s, dtype)
-                    _scatter(mem, mview, other[lanes], a_addr[lanes], e, s,
-                             dtype, vals)
+                    win = window(e, s)
+                    _scatter(win, other[lanes], a_addr[lanes],
+                             _gather(win, own[lanes], b_addr[lanes]))
             else:
                 stats.gets += L
                 if e == 0:
                     return
                 stats.bytes_got += nbytes * L
                 stats.remote_gets += L
-                loop_ns = loop_overhead_ns(cfg, e)
+                loop_ns = loop_of[e]
                 tg = [(t[r] + loop_ns) + OLB_LOOKUP_NS for r in g]
+                sp, dp, read = src_pe[lo:hi], dst_pe[lo:hi], c0[lo:hi]
                 for i in sorted(range(L), key=tg.__getitem__):
-                    now, j = tg[i], lo + i
-                    done = fetch(now, src_pe[j], dst_pe[j], nbytes)[0] + c0[j]
+                    now = tg[i]
+                    done = fetch(now, sp[i], dp[i], nbytes)[0] + read[i]
                     if done > now:
                         tg[i] = done
-                tg = [x + c for x, c in zip(tg, c1[lo:hi])]
+                for r, x, c in zip(g, tg, c1[lo:hi]):
+                    t[r] = x + c
                 if mem is not None:
-                    vals = _gather(mem, mview, other[lanes], b_addr[lanes],
-                                   e, s, dtype)
-                    _scatter(mem, mview, own[lanes], a_addr[lanes], e, s,
-                             dtype, vals)
-            for r, x in zip(g, tg):
-                t[r] = x
+                    win = window(e, s)
+                    _scatter(win, own[lanes], a_addr[lanes],
+                             _gather(win, other[lanes], b_addr[lanes]))
         elif op == OP_COPY:
             charged, skip_noop = aux & 2, aux & 1
             live = range(lo, hi)
@@ -603,46 +621,42 @@ def evaluate_group(
                 if e == 0:
                     return
                 stats.bytes_put += e * b * len(live)
-                loop_ns = loop_overhead_ns(cfg, e)
+                loop_ns = loop_of[e]
                 for j in live:
                     r = rank_l[j]
                     t[r] = ((t[r] + loop_ns) + c0[j]) + c1[j]
             if e and mem is not None:
-                g_rows = own[lanes]
-                vals = _gather(mem, mview, g_rows, b_addr[lanes], e, s, dtype)
-                _scatter(mem, mview, g_rows, a_addr[lanes], e, s, dtype, vals)
+                win, g_rows = window(e, s), own[lanes]
+                _scatter(win, g_rows, a_addr[lanes],
+                         _gather(win, g_rows, b_addr[lanes]))
         elif op == OP_REDUCE:
             charge = aux * 2.0 * cycle_ns
             for r in g:
                 t[r] += charge
             if e and mem is not None:
-                g_rows, acc = own[lanes], a_addr[lanes]
-                acc_vals = _gather(mem, mview, g_rows, acc, e, s, dtype)
-                opd_vals = _gather(mem, mview, g_rows, b_addr[lanes], e, s,
-                                   dtype)
-                apply_op(sched.op, acc_vals, opd_vals)
-                _scatter(mem, mview, g_rows, acc, e, s, dtype, acc_vals)
+                win, g_rows, acc = window(e, s), own[lanes], a_addr[lanes]
+                acc_vals = _gather(win, g_rows, acc)
+                apply_op(sched.op, acc_vals,
+                         _gather(win, g_rows, b_addr[lanes]))
+                _scatter(win, g_rows, acc, acc_vals)
         elif op == OP_FILL:
             if e:
                 for r, c in zip(g, c0[lo:hi]):
                     t[r] += c
                 if mem is not None:
-                    vals = np.broadcast_to(
-                        np.asarray(identity_of(sched.op, dtype)),
-                        (L, e)).astype(dtype, copy=True)
-                    _scatter(mem, mview, own[lanes], a_addr[lanes], e, s,
-                             dtype, vals)
+                    _scatter(window(e, s), own[lanes], a_addr[lanes],
+                             np.asarray(identity_of(sched.op, dtype))
+                             .astype(dtype))
         elif op == OP_SEND:
             nbytes = e * b
             stats.sends += L
             stats.bytes_sent += nbytes * L
             vals = None
             if e:
-                loop_ns = loop_overhead_ns(cfg, e)
+                loop_ns = loop_of[e]
                 tg = [(t[r] + loop_ns) + c for r, c in zip(g, c0[lo:hi])]
                 if mem is not None:
-                    vals = _gather(mem, mview, own[lanes], b_addr[lanes],
-                                   e, s, dtype)
+                    vals = _gather(window(e, s), own[lanes], b_addr[lanes])
             else:
                 tg = [t[r] for r in g]
             wire = nbytes + mbx.header_bytes
@@ -668,11 +682,11 @@ def evaluate_group(
                 tg.append(max(t[me], t_avail) + mbx.match_ns)
                 val_rows.append(mvals)
             if e:
-                loop_ns = loop_overhead_ns(cfg, e)
+                loop_ns = loop_of[e]
                 tg = [(x + loop_ns) + c for x, c in zip(tg, c0[lo:hi])]
                 if mem is not None:
-                    _scatter(mem, mview, own[lanes], a_addr[lanes], e, s,
-                             dtype, np.stack(val_rows))
+                    _scatter(window(e, s), own[lanes], a_addr[lanes],
+                             np.stack(val_rows))
             for r, x in zip(g, tg):
                 t[r] = x
 
@@ -773,17 +787,27 @@ def evaluate_schedule(
         if mem is None:
             raise SimulationError("inputs require collect_data=True")
         for name, per_rank in inputs.items():
-            base = layout[name]
+            base, buf = layout[name], sched.buffer(name)
             if isinstance(per_rank, np.ndarray) and per_rank.ndim == 2:
-                per_rank = list(per_rank)
-            for r, row in enumerate(per_rank):
-                rb = np.ascontiguousarray(row).reshape(-1).view(np.uint8)
-                if base + rb.size > width:  # pragma: no cover - caller bug
+                raw = np.ascontiguousarray(per_rank).view(np.uint8)
+                sizes = [raw.shape[1]] * len(raw)
+            else:
+                raw = [np.ascontiguousarray(row).reshape(-1).view(np.uint8)
+                       for row in per_rank]
+                sizes = [rb.size for rb in raw]
+            if len(sizes) > n:
+                raise SimulationError(
+                    f"input {name!r} has {len(sizes)} rows for {n} ranks")
+            for r, size in enumerate(sizes):
+                if size > buf.nbytes_on(r):
                     raise SimulationError(
-                        f"input {name!r} rank {r}: {rb.size} bytes exceed "
-                        f"the buffer slot"
-                    )
-                mem[r, base:base + rb.size] = rb
+                        f"input {name!r} rank {r}: {size} bytes exceed "
+                        f"the buffer's {buf.nbytes_on(r)} bytes there")
+            if isinstance(raw, np.ndarray):
+                mem[:len(raw), base:base + raw.shape[1]] = raw
+            else:
+                for r, rb in enumerate(raw):
+                    mem[r, base:base + rb.size] = rb
     stats = SimStats()
     net = Network(config, stats)
     cost = CostModel(config, n, width)

@@ -40,7 +40,7 @@ __all__ = ["Network"]
 #: Fixed fabric occupancy per message (routing/arbitration), ns.
 FABRIC_NS_PER_MSG = 45.0
 #: Number of independent fabric channels (bisection parallelism); the
-#: earliest-free pick in ``_cross_fabric`` is written out for two.
+#: earliest-free pick in ``send``/``fetch`` is written out for two.
 FABRIC_CHANNELS = 2
 #: Additional wire latency per extra hop, as a fraction of base latency.
 HOP_LATENCY_FACTOR = 0.15
@@ -79,6 +79,21 @@ class Network:
         #: Wire latency between two nodes one hop apart — any two nodes
         #: of the fully-connected fabric.
         self._one_hop_ns = float(self.tp.latency_ns)
+        tp = self.tp
+        # Constant terms of the inter-node sums in ``send``/``fetch``,
+        # each the left-associated prefix the sum would compute first, so
+        # hoisting them keeps every operand and its order.
+        #: Sender CPU ns before the per-byte copy (``o_send + kernel``).
+        self._send_fixed_ns = tp.o_send + tp.kernel_ns
+        #: Sender CPU ns of a 16-byte get request, handshake included.
+        self._req_ns = self._send_fixed_ns + 16 * tp.copy_ns_per_byte
+        if tp.handshake_ns and 16 > tp.eager_threshold:
+            self._req_ns += tp.handshake_ns
+        #: Injection-link and fabric occupancy of a get request.
+        self._req_inj_ns = 16 * tp.inj_ns_per_byte
+        self._fabric_gap_ns_per_byte = config.fabric_gap_ns_per_byte
+        self._req_fabric_ns = (FABRIC_NS_PER_MSG
+                               + 16 * self._fabric_gap_ns_per_byte)
         # Next instant each node's injection link is free.
         self._link_free = [0.0] * n_nodes
         # Next instant each node's shared internal bus is free.
@@ -109,21 +124,6 @@ class Network:
             return self._one_hop_ns
         hops = self.route_hops(src_node, dst_node)
         return self.tp.latency_ns * (1.0 + HOP_LATENCY_FACTOR * max(0, hops - 1))
-
-    def _cross_fabric(self, t_ready: float, nbytes: float) -> float:
-        """Serialise one message through the earliest-free fabric channel.
-
-        Returns the instant the message starts crossing; the sender is
-        backpressured until then.
-        """
-        occ = FABRIC_NS_PER_MSG + nbytes * self.cfg.fabric_gap_ns_per_byte
-        free = self._fabric_free
-        ch = 0 if free[0] <= free[1] else 1
-        t_enter = t_ready if t_ready > free[ch] else free[ch]
-        free[ch] = t_enter + occ
-        if t_enter > t_ready:
-            self.stats.fabric_queued_ns += t_enter - t_ready
-        return t_enter
 
     def _cross_bus(self, node: int, t_ready: float, nbytes: float) -> float:
         """Serialise one message on a node's shared internal bus.
@@ -159,14 +159,6 @@ class Network:
         if t_del > self.max_delivery:
             self.max_delivery = t_del
         return t_del
-
-    def _sender_side(self, t_now: float, nbytes: int) -> float:
-        """Per-message sender CPU costs common to put and get requests."""
-        tp = self.tp
-        ns = tp.o_send + tp.kernel_ns + nbytes * tp.copy_ns_per_byte
-        if tp.handshake_ns and nbytes > tp.eager_threshold:
-            ns += tp.handshake_ns
-        return t_now + ns
 
     # -- one-way message (put) ------------------------------------------------
 
@@ -206,14 +198,30 @@ class Network:
             gap = tp.intra_gap_ns_per_byte
             t_del = t_enter + tp.intra_latency_ns + nbytes * gap
         else:
-            t_ready = self._sender_side(t_now, nbytes)
-            t_inj_done = (max(t_ready, self._link_free[src_node])
-                          + nbytes * tp.inj_ns_per_byte)
-            self._link_free[src_node] = t_inj_done
-            t_enter = self._cross_fabric(t_inj_done, nbytes)
+            # Sender CPU, then the source node's injection link...
+            ns = self._send_fixed_ns + nbytes * tp.copy_ns_per_byte
+            if tp.handshake_ns and nbytes > tp.eager_threshold:
+                ns += tp.handshake_ns
+            t_ready = t_now + ns
+            link = self._link_free
+            free = link[src_node]
+            t_inj = ((free if free > t_ready else t_ready)
+                     + nbytes * tp.inj_ns_per_byte)
+            link[src_node] = t_inj
+            # ...then the earliest-free fabric channel, which
+            # backpressures the sender until the message starts crossing.
+            fabric = self._fabric_free
+            ch = 0 if fabric[0] <= fabric[1] else 1
+            free = fabric[ch]
+            t_enter = t_inj if t_inj > free else free
+            fabric[ch] = t_enter + (FABRIC_NS_PER_MSG
+                                    + nbytes * self._fabric_gap_ns_per_byte)
+            if t_enter > t_inj:
+                self.stats.fabric_queued_ns += t_enter - t_inj
             gap = tp.gap_ns_per_byte
-            t_del = (t_enter + self._wire_latency(src_node, dst_node)
-                     + nbytes * gap)
+            wire = (self._one_hop_ns if self._topology is None
+                    else self._wire_latency(src_node, dst_node))
+            t_del = (t_enter + wire) + nbytes * gap
         if tp.two_sided:
             t_del += tp.o_recv + nbytes * tp.copy_ns_per_byte
         if fault is not None:
@@ -260,23 +268,39 @@ class Network:
             gap = tp.intra_gap_ns_per_byte
             t_done = t_rsp + tp.intra_latency_ns + nbytes * gap
         else:
-            t_ready = self._sender_side(t_now, 16)
-            # Request crosses the fabric...
-            t_req = (max(t_ready, self._link_free[src_node])
-                     + 16 * tp.inj_ns_per_byte)
-            self._link_free[src_node] = t_req
-            t_enter = self._cross_fabric(t_req, 16)
-            t_arrive = t_enter + self._wire_latency(src_node, dst_node)
+            # The request crosses the source link and the fabric...
+            t_ready = t_now + self._req_ns
+            link, fabric = self._link_free, self._fabric_free
+            free = link[src_node]
+            t_req = (free if free > t_ready else t_ready) + self._req_inj_ns
+            link[src_node] = t_req
+            ch = 0 if fabric[0] <= fabric[1] else 1
+            free = fabric[ch]
+            t_enter = t_req if t_req > free else free
+            fabric[ch] = t_enter + self._req_fabric_ns
+            if t_enter > t_req:
+                self.stats.fabric_queued_ns += t_enter - t_req
+            wire = (self._one_hop_ns if self._topology is None
+                    else self._wire_latency(src_node, dst_node))
+            t_arrive = t_enter + wire
             if tp.two_sided:
                 t_arrive += tp.o_recv + tp.kernel_ns
             # ...and the response comes back through the target's link.
-            t_rsp = (max(t_arrive, self._link_free[dst_node])
+            free = link[dst_node]
+            t_rsp = ((free if free > t_arrive else t_arrive)
                      + nbytes * tp.inj_ns_per_byte)
-            self._link_free[dst_node] = t_rsp
-            t_enter2 = self._cross_fabric(t_rsp, nbytes)
+            link[dst_node] = t_rsp
+            ch = 0 if fabric[0] <= fabric[1] else 1
+            free = fabric[ch]
+            t_enter = t_rsp if t_rsp > free else free
+            fabric[ch] = t_enter + (FABRIC_NS_PER_MSG
+                                    + nbytes * self._fabric_gap_ns_per_byte)
+            if t_enter > t_rsp:
+                self.stats.fabric_queued_ns += t_enter - t_rsp
             gap = tp.gap_ns_per_byte
-            t_done = (t_enter2 + self._wire_latency(dst_node, src_node)
-                      + nbytes * gap)
+            if self._topology is not None:
+                wire = self._wire_latency(dst_node, src_node)
+            t_done = (t_enter + wire) + nbytes * gap
         if tp.two_sided:
             t_done += nbytes * tp.copy_ns_per_byte
         if fault is not None:

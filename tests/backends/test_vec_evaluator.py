@@ -149,6 +149,28 @@ def test_empty_payload_is_barrier_only():
     assert ev.elapsed_ns > 0
 
 
+def test_oversize_input_is_refused_not_spilled():
+    """An input row longer than its buffer on that rank must raise, not
+    run on into the next buffer's slot of the arena."""
+    sched = compile_broadcast(4, 0, 8, 1, 8, algorithm="binomial")
+    src = np.arange(32, dtype=np.int64).reshape(4, 8)
+    with pytest.raises(SimulationError, match="'dest' rank 0: 128 bytes"):
+        evaluate_schedule(sched, small_config(4), dtype=I64, inputs={
+            "src": src, "dest": np.arange(100, 164).reshape(4, 16)})
+    with pytest.raises(SimulationError, match="'dest' rank 2: 72 bytes"):
+        evaluate_schedule(sched, small_config(4), dtype=I64, inputs={
+            "dest": [np.zeros(8, np.int64)] * 2 + [np.zeros(9, np.int64)]})
+    with pytest.raises(SimulationError, match="5 rows for 4 ranks"):
+        evaluate_schedule(sched, small_config(4), dtype=I64,
+                          inputs={"src": np.zeros((5, 8), np.int64)})
+    # Rows that fit land where they belong, 2-D or per rank.
+    ev = evaluate_schedule(sched, small_config(4), dtype=I64, inputs={
+        "src": src, "dest": [np.full(8, -r, np.int64) for r in range(3)]})
+    for r in range(4):
+        assert np.array_equal(ev.buffer("src", r), src[r])
+        assert np.array_equal(ev.buffer("dest", r), src[0])
+
+
 # -- standalone vs session ----------------------------------------------------
 
 
