@@ -498,9 +498,6 @@ def evaluate_group(
     b = dtype.itemsize
     table = sched.table
     label = f"schedule {sched.collective}:{sched.algorithm}"
-    if table.faults:
-        raise SimulationError(
-            f"{label} has a malformed pipeline block — lint the schedule")
     if len(table.barriers) != K:
         raise SimulationError(
             f"{label} has {len(table.barriers)} rank programs for a "
@@ -514,8 +511,6 @@ def evaluate_group(
         raise SimulationError(
             f"{label} rank {g} has {int(table.barriers[g])} barriers, "
             f"rank 0 has {n_barriers} — cannot batch")
-    if table.unknown:  # pragma: no cover - compiler bug guard
-        raise AssertionError(f"unknown step kind {table.unknown[0][1]!r}")
     if np.any((table.peer == table.rank)
               & np.isin(table.op, (OP_PUT, OP_GET, OP_SEND))):
         raise AssertionError(  # pragma: no cover - compiler bug guard

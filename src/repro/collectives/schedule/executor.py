@@ -109,10 +109,6 @@ class FlatPlan:
 
     def __init__(self, sched: Schedule, rank: int):
         table = sched.table
-        if table.faults:
-            raise CollectiveArgumentError(
-                f"{sched.collective}:{sched.algorithm} has a malformed "
-                "pipeline block; lint the schedule")
         rows, parts = table.layout(rank)
         op, a, a_off, b, b_off, nelems, stride, peer, aux = \
             table.rows_of(rows)
@@ -120,16 +116,12 @@ class FlatPlan:
         # The call-independent checks, on the first step that fails one.
         bad = np.flatnonzero(
             (table.nelems[rows] < 0) | (table.stride[rows] < 1)
-            | (table.peer[rows] < 0) | (table.peer[rows] >= n)
-            | (table.op[rows] == 0))
+            | (table.peer[rows] < 0) | (table.peer[rows] >= n))
         if len(bad):
             k = int(bad[0])
             validate_counts(nelems[k], stride[k])
-            if not 0 <= peer[k] < n:
-                raise CollectiveArgumentError(
-                    f"pe {peer[k]} out of range [0, {n})")
-            raise AssertionError(
-                f"unknown step kind {dict(table.unknown)[rows.start + k]!r}")
+            raise CollectiveArgumentError(
+                f"pe {peer[k]} out of range [0, {n})")
         index: dict[int, int] = {}
 
         def buf(i: int) -> int:

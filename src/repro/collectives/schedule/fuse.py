@@ -67,9 +67,6 @@ def _structure(sched: Schedule) -> tuple:
     reaches."""
     table = sched.table
     label = f"{sched.collective}:{sched.algorithm}"
-    if table.faults or table.unknown:
-        raise FusionError(
-            f"{label} has a pipeline block or step that does not lower")
     structs = {}
     for j in dict.fromkeys(table.skeleton_of.tolist()):
         sections = table.skeletons[j].sections

@@ -6,20 +6,18 @@ primitive steps it performs in which barrier-delimited stage.  It can
 be cached (``lru_cache``), compared and linted without a runtime
 context.
 
-Its canonical form is :attr:`Schedule.table`, a :class:`StepTable`: one
-``int64`` row per non-barrier step plus a record of each rank's barrier
-structure (its :class:`Skeleton` of prologue, stage and epilogue
-:class:`Section`\\ s).  The evaluator, the linter and the executor's
-``FlatPlan`` read nothing else.  Every compiler emits it directly as
-numpy columns (:class:`Rows`, :meth:`Schedule.from_rows`), a step of a
-:class:`Pipeline` block with its group, and so do the three rewrites of
-a schedule, the mailbox lowering, widening and fusion, which read their
-input's table and never its tree.  The tree of frozen dataclasses
-(:attr:`Schedule.programs`) of such a schedule is a lazy view rebuilt
-from the rows the first time ``repr`` asks for it.  A schedule built by
-hand may still be written as the tree; one walk of it
-(:meth:`StepTable.of_tree`) produces the same table and record (see
-"Schedule lowering" in ``DESIGN.md``).
+It is made one way, :meth:`Schedule.from_rows`, and holds one form,
+:attr:`Schedule.table`, a :class:`StepTable`: one ``int64`` row per
+non-barrier step plus a record of each rank's barrier structure (its
+:class:`Skeleton` of prologue, stage and epilogue :class:`Section`\\ s).
+Every compiler and every rewrite of a schedule (the mailbox lowering,
+widening and fusion) emits it as numpy columns (:class:`Rows`), a step
+of a :class:`Pipeline` block with its group, and ``from_rows`` refuses
+a row that cannot mean anything.  The evaluator, the linter and the
+executor's ``FlatPlan`` read nothing else.  The tree of frozen
+dataclasses (:attr:`Schedule.programs`) is a read-only view rebuilt from
+the rows the first time ``repr`` asks for it (see "Schedule lowering" in
+``DESIGN.md``).
 
 Addressing is symbolic: steps name buffers (see :class:`Buffer`) plus a
 **byte** offset; the executor binds names to concrete addresses (user
@@ -57,8 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -325,7 +322,7 @@ class Pipeline:
 
 # Step-table opcodes, numbered in kind-name order: the evaluator runs the
 # groups of one step position in that order, so a numeric sort on the
-# opcode column is the group-order rule.  0 marks a step of no known kind.
+# opcode column is the group-order rule.  0 is no opcode.
 OP_COPY, OP_FILL, OP_GET, OP_PUT, OP_RECV, OP_REDUCE, OP_SEND = range(1, 8)
 OP_NAMES = ("?", "copy", "fill", "get", "put", "recv", "reduce", "send")
 
@@ -446,69 +443,6 @@ def _slots(rank: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return np.arange(n) - np.repeat(starts, np.diff(np.append(starts, n)))
 
 
-class _BufferIndex(dict):
-    """Buffer name -> table index.  Declared buffers take their
-    position in ``Schedule.buffers`` (a repeated name its last, as every
-    by-name lookup resolves it); a name no buffer declares numbers
-    itself after them on first use, so a malformed schedule still lowers
-    and the linter can report the name."""
-
-    def __init__(self, buffers: tuple):
-        super().__init__((buf.name, i) for i, buf in enumerate(buffers))
-        self.names = [buf.name for buf in buffers]
-
-    def __missing__(self, name) -> int:
-        self[name] = index = len(self.names)
-        self.names.append(name)
-        return index
-
-
-def _signature(prog: "RankProgram") -> tuple:
-    return tuple(("pipeline", st.index, st.segments, len(st.groups))
-                 if isinstance(st, Pipeline) else st.index
-                 for st in prog.stages)
-
-
-def _lowers(pipe: Pipeline, rank: int, faults: list) -> bool:
-    """Note ``pipe``'s shape faults (rank-major, in stage order, as the
-    linter words them); whether it can lower at all."""
-    if pipe.segments < 1:
-        faults.append((rank, pipe.index, "segments", pipe.segments))
-        return False
-    lowers = True
-    for g, group in enumerate(pipe.groups):
-        if len(group) != pipe.segments:
-            faults.append((rank, pipe.index, "ragged", g, len(group),
-                           pipe.segments))
-            lowers = False
-            continue
-        for steps in group:
-            if any(s.kind == "barrier" for s in steps):
-                faults.append((rank, pipe.index, "barrier", g))
-    return lowers
-
-
-def _sections(prog: "RankProgram", rank: int,
-              faults: list) -> Iterator[tuple[Section, tuple, Iterable]]:
-    """The program's sections (``nbars`` still 0) with their steps and
-    each step's :class:`Pipeline` group (``-1`` outside one)."""
-    yield Section("prologue", -1, (), 0), prog.prologue, repeat(-1)
-    for stage in prog.stages:
-        if not isinstance(stage, Pipeline):
-            yield (Section("stage", stage.index, stage.attrs, 0),
-                   stage.steps, repeat(-1))
-        elif _lowers(stage, rank, faults):
-            for t in range(stage.rounds):
-                runs = stage.round_groups(t)
-                yield (Section("stage", stage.index + t,
-                               _round_attrs(stage.attrs, stage.index, t,
-                                            stage.segments),
-                               0, stage.index, t),
-                       (*(s for _, run in runs for s in run), BARRIER),
-                       [*(g for g, run in runs for _ in run), -1])
-    yield Section("epilogue", -1, (), 0), prog.epilogue, repeat(-1)
-
-
 def _pipeline(entry: tuple, attrs: tuple, block: list, steps: list,
               group: list) -> "Pipeline | None":
     """The :class:`Pipeline` node ``block`` — the ``(section, items)``
@@ -543,7 +477,7 @@ class StepTable:
     ``slot``
         the step's position among its rank's steps of that phase;
     ``op``
-        ``OP_COPY`` … ``OP_SEND`` (0: no known kind, see ``unknown``);
+        ``OP_COPY`` … ``OP_SEND``;
     ``a_buf``, ``a_off``
         the operand written — ``dst``, or ``acc`` of a reduce — as an
         index into ``names`` and a byte offset (``-1, 0`` for a send);
@@ -571,12 +505,7 @@ class StepTable:
     ``skeletons[skeleton_of[r]]`` (a compiled schedule has one or two
     for all its ranks), each row's ``section`` is its position in it,
     and ``barriers[r]`` is the rank's barrier count; a row's ``phase``
-    places it among its section's barriers.  What a tree can hold that
-    no table row can is kept beside: ``unknown`` lists ``(row, kind)``
-    for rows whose ``op`` is 0, ``claims`` ``(r, rank)`` for a program
-    that names another rank, ``faults`` the :class:`Pipeline` blocks
-    too malformed to lower (``(rank, index, what, ...)``; they have no
-    rows).
+    places it among its section's barriers.
     """
 
     COLUMNS = ("rank", "phase", "slot", "op", "a_buf", "a_off", "b_buf",
@@ -585,13 +514,10 @@ class StepTable:
     _STEP = ("op", "a_buf", "a_off", "b_buf", "b_off", "nelems", "stride",
              "peer", "aux")
     __slots__ = COLUMNS + ("names", "n_declared", "section", "skeletons",
-                           "skeleton_of", "barriers", "unknown", "claims",
-                           "faults")
+                           "skeleton_of", "barriers")
 
     def __init__(self, columns: dict, names, n_declared: int,
-                 section: np.ndarray, skeletons: tuple, skeleton_of,
-                 unknown: tuple = (), claims: tuple = (),
-                 faults: tuple = ()):
+                 section: np.ndarray, skeletons: tuple, skeleton_of):
         for name in self.COLUMNS:
             setattr(self, name, columns[name])
         self.names = tuple(names)
@@ -602,84 +528,6 @@ class StepTable:
         self.barriers = np.array(
             [sk.n_barriers for sk in skeletons] or [0],
             dtype=np.int64)[self.skeleton_of]
-        self.unknown = unknown
-        self.claims = claims
-        self.faults = faults
-
-    @classmethod
-    def of_tree(cls, sched: "Schedule") -> "StepTable":
-        """The table of a schedule written as a tree: one walk."""
-        index = _BufferIndex(sched.buffers)
-        width = len(cls.COLUMNS) + 1  # and the section
-        flat: list = []
-        row = flat.extend
-        unknown: list = []
-        claims: list = []
-        faults: list = []
-        skeletons: dict = {}
-        skeleton_of = []
-        for r, prog in enumerate(sched.programs):
-            if prog.rank != r:
-                claims.append((r, prog.rank))
-            phase = slot = 0
-            sections = []
-            for sec, steps, groups in _sections(prog, r, faults):
-                j = len(sections)
-                nbars = 0
-                for step, g in zip(steps, groups):
-                    kind = step.kind
-                    if kind == "barrier":
-                        phase += 1
-                        slot = 0
-                        nbars += 1
-                        continue
-                    if kind == "put" or kind == "get":
-                        row((r, phase, slot,
-                             OP_PUT if kind == "put" else OP_GET,
-                             index[step.dst], step.dst_off,
-                             index[step.src], step.src_off,
-                             step.nelems, step.stride, step.peer, 0, g, j))
-                    elif kind == "copy":
-                        row((r, phase, slot, OP_COPY,
-                             index[step.dst], step.dst_off,
-                             index[step.src], step.src_off,
-                             step.nelems, step.stride, r,
-                             2 * step.charged + step.skip_noop, g, j))
-                    elif kind == "reduce":
-                        row((r, phase, slot, OP_REDUCE,
-                             index[step.acc], step.acc_off,
-                             index[step.operand], step.operand_off,
-                             step.nelems, step.stride, r, step.charge_elems,
-                             g, j))
-                    elif kind == "fill":
-                        row((r, phase, slot, OP_FILL,
-                             index[step.dst], step.dst_off, -1, 0,
-                             step.nelems, step.stride, r, 0, g, j))
-                    elif kind == "send":
-                        row((r, phase, slot, OP_SEND, -1, 0,
-                             index[step.src], step.src_off,
-                             step.nelems, step.stride, step.peer, step.tag,
-                             g, j))
-                    elif kind == "recv":
-                        row((r, phase, slot, OP_RECV,
-                             index[step.dst], step.dst_off, -1, 0,
-                             step.nelems, step.stride, step.peer, step.tag,
-                             g, j))
-                    else:
-                        unknown.append((len(flat) // width, kind))
-                        row((r, phase, slot, 0, -1, 0, -1, 0, 0, 1, r, 0, g,
-                             j))
-                    slot += 1
-                sections.append(sec._replace(nbars=nbars))
-            structure = Skeleton(tuple(sections), _signature(prog), tuple(
-                st.attrs for st in prog.stages if isinstance(st, Pipeline)))
-            skeleton_of.append(skeletons.setdefault(structure,
-                                                    len(skeletons)))
-        cols = np.ascontiguousarray(
-            np.array(flat, dtype=np.int64).reshape(-1, width).T)
-        return cls(dict(zip(cls.COLUMNS, cols)), index.names,
-                   len(sched.buffers), cols[-1], tuple(skeletons),
-                   skeleton_of, tuple(unknown), tuple(claims), tuple(faults))
 
     def __len__(self) -> int:
         return len(self.rank)
@@ -738,20 +586,16 @@ class StepTable:
             return Fill(names[a_buf], a_off, nelems, stride)
         if op == OP_SEND:
             return Send(names[b_buf], b_off, nelems, stride, peer, aux)
-        if op == OP_RECV:
-            return Recv(names[a_buf], a_off, nelems, stride, peer, aux)
-        raise ValueError("a row of no known step kind has no step")
+        return Recv(names[a_buf], a_off, nelems, stride, peer, aux)
 
     def step(self, row: int) -> Step:
-        """Row ``row`` as its step node (for messages; rows of no known
-        kind have none)."""
+        """Row ``row`` as its step node (for messages)."""
         return self._step(*(int(getattr(self, name)[row])
                             for name in self._STEP))
 
     def programs(self) -> tuple:
         """The tree these rows are read as: one :class:`RankProgram` per
-        rank, equal to the one a compiler writing the tree would build.
-        A :class:`Pipeline` block reads as its node, rebuilt from each
+        rank.  A :class:`Pipeline` block reads as its node, rebuilt from each
         row's group, unless a row of it names none; then it reads as
         the stages it lowers to."""
         n = len(self.skeleton_of)
@@ -801,8 +645,6 @@ class StepTable:
         """Whether ``other`` holds the same rows and barrier record."""
         return (self.names == other.names
                 and self.n_declared == other.n_declared
-                and (self.unknown, self.claims, self.faults)
-                == (other.unknown, other.claims, other.faults)
                 and all(np.array_equal(getattr(self, name),
                                        getattr(other, name))
                         for name in self.COLUMNS + ("section",))
@@ -843,7 +685,90 @@ class RankProgram:
         yield from self.epilogue
 
 
-@dataclass(frozen=True, eq=False)
+def _sections(sk: Skeleton) -> np.ndarray:
+    """Per section of ``sk``: the barriers before it, how many phases
+    from there its rows may take, and the first and count of the
+    :class:`Pipeline` groups with a segment in it (none outside a
+    round)."""
+    secs = sk.sections
+    nbars = np.array([sec.nbars for sec in secs], dtype=np.int64)
+    turn = np.array([sec.round for sec in secs], dtype=np.int64)
+    table = np.zeros((4, len(secs)), dtype=np.int64)
+    table[0] = np.cumsum(nbars) - nbars
+    table[1] = np.where(turn < 0, nbars + 1, 1)
+    pipes = {entry[1]: entry[2:] for entry in sk.signature
+             if isinstance(entry, tuple)}
+    if any(segments < 1 for segments, _ in pipes.values()):
+        raise ValueError(f"a pipeline of {sk.signature} has no segments")
+    for j in np.flatnonzero(turn >= 0).tolist():
+        t = int(turn[j])
+        segments, groups = pipes.get(secs[j].pipeline, (1, 0))
+        table[2, j] = lo = max(0, t - segments + 1)
+        table[3, j] = max(0, min(t, groups - 1) - lo + 1)
+    return table
+
+
+def _refuse(cols: dict, n_pes: int, n_names: int, skeletons: tuple,
+            skeleton_of) -> None:
+    """ValueError for rows that cannot mean anything, naming the first.
+
+    Peers, declared buffers and bounds mean something even when wrong;
+    they are the linter's to report.  A value ``v`` is checked to lie in
+    ``[lo, lo + n)`` as one unsigned compare of ``v - lo`` with ``n``."""
+    u = np.uint64
+    rank, section, phase, op, group, a, b = (cols[name] for name in (
+        "rank", "section", "phase", "op", "group", "a_buf", "b_buf"))
+    tables = [_sections(sk) for sk in skeletons]
+    if skeleton_of is None:
+        count, at = (tables[0].shape[1] if tables else 0), section
+    else:
+        if skeleton_of.shape != (n_pes,) or np.any(
+                skeleton_of.view(u) >= len(skeletons)):
+            raise ValueError(
+                f"skeleton_of {skeleton_of.tolist()} is not {n_pes} "
+                f"indices into {len(skeletons)} skeletons")
+        sizes = [t.shape[1] for t in tables]
+        skel = np.take(skeleton_of, rank, mode="clip")
+        count = np.take(np.array(sizes, dtype=u), skel)
+        at = np.take(np.cumsum([0] + sizes[:-1]), skel) + section
+    start, phases, g_lo, g_n = (np.concatenate(tables, axis=1) if tables
+                                else np.zeros((4, 1), dtype=np.int64)
+                                ).view(u)
+    back, ahead = np.zeros((2, len(rank)), dtype=bool)
+    back[1:] = rank[1:] < rank[:-1]
+    ahead[1:] = (rank[1:] == rank[:-1]) & ((section[1:] < section[:-1])
+                                           | (phase[1:] < phase[:-1]))
+    grouped = group != -1
+    if g_n.any():
+        grouped &= ((group.view(u) - np.take(g_lo, at, mode="clip"))
+                    >= np.take(g_n, at, mode="clip"))
+    checks = (
+        (rank.view(u) >= n_pes, f"rank outside [0, {n_pes})"),
+        (back, "ranks out of order"),
+        ((op - OP_COPY).view(u) >= OP_SEND, "no step kind"),
+        # A send writes no ``a``; a fill and a recv read no ``b``.
+        (((a + 1).view(u) > n_names) | ((a >= 0) != (op != OP_SEND)),
+         "a_buf wrong for op"),
+        (((b + 1).view(u) > n_names)
+         | ((b >= 0) != ((op != OP_FILL) & (op != OP_RECV))),
+         "b_buf wrong for op"),
+        (section.view(u) >= count, "section outside its rank's skeleton"),
+        (ahead, "section or phase runs backwards"),
+        ((phase.view(u) - np.take(start, at, mode="clip"))
+         >= np.take(phases, at, mode="clip"),
+         "phase outside its section's barrier window"),
+        (grouped, "group outside its round"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        row = int(np.argmax(bad))
+        what = next(what for mask, what in checks if mask[row])
+        values = ", ".join(f"{name}={int(col[row])}"
+                           for name, col in cols.items())
+        raise ValueError(f"row {row} ({values}): {what}")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Schedule:
     """A compiled collective: buffers + one :class:`RankProgram` per rank.
 
@@ -852,10 +777,10 @@ class Schedule:
     are covered by the union of local and incoming remote writes (the
     data-conservation pass).
 
-    A schedule built by :meth:`from_rows` holds its :attr:`table` from
-    the start and makes ``programs`` from it only when first read;
-    equality of two such schedules compares tables, and the hash of any
-    schedule covers everything but its steps, so neither builds a tree.
+    Made by :meth:`from_rows`; the header fields and :attr:`table` are
+    all it holds.  ``programs`` is the tree view, built from the table
+    the first time it is read; equality compares headers and tables and
+    the hash covers the header, so neither builds a tree.
     """
 
     collective: str
@@ -865,11 +790,8 @@ class Schedule:
     root: int = None  # type: ignore[assignment]
     op: str = None  # type: ignore[assignment]
     buffers: tuple = ()
-    programs: tuple = field(default_factory=tuple)
     deliver: tuple = ()
-
-    #: Whether the table is the source and ``programs`` a view of it.
-    _columnar = False
+    table: StepTable = field(kw_only=True)
 
     @classmethod
     def from_rows(cls, collective: str, algorithm: str, n_pes: int,
@@ -882,34 +804,21 @@ class Schedule:
         ``skeletons[0]`` unless ``skeleton_of`` says otherwise.
         ``names`` (the buffer names by table index) defaults to
         ``buffers``' names; a rewrite passes those of its input, which
-        may go on past them."""
+        may go on past them.  Raises ``ValueError`` naming the first row
+        that cannot mean anything (see :func:`_refuse`)."""
         cols = rows.columns() if isinstance(rows, Rows) else dict(rows)
+        names = [buf.name for buf in buffers] if names is None else names
+        skeletons = tuple(skeletons)
+        if skeleton_of is not None:
+            skeleton_of = np.asarray(skeleton_of, dtype=np.int64)
+        _refuse(cols, n_pes, len(names), skeletons, skeleton_of)
         section = cols.pop("section")
         cols["slot"] = _slots(cols["rank"], cols["phase"])
-        table = StepTable(
-            cols, [buf.name for buf in buffers] if names is None else names,
-            len(buffers), section, tuple(skeletons),
-            np.zeros(n_pes, dtype=np.int64) if skeleton_of is None
-            else skeleton_of)
-        sched = object.__new__(cls)
-        for name, value in (("collective", collective),
-                            ("algorithm", algorithm), ("n_pes", n_pes),
-                            ("itemsize", itemsize), ("root", root),
-                            ("op", op), ("buffers", buffers),
-                            ("deliver", deliver), ("_columnar", True)):
-            object.__setattr__(sched, name, value)
-        sched.__dict__["table"] = table
-        return sched
-
-    def __getattr__(self, name: str):
-        # Reached only for what the instance lacks: the programs of a
-        # schedule made from rows, until first read.
-        if name == "programs" and self._columnar:
-            programs = self.table.programs()
-            object.__setattr__(self, "programs", programs)
-            return programs
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
+        return cls(collective, algorithm, n_pes, itemsize, root, op, buffers,
+                   deliver, table=StepTable(
+                       cols, names, len(buffers), section, skeletons,
+                       np.zeros(n_pes, dtype=np.int64) if skeleton_of is None
+                       else skeleton_of))
 
     def _header(self) -> tuple:
         return (self.collective, self.algorithm, self.n_pes, self.itemsize,
@@ -920,19 +829,32 @@ class Schedule:
             return True
         if not isinstance(other, Schedule):
             return NotImplemented
-        if self._header() != other._header():
-            return False
-        if self._columnar and other._columnar:
-            return self.table.same(other.table)
-        return self.programs == other.programs
+        return self._header() == other._header() and \
+            self.table.same(other.table)
 
     def __hash__(self) -> int:
         return hash(self._header())
 
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(collective={self.collective!r}, "
+                f"algorithm={self.algorithm!r}, n_pes={self.n_pes!r}, "
+                f"itemsize={self.itemsize!r}, root={self.root!r}, "
+                f"op={self.op!r}, buffers={self.buffers!r}, "
+                f"programs={self.programs!r}, deliver={self.deliver!r})")
+
+    @cached_property
+    def programs(self) -> tuple:
+        """The tree view (:meth:`StepTable.programs`), built once."""
+        return self.table.programs()
+
+    def _skeleton(self, rank: int) -> Skeleton:
+        if not 0 <= rank < self.n_pes:
+            raise IndexError(f"rank {rank} outside [0, {self.n_pes})")
+        return self.table.skeletons[self.table.skeleton_of[rank]]
+
     def program(self, rank: int) -> RankProgram:
-        prog = self.programs[rank]
-        assert prog.rank == rank
-        return prog
+        self._skeleton(rank)
+        return self.programs[rank]
 
     @cached_property
     def plans(self) -> list:
@@ -946,17 +868,10 @@ class Schedule:
         return [None] * self.n_pes
 
     @cached_property
-    def table(self) -> StepTable:
-        """The :class:`StepTable`: what :meth:`from_rows` was given, or
-        one walk of the tree the first time anything asks.  Like
-        ``plans``, not a field."""
-        return StepTable.of_tree(self)
-
-    @cached_property
     def mailbox(self) -> "Schedule":
         """This schedule lowered onto the two-sided transport, made the
         first time :func:`~.mailbox.lower_to_mailbox` asks and kept like
-        ``plans`` and ``table``."""
+        ``plans``."""
         from .mailbox import lower
 
         return lower(self)
@@ -968,9 +883,8 @@ class Schedule:
         raise KeyError(name)
 
     def n_stage_spans(self, rank: int = 0) -> int:
-        table = self.table
-        return sum(sec.kind == "stage" for sec in
-                   table.skeletons[table.skeleton_of[rank]].sections)
+        return sum(sec.kind == "stage"
+                   for sec in self._skeleton(rank).sections)
 
     def describe(self, rank: int = 0) -> str:
         """One-line human summary (used by the lint CLI).
@@ -980,12 +894,11 @@ class Schedule:
         groups over ``S`` segments lowering to ``R`` rounds — instead
         of disappearing into the flat lowered-stage count.
         """
-        table = self.table
         parts = [
             f"pipe({entry[3]}x{entry[2]}->"
             f"{entry[3] + entry[2] - 1 if entry[3] else 0})"
             if isinstance(entry, tuple) else "1"
-            for entry in table.skeletons[table.skeleton_of[rank]].signature]
+            for entry in self._skeleton(rank).signature]
         shape = "+".join(parts) if parts else "0"
         return (
             f"{self.collective}:{self.algorithm} n_pes={self.n_pes} "

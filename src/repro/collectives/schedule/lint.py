@@ -30,9 +30,8 @@ the inline tree walks hard to extend safely:
   (that ordering is a guaranteed deadlock).
 * **pipelined hazards** — :class:`~.ir.Pipeline` blocks must agree on
   segment/group counts across ranks (deadlock freedom with segment
-  counts), carry exactly ``segments`` step tuples per group with no
-  nested barriers, and respect **cross-segment ordering**: no remote
-  read of bytes any rank writes in a later round of the same pipeline.
+  counts) and respect **cross-segment ordering**: no remote read of
+  bytes any rank writes in a later round of the same pipeline.
   The per-segment byte-range overlap hazards are checked on the
   *lowered* rounds by the phase-overlap pass.
 
@@ -46,7 +45,9 @@ and works on whole columns: masks for peers, visibility and bounds, a
 sort-and-count sweep for phase overlap, merged write runs for
 conservation, a stable group-by for message matching.  The structure
 passes compare each rank's :class:`~.ir.Skeleton`; a row's section in it
-names the pipeline round the cross-segment pass needs.  What a vector
+names the pipeline round the cross-segment pass needs.  A row that
+cannot mean anything never reaches them: ``Schedule.from_rows`` refuses
+it.  What a vector
 pass flags is then *worded* by a scalar loop over just those rows or
 keys, in the order a walk of the tree would have met them;
 ``tests/collectives/lint_reference.py`` is that walk, kept as the
@@ -223,15 +224,11 @@ def _check_structure(table: StepTable, issues: list) -> None:
     ranks lowers to a different number of rounds, so some rank would
     wait at a barrier nobody else reaches (deadlock with segment counts)
     — and on its barrier count."""
-    claims = dict(table.claims)
     signatures = [sk.signature for sk in table.skeletons]
     of = table.skeleton_of.tolist()
     barriers = table.barriers.tolist()
     ref_sig, ref_barriers = signatures[of[0]], barriers[0]
     for r in range(len(of)):
-        if r in claims:
-            issues.append(LintIssue(
-                "structure", f"program {r} claims rank {claims[r]}", rank=r))
         sig = signatures[of[r]]
         if sig is not ref_sig and sig != ref_sig:
             issues.append(LintIssue(
@@ -287,16 +284,10 @@ def _check_steps(sched: Schedule, table: StepTable, acc: _Accesses,
                & (remote < declared))
     there = (np.clip(remote, 0, None), np.clip(peer, 0, n - 1))
     suspect = np.flatnonzero(
-        (op == 0) | outside | (paired & (peer == rank))
+        outside | (paired & (peer == rank))
         | (visible & ~(facts.symmetric[there[0]] & facts.held[there])))
-    kinds = dict(table.unknown)
     for i in suspect.tolist():
         r, q = int(rank[i]), int(peer[i])
-        if i in kinds:
-            issues.append(LintIssue(
-                "steps", f"unknown step kind {kinds[i]!r} — the executor "
-                "and evaluator would reject it", rank=r))
-            continue
         kind = OP_NAMES[op[i]]
         if not 0 <= q < n:
             issues.append(LintIssue(
@@ -431,31 +422,6 @@ def _check_phase_overlap(table: StepTable, acc: _Accesses,
                         f"{name!r} on rank {on} bytes "
                         f"[{max(a_lo, b_lo)}, {min(a_hi, b_hi)}): {hazard} "
                         f"(ranks {a_org} and {b_org})", rank=on, phase=ph))
-
-
-def _check_pipeline_shape(table: StepTable, n: int, issues: list) -> None:
-    """Pipeline well-formedness, as the table build found it:
-
-    * ``segments >= 1``;
-    * every group carries exactly ``segments`` step tuples (a ragged
-      group would shift the wavefront — such a block cannot lower, so
-      this pass short-circuits the rest of the linter);
-    * group steps never contain barriers (the lowering owns them).
-    """
-    for rank, index, what, *detail in table.faults:
-        if rank >= n:
-            continue
-        if what == "segments":
-            message = (f"pipeline {index}: segment count {detail[0]} must "
-                       "be >= 1")
-        elif what == "ragged":
-            g, got, segments = detail
-            message = (f"pipeline {index} group {g} has {got} segment step "
-                       f"tuples, expected {segments}")
-        else:
-            message = (f"pipeline {index} group {detail[0]} contains a "
-                       "barrier — rounds own their barriers")
-        issues.append(LintIssue("pipeline", message, rank=rank))
 
 
 def _check_pipelines(table: StepTable, acc: _Accesses,
@@ -629,19 +595,8 @@ def lint_schedule(sched: Schedule) -> list:
     issues: list = []
     n = sched.n_pes
     table = sched.table
-    _check_pipeline_shape(table, n, issues)
-    if issues:
-        _check_buffers(sched, issues)
-        return issues  # a malformed pipeline has no rows to check
-    if len(table.barriers) != n:
-        issues.append(LintIssue(
-            "structure", f"{len(table.barriers)} programs for {n} ranks"))
-        _check_buffers(sched, issues)
-        return issues  # the table's ranks are the programs
     _check_structure(table, issues)
     _check_buffers(sched, issues)
-    if any(i.check == "structure" for i in issues):
-        return issues  # program list malformed
     acc = _Accesses(table, n, sched.itemsize)
     _check_steps(sched, table, acc, _BufferFacts(sched, table), issues)
     _check_pipelines(table, acc, issues)

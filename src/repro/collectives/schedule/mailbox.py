@@ -64,10 +64,6 @@ def lower(sched: Schedule) -> Schedule:
     """What :func:`lower_to_mailbox` returns, made afresh."""
     t = sched.table
     label = f"{sched.collective}:{sched.algorithm}"
-    if t.faults or t.unknown:
-        raise ValueError(f"{label} has a pipeline block or step that does "
-                         f"not lower ({(t.faults or t.unknown)[0]}); lint "
-                         "the schedule before lowering")
     if len(set(t.barriers.tolist())) > 1:
         raise ValueError(
             f"{label} has rank-divergent barrier counts; lint the "

@@ -23,21 +23,26 @@ def ring_schedule(n_pes, barriers=2, rank0_barriers=None):
     before the rest.  ``rank0_barriers`` gives rank 0 a different count
     (a schedule the linter would reject)."""
     from repro.collectives.schedule.ir import (
-        BARRIER, Buffer, Put, RankProgram, Schedule, Stage)
+        OP_PUT, Buffer, Rows, Schedule, skeleton)
 
-    programs = []
-    for r in range(n_pes):
-        put = Put("buf", 0, "buf", 8, 1, 1, (r + 1) % n_pes)
-        k = rank0_barriers if r == 0 and rank0_barriers is not None \
-            else barriers
-        if k == 0:
-            programs.append(RankProgram(r, (put,)))
-        else:
-            programs.append(RankProgram(
-                r, (BARRIER,), (Stage(0, (put,) + (BARRIER,) * (k - 1)),)))
-    return Schedule("ring", "test", n_pes, 8,
-                    buffers=(Buffer("buf", "user", 16, symmetric=True),),
-                    programs=tuple(programs))
+    counts = [rank0_barriers if r == 0 and rank0_barriers is not None
+              else barriers for r in range(n_pes)]
+    rows = Rows()
+    skeletons = []
+    for r, k in enumerate(counts):
+        # No barrier: the put is the whole prologue.  Else one barrier
+        # of prologue, then a stage of the put and the other k - 1.
+        rows.add(r, min(k, 1), min(k, 1), OP_PUT, (0, 0), (0, 8), 1, 1,
+                 (r + 1) % n_pes)
+        shape = skeleton(min(k, 1), [(0, ())] if k else (), 0)
+        if k:
+            prologue, stage, epilogue = shape.sections
+            shape = shape._replace(
+                sections=(prologue, stage._replace(nbars=k - 1), epilogue))
+        skeletons.append(shape)
+    return Schedule.from_rows(
+        "ring", "test", n_pes, 8, rows, skeletons, skeleton_of=range(n_pes),
+        buffers=(Buffer("buf", "user", 16, symmetric=True),))
 
 
 def run_machine(n_pes, fn, args=None, **cfg_kw):

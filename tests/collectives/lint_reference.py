@@ -19,6 +19,11 @@ covers the hole after its last element in the conservation pass (two
 chunks of one strided payload left that hole "uncovered").  The cross-segment
 pass visits a pipeline's steps in lowered round order, as the table
 stores them.
+
+It reads the schedule's tree view (``Schedule.programs``), so it checks
+only what the view can express: a malformed pipeline block, a step of no
+known kind and a program list that does not match the ranks are rows
+``Schedule.from_rows`` refuses, and have no reference here.
 """
 
 from __future__ import annotations
@@ -102,19 +107,10 @@ def _stage_signature(prog) -> list:
 
 
 def _check_structure(sched: Schedule, issues: list) -> None:
-    n = sched.n_pes
-    if len(sched.programs) != n:
-        issues.append(LintIssue(
-            "structure", f"{len(sched.programs)} programs for {n} ranks"))
-        return
-    ref_sig = _stage_signature(sched.programs[0])
+    ref_sig = _stage_signature(sched.program(0))
     ref_barriers = _barrier_count(sched, 0)
-    for r in range(n):
-        prog = sched.programs[r]
-        if prog.rank != r:
-            issues.append(LintIssue(
-                "structure", f"program {r} claims rank {prog.rank}", rank=r))
-        sig = _stage_signature(prog)
+    for r in range(sched.n_pes):
+        sig = _stage_signature(sched.program(r))
         if sig != ref_sig:
             issues.append(LintIssue(
                 "deadlock",
@@ -164,12 +160,6 @@ def _check_steps(sched: Schedule, issues: list) -> None:
         for step in sched.program(r).all_steps():
             kind = step.kind
             if kind == "barrier":
-                continue
-            if kind not in ("put", "get", "copy", "reduce", "fill",
-                            "send", "recv"):
-                issues.append(LintIssue(
-                    "steps", f"unknown step kind {kind!r} — the executor "
-                    "and evaluator would reject it", rank=r))
                 continue
             if kind in ("put", "get", "send", "recv"):
                 if not 0 <= step.peer < n:
@@ -263,42 +253,6 @@ def _check_phase_overlap(sched: Schedule, issues: list) -> None:
                         f"[{max(a_lo, b_lo)}, {min(a_hi, b_hi)}): {hazard} "
                         f"(ranks {a_org} and {b_org})", rank=pe,
                         phase=phase))
-
-
-def _check_pipeline_shape(sched: Schedule, issues: list) -> None:
-    """Pipeline well-formedness, checked *before* anything lowers.
-
-    * ``segments >= 1``;
-    * every group carries exactly ``segments`` step tuples (a ragged
-      group would shift the wavefront — and crash the lowering — so
-      this pass short-circuits the rest of the linter);
-    * group steps never contain barriers (the lowering owns them).
-    """
-    for r in range(sched.n_pes):
-        if r >= len(sched.programs):
-            break
-        for pipe in sched.programs[r].stages:
-            if not isinstance(pipe, Pipeline):
-                continue
-            if pipe.segments < 1:
-                issues.append(LintIssue(
-                    "pipeline", f"pipeline {pipe.index}: segment count "
-                    f"{pipe.segments} must be >= 1", rank=r))
-                continue
-            for g, group in enumerate(pipe.groups):
-                if len(group) != pipe.segments:
-                    issues.append(LintIssue(
-                        "pipeline",
-                        f"pipeline {pipe.index} group {g} has "
-                        f"{len(group)} segment step tuples, expected "
-                        f"{pipe.segments}", rank=r))
-                    continue
-                for steps in group:
-                    if any(s.kind == "barrier" for s in steps):
-                        issues.append(LintIssue(
-                            "pipeline",
-                            f"pipeline {pipe.index} group {g} contains a "
-                            "barrier — rounds own their barriers", rank=r))
 
 
 def _check_pipelines(sched: Schedule, issues: list) -> None:
@@ -443,14 +397,8 @@ def _check_conservation(sched: Schedule, issues: list) -> None:
 def reference_lint(sched: Schedule) -> list:
     """Run every check; returns the (possibly empty) issue list."""
     issues: list = []
-    _check_pipeline_shape(sched, issues)
-    if any(i.check == "pipeline" for i in issues):
-        _check_buffers(sched, issues)
-        return issues  # malformed pipelines crash the lowering passes
     _check_structure(sched, issues)
     _check_buffers(sched, issues)
-    if any(i.check == "structure" for i in issues):
-        return issues  # program list malformed; later passes would crash
     _check_steps(sched, issues)
     _check_pipelines(sched, issues)
     _check_phase_overlap(sched, issues)

@@ -34,13 +34,14 @@ import pytest
 from repro.backends import get_backend
 from repro.collectives.schedule.evaluate import evaluate_schedule
 from repro.collectives.schedule.ir import (
+    OP_GET,
+    OP_PUT,
+    OP_RECV,
+    OP_SEND,
     Buffer,
-    Get,
-    Put,
-    RankProgram,
-    Recv,
+    Rows,
     Schedule,
-    Send,
+    skeleton,
 )
 from repro.collectives.schedule.mailbox import lower_to_mailbox
 from repro.collectives.schedule.registry import (
@@ -174,24 +175,30 @@ def order_schedules() -> list:
     """
     bufs = (Buffer("s", "scratch", 512, symmetric=True),
             Buffer("d", "scratch", 512, symmetric=True))
+    s, d = 0, 1
 
-    def sched(name, step0, step1, step2=(), step3=()):
-        return Schedule("test", name, 4, 8, op="sum", buffers=bufs,
-                        programs=tuple(RankProgram(r, steps) for r, steps
-                                       in enumerate((step0, step1,
-                                                     step2, step3))))
+    def sched(name, *adds):
+        """One phase of no barrier; each of ``adds`` is a ``Rows.add``
+        argument tuple."""
+        rows = Rows()
+        for args in adds:
+            rows.add(*args)
+        return Schedule.from_rows("test", name, 4, 8, rows,
+                                  (skeleton(0, (), 0),), op="sum",
+                                  buffers=bufs)
 
+    # (rank, section, phase, op, a, b, nelems, stride, peer[, aux])
     return [
-        sched("kind", (Put("d", 0, "s", 0, 6, 1, 2),),
-              (Get("d", 64, "s", 64, 6, 1, 3),)),
-        sched("nelems", (Put("d", 0, "s", 0, 6, 1, 2),),
-              (Put("d", 64, "s", 64, 2, 1, 3),)),
-        sched("stride", (Put("d", 0, "s", 0, 3, 2, 2),),
-              (Put("d", 64, "s", 64, 3, 1, 3),)),
-        sched("tag", (Send("s", 0, 4, 1, 2, 7),),
-              (Send("s", 64, 4, 1, 3, 5),),
-              (Recv("d", 256, 4, 1, 0, 7),),
-              (Recv("d", 320, 4, 1, 1, 5),)),
+        sched("kind", (0, 0, 0, OP_PUT, (d, 0), (s, 0), 6, 1, 2),
+              (1, 0, 0, OP_GET, (d, 64), (s, 64), 6, 1, 3)),
+        sched("nelems", ([0, 1], 0, 0, OP_PUT, (d, [0, 64]), (s, [0, 64]),
+                         [6, 2], 1, [2, 3])),
+        sched("stride", ([0, 1], 0, 0, OP_PUT, (d, [0, 64]), (s, [0, 64]),
+                         3, [2, 1], [2, 3])),
+        sched("tag", ([0, 1], 0, 0, OP_SEND, (-1, 0), (s, [0, 64]), 4, 1,
+                      [2, 3], [7, 5]),
+              ([2, 3], 0, 0, OP_RECV, (d, [256, 320]), (-1, 0), 4, 1,
+               [0, 1], [7, 5])),
     ]
 
 
@@ -232,15 +239,22 @@ def test_malformed_schedules_fail_with_a_message():
     send feeds — the evaluator refuses by name, group heads not lanes."""
     bufs = (Buffer("s", "scratch", 64, symmetric=True),)
 
-    def sched(steps0, steps1):
-        return Schedule("test", "bad", 2, 8, buffers=bufs, programs=(
-            RankProgram(0, steps0), RankProgram(1, steps1)))
+    def sched(*args, names=("s",)):
+        """A 2-PE schedule of one row, ``Rows.add(*args)``, in a
+        prologue of no barrier."""
+        rows = Rows()
+        rows.add(*args)
+        return Schedule.from_rows("test", "bad", 2, 8, rows,
+                                  (skeleton(0, (), 0),), buffers=bufs,
+                                  names=names)
 
     with pytest.raises(SimulationError, match="rank 1 uses buffer 'ghost'"):
-        evaluate_schedule(sched((), (Put("s", 0, "ghost", 0, 1, 1, 0),)))
+        evaluate_schedule(sched(1, 0, 0, OP_PUT, (0, 0), (1, 0), 1, 1, 0,
+                                names=("s", "ghost")))
     with pytest.raises(SimulationError,
                        match=r"groups \[\(0, 0, 'recv', 2, 1\)\] cannot"):
-        evaluate_schedule(sched((Recv("s", 0, 2, 1, 1, 3),), ()))
+        evaluate_schedule(sched(0, 0, 0, OP_RECV, (0, 0), (-1, 0), 2, 1, 1,
+                                3))
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration helper

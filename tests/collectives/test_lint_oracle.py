@@ -1,29 +1,32 @@
 """The table-driven linter against the brute-force reference.
 
 ``lint_schedule`` runs its passes as sorts and sweeps over the columnar
-step table; ``lint_reference`` walks the dataclass tree step by step and
-compares all pairs.  Hypothesis breaks builtin schedules — every
-registry family at 2–9 PEs, mailbox-lowered and fused ones included —
-in the ways the linter exists to catch, and the two must report the
-same issues: check, rank, phase, message, and order.
+step table; ``lint_reference`` walks the schedule's tree view step by
+step and compares all pairs.  Hypothesis breaks builtin schedules —
+every registry family at 2–9 PEs, mailbox-lowered and fused ones
+included — in the ways the linter exists to catch, editing their rows
+and per-rank skeletons, and the two must report the same issues: check,
+rank, phase, message, and order.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import count
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.collectives.schedule.ir import (
-    BARRIER,
+    OP_GET,
+    OP_PUT,
+    OP_RECV,
+    OP_SEND,
     Buffer,
-    Pipeline,
-    Put,
-    RankProgram,
+    Rows,
     Schedule,
+    skeleton,
 )
 from repro.collectives.schedule.lint import (
     lint_fused_schedule,
@@ -41,76 +44,146 @@ _SETTINGS = settings(max_examples=1000, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
 
-# -- editing a schedule tree --------------------------------------------------
+# -- editing a schedule's rows ------------------------------------------------
 
 
-def _map_rank(sched: Schedule, rank: int, fn) -> Schedule:
-    """``sched`` with ``fn(i, step) -> steps`` applied to every step of
-    ``rank``, ``i`` counting them in tree order (pipeline groups by
-    group, then segment)."""
-    site = count()
+class _Edit:
+    """A schedule's rows as editable columns (``section`` included),
+    each rank's skeleton and the buffer names; :meth:`schedule` makes
+    the edited schedule."""
 
-    def run(steps):
-        return tuple(out for step in steps for out in fn(next(site), step))
+    def __init__(self, sched: Schedule):
+        t = sched.table
+        self.sched = sched
+        self.cols = {name: getattr(t, name).copy() for name in Rows.FIELDS}
+        self.skeletons = [t.skeletons[i] for i in t.skeleton_of.tolist()]
+        self.names = list(t.names)
 
-    prog = sched.programs[rank]
-    stages = tuple(
-        replace(stage, groups=tuple(tuple(run(seg) for seg in group)
-                                    for group in stage.groups))
-        if isinstance(stage, Pipeline)
-        else replace(stage, steps=run(stage.steps))
-        for stage in prog.stages)
-    edited = replace(prog, prologue=run(prog.prologue), stages=stages,
-                     epilogue=run(prog.epilogue))
-    return replace(sched, programs=(sched.programs[:rank] + (edited,)
-                                    + sched.programs[rank + 1:]))
+    def rows(self, rank: int, want=None) -> list:
+        """``rank``'s rows, those ``want(cols)`` marks if given."""
+        mask = self.cols["rank"] == rank
+        if want is not None:
+            mask &= want(self.cols)
+        return np.flatnonzero(mask).tolist()
 
+    def present(self, row: int, fields: tuple) -> list:
+        """Which of ``fields`` (``a_*`` / ``b_*``) the row's op has."""
+        return [f for f in fields if self.cols[f[0] + "_buf"][row] >= 0]
 
-def _sites(sched: Schedule, rank: int, want) -> list:
-    found = []
+    def insert(self, row: int, **values) -> None:
+        """A row after ``row``, like it but for ``values``."""
+        for name, col in self.cols.items():
+            self.cols[name] = np.insert(col, row + 1,
+                                        values.get(name, col[row]))
 
-    def look(i, step):
-        if want(step):
-            found.append(i)
-        return (step,)
+    def delete(self, row: int) -> None:
+        for name, col in self.cols.items():
+            self.cols[name] = np.delete(col, row)
 
-    _map_rank(sched, rank, look)
-    return found
+    def add_barriers(self, rank: int, section: int, by: int,
+                     moved: np.ndarray) -> None:
+        """Give ``section`` of ``rank`` ``by`` more barriers, moving the
+        rows ``moved`` marks past them."""
+        sk = self.skeletons[rank]
+        sec = sk.sections[section]
+        self.skeletons[rank] = sk._replace(sections=(
+            *sk.sections[:section], sec._replace(nbars=sec.nbars + by),
+            *sk.sections[section + 1:]))
+        self.cols["phase"][moved] += by
+
+    def schedule(self) -> Schedule:
+        s = self.sched
+        return Schedule.from_rows(
+            s.collective, s.algorithm, s.n_pes, s.itemsize, self.cols,
+            self.skeletons, skeleton_of=range(s.n_pes), root=s.root,
+            op=s.op, buffers=s.buffers, deliver=s.deliver, names=self.names)
 
 
 def _edit_one(sched: Schedule, rank: int, sel: int, want, edit) -> Schedule:
-    """Apply ``edit(step) -> steps`` to one step of ``rank`` that
-    satisfies ``want``, chosen by ``sel``; unchanged if there is none."""
-    sites = _sites(sched, rank, want)
+    """Apply ``edit(e, row)`` to one row of ``rank`` that ``want(cols)``
+    marks (all if ``None``), chosen by ``sel``; unchanged if none is."""
+    e = _Edit(sched)
+    sites = e.rows(rank, want)
     if not sites:
         return sched
-    target = sites[sel % len(sites)]
-    return _map_rank(sched, rank,
-                     lambda i, step: edit(step) if i == target else (step,))
+    edit(e, sites[sel % len(sites)])
+    return e.schedule()
 
 
-def _is_barrier(step) -> bool:
-    return step.kind == "barrier"
+def _has_peer(cols) -> np.ndarray:
+    return np.isin(cols["op"], (OP_PUT, OP_GET, OP_SEND, OP_RECV))
 
 
-def _moves(step) -> bool:
-    return step.kind != "barrier"
+def _messages(cols) -> np.ndarray:
+    return np.isin(cols["op"], (OP_SEND, OP_RECV))
 
 
-def _has_peer(step) -> bool:
-    return hasattr(step, "peer")
+def _set(column: str, value):
+    """An edit setting ``column`` of the row to ``value(old)``."""
+    def edit(e, row):
+        e.cols[column][row] = value(int(e.cols[column][row]))
+    return edit
 
 
-def _offset_field(step, sel: int) -> str:
-    fields = [f for f in ("dst_off", "src_off", "acc_off", "operand_off")
-              if hasattr(step, f)]
-    return fields[sel % len(fields)]
+def _shift(b: int):
+    def edit(e, row):
+        fields = e.present(row, ("a_off", "b_off"))
+        e.cols[fields[b % len(fields)]][row] += (-16, -8, 8, 16, 40)[b % 5]
+    return edit
 
 
-def _buffer_field(step, sel: int) -> str:
-    fields = [f for f in ("dst", "src", "acc", "operand")
-              if hasattr(step, f)]
-    return fields[sel % len(fields)]
+def _rename(s: Schedule, b: int):
+    def edit(e, row):
+        fields = e.present(row, ("a_buf", "b_buf"))
+        if s.buffers and b % 2:
+            index = b % len(s.buffers)
+        else:
+            if "ghost" not in e.names:
+                e.names.append("ghost")
+            index = e.names.index("ghost")
+        e.cols[fields[b % len(fields)]][row] = index
+    return edit
+
+
+def _stray_put(s: Schedule, r: int, a: int, b: int):
+    def edit(e, row):
+        e.insert(row, op=OP_PUT, a_buf=a % len(s.buffers),
+                 a_off=8 * (b % 3), b_buf=b % len(s.buffers), b_off=0,
+                 nelems=1 + a % 3, stride=1, peer=(r + 1 + b) % s.n_pes,
+                 aux=0)
+    return edit
+
+
+def _add_barrier(s: Schedule, r: int, a: int) -> Schedule:
+    """A barrier after one row outside the pipeline rounds (a round
+    owns its one barrier)."""
+    e = _Edit(s)
+    sections = e.skeletons[r].sections
+    sites = [row for row in e.rows(r)
+             if sections[e.cols["section"][row]].round < 0]
+    if not sites:
+        return s
+    row = sites[a % len(sites)]
+    e.add_barriers(r, int(e.cols["section"][row]), 1,
+                   (e.cols["rank"] == r)
+                   & (np.arange(len(e.cols["rank"])) > row))
+    return e.schedule()
+
+
+def _drop_barrier(s: Schedule, r: int, a: int) -> Schedule:
+    """One of the rank's barriers outside the pipeline rounds, gone."""
+    e = _Edit(s)
+    sites, start = [], 0  # (section, the phase the barrier ends)
+    for j, sec in enumerate(e.skeletons[r].sections):
+        if sec.round < 0:
+            sites += [(j, start + k) for k in range(sec.nbars)]
+        start += sec.nbars
+    if not sites:
+        return s
+    j, after = sites[a % len(sites)]
+    e.add_barriers(r, j, -1, (e.cols["rank"] == r)
+                   & (e.cols["phase"] > after))
+    return e.schedule()
 
 
 def _edit_buffer(sched: Schedule, sel: int, edit) -> Schedule:
@@ -135,40 +208,26 @@ def _shrink(buf: Buffer, a: int, b: int) -> Buffer:
 #: name -> mutate(sched, rank, a, b): ``a`` and ``b`` are free integers
 #: the mutation reduces modulo whatever it is choosing among.
 MUTATIONS = {
-    "drop-barrier": lambda s, r, a, b: _edit_one(
-        s, r, a, _is_barrier, lambda step: ()),
-    "add-barrier": lambda s, r, a, b: _edit_one(
-        s, r, a, _moves, lambda step: (step, BARRIER)),
+    "drop-barrier": lambda s, r, a, b: _drop_barrier(s, r, a),
+    "add-barrier": lambda s, r, a, b: _add_barrier(s, r, a),
     "drop-step": lambda s, r, a, b: _edit_one(
-        s, r, a, _moves, lambda step: ()),
-    "shift-range": lambda s, r, a, b: _edit_one(
-        s, r, a, _moves, lambda step: (replace(step, **{
-            _offset_field(step, b): getattr(step, _offset_field(step, b))
-            + (-16, -8, 8, 16, 40)[b % 5]}),)),
+        s, r, a, None, lambda e, row: e.delete(row)),
+    "shift-range": lambda s, r, a, b: _edit_one(s, r, a, None, _shift(b)),
     "widen-range": lambda s, r, a, b: _edit_one(
-        s, r, a, _moves, lambda step: (replace(
-            step, nelems=step.nelems + 1 + b % 4),)),
+        s, r, a, None, _set("nelems", lambda n: n + 1 + b % 4)),
     "empty-range": lambda s, r, a, b: _edit_one(
-        s, r, a, _moves, lambda step: (replace(step, nelems=0),)),
+        s, r, a, None, _set("nelems", lambda n: 0)),
     "restride": lambda s, r, a, b: _edit_one(
-        s, r, a, _moves, lambda step: (replace(
-            step, stride=step.stride + 1 + b % 2),)),
+        s, r, a, None, _set("stride", lambda n: n + 1 + b % 2)),
     "retarget-peer": lambda s, r, a, b: _edit_one(
-        s, r, a, _has_peer, lambda step: (replace(
-            step, peer=(b % (s.n_pes + 3)) - 1),)),
+        s, r, a, _has_peer, _set("peer", lambda q: b % (s.n_pes + 3) - 1)),
     "swap-peers": lambda s, r, a, b: _swap_peers(s, r, a, b),
     "retag": lambda s, r, a, b: _edit_one(
-        s, r, a, lambda step: hasattr(step, "tag"),
-        lambda step: (replace(step, tag=step.tag + 1 + b % 2),)),
+        s, r, a, _messages, _set("aux", lambda tag: tag + 1 + b % 2)),
     "rename-buffer": lambda s, r, a, b: _edit_one(
-        s, r, a, _moves, lambda step: (replace(step, **{
-            _buffer_field(step, b): ("ghost", s.buffers[b % len(
-                s.buffers)].name)[b % 2] if s.buffers else "ghost"}),)),
+        s, r, a, None, _rename(s, b)),
     "stray-put": lambda s, r, a, b: _edit_one(
-        s, r, a, _moves, lambda step: (step, Put(
-            s.buffers[a % len(s.buffers)].name, 8 * (b % 3),
-            s.buffers[b % len(s.buffers)].name, 0, 1 + a % 3, 1,
-            (r + 1 + b) % s.n_pes)) if s.buffers else (step,)),
+        s, r, a, None, _stray_put(s, r, a, b)) if s.buffers else s,
     "shrink-buffer": lambda s, r, a, b: _edit_buffer(
         s, a, lambda buf: _shrink(buf, r, b)),
     "unsymmetric": lambda s, r, a, b: _edit_buffer(
@@ -189,22 +248,14 @@ MUTATIONS = {
 
 
 def _swap_peers(sched: Schedule, rank: int, a: int, b: int) -> Schedule:
-    sites = _sites(sched, rank, _has_peer)
+    e = _Edit(sched)
+    sites = e.rows(rank, _has_peer)
     if len(sites) < 2:
         return sched
     i, j = sites[a % len(sites)], sites[b % len(sites)]
-    peers = {}
-
-    def note(k, step):
-        if k in (i, j):
-            peers[k] = step.peer
-        return (step,)
-
-    _map_rank(sched, rank, note)
-    return _map_rank(
-        sched, rank,
-        lambda k, step: (replace(step, peer=peers[j if k == i else i]),)
-        if k in (i, j) else (step,))
+    peer = e.cols["peer"]
+    peer[i], peer[j] = peer[j], peer[i]
+    return e.schedule()
 
 
 # -- the property -------------------------------------------------------------
@@ -272,28 +323,19 @@ def test_every_mutation_is_seen_by_both(name):
     assert changed or name == "drop-deliver", f"{name} never broke a schedule"
 
 
-# -- directed: what the table build must not turn into a crash ----------------
-
-
-class _Bogus:
-    kind = "teleport"
-    nelems = stride = 1
-
-
-def _two_rank(steps0, steps1, buffers, deliver=()):
-    return Schedule("test", "test", 2, 8, buffers=buffers, deliver=deliver,
-                    programs=(RankProgram(0, steps0), RankProgram(1, steps1)))
+# -- directed: what the linter must not turn into a crash -------------------
 
 
 def test_malformed_steps_come_out_as_issues():
-    sym = Buffer("s", "scratch", 64, symmetric=True)
-    sched = _two_rank(
-        (Put("nowhere", 0, "s", 0, 1, 1, 1), _Bogus(), BARRIER),
-        (Put("s", 0, "s", 8, 1, 1, 7), Put("s", 0, "s", 8, 1, 1, -1),
-         BARRIER),
-        (sym,))
+    """A name no buffer declares and peers outside the group."""
+    rows = Rows()
+    rows.add(0, 0, 0, OP_PUT, (1, 0), (0, 0), 1, 1, 1)
+    rows.add(1, 0, 0, OP_PUT, (0, 0), (0, 8), 1, 1, [7, -1])
+    sched = Schedule.from_rows(
+        "test", "test", 2, 8, rows, (skeleton(1, (), 0),),
+        buffers=(Buffer("s", "scratch", 64, symmetric=True),),
+        names=("s", "nowhere"))
     text = [str(i) for i in lint_schedule(sched)]
-    assert any("unknown step kind 'teleport'" in t for t in text), text
     assert any("unknown buffer 'nowhere'" in t for t in text), text
     assert any("peer 7 outside group of 2" in t for t in text), text
     assert any("peer -1 outside group of 2" in t for t in text), text

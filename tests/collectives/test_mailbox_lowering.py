@@ -27,20 +27,22 @@ import numpy as np
 import pytest
 
 from repro.collectives.schedule import (
-    BARRIER,
     Buffer,
-    Put,
-    RankProgram,
-    Recv,
     Schedule,
-    Send,
-    Stage,
     lint_schedule,
     lower_to_mailbox,
     max_fan_in,
 )
 from repro.collectives.schedule.evaluate import evaluate_schedule
-from repro.collectives.schedule.ir import Pipeline
+from repro.collectives.schedule.ir import (
+    OP_GET,
+    OP_PUT,
+    OP_RECV,
+    OP_SEND,
+    Rows,
+    pipeline_skeleton,
+    skeleton,
+)
 from repro.collectives.schedule.registry import (BUILTIN_ALGORITHMS,
                                                   builtin_schedules)
 from repro.params import MachineConfig, MailboxParams
@@ -109,11 +111,8 @@ def test_family_lowers_equivalently(collective, algorithm):
         # original becomes exactly one payload send (gets add one
         # zero-payload request besides), while local copies stay local.
         assert two.stats.sends == two.stats.recvs
-        remote = sum(
-            1 for r in range(sched.n_pes)
-            for step in sched.program(r).all_steps()
-            if step.kind in ("put", "get") and step.peer != r
-            and step.nelems > 0)
+        remote = int(np.count_nonzero(_remote(sched.table)
+                                      & (sched.table.nelems > 0)))
         if remote:
             assert two.stats.sends >= remote
         checked += 1
@@ -124,9 +123,12 @@ def test_lowering_is_cached_and_pure():
     sched = next(s for _, s in builtin_schedules((4,), nelems=8))
     assert lower_to_mailbox(sched) is lower_to_mailbox(sched)
     # And the input schedule is untouched: no send/recv leaked into it.
-    assert all(step.kind not in ("send", "recv")
-               for r in range(sched.n_pes)
-               for step in sched.program(r).all_steps())
+    assert not np.isin(sched.table.op, (OP_SEND, OP_RECV)).any()
+
+
+def _remote(table):
+    """Which rows are a put or get to another rank."""
+    return np.isin(table.op, (OP_PUT, OP_GET)) & (table.peer != table.rank)
 
 
 def _allreduce_thrice(ctx) -> bool:
@@ -179,18 +181,19 @@ def test_mailbox_calls_lower_once_and_hash_nothing(monkeypatch):
 # the linter vs deliberately broken lowerings
 # ---------------------------------------------------------------------------
 
-def _toy(rank0_phases, rank1_phases):
-    """A 2-PE schedule from per-phase step tuples (BARRIER appended)."""
-    programs = []
-    for r, phases in enumerate((rank0_phases, rank1_phases)):
-        stages = tuple(Stage(i, tuple(steps) + (BARRIER,))
-                       for i, steps in enumerate(phases))
-        programs.append(RankProgram(rank=r, stages=stages))
-    return Schedule(
-        collective="toy", algorithm="handmade+mailbox", n_pes=2, itemsize=8,
-        buffers=(Buffer("s", "scratch", 64, symmetric=True),),
-        programs=tuple(programs),
-    )
+def _toy(stages, *messages, rows=None):
+    """A 2-PE schedule of ``stages`` one-barrier stages on each rank (a
+    stage's rows are section ``stage + 1`` and phase ``stage``), holding
+    ``rows`` and ``messages``: ``(rank, stage, op, offset, nelems, peer,
+    tag)`` of a send or recv of scratch ``s``."""
+    rows = rows or Rows()
+    for rank, stage, op, off, nelems, peer, tag in messages:
+        a, b = ((-1, 0), (0, off)) if op == OP_SEND else ((0, off), (-1, 0))
+        rows.add(rank, stage + 1, stage, op, a, b, nelems, 1, peer, tag)
+    return Schedule.from_rows(
+        "toy", "handmade+mailbox", 2, 8, rows,
+        (skeleton(0, [(i, ()) for i in range(stages)], 0),),
+        buffers=(Buffer("s", "scratch", 64, symmetric=True),))
 
 
 def _message_issues(sched):
@@ -199,27 +202,26 @@ def _message_issues(sched):
 
 class TestBrokenLowerings:
     def test_well_formed_toy_is_clean(self):
-        sched = _toy([(Send("s", 0, 2, 1, peer=1, tag=5),)],
-                     [(Recv("s", 0, 2, 1, peer=0, tag=5),)])
+        sched = _toy(1, (0, 0, OP_SEND, 0, 2, 1, 5),
+                     (1, 0, OP_RECV, 0, 2, 0, 5))
         assert lint_schedule(sched) == []
 
     def test_unmatched_send_is_flagged(self):
-        sched = _toy([(Send("s", 0, 2, 1, peer=1, tag=0),)],
-                     [()])
+        sched = _toy(1, (0, 0, OP_SEND, 0, 2, 1, 0))
         issues = _message_issues(sched)
         assert len(issues) == 1
         assert "1 sends vs 0 recvs" in issues[0].message
 
     def test_tag_disagreement_is_flagged(self):
-        sched = _toy([(Send("s", 0, 2, 1, peer=1, tag=3),)],
-                     [(Recv("s", 0, 2, 1, peer=0, tag=4),)])
+        sched = _toy(1, (0, 0, OP_SEND, 0, 2, 1, 3),
+                     (1, 0, OP_RECV, 0, 2, 0, 4))
         issues = _message_issues(sched)
         assert len(issues) == 1
         assert "FIFO order disagreement" in issues[0].message
 
     def test_size_disagreement_is_flagged(self):
-        sched = _toy([(Send("s", 0, 4, 1, peer=1, tag=0),)],
-                     [(Recv("s", 0, 2, 1, peer=0, tag=0),)])
+        sched = _toy(1, (0, 0, OP_SEND, 0, 4, 1, 0),
+                     (1, 0, OP_RECV, 0, 2, 0, 0))
         issues = _message_issues(sched)
         assert len(issues) == 1
         assert "carries 4 elements but recv expects 2" in issues[0].message
@@ -228,53 +230,35 @@ class TestBrokenLowerings:
         # The recv sits in phase 0 but its matching send only happens in
         # phase 1 — the sender is stuck behind the barrier the receiver
         # will never reach.
-        sched = _toy([(), (Send("s", 0, 2, 1, peer=1, tag=0),)],
-                     [(Recv("s", 0, 2, 1, peer=0, tag=0),), ()])
-        issues = _message_issues(sched)
+        issues = _message_issues(_future_send())
         assert len(issues) == 1
         assert "deadlock" in issues[0].message
 
     def test_fifo_order_swap_is_flagged(self):
         # Two messages whose recv order is inverted relative to send
         # order: FIFO matching pairs them crosswise, so both tags clash.
-        sched = _toy(
-            [(Send("s", 0, 2, 1, peer=1, tag=1),
-              Send("s", 16, 2, 1, peer=1, tag=2))],
-            [(Recv("s", 16, 2, 1, peer=0, tag=2),
-              Recv("s", 0, 2, 1, peer=0, tag=1))],
-        )
+        sched = _toy(1, (0, 0, OP_SEND, 0, 2, 1, 1),
+                     (0, 0, OP_SEND, 16, 2, 1, 2),
+                     (1, 0, OP_RECV, 16, 2, 0, 2),
+                     (1, 0, OP_RECV, 0, 2, 0, 1))
         issues = _message_issues(sched)
         assert len(issues) == 2
         assert all("FIFO order disagreement" in i.message for i in issues)
+
+
+def _future_send():
+    """Rank 1 receives in stage 0 what rank 0 sends only in stage 1."""
+    return _toy(2, (0, 1, OP_SEND, 0, 2, 1, 0), (1, 0, OP_RECV, 0, 2, 0, 0))
 
 
 # ---------------------------------------------------------------------------
 # schedules the lowering must refuse
 # ---------------------------------------------------------------------------
 
-def _put(r):
-    """Rank ``r``'s put of one word to the other rank of two."""
-    return Put("s", 0, "s", 8, 1, 1, peer=1 - r)
-
-
-def _pipelined(segments, groups):
-    """A 2-PE schedule of one Pipeline block, ``groups(r)`` on rank r."""
-    return Schedule(
-        collective="toy", algorithm="handmade", n_pes=2, itemsize=8,
-        buffers=(Buffer("s", "scratch", 64, symmetric=True),),
-        programs=tuple(RankProgram(r, (BARRIER,),
-                                   (Pipeline(0, segments, groups(r)),))
-                       for r in range(2)))
-
-
-class _Teleport:
-    kind = "teleport"
-    nelems = stride = 1
-
-
 class TestMalformedInputIsRefused:
     """A schedule the lowering cannot keep deadlock-free raises
-    ``ValueError`` rather than lowering to something else."""
+    ``ValueError`` rather than lowering to something else; one that
+    cannot mean anything is refused by ``Schedule.from_rows``."""
 
     def _refused(self, sched, match):
         assert lint_schedule(sched) != []
@@ -282,20 +266,24 @@ class TestMalformedInputIsRefused:
             lower_to_mailbox(sched)
 
     def test_pipeline_without_segments(self):
-        self._refused(_pipelined(0, lambda r: ((),)), "does not lower")
-
-    def test_ragged_pipeline(self):
-        self._refused(_pipelined(2, lambda r: (((_put(r),),),)),
-                      "does not lower")
+        with pytest.raises(ValueError, match="no segments"):
+            Schedule.from_rows(
+                "toy", "handmade", 2, 8, Rows(),
+                (pipeline_skeleton(1, 0, 1, (), 0),),
+                buffers=(Buffer("s", "scratch", 64, symmetric=True),))
 
     def test_put_to_own_rank(self):
         """Refused by a check, not an ``assert`` that ``python -O``
         strips."""
-        self._refused(_toy([(Put("s", 0, "s", 8, 1, 1, peer=0),)], [()]),
-                      "targeting itself")
+        rows = Rows()
+        rows.add(0, 1, 0, OP_PUT, (0, 0), (0, 8), 1, 1, 0)
+        self._refused(_toy(1, rows=rows), "targeting itself")
 
     def test_step_of_no_known_kind(self):
-        self._refused(_toy([(_Teleport(),)], [()]), "does not lower")
+        rows = Rows()
+        rows.add(0, 1, 0, 0)
+        with pytest.raises(ValueError, match="no step kind"):
+            _toy(1, rows=rows)
 
     def test_rank_divergent_barrier_counts(self):
         self._refused(ring_schedule(3, rank0_barriers=1),
@@ -309,10 +297,8 @@ class TestMalformedInputIsRefused:
 def test_evaluator_raises_on_deadlocked_lowering():
     from repro.errors import SimulationError
 
-    sched = _toy([(), (Send("s", 0, 2, 1, peer=1, tag=0),)],
-                 [(Recv("s", 0, 2, 1, peer=0, tag=0),), ()])
     with pytest.raises(SimulationError, match="deadlock"):
-        evaluate_schedule(sched, MachineConfig(n_pes=2))
+        evaluate_schedule(_future_send(), MachineConfig(n_pes=2))
 
 
 def test_evaluator_charges_mailbox_costs():
@@ -327,9 +313,6 @@ def test_evaluator_charges_mailbox_costs():
     assert two.elapsed_ns > base.elapsed_ns
     # Payload conservation: the wire carries exactly the formerly-remote
     # put/get bytes (requests are zero-payload; local copies stay local).
-    remote_bytes = sum(
-        step.nelems * sched.itemsize
-        for r in range(sched.n_pes)
-        for step in sched.program(r).all_steps()
-        if step.kind in ("put", "get") and step.peer != r)
+    remote_bytes = int(sched.table.nelems[_remote(sched.table)].sum()) \
+        * sched.itemsize
     assert two.stats.bytes_sent == remote_bytes

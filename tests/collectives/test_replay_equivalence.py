@@ -25,14 +25,14 @@ from hypothesis import strategies as st
 from repro.collectives.nonblocking import ibroadcast
 from repro.collectives.schedule import execute_schedule
 from repro.collectives.schedule.ir import (
-    BARRIER,
+    AUX_COPY,
+    OP_COPY,
+    OP_GET,
+    OP_PUT,
     Buffer,
-    Copy,
-    Get,
-    Put,
-    RankProgram,
+    Rows,
     Schedule,
-    Stage,
+    skeleton,
 )
 from repro.collectives.teams import Team
 from repro.runtime import Machine
@@ -313,16 +313,14 @@ def test_a_charged_copy_yields_to_an_earlier_rank():
     ahead), then copies over the word rank 1 is about to get.  The
     engine runs rank 1's get first — its clock is smaller when rank 0
     reaches the copy's checkpoint — so rank 1 must read the old word."""
-    put = Put("buf", 16, "buf", 8, 1, 1, 1)
-    overwrite = Copy("buf", 0, "buf", 8, 1, 1)
-    get = Get("buf", 24, "buf", 0, 1, 1, 0)
-    sched = Schedule(
-        "race", "test", 2, 8,
-        buffers=(Buffer("buf", "user", 32, symmetric=True),),
-        programs=(
-            RankProgram(0, (BARRIER,),
-                        (Stage(0, (put, overwrite, BARRIER)),)),
-            RankProgram(1, (BARRIER,), (Stage(0, (get, BARRIER)),))))
+    # One barrier, then stage 0 (section 1, phase 1) of one barrier.
+    rows = Rows()
+    rows.add(0, 1, 1, OP_PUT, (0, 16), (0, 8), 1, 1, 1)
+    rows.add(0, 1, 1, OP_COPY, (0, 0), (0, 8), 1, 1, aux=AUX_COPY)
+    rows.add(1, 1, 1, OP_GET, (0, 24), (0, 0), 1, 1, 0)
+    sched = Schedule.from_rows(
+        "race", "test", 2, 8, rows, (skeleton(1, [(0, ())], 0),),
+        buffers=(Buffer("buf", "user", 32, symmetric=True),))
 
     def body(ctx):
         ctx.init()

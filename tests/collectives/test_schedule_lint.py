@@ -16,15 +16,15 @@ from repro.collectives.allreduce import compile_allreduce
 from repro.collectives.broadcast import compile_broadcast
 from repro.collectives.schedule import lint_schedule
 from repro.collectives.schedule.ir import (
-    BARRIER,
+    AUX_COPY,
+    OP_COPY,
+    OP_GET,
+    OP_PUT,
     Buffer,
-    Copy,
-    Get,
-    Pipeline,
-    Put,
-    RankProgram,
+    Rows,
     Schedule,
-    Stage,
+    pipeline_skeleton,
+    skeleton,
 )
 from repro.collectives.schedule.registry import (
     BUILTIN_ALGORITHMS,
@@ -46,15 +46,32 @@ def test_builtin_algorithms_lint_clean(collective, algorithm):
     assert seen >= 16
 
 
-def _two_rank(buffers, prog0, prog1, deliver=()):
-    return Schedule(
-        collective="test", algorithm="test", n_pes=2, itemsize=8,
-        buffers=buffers, programs=(prog0, prog1), deliver=deliver,
-    )
+def _two_rank(buffers, rows=None, barriers=(1, 1), deliver=()):
+    """A 2-PE schedule whose ``rows`` all sit in the prologue, rank r
+    passing ``barriers[r]`` barriers."""
+    return _schedule(buffers, rows, [skeleton(k, (), 0) for k in barriers],
+                     deliver)
+
+
+def _schedule(buffers, rows, skeletons, deliver=()):
+    """Rank r of ``rows`` has ``skeletons[r]``."""
+    return Schedule.from_rows(
+        "test", "test", len(skeletons), 8, rows or Rows(), skeletons,
+        skeleton_of=range(len(skeletons)), buffers=buffers, deliver=deliver)
+
+
+def _step(rank, op, a, b, nelems, peer=None, phase=0, section=0):
+    """Rows holding one step of stride 1."""
+    rows = Rows()
+    rows.add(rank, section, phase, op, a, b, nelems, 1, peer,
+             AUX_COPY if op == OP_COPY else 0)
+    return rows
 
 
 _SYM = Buffer("s", "scratch", 64, symmetric=True)
 _DST = Buffer("dest", "user", 64)
+#: Table indices of ``_DST`` and ``_SYM`` in ``(_DST, _SYM, ...)``.
+D, S = 0, 1
 
 
 def _checks(issues):
@@ -63,104 +80,65 @@ def _checks(issues):
 
 class TestBrokenSchedules:
     def test_mismatched_barrier_counts_is_deadlock(self):
-        sched = _two_rank(
-            (_DST, _SYM),
-            RankProgram(0, (BARRIER, BARRIER)),
-            RankProgram(1, (BARRIER,)),
-        )
+        sched = _two_rank((_DST, _SYM), barriers=(2, 1))
         assert "deadlock" in _checks(lint_schedule(sched))
 
     def test_self_peer_is_flagged(self):
-        sched = _two_rank(
-            (_DST, _SYM),
-            RankProgram(0, (Put("s", 0, "s", 0, 1, 1, 0), BARRIER)),
-            RankProgram(1, (BARRIER,)),
-        )
+        sched = _two_rank((_DST, _SYM),
+                          _step(0, OP_PUT, (S, 0), (S, 0), 1, peer=0))
         assert "peers" in _checks(lint_schedule(sched))
 
     def test_peer_out_of_range(self):
-        sched = _two_rank(
-            (_DST, _SYM),
-            RankProgram(0, (Get("s", 0, "s", 0, 1, 1, 5), BARRIER)),
-            RankProgram(1, (BARRIER,)),
-        )
+        sched = _two_rank((_DST, _SYM),
+                          _step(0, OP_GET, (S, 0), (S, 0), 1, peer=5))
         assert "peers" in _checks(lint_schedule(sched))
 
     def test_remote_access_to_private_buffer(self):
         priv = Buffer("p", "private", 64)
-        sched = _two_rank(
-            (_DST, _SYM, priv),
-            RankProgram(0, (Get("s", 0, "p", 0, 1, 1, 1), BARRIER)),
-            RankProgram(1, (BARRIER,)),
-        )
+        sched = _two_rank((_DST, _SYM, priv),
+                          _step(0, OP_GET, (S, 0), (2, 0), 1, peer=1))
         issues = lint_schedule(sched)
         assert any("non-symmetric" in i.message for i in issues), issues
 
     def test_out_of_bounds_access(self):
-        sched = _two_rank(
-            (_DST, _SYM),
-            RankProgram(0, (Copy("dest", 0, "s", 0, 100, 1), BARRIER)),
-            RankProgram(1, (BARRIER,)),
-        )
+        sched = _two_rank((_DST, _SYM),
+                          _step(0, OP_COPY, (D, 0), (S, 0), 100))
         assert "bounds" in _checks(lint_schedule(sched))
 
     def test_write_write_overlap_in_one_phase(self):
         # Ranks 1 and 2 both put into rank 0's scratch bytes 0..8 with
         # no barrier between: a data race across origins.
-        sched = Schedule(
-            collective="test", algorithm="test", n_pes=3, itemsize=8,
-            buffers=(_DST, _SYM),
-            programs=(
-                RankProgram(0, (BARRIER,)),
-                RankProgram(1, (Put("s", 0, "s", 8, 1, 1, 0), BARRIER)),
-                RankProgram(2, (Put("s", 0, "s", 8, 1, 1, 0), BARRIER)),
-            ),
-        )
+        rows = _step([1, 2], OP_PUT, (S, 0), (S, 8), 1, peer=0)
+        sched = _schedule((_DST, _SYM), rows, [skeleton(1, (), 0)] * 3)
         assert "overlap" in _checks(lint_schedule(sched))
 
     def test_remote_write_vs_local_read_overlap(self):
-        sched = _two_rank(
-            (_DST, _SYM),
-            RankProgram(0, (Copy("dest", 0, "s", 0, 1, 1), BARRIER)),
-            RankProgram(1, (Put("s", 0, "s", 8, 1, 1, 0), BARRIER)),
-        )
+        rows = _step(0, OP_COPY, (D, 0), (S, 0), 1)
+        rows.add(1, 0, 0, OP_PUT, (S, 0), (S, 8), 1, 1, 0)
+        sched = _two_rank((_DST, _SYM), rows)
         assert "overlap" in _checks(lint_schedule(sched))
 
     def test_barrier_separates_conflicting_phases(self):
         # Same steps as above but with a barrier between them: clean.
-        sched = _two_rank(
-            (_DST, _SYM),
-            RankProgram(0, (BARRIER, Copy("dest", 0, "s", 0, 1, 1),
-                            BARRIER)),
-            RankProgram(1, (Put("s", 0, "s", 8, 1, 1, 0), BARRIER, BARRIER)),
-        )
+        rows = _step(0, OP_COPY, (D, 0), (S, 0), 1, phase=1)
+        rows.add(1, 0, 0, OP_PUT, (S, 0), (S, 8), 1, 1, 0)
+        sched = _two_rank((_DST, _SYM), rows, barriers=(2, 2))
         assert lint_schedule(sched) == []
 
     def test_unfulfilled_deliver_contract(self):
-        sched = _two_rank(
-            (_DST, _SYM),
-            RankProgram(0, (BARRIER,)),
-            RankProgram(1, (BARRIER,)),
-            deliver=((0, "dest", 0, 16),),
-        )
+        sched = _two_rank((_DST, _SYM), deliver=((0, "dest", 0, 16),))
         assert "conservation" in _checks(lint_schedule(sched))
 
     def test_deliver_satisfied_by_local_copy(self):
-        sched = _two_rank(
-            (_DST, _SYM),
-            RankProgram(0, (Copy("dest", 0, "s", 0, 2, 1), BARRIER)),
-            RankProgram(1, (BARRIER,)),
-            deliver=((0, "dest", 0, 16),),
-        )
+        sched = _two_rank((_DST, _SYM), _step(0, OP_COPY, (D, 0), (S, 0), 2),
+                          deliver=((0, "dest", 0, 16),))
         assert lint_schedule(sched) == []
 
     def test_deliver_satisfied_by_incoming_put(self):
         sched = _two_rank(
             (Buffer("dest", "user", 64, symmetric=True), _SYM),
-            RankProgram(0, (BARRIER,)),
-            RankProgram(1, (Put("dest", 0, "s", 0, 2, 1, 0), BARRIER)),
-            deliver=((0, "dest", 0, 16),),
-        )
+            _step(1, OP_PUT, (D, 0), (S, 0), 2, peer=0),
+            deliver=((0, "dest", 0, 16),))
         assert lint_schedule(sched) == []
 
     def test_strided_chunks_cover_the_holes_between_them(self):
@@ -169,14 +147,16 @@ class TestBrokenSchedules:
         no element of the payload, so the contract is kept; drop the
         second chunk and it is broken from the hole on."""
         dest = Buffer("dest", "user", 96, symmetric=True)
-        first = Put("dest", 0, "s", 0, 3, 2, 0)
-        second = Put("dest", 48, "s", 0, 3, 2, 0)
         deliver = ((0, "dest", 0, 88),)
-        kept = _two_rank((dest, _SYM), RankProgram(0, (BARRIER,)),
-                         RankProgram(1, (first, second, BARRIER)), deliver)
+
+        def chunks(*offsets):
+            rows = Rows()
+            rows.add(1, 0, 0, OP_PUT, (D, list(offsets)), (S, 0), 3, 2, 0)
+            return rows
+
+        kept = _two_rank((dest, _SYM), chunks(0, 48), deliver=deliver)
         assert lint_schedule(kept) == []
-        broken = _two_rank((dest, _SYM), RankProgram(0, (BARRIER,)),
-                           RankProgram(1, (first, BARRIER)), deliver)
+        broken = _two_rank((dest, _SYM), chunks(0), deliver=deliver)
         assert [i.message for i in lint_schedule(broken)] == [
             "deliver contract [0, 88) of 'dest' on rank 0 only covered up "
             "to byte 48"]
@@ -196,11 +176,7 @@ class TestBrokenSchedules:
 
     def test_non_symmetric_scratch_rejected(self):
         bad = Buffer("s", "scratch", 64, symmetric=False)
-        sched = _two_rank(
-            (_DST, bad),
-            RankProgram(0, (BARRIER,)),
-            RankProgram(1, (BARRIER,)),
-        )
+        sched = _two_rank((_DST, bad))
         assert "buffers" in _checks(lint_schedule(sched))
 
     def test_out_of_range_peer_with_per_rank_extents_is_an_issue(self):
@@ -209,11 +185,8 @@ class TestBrokenSchedules:
         IndexError, and a negative peer read another rank's extent)."""
         ragged = Buffer("d", "user", (16, 16), symmetric=True)
         for peer in (5, -1):
-            sched = _two_rank(
-                (ragged, _SYM),
-                RankProgram(0, (Put("d", 0, "s", 0, 2, 1, peer), BARRIER)),
-                RankProgram(1, (BARRIER,)),
-            )
+            sched = _two_rank((ragged, _SYM),
+                              _step(0, OP_PUT, (0, 0), (S, 0), 2, peer))
             issues = lint_schedule(sched)
             assert [i.check for i in issues] == ["peers"], issues
             assert f"peer {peer} outside group of 2" in issues[0].message
@@ -221,85 +194,57 @@ class TestBrokenSchedules:
     def test_zero_length_access_is_not_an_overlap(self):
         """An empty range strictly inside another touches nothing."""
         buf = Buffer("d", "user", 64, symmetric=True)
-        sched = _two_rank(
-            (buf, _SYM),
-            RankProgram(0, (Put("d", 8, "s", 8, 0, 1, 1), BARRIER)),
-            RankProgram(1, (Copy("s", 0, "d", 0, 2, 1), BARRIER)),
-        )
+        rows = _step(0, OP_PUT, (0, 8), (S, 8), 0, peer=1)
+        rows.add(1, 0, 0, OP_COPY, (S, 0), (0, 0), 2, 1, aux=AUX_COPY)
+        sched = _two_rank((buf, _SYM), rows)
         assert lint_schedule(sched) == []
 
     def test_stage_count_mismatch(self):
-        sched = _two_rank(
-            (_DST, _SYM),
-            RankProgram(0, (), (Stage(0, (BARRIER,)),)),
-            RankProgram(1, (), (Stage(0, (BARRIER,)),
-                                Stage(1, (BARRIER,)))),
-        )
+        sched = _schedule((_DST, _SYM), None, [
+            skeleton(0, [(0, ())], 0), skeleton(0, [(0, ()), (1, ())], 0)])
         issues = lint_schedule(sched)
         assert issues  # structure issues short-circuit the rest
 
 
 class TestBrokenPipelines:
-    """Hand-built broken Pipeline blocks: each new hazard rule fires."""
+    """Hand-built broken Pipeline blocks: each new hazard rule fires.
 
-    def _pipe_pair(self, pipe0, pipe1):
-        return _two_rank(
-            (_DST, _SYM),
-            RankProgram(0, (), (pipe0,)),
-            RankProgram(1, (), (pipe1,)),
-        )
+    Each rank runs one block at index 0 and nothing else, so round
+    ``t`` is section ``t + 1`` and phase ``t``; a row of group ``g``
+    in round ``t`` is that group's segment ``t - g``."""
+
+    def _pipe_pair(self, rows, shape0, shape1):
+        """``shape`` is a block's ``(segments, groups)`` on that rank."""
+        return _schedule((_DST, _SYM), rows, [
+            pipeline_skeleton(0, segments, groups, (), 0)
+            for segments, groups in (shape0, shape1)])
 
     def test_clean_pipeline_passes(self):
         """Producer writes segment k in round k; the consumer reads it
         one round later — exactly the wavefront contract."""
-        producer = Pipeline(0, 2, (
-            ((Copy("s", 0, "dest", 0, 1, 1),),
-             (Copy("s", 8, "dest", 8, 1, 1),)),
-            ((), ()),
-        ))
-        consumer = Pipeline(0, 2, (
-            ((), ()),
-            ((Get("dest", 0, "s", 0, 1, 1, 0),),
-             (Get("dest", 8, "s", 8, 1, 1, 0),)),
-        ))
-        sched = _two_rank(
-            (_DST, _SYM),
-            RankProgram(0, (), (producer,)),
-            RankProgram(1, (), (consumer,)),
-        )
+        rows = Rows()
+        # Rank 0, group 0: segments 0 and 1 in rounds 0 and 1.
+        rows.add(0, [1, 2], [0, 1], OP_COPY, (S, [0, 8]), (D, [0, 8]), 1,
+                 aux=AUX_COPY, group=0)
+        # Rank 1, group 1: segments 0 and 1 in rounds 1 and 2.
+        rows.add(1, [2, 3], [1, 2], OP_GET, (D, [0, 8]), (S, [0, 8]), 1,
+                 peer=0, group=1)
+        sched = self._pipe_pair(rows, (2, 2), (2, 2))
         assert lint_schedule(sched) == []
-
-    def test_ragged_group_is_flagged(self):
-        ragged = Pipeline(0, 2, ((((),)),))  # 1 segment tuple, S=2
-        ok = Pipeline(0, 2, (((), ()),))
-        issues = lint_schedule(self._pipe_pair(ragged, ok))
-        assert "pipeline" in _checks(issues)
-
-    def test_barrier_inside_group_is_flagged(self):
-        bad = Pipeline(0, 1, (((BARRIER,),),))
-        issues = lint_schedule(self._pipe_pair(bad, bad))
-        assert "pipeline" in _checks(issues)
 
     def test_segment_count_mismatch_is_deadlock(self):
         """Ranks disagreeing on S lower to different round counts — the
         structure signature catches it before any barrier hangs."""
-        two = Pipeline(0, 2, (((), ()),))
-        three = Pipeline(0, 3, (((), (), ()),))
-        issues = lint_schedule(self._pipe_pair(two, three))
+        issues = lint_schedule(self._pipe_pair(None, (2, 1), (3, 1)))
         assert "deadlock" in _checks(issues)
 
     def test_cross_segment_ordering_violation(self):
         """A remote read of bytes produced only in a *later* round of
         the same pipeline observes stale data — the staleness bug that
         wrong segment boundaries introduce."""
-        reader = Pipeline(0, 1, (
-            ((Get("dest", 0, "s", 0, 1, 1, 1),),),
-            ((),),
-        ))
-        writer = Pipeline(0, 1, (
-            ((),),
-            ((Copy("s", 0, "dest", 0, 1, 1),),),
-        ))
-        issues = lint_schedule(self._pipe_pair(reader, writer))
+        rows = Rows()
+        rows.add(0, 1, 0, OP_GET, (D, 0), (S, 0), 1, peer=1, group=0)
+        rows.add(1, 2, 1, OP_COPY, (S, 0), (D, 0), 1, aux=AUX_COPY, group=1)
+        issues = lint_schedule(self._pipe_pair(rows, (1, 2), (1, 2)))
         assert any(i.check == "pipeline" and "cross-segment" in i.message
                    for i in issues)

@@ -1,22 +1,19 @@
-"""Every compiler's step-table rows agree with their own tree.
+"""Every compiler's tree view reads its step-table rows back.
 
 Each compiler writes its :class:`~repro.collectives.schedule.ir.StepTable`
-directly; its tree of dataclasses is a view rebuilt from those rows — a
-:class:`~repro.collectives.schedule.ir.Pipeline` block from each row's
-group.  Walking that tree the way a hand-built schedule is walked
-(``StepTable.of_tree``) must give back the same table — every column,
-the group included, every rank's barrier skeleton and each row's
-section — for every registry pair, over PE counts, roots, empty, single
-and ragged payloads (with a zero-count PE and out-of-order, gapped
-displacements), segment counts, strides and element sizes.  Comparing
-and hashing such schedules reads the table and never builds the tree.
+directly; its tree of dataclasses is a read-only view rebuilt from those
+rows — a :class:`~repro.collectives.schedule.ir.Pipeline` block from
+each row's group.  Every rank's view must walk the same steps as its
+rows laid out by section (``table.layout``, a barrier at each gap), and
+carry the stage signature of its skeleton, for every registry pair, over
+PE counts, roots, empty, single and ragged payloads (with a zero-count
+PE and out-of-order, gapped displacements), segment counts, strides and
+element sizes.  Comparing and hashing such schedules reads the table and
+never builds the tree.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +30,7 @@ from repro.collectives.reduce_scatter import compile_reduce_scatter
 from repro.collectives.scan import compile_scan
 from repro.collectives.scatter import compile_scatter
 from repro.collectives.schedule.fuse import compile_widened, fuse_schedules
-from repro.collectives.schedule.ir import StepTable
+from repro.collectives.schedule.ir import BARRIER, Pipeline
 from repro.collectives.schedule.registry import BUILTIN_ALGORITHMS
 
 
@@ -104,18 +101,18 @@ def compiled(draw):
 @settings(max_examples=300, deadline=None)
 @given(compiled())
 def test_rows_equal_the_walk_of_their_tree(sched):
-    rows = sched.table
-    # The same schedule written as a tree: its table is one walk of it.
-    walked = StepTable.of_tree(dataclasses.replace(sched))
-    for name in StepTable.COLUMNS + ("section", "barriers"):
-        assert np.array_equal(getattr(rows, name), getattr(walked, name)), \
-            name
-    assert (rows.names, rows.n_declared) == (walked.names,
-                                              walked.n_declared)
-    assert [rows.skeletons[i] for i in rows.skeleton_of.tolist()] == \
-        [walked.skeletons[i] for i in walked.skeleton_of.tolist()]
-    assert rows.same(walked)
-    assert (rows.unknown, rows.claims, rows.faults) == ((), (), ())
+    table = sched.table
+    for r in range(sched.n_pes):
+        rows, parts = table.layout(r)
+        laid_out = [BARRIER if k is None else table.step(rows.start + k)
+                    for _, items in parts for k in items]
+        view = sched.program(r)
+        assert list(view.all_steps()) == laid_out, r
+        signature = tuple(
+            ("pipeline", st.index, st.segments, len(st.groups))
+            if isinstance(st, Pipeline) else st.index for st in view.stages)
+        assert signature == \
+            table.skeletons[table.skeleton_of[r]].signature, r
 
 
 def test_equality_and_hash_read_the_table_not_the_tree(monkeypatch):
