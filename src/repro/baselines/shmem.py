@@ -18,7 +18,9 @@ with faithful semantic differences:
 
 The ``pSync``/``pWrk`` work-array arguments of the real API are accepted
 for signature fidelity but unused (the runtime's symmetric scratch plays
-their role).
+their role).  Every call is issued through the context's dispatcher, so
+inside ``ctx.superstep()`` it defers in call order like the context's
+own collectives.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..collectives import broadcast as _broadcast
-from ..collectives import extra as _extra
+from ..collectives.allreduce import prepare_allreduce
+from ..collectives.broadcast import prepare_broadcast
+from ..collectives.extra import prepare_allgather
 from ..errors import CollectiveArgumentError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -99,11 +102,12 @@ class ShmemAPI:
                pe_root: int, pe_start: int, log_pe_stride: int,
                pe_size: int | None) -> None:
         members = self._members(pe_start, log_pe_stride, pe_size)
-        dtype = np.dtype(f"u{elem_bytes}")
-        _broadcast.broadcast(
-            self.ctx, dest, source, nelems, 1, pe_root, dtype,
-            group=members, copy_to_root_dest=False,
-        )
+        ctx = self.ctx
+        ctx._issue(prepare_broadcast(
+            ctx, dest, source, nelems, 1, pe_root,
+            np.dtype(f"u{elem_bytes}"), group=members,
+            copy_to_root_dest=False,
+        ))
 
     def broadcast32(self, dest: int, source: int, nelems: int, pe_root: int,
                     pe_start: int = 0, log_pe_stride: int = 0,
@@ -135,10 +139,10 @@ class ShmemAPI:
         if op not in _REDUCTION_OPS:
             raise CollectiveArgumentError(f"unknown reduction op {op!r}")
         members = self._members(pe_start, log_pe_stride, pe_size)
-        from ..collectives.allreduce import allreduce as _allreduce
-
-        _allreduce(self.ctx, dest, source, nreduce, 1, op,
-                   _REDUCTION_TYPES[typename], group=members)
+        ctx = self.ctx
+        ctx._issue(prepare_allreduce(ctx, dest, source, nreduce, 1, op,
+                                     _REDUCTION_TYPES[typename],
+                                     group=members))
 
     def __getattr__(self, name: str):
         # shmem_<type>_<op>_to_all convenience: e.g. long_sum_to_all.
@@ -162,8 +166,11 @@ class ShmemAPI:
                  pe_size: int | None = None, psync: object = None) -> None:
         """``shmem_fcollect{32,64}``: fixed-size concatenation on all PEs."""
         members = self._members(pe_start, log_pe_stride, pe_size)
-        dtype = np.dtype(f"u{elem_bytes}")
-        _extra.fcollect(self.ctx, dest, source, nelems, dtype, group=members)
+        n = len(members)
+        ctx = self.ctx
+        ctx._issue(prepare_allgather(
+            ctx, dest, source, [nelems] * n, [i * nelems for i in range(n)],
+            nelems * n, np.dtype(f"u{elem_bytes}"), group=members))
 
     def fcollect32(self, dest: int, source: int, nelems: int, **kw) -> None:
         self.fcollect(4, dest, source, nelems, **kw)
@@ -182,16 +189,18 @@ class ShmemAPI:
         n = len(members)
         me = members.index(ctx.rank)
         dtype = np.dtype(f"u{elem_bytes}")
-        # Exchange counts with a fixed-size fcollect of one long each.
+        # Exchange counts with a fixed-size allgather of one long each.
+        # They are read at once, so this exchange runs now even inside a
+        # superstep; only the data's allgather is issued.
         cnt_src = ctx.scratch_alloc(8)
         cnt_all = ctx.scratch_alloc(8 * n)
         ctx.view(cnt_src, "long", 1)[0] = nelems
-        _extra.fcollect(ctx, cnt_all, cnt_src, 1, np.dtype(np.int64),
-                        group=members)
+        prepare_allgather(ctx, cnt_all, cnt_src, [1] * n, list(range(n)), n,
+                          np.dtype(np.int64), group=members).run(ctx)
         counts = [int(c) for c in ctx.view(cnt_all, "long", n)]
         disp = [sum(counts[:i]) for i in range(n)]
-        _extra.allgather(ctx, dest, source, counts, disp, sum(counts),
-                         dtype, group=members)
+        ctx._issue(prepare_allgather(ctx, dest, source, counts, disp,
+                                     sum(counts), dtype, group=members))
         ctx.scratch_free(cnt_all)
         ctx.scratch_free(cnt_src)
 

@@ -77,7 +77,7 @@ from .schedule.ir import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
 
-__all__ = ["allreduce", "prepare_allreduce", "compile_allreduce"]
+__all__ = ["prepare_allreduce", "compile_allreduce"]
 
 #: Algorithms :func:`compile_allreduce` accepts.
 ALGORITHMS = ("doubling", "rabenseifner", "ring", "dual-pipelined")
@@ -95,31 +95,6 @@ def auto_segments(nbytes: int) -> int:
     return max(2, min(64, isqrt(max(nbytes, 0) // 1024)))
 
 
-def allreduce(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    nelems: int,
-    stride: int,
-    op: str,
-    dtype: np.dtype,
-    *,
-    algorithm: str = "doubling",
-    segments: int | None = None,
-    group: Sequence[int] | None = None,
-) -> None:
-    """Reduction-to-all: every PE ends with the full reduction at
-    ``dest`` (which may be private — each PE writes its own copy
-    locally).  ``algorithm`` is ``"doubling"`` (latency-optimal),
-    ``"rabenseifner"`` or ``"ring"`` (bandwidth-optimal),
-    ``"dual-pipelined"`` (pipelined dual-root trees, ``segments``
-    chunks in flight) or ``"auto"``."""
-    prepare_allreduce(
-        ctx, dest, src, nelems, stride, op, dtype, algorithm=algorithm,
-        segments=segments, group=group,
-    ).run(ctx)
-
-
 def prepare_allreduce(
     ctx: "XBRTime",
     dest: int,
@@ -133,7 +108,13 @@ def prepare_allreduce(
     segments: int | None = None,
     group: Sequence[int] | None = None,
 ) -> PreparedCollective:
-    """Validate, select and compile — everything but the execution."""
+    """Reduction-to-all: every PE ends with the full reduction at
+    ``dest`` (which may be private — each PE writes its own copy
+    locally).  ``algorithm`` is ``"doubling"`` (latency-optimal),
+    ``"rabenseifner"`` or ``"ring"`` (bandwidth-optimal),
+    ``"dual-pipelined"`` (pipelined dual-root trees, ``segments``
+    chunks in flight) or ``"auto"``.  Validates, selects and compiles —
+    everything but the execution."""
     validate_counts(nelems, stride)
     check_op(op, dtype)
     if segments is not None and segments < 1:

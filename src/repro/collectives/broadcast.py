@@ -51,34 +51,10 @@ from .schedule.ir import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
 
-__all__ = ["broadcast", "prepare_broadcast", "compile_broadcast"]
+__all__ = ["prepare_broadcast", "compile_broadcast"]
 
 #: Algorithms :func:`compile_broadcast` accepts.
 ALGORITHMS = ("binomial", "linear", "ring")
-
-
-def broadcast(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    nelems: int,
-    stride: int,
-    root: int,
-    dtype: np.dtype,
-    *,
-    algorithm: str = "binomial",
-    group: Sequence[int] | None = None,
-    copy_to_root_dest: bool = True,
-) -> None:
-    """``xbrtime_TYPE_broadcast(dest, src, nelems, stride, root)``.
-
-    ``copy_to_root_dest=False`` gives OpenSHMEM ``shmem_broadcast``
-    semantics, where the root's ``dest`` is *not* updated (section 4.7).
-    """
-    prepare_broadcast(
-        ctx, dest, src, nelems, stride, root, dtype, algorithm=algorithm,
-        group=group, copy_to_root_dest=copy_to_root_dest,
-    ).run(ctx)
 
 
 def prepare_broadcast(
@@ -94,10 +70,13 @@ def prepare_broadcast(
     group: Sequence[int] | None = None,
     copy_to_root_dest: bool = True,
 ) -> PreparedCollective:
-    """Validate, select and compile — everything but the execution.
+    """``xbrtime_TYPE_broadcast(dest, src, nelems, stride, root)``:
+    validate, select and compile — everything but the execution.
 
-    Non-blocking collectives call this at initiation and ``run()`` the
-    result at ``wait()``; the blocking entry point does both at once.
+    The caller runs the result: the context's dispatcher at once or at
+    a superstep's flush, a non-blocking handle at ``wait()``.
+    ``copy_to_root_dest=False`` gives OpenSHMEM ``shmem_broadcast``
+    semantics, where the root's ``dest`` is *not* updated (section 4.7).
     """
     validate_counts(nelems, stride)
     members, me = resolve_group(ctx, group)

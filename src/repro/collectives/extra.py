@@ -5,8 +5,8 @@ notes that "they can be combined together to accomplish the semantics of
 several more complex operations" (section 4.2).  This module provides
 those compositions plus a personalised all-to-all:
 
-* :func:`allgather` — gather-to-all (OpenSHMEM ``collect``) and
-  :func:`fcollect` for the fixed-size variant.  Three algorithms: the
+* :func:`prepare_allgather` — gather-to-all (OpenSHMEM ``collect``;
+  ``fcollect`` is the equal-counts case).  Three algorithms: the
   default ``"tree"`` composition (gather to rank 0, broadcast back), a
   compiled ``"dissemination"`` schedule that finishes in ⌈log₂N⌉
   stages by having every rank pull the growing prefix of its ring
@@ -18,11 +18,17 @@ those compositions plus a personalised all-to-all:
   copy), which is the measured win at large payloads.  ``"pat"`` also
   accepts ``segments > 1`` to pipeline each block through the schedule
   IR's :class:`~.schedule.ir.Pipeline` rounds.
-* :func:`alltoall` — personalised all-to-all exchange built from
-  one-sided puts (each PE deposits its block directly at the
+* :func:`prepare_alltoall` — personalised all-to-all exchange built
+  from one-sided puts (each PE deposits its block directly at the
   destination offset of every peer).
 
-Reduction-to-all is :func:`~repro.collectives.allreduce.allreduce`.
+Like every collective module's ``prepare_*``, both validate, select and
+compile a call and return a
+:class:`~repro.collectives.schedule.PreparedCollective`; the caller
+runs it (``ctx.allgather`` / ``ctx.alltoall`` issue it through the
+context's dispatcher).
+
+Reduction-to-all is :func:`~repro.collectives.allreduce.prepare_allreduce`.
 """
 
 from __future__ import annotations
@@ -33,9 +39,9 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..errors import CollectiveArgumentError
-from .broadcast import broadcast
-from .common import call_attrs, collective_span, resolve_group
-from .gather import gather
+from .broadcast import prepare_broadcast
+from .common import call_attrs, resolve_group
+from .gather import prepare_gather
 from .reduce_scatter import coalesce_runs, pat_width_steps
 from .scatter import _validate
 from .schedule.executor import PreparedCollective
@@ -54,11 +60,11 @@ from .schedule.ir import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
 
-__all__ = ["allgather", "fcollect", "alltoall",
+__all__ = ["prepare_allgather", "prepare_alltoall",
            "compile_allgather", "compile_allgather_pat", "compile_alltoall"]
 
 
-def allgather(
+def prepare_allgather(
     ctx: "XBRTime",
     dest: int,
     src: int,
@@ -70,7 +76,7 @@ def allgather(
     algorithm: str = "tree",
     segments: int = 1,
     group: Sequence[int] | None = None,
-) -> None:
+) -> PreparedCollective:
     """Gather-to-all (OpenSHMEM ``collect``): every PE ends with all
     contributions at ``dest`` (symmetric), laid out by ``pe_disp``.
 
@@ -95,12 +101,23 @@ def allgather(
             ctx.config.topology,
         )
     if algorithm == "tree":
-        with collective_span(ctx, "allgather", members,
-                             **call_attrs(ctx, dtype, nelems=nelems)):
-            gather(ctx, dest, src, pe_msgs, pe_disp, nelems, 0, dtype,
-                   group=group)
-            broadcast(ctx, dest, dest, nelems, 1, 0, dtype, group=group)
-        return
+        # Two compiled calls under one allgather span, as hierarchical
+        # broadcast composes its trees.
+        parts = (
+            prepare_gather(ctx, dest, src, pe_msgs, pe_disp, nelems, 0,
+                           dtype, group=group),
+            prepare_broadcast(ctx, dest, dest, nelems, 1, 0, dtype,
+                              group=group),
+        )
+
+        def body(c) -> None:
+            for part in parts:
+                part.run(c)
+
+        return PreparedCollective(
+            name="allgather", members=members, me=me, dtype=dtype,
+            attrs=call_attrs(ctx, dtype, nelems=nelems), body=body,
+        )
     if algorithm not in ("dissemination", "pat"):
         raise CollectiveArgumentError(
             f"unknown allgather algorithm {algorithm!r}"
@@ -111,12 +128,12 @@ def allgather(
     else:
         sched = compile_allgather(n_pes, tuple(pe_msgs), tuple(pe_disp),
                                   nelems, dtype.itemsize)
-    PreparedCollective(
+    return PreparedCollective(
         name="allgather", members=members, me=me, dtype=dtype,
         attrs=call_attrs(ctx, dtype, algorithm=algorithm, nelems=nelems),
         schedule=sched, bindings={"dest": dest, "src": src},
         stats_key=f"allgather:{algorithm}", stats_rank=0,
-    ).run(ctx)
+    )
 
 
 def _ag_buffers(counts: tuple[int, ...], disps: tuple[int, ...],
@@ -257,27 +274,7 @@ def compile_allgather_pat(n_pes: int, counts: tuple[int, ...],
         buffers=buffers, deliver=_ag_deliver(counts, disps, eb, n_pes))
 
 
-def fcollect(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    nelems_per_pe: int,
-    dtype: np.dtype,
-    *,
-    algorithm: str = "tree",
-    segments: int = 1,
-    group: Sequence[int] | None = None,
-) -> None:
-    """Fixed-size gather-to-all (OpenSHMEM ``fcollect``)."""
-    members, _ = resolve_group(ctx, group)
-    n = len(members)
-    msgs = [nelems_per_pe] * n
-    disp = [i * nelems_per_pe for i in range(n)]
-    allgather(ctx, dest, src, msgs, disp, nelems_per_pe * n, dtype,
-              algorithm=algorithm, segments=segments, group=group)
-
-
-def alltoall(
+def prepare_alltoall(
     ctx: "XBRTime",
     dest: int,
     src: int,
@@ -285,7 +282,7 @@ def alltoall(
     dtype: np.dtype,
     *,
     group: Sequence[int] | None = None,
-) -> None:
+) -> PreparedCollective:
     """Personalised all-to-all: block ``j`` of ``src`` on PE ``i`` lands
     as block ``i`` of ``dest`` on PE ``j``.
 
@@ -300,12 +297,12 @@ def alltoall(
     if n > 1 and not ctx.is_symmetric(dest):
         raise CollectiveArgumentError("alltoall dest must be symmetric")
     sched = compile_alltoall(n, nelems_per_pe, dtype.itemsize)
-    PreparedCollective(
+    return PreparedCollective(
         name="alltoall", members=members, me=me, dtype=dtype,
         attrs=call_attrs(ctx, dtype, nelems=nelems_per_pe),
         schedule=sched, bindings={"dest": dest, "src": src},
         stats_key="alltoall:rotated", stats_rank=0,
-    ).run(ctx)
+    )
 
 
 @lru_cache(maxsize=256)

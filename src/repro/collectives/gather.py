@@ -46,24 +46,7 @@ from .schedule.ir import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
 
-__all__ = ["gather", "prepare_gather", "compile_gather"]
-
-
-def gather(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    pe_msgs: Sequence[int],
-    pe_disp: Sequence[int],
-    nelems: int,
-    root: int,
-    dtype: np.dtype,
-    *,
-    group: Sequence[int] | None = None,
-) -> None:
-    """``xbrtime_TYPE_gather(dest, src, pe_msgs, pe_disp, nelems, root)``."""
-    prepare_gather(ctx, dest, src, pe_msgs, pe_disp, nelems, root, dtype,
-                   group=group).run(ctx)
+__all__ = ["prepare_gather", "compile_gather"]
 
 
 def prepare_gather(
@@ -78,7 +61,8 @@ def prepare_gather(
     *,
     group: Sequence[int] | None = None,
 ) -> PreparedCollective:
-    """Validate and compile — everything but the execution."""
+    """``xbrtime_TYPE_gather(dest, src, pe_msgs, pe_disp, nelems,
+    root)``: validate and compile — everything but the execution."""
     members, me = resolve_group(ctx, group)
     n_pes = len(members)
     validate_root(root, n_pes)

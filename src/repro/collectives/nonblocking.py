@@ -1,8 +1,8 @@
 """Non-blocking collectives (paper section 7 future work).
 
 Modelled as *deferred* collectives: initiation validates the call and
-*compiles* its schedule (via the blocking front-ends' ``prepare_*``
-functions), returning a handle that holds the ready-to-run
+*compiles* its schedule (via the collective's ``prepare_*``
+function), returning a handle that holds the ready-to-run
 :class:`~repro.collectives.schedule.PreparedCollective`; the operation
 executes when every participant waits on its handle.  Argument errors
 therefore surface at initiation — where the faulty call site is — while
@@ -22,15 +22,15 @@ Usage (all PEs)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from ..errors import CollectiveArgumentError
-from . import broadcast as _broadcast
-from . import gather as _gather
-from . import reduce as _reduce
-from . import scatter as _scatter
+from .broadcast import prepare_broadcast
+from .gather import prepare_gather
+from .reduce import prepare_reduce
+from .scatter import prepare_scatter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
@@ -54,7 +54,8 @@ class CollectiveHandle:
     """
 
     name: str = "collective"
-    _run: Callable[[], None] | None = field(default=None, repr=False)
+    #: The initiated call (a ``PreparedCollective``), run at the wait.
+    _prepared: Any = field(default=None, repr=False)
     done: bool = False
     #: World rank that initiated this handle (None = never initiated).
     initiator: int | None = None
@@ -63,7 +64,7 @@ class CollectiveHandle:
     def wait(self) -> None:
         """Execute/complete the collective (must be called by every
         participant, like the blocking call would be)."""
-        if self._run is None:
+        if self._prepared is None:
             raise CollectiveArgumentError(
                 f"wait() on a never-initiated {self.name} handle: every "
                 "participant must call the i* initiation itself before "
@@ -72,7 +73,7 @@ class CollectiveHandle:
         self._check_caller()
         if self.done:
             return
-        self._run()
+        self._prepared.run(self._ctx)
         self.done = True
 
     def _check_caller(self) -> None:
@@ -103,28 +104,25 @@ class CollectiveHandle:
         return self.done
 
 
-def _defer(ctx: "XBRTime", name: str,
-           run: Callable[[], None]) -> CollectiveHandle:
-    return CollectiveHandle(name=name, _run=run, initiator=ctx.rank,
-                            _ctx=ctx)
+def _initiate(ctx: "XBRTime", name: str, prepared) -> CollectiveHandle:
+    return CollectiveHandle(name=name, _prepared=prepared,
+                            initiator=ctx.rank, _ctx=ctx)
 
 
 def ibroadcast(ctx: "XBRTime", dest: int, src: int, nelems: int, stride: int,
                root: int, dtype: np.dtype,
                group: Sequence[int] | None = None) -> CollectiveHandle:
     """Non-blocking broadcast (Algorithm 1, deferred)."""
-    prepared = _broadcast.prepare_broadcast(
-        ctx, dest, src, nelems, stride, root, dtype, group=group)
-    return _defer(ctx, "ibroadcast", lambda: prepared.run(ctx))
+    return _initiate(ctx, "ibroadcast", prepare_broadcast(
+        ctx, dest, src, nelems, stride, root, dtype, group=group))
 
 
 def ireduce(ctx: "XBRTime", dest: int, src: int, nelems: int, stride: int,
             root: int, op: str, dtype: np.dtype,
             group: Sequence[int] | None = None) -> CollectiveHandle:
     """Non-blocking reduction (Algorithm 2, deferred)."""
-    prepared = _reduce.prepare_reduce(
-        ctx, dest, src, nelems, stride, root, op, dtype, group=group)
-    return _defer(ctx, "ireduce", lambda: prepared.run(ctx))
+    return _initiate(ctx, "ireduce", prepare_reduce(
+        ctx, dest, src, nelems, stride, root, op, dtype, group=group))
 
 
 def iscatter(ctx: "XBRTime", dest: int, src: int, pe_msgs: Sequence[int],
@@ -132,10 +130,8 @@ def iscatter(ctx: "XBRTime", dest: int, src: int, pe_msgs: Sequence[int],
              dtype: np.dtype,
              group: Sequence[int] | None = None) -> CollectiveHandle:
     """Non-blocking scatter (Algorithm 3, deferred)."""
-    prepared = _scatter.prepare_scatter(
-        ctx, dest, src, tuple(pe_msgs), tuple(pe_disp), nelems, root, dtype,
-        group=group)
-    return _defer(ctx, "iscatter", lambda: prepared.run(ctx))
+    return _initiate(ctx, "iscatter", prepare_scatter(
+        ctx, dest, src, pe_msgs, pe_disp, nelems, root, dtype, group=group))
 
 
 def igather(ctx: "XBRTime", dest: int, src: int, pe_msgs: Sequence[int],
@@ -143,7 +139,5 @@ def igather(ctx: "XBRTime", dest: int, src: int, pe_msgs: Sequence[int],
             dtype: np.dtype,
             group: Sequence[int] | None = None) -> CollectiveHandle:
     """Non-blocking gather (Algorithm 4, deferred)."""
-    prepared = _gather.prepare_gather(
-        ctx, dest, src, tuple(pe_msgs), tuple(pe_disp), nelems, root, dtype,
-        group=group)
-    return _defer(ctx, "igather", lambda: prepared.run(ctx))
+    return _initiate(ctx, "igather", prepare_gather(
+        ctx, dest, src, pe_msgs, pe_disp, nelems, root, dtype, group=group))

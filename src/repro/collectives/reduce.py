@@ -56,35 +56,10 @@ from .schedule.ir import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
 
-__all__ = ["reduce", "prepare_reduce", "compile_reduce"]
+__all__ = ["prepare_reduce", "compile_reduce"]
 
 #: Algorithms :func:`compile_reduce` accepts.
 ALGORITHMS = ("binomial", "linear")
-
-
-def reduce(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    nelems: int,
-    stride: int,
-    root: int,
-    op: str,
-    dtype: np.dtype,
-    *,
-    algorithm: str = "binomial",
-    group: Sequence[int] | None = None,
-) -> None:
-    """``xbrtime_TYPE_reduce_OP(dest, src, nelems, stride, root)``.
-
-    ``src`` must be a symmetric address (partners read it / the shared
-    scratch one-sidedly); ``dest`` is significant only on the root and
-    may be private.
-    """
-    prepare_reduce(
-        ctx, dest, src, nelems, stride, root, op, dtype,
-        algorithm=algorithm, group=group,
-    ).run(ctx)
 
 
 def prepare_reduce(
@@ -100,7 +75,13 @@ def prepare_reduce(
     algorithm: str = "binomial",
     group: Sequence[int] | None = None,
 ) -> PreparedCollective:
-    """Validate, select and compile — everything but the execution."""
+    """``xbrtime_TYPE_reduce_OP(dest, src, nelems, stride, root)``:
+    validate, select and compile — everything but the execution.
+
+    ``src`` must be a symmetric address (partners read it / the shared
+    scratch one-sidedly); ``dest`` is significant only on the root and
+    may be private.
+    """
     validate_counts(nelems, stride)
     check_op(op, dtype)
     members, me = resolve_group(ctx, group)

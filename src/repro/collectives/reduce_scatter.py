@@ -63,7 +63,7 @@ from .schedule.ir import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
 
-__all__ = ["reduce_scatter", "prepare_reduce_scatter",
+__all__ = ["prepare_reduce_scatter",
            "compile_reduce_scatter", "pat_width_steps", "coalesce_runs"]
 
 #: Algorithms :func:`compile_reduce_scatter` accepts.
@@ -118,30 +118,6 @@ def coalesce_runs(lo: np.ndarray, hi: np.ndarray) -> tuple:
     return tuple(map(np.concatenate, zip(*runs)))
 
 
-def reduce_scatter(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    pe_msgs: Sequence[int],
-    pe_disp: Sequence[int],
-    nelems: int,
-    op: str,
-    dtype: np.dtype,
-    *,
-    algorithm: str = "auto",
-    segments: int = 1,
-    group: Sequence[int] | None = None,
-) -> None:
-    """Reduce-scatter: PE ``r`` ends with the reduction of the
-    ``pe_msgs[r]`` elements at displacement ``pe_disp[r]`` in its
-    ``dest``.  ``algorithm`` is ``"ring"``, ``"pat"`` or ``"auto"``;
-    ``segments`` (PAT only) pipelines each block in S chunks."""
-    prepare_reduce_scatter(
-        ctx, dest, src, pe_msgs, pe_disp, nelems, op, dtype,
-        algorithm=algorithm, segments=segments, group=group,
-    ).run(ctx)
-
-
 def prepare_reduce_scatter(
     ctx: "XBRTime",
     dest: int,
@@ -156,7 +132,11 @@ def prepare_reduce_scatter(
     segments: int = 1,
     group: Sequence[int] | None = None,
 ) -> PreparedCollective:
-    """Validate, select and compile — everything but the execution."""
+    """Reduce-scatter: PE ``r`` ends with the reduction of the
+    ``pe_msgs[r]`` elements at displacement ``pe_disp[r]`` in its
+    ``dest``.  ``algorithm`` is ``"ring"``, ``"pat"`` or ``"auto"``;
+    ``segments`` (PAT only) pipelines each block in S chunks.
+    Validates, selects and compiles — everything but the execution."""
     check_op(op, dtype)
     if segments < 1:
         raise CollectiveArgumentError("segments must be >= 1")

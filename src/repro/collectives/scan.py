@@ -47,26 +47,7 @@ from .schedule.ir import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
 
-__all__ = ["scan", "prepare_scan", "compile_scan"]
-
-
-def scan(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    nelems: int,
-    stride: int,
-    op: str,
-    dtype: np.dtype,
-    *,
-    inclusive: bool = True,
-    group: Sequence[int] | None = None,
-) -> None:
-    """Prefix scan: PE k ends with ``src_0 OP src_1 OP ... OP src_k``
-    (inclusive) or ``... OP src_{k-1}`` (exclusive; identity on PE 0)
-    at its local ``dest``."""
-    prepare_scan(ctx, dest, src, nelems, stride, op, dtype,
-                 inclusive=inclusive, group=group).run(ctx)
+__all__ = ["prepare_scan", "compile_scan"]
 
 
 def prepare_scan(
@@ -81,7 +62,10 @@ def prepare_scan(
     inclusive: bool = True,
     group: Sequence[int] | None = None,
 ) -> PreparedCollective:
-    """Validate and compile — everything but the execution."""
+    """Prefix scan: PE k ends with ``src_0 OP src_1 OP ... OP src_k``
+    (inclusive) or ``... OP src_{k-1}`` (exclusive; identity on PE 0)
+    at its local ``dest``.  Validates and compiles — everything but the
+    execution."""
     validate_counts(nelems, stride)
     check_op(op, dtype)
     members, me = resolve_group(ctx, group)

@@ -48,7 +48,7 @@ from .schedule.ir import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
 
-__all__ = ["scatter", "prepare_scatter", "compile_scatter",
+__all__ = ["prepare_scatter", "compile_scatter",
            "adjusted_displacements"]
 
 
@@ -91,23 +91,6 @@ def _validate(pe_msgs: Sequence[int], pe_disp: Sequence[int], nelems: int,
                     f"{max(a, b)} overlap (pe_disp/pe_msgs)")
 
 
-def scatter(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    pe_msgs: Sequence[int],
-    pe_disp: Sequence[int],
-    nelems: int,
-    root: int,
-    dtype: np.dtype,
-    *,
-    group: Sequence[int] | None = None,
-) -> None:
-    """``xbrtime_TYPE_scatter(dest, src, pe_msgs, pe_disp, nelems, root)``."""
-    prepare_scatter(ctx, dest, src, pe_msgs, pe_disp, nelems, root, dtype,
-                    group=group).run(ctx)
-
-
 def prepare_scatter(
     ctx: "XBRTime",
     dest: int,
@@ -120,7 +103,8 @@ def prepare_scatter(
     *,
     group: Sequence[int] | None = None,
 ) -> PreparedCollective:
-    """Validate and compile — everything but the execution."""
+    """``xbrtime_TYPE_scatter(dest, src, pe_msgs, pe_disp, nelems,
+    root)``: validate and compile — everything but the execution."""
     members, me = resolve_group(ctx, group)
     n_pes = len(members)
     validate_root(root, n_pes)

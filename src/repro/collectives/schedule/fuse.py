@@ -48,7 +48,7 @@ import numpy as np
 from ...errors import FusionError
 from .ir import AUX_COPY, OP_COPY, Buffer, Rows, Schedule, Section, Skeleton
 
-__all__ = ["WIDENABLE", "fuse_schedules", "compile_widened"]
+__all__ = ["WIDENABLE", "fuse_schedules", "compile_widened", "widens"]
 
 #: ``(collective, algorithm)`` pairs whose fold order does not depend on
 #: the element count — the precondition for byte-identical widening.
@@ -244,6 +244,19 @@ def _compile_inner(collective: str, algorithm: str, n_pes: int,
 
     return compile_allreduce(n_pes, total, 1, itemsize, op,
                              algorithm=algorithm)
+
+
+def widens(sched: Schedule, nelems: int) -> bool:
+    """Is ``sched`` a call :func:`compile_widened` may merge — a
+    :data:`WIDENABLE` algorithm over ``nelems > 0`` elements at stride 1,
+    compiled with every default?  A broadcast that leaves the root's
+    ``dest`` alone (OpenSHMEM semantics) is not: the widened schedule
+    copies out on every rank the plain call delivers to."""
+    if (sched.collective, sched.algorithm) not in WIDENABLE or nelems <= 0:
+        return False
+    return sched == _compile_inner(sched.collective, sched.algorithm,
+                                   sched.n_pes, sched.root or 0, sched.op,
+                                   sched.itemsize, nelems)
 
 
 @lru_cache(maxsize=512)

@@ -20,11 +20,13 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..errors import CollectiveArgumentError
-from . import broadcast as _broadcast
-from . import extra as _extra
-from . import gather as _gather
-from . import reduce as _reduce
-from . import scatter as _scatter
+from ..runtime.collective_api import resolve_dtype
+from .allreduce import prepare_allreduce
+from .broadcast import prepare_broadcast
+from .extra import prepare_alltoall
+from .gather import prepare_gather
+from .reduce import prepare_reduce
+from .scatter import prepare_scatter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
@@ -71,53 +73,53 @@ class Team:
         self.ctx.barrier_team(self.members)
 
     # -- collectives (roots are team-relative) ------------------------------------
+    #
+    # Each call is issued through the context's dispatcher, so inside
+    # ``ctx.superstep()`` it defers in call order like a world call.
 
     def broadcast(self, dest: int, src: int, nelems: int, stride: int,
                   root: int, dtype: str | np.dtype = "long") -> None:
-        from ..runtime.context import resolve_dtype
-
-        _broadcast.broadcast(self.ctx, dest, src, nelems, stride, root,
-                             resolve_dtype(dtype), group=self.members)
+        ctx = self.ctx
+        ctx._issue(prepare_broadcast(ctx, dest, src, nelems, stride, root,
+                                     resolve_dtype(dtype),
+                                     group=self.members))
 
     def reduce(self, dest: int, src: int, nelems: int, stride: int,
                root: int, op: str = "sum",
                dtype: str | np.dtype = "long") -> None:
-        from ..runtime.context import resolve_dtype
-
-        _reduce.reduce(self.ctx, dest, src, nelems, stride, root, op,
-                       resolve_dtype(dtype), group=self.members)
+        ctx = self.ctx
+        ctx._issue(prepare_reduce(ctx, dest, src, nelems, stride, root, op,
+                                  resolve_dtype(dtype), group=self.members))
 
     def scatter(self, dest: int, src: int, pe_msgs: Sequence[int],
                 pe_disp: Sequence[int], nelems: int, root: int,
                 dtype: str | np.dtype = "long") -> None:
-        from ..runtime.context import resolve_dtype
-
-        _scatter.scatter(self.ctx, dest, src, pe_msgs, pe_disp, nelems,
-                         root, resolve_dtype(dtype), group=self.members)
+        ctx = self.ctx
+        ctx._issue(prepare_scatter(ctx, dest, src, pe_msgs, pe_disp, nelems,
+                                   root, resolve_dtype(dtype),
+                                   group=self.members))
 
     def gather(self, dest: int, src: int, pe_msgs: Sequence[int],
                pe_disp: Sequence[int], nelems: int, root: int,
                dtype: str | np.dtype = "long") -> None:
-        from ..runtime.context import resolve_dtype
-
-        _gather.gather(self.ctx, dest, src, pe_msgs, pe_disp, nelems,
-                       root, resolve_dtype(dtype), group=self.members)
+        ctx = self.ctx
+        ctx._issue(prepare_gather(ctx, dest, src, pe_msgs, pe_disp, nelems,
+                                  root, resolve_dtype(dtype),
+                                  group=self.members))
 
     def allreduce(self, dest: int, src: int, nelems: int, stride: int,
                   op: str = "sum", dtype: str | np.dtype = "long") -> None:
-        from ..runtime.context import resolve_dtype
-
-        from .allreduce import allreduce as _allreduce
-
-        _allreduce(self.ctx, dest, src, nelems, stride, op,
-                   resolve_dtype(dtype), group=self.members)
+        ctx = self.ctx
+        ctx._issue(prepare_allreduce(ctx, dest, src, nelems, stride, op,
+                                     resolve_dtype(dtype),
+                                     group=self.members))
 
     def alltoall(self, dest: int, src: int, nelems_per_pe: int,
                  dtype: str | np.dtype = "long") -> None:
-        from ..runtime.context import resolve_dtype
-
-        _extra.alltoall(self.ctx, dest, src, nelems_per_pe,
-                        resolve_dtype(dtype), group=self.members)
+        ctx = self.ctx
+        ctx._issue(prepare_alltoall(ctx, dest, src, nelems_per_pe,
+                                    resolve_dtype(dtype),
+                                    group=self.members))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Team(members={self.members}, me={self.ctx.rank})"

@@ -105,7 +105,7 @@ def resilient_broadcast(
     new root's current ``dest`` contents; data the root never sent
     cannot be recovered.
     """
-    from ..collectives import broadcast as _b
+    from ..collectives.broadcast import prepare_broadcast
 
     members, _ = resolve_group(ctx, group)
     validate_root(root, len(members))
@@ -114,8 +114,8 @@ def resilient_broadcast(
     def attempt(live: tuple[int, ...]) -> None:
         new_root = remap_root(members, root, live)
         local_src = src if ctx.rank == root_world else dest
-        _b.broadcast(ctx, dest, local_src, nelems, stride,
-                     live.index(new_root), dtype, group=live)
+        prepare_broadcast(ctx, dest, local_src, nelems, stride,
+                          live.index(new_root), dtype, group=live).run(ctx)
 
     restarts, live = _run_attempts(ctx, members, max_restarts, attempt)
     return ResilientResult(
@@ -138,15 +138,15 @@ def resilient_reduce(
     ``dest`` on :attr:`ResilientResult.root`; the contribution mask
     names the ranks whose values are in it.
     """
-    from ..collectives import reduce as _r
+    from ..collectives.reduce import prepare_reduce
 
     members, _ = resolve_group(ctx, group)
     validate_root(root, len(members))
 
     def attempt(live: tuple[int, ...]) -> None:
         new_root = remap_root(members, root, live)
-        _r.reduce(ctx, dest, src, nelems, stride, live.index(new_root),
-                  op, dtype, group=live)
+        prepare_reduce(ctx, dest, src, nelems, stride, live.index(new_root),
+                       op, dtype, group=live).run(ctx)
 
     restarts, live = _run_attempts(ctx, members, max_restarts, attempt)
     return ResilientResult(
@@ -167,12 +167,13 @@ def resilient_allreduce(
     Every surviving PE ends with the same partial reduction in ``dest``
     plus the contribution mask saying which ranks are folded in.
     """
-    from ..collectives.allreduce import allreduce as _ar
+    from ..collectives.allreduce import prepare_allreduce
 
     members, _ = resolve_group(ctx, group)
 
     def attempt(live: tuple[int, ...]) -> None:
-        _ar(ctx, dest, src, nelems, stride, op, dtype, group=live)
+        prepare_allreduce(ctx, dest, src, nelems, stride, op, dtype,
+                          group=live).run(ctx)
 
     restarts, live = _run_attempts(ctx, members, max_restarts, attempt)
     return ResilientResult(

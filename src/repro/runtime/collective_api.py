@@ -434,7 +434,10 @@ class CollectiveAPI:
         """Defer this PE's puts/gets/collectives until the step's end.
 
         ``with ctx.superstep() as step:`` buffers the body's one-sided
-        transfers and collective calls; the flush at the ``with`` exit
+        transfers and collective calls (those of a
+        :class:`~repro.collectives.teams.Team` or a
+        :class:`~repro.baselines.shmem.ShmemAPI` on this context
+        included); the flush at the ``with`` exit
         (or at an explicit ``ctx.barrier()`` inside the body) coalesces
         contiguous transfers and batches compatible collectives into
         one fused schedule.  Byte-identical to eager execution for
@@ -445,12 +448,18 @@ class CollectiveAPI:
 
         return superstep_context(self)
 
-    def _defer_opaque(self, label: str, thunk) -> bool:
-        """Queue ``thunk`` on the active superstep; ``False`` if eager."""
+    def _issue(self, prepared) -> None:
+        """Run one prepared collective now, or queue it on the active
+        superstep — the one place a collective call makes that choice.
+
+        Every front end issues through here: the collective methods
+        below, :class:`~repro.collectives.teams.Team` and
+        :class:`~repro.baselines.shmem.ShmemAPI`.
+        """
         if self._superstep is None:
-            return False
-        self._superstep.defer_opaque(label, thunk)
-        return True
+            prepared.run(self)
+        else:
+            self._superstep.defer(prepared)
 
     # -- tracing ---------------------------------------------------------------
 
@@ -481,64 +490,41 @@ class CollectiveAPI:
                   algorithm: str = "binomial") -> None:
         """``xbrtime_TYPE_broadcast`` (Algorithm 1)."""
         self._require_active()
-        from ..collectives import broadcast as _b
+        from ..collectives.broadcast import prepare_broadcast
 
-        dt = resolve_dtype(dtype)
-        if self._superstep is not None:
-            prepared = _b.prepare_broadcast(self, dest, src, nelems,
-                                            stride, root, dt,
-                                            algorithm=algorithm)
-            self._superstep.defer_collective(
-                prepared, collective="broadcast", root=root, op=None,
-                dest=dest, src=src, nelems=nelems, stride=stride)
-            return
-        _b.broadcast(self, dest, src, nelems, stride, root, dt,
-                     algorithm=algorithm)
+        self._issue(prepare_broadcast(self, dest, src, nelems, stride, root,
+                                      resolve_dtype(dtype),
+                                      algorithm=algorithm))
 
     def reduce(self, dest: int, src: int, nelems: int, stride: int,
                root: int, op: str = "sum", dtype: str | np.dtype = "long",
                algorithm: str = "binomial") -> None:
         """``xbrtime_TYPE_reduce_OP`` (Algorithm 2)."""
         self._require_active()
-        from ..collectives import reduce as _r
+        from ..collectives.reduce import prepare_reduce
 
-        dt = resolve_dtype(dtype)
-        if self._superstep is not None:
-            prepared = _r.prepare_reduce(self, dest, src, nelems, stride,
-                                         root, op, dt,
-                                         algorithm=algorithm)
-            self._superstep.defer_collective(
-                prepared, collective="reduce", root=root, op=op,
-                dest=dest, src=src, nelems=nelems, stride=stride)
-            return
-        _r.reduce(self, dest, src, nelems, stride, root, op, dt,
-                  algorithm=algorithm)
+        self._issue(prepare_reduce(self, dest, src, nelems, stride, root, op,
+                                   resolve_dtype(dtype), algorithm=algorithm))
 
     def scatter(self, dest: int, src: int, pe_msgs: Sequence[int],
                 pe_disp: Sequence[int], nelems: int, root: int,
                 dtype: str | np.dtype = "long") -> None:
         """``xbrtime_TYPE_scatter`` (Algorithm 3)."""
         self._require_active()
-        from ..collectives import scatter as _s
+        from ..collectives.scatter import prepare_scatter
 
-        dt = resolve_dtype(dtype)
-        run = lambda: _s.scatter(self, dest, src, pe_msgs, pe_disp,
-                                 nelems, root, dt)
-        if not self._defer_opaque("scatter", run):
-            run()
+        self._issue(prepare_scatter(self, dest, src, pe_msgs, pe_disp, nelems,
+                                    root, resolve_dtype(dtype)))
 
     def gather(self, dest: int, src: int, pe_msgs: Sequence[int],
                pe_disp: Sequence[int], nelems: int, root: int,
                dtype: str | np.dtype = "long") -> None:
         """``xbrtime_TYPE_gather`` (Algorithm 4)."""
         self._require_active()
-        from ..collectives import gather as _g
+        from ..collectives.gather import prepare_gather
 
-        dt = resolve_dtype(dtype)
-        run = lambda: _g.gather(self, dest, src, pe_msgs, pe_disp,
-                                nelems, root, dt)
-        if not self._defer_opaque("gather", run):
-            run()
+        self._issue(prepare_gather(self, dest, src, pe_msgs, pe_disp, nelems,
+                                   root, resolve_dtype(dtype)))
 
     # -- extended collectives (paper section 7 future work) --------------------------------
 
@@ -554,20 +540,12 @@ class CollectiveAPI:
         trees — ``segments`` chunks in flight, the large-payload winner
         off power-of-two) or ``"auto"``."""
         self._require_active()
-        from ..collectives import allreduce as _ar
+        from ..collectives.allreduce import prepare_allreduce
 
-        dt = resolve_dtype(dtype)
-        if self._superstep is not None:
-            prepared = _ar.prepare_allreduce(self, dest, src, nelems,
-                                             stride, op, dt,
-                                             algorithm=algorithm,
-                                             segments=segments)
-            self._superstep.defer_collective(
-                prepared, collective="allreduce", root=None, op=op,
-                dest=dest, src=src, nelems=nelems, stride=stride)
-            return
-        _ar.allreduce(self, dest, src, nelems, stride, op, dt,
-                      algorithm=algorithm, segments=segments)
+        self._issue(prepare_allreduce(self, dest, src, nelems, stride, op,
+                                      resolve_dtype(dtype),
+                                      algorithm=algorithm,
+                                      segments=segments))
 
     def reduce_scatter(self, dest: int, src: int, pe_msgs: Sequence[int],
                        pe_disp: Sequence[int], nelems: int,
@@ -583,26 +561,22 @@ class CollectiveAPI:
         ``dest`` nor ``src`` needs to be symmetric.
         """
         self._require_active()
-        from ..collectives.reduce_scatter import reduce_scatter as _rs
+        from ..collectives.reduce_scatter import prepare_reduce_scatter
 
-        dt = resolve_dtype(dtype)
-        run = lambda: _rs(self, dest, src, pe_msgs, pe_disp, nelems, op,
-                          dt, algorithm=algorithm, segments=segments)
-        if not self._defer_opaque("reduce_scatter", run):
-            run()
+        self._issue(prepare_reduce_scatter(self, dest, src, pe_msgs, pe_disp,
+                                           nelems, op, resolve_dtype(dtype),
+                                           algorithm=algorithm,
+                                           segments=segments))
 
     def scan(self, dest: int, src: int, nelems: int, stride: int,
              op: str = "sum", dtype: str | np.dtype = "long",
              inclusive: bool = True) -> None:
         """Parallel prefix scan (Hillis-Steele, one-sided)."""
         self._require_active()
-        from ..collectives.scan import scan as _scan
+        from ..collectives.scan import prepare_scan
 
-        dt = resolve_dtype(dtype)
-        run = lambda: _scan(self, dest, src, nelems, stride, op, dt,
-                            inclusive=inclusive)
-        if not self._defer_opaque("scan", run):
-            run()
+        self._issue(prepare_scan(self, dest, src, nelems, stride, op,
+                                 resolve_dtype(dtype), inclusive=inclusive))
 
     def allgather(self, dest: int, src: int, pe_msgs: Sequence[int],
                   pe_disp: Sequence[int], nelems: int,
@@ -616,25 +590,21 @@ class CollectiveAPI:
         (dest-direct parallel aggregated trees) or ``"auto"``.
         """
         self._require_active()
-        from ..collectives import extra
+        from ..collectives.extra import prepare_allgather
 
-        dt = resolve_dtype(dtype)
-        run = lambda: extra.allgather(self, dest, src, pe_msgs, pe_disp,
-                                      nelems, dt, algorithm=algorithm,
-                                      segments=segments)
-        if not self._defer_opaque("allgather", run):
-            run()
+        self._issue(prepare_allgather(self, dest, src, pe_msgs, pe_disp,
+                                      nelems, resolve_dtype(dtype),
+                                      algorithm=algorithm,
+                                      segments=segments))
 
     def alltoall(self, dest: int, src: int, nelems_per_pe: int,
                  dtype: str | np.dtype = "long") -> None:
         """Personalised all-to-all exchange."""
         self._require_active()
-        from ..collectives import extra
+        from ..collectives.extra import prepare_alltoall
 
-        dt = resolve_dtype(dtype)
-        run = lambda: extra.alltoall(self, dest, src, nelems_per_pe, dt)
-        if not self._defer_opaque("alltoall", run):
-            run()
+        self._issue(prepare_alltoall(self, dest, src, nelems_per_pe,
+                                     resolve_dtype(dtype)))
 
     # -- resilient collectives (fault-injection runs) ----------------------------------
 

@@ -3,8 +3,15 @@
 ``with ctx.superstep():`` buffers the body's ``put``/``get`` calls and
 collective calls into a per-step request queue instead of executing
 them — the bsponmpi request-queue design, adapted to one-sided xBGAS
-semantics.  At the step's sync point (the ``with`` exit, or an explicit
-``ctx.barrier()`` inside the body) the queue **flushes**:
+semantics.  Every collective call reaches the queue the same way: its
+front end — a context method, a
+:class:`~repro.collectives.teams.Team` or a
+:class:`~repro.baselines.shmem.ShmemAPI` call — validates and compiles
+it into a :class:`~repro.collectives.schedule.PreparedCollective`
+(so a malformed call raises at the call site) and hands it to the
+context's one dispatcher, which queues it as one request.  At the
+step's sync point (the ``with`` exit, or an explicit ``ctx.barrier()``
+inside the body) the queue **flushes**:
 
 1. deferred one-sided transfers run first, coalesced — transfers with
    the same ``(kind, peer, dtype, stride)`` whose source *and*
@@ -27,13 +34,14 @@ and collectives commit in call order — a race-free eager program that
 keeps its deferred operations' buffers disjoint within one step sees
 identical bytes.
 
-Determinism requirement: collective batching decisions must agree on
-every rank (they feed one shared fused schedule), so a collective only
-joins a batch when all its buffer addresses are symmetric — symmetric
-allocations sit at rank-uniform addresses, making the conflict and
-widening analysis SPMD-deterministic.  Everything else (private
-destinations, ``body``-based algorithms, vector collectives) still
-defers, but flushes as an individual call.
+Which requests batch: a broadcast, reduce or allreduce with a compiled
+schedule whose ``dest`` and ``src`` are both symmetric.  Batching
+decisions must agree on every rank (they feed one shared fused
+schedule), and symmetric allocations sit at rank-uniform addresses,
+which makes the conflict and widening analysis SPMD-deterministic.
+Every other request — private buffers, ``body``-based algorithms, the
+vector collectives, scan, allgather, alltoall — flushes alone, in call
+order.
 
 Fusion failures (:class:`~repro.errors.FusionError`) downgrade to
 sequential execution — batching is a performance layer, never a
@@ -43,8 +51,8 @@ semantic one.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -54,6 +62,9 @@ __all__ = ["Superstep", "superstep_context"]
 
 #: Methods the superstep shadows on the context instance.
 _SHADOWED = ("put", "get", "barrier")
+
+#: The collectives whose requests may batch (see module docstring).
+_BATCHABLE = frozenset({"broadcast", "reduce", "allreduce"})
 
 
 @dataclass
@@ -71,40 +82,29 @@ class _Transfer:
 
 @dataclass
 class _Request:
-    """One deferred collective call."""
+    """One deferred collective call: its prepared form, and whether it
+    may join a fused batch (see module docstring)."""
 
     prepared: object  # PreparedCollective
-    collective: str
-    algorithm: str
-    root: int | None
-    op: str | None
-    dest: int
-    src: int
-    nelems: int
-    stride: int
-    #: May this request join a fused batch?  Requires a compiled
-    #: schedule and rank-uniform (symmetric) addresses — see module
-    #: docstring.
-    batchable: bool = False
+    batchable: bool
 
     @property
-    def span(self) -> int:
-        if self.nelems == 0:
-            return 0
-        itemsize = self.prepared.dtype.itemsize
-        return ((self.nelems - 1) * self.stride + 1) * itemsize
+    def op(self) -> str | None:
+        return self.prepared.attrs.get("op")
+
+    @property
+    def nelems(self) -> int:
+        return self.prepared.attrs["nelems"]
 
     @property
     def widen_key(self) -> tuple:
-        return (self.collective, self.algorithm, self.root)
+        attrs = self.prepared.attrs
+        return (self.prepared.name, attrs["algorithm"], attrs.get("root"))
 
-
-@dataclass
-class _Opaque:
-    """A deferred collective replayed as-is at flush (no fusion)."""
-
-    label: str
-    thunk: Callable
+    def extent(self, name: str) -> tuple[int, int]:
+        """The byte range the schedule may touch in user buffer ``name``."""
+        lo = self.prepared.bindings[name]
+        return lo, lo + self.prepared.schedule.buffer(name).nbytes
 
 
 class Superstep:
@@ -123,34 +123,24 @@ class Superstep:
     def pending(self) -> int:
         return len(self._queue)
 
-    # -- deferral (called from the shadowed methods / front-ends) -----
+    # -- deferral (called from the shadowed methods / the dispatcher) --
 
     def defer_transfer(self, kind: str, dest: int, src: int, nelems: int,
                        stride: int, pe: int, dtype: np.dtype) -> None:
         self._queue.append(_Transfer(kind, dest, src, nelems, stride, pe,
                                      dtype))
 
-    def defer_collective(self, prepared, *, collective: str,
-                         root: int | None, op: str | None, dest: int,
-                         src: int, nelems: int, stride: int) -> None:
-        """Queue a validated, compiled collective call.
-
-        Validation and compilation already happened in ``prepare_*`` —
-        a malformed call raises at the call site, exactly like eager
-        mode, never at the (distant) flush.
-        """
-        algorithm = prepared.attrs.get("algorithm", "")
+    def defer(self, prepared) -> None:
+        """Queue one validated, compiled collective call."""
         ctx = self._ctx
+        bindings = prepared.bindings
         batchable = (
-            prepared.schedule is not None
-            and ctx.is_symmetric(dest) and ctx.is_symmetric(src)
+            prepared.name in _BATCHABLE
+            and prepared.schedule is not None
+            and ctx.is_symmetric(bindings["dest"])
+            and ctx.is_symmetric(bindings["src"])
         )
-        self._queue.append(_Request(
-            prepared, collective, algorithm, root, op, dest, src,
-            nelems, stride, batchable=batchable))
-
-    def defer_opaque(self, label: str, thunk: Callable) -> None:
-        self._queue.append(_Opaque(label, thunk))
+        self._queue.append(_Request(prepared, batchable))
 
     # -- flush --------------------------------------------------------
 
@@ -168,11 +158,7 @@ class Superstep:
         for item in queue:
             if isinstance(item, _Transfer):
                 continue
-            if isinstance(item, _Opaque):
-                self._run_batch(ctx, batch)
-                batch = []
-                item.thunk()
-            elif self._joins(batch, item):
+            if self._joins(batch, item):
                 batch.append(item)
             else:
                 self._run_batch(ctx, batch)
@@ -246,13 +232,11 @@ class Superstep:
             ops.add(req.op)
         if len(ops) > 1:
             return False
-        w_lo, w_hi = req.dest, req.dest + req.span
-        r_lo, r_hi = req.src, req.src + req.span
+        w, r = req.extent("dest"), req.extent("src")
         for other in batch:
-            o_w = (other.dest, other.dest + other.span)
-            o_r = (other.src, other.src + other.span)
-            if _overlap((w_lo, w_hi), o_w) or _overlap((w_lo, w_hi), o_r) \
-                    or _overlap((r_lo, r_hi), o_w):
+            o_w = other.extent("dest")
+            if _overlap(w, o_w) or _overlap(w, other.extent("src")) \
+                    or _overlap(r, o_w):
                 return False
         return True
 
@@ -262,7 +246,7 @@ class Superstep:
         if len(batch) == 1:
             batch[0].prepared.run(ctx)
             return
-        from ..collectives.schedule.fuse import WIDENABLE, compile_widened
+        from ..collectives.schedule.fuse import compile_widened, widens
 
         head = batch[0].prepared
         itemsize = head.dtype.itemsize
@@ -271,10 +255,8 @@ class Superstep:
         # stride-1 requests becomes one wider collective.
         groups: dict = {}
         for i, req in enumerate(batch):
-            key = req.widen_key
-            if (req.collective, req.algorithm) in WIDENABLE \
-                    and req.stride == 1 and req.nelems > 0:
-                groups.setdefault(key, []).append(i)
+            if widens(req.prepared.schedule, req.nelems):
+                groups.setdefault(req.widen_key, []).append(i)
         widened: dict = {}  # first index -> (schedule, bindings, members)
         consumed: set = set()
         for key, idxs in groups.items():
@@ -289,8 +271,8 @@ class Superstep:
                 tuple(r.nelems for r in reqs))
             bindings = {}
             for j, r in enumerate(reqs):
-                bindings[f"src{j}"] = r.src
-                bindings[f"dest{j}"] = r.dest
+                bindings[f"src{j}"] = r.prepared.bindings["src"]
+                bindings[f"dest{j}"] = r.prepared.bindings["dest"]
             widened[idxs[0]] = (sched, bindings, reqs)
             consumed.update(idxs)
         entries: list = []  # (schedule, bindings, reqs)
@@ -340,7 +322,7 @@ class Superstep:
         head = reqs[0].prepared
         self._count_requests(ctx, reqs)
         PreparedCollective(
-            name=reqs[0].collective, members=head.members, me=head.me,
+            name=head.name, members=head.members, me=head.me,
             dtype=head.dtype,
             attrs=dict(algorithm=sched.algorithm, requests=len(reqs)),
             schedule=sched, bindings=bindings,

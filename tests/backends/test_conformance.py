@@ -274,6 +274,45 @@ def _collective_program(ctx, spec: dict) -> bytes:
                 bufs[eag_name], nelems), (
                 f"superstep {dfr_name} diverged from eager")
         out = b"".join(read(bufs[d], nelems) for d, _ in pairs)
+    elif kind == "superstep_team":
+        # A world broadcast A <- S, then a Team broadcast B <- A and an
+        # OpenSHMEM broadcast C <- A, eager and then in one superstep:
+        # the Team and ShmemAPI calls must defer behind the world call
+        # and read the A it wrote, so B and C match the eager run.
+        from repro.baselines.shmem import ShmemAPI
+        from repro.collectives.teams import Team
+
+        team = Team(ctx, [r for r in range(n) if r % 2 == me % 2])
+        shmem = ShmemAPI(ctx)
+        shmem_bcast = shmem.broadcast64 if dt.itemsize == 8 \
+            else shmem.broadcast32
+        t_root, s_root = root % team.num_pes(), (root + 1) % n
+        bufs = {name: _alloc_strided(ctx, nelems, 1, dt.itemsize)
+                for name in ("s", "a_eag", "b_eag", "c_eag",
+                             "a_dfr", "b_dfr", "c_dfr")}
+        if me == root:
+            ctx.view(bufs["s"], dt, nelems)[:] = _payload(root, nelems, dt,
+                                                          seed)
+        for name in ("b_eag", "c_eag", "b_dfr", "c_dfr"):
+            # shmem_broadcast leaves the root's C alone: give it bytes.
+            ctx.view(bufs[name], dt, nelems)[:] = _payload(-1, nelems, dt, 0)
+        ctx.barrier()
+
+        def calls(a, b, c):
+            ctx.broadcast(bufs[a], bufs["s"], nelems, 1, root, dt)
+            team.broadcast(bufs[b], bufs[a], nelems, 1, t_root, dt)
+            shmem_bcast(bufs[c], bufs[a], nelems, s_root)
+
+        calls("a_eag", "b_eag", "c_eag")
+        ctx.barrier()
+        with ctx.superstep():
+            calls("a_dfr", "b_dfr", "c_dfr")
+        ctx.barrier()
+        for x in "abc":
+            assert read(bufs[f"{x}_dfr"], nelems) == read(
+                bufs[f"{x}_eag"], nelems), (
+                f"superstep {x} diverged from eager")
+        out = b"".join(read(bufs[f"{x}_dfr"], nelems) for x in "abc")
     elif kind == "team_barrier":
         # Two disjoint teams exchange data guarded only by team barriers.
         team = tuple(r for r in range(n) if r % 2 == me % 2)
@@ -423,6 +462,18 @@ def test_superstep_mixed(mp_sessions, sim_backend, vec_backend, spec, op,
     n = spec.pop("n_pes")
     spec.update(kind="superstep_mixed", op=op, root=root_pick % n,
                 stride=1)
+    _run_all(mp_sessions, sim_backend, vec_backend, n, spec)
+
+
+@given(spec=_dense_spec(), root_pick=st.integers(0, 7))
+@_SETTINGS
+def test_superstep_team(mp_sessions, sim_backend, vec_backend, spec,
+                        root_pick):
+    """World, Team and ShmemAPI broadcasts issued in one superstep flush
+    in call order, byte-identically to eager (asserted inside the
+    program) and across sim/mp/vec."""
+    n = spec.pop("n_pes")
+    spec.update(kind="superstep_team", root=root_pick % n, stride=1)
     _run_all(mp_sessions, sim_backend, vec_backend, n, spec)
 
 

@@ -93,9 +93,9 @@ def test_broadcast_matches_oracle(case):
         ctx.view(dest, dt, nelems, stride)[:] = 0
         if ctx.my_pe() == root:
             ctx.view(src, dt, nelems, stride)[:] = data
-        from repro.collectives.broadcast import broadcast
+        from repro.collectives.broadcast import prepare_broadcast
 
-        broadcast(ctx, dest, src, nelems, stride, root, dt)
+        prepare_broadcast(ctx, dest, src, nelems, stride, root, dt).run(ctx)
         got = np.array(ctx.view(dest, dt, nelems, stride), copy=True)
         ctx.close()
         return got
@@ -119,9 +119,10 @@ def test_reduce_matches_oracle(case):
         src = ctx.malloc(nbytes)
         dest = ctx.private_malloc(nbytes)
         ctx.view(src, dt, nelems, stride)[:] = data[ctx.my_pe()]
-        from repro.collectives.reduce import reduce
+        from repro.collectives.reduce import prepare_reduce
 
-        reduce(ctx, dest, src, nelems, stride, root, op, dt)
+        prepare_reduce(ctx, dest, src, nelems, stride, root, op,
+                       dt).run(ctx)
         got = np.array(ctx.view(dest, dt, nelems, stride), copy=True)
         ctx.close()
         return got
@@ -148,9 +149,10 @@ def test_scatter_matches_oracle(case, msgs_seed):
         dest = ctx.malloc(max(max(pe_msgs) * dt.itemsize, 16))
         if me == root:
             ctx.view(src, dt, nelems, 1)[:] = data
-        from repro.collectives.scatter import scatter
+        from repro.collectives.scatter import prepare_scatter
 
-        scatter(ctx, dest, src, pe_msgs, pe_disp, nelems, root, dt)
+        prepare_scatter(ctx, dest, src, pe_msgs, pe_disp, nelems, root,
+                        dt).run(ctx)
         got = np.array(ctx.view(dest, dt, pe_msgs[me], 1), copy=True)
         ctx.close()
         return got
@@ -179,9 +181,10 @@ def test_gather_matches_oracle(case, msgs_seed):
         dest = ctx.malloc(max(nelems * dt.itemsize, 16))
         lo = pe_disp[me]
         ctx.view(src, dt, pe_msgs[me], 1)[:] = data[lo:lo + pe_msgs[me]]
-        from repro.collectives.gather import gather
+        from repro.collectives.gather import prepare_gather
 
-        gather(ctx, dest, src, pe_msgs, pe_disp, nelems, root, dt)
+        prepare_gather(ctx, dest, src, pe_msgs, pe_disp, nelems, root,
+                       dt).run(ctx)
         got = np.array(ctx.view(dest, dt, nelems, 1), copy=True)
         ctx.close()
         return got
@@ -206,10 +209,10 @@ def test_allreduce_matches_oracle(case, algorithm):
         src = ctx.malloc(nbytes)
         dest = ctx.private_malloc(nbytes)
         ctx.view(src, dt, nelems, stride)[:] = data[ctx.my_pe()]
-        from repro.collectives.allreduce import allreduce
+        from repro.collectives.allreduce import prepare_allreduce
 
-        allreduce(ctx, dest, src, nelems, stride, op, dt,
-                  algorithm=algorithm)
+        prepare_allreduce(ctx, dest, src, nelems, stride, op, dt,
+                          algorithm=algorithm).run(ctx)
         got = np.array(ctx.view(dest, dt, nelems, stride), copy=True)
         ctx.close()
         return got
@@ -240,9 +243,10 @@ def test_scan_matches_oracle(case, inclusive):
         src = ctx.malloc(nbytes)
         dest = ctx.private_malloc(nbytes)
         ctx.view(src, dt, nelems, stride)[:] = data[ctx.my_pe()]
-        from repro.collectives.scan import scan
+        from repro.collectives.scan import prepare_scan
 
-        scan(ctx, dest, src, nelems, stride, op, dt, inclusive=inclusive)
+        prepare_scan(ctx, dest, src, nelems, stride, op, dt,
+                     inclusive=inclusive).run(ctx)
         got = np.array(ctx.view(dest, dt, nelems, stride), copy=True)
         ctx.close()
         return got

@@ -49,9 +49,9 @@ class TestAllgatherFcollect:
             src = ctx.malloc(8 * 2)
             dest = ctx.malloc(8 * 2 * n)
             ctx.view(src, "long", 2)[:] = [ctx.my_pe(), ctx.my_pe() * 10]
-            from repro.collectives.extra import fcollect
+            from repro.baselines.shmem import ShmemAPI
 
-            fcollect(ctx, dest, src, 2, np.dtype(np.int64))
+            ShmemAPI(ctx).fcollect64(dest, src, 2)
             got = list(ctx.view(dest, "long", 2 * n))
             ctx.close()
             return got

@@ -71,6 +71,13 @@ def _observe(n_pes, body):
     return outputs, stats, spans, machine.elapsed_ns
 
 
+def _eager(prepare):
+    """The blocking call of ``prepare``: prepare it, then run it."""
+    def call(ctx, *args, **kwargs):
+        prepare(ctx, *args, **kwargs).run(ctx)
+    return call
+
+
 def _assert_identical(n_pes, body_legacy, body_new):
     out_l, stats_l, spans_l, t_l = _observe(n_pes, body_legacy)
     out_n, stats_n, spans_n, t_n = _observe(n_pes, body_new)
@@ -145,10 +152,10 @@ def test_broadcast_equivalence(case, algorithm):
                algorithm=algorithm)
         return _dense_body(call, dt, nelems, stride, fill)
 
-    from repro.collectives.broadcast import broadcast
+    from repro.collectives.broadcast import prepare_broadcast
 
     _assert_identical(case["n_pes"], make(legacy.legacy_broadcast),
-                      make(broadcast))
+                      make(_eager(prepare_broadcast)))
 
 
 @given(case=_cases(need_op=True),
@@ -169,10 +176,10 @@ def test_reduce_equivalence(case, algorithm):
                algorithm=algorithm)
         return _dense_body(call, dt, nelems, stride, fill)
 
-    from repro.collectives.reduce import reduce
+    from repro.collectives.reduce import prepare_reduce
 
     _assert_identical(case["n_pes"], make(legacy.legacy_reduce),
-                      make(reduce))
+                      make(_eager(prepare_reduce)))
 
 
 @given(case=_cases(need_op=True),
@@ -191,10 +198,10 @@ def test_allreduce_equivalence(case, algorithm):
             fn(ctx, dest, src, nelems, stride, op, dt, algorithm=algorithm)
         return _dense_body(call, dt, nelems, stride, fill)
 
-    from repro.collectives.allreduce import allreduce
+    from repro.collectives.allreduce import prepare_allreduce
 
     _assert_identical(case["n_pes"], make(legacy.legacy_allreduce),
-                      make(allreduce))
+                      make(_eager(prepare_allreduce)))
 
 
 @given(case=_cases(need_op=True), inclusive=st.booleans())
@@ -212,9 +219,10 @@ def test_scan_equivalence(case, inclusive):
             fn(ctx, dest, src, nelems, stride, op, dt, inclusive=inclusive)
         return _dense_body(call, dt, nelems, stride, fill)
 
-    from repro.collectives.scan import scan
+    from repro.collectives.scan import prepare_scan
 
-    _assert_identical(case["n_pes"], make(legacy.legacy_scan), make(scan))
+    _assert_identical(case["n_pes"], make(legacy.legacy_scan),
+                      make(_eager(prepare_scan)))
 
 
 # -- vector collectives (ragged counts, zero-count PEs) --------------------
@@ -272,9 +280,10 @@ def test_scatter_equivalence(case):
             return got
         return body
 
-    from repro.collectives.scatter import scatter
+    from repro.collectives.scatter import prepare_scatter
 
-    _assert_identical(n_pes, make(legacy.legacy_scatter), make(scatter))
+    _assert_identical(n_pes, make(legacy.legacy_scatter),
+                      make(_eager(prepare_scatter)))
 
 
 @given(case=_ragged_cases())
@@ -302,9 +311,10 @@ def test_gather_equivalence(case):
             return got
         return body
 
-    from repro.collectives.gather import gather
+    from repro.collectives.gather import prepare_gather
 
-    _assert_identical(n_pes, make(legacy.legacy_gather), make(gather))
+    _assert_identical(n_pes, make(legacy.legacy_gather),
+                      make(_eager(prepare_gather)))
 
 
 @given(case=_ragged_cases())
@@ -337,9 +347,10 @@ def test_allgather_tree_equivalence(case):
             return got
         return body
 
-    from repro.collectives.extra import allgather
+    from repro.collectives.extra import prepare_allgather
 
-    _assert_identical(n_pes, make(legacy.legacy_allgather), make(allgather))
+    _assert_identical(n_pes, make(legacy.legacy_allgather),
+                      make(_eager(prepare_allgather)))
 
 
 @given(n_pes=st.integers(1, 16), nelems_per_pe=st.integers(0, 4),
@@ -366,9 +377,10 @@ def test_alltoall_equivalence(n_pes, nelems_per_pe, typename, seed):
             return got
         return body
 
-    from repro.collectives.extra import alltoall
+    from repro.collectives.extra import prepare_alltoall
 
-    _assert_identical(n_pes, make(legacy.legacy_alltoall), make(alltoall))
+    _assert_identical(n_pes, make(legacy.legacy_alltoall),
+                      make(_eager(prepare_alltoall)))
 
 
 # -- algorithm differentials (no legacy twin: algorithms must agree) -------

@@ -29,6 +29,29 @@ def _fill(ctx, addr, nelems, salt=0):
     ) % 89
 
 
+def _team_broadcast(ctx, dest, src):
+    from repro.collectives.teams import Team
+
+    Team(ctx, ctx.world_group).broadcast(dest, src, 4, 1, 99, "long")
+
+
+#: One malformed call per collective front end on 2 PEs: a bad root, a
+#: count list of the wrong length, a zero stride or a negative size.
+_BAD_CALLS = {
+    "broadcast": lambda ctx, d, s: ctx.broadcast(d, s, 4, 1, 99, "long"),
+    "reduce": lambda ctx, d, s: ctx.reduce(d, s, 4, 1, 99, "sum", "long"),
+    "scatter": lambda ctx, d, s: ctx.scatter(d, s, [4], [0], 4, 0, "long"),
+    "gather": lambda ctx, d, s: ctx.gather(d, s, [4], [0], 4, 0, "long"),
+    "allreduce": lambda ctx, d, s: ctx.allreduce(d, s, 4, 0, "sum", "long"),
+    "reduce_scatter": lambda ctx, d, s: ctx.reduce_scatter(
+        d, s, [4], [0], 4, "sum", "long"),
+    "scan": lambda ctx, d, s: ctx.scan(d, s, 4, 0, "sum", "long"),
+    "allgather": lambda ctx, d, s: ctx.allgather(d, s, [4], [0], 4, "long"),
+    "alltoall": lambda ctx, d, s: ctx.alltoall(d, s, -1, "long"),
+    "team.broadcast": _team_broadcast,
+}
+
+
 class TestDeferral:
     def test_collectives_defer_until_exit(self):
         def body(ctx):
@@ -168,7 +191,8 @@ class TestDeferral:
 
         run(2, body)
 
-    def test_invalid_call_raises_at_call_site(self):
+    @pytest.mark.parametrize("call", sorted(_BAD_CALLS))
+    def test_invalid_call_raises_at_call_site(self, call):
         """Validation happens at the deferred call, not at the flush."""
         from repro.errors import CollectiveArgumentError
 
@@ -179,7 +203,7 @@ class TestDeferral:
             ctx.barrier()
             with ctx.superstep() as step:
                 with pytest.raises(CollectiveArgumentError):
-                    ctx.broadcast(dest, src, 4, 1, 99, "long")  # bad root
+                    _BAD_CALLS[call](ctx, dest, src)
                 assert step.pending == 0
             ctx.barrier()
             ctx.close()
@@ -249,6 +273,34 @@ class TestBatching:
         assert machine.stats.collective_calls["allreduce:doubling"] == 4
         assert "superstep:flush" not in machine.stats.collective_calls
         assert all(r == results[0] for r in results)
+
+    def test_shmem_broadcasts_fuse_but_never_widen(self):
+        """OpenSHMEM broadcasts leave the root's dest alone; two of them
+        in one step fuse, but a widened schedule would copy out on the
+        root too, so they must not widen."""
+        from repro.baselines.shmem import ShmemAPI
+
+        def body(ctx):
+            ctx.init()
+            srcs = [ctx.malloc(8 * 4) for _ in range(2)]
+            dsts = [ctx.malloc(8 * 4) for _ in range(2)]
+            for j, (s, d) in enumerate(zip(srcs, dsts)):
+                _fill(ctx, s, 4, salt=j)
+                ctx.view(d, "long", 4, 1)[:] = -1
+            ctx.barrier()
+            with ctx.superstep():
+                for s, d in zip(srcs, dsts):
+                    ShmemAPI(ctx).broadcast64(d, s, 4, 1)
+            ctx.barrier()
+            out = [list(ctx.view(d, "long", 4, 1)) for d in dsts]
+            ctx.close()
+            return out
+
+        results, machine = run(4, body)
+        assert machine.stats.collective_calls["superstep:flush"] == 1
+        sent = [[(3 * i + 7 + j) % 89 for i in range(4)] for j in range(2)]
+        assert results[1] == [[-1] * 4] * 2  # the root (PE 1)
+        assert results[0] == results[2] == results[3] == sent
 
     def test_mixed_collectives_fuse(self):
         def body(ctx):
