@@ -6,7 +6,8 @@ mailbox queue-depth curve by the cooperative simulator): ``vec``
 tuning layer's picks),
 ``pipeline`` (the dual-root pipelined allreduce against ring and
 Rabenseifner), ``batch`` (K eager small allreduces against one widened
-superstep flush) and ``mailbox`` (two-sided overhead over one-sided,
+superstep flush, and K calls of every other family against one fused
+flush) and ``mailbox`` (two-sided overhead over one-sided,
 and the receive-queue-depth curve).  Ring and linear schedules are
 Θ(N²) / Θ(N) root-serialised steps, so the sweeps stop them at
 ``RING_MAX_PES`` / ``LINEAR_MAX_PES`` and record the caps.  The paper's
@@ -41,8 +42,10 @@ import numpy as np
 from ..collectives.allreduce import auto_segments, compile_allreduce
 from ..collectives.broadcast import compile_broadcast
 from ..collectives.schedule.evaluate import evaluate_schedule
-from ..collectives.schedule.fuse import compile_widened
+from ..collectives.schedule.fuse import (
+    WIDENABLE, compile_widened, fuse_schedules)
 from ..collectives.schedule.mailbox import lower_to_mailbox, max_fan_in
+from ..collectives.schedule.registry import BUILTIN_ALGORITHMS, _shapes_for
 from ..collectives.tuning import select_algorithm
 from ..params import MachineConfig, MailboxParams
 
@@ -56,6 +59,7 @@ __all__ = [
     "vec_point",
     "pipeline_point",
     "batch_point",
+    "family_point",
     "mailbox_point",
     "depth_point",
     "run_sweep",
@@ -173,6 +177,25 @@ def batch_point(n_pes: int, nelems: int, batch: int) -> dict:
             "speedup": round(eager / fused, 3)}
 
 
+#: The builtin families a superstep fuses but cannot widen.
+BATCH_FAMILIES = tuple(f"{c}:{a}" for c, a in BUILTIN_ALGORITHMS
+                       if (c, a) not in WIDENABLE and c != "superstep")
+
+
+def family_point(family: str, n_pes: int) -> dict:
+    """K = 8 eager calls of one family (8 elements per PE) against one
+    fused flush of them."""
+    batch = 8
+    sched = next(sched for label, sched in _shapes_for(
+        *family.split(":"), n_pes, 8, _ITEMSIZE)
+        if "ragged" not in label and not label.endswith("=0"))
+    eager = _makespan(sched, n_pes) * batch
+    fused = _makespan(fuse_schedules((sched,) * batch), n_pes)
+    return {"family": family, "n_pes": n_pes, "batch": batch,
+            "eager_ns": eager, "superstep_ns": fused,
+            "ratio": round(fused / eager, 3)}
+
+
 def mailbox_point(n_pes: int, nelems: int) -> dict:
     """One-sided against mailbox-lowered doubling allreduce.  The
     overhead can fall below 1.0: eager pushes overlap where gets
@@ -275,12 +298,21 @@ _BATCH_ACCEPT = {"min_batch": 8, "max_bytes": 4 * 1024, "speedup_min": 2.0}
 
 
 def _batch_rules(doc: dict) -> list[str]:
+    """The widening bar somewhere; a fused flush never slower than its
+    eager calls."""
     bar = _BATCH_ACCEPT
-    if any(p["batch"] >= bar["min_batch"] and p["nbytes"] <= bar["max_bytes"]
-           and p["speedup"] >= bar["speedup_min"] for p in doc["points"]):
-        return []
-    return [f"no point with batch >= {bar['min_batch']}, <= "
-            f"{bar['max_bytes']} B and speedup >= {bar['speedup_min']}"]
+    problems = [f"{p['family']} at {p['n_pes']} PEs: fused "
+                f"{p['superstep_ns']} ns exceeds eager {p['eager_ns']} ns"
+                for p in doc["families"]
+                if p["superstep_ns"] > p["eager_ns"]]
+    if not any(p["batch"] >= bar["min_batch"]
+               and p["nbytes"] <= bar["max_bytes"]
+               and p["speedup"] >= bar["speedup_min"]
+               for p in doc["points"]):
+        problems.append(
+            f"no point with batch >= {bar['min_batch']}, <= "
+            f"{bar['max_bytes']} B and speedup >= {bar['speedup_min']}")
+    return problems
 
 
 _MAILBOX_ACCEPT = {"overhead_max": 1.5, "depth_curve_stall_free_at_max": True}
@@ -423,7 +455,18 @@ SWEEPS: dict[str, Sweep] = {s.name: s for s in (
             (("pes", "n_pes", ""), ("bytes", "nbytes", ""),
              ("K", "batch", ""), ("eager ns", "eager_ns", _MS),
              ("superstep ns", "superstep_ns", _MS),
-             ("speedup", "speedup", ".2f"))),),
+             ("speedup", "speedup", ".2f"))),
+            Table(
+                "families", "every other family: K = 8 eager calls of 8 "
+                            "elements per PE vs one fused flush (vec "
+                            "evaluator, 1 PE/node)",
+                (Axis("family", BATCH_FAMILIES, None),
+                 Axis("n_pes", (8, 16, 64), None)),
+                family_point,
+                (("family", "family", ""), ("pes", "n_pes", ""),
+                 ("K", "batch", ""), ("eager ns", "eager_ns", _MS),
+                 ("superstep ns", "superstep_ns", _MS),
+                 ("fused/eager", "ratio", ".3f")))),
         rules=_batch_rules,
         fresh={"n_pes": 16, "nelems": 64, "batch": 8}),
     Sweep(

@@ -34,18 +34,22 @@ and collectives commit in call order — a race-free eager program that
 keeps its deferred operations' buffers disjoint within one step sees
 identical bytes.
 
-Which requests batch: a broadcast, reduce or allreduce with a compiled
-schedule whose ``dest`` and ``src`` are both symmetric.  Batching
-decisions must agree on every rank (they feed one shared fused
-schedule), and symmetric allocations sit at rank-uniform addresses,
-which makes the conflict and widening analysis SPMD-deterministic.
-Every other request — private buffers, ``body``-based algorithms, the
-vector collectives, scan, allgather, alltoall — flushes alone, in call
-order.
+Which requests batch: one rule, whatever the collective.  A request
+batches if and only if it has a compiled schedule and every address it
+binds is symmetric (``ctx.is_symmetric``); a ``body``-based call (the
+tree allgather, the hierarchical algorithms) or a call with a private
+binding flushes alone, in call order, splitting the batch.  Every rank
+must reach the same verdict (it feeds one fused schedule), which holds
+only if every rank passes the same addresses, root-only buffers
+included: a broadcast's or scatter's ``src``, a reduce's or gather's
+``dest``.  Symmetric addresses are rank-uniform and byte ranges come
+from the schedule's buffer table (a per-rank extent counts as its
+largest), so the conflict and widening analysis is SPMD-deterministic.
 
-Fusion failures (:class:`~repro.errors.FusionError`) downgrade to
-sequential execution — batching is a performance layer, never a
-semantic one.
+Fusion failures (:class:`~repro.errors.FusionError`), and merged
+schedules whose scratch would overflow the collective scratch region,
+downgrade to sequential execution — batching is a performance layer,
+never a semantic one.
 """
 
 from __future__ import annotations
@@ -62,9 +66,6 @@ __all__ = ["Superstep", "superstep_context"]
 
 #: Methods the superstep shadows on the context instance.
 _SHADOWED = ("put", "get", "barrier")
-
-#: The collectives whose requests may batch (see module docstring).
-_BATCHABLE = frozenset({"broadcast", "reduce", "allreduce"})
 
 
 @dataclass
@@ -102,9 +103,13 @@ class _Request:
         return (self.prepared.name, attrs["algorithm"], attrs.get("root"))
 
     def extent(self, name: str) -> tuple[int, int]:
-        """The byte range the schedule may touch in user buffer ``name``."""
+        """The byte range the schedule may touch in user buffer ``name``
+        on any rank: a per-rank extent counts as its largest, so every
+        rank computes the same range."""
         lo = self.prepared.bindings[name]
-        return lo, lo + self.prepared.schedule.buffer(name).nbytes
+        nbytes = self.prepared.schedule.buffer(name).nbytes
+        return lo, lo + (max(nbytes) if isinstance(nbytes, tuple)
+                         else nbytes)
 
 
 class Superstep:
@@ -132,14 +137,8 @@ class Superstep:
 
     def defer(self, prepared) -> None:
         """Queue one validated, compiled collective call."""
-        ctx = self._ctx
-        bindings = prepared.bindings
-        batchable = (
-            prepared.name in _BATCHABLE
-            and prepared.schedule is not None
-            and ctx.is_symmetric(bindings["dest"])
-            and ctx.is_symmetric(bindings["src"])
-        )
+        batchable = prepared.schedule is not None and all(
+            map(self._ctx.is_symmetric, prepared.bindings.values()))
         self._queue.append(_Request(prepared, batchable))
 
     # -- flush --------------------------------------------------------
@@ -241,10 +240,9 @@ class Superstep:
         return True
 
     def _run_batch(self, ctx, batch: list) -> None:
-        if not batch:
-            return
-        if len(batch) == 1:
-            batch[0].prepared.run(ctx)
+        if len(batch) < 2:
+            for req in batch:
+                req.prepared.run(ctx)
             return
         from ..collectives.schedule.fuse import compile_widened, widens
 
@@ -283,63 +281,66 @@ class Superstep:
                 entries.append((req.prepared.schedule,
                                 dict(req.prepared.bindings), [req]))
         try:
-            self._execute_entries(ctx, entries, batch)
+            if len(entries) > 1:
+                self._run_fused(ctx, entries, batch)
+                return
         except FusionError:
-            # Structural surprise: run the entries one by one instead.
-            for sched, bindings, reqs in entries:
-                self._run_entry(ctx, sched, bindings, reqs)
+            pass  # a structural surprise: run the entries one by one
+        for sched, bindings, reqs in entries:
+            if len(reqs) == 1 or not _fits(ctx, sched):
+                for req in reqs:
+                    req.prepared.run(ctx)
+            else:
+                self._run_merged(
+                    ctx, reqs[0].prepared.name, sched, bindings, reqs,
+                    dict(algorithm=sched.algorithm, requests=len(reqs)))
 
-    def _execute_entries(self, ctx, entries: list, batch: list) -> None:
-        from ..collectives.schedule.executor import PreparedCollective
+    def _run_fused(self, ctx, entries: list, batch: list) -> None:
         from ..collectives.schedule.fuse import fuse_schedules
 
-        head = batch[0].prepared
-        if len(entries) == 1:
-            sched, bindings, reqs = entries[0]
-            self._run_entry(ctx, sched, bindings, reqs)
-            return
         fused = fuse_schedules(tuple(s for s, _b, _r in entries))
-        bindings = {}
-        for i, (_sched, entry_bindings, _reqs) in enumerate(entries):
-            for name, addr in entry_bindings.items():
-                bindings[f"r{i}:{name}"] = addr
-        self._count_requests(ctx, batch)
+        if not _fits(ctx, fused):
+            raise FusionError("fused schedule's scratch does not fit")
+        bindings = {f"r{i}:{name}": addr
+                    for i, (_sched, entry, _reqs) in enumerate(entries)
+                    for name, addr in entry.items()}
+        self._run_merged(ctx, "superstep", fused, bindings, batch,
+                         dict(requests=len(batch), entries=len(entries)))
+        head = batch[0].prepared
         if head.me == head.members[0]:
             ctx.count_collective("superstep:flush")
-        PreparedCollective(
-            name="superstep", members=head.members, me=head.me,
-            dtype=head.dtype,
-            attrs=dict(requests=len(batch), entries=len(entries)),
-            schedule=fused, bindings=bindings,
-        ).run(ctx)
-
-    def _run_entry(self, ctx, sched, bindings, reqs: list) -> None:
-        from ..collectives.schedule.executor import PreparedCollective
-
-        if len(reqs) == 1:
-            reqs[0].prepared.run(ctx)
-            return
-        head = reqs[0].prepared
-        self._count_requests(ctx, reqs)
-        PreparedCollective(
-            name=head.name, members=head.members, me=head.me,
-            dtype=head.dtype,
-            attrs=dict(algorithm=sched.algorithm, requests=len(reqs)),
-            schedule=sched, bindings=bindings,
-        ).run(ctx)
 
     @staticmethod
-    def _count_requests(ctx, reqs: list) -> None:
-        """Book each request's eager stats key, as its solo run would."""
+    def _run_merged(ctx, name: str, sched, bindings: dict, reqs: list,
+                    attrs: dict) -> None:
+        """Run one schedule merged from ``reqs``, booking each request's
+        eager stats key as its solo run would."""
+        from ..collectives.schedule.executor import PreparedCollective
+
         for req in reqs:
             prepared = req.prepared
             if prepared.stats_key is not None \
                     and prepared.me == prepared.stats_rank:
                 ctx.count_collective(prepared.stats_key)
+        head = reqs[0].prepared
+        PreparedCollective(
+            name=name, members=head.members, me=head.me, dtype=head.dtype,
+            attrs=attrs, schedule=sched, bindings=bindings,
+        ).run(ctx)
 
 
 def _overlap(a: tuple, b: tuple) -> bool:
     return a[0] < b[1] and b[0] < a[1]
+
+
+def _fits(ctx, sched) -> bool:
+    """Does ``sched``'s scratch fit the free collective scratch?  A
+    merged schedule holds every request's scratch at once, where the
+    eager calls held one at a time.  The scratch stack is the same on
+    every rank at a flush, so every rank reaches the same verdict."""
+    need = sum(-(-buf.nbytes // 16) * 16 for buf in sched.buffers
+               if buf.kind == "scratch")
+    return need <= ctx._scratch.size - ctx._scratch.bytes_used
 
 
 def _arm(ctx, step: Superstep) -> None:

@@ -9,7 +9,9 @@
   (true concurrency, crash isolation via in-place slot rebuild), while
   :class:`_LocalEngine` is the coreless-CI fallback that executes each
   job on a fresh in-process sim/vec session (serialized execution, but
-  the *same* scheduler decisions, accounting and job program);
+  the *same* scheduler decisions, accounting and job program).  Each
+  engine has one ``launch``: a dispatch is a batch of jobs sharing a
+  team, and a lone job is a batch of one;
 * **stats** (:class:`~repro.serve.stats.ServeStats`) bill each tenant
   for latency, queue wait and PE-seconds.
 
@@ -41,18 +43,19 @@ from ..errors import BackendError, ServeError
 from ..params import MachineConfig
 from ..sim.trace import EventTrace
 from .job import JobResult, JobSpec
-from .programs import run_batched_jobs, run_collective_job
+from .programs import run_collective_job
 from .scheduler import TeamScheduler
 from .stats import ServeStats
 
 __all__ = ["ServePool"]
 
 
-def _fold_digests(members: list[dict]) -> str:
-    """One job digest from the members' buffer digests (group order)."""
+def _fold_digests(members: list[dict], k: int) -> str:
+    """Job ``k``'s digest from the members' buffer digests (group
+    order)."""
     import hashlib
 
-    joined = ",".join(m["digest"] for m in
+    joined = ",".join(m["digests"][k] for m in
                       sorted(members, key=lambda m: m["member"]))
     return hashlib.sha256(joined.encode()).hexdigest()
 
@@ -66,20 +69,11 @@ class _MPEngine:
         self.session = MPSession(config, timeout=timeout)
         self._inflight: dict[int, tuple[int, Any]] = {}  # run_id -> (job, ticket)
 
-    def launch(self, job_id: int, spec: JobSpec,
+    def launch(self, job_id: int, specs: list[JobSpec],
                ranks: tuple[int, ...]) -> None:
-        wire = spec.as_wire()
+        wires = tuple(spec.as_wire() for spec in specs)
         ticket = self.session.submit(
-            run_collective_job, [(wire,)] * len(ranks), ranks=ranks,
-            timeout=spec.timeout, payload_nbytes=spec.payload_nbytes,
-        )
-        self._inflight[ticket.run_id] = (job_id, ticket)
-
-    def launch_batch(self, job_id: int, specs: list[JobSpec],
-                     ranks: tuple[int, ...]) -> None:
-        wires = [spec.as_wire() for spec in specs]
-        ticket = self.session.submit(
-            run_batched_jobs, [(wires,)] * len(ranks), ranks=ranks,
+            run_collective_job, [wires] * len(ranks), ranks=ranks,
             timeout=specs[0].timeout,
             payload_nbytes=sum(s.payload_nbytes for s in specs),
         )
@@ -130,33 +124,17 @@ class _LocalEngine:
         self._done: list[tuple[int, bool, list[dict] | None,
                                str | None]] = []
 
-    def launch(self, job_id: int, spec: JobSpec,
+    def launch(self, job_id: int, specs: list[JobSpec],
                ranks: tuple[int, ...]) -> None:
-        wire = spec.as_wire()
+        wires = tuple(spec.as_wire() for spec in specs)
         cfg = self.config.with_(n_pes=len(ranks))
         try:
             members = self.backend.run(
-                run_collective_job, [(wire,)] * len(ranks), config=cfg)
+                run_collective_job, [wires] * len(ranks), config=cfg)
         except Exception as exc:  # any PE failure fails this job only
             msg = f"{type(exc).__name__}: {exc}"
             cause = exc.__cause__
             if cause is not None:  # sim wraps the PE's exception; keep it
-                msg += f" ({type(cause).__name__}: {cause})"
-            self._done.append((job_id, False, None, msg))
-        else:
-            self._done.append((job_id, True, members, None))
-
-    def launch_batch(self, job_id: int, specs: list[JobSpec],
-                     ranks: tuple[int, ...]) -> None:
-        wires = [spec.as_wire() for spec in specs]
-        cfg = self.config.with_(n_pes=len(ranks))
-        try:
-            members = self.backend.run(
-                run_batched_jobs, [(wires,)] * len(ranks), config=cfg)
-        except Exception as exc:
-            msg = f"{type(exc).__name__}: {exc}"
-            cause = exc.__cause__
-            if cause is not None:
                 msg += f" ({type(cause).__name__}: {cause})"
             self._done.append((job_id, False, None, msg))
         else:
@@ -210,16 +188,17 @@ class ServePool:
         Record every job as a span event for Chrome-trace export
         (:attr:`trace`).
     batch_window:
-        Opportunistic batching width (default 1 = off).  When > 1,
-        each dispatch may absorb up to ``batch_window - 1`` younger
-        queued jobs with a matching
-        :attr:`~repro.serve.job.JobSpec.batch_key`; the batch shares
-        one team and runs as **one superstep**
-        (:func:`~repro.serve.programs.run_batched_jobs`), and each
-        job still gets its own demultiplexed :class:`JobResult` with
-        per-tenant digests and latency accounting.  Fault-injecting
-        jobs never batch; a crash inside a batch fails exactly that
-        batch's jobs, and other teams are untouched.
+        Opportunistic batching width (default 1 = off).  Every
+        dispatch is a batch launched the same way: its head job plus,
+        when > 1, up to ``batch_window - 1`` younger queued jobs with a
+        matching :attr:`~repro.serve.job.JobSpec.batch_key`.  The batch
+        shares one team and one run of
+        :func:`~repro.serve.programs.run_collective_job`, which issues
+        two or more jobs' collectives as **one superstep**; each job
+        still gets its own :class:`JobResult` with per-tenant digests
+        and latency accounting.  Fault-injecting jobs never batch; a
+        crash inside a batch fails exactly that batch's jobs, and other
+        teams are untouched.
     """
 
     def __init__(self, n_pes: int = 4, *, backend: str = "auto",
@@ -310,34 +289,22 @@ class ServePool:
                 tracked = self._jobs[qj.job_id]
                 tracked.dispatched_at = started
                 tracked.ranks = ranks
-            head = batch[0]
-            if len(batch) == 1:
-                self._engine.launch(head.job_id,
-                                    self._jobs[head.job_id].spec, ranks)
-            else:
-                self._batches[head.job_id] = [qj.job_id for qj in batch]
-                self._engine.launch_batch(
-                    head.job_id,
-                    [self._jobs[qj.job_id].spec for qj in batch], ranks)
+            head = batch[0].job_id
+            self._batches[head] = [qj.job_id for qj in batch]
+            self._engine.launch(
+                head, [self._jobs[qj.job_id].spec for qj in batch], ranks)
         for head_id, ok, members, error in self._engine.poll(block_s):
             end = time.monotonic()
-            for k, job_id in enumerate(
-                    self._batches.pop(head_id, [head_id])):
+            for k, job_id in enumerate(self._batches.pop(head_id)):
                 tracked = self._jobs.pop(job_id)
                 if job_id == head_id:
                     self.scheduler.release(tracked.ranks)
-                if ok and "digests" in members[0]:
-                    job_members = [{"member": m["member"],
-                                    "digest": m["digests"][k]}
-                                   for m in members]
-                else:
-                    job_members = members
                 queue_wait = tracked.dispatched_at - tracked.submitted_at
                 service = end - tracked.dispatched_at
                 self._finish(JobResult(
                     job_id=job_id, tenant=tracked.spec.tenant,
                     spec=tracked.spec, ok=ok, error=error,
-                    digest=_fold_digests(job_members) if ok else None,
+                    digest=_fold_digests(members, k) if ok else None,
                     ranks=tracked.ranks, queue_wait_s=queue_wait,
                     service_s=service,
                     latency_s=end - tracked.submitted_at,

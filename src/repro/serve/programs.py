@@ -1,9 +1,10 @@
 """The per-PE program a serving job runs — one function, any backend.
 
 ``run_collective_job`` is the module-level (hence picklable) SPMD body
-dispatched to every member of a job's team.  It is written entirely
-against the PE-context protocol plus the ``default_group`` attribute,
-so the same bytes run
+dispatched to every member of a job's team; it runs a batch of jobs
+that share the team, and a lone job is a batch of one.  It is written
+entirely against the PE-context protocol plus the ``default_group``
+attribute, so the same bytes run
 
 * **team-scoped** on the mp backend — the pool submits it on a rank
   subset whose contexts carry ``default_group``, and every collective
@@ -34,7 +35,7 @@ import numpy as np
 
 from ..runtime.collective_api import resolve_dtype
 
-__all__ = ["run_collective_job", "run_batched_jobs", "payload_values"]
+__all__ = ["run_collective_job", "payload_values"]
 
 #: Modulus for deterministic payload values: exact in every TYPENAME
 #: (fits int8; small enough that float sums stay exactly representable).
@@ -124,51 +125,24 @@ class _JobBuffers:
         ctx.free(self.src)
 
 
-def run_collective_job(ctx, spec: dict) -> dict:
-    """Run one collective job on this PE; returns the member's digest.
+def run_collective_job(ctx, *wires: dict) -> dict:
+    """Run a batch of one or more same-team jobs on this PE.
 
-    ``spec`` is :meth:`repro.serve.job.JobSpec.as_wire`.  The digest is
-    a SHA-256 over the member's destination buffer bytes; the pool folds
-    the members' digests (in group order) into the job digest, so
-    collectives whose outputs legitimately differ per rank (scan,
-    alltoall) still compare byte-exactly across runs.
+    Each of ``wires`` is :meth:`repro.serve.job.JobSpec.as_wire`; the
+    pool batches only fault-free jobs whose specs share a batch key
+    (:meth:`~repro.serve.job.JobSpec.batch_key`).  Every job's payload
+    is set up first; two or more jobs then issue their collectives
+    inside one ``ctx.superstep()``, so the flush fuses them, while a
+    single job issues its call directly (a one-request superstep only
+    adds its bookkeeping).  Returns ``{"member": me, "digests": [...]}``
+    with one SHA-256 over the member's destination buffer bytes per
+    job, in ``wires`` order — byte-identical to each job's solo run,
+    because the jobs' buffers are disjoint and the superstep flush is
+    byte-identical to eager execution.  The pool folds the members'
+    digests (in group order) into each job's digest, so collectives
+    whose outputs legitimately differ per rank (scan, alltoall) still
+    compare byte-exactly across runs.
     """
-    ctx.init()
-    group = getattr(ctx, "default_group", None) or ctx.world_group
-    n = len(group)
-    me = group.index(ctx.rank)
-    job = _JobBuffers(ctx, spec, n, me)
-    ctx.barrier()
-
-    _inject_fault(spec, me, getattr(ctx, "backend_name", "sim"))
-
-    job.issue(ctx, n)
-    ctx.barrier()
-
-    digest = job.digest()
-    job.free(ctx)
-    ctx.close()
-    return {"member": me, "digest": digest}
-
-
-def run_batched_jobs(ctx, wires: list) -> dict:
-    """Run several same-team jobs as **one superstep** on this PE.
-
-    ``wires`` is a list of :meth:`~repro.serve.job.JobSpec.as_wire`
-    dicts; the pool only batches fault-free jobs whose specs share a
-    batch key (same collective, shape, dtype and root — see
-    :meth:`~repro.serve.job.JobSpec.batch_key`).  Every job's payload
-    is set up first, then all collectives are issued inside
-    ``ctx.superstep()`` so the flush fuses them into (ideally) one
-    widened schedule.  Returns ``{"member": me, "digests": [...]}``
-    with one digest per job, in ``wires`` order — byte-identical to
-    each job's solo :func:`run_collective_job` digest, because the jobs'
-    buffers are disjoint and the superstep flush is byte-identical to
-    eager execution.
-    """
-    if len(wires) == 1:
-        solo = run_collective_job(ctx, wires[0])
-        return {"member": solo["member"], "digests": [solo["digest"]]}
     ctx.init()
     group = getattr(ctx, "default_group", None) or ctx.world_group
     n = len(group)
@@ -176,9 +150,15 @@ def run_batched_jobs(ctx, wires: list) -> dict:
     jobs = [_JobBuffers(ctx, spec, n, me) for spec in wires]
     ctx.barrier()
 
-    with ctx.superstep():
-        for job in jobs:
-            job.issue(ctx, n)
+    backend = getattr(ctx, "backend_name", "sim")
+    for spec in wires:
+        _inject_fault(spec, me, backend)
+    if len(jobs) == 1:
+        jobs[0].issue(ctx, n)
+    else:
+        with ctx.superstep():
+            for job in jobs:
+                job.issue(ctx, n)
     ctx.barrier()
 
     digests = [job.digest() for job in jobs]

@@ -13,7 +13,7 @@ Admission policy, in order of application:
    :class:`~repro.errors.QueueFullError` when the queue is at
    ``max_queue_depth``; nothing is enqueued and no state changes.  The
    caller sheds load instead of the pool accumulating it.
-2. **FIFO dispatch with conservative backfill** — ``dispatchable``
+2. **FIFO dispatch with conservative backfill** — ``dispatch_batches``
    scans the queue oldest-first and starts every job whose team fits
    the current free set.  A younger job may therefore start on PEs an
    older (wider) job cannot use *yet*; the older job keeps its queue
@@ -118,29 +118,19 @@ class TeamScheduler:
         self._queue = kept
         return out
 
-    def dispatchable(self, now: float) -> list[
-            tuple[QueuedJob, tuple[int, ...]]]:
-        """Pop every queued job that fits right now, with its team.
-
-        Jobs are considered oldest-first; each returned job's ranks are
-        already removed from the free set (the caller *must* launch it,
-        or give the ranks back via :meth:`release`).
-        """
-        return [(batch[0], ranks)
-                for batch, ranks in self.dispatch_batches(now, 1)]
-
     def dispatch_batches(self, now: float, max_batch: int) -> list[
             tuple[list[QueuedJob], tuple[int, ...]]]:
-        """Pop dispatchable jobs, absorbing same-shape queued jobs.
+        """Pop every queued job that fits right now, with its team.
 
-        Like :meth:`dispatchable`, but each dispatched job may carry up
-        to ``max_batch - 1`` *younger* queued jobs whose
-        :attr:`~repro.serve.job.JobSpec.batch_key` matches — they share
-        the head job's team instead of waiting for their own, and the
-        pool runs them as one superstep.  Absorption never changes
-        which head jobs dispatch (batching is opportunistic, on top of
-        the FIFO-with-backfill policy), and fault-injecting jobs never
-        join a batch (their key is ``None``).
+        Jobs are considered oldest-first; each returned batch's ranks
+        are already removed from the free set (the caller *must* launch
+        it, or give the ranks back via :meth:`release`).  A dispatched
+        job may carry up to ``max_batch - 1`` *younger* queued jobs with
+        a matching :attr:`~repro.serve.job.JobSpec.batch_key`, which
+        share its team and run as one superstep.  Absorption never
+        changes which head jobs dispatch (batching is opportunistic, on
+        top of the FIFO-with-backfill policy), and fault-injecting jobs
+        never join a batch (their key is ``None``).
         """
         queue = list(self._queue)
         taken: set[int] = set()

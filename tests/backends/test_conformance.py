@@ -232,48 +232,61 @@ def _collective_program(ctx, spec: dict) -> bytes:
         out = b"".join(read(dfr[j], nelems) for j in range(batch))
     elif kind == "superstep_mixed":
         # A mixed superstep — broadcast + reduce + allreduce at
-        # different roots plus a deferred ring put — exercising the
-        # fused-schedule path and transfer coalescing, checked
-        # byte-for-byte against the eager sequence.
+        # different roots, scan, dissemination and PAT allgather,
+        # alltoall and scatter, plus a deferred ring put — exercising
+        # the fused-schedule path and transfer coalescing, checked
+        # byte-for-byte against the eager sequence.  A broadcast from a
+        # private src in mid-step must flush alone, splitting the batch.
         r2 = (root + 1) % n
+        wide = nelems * n
+        counts, disps = [nelems] * n, [i * nelems for i in range(n)]
         bufs = {}
-        for name in ("bsrc", "rsrc", "asrc", "psrc",
-                     "beag", "reag", "aeag", "peag",
-                     "bdfr", "rdfr", "adfr", "pdfr"):
-            bufs[name] = _alloc_strided(ctx, nelems, 1, dt.itemsize)
-        if me == root:
-            ctx.view(bufs["bsrc"], dt, nelems)[:] = _payload(
-                root, nelems, dt, seed)
-        ctx.view(bufs["rsrc"], dt, nelems)[:] = _payload(me, nelems, dt,
-                                                         seed + 1)
-        ctx.view(bufs["asrc"], dt, nelems)[:] = _payload(me, nelems, dt,
-                                                         seed + 2)
-        ctx.view(bufs["psrc"], dt, nelems)[:] = _payload(me, nelems, dt,
-                                                         seed + 3)
+        for name in ("b", "r", "a", "p", "s", "v", "g", "q", "t", "c"):
+            for suffix in ("src", "eag", "dfr"):
+                bufs[name + suffix] = _alloc_strided(ctx, wide, 1,
+                                                     dt.itemsize)
+            ctx.view(bufs[name + "src"], dt, wide)[:] = _payload(
+                me, wide, dt, seed + len(bufs))
+        bufs["vsrc"] = ctx.private_malloc(max(nelems * dt.itemsize, 16))
+        ctx.view(bufs["vsrc"], dt, nelems)[:] = _payload(me, nelems, dt,
+                                                         seed)
         for name in ("peag", "pdfr"):
             ctx.view(bufs[name], dt, nelems)[:] = _payload(-1, nelems,
                                                            dt, 0)
         ctx.barrier()
         peer = (me + 1) % n
-        ctx.broadcast(bufs["beag"], bufs["bsrc"], nelems, 1, root, dt)
-        ctx.reduce(bufs["reag"], bufs["rsrc"], nelems, 1, r2, op, dt)
-        ctx.allreduce(bufs["aeag"], bufs["asrc"], nelems, 1, op, dt)
+
+        def calls(x):
+            ctx.broadcast(bufs["b" + x], bufs["bsrc"], nelems, 1, root, dt)
+            ctx.reduce(bufs["r" + x], bufs["rsrc"], nelems, 1, r2, op, dt)
+            ctx.allreduce(bufs["a" + x], bufs["asrc"], nelems, 1, op, dt)
+            ctx.scan(bufs["s" + x], bufs["ssrc"], nelems, 1, op, dt)
+            ctx.broadcast(bufs["v" + x], bufs["vsrc"], nelems, 1, r2, dt)
+            for name, algorithm in (("g", "dissemination"), ("q", "pat")):
+                ctx.allgather(bufs[name + x], bufs[name + "src"], counts,
+                              disps, wide, dt, algorithm=algorithm)
+            ctx.alltoall(bufs["t" + x], bufs["tsrc"], nelems, dt)
+            ctx.scatter(bufs["c" + x], bufs["csrc"], counts, disps, wide,
+                        root, dt)
+
+        calls("eag")
         ctx.put(bufs["peag"], bufs["psrc"], nelems, 1, peer, dt)
         ctx.barrier()
         with ctx.superstep():
             ctx.put(bufs["pdfr"], bufs["psrc"], nelems, 1, peer, dt)
-            ctx.broadcast(bufs["bdfr"], bufs["bsrc"], nelems, 1, root, dt)
-            ctx.reduce(bufs["rdfr"], bufs["rsrc"], nelems, 1, r2, op, dt)
-            ctx.allreduce(bufs["adfr"], bufs["asrc"], nelems, 1, op, dt)
+            calls("dfr")
         ctx.barrier()
-        pairs = [("bdfr", "beag"), ("adfr", "aeag"), ("pdfr", "peag")]
+        spans = {"b": nelems, "a": nelems, "p": nelems, "s": nelems,
+                 "v": nelems, "g": wide, "q": wide, "t": wide,
+                 "c": nelems}
         if me == r2:
-            pairs.append(("rdfr", "reag"))
-        for dfr_name, eag_name in pairs:
-            assert read(bufs[dfr_name], nelems) == read(
-                bufs[eag_name], nelems), (
-                f"superstep {dfr_name} diverged from eager")
-        out = b"".join(read(bufs[d], nelems) for d, _ in pairs)
+            spans["r"] = nelems
+        for name, count in spans.items():
+            assert read(bufs[name + "dfr"], count) == read(
+                bufs[name + "eag"], count), (
+                f"superstep {name}dfr diverged from eager")
+        out = b"".join(read(bufs[name + "dfr"], count)
+                       for name, count in spans.items())
     elif kind == "superstep_team":
         # A world broadcast A <- S, then a Team broadcast B <- A and an
         # OpenSHMEM broadcast C <- A, eager and then in one superstep:
@@ -457,8 +470,10 @@ def test_superstep_batch(mp_sessions, sim_backend, vec_backend, spec, op,
 def test_superstep_mixed(mp_sessions, sim_backend, vec_backend, spec, op,
                          root_pick):
     """A mixed superstep — deferred put + broadcast + reduce +
-    allreduce at different roots — flushes through the fused-schedule
-    path byte-identically to eager on all three backends."""
+    allreduce at different roots, scan, two allgathers, alltoall and
+    scatter, split by a private-src broadcast — flushes through the
+    fused-schedule path byte-identically to eager on sim, mp, vec and
+    the mailbox transport."""
     n = spec.pop("n_pes")
     spec.update(kind="superstep_mixed", op=op, root=root_pick % n,
                 stride=1)

@@ -275,6 +275,15 @@ def test_stalling_deep_queue_fails():
     assert any("deepest queue still stalls" in p for p in problems)
 
 
+def test_fused_flush_slower_than_eager_fails():
+    doc = committed("batch")
+    point = doc["families"][-1]
+    point["superstep_ns"] = point["eager_ns"] + 1
+    problems = check_sweep(SWEEPS["batch"], doc)
+    assert any(f"{point['family']} at {point['n_pes']} PEs" in p
+               and "exceeds eager" in p for p in problems)
+
+
 def test_cli_checks_and_writes(tmp_path, monkeypatch, capsys):
     """Default mode checks the files in the current directory; --write
     regenerates them identical to the committed copy but for the host."""

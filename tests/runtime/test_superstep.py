@@ -365,6 +365,88 @@ class TestBatching:
         expected, _ = run(4, eager)
         assert [r[0] for r in results] == expected
 
+    def test_every_compiled_collective_fuses(self):
+        """Six compiled collectives of six families, symmetric buffers,
+        one step: one fused execution, each request's stats key booked
+        once, the eager bytes, and less model time than eager."""
+        k = 8
+
+        def body(ctx, deferred):
+            ctx.init()
+            n = ctx.num_pes()
+            msgs, disp = [k] * n, [i * k for i in range(n)]
+            bufs = [(ctx.malloc(8 * k * n), ctx.malloc(8 * k * n))
+                    for _ in range(6)]
+            for j, (dest, src) in enumerate(bufs):
+                _fill(ctx, src, k * n, salt=j)
+            ctx.barrier()
+            t0 = ctx.time_ns
+
+            def calls():
+                (d0, s0), (d1, s1), (d2, s2), (d3, s3), (d4, s4), \
+                    (d5, s5) = bufs
+                ctx.scan(d0, s0, k, 1, "sum", "long")
+                ctx.alltoall(d1, s1, k, "long")
+                ctx.scatter(d2, s2, msgs, disp, k * n, 1, "long")
+                ctx.gather(d3, s3, msgs, disp, k * n, 2, "long")
+                ctx.reduce_scatter(d4, s4, msgs, disp, k * n, "sum",
+                                   "long")
+                ctx.allgather(d5, s5, msgs, disp, k * n, "long",
+                              algorithm="dissemination")
+
+            if deferred:
+                with ctx.superstep():
+                    calls()
+            else:
+                calls()
+            ctx.barrier()
+            elapsed = ctx.time_ns - t0
+            out = [bytes(ctx.view(d, "long", k * n, 1)) for d, _ in bufs]
+            ctx.close()
+            return out, elapsed
+
+        eager, eager_m = run(8, lambda ctx: body(ctx, False))
+        fused, fused_m = run(8, lambda ctx: body(ctx, True))
+        calls = dict(fused_m.stats.collective_calls)
+        assert calls.pop("superstep:flush") == 1
+        assert calls == dict(eager_m.stats.collective_calls)
+        assert sorted(calls.values()) == [1] * 6
+        assert [out for out, _ in fused] == [out for out, _ in eager]
+        assert max(t for _, t in fused) < max(t for _, t in eager)
+
+    @pytest.mark.parametrize("collective", ["scan", "allreduce"])
+    def test_merged_scratch_overflow_runs_calls_one_by_one(self,
+                                                           collective):
+        """Eight calls whose scratch fits one at a time but not all at
+        once (fused scans, widened allreduces) run one by one, as eager
+        would, instead of exhausting the collective scratch."""
+        n = 8192
+
+        def body(ctx, deferred):
+            ctx.init()
+            bufs = [(ctx.malloc(8 * n), ctx.malloc(8 * n))
+                    for _ in range(8)]
+            for j, (_, src) in enumerate(bufs):
+                _fill(ctx, src, n, salt=j)
+            ctx.barrier()
+            call = getattr(ctx, collective)
+            if deferred:
+                with ctx.superstep():
+                    for dest, src in bufs:
+                        call(dest, src, n, 1, "sum", "long")
+            else:
+                for dest, src in bufs:
+                    call(dest, src, n, 1, "sum", "long")
+            ctx.barrier()
+            out = [bytes(ctx.view(d, "long", n, 1)) for d, _ in bufs]
+            ctx.close()
+            return out
+
+        eager, _ = run(2, lambda ctx: body(ctx, False))
+        fused, machine = run(2, lambda ctx: body(ctx, True))
+        assert fused == eager
+        assert "superstep:flush" not in machine.stats.collective_calls
+
     def test_mid_step_barrier_flushes(self):
         def body(ctx):
             ctx.init()
@@ -384,8 +466,8 @@ class TestBatching:
         assert all(r != [0, 0, 0, 0] for r in results)
 
     def test_opaque_collectives_preserve_order(self):
-        """A non-fusable collective (scan) between two fusable ones
-        splits the batch but keeps call order."""
+        """A scan between two allreduces joins their batch (any
+        compiled collective does), and each call is still booked once."""
         def body(ctx):
             ctx.init()
             bufs = [ctx.malloc(8 * 4) for _ in range(6)]

@@ -148,10 +148,11 @@ def test_batch_window_validation():
         ServePool(2, backend="sim", config=small_config(2), batch_window=0)
 
 
-def test_batched_digests_match_solo_runs():
+@pytest.mark.parametrize("collective", COLLECTIVES)
+def test_batched_digests_match_solo_runs(collective):
     """Same-shape jobs fused into one superstep return exactly the
     digests the same specs produce when served one at a time."""
-    specs = [JobSpec(tenant=f"t{i % 3}", collective="allreduce", n_pes=4,
+    specs = [JobSpec(tenant=f"t{i % 3}", collective=collective, n_pes=4,
                      nelems=24, dtype="long", seed=i) for i in range(6)]
 
     def digests(batch_window: int) -> dict[str, str]:

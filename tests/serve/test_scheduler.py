@@ -26,10 +26,10 @@ def _spec(n_pes: int = 2, tenant: str = "t") -> JobSpec:
 def test_carves_lowest_free_ranks():
     sched = TeamScheduler(4)
     sched.offer(0, _spec(2), now=0.0)
-    [(qj, ranks)] = sched.dispatchable(now=0.0)
+    [([qj], ranks)] = sched.dispatch_batches(now=0.0, max_batch=1)
     assert qj.job_id == 0 and ranks == (0, 1)
     sched.offer(1, _spec(2), now=0.0)
-    [(qj, ranks)] = sched.dispatchable(now=0.0)
+    [([qj], ranks)] = sched.dispatch_batches(now=0.0, max_batch=1)
     assert qj.job_id == 1 and ranks == (2, 3)
     assert sched.free_pes == 0
 
@@ -38,11 +38,11 @@ def test_release_returns_ranks_and_packs_low():
     sched = TeamScheduler(4)
     sched.offer(0, _spec(2), now=0.0)
     sched.offer(1, _spec(2), now=0.0)
-    dispatched = dict((qj.job_id, ranks)
-                      for qj, ranks in sched.dispatchable(now=0.0))
+    dispatched = {qj.job_id: ranks for [qj], ranks
+                  in sched.dispatch_batches(now=0.0, max_batch=1)}
     sched.release(dispatched[0])  # (0, 1) free again
     sched.offer(2, _spec(1), now=1.0)
-    [(qj, ranks)] = sched.dispatchable(now=1.0)
+    [([qj], ranks)] = sched.dispatch_batches(now=1.0, max_batch=1)
     assert ranks == (0,), "freed low ranks must be re-used first"
     assert sched.free_pes == 1
 
@@ -50,7 +50,7 @@ def test_release_returns_ranks_and_packs_low():
 def test_double_release_raises():
     sched = TeamScheduler(2)
     sched.offer(0, _spec(2), now=0.0)
-    [(_, ranks)] = sched.dispatchable(now=0.0)
+    [(_, ranks)] = sched.dispatch_batches(now=0.0, max_batch=1)
     sched.release(ranks)
     with pytest.raises(ValueError, match="released twice"):
         sched.release(ranks)
@@ -63,22 +63,24 @@ def test_fifo_order_with_conservative_backfill():
     """A stuck wide head must not block a narrow job that fits now."""
     sched = TeamScheduler(4)
     sched.offer(0, _spec(2), now=0.0)
-    [(_, busy)] = sched.dispatchable(now=0.0)  # 2 PEs left
+    [(_, busy)] = sched.dispatch_batches(now=0.0, max_batch=1)  # 2 PEs left
     sched.offer(1, _spec(4, "wide"), now=0.0)   # cannot fit yet
     sched.offer(2, _spec(2, "narrow"), now=0.0)
-    started = sched.dispatchable(now=0.0)
-    assert [qj.job_id for qj, _ in started] == [2], "backfill skips the head"
+    started = sched.dispatch_batches(now=0.0, max_batch=1)
+    assert [qj.job_id for [qj], _ in started] == [2], \
+        "backfill skips the head"
     assert sched.depth == 1, "the wide job keeps its queue position"
     # Once everything drains, the wide head goes first.
     sched.release(busy)
     sched.release(started[0][1])
-    assert [qj.job_id for qj, _ in sched.dispatchable(now=0.0)] == [1]
+    assert [qj.job_id for [qj], _
+            in sched.dispatch_batches(now=0.0, max_batch=1)] == [1]
 
 
 def test_backpressure_at_depth_limit():
     sched = TeamScheduler(1, max_queue_depth=2)
     sched.offer(0, _spec(1), now=0.0)
-    sched.dispatchable(now=0.0)  # job 0 occupies the only PE
+    sched.dispatch_batches(now=0.0, max_batch=1)  # job 0 occupies the only PE
     sched.offer(1, _spec(1), now=0.0)
     sched.offer(2, _spec(1), now=0.0)
     with pytest.raises(QueueFullError):
@@ -89,7 +91,7 @@ def test_backpressure_at_depth_limit():
 def test_bounded_wait_expires_old_jobs_only():
     sched = TeamScheduler(1, max_wait_s=5.0)
     sched.offer(0, _spec(1), now=0.0)
-    sched.dispatchable(now=0.0)
+    sched.dispatch_batches(now=0.0, max_batch=1)
     sched.offer(1, _spec(1, "old"), now=1.0)
     sched.offer(2, _spec(1, "young"), now=4.0)
     assert sched.expired(now=5.0) == []  # 4.0s wait: still within bounds
@@ -110,7 +112,7 @@ def test_idle_tracks_queue_and_free_set():
     assert sched.idle
     sched.offer(0, _spec(2), now=0.0)
     assert not sched.idle
-    [(_, ranks)] = sched.dispatchable(now=0.0)
+    [(_, ranks)] = sched.dispatch_batches(now=0.0, max_batch=1)
     assert not sched.idle
     sched.release(ranks)
     assert sched.idle
@@ -184,7 +186,7 @@ def test_dispatchable_is_batch_size_one():
     sched = TeamScheduler(2)
     for i in range(3):
         sched.offer(i, _batchable(i), now=0.0)
-    [(qj, ranks)] = sched.dispatchable(now=0.0)
+    [([qj], ranks)] = sched.dispatch_batches(now=0.0, max_batch=1)
     assert qj.job_id == 0 and ranks == (0, 1)
     assert sched.depth == 2, "plain dispatch never absorbs"
 

@@ -183,11 +183,12 @@ def test_hard_crash_rebuild_reuses_segments_midrun():
 
 
 @pytest.mark.timeout(300)
-def test_batched_dispatch_on_workers_matches_solo_digests():
+@pytest.mark.parametrize("collective", COLLECTIVES)
+def test_batched_dispatch_on_workers_matches_solo_digests(collective):
     """Opportunistic batching on the real worker pool: same-shape jobs
     from different tenants fuse into one superstep per team, and every
     digest matches its solo (batch_window=1) run."""
-    specs = [JobSpec(tenant=f"tenant{i % 3}", collective="allreduce",
+    specs = [JobSpec(tenant=f"tenant{i % 3}", collective=collective,
                      n_pes=4, nelems=24, dtype="long", seed=i)
              for i in range(6)]
 
