@@ -247,7 +247,9 @@ def _worker_main(rank: int, config: MachineConfig, token: str,
     * ``("run", run_id, fn, args, timeout, sync_group)`` — run
       ``fn(ctx, *args)`` against a fresh context (team-scoped when
       ``sync_group`` is a rank tuple); report ``("ok" | "err" |
-      "aborted", rank, run_id, payload)``.
+      "aborted", rank, run_id, payload)``.  An ``"ok"`` payload is the
+      result already pickled (the picklability check *is* the
+      serialisation, so it happens once); the parent unpickles it.
     * ``("reset", seq)`` — forget local barrier state (global session
       recovery, shared cells about to be zeroed); acked with
       ``("reset-ok", rank, seq, None)``.
@@ -295,14 +297,14 @@ def _worker_main(rank: int, config: MachineConfig, token: str,
             try:
                 result = fn(ctx, *args)
                 try:
-                    pickle.dumps(result)
+                    payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
                 except Exception as exc:
                     ctl.abort_ranks(sync_group, run_id)
                     msg = ("err", rank, run_id,
                            f"PE {rank} returned an unpicklable result: "
                            f"{exc!r}")
                 else:
-                    msg = ("ok", rank, run_id, result)
+                    msg = ("ok", rank, run_id, payload)
             except WorkerAbortedError:
                 msg = ("aborted", rank, run_id, traceback.format_exc())
             except BaseException:
@@ -644,7 +646,7 @@ class MPSession(BackendSession):
                 continue  # stale message from an abandoned run
             ticket.outstanding.discard(rank)
             if kind == "ok":
-                ticket.results[rank] = payload
+                ticket.results[rank] = pickle.loads(payload)
             elif kind == "aborted":
                 ticket.aborted[rank] = payload
             else:

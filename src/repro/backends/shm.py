@@ -172,24 +172,45 @@ def control_bytes(n_pes: int) -> int:
     return 8 * (_DYN0 + 2 * n_pes + n_pes * n_pes)
 
 
+#: Wall seconds a wait spends yielding the core before it parks.
+YIELD_BUDGET_S = 1e-3
+#: One park: a short timer sleep once the yield budget is spent.
+_PARK_S = 2e-4
+
+
 def spin_until(pred: Callable[[], bool], *, deadline: float,
                check_abort: Callable[[], None], what: str) -> None:
-    """Spin until ``pred()`` — yielding the core, polling abort/deadline.
+    """Spin until ``pred()`` — yield the core, then park; poll abort/deadline.
 
-    The backoff matters on oversubscribed hosts (the paper's own 12-core
-    machine ran 12 Spike processes + MPICH): the first iterations only
-    yield the timeslice, then the wait parks in short sleeps so waiters
-    do not starve the PE they are waiting for.
+    Every iteration checks the run's abort cell and the watchdog
+    deadline before waiting again.  For the first :data:`YIELD_BUDGET_S`
+    of wall time a waiter calls ``os.sched_yield()`` (under a microsecond
+    when nobody else wants the core); after that it parks in
+    :data:`_PARK_S` sleeps so a long wait does not starve the PE it is
+    waiting for on an oversubscribed host (the paper's own 12-core
+    machine ran 12 Spike processes plus MPICH).
+
+    The yield phase is bounded by wall time, not by an iteration count:
+    a fixed number of yields runs out in tens of microseconds, less than
+    the wake-up skew between a job's PEs, and every wait would then pay
+    a park.  A zero-second ``time.sleep`` is no substitute for a yield:
+    on CPython 3.11 it is a ``clock_nanosleep`` that pays the kernel's
+    timer slack, about 57 µs per call on a 2-vCPU host.
     """
-    i = 0
+    park_at = 0.0
     while not pred():
         check_abort()
-        if time.monotonic() > deadline:
+        now = time.monotonic()
+        if now > deadline:
             raise BackendTimeoutError(
                 f"timed out waiting for {what} (deadlocked peer?)"
             )
-        time.sleep(0 if i < 64 else 2e-4)
-        i += 1
+        if not park_at:
+            park_at = now + YIELD_BUDGET_S
+        if now < park_at:
+            os.sched_yield()
+        else:
+            time.sleep(_PARK_S)
 
 
 class ControlBlock:

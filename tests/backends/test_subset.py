@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import RuntimeStateError
+from repro.errors import RuntimeStateError, WorkerFailedError
 
 from ..conftest import small_config
 
@@ -25,6 +25,29 @@ def _team_sum(ctx) -> int:
     total = int(ctx.view(buf, "long", 1)[0])
     ctx.close()
     return total
+
+
+def _leader_returns_a_lambda(ctx):
+    """The leader returns something unpicklable; its peer waits on it."""
+    ctx.init()
+    if ctx.my_pe() == 0:
+        return lambda: None
+    ctx.barrier()  # never released: only the abort can unwind it
+    return "unreachable"
+
+
+def test_unpicklable_result_fails_the_run_and_unwinds_peers(mp_sessions):
+    session = mp_sessions.get(4)
+    ticket = session.submit(_leader_returns_a_lambda, ranks=(0, 1),
+                            timeout=30.0)
+    with pytest.raises(WorkerFailedError, match="unpicklable result") as err:
+        session.wait(ticket)
+    # The peer was unwound by the abort cell (reported as collateral,
+    # not as a failure) rather than left for the watchdog.
+    assert list(err.value.failures) == [0]
+    assert not ticket.timed_out and ticket.aborted.keys() == {1}
+    assert session.wait(session.submit(_team_sum, ranks=(0, 1))) == [1, 1]
+    assert session.run(_team_sum) == [6, 6, 6, 6]
 
 
 def test_subset_run_scopes_collectives_to_the_team(mp_sessions):
