@@ -73,9 +73,8 @@ def render_collective_metrics(metrics: Sequence) -> str:
     """
     out: list[str] = []
     for cm in metrics:
-        tag = " (nested)" if cm.nested else ""
         out.append(
-            f"{cm.name}#{cm.seq} over {len(cm.group)} PEs{tag}: "
+            f"{cm.name}#{cm.seq} over {len(cm.group)} PEs: "
             f"{cm.n_stages} stages, {cm.total_messages} messages, "
             f"{cm.total_bytes} bytes, "
             f"critical path {cm.critical_path_ns:.0f} ns"

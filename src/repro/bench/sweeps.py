@@ -177,9 +177,11 @@ def batch_point(n_pes: int, nelems: int, batch: int) -> dict:
             "speedup": round(eager / fused, 3)}
 
 
-#: The builtin families a superstep fuses but cannot widen.
+#: The builtin families a superstep fuses but cannot widen (the
+#: hierarchical ones synchronise node by node and never fuse).
 BATCH_FAMILIES = tuple(f"{c}:{a}" for c, a in BUILTIN_ALGORITHMS
-                       if (c, a) not in WIDENABLE and c != "superstep")
+                       if (c, a) not in WIDENABLE and c != "superstep"
+                       and a != "hierarchical")
 
 
 def family_point(family: str, n_pes: int) -> dict:

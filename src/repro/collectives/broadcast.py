@@ -97,38 +97,20 @@ def prepare_broadcast(
     attrs = call_attrs(ctx, dtype, algorithm=algorithm, root=root,
                        nelems=nelems)
     if algorithm == "hierarchical":
-        from .hierarchy import broadcast_hierarchical
+        from .hierarchy import compile_hierarchical_broadcast
 
-        return PreparedCollective(
-            name="broadcast", members=members, me=me, dtype=dtype,
-            attrs=attrs, stats_key="broadcast:hierarchical", stats_rank=root,
-            body=lambda c: broadcast_hierarchical(
-                c, dest, src, nelems, stride, root, dtype, group=group),
-        )
-    sched = compile_broadcast(n_pes, root, nelems, stride, dtype.itemsize,
-                              algorithm=algorithm,
-                              copy_to_root_dest=copy_to_root_dest)
+        sched = compile_hierarchical_broadcast(
+            tuple(map(ctx.config.node_of, members)), root, nelems, stride,
+            dtype.itemsize, copy_to_root_dest)
+    else:
+        sched = compile_broadcast(n_pes, root, nelems, stride,
+                                  dtype.itemsize, algorithm=algorithm,
+                                  copy_to_root_dest=copy_to_root_dest)
     return PreparedCollective(
         name="broadcast", members=members, me=me, dtype=dtype, attrs=attrs,
         schedule=sched, bindings={"dest": dest, "src": src},
         stats_key=f"broadcast:{algorithm}", stats_rank=root,
     )
-
-
-def run_binomial(ctx: "XBRTime", dest: int, src: int, nelems: int,
-                 stride: int, root: int, dtype: np.dtype,
-                 members: tuple[int, ...], me: int) -> None:
-    """Execute the binomial tree as a bare sub-schedule (no outer span).
-
-    The hierarchical two-level broadcast composes compiled trees inside
-    its own ``broadcast.inter``/``broadcast.intra`` spans.
-    """
-    from .schedule.executor import execute_schedule
-
-    sched = compile_broadcast(len(members), root, nelems, stride,
-                              dtype.itemsize)
-    execute_schedule(ctx, sched, tuple(members), me,
-                     {"dest": dest, "src": src}, dtype)
 
 
 def compile_broadcast(n_pes: int, root: int, nelems: int, stride: int,

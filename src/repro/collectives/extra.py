@@ -7,7 +7,8 @@ those compositions plus a personalised all-to-all:
 
 * :func:`prepare_allgather` — gather-to-all (OpenSHMEM ``collect``;
   ``fcollect`` is the equal-counts case).  Three algorithms: the
-  default ``"tree"`` composition (gather to rank 0, broadcast back), a
+  default ``"tree"`` (gather to rank 0, broadcast back, chained into
+  one schedule by :func:`~.schedule.fuse.chain_schedules`), a
   compiled ``"dissemination"`` schedule that finishes in ⌈log₂N⌉
   stages by having every rank pull the growing prefix of its ring
   neighbour — half the stages and no root bottleneck — and ``"pat"``
@@ -39,12 +40,13 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..errors import CollectiveArgumentError
-from .broadcast import prepare_broadcast
+from .broadcast import compile_broadcast
 from .common import call_attrs, resolve_group
-from .gather import prepare_gather
+from .gather import compile_gather
 from .reduce_scatter import coalesce_runs, pat_width_steps
 from .scatter import _validate
 from .schedule.executor import PreparedCollective
+from .schedule.fuse import chain_schedules
 from .schedule.ir import (
     AUX_PLACE,
     OP_COPY,
@@ -60,8 +62,9 @@ from .schedule.ir import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
 
-__all__ = ["prepare_allgather", "prepare_alltoall",
-           "compile_allgather", "compile_allgather_pat", "compile_alltoall"]
+__all__ = ["prepare_allgather", "prepare_alltoall", "compile_allgather",
+           "compile_allgather_pat", "compile_allgather_tree",
+           "compile_alltoall"]
 
 
 def prepare_allgather(
@@ -80,8 +83,8 @@ def prepare_allgather(
     """Gather-to-all (OpenSHMEM ``collect``): every PE ends with all
     contributions at ``dest`` (symmetric), laid out by ``pe_disp``.
 
-    ``algorithm="tree"`` composes gather+broadcast through rank 0 (the
-    historical default); ``"dissemination"`` compiles the ⌈log₂N⌉-stage
+    ``algorithm="tree"`` chains a gather and a broadcast through rank 0
+    (the historical default); ``"dissemination"`` compiles the ⌈log₂N⌉-stage
     doubling exchange; ``"pat"`` compiles the dest-direct aggregated
     trees (``segments`` chunks of every block in flight); ``"auto"``
     asks :mod:`~repro.collectives.tuning`.
@@ -100,40 +103,42 @@ def prepare_allgather(
             "allgather", nelems * dtype.itemsize, n_pes,
             ctx.config.topology,
         )
-    if algorithm == "tree":
-        # Two compiled calls under one allgather span, as hierarchical
-        # broadcast composes its trees.
-        parts = (
-            prepare_gather(ctx, dest, src, pe_msgs, pe_disp, nelems, 0,
-                           dtype, group=group),
-            prepare_broadcast(ctx, dest, dest, nelems, 1, 0, dtype,
-                              group=group),
-        )
-
-        def body(c) -> None:
-            for part in parts:
-                part.run(c)
-
-        return PreparedCollective(
-            name="allgather", members=members, me=me, dtype=dtype,
-            attrs=call_attrs(ctx, dtype, nelems=nelems), body=body,
-        )
-    if algorithm not in ("dissemination", "pat"):
-        raise CollectiveArgumentError(
-            f"unknown allgather algorithm {algorithm!r}"
-        )
     if algorithm == "pat":
         sched = compile_allgather_pat(n_pes, tuple(pe_msgs), tuple(pe_disp),
                                       nelems, dtype.itemsize, segments)
-    else:
+    elif algorithm == "dissemination":
         sched = compile_allgather(n_pes, tuple(pe_msgs), tuple(pe_disp),
                                   nelems, dtype.itemsize)
+    elif algorithm == "tree":
+        sched = compile_allgather_tree(n_pes, tuple(pe_msgs),
+                                       tuple(pe_disp), nelems,
+                                       dtype.itemsize)
+    else:
+        raise CollectiveArgumentError(
+            f"unknown allgather algorithm {algorithm!r}"
+        )
     return PreparedCollective(
         name="allgather", members=members, me=me, dtype=dtype,
         attrs=call_attrs(ctx, dtype, algorithm=algorithm, nelems=nelems),
         schedule=sched, bindings={"dest": dest, "src": src},
         stats_key=f"allgather:{algorithm}", stats_rank=0,
     )
+
+
+@lru_cache(maxsize=256)
+def compile_allgather_tree(n_pes: int, counts: tuple[int, ...],
+                           disps: tuple[int, ...], nelems: int,
+                           itemsize: int) -> Schedule:
+    """The tree allgather: a binomial gather to rank 0 chained with a
+    binomial broadcast of the gathered ``dest`` back out — of its whole
+    extent, so gapped displacements arrive too."""
+    every = tuple(range(n_pes))
+    extent = max((d + c for d, c in zip(disps, counts) if c), default=0)
+    return chain_schedules("allgather", "tree", n_pes, [
+        [(compile_gather(n_pes, 0, counts, disps, nelems, itemsize), every,
+          {"dest": "dest", "src": "src"})],
+        [(compile_broadcast(n_pes, 0, extent, 1, itemsize), every,
+          {"dest": "dest", "src": "dest"})]])
 
 
 def _ag_buffers(counts: tuple[int, ...], disps: tuple[int, ...],

@@ -19,142 +19,90 @@ times); the hierarchical variant matters when ranks are *scattered*
 across nodes — e.g. a round-robin placement — where the flat tree pays
 an inter-node hop at almost every edge.  The ``locality`` sweep record
 (:mod:`repro.bench.paper`) measures both placements.
+
+Each is one schedule compiled for a node layout (``nodes[r]`` hosts
+group rank ``r``): :func:`~.schedule.fuse.chain_schedules` runs the
+leaders' tree and the node trees side by side as steps of one
+partitioned schedule (``Section.block``) — a reduction's node trees
+first, into a symmetric ``partial`` the leaders read.  A group on one
+node is the flat binomial tree.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from functools import lru_cache
+from typing import Sequence
 
-import numpy as np
+from .broadcast import compile_broadcast
+from .common import span_bytes
+from .reduce import compile_reduce
+from .schedule.fuse import chain_schedules
+from .schedule.ir import Buffer, Schedule
 
-from .common import (
-    call_attrs,
-    collective_span,
-    resolve_group,
-    span_bytes,
-    validate_root,
-)
-from .broadcast import run_binomial as _bcast_tree
-from .reduce import run_binomial as _reduce_tree
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runtime.context import XBRTime
-
-__all__ = ["node_layout", "broadcast_hierarchical", "reduce_hierarchical"]
+__all__ = ["node_layout", "compile_hierarchical_broadcast",
+           "compile_hierarchical_reduce"]
 
 
-def node_layout(ctx: "XBRTime", members: Sequence[int],
-                root_world: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Group ``members`` by hosting node.
-
-    Returns ``(groups, leaders)`` where each group is the tuple of world
-    ranks of one node (only nodes with members) and ``leaders[i]`` is
-    the group's leader — the root for its node, the lowest rank
-    elsewhere.
-    """
-    cfg = ctx.config
+def node_layout(nodes: Sequence[int],
+                root: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """``(groups, leaders)``: the ranks of each node with members, in
+    node order, and each group's leader — the root for its node, the
+    lowest rank elsewhere."""
     by_node: dict[int, list[int]] = {}
-    for r in members:
-        by_node.setdefault(cfg.node_of(r), []).append(r)
-    groups: list[tuple[int, ...]] = []
-    leaders: list[int] = []
-    for node in sorted(by_node):
-        grp = tuple(sorted(by_node[node]))
-        groups.append(grp)
-        leaders.append(root_world if root_world in grp else grp[0])
-    return groups, leaders
+    for r, node in enumerate(nodes):
+        by_node.setdefault(node, []).append(r)
+    groups = [tuple(by_node[node]) for node in sorted(by_node)]
+    return groups, [root if root in grp else grp[0] for grp in groups]
 
 
-def broadcast_hierarchical(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    nelems: int,
-    stride: int,
-    root: int,
-    dtype: np.dtype,
-    *,
-    group: Sequence[int] | None = None,
-) -> None:
-    """Two-level broadcast: leaders first, then within each node."""
-    members, me = resolve_group(ctx, group)
-    validate_root(root, len(members))
-    root_world = members[root]
-    groups, leaders = node_layout(ctx, members, root_world)
-    if len(groups) <= 1:
-        _bcast_tree(ctx, dest, src, nelems, stride, root, dtype,
-                    tuple(members), me)
-        return
-    my_world = ctx.rank
-    my_group = next(g for g in groups if my_world in g)
-    my_leader = leaders[groups.index(my_group)]
-    # Inter-node stage: binomial over the leaders, rooted at the root.
-    if my_world in leaders:
-        with collective_span(ctx, "broadcast.inter", tuple(leaders),
-                             **call_attrs(ctx, dtype,
-                                          root=leaders.index(root_world),
-                                          nelems=nelems)):
-            _bcast_tree(
-                ctx, dest, src, nelems, stride, leaders.index(root_world),
-                dtype, tuple(leaders), leaders.index(my_world),
-            )
-    # Intra-node stage: each node fans out from its leader, reading the
-    # data the leader just received into dest (or src on the root).
-    local_src = src if my_world == root_world else dest
-    with collective_span(ctx, "broadcast.intra", my_group,
-                         **call_attrs(ctx, dtype,
-                                      root=my_group.index(my_leader),
-                                      nelems=nelems)):
-        _bcast_tree(
-            ctx, dest, local_src, nelems, stride, my_group.index(my_leader),
-            dtype, my_group, my_group.index(my_world),
-        )
+#: A part's buffers as the chain's: callers bind ``dest`` and ``src``.
+_IO = {"dest": "dest", "src": "src"}
 
 
-def reduce_hierarchical(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    nelems: int,
-    stride: int,
-    root: int,
-    op: str,
-    dtype: np.dtype,
-    *,
-    group: Sequence[int] | None = None,
-) -> None:
-    """Two-level reduction: within each node first, then across leaders."""
-    members, me = resolve_group(ctx, group)
-    validate_root(root, len(members))
-    root_world = members[root]
-    groups, leaders = node_layout(ctx, members, root_world)
-    if len(groups) <= 1:
-        _reduce_tree(ctx, dest, src, nelems, stride, root, op, dtype,
-                     tuple(members), me)
-        return
-    my_world = ctx.rank
-    my_group = next(g for g in groups if my_world in g)
-    my_leader = leaders[groups.index(my_group)]
-    # Intra-node partials land in symmetric scratch (the second stage
-    # reads them one-sidedly from the leaders).
-    nbytes = max(span_bytes(max(nelems, 1), stride, dtype.itemsize), 16)
-    partial = ctx.scratch_alloc(nbytes)
-    with collective_span(ctx, "reduce.intra", my_group,
-                         **call_attrs(ctx, dtype,
-                                      root=my_group.index(my_leader), op=op,
-                                      nelems=nelems)):
-        _reduce_tree(
-            ctx, partial, src, nelems, stride, my_group.index(my_leader), op,
-            dtype, my_group, my_group.index(my_world),
-        )
-    if my_world in leaders:
-        with collective_span(ctx, "reduce.inter", tuple(leaders),
-                             **call_attrs(ctx, dtype,
-                                          root=leaders.index(root_world),
-                                          op=op, nelems=nelems)):
-            _reduce_tree(
-                ctx, dest, partial, nelems, stride,
-                leaders.index(root_world), op, dtype, tuple(leaders),
-                leaders.index(my_world),
-            )
-    ctx.scratch_free(partial)
+@lru_cache(maxsize=256)
+def compile_hierarchical_broadcast(nodes: tuple, root: int, nelems: int,
+                                   stride: int, itemsize: int,
+                                   copy_to_root_dest: bool = True
+                                   ) -> Schedule:
+    """The leaders' tree, then each node's, which reads what its leader
+    just received into ``dest`` (the root's node: ``src``)."""
+    n = len(nodes)
+    groups, leaders = node_layout(nodes, root)
+
+    def tree(members, lead, names, copy=copy_to_root_dest):
+        return (compile_broadcast(len(members), members.index(lead), nelems,
+                                  stride, itemsize, copy_to_root_dest=copy),
+                tuple(members), names)
+
+    steps = [[tree(range(n), root, _IO)]] if len(groups) == 1 else [
+        [tree(leaders, root, _IO)],
+        [tree(grp, lead, _IO) if root in grp
+         else tree(grp, lead, {"dest": "dest", "src": "dest"}, True)
+         for grp, lead in zip(groups, leaders)]]
+    return chain_schedules("broadcast", "hierarchical", n, steps, root=root)
+
+
+@lru_cache(maxsize=256)
+def compile_hierarchical_reduce(nodes: tuple, root: int, nelems: int,
+                                stride: int, itemsize: int,
+                                op: str) -> Schedule:
+    """Each node's tree into every rank's symmetric ``partial``, then
+    the leaders' tree out of it."""
+    n = len(nodes)
+    groups, leaders = node_layout(nodes, root)
+
+    def tree(members, lead, names):
+        return (compile_reduce(len(members), members.index(lead), nelems,
+                               stride, itemsize, op), tuple(members), names)
+
+    if len(groups) == 1:
+        return chain_schedules("reduce", "hierarchical", n,
+                               [[tree(range(n), root, _IO)]], root=root)
+    partial = Buffer("partial", "scratch",
+                     max(span_bytes(max(nelems, 1), stride, itemsize), 16),
+                     symmetric=True)
+    return chain_schedules("reduce", "hierarchical", n, [
+        [tree(grp, lead, {"dest": "partial", "src": "src"})
+         for grp, lead in zip(groups, leaders)],
+        [tree(leaders, root, {"dest": "dest", "src": "partial"})]],
+        buffers=(partial,), root=root)

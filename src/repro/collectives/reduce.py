@@ -41,7 +41,7 @@ from .common import (
     validate_root,
 )
 from .ops import check_op
-from .schedule.executor import PreparedCollective, execute_schedule
+from .schedule.executor import PreparedCollective
 from .schedule.ir import (
     AUX_COPY,
     OP_COPY,
@@ -102,35 +102,19 @@ def prepare_reduce(
     attrs = call_attrs(ctx, dtype, algorithm=algorithm, root=root, op=op,
                        nelems=nelems)
     if algorithm == "hierarchical":
-        from .hierarchy import reduce_hierarchical
+        from .hierarchy import compile_hierarchical_reduce
 
-        return PreparedCollective(
-            name="reduce", members=members, me=me, dtype=dtype, attrs=attrs,
-            stats_key=f"reduce:{op}:hierarchical", stats_rank=root,
-            body=lambda c: reduce_hierarchical(
-                c, dest, src, nelems, stride, root, op, dtype, group=group),
-        )
-    sched = compile_reduce(n_pes, root, nelems, stride, dtype.itemsize, op,
-                           algorithm=algorithm)
+        sched = compile_hierarchical_reduce(
+            tuple(map(ctx.config.node_of, members)), root, nelems, stride,
+            dtype.itemsize, op)
+    else:
+        sched = compile_reduce(n_pes, root, nelems, stride, dtype.itemsize,
+                               op, algorithm=algorithm)
     return PreparedCollective(
         name="reduce", members=members, me=me, dtype=dtype, attrs=attrs,
         schedule=sched, bindings={"dest": dest, "src": src},
         stats_key=f"reduce:{op}:{algorithm}", stats_rank=root,
     )
-
-
-def run_binomial(ctx: "XBRTime", dest: int, src: int, nelems: int,
-                 stride: int, root: int, op: str, dtype: np.dtype,
-                 members: tuple[int, ...], me: int) -> None:
-    """Execute the binomial tree as a bare sub-schedule (no outer span).
-
-    The hierarchical two-level reduction composes compiled trees inside
-    its own ``reduce.intra``/``reduce.inter`` spans.
-    """
-    sched = compile_reduce(len(members), root, nelems, stride,
-                           dtype.itemsize, op)
-    execute_schedule(ctx, sched, tuple(members), me,
-                     {"dest": dest, "src": src}, dtype)
 
 
 def compile_reduce(n_pes: int, root: int, nelems: int, stride: int,

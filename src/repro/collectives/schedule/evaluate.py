@@ -685,16 +685,40 @@ def evaluate_group(
             for r, x in zip(g, tg):
                 t[r] = x
 
+    # Each barrier's blocks: the whole group (a group of one pays a
+    # round), or where the schedule is partitioned its parts
+    # (``Section.block``), a part of one rank being no barrier.  A block
+    # is released at the later of its latest arrival and network
+    # quiescence, plus its rounds.  Quiescence is read once the phase has
+    # run on every block, where the simulator reads it at the block's
+    # own release, so a block can wait here on another's traffic that it
+    # does not wait on there (``test_composed_clocks.py`` bounds this).
+    whole = tuple(range(K))
+    cost = {whole: rounds * round_ns if K > 1 else round_ns}
+    for blk in {sec.block for sk in table.skeletons for sec in sk.sections}:
+        if len(blk) > 1 and blk not in cost:
+            cost[blk] = ceil(log2(len(blk))) * round_cost_ns(
+                cfg, world[list(blk)].tolist())
+    skels = [[sec.block or whole for sec in sk.sections
+              for _ in range(sec.nbars)] for sk in table.skeletons]
+    blocks = [[(blk, cost[blk]) for blk in dict.fromkeys(
+        sk[b] for sk in skels) if blk in cost] for b in range(n_barriers)]
     for phase, groups in enumerate(phases):
         for gi in groups:
             _run_group(gi)
-        if phase < n_barriers:
+        if phase == n_barriers:
+            break
+        for block, ns in blocks[phase]:
             stats.barriers += 1
-            if K == 1:
-                t[0] += round_ns
+            every = len(block) == K
+            release = max(t) if every else max([t[r] for r in block])
+            if K > 1:
+                release = max(release, net.quiescence_time())
+            if every:
+                t[:] = [release + ns] * K
             else:
-                release = max(max(t), net.quiescence_time())
-                t[:] = [release + rounds * round_ns] * K
+                for r in block:
+                    t[r] = release + ns
     return np.array(t, dtype=np.float64)
 
 

@@ -24,9 +24,10 @@ driver.
 
 **The per-rank driver** (:func:`_drive`) is each PE running its own
 plan on its own thread or process, with ``ctx.barrier_team`` at the
-barriers.  It serves mp, teams, fault-injection runs, the mailbox
-transport, traced runs and the reference scheduler
-(``fast_paths=False``).
+barriers (over the rank's block where a ``Section.block`` partitions
+the group; a block of one is no barrier).  It serves mp, teams,
+partitioned schedules, fault-injection runs, the mailbox transport,
+traced runs and the reference scheduler (``fast_paths=False``).
 
 **The replay driver** (:func:`_replay`) serves the simulator when the
 schedule's group is the whole machine.  Every rank runs up to its first
@@ -46,12 +47,13 @@ strictly smaller; then the smallest ``(clock, rank)`` runs.  Every
 clock, cache line, link reservation and byte is therefore what the
 per-PE threads produce, for one thread switch per rank per collective
 instead of one per rank per stage.  Which driver runs is read off the
-call (group, injector, transport, engine, tracing); there is no option,
-and ``Machine(fast_paths=False)`` is the differential oracle.
+call (group, partition, injector, transport, engine, tracing); there is
+no option, and ``Machine(fast_paths=False)`` is the differential oracle.
 
 :class:`PreparedCollective` is the compiled form of one *call*: the
 schedule plus the call's bound addresses, span attributes and stats
-key.  Blocking collectives prepare and run immediately; non-blocking
+key — every collective is one, a composed one chained.  Blocking
+collectives prepare and run immediately; non-blocking
 ones prepare at initiation and run at ``wait()``; resilient wrappers
 prepare again over each survivor group.
 """
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush, heappushpop
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -85,7 +87,7 @@ __all__ = ["execute_schedule", "plan_of", "FlatPlan", "PreparedCollective"]
 
 # Plan opcodes.  A step's buffer operands are indices into
 # ``FlatPlan.names``; offsets are bytes, peers group ranks.
-_BARRIER = 0  # ()
+_BARRIER = 0  # (block,): the group ranks it meets, () for all
 _PUT = 1      # (dst, dst_off, src, src_off, nelems, stride, peer)
 _GET = 2      # (dst, dst_off, src, src_off, nelems, stride, peer)
 _COPY = 3     # charged: (dst, dst_off, src, src_off, nelems, stride, skip_noop)
@@ -97,7 +99,6 @@ _RECV = 8     # (dst, dst_off, nelems, stride, peer, tag)
 _OPEN = 9     # stage span begins: (index, attrs)
 _CLOSE = 10   # stage span ends: ()
 
-_BARRIER_OP = (_BARRIER,)
 _CLOSE_OP = (_CLOSE,)
 
 
@@ -156,8 +157,10 @@ class FlatPlan:
         for sec, items in parts:
             if sec.kind == "stage":
                 traced.append((_OPEN, sec.index, sec.attrs))
-            traced.extend(_BARRIER_OP if k is None else lower(k)
-                          for k in items)
+            # A block of one rank is no barrier.
+            traced.extend((_BARRIER, sec.block) if k is None else lower(k)
+                          for k in items
+                          if k is not None or len(sec.block) != 1)
             if sec.kind == "stage":
                 traced.append(_CLOSE_OP)
         #: The ops in execution order, with the stage-span boundaries —
@@ -349,21 +352,24 @@ def _drive(run: _RankRun, replays: bool) -> None:
             if replays and run.pc == first_barrier:
                 _meet(run)
             else:
-                ctx.barrier_team(run.members)
+                block = run.ops[run.pc][1]
+                ctx.barrier_team(tuple(run.members[q] for q in block)
+                                 if block else run.members)
             run.pc += 1
     finally:
         if run.in_stage:  # a step raised inside a stage span
             ctx.spans.end(ctx.rank)
 
 
-def _replayable(ctx: "XBRTime", members: tuple, plan: FlatPlan) -> bool:
+def _replayable(ctx: "XBRTime", members: tuple, sched: Schedule,
+                plan: FlatPlan) -> bool:
     """Whether this call's barrier-to-barrier window may be replayed
     from one thread: a whole-machine group on the simulator's
     direct-handoff engine, one-sided, no fault injector, no tracing
     (barrier and stage spans are opened on the per-rank driver only),
-    and a window to speak of."""
+    every barrier over the whole group, and a window to speak of."""
     world = ctx.machine
-    if world is None or ctx._faults is not None:
+    if world is None or ctx._faults is not None or sched.table.partitioned:
         return False
     engine = world.engine
     return (len(members) == ctx.config.n_pes > 1 and plan.n_barriers > 1
@@ -511,7 +517,7 @@ def execute_schedule(ctx: "XBRTime", sched: Schedule,
             hook(sched, members, me, addrs, dtype)
             return
         _drive(_RankRun(ctx, sched, plan, addrs, members, dtype),
-               _replayable(ctx, members, plan))
+               _replayable(ctx, members, sched, plan))
     finally:
         for is_scratch, addr in reversed(allocated):
             if is_scratch:
@@ -526,29 +532,23 @@ class PreparedCollective:
 
     ``run`` performs exactly what the legacy blocking front-ends did
     after validation: count the call in ``stats.collective_calls`` (on
-    ``stats_rank`` only), open the ``collective`` span, execute.  The
-    optional ``body`` escape hatch covers composed collectives
-    (hierarchical two-level trees) that orchestrate several schedules
-    inside one outer span.
+    ``stats_rank`` only), open the ``collective`` span, execute the
+    schedule.
     """
 
     name: str
     members: tuple
     me: int
     dtype: np.dtype
+    schedule: Schedule
     attrs: Mapping = field(default_factory=dict)
-    schedule: Schedule = None  # type: ignore[assignment]
     bindings: Mapping = field(default_factory=dict)
     stats_key: str = None  # type: ignore[assignment]
     stats_rank: int = None  # type: ignore[assignment]
-    body: Callable = None  # type: ignore[assignment]
 
     def run(self, ctx: "XBRTime") -> None:
         if self.stats_key is not None and self.me == self.stats_rank:
             ctx.count_collective(self.stats_key)
         with collective_span(ctx, self.name, self.members, **self.attrs):
-            if self.schedule is not None:
-                execute_schedule(ctx, self.schedule, self.members, self.me,
-                                 self.bindings, self.dtype)
-            else:
-                self.body(ctx)
+            execute_schedule(ctx, self.schedule, self.members, self.me,
+                             self.bindings, self.dtype)

@@ -1,8 +1,8 @@
-"""Composing compiled schedules into one fused superstep schedule.
+"""Composing compiled schedules into one schedule.
 
-Two transforms turn a superstep's deferred collectives into fewer,
-larger executions.  Both go table to table: they renumber buffer
-indices, add rows and lay out skeletons, and never read or build a tree.
+Three transforms go table to table: they renumber buffer indices, add
+rows and lay out skeletons, and never read or build a tree.  Two turn
+a superstep's deferred collectives into fewer, larger executions:
 
 * :func:`compile_widened` merges K same-shape calls of **one**
   collective into a single call over the concatenated payload.  Only
@@ -24,7 +24,12 @@ indices, add rows and lay out skeletons, and never read or build a tree.
   barrier chunk by barrier chunk, one schedule after another; otherwise
   they run back to back.
 
-Both transforms preserve the per-schedule phase mapping monotonically:
+The third, :func:`chain_schedules`, composes one collective from others
+run one after another — the tree allgather, and the hierarchical trees,
+whose node trees run side by side in blocks of a partitioned schedule
+(``Section.block``).  It renames buffers with fusion's code.
+
+Widening and fusion preserve the per-schedule phase mapping monotonically:
 two steps that shared a barrier phase still share one, and no two
 phases merge, so a fused schedule lints clean whenever its components
 do — :func:`~.lint.lint_schedule` plus the fused-specific passes in
@@ -33,9 +38,10 @@ fused family.
 
 Fusion is intentionally strict: any structural surprise (rank-divergent
 phase counts, stages not closed by a barrier, malformed pipeline blocks,
-mixed reduction operators) raises :class:`~repro.errors.FusionError`,
-and the superstep flush falls back to sequential execution — fusion may
-only ever be a performance upgrade, never a semantic change.
+mixed reduction operators, a partitioned schedule) raises
+:class:`~repro.errors.FusionError`, and the superstep flush falls back
+to sequential execution — fusion may only ever be a performance
+upgrade, never a semantic change.
 """
 
 from __future__ import annotations
@@ -48,7 +54,8 @@ import numpy as np
 from ...errors import FusionError
 from .ir import AUX_COPY, OP_COPY, Buffer, Rows, Schedule, Section, Skeleton
 
-__all__ = ["WIDENABLE", "fuse_schedules", "compile_widened", "widens"]
+__all__ = ["WIDENABLE", "chain_schedules", "fuse_schedules",
+           "compile_widened", "widens"]
 
 #: ``(collective, algorithm)`` pairs whose fold order does not depend on
 #: the element count — the precondition for byte-identical widening.
@@ -125,6 +132,9 @@ def fuse_schedules(scheds: tuple) -> Schedule:
         raise FusionError(
             f"mixed reduction operators {sorted(ops)} — the executor "
             "applies one operator per schedule")
+    if any(s.table.partitioned for s in scheds):
+        raise FusionError("a partitioned schedule's blocks cannot share "
+                          "the group's barriers")
     structures = [_structure(s) for s in scheds]
     tables = [s.table for s in scheds]
 
@@ -177,16 +187,15 @@ def fuse_schedules(scheds: tuple) -> Schedule:
     # name no group (the tree view reads the round as its stage).
     names = [f"r{i}:{buf.name}" for i, s in enumerate(scheds)
              for buf in s.buffers]
+    maps = _renamed(tables, [lambda name, i=i: f"r{i}:{name}"
+                             for i in range(len(tables))], names)
     parts = []
     for i, table in enumerate(tables):
         sections = table.skeletons[int(table.skeleton_of[0])].sections
         bars = np.array([sec.nbars for sec in sections])
         chunk = table.phase - (np.cumsum(bars) - bars)[table.section]
         sec = np.array(into[i])[table.section]
-        first = sum(len(s.buffers) for s in scheds[:i])
-        bufs = np.append(np.arange(len(table.names)) + first, -1)
-        bufs[table.n_declared:-1] += len(names) - first - table.n_declared
-        names += [f"r{i}:{name}" for name in table.names[table.n_declared:]]
+        bufs = maps[i]
         parts.append((
             np.full(len(table), i), table.rank, sec, out_base[sec]
             + np.where(chunk < bars[table.section], chunk, out_bars[sec]),
@@ -225,6 +234,125 @@ def fuse_schedules(scheds: tuple) -> Schedule:
                       for i, s in enumerate(scheds)
                       for rank, name, lo, hi in s.deliver),
         names=names)
+
+
+def _renamed(tables: list, renames: list, names: list) -> list:
+    """Each table's buffer-index map into ``names`` — its buffer ``x``
+    is ``renames[i](x)``; a name no buffer declares is appended — with a
+    trailing ``-1`` for an absent operand."""
+    index = {name: i for i, name in enumerate(names)}
+    maps = []
+    for table, rename in zip(tables, renames):
+        for name in table.names[table.n_declared:]:
+            if index.setdefault(rename(name), len(names)) == len(names):
+                names.append(rename(name))
+        maps.append(np.array([index[rename(x)] for x in table.names] + [-1]))
+    return maps
+
+
+def chain_schedules(collective: str, algorithm: str, n_pes: int, steps, *,
+                    buffers: tuple = (), root: int = None) -> Schedule:
+    """Run schedules one after another on one group of ``n_pes`` ranks.
+
+    A step is parts ``(schedule, members, names)`` run side by side on
+    disjoint ``members`` (the schedule's rank ``k`` is ``members[k]``).
+    ``names`` maps a part's user buffers to the chain's; scratch and
+    private buffers keep their names, so successive steps share storage
+    as the LIFO scratch stack of separate calls did.  A name's buffers
+    are one, held where any is and as large as the largest on each
+    rank; ``buffers`` declares, first, those no part has.
+
+    A step whose one part covers the group keeps its barriers; any other
+    partitions them (``Section.block``): each part meets as one block,
+    and a rank in no part, or past its part's stages, idles in a block
+    of its own.  Parts have one skeleton and no pipeline; a step's agree
+    on prologue, epilogue and shared stage barriers.  Sections are
+    appended, stages numbered in chain order: an inner prologue or
+    epilogue is a stage (none without a barrier), its rows past its
+    last barrier moved to the next section.
+    """
+    n, parts = n_pes, [part for step in steps for part in step]
+    ops = {sched.op for sched, _, _ in parts} - {None}
+    renames = [lambda x, names=names: names.get(x, x)
+               for _, _, names in parts]
+    found: dict = {buf.name: None for buf in buffers}
+    for (sched, members, _), rename in zip(parts, renames):
+        for buf in sched.buffers:
+            if found.get(rename(buf.name), ()) is not None:
+                kind, sym, ext = found.setdefault(rename(buf.name),
+                                                  (buf.kind, [False], {}))
+                sym[0] |= buf.symmetric
+                for k, q in enumerate(members):
+                    if buf.held_by(k):
+                        ext[q] = max(ext.get(q, 0), buf.nbytes_on(k))
+    bufs = tuple(buffers) + tuple(
+        Buffer(name, kind, max(ext.values()) if len(set(ext.values())) == 1
+               else tuple(ext.get(q, 0) for q in range(n)), sym[0],
+               None if kind == "scratch" or len(ext) == n
+               else tuple(sorted(ext)))
+        for name, (kind, sym, ext) in
+        ((name, v) for name, v in found.items() if v is not None))
+    names = [buf.name for buf in bufs]
+    maps = iter(_renamed([s.table for s, _, _ in parts], renames, names))
+    skels = [[] for _ in range(n)]       # each rank's chain sections
+    rows = Rows()
+    done = stages = 0                    # barriers and stages so far
+    for i, step in enumerate(steps):
+        shapes = [[sec.nbars for sec in sched.table.skeletons[0].sections]
+                  for sched, _, _ in step]
+        if len(ops) > 1 or any(
+                len(t.skeletons) > 1 or t.partitioned or any(
+                    isinstance(e, tuple) for e in t.skeletons[0].signature)
+                for t in (sched.table for sched, _, _ in step)):
+            raise ValueError("chained schedules have one operator, one "
+                             "skeleton, one block and no pipeline")
+        widest = max(shapes, key=len)
+        last = len(widest) - 1
+        inner = np.zeros(len(widest), dtype=bool)
+        inner[[0, last]] = i > 0, i < len(steps) - 1
+        kept = (np.array(widest) > 0) | ~inner
+        at = len(skels[0]) + np.cumsum(kept) - 1
+        layout = []
+        for x in np.flatnonzero(kept).tolist():
+            stage = bool(0 < x < last or inner[x])
+            layout.append((x, "stage" if stage else "prologue" if x == 0
+                           else "epilogue", stages if stage else -1))
+            stages += stage
+        owner = {q: j for j, (_, members, _) in enumerate(step)
+                 for q in members}
+        for r in range(n):
+            j = owner.get(r)
+            size = -1 if j is None else len(shapes[j]) - 1
+            block = () if len(step) == 1 and len(owner) == n else (r,) \
+                if j is None or len(step[j][1]) == 1 \
+                else tuple(sorted(step[j][1]))
+            skels[r] += [Section(kind, index, (), widest[x], block=block
+                                 if x < size or x == last and j is not None
+                                 else (r,)) for x, kind, index in layout]
+        for sched, members, _ in step:
+            t, mapped, bufmap = sched.table, np.array(members), next(maps)
+            bars = np.array([sec.nbars for sec in t.skeletons[0].sections])
+            # Source section x is step section x, its epilogue the
+            # step's, past any stages it idles through.
+            to = np.append(np.arange(len(bars) - 1), last)[t.section]
+            local = t.phase - (np.cumsum(bars) - bars)[t.section]
+            rows.add(mapped[t.rank], at[to] + (
+                inner[to] & (local >= np.array(widest)[to])),
+                done + (np.cumsum(widest) - widest)[to] + local, t.op,
+                (bufmap[t.a_buf], t.a_off), (bufmap[t.b_buf], t.b_off),
+                t.nelems, t.stride, mapped[t.peer], t.aux)
+        done += sum(widest)
+    kinds: dict = {}
+    skeleton_of = [kinds.setdefault(Skeleton(tuple(s), tuple(
+        sec.index for sec in s if sec.kind == "stage")), len(kinds))
+        for s in skels]
+    return Schedule.from_rows(
+        collective, algorithm, n, parts[0][0].itemsize, rows, tuple(kinds),
+        skeleton_of=skeleton_of, root=root, op=ops.pop() if ops else None,
+        buffers=bufs, names=names, deliver=tuple(dict.fromkeys(
+            (members[r], rename(name), lo, hi)
+            for (sched, members, _), rename in zip(parts, renames)
+            for r, name, lo, hi in sched.deliver)))
 
 
 def _compile_inner(collective: str, algorithm: str, n_pes: int,

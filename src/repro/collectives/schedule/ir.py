@@ -39,7 +39,8 @@ Step semantics (mirroring the legacy inline code they replaced):
 * :class:`Reduce` — fold ``operand`` into ``acc`` with the schedule's
   operator and charge ``charge_elems`` elements of ALU work.
 * :class:`Fill` — write the operator identity (exclusive-scan rank 0).
-* :class:`Barrier` — team barrier over the whole group.
+* :class:`Barrier` — team barrier over the group, or the rank's
+  ``block`` of it (:class:`Section`).
 * :class:`Send` / :class:`Recv` — two-sided mailbox message steps, the
   lowered form :mod:`.mailbox` produces from remote :class:`Put` /
   :class:`Get` steps.  ``Send`` reads ``nelems`` strided elements from
@@ -227,9 +228,14 @@ class Recv:
 
 @dataclass(frozen=True)
 class Barrier:
-    """Team barrier over the full group."""
+    """Team barrier over the full group, or over ``block`` — the group
+    ranks this rank meets there (see :class:`Section`)."""
 
     kind = "barrier"
+    block: tuple = ()
+
+    def __repr__(self) -> str:
+        return f"Barrier(block={self.block!r})" if self.block else "Barrier()"
 
 
 #: Shared barrier instance (the node is stateless).
@@ -253,15 +259,15 @@ class Stage:
 
 
 @lru_cache(maxsize=1 << 14)
-def barrier_stage(index: int, attrs: tuple = ()) -> Stage:
-    """The shared ``Stage(index, (BARRIER,), attrs)``.
+def barrier_stage(index: int, attrs: tuple = (), block: tuple = ()) -> Stage:
+    """The shared ``Stage(index, (Barrier(block),), attrs)``.
 
     What a rank with nothing to do in a stage carries — most of a large
     tree (a 4096-PE binomial broadcast has 45 000 of them in 49 152
     stages), so the tree view takes the one frozen node per ``(index,
     attrs)`` from here instead of building an equal one per rank.
     """
-    return Stage(index, (BARRIER,), attrs)
+    return Stage(index, (Barrier(block),), attrs)
 
 
 def _round_attrs(attrs: tuple, index: int, t: int, segments: int) -> tuple:
@@ -334,7 +340,9 @@ AUX_COPY, AUX_MOVE, AUX_PLACE = 3, 1, 2
 
 class Section(NamedTuple):
     """One contiguous part of a rank's program: its prologue, one stage
-    (each round of a :class:`Pipeline` block is one) or its epilogue."""
+    (each round of a :class:`Pipeline` block is one) or its epilogue.
+    Its barriers meet ``block``, the group ranks of a partition of the
+    group the rank is in (``()``: the group; one rank: no barrier)."""
 
     kind: str        # "prologue" | "stage" | "epilogue"
     index: int       # the stage's span index; -1 outside stages
@@ -342,6 +350,7 @@ class Section(NamedTuple):
     nbars: int       # barriers among its steps
     pipeline: int = -1  # index of the Pipeline block a round lowers
     round: int = -1     # which round of that block
+    block: tuple = ()   # the ranks its barriers meet
 
 
 class Skeleton(NamedTuple):
@@ -505,7 +514,8 @@ class StepTable:
     ``skeletons[skeleton_of[r]]`` (a compiled schedule has one or two
     for all its ranks), each row's ``section`` is its position in it,
     and ``barriers[r]`` is the rank's barrier count; a row's ``phase``
-    places it among its section's barriers.
+    places it among its section's barriers; ``partitioned``, whether
+    some meet a block of the group (:class:`Section`).
     """
 
     COLUMNS = ("rank", "phase", "slot", "op", "a_buf", "a_off", "b_buf",
@@ -514,7 +524,7 @@ class StepTable:
     _STEP = ("op", "a_buf", "a_off", "b_buf", "b_off", "nelems", "stride",
              "peer", "aux")
     __slots__ = COLUMNS + ("names", "n_declared", "section", "skeletons",
-                           "skeleton_of", "barriers")
+                           "skeleton_of", "barriers", "partitioned")
 
     def __init__(self, columns: dict, names, n_declared: int,
                  section: np.ndarray, skeletons: tuple, skeleton_of):
@@ -528,6 +538,8 @@ class StepTable:
         self.barriers = np.array(
             [sk.n_barriers for sk in skeletons] or [0],
             dtype=np.int64)[self.skeleton_of]
+        self.partitioned = any(sec.block and sec.nbars for sk in skeletons
+                               for sec in sk.sections)
 
     def __len__(self) -> int:
         return len(self.rank)
@@ -610,14 +622,14 @@ class StepTable:
             mine = steps[lo:hi]
             parts = self._parts(r, phase[lo:hi], owner[lo:hi])
 
-            def body(items):
-                return tuple(BARRIER if k is None else mine[k]
-                             for k in items)
+            def body(sec, items):
+                bar = Barrier(sec.block)
+                return tuple(bar if k is None else mine[k] for k in items)
 
             def stage(sec, items):
                 if items == [None]:
-                    return barrier_stage(sec.index, sec.attrs)
-                return Stage(sec.index, body(items), sec.attrs)
+                    return barrier_stage(sec.index, sec.attrs, sec.block)
+                return Stage(sec.index, body(sec, items), sec.attrs)
 
             stages = []
             at = 1  # parts[0] is the prologue
@@ -637,8 +649,8 @@ class StepTable:
                 else:
                     stages.append(pipe)
                 at += width
-            programs.append(RankProgram(r, body(parts[0][1]), tuple(stages),
-                                        body(parts[-1][1])))
+            programs.append(RankProgram(r, body(*parts[0]), tuple(stages),
+                                        body(*parts[-1])))
         return tuple(programs)
 
     def same(self, other: "StepTable") -> bool:

@@ -8,6 +8,11 @@ the inline tree walks hard to extend safely:
   barriers (the simulator matches barriers by arrival ordinal, so a
   mismatch hangs the collective), and every rank has the same stage
   structure.
+* **scope** — where a schedule partitions the group at its barriers
+  (``Section.block``), the blocks at each barrier form a partition, and
+  a put, get, send or recv stays inside the rank's block at the
+  barriers that open and close its phase: two blocks are not
+  synchronised with each other there.
 * **matched put/get pairs** — every remote step names a peer inside the
   group, never itself (local movement must be :class:`~.ir.Copy`), and
   only touches buffers the peer actually holds, remotely accessible
@@ -240,6 +245,41 @@ def _check_structure(table: StepTable, issues: list) -> None:
                 "deadlock",
                 f"{barriers[r]} barriers vs rank 0's {ref_barriers} — the "
                 "team barrier would never complete", rank=r))
+
+
+def _check_scope(table: StepTable, n: int, issues: list) -> None:
+    """Partitioned barriers: at each barrier every rank's block holds it
+    and is named by all its ranks, and a remote or two-sided step's peer
+    is in the rank's block at the barriers that open and close its
+    phase.  Each distinct block is judged once per barrier."""
+    if not table.partitioned:
+        return
+    every = tuple(range(n))
+    blocks = [[sec.block or every for sec in table.skeletons[k].sections
+               for _ in range(sec.nbars)] for k in table.skeleton_of]
+    held = {blk: frozenset(blk) for row in blocks for blk in row}
+    for b in range(max(map(len, blocks))):
+        whole: dict = {}
+        for r in range(n):
+            blk = blocks[r][b] if b < len(blocks[r]) else None
+            if blk is not None and blk not in whole:
+                whole[blk] = all(0 <= q < n and b < len(blocks[q])
+                                 and blocks[q][b] == blk for q in blk)
+            if blk is not None and not (whole[blk] and r in held[blk]):
+                issues.append(LintIssue(
+                    "scope", f"block {list(blk)} at barrier {b} is not one "
+                    "block of a partition", rank=r, phase=b))
+    for i in np.flatnonzero(np.isin(table.op, (OP_PUT, OP_GET, OP_SEND,
+                                               OP_RECV))).tolist():
+        r, q, p = (int(table.rank[i]), int(table.peer[i]),
+                   int(table.phase[i]))
+        for b in (p - 1, p) if 0 <= q < n and q != r else ():
+            if 0 <= b < len(blocks[r]) and q not in held[blocks[r][b]]:
+                issues.append(LintIssue(
+                    "scope", f"{OP_NAMES[table.op[i]]} to rank {q} leaves "
+                    f"the block {list(blocks[r][b])} of barrier {b}",
+                    rank=r, phase=p))
+                break
 
 
 def _check_buffers(sched: Schedule, issues: list) -> None:
@@ -596,6 +636,7 @@ def lint_schedule(sched: Schedule) -> list:
     n = sched.n_pes
     table = sched.table
     _check_structure(table, issues)
+    _check_scope(table, n, issues)
     _check_buffers(sched, issues)
     acc = _Accesses(table, n, sched.itemsize)
     _check_steps(sched, table, acc, _BufferFacts(sched, table), issues)

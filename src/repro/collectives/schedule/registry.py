@@ -11,8 +11,9 @@ run.
 The shapes are chosen to hit the structurally distinct paths of every
 compiler: degenerate (one PE, zero elements), power-of-two and
 non-power-of-two PE counts, non-zero roots, for the vector collectives
-ragged per-PE counts including zero-count PEs, and for the collectives
-that take an element stride a stride of 2.
+ragged per-PE counts including zero-count PEs, for the hierarchical
+algorithms a sequential and a scattered node layout, and for the
+collectives that take an element stride a stride of 2.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ BUILTIN_ALGORITHMS: tuple[tuple[str, str], ...] = (
     ("broadcast", "binomial"),
     ("broadcast", "linear"),
     ("broadcast", "ring"),
+    ("broadcast", "hierarchical"),
     ("reduce", "binomial"),
     ("reduce", "linear"),
+    ("reduce", "hierarchical"),
     ("allreduce", "doubling"),
     ("allreduce", "rabenseifner"),
     ("allreduce", "ring"),
@@ -37,6 +40,7 @@ BUILTIN_ALGORITHMS: tuple[tuple[str, str], ...] = (
     ("scan", "hillis-steele"),
     ("scatter", "binomial"),
     ("gather", "binomial"),
+    ("allgather", "tree"),
     ("allgather", "dissemination"),
     ("allgather", "pat"),
     ("alltoall", "rotated"),
@@ -63,7 +67,24 @@ def _shapes_for(collective: str, algorithm: str, n_pes: int,
     """The call shapes of one pair at one PE count; ``stride`` reaches
     the collectives in :data:`STRIDED`."""
     roots = sorted({0, n_pes - 1, n_pes // 2})
-    if collective == "broadcast":
+    if algorithm == "hierarchical":
+        from ..hierarchy import (compile_hierarchical_broadcast,
+                                 compile_hierarchical_reduce)
+
+        # The ``locality`` record's placements over four nodes.
+        per_node = -(-n_pes // 4)
+        for layout, nodes in (
+                ("sequential", tuple(r // per_node for r in range(n_pes))),
+                ("scattered", tuple(r % 4 for r in range(n_pes)))):
+            for root in roots:
+                for ne in (0, nelems):
+                    yield (f"root={root} nelems={ne} nodes={layout}",
+                           compile_hierarchical_broadcast(
+                               nodes, root, ne, stride, itemsize)
+                           if collective == "broadcast" else
+                           compile_hierarchical_reduce(
+                               nodes, root, ne, stride, itemsize, "sum"))
+    elif collective == "broadcast":
         from ..broadcast import compile_broadcast
 
         for root in roots:
@@ -117,7 +138,8 @@ def _shapes_for(collective: str, algorithm: str, n_pes: int,
             yield (f"root={root} ragged",
                    compiler(n_pes, root, counts, disps, total, itemsize))
     elif collective == "allgather":
-        from ..extra import compile_allgather, compile_allgather_pat
+        from ..extra import (compile_allgather, compile_allgather_pat,
+                             compile_allgather_tree)
 
         uniform = tuple([nelems] * n_pes)
         udisp = tuple(i * nelems for i in range(n_pes))
@@ -131,10 +153,12 @@ def _shapes_for(collective: str, algorithm: str, n_pes: int,
                        compile_allgather_pat(n_pes, counts, disps, total,
                                              itemsize, segs))
         else:
-            yield ("uniform", compile_allgather(n_pes, uniform, udisp,
-                                                nelems * n_pes, itemsize))
-            yield ("ragged", compile_allgather(n_pes, counts, disps, total,
-                                               itemsize))
+            compiler = compile_allgather_tree if algorithm == "tree" \
+                else compile_allgather
+            yield ("uniform", compiler(n_pes, uniform, udisp,
+                                       nelems * n_pes, itemsize))
+            yield ("ragged", compiler(n_pes, counts, disps, total,
+                                      itemsize))
     elif collective == "alltoall":
         from ..extra import compile_alltoall
 

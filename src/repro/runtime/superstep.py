@@ -35,15 +35,15 @@ keeps its deferred operations' buffers disjoint within one step sees
 identical bytes.
 
 Which requests batch: one rule, whatever the collective.  A request
-batches if and only if it has a compiled schedule and every address it
-binds is symmetric (``ctx.is_symmetric``); a ``body``-based call (the
-tree allgather, the hierarchical algorithms) or a call with a private
-binding flushes alone, in call order, splitting the batch.  Every rank
-must reach the same verdict (it feeds one fused schedule), which holds
-only if every rank passes the same addresses, root-only buffers
-included: a broadcast's or scatter's ``src``, a reduce's or gather's
-``dest``.  Symmetric addresses are rank-uniform and byte ranges come
-from the schedule's buffer table (a per-rank extent counts as its
+batches if and only if every address it binds is symmetric
+(``ctx.is_symmetric``) and its schedule is not partitioned (the
+hierarchical algorithms: fusion cannot share their per-node barriers);
+any other call flushes alone, in call order, splitting the batch.
+Every rank must reach the same verdict (it feeds one fused schedule),
+which holds only if every rank passes the same addresses, root-only
+buffers included: a broadcast's or scatter's ``src``, a reduce's or
+gather's ``dest``.  Symmetric addresses are rank-uniform and byte ranges
+come from the schedule's buffer table (a per-rank extent counts as its
 largest), so the conflict and widening analysis is SPMD-deterministic.
 
 Fusion failures (:class:`~repro.errors.FusionError`), and merged
@@ -137,7 +137,7 @@ class Superstep:
 
     def defer(self, prepared) -> None:
         """Queue one validated, compiled collective call."""
-        batchable = prepared.schedule is not None and all(
+        batchable = not prepared.schedule.table.partitioned and all(
             map(self._ctx.is_symmetric, prepared.bindings.values()))
         self._queue.append(_Request(prepared, batchable))
 

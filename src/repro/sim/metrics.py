@@ -77,7 +77,6 @@ class CollectiveMetrics:
     name: str
     seq: int
     group: tuple[int, ...]
-    nested: bool = False     #: opened inside another collective's span
     stages: list[StageMetrics] = field(default_factory=list)
     per_pe: dict[int, PEActivity] = field(default_factory=dict)
     #: remote messages issued outside any stage (staging/reorder phases)
@@ -171,18 +170,15 @@ def _subtree_blocked_ns(span: Span) -> float:
 def collective_metrics(trace: EventTrace) -> list[CollectiveMetrics]:
     """Aggregate a trace's collective spans into per-call metrics.
 
-    Returns one entry per logical collective (including nested calls
-    made by composed collectives such as ``reduce_all``, flagged
-    ``nested=True``), ordered by start time.
+    Returns one entry per logical collective, ordered by start time
+    (every collective is one schedule, so none opens inside another).
     """
     forest = build_span_forest(trace)
     # Per-PE program order (span ids ascend with begin order on one PE)
     # gives each collective span its occurrence index within
     # (pe, name, group); matching occurrences across PEs are one call.
     by_pe: dict[tuple, list[Span]] = {}
-    by_sid: dict[int, Span] = {}
     for span in walk(forest):
-        by_sid[span.sid] = span
         if span.kind != "collective":
             continue
         group = tuple(span.attrs.get("group", ()))
@@ -199,9 +195,6 @@ def collective_metrics(trace: EventTrace) -> list[CollectiveMetrics]:
         cm = calls.get(key)
         if cm is None:
             cm = calls[key] = CollectiveMetrics(name, occ, group)
-        parent = by_sid.get(span.parent_id)
-        if parent is not None and parent.kind == "collective":
-            cm.nested = True
         cm.per_pe[span.pe] = PEActivity(
             pe=span.pe, t0=span.t0, t1=span.t1,
             blocked_ns=_subtree_blocked_ns(span),

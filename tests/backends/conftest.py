@@ -40,13 +40,16 @@ class _SessionCache:
     """Lazily built, session-shared MPSession per PE count."""
 
     def __init__(self):
-        self._sessions: dict[int, MPSession] = {}
+        self._sessions: dict[tuple, MPSession] = {}
 
-    def get(self, n_pes: int) -> MPSession:
-        if n_pes not in self._sessions:
-            self._sessions[n_pes] = MPSession(small_config(n_pes),
-                                              timeout=60.0)
-        return self._sessions[n_pes]
+    def get(self, n_pes: int, **config) -> MPSession:
+        """The session of ``n_pes`` PEs on ``small_config(n_pes,
+        **config)``."""
+        key = (n_pes, *sorted(config.items()))
+        if key not in self._sessions:
+            self._sessions[key] = MPSession(small_config(n_pes, **config),
+                                            timeout=60.0)
+        return self._sessions[key]
 
     def close_all(self) -> None:
         for session in self._sessions.values():

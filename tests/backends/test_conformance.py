@@ -232,7 +232,7 @@ def _collective_program(ctx, spec: dict) -> bytes:
         out = b"".join(read(dfr[j], nelems) for j in range(batch))
     elif kind == "superstep_mixed":
         # A mixed superstep — broadcast + reduce + allreduce at
-        # different roots, scan, dissemination and PAT allgather,
+        # different roots, scan, tree, dissemination and PAT allgather,
         # alltoall and scatter, plus a deferred ring put — exercising
         # the fused-schedule path and transfer coalescing, checked
         # byte-for-byte against the eager sequence.  A broadcast from a
@@ -241,7 +241,8 @@ def _collective_program(ctx, spec: dict) -> bytes:
         wide = nelems * n
         counts, disps = [nelems] * n, [i * nelems for i in range(n)]
         bufs = {}
-        for name in ("b", "r", "a", "p", "s", "v", "g", "q", "t", "c"):
+        for name in ("b", "r", "a", "p", "s", "v", "g", "q", "t", "c",
+                     "h"):
             for suffix in ("src", "eag", "dfr"):
                 bufs[name + suffix] = _alloc_strided(ctx, wide, 1,
                                                      dt.itemsize)
@@ -262,7 +263,8 @@ def _collective_program(ctx, spec: dict) -> bytes:
             ctx.allreduce(bufs["a" + x], bufs["asrc"], nelems, 1, op, dt)
             ctx.scan(bufs["s" + x], bufs["ssrc"], nelems, 1, op, dt)
             ctx.broadcast(bufs["v" + x], bufs["vsrc"], nelems, 1, r2, dt)
-            for name, algorithm in (("g", "dissemination"), ("q", "pat")):
+            for name, algorithm in (("h", "tree"), ("g", "dissemination"),
+                                    ("q", "pat")):
                 ctx.allgather(bufs[name + x], bufs[name + "src"], counts,
                               disps, wide, dt, algorithm=algorithm)
             ctx.alltoall(bufs["t" + x], bufs["tsrc"], nelems, dt)
@@ -278,7 +280,7 @@ def _collective_program(ctx, spec: dict) -> bytes:
         ctx.barrier()
         spans = {"b": nelems, "a": nelems, "p": nelems, "s": nelems,
                  "v": nelems, "g": wide, "q": wide, "t": wide,
-                 "c": nelems}
+                 "c": nelems, "h": wide}
         if me == r2:
             spans["r"] = nelems
         for name, count in spans.items():
@@ -326,6 +328,36 @@ def _collective_program(ctx, spec: dict) -> bytes:
                 bufs[f"{x}_eag"], nelems), (
                 f"superstep {x} diverged from eager")
         out = b"".join(read(bufs[f"{x}_dfr"], nelems) for x in "abc")
+    elif kind == "hierarchical":
+        # Hierarchical broadcast and reduce (one partitioned schedule
+        # each) at a non-zero root over the world, then over a team —
+        # every other rank, in descending order — through ``group=``.
+        from repro.collectives.broadcast import prepare_broadcast
+        from repro.collectives.reduce import prepare_reduce
+
+        team = tuple(range(n - 1, -1, -2))
+        bufs = {name: _alloc_strided(ctx, nelems, stride, dt.itemsize)
+                for name in ("src", "bw", "rw", "bt", "rt")}
+        ctx.view(bufs["src"], dt, nelems, stride)[:] = _payload(
+            me, nelems, dt, seed)
+        ctx.barrier()
+        for group, tag, at in ((None, "w", root),
+                               (team, "t", root % len(team))):
+            if group is None or me in group:
+                ctx._issue(prepare_broadcast(
+                    ctx, bufs["b" + tag], bufs["src"], nelems, stride, at,
+                    dt, algorithm="hierarchical", group=group))
+                ctx._issue(prepare_reduce(
+                    ctx, bufs["r" + tag], bufs["src"], nelems, stride, at,
+                    op, dt, algorithm="hierarchical", group=group))
+        ctx.barrier()
+        out = read(bufs["bw"], nelems)
+        if me == root:
+            out += read(bufs["rw"], nelems)
+        if me in team:
+            out += read(bufs["bt"], nelems)
+            if me == team[root % len(team)]:
+                out += read(bufs["rt"], nelems)
     elif kind == "team_barrier":
         # Two disjoint teams exchange data guarded only by team barriers.
         team = tuple(r for r in range(n) if r % 2 == me % 2)
@@ -348,13 +380,14 @@ def _collective_program(ctx, spec: dict) -> bytes:
 
 
 def _run_all(mp_sessions, sim_backend, vec_backend, n_pes: int,
-             spec: dict) -> None:
-    """Run the spec on every backend/transport and compare per-rank bytes."""
+             spec: dict, **config) -> None:
+    """Run the spec on every backend/transport and compare per-rank
+    bytes, every machine built as ``small_config(n_pes, **config)``."""
     args = [(spec,) for _ in range(n_pes)]
     sim = sim_backend.run(_collective_program, args,
-                          config=small_config(n_pes))
+                          config=small_config(n_pes, **config))
     vec = vec_backend.run(_collective_program, args,
-                          config=small_config(n_pes))
+                          config=small_config(n_pes, **config))
     assert sim == vec, (
         f"sim/vec divergence for {spec} at {n_pes} PEs: "
         f"{[s[:32] for s in sim]} != {[v[:32] for v in vec]}"
@@ -364,13 +397,13 @@ def _run_all(mp_sessions, sim_backend, vec_backend, n_pes: int,
         # pairs; results must stay byte-identical to one-sided.  Capped
         # at 8 PEs to keep the per-example simulation cost bounded.
         mbx = sim_backend.run(_collective_program, args,
-                              config=small_config(n_pes),
+                              config=small_config(n_pes, **config),
                               transport="mailbox")
         assert sim == mbx, (
             f"onesided/mailbox divergence for {spec} at {n_pes} PEs: "
             f"{[s[:32] for s in sim]} != {[m[:32] for m in mbx]}"
         )
-    mp_res = mp_sessions.get(n_pes).run(_collective_program, args)
+    mp_res = mp_sessions.get(n_pes, **config).run(_collective_program, args)
     assert sim == mp_res, (
         f"sim/mp divergence for {spec} at {n_pes} PEs: "
         f"{[s[:32] for s in sim]} != {[m[:32] for m in mp_res]}"
@@ -470,7 +503,7 @@ def test_superstep_batch(mp_sessions, sim_backend, vec_backend, spec, op,
 def test_superstep_mixed(mp_sessions, sim_backend, vec_backend, spec, op,
                          root_pick):
     """A mixed superstep — deferred put + broadcast + reduce +
-    allreduce at different roots, scan, two allgathers, alltoall and
+    allreduce at different roots, scan, three allgathers, alltoall and
     scatter, split by a private-src broadcast — flushes through the
     fused-schedule path byte-identically to eager on sim, mp, vec and
     the mailbox transport."""
@@ -478,6 +511,23 @@ def test_superstep_mixed(mp_sessions, sim_backend, vec_backend, spec, op,
     spec.update(kind="superstep_mixed", op=op, root=root_pick % n,
                 stride=1)
     _run_all(mp_sessions, sim_backend, vec_backend, n, spec)
+
+
+@given(spec=_dense_spec(), root_pick=st.integers(0, 7),
+       op=st.sampled_from(["sum", "min", "max"]))
+@_SETTINGS
+def test_hierarchical(mp_sessions, sim_backend, vec_backend, spec,
+                      root_pick, op):
+    """Hierarchical broadcast and reduce on ranks dealt round-robin over
+    three nodes — world at a non-zero root and a team through
+    ``group=`` — are byte-identical on sim, mp, vec and the mailbox
+    transport."""
+    n = spec.pop("n_pes")
+    spec.update(kind="hierarchical", op=op,
+                root=1 + root_pick % (n - 1) if n > 1 else 0)
+    _run_all(mp_sessions, sim_backend, vec_backend, n, spec,
+             cores_per_node=-(-n // 3),
+             pe_node_map=tuple(r % 3 for r in range(n)))
 
 
 @given(spec=_dense_spec(), root_pick=st.integers(0, 7))

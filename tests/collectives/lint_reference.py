@@ -124,6 +124,49 @@ def _check_structure(sched: Schedule, issues: list) -> None:
                 "barrier would never complete", rank=r))
 
 
+def _check_scope(sched: Schedule, issues: list) -> None:
+    """Partitioned barriers, barrier by barrier and step by step: each
+    rank's block at a barrier holds it and is named by all its ranks; a
+    put, get, send or recv reaches only ranks of the rank's block at the
+    barriers around its phase."""
+    n = sched.n_pes
+    every = tuple(range(n))
+    blocks = [[step.block or every
+               for step in sched.program(r).all_steps()
+               if step.kind == "barrier"] for r in range(n)]
+    if all(not step.block for r in range(n)
+           for step in sched.program(r).all_steps()
+           if step.kind == "barrier"):
+        return
+    for b in range(max(map(len, blocks))):
+        for r in range(n):
+            if b >= len(blocks[r]):
+                continue
+            block = blocks[r][b]
+            if r not in block or any(
+                    not 0 <= q < n or b >= len(blocks[q])
+                    or blocks[q][b] != block for q in block):
+                issues.append(LintIssue(
+                    "scope", f"block {list(block)} at barrier {b} is not "
+                    "one block of a partition", rank=r, phase=b))
+    for r in range(n):
+        phase = 0
+        for step in sched.program(r).all_steps():
+            if step.kind == "barrier":
+                phase += 1
+                continue
+            if step.kind not in ("put", "get", "send", "recv") \
+                    or not 0 <= step.peer < n or step.peer == r:
+                continue
+            for b in (phase - 1, phase):
+                if 0 <= b < len(blocks[r]) and step.peer not in blocks[r][b]:
+                    issues.append(LintIssue(
+                        "scope", f"{step.kind} to rank {step.peer} leaves "
+                        f"the block {list(blocks[r][b])} of barrier {b}",
+                        rank=r, phase=phase))
+                    break
+
+
 def _check_buffers(sched: Schedule, issues: list) -> None:
     seen = set()
     for buf in sched.buffers:
@@ -398,6 +441,7 @@ def reference_lint(sched: Schedule) -> list:
     """Run every check; returns the (possibly empty) issue list."""
     issues: list = []
     _check_structure(sched, issues)
+    _check_scope(sched, issues)
     _check_buffers(sched, issues)
     _check_steps(sched, issues)
     _check_pipelines(sched, issues)

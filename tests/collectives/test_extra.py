@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.runtime import Machine
+
+from ..conftest import small_config
 from .helpers import run_machine
 
 
@@ -81,6 +84,41 @@ class TestAllgatherFcollect:
         results = run_machine(3, body)
         want = [0, 100, 101, 200, 201, 202]
         assert all(r == want for r in results)
+
+
+class TestTreeAllgather:
+    """The default allgather is one chained schedule (gather, then
+    broadcast) — one call, whatever the block layout."""
+
+    @staticmethod
+    def _run(n_pes, msgs, disp):
+        def body(ctx):
+            ctx.init()
+            me = ctx.my_pe()
+            extent = max(d + m for d, m in zip(disp, msgs))
+            src = ctx.malloc(8 * max(msgs))
+            dest = ctx.malloc(8 * extent)
+            ctx.view(dest, "long", extent)[:] = -1
+            ctx.view(src, "long", msgs[me])[:] = 10 * me + np.arange(msgs[me])
+            ctx.barrier()
+            ctx.allgather(dest, src, msgs, disp, sum(msgs), "long",
+                          algorithm="tree")
+            got = [list(ctx.view(dest + 8 * d, "long", m))
+                   for m, d in zip(msgs, disp)]
+            ctx.close()
+            return got
+
+        machine = Machine(small_config(n_pes))
+        return machine.run(body), machine
+
+    def test_counted_once_as_allgather_tree(self):
+        _, machine = self._run(3, [1, 2, 1], [0, 1, 3])
+        assert dict(machine.stats.collective_calls) == {"allgather:tree": 1}
+
+    def test_gapped_displacements_reach_every_pe(self):
+        results, _ = self._run(3, [1, 2, 1], [5, 0, 3])
+        want = [[0], [10, 11], [20]]
+        assert all(got == want for got in results), results
 
 
 class TestAllToAll:

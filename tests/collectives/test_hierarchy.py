@@ -23,34 +23,20 @@ def scattered_config(n_pes=8, n_nodes=4, **kw):
 
 class TestNodeLayout:
     def test_groups_and_leaders(self):
-        def body(ctx):
-            ctx.init()
-            from repro.collectives.hierarchy import node_layout
+        from repro.collectives.hierarchy import node_layout
 
-            groups, leaders = node_layout(ctx, range(8), root_world=5)
-            ctx.barrier()
-            ctx.close()
-            return groups, leaders
-
-        m = Machine(scattered_config())
-        groups, leaders = m.run(body)[0]
+        cfg = scattered_config()
+        groups, leaders = node_layout(tuple(map(cfg.node_of, range(8))), 5)
         # Round-robin over 4 nodes: node k hosts {k, k+4}.
         assert groups == [(0, 4), (1, 5), (2, 6), (3, 7)]
         # Root 5 leads its node; others are led by their lowest rank.
         assert leaders == [0, 5, 2, 3]
 
     def test_sequential_layout(self):
-        def body(ctx):
-            ctx.init()
-            from repro.collectives.hierarchy import node_layout
+        from repro.collectives.hierarchy import node_layout
 
-            out = node_layout(ctx, range(8), root_world=0)
-            ctx.barrier()
-            ctx.close()
-            return out
-
-        m = Machine(small_config(8, cores_per_node=4))
-        groups, leaders = m.run(body)[0]
+        cfg = small_config(8, cores_per_node=4)
+        groups, leaders = node_layout(tuple(map(cfg.node_of, range(8))), 0)
         assert groups == [(0, 1, 2, 3), (4, 5, 6, 7)]
         assert leaders == [0, 4]
 
@@ -74,6 +60,30 @@ class TestHierarchicalBroadcast:
         m = Machine(scattered_config())
         for got in m.run(body):
             assert got == [root, 2, 3, 4]
+
+    @pytest.mark.parametrize("algorithm", ["binomial", "hierarchical"])
+    def test_root_dest_left_alone(self, algorithm):
+        """``copy_to_root_dest=False`` (OpenSHMEM semantics) leaves the
+        root's ``dest`` as it was, whatever the algorithm."""
+        from repro.collectives.broadcast import prepare_broadcast
+
+        def body(ctx):
+            ctx.init()
+            dest = ctx.malloc(8 * 4)
+            src = ctx.private_malloc(8 * 4)
+            ctx.view(dest, "long", 4)[:] = -1
+            ctx.view(src, "long", 4)[:] = 100
+            ctx.barrier()
+            prepare_broadcast(ctx, dest, src, 4, 1, 5, np.dtype(np.int64),
+                              algorithm=algorithm,
+                              copy_to_root_dest=False).run(ctx)
+            got = list(ctx.view(dest, "long", 4))
+            ctx.close()
+            return got
+
+        got = Machine(scattered_config()).run(body)
+        assert got[5] == [-1] * 4
+        assert all(row == [100] * 4 for r, row in enumerate(got) if r != 5)
 
     def test_correctness_single_node(self):
         def body(ctx):

@@ -154,6 +154,25 @@ def _stray_put(s: Schedule, r: int, a: int, b: int):
     return edit
 
 
+def _cross_block_put(s: Schedule, r: int, a: int, b: int) -> Schedule:
+    """A put, beside one of ``r``'s rows in a partitioned section, to a
+    rank outside the block that section's barriers meet."""
+    e = _Edit(s)
+    sections = e.skeletons[r].sections
+    sites = [row for row in e.rows(r)
+             if sections[e.cols["section"][row]].block]
+    if not sites or not s.buffers:
+        return s
+    row = sites[a % len(sites)]
+    block = sections[e.cols["section"][row]].block
+    outside = [q for q in range(s.n_pes) if q not in block]
+    if not outside:
+        return s
+    e.insert(row, op=OP_PUT, a_buf=0, a_off=0, b_buf=0, b_off=0, nelems=1,
+             stride=1, peer=outside[b % len(outside)], aux=0)
+    return e.schedule()
+
+
 def _add_barrier(s: Schedule, r: int, a: int) -> Schedule:
     """A barrier after one row outside the pipeline rounds (a round
     owns its one barrier)."""
@@ -228,6 +247,7 @@ MUTATIONS = {
         s, r, a, None, _rename(s, b)),
     "stray-put": lambda s, r, a, b: _edit_one(
         s, r, a, None, _stray_put(s, r, a, b)) if s.buffers else s,
+    "cross-block-put": _cross_block_put,
     "shrink-buffer": lambda s, r, a, b: _edit_buffer(
         s, a, lambda buf: _shrink(buf, r, b)),
     "unsymmetric": lambda s, r, a, b: _edit_buffer(

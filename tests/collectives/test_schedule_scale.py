@@ -34,9 +34,14 @@ from repro.collectives.broadcast import compile_broadcast
 from repro.collectives.extra import (
     compile_allgather,
     compile_allgather_pat,
+    compile_allgather_tree,
     compile_alltoall,
 )
 from repro.collectives.gather import compile_gather
+from repro.collectives.hierarchy import (
+    compile_hierarchical_broadcast,
+    compile_hierarchical_reduce,
+)
 from repro.collectives.reduce import compile_reduce
 from repro.collectives.reduce_scatter import compile_reduce_scatter
 from repro.collectives.scan import compile_scan
@@ -155,8 +160,14 @@ def test_quadratic_families_lint_clean_at_1k():
 def _compile(collective: str, algorithm: str, n_pes: int, root: int,
              nelems: int):
     """One shape of the pair: ragged blocks with zero-count PEs for the
-    vector collectives, four segments for the pipelined ones."""
+    vector collectives, four segments for the pipelined ones, ranks dealt
+    round-robin over four nodes for the hierarchical ones."""
     counts, disps, total = _ragged(n_pes)
+    nodes = tuple(r % 4 for r in range(n_pes))
+    if (collective, algorithm) == ("broadcast", "hierarchical"):
+        return compile_hierarchical_broadcast(nodes, root, nelems, 1, 8)
+    if (collective, algorithm) == ("reduce", "hierarchical"):
+        return compile_hierarchical_reduce(nodes, root, nelems, 1, 8, "sum")
     if collective == "broadcast":
         return compile_broadcast(n_pes, root, nelems, 1, 8,
                                  algorithm=algorithm)
@@ -175,6 +186,8 @@ def _compile(collective: str, algorithm: str, n_pes: int, root: int,
     if collective == "allgather":
         if algorithm == "pat":
             return compile_allgather_pat(n_pes, counts, disps, total, 8, 4)
+        if algorithm == "tree":
+            return compile_allgather_tree(n_pes, counts, disps, total, 8)
         return compile_allgather(n_pes, counts, disps, total, 8)
     if collective == "alltoall":
         return compile_alltoall(n_pes, nelems, 8)

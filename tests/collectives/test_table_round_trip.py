@@ -4,11 +4,12 @@ Each compiler writes its :class:`~repro.collectives.schedule.ir.StepTable`
 directly; its tree of dataclasses is a read-only view rebuilt from those
 rows — a :class:`~repro.collectives.schedule.ir.Pipeline` block from
 each row's group.  Every rank's view must walk the same steps as its
-rows laid out by section (``table.layout``, a barrier at each gap), and
-carry the stage signature of its skeleton, for every registry pair, over
-PE counts, roots, empty, single and ragged payloads (with a zero-count
-PE and out-of-order, gapped displacements), segment counts, strides and
-element sizes.  Comparing and hashing such schedules reads the table and
+rows laid out by section (``table.layout``, a barrier over the
+section's block at each gap), and carry the stage signature of its
+skeleton, for every registry pair, over PE counts, roots, empty, single
+and ragged payloads (with a zero-count PE and out-of-order, gapped
+displacements), segment counts, strides, element sizes and node
+layouts.  Comparing and hashing such schedules reads the table and
 never builds the tree.
 """
 
@@ -22,15 +23,20 @@ from repro.collectives.broadcast import compile_broadcast
 from repro.collectives.extra import (
     compile_allgather,
     compile_allgather_pat,
+    compile_allgather_tree,
     compile_alltoall,
 )
 from repro.collectives.gather import compile_gather
+from repro.collectives.hierarchy import (
+    compile_hierarchical_broadcast,
+    compile_hierarchical_reduce,
+)
 from repro.collectives.reduce import compile_reduce
 from repro.collectives.reduce_scatter import compile_reduce_scatter
 from repro.collectives.scan import compile_scan
 from repro.collectives.scatter import compile_scatter
 from repro.collectives.schedule.fuse import compile_widened, fuse_schedules
-from repro.collectives.schedule.ir import BARRIER, Pipeline
+from repro.collectives.schedule.ir import Barrier, Pipeline
 from repro.collectives.schedule.registry import BUILTIN_ALGORITHMS
 
 
@@ -59,6 +65,15 @@ def compiled(draw):
     stride = draw(st.integers(1, 3))
     itemsize = draw(st.sampled_from((1, 8, 16)))
     segments = draw(st.sampled_from((1, 2, 4)))
+    if algorithm == "hierarchical":
+        # Any node layout: which of up to four nodes hosts each rank.
+        nodes = tuple(draw(st.lists(st.integers(0, 3), min_size=n_pes,
+                                    max_size=n_pes)))
+        if collective == "broadcast":
+            return compile_hierarchical_broadcast(
+                nodes, root, nelems, stride, itemsize, draw(st.booleans()))
+        return compile_hierarchical_reduce(nodes, root, nelems, stride,
+                                           itemsize, "sum")
     if collective == "broadcast":
         return compile_broadcast(
             n_pes, root, nelems, stride, itemsize, algorithm=algorithm,
@@ -91,6 +106,9 @@ def compiled(draw):
         if algorithm == "pat":
             return compile_allgather_pat(n_pes, counts, disps, total,
                                          itemsize, segments)
+        if algorithm == "tree":
+            return compile_allgather_tree(n_pes, counts, disps, total,
+                                          itemsize)
         return compile_allgather(n_pes, counts, disps, total, itemsize)
     assert collective == "reduce_scatter", collective
     return compile_reduce_scatter(n_pes, counts, disps, total, itemsize,
@@ -104,8 +122,9 @@ def test_rows_equal_the_walk_of_their_tree(sched):
     table = sched.table
     for r in range(sched.n_pes):
         rows, parts = table.layout(r)
-        laid_out = [BARRIER if k is None else table.step(rows.start + k)
-                    for _, items in parts for k in items]
+        laid_out = [Barrier(sec.block) if k is None
+                    else table.step(rows.start + k)
+                    for sec, items in parts for k in items]
         view = sched.program(r)
         assert list(view.all_steps()) == laid_out, r
         signature = tuple(

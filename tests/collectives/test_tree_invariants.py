@@ -30,7 +30,7 @@ def _traced_machine(n_pes: int) -> Machine:
 
 def _top_metrics(machine: Machine, name: str):
     mets = [m for m in machine.collective_metrics()
-            if m.name == name and not m.nested]
+            if m.name == name]
     assert len(mets) == 1, f"expected one {name} call, got {mets}"
     return mets[0]
 

@@ -324,6 +324,47 @@ class TestBatching:
         assert calls["reduce:sum:binomial"] == 1
         assert calls["allreduce:doubling"] == 1
 
+    def test_composed_collectives_batch_by_their_barriers(self):
+        """The tree allgather is one chained schedule: it joins the
+        fused flush, booked as one ``allgather:tree``.  A hierarchical
+        broadcast synchronises each node apart, so it flushes alone and
+        splits the batch; every result matches the eager run."""
+        def body(ctx, deferred):
+            ctx.init()
+            n = ctx.num_pes()
+            bufs = [(ctx.malloc(8 * n), ctx.malloc(8 * n)) for _ in range(4)]
+            for j, (_, src) in enumerate(bufs):
+                _fill(ctx, src, n, salt=j)
+            ctx.barrier()
+            (d0, s0), (d1, s1), (d2, s2), (d3, s3) = bufs
+
+            def calls():
+                ctx.broadcast(d0, s0, n, 1, 1, "long")
+                ctx.allgather(d1, s1, [1] * n, list(range(n)), n, "long",
+                              algorithm="tree")
+                ctx.broadcast(d2, s2, n, 1, 2, "long",
+                              algorithm="hierarchical")
+                ctx.reduce(d3, s3, n, 1, 0, "sum", "long")
+
+            if deferred:
+                with ctx.superstep():
+                    calls()
+            else:
+                calls()
+            ctx.barrier()
+            out = [list(ctx.view(d, "long", n, 1)) for d, _ in bufs]
+            ctx.close()
+            return out
+
+        eager, _ = run(4, lambda ctx: body(ctx, False), cores_per_node=2)
+        fused, machine = run(4, lambda ctx: body(ctx, True),
+                             cores_per_node=2)
+        calls = machine.stats.collective_calls
+        assert calls["superstep:flush"] == 1
+        assert calls["allgather:tree"] == 1
+        assert "gather:binomial" not in calls
+        assert fused == eager
+
     def test_overlapping_buffers_split_batch(self):
         """A request whose buffers overlap an earlier one cannot join
         its batch — the flush falls back to two executions, preserving

@@ -44,7 +44,7 @@ def _run_traced(transport):
 
 def test_mailbox_collective_reports_messages():
     m = _run_traced("mailbox")
-    calls = [c for c in m.collective_metrics() if not c.nested]
+    calls = m.collective_metrics()
     assert calls, "no collective spans were traced"
     total_msgs = sum(c.total_messages for c in calls)
     total_bytes = sum(c.total_bytes for c in calls)
@@ -62,8 +62,7 @@ def test_transports_agree_on_payload_accounting():
     two = _run_traced("mailbox")
 
     def payload(m):
-        return sum(c.total_bytes for c in m.collective_metrics()
-                   if not c.nested)
+        return sum(c.total_bytes for c in m.collective_metrics())
 
     # Put payloads map 1:1 onto send payloads; get requests are
     # zero-byte control messages, so byte totals match exactly.
