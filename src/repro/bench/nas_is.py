@@ -3,22 +3,29 @@
 Bucket sort of ``N`` uniformly-bucketed keys drawn from NPB's Gaussian
 approximation (the average of four ``randlc`` uniforms), ranked over
 ``max_iterations`` timed iterations.  The distributed algorithm follows
-the NPB MPI/SHMEM structure:
+the NPB MPI/SHMEM structure; each iteration
 
-1. each PE histograms its local keys into ``n_buckets`` buckets;
-2. the global bucket counts are obtained with the *reduction* +
-   *broadcast* collectives (the two operations the paper highlights IS
-   exercising);
-3. bucket ownership is split so every PE receives an equal share of
-   keys, and the keys are redistributed with one-sided puts
-   (all-to-all-v) after an exchange of send counts;
-4. each PE sorts/ranks its received key range locally.
+1. histograms the PE's local keys into ``n_buckets`` buckets;
+2. obtains the global bucket counts with the *reduction* + *broadcast*
+   collectives (the two operations the paper highlights IS exercising);
+3. splits bucket ownership so every PE receives an equal share of keys;
+   a PE's buckets are one contiguous range;
+4. redistributes the keys with one-sided puts (all-to-all-v) after an
+   exchange of send counts.  The send counts are the bucket histogram
+   summed over each owner's range, and the keys are staged in owner
+   order by one stable radix partition: a stable argsort of each key's
+   owner in the narrowest unsigned dtype that holds ``n_pes - 1`` (8 or
+   16 bits up to 65 536 PEs, which numpy sorts by radix in linear time);
+5. sorts/ranks its received key range locally;
+6. checks the ranks of five tracked test keys (*partial verification*)
+   against an oracle.
 
 Per NPB, iteration ``i`` first mutates two keys (``key[i] = i`` and
 ``key[i + MAX_ITERATIONS] = max_key - i``) so every iteration ranks a
-slightly different sequence; *partial verification* checks the computed
-ranks of five tracked test keys each iteration against an oracle, and
-*full verification* checks global sortedness at the end (boundary
+slightly different sequence.  The oracle sorts the generated keys once,
+independently of the distributed kernel, and then follows the mutations
+incrementally: a test key's rank moves by one when a mutated key crosses
+it.  *Full verification* checks global sortedness at the end (boundary
 exchange with the neighbour PE plus an error reduction).
 
 Class sizes follow the NPB table with additional scaled classes sized
@@ -80,6 +87,19 @@ class IsParams:
             raise CollectiveArgumentError(
                 f"unknown IS class {self.problem_class!r}; expected one of "
                 f"{sorted(CLASS_PARAMS)}"
+            )
+        # Iteration i writes key[i] = i and key[i + max_iterations] =
+        # max_key - i: both must be keys in range, at indices that exist.
+        if not 1 <= self.max_iterations < self.max_key:
+            raise CollectiveArgumentError(
+                f"max_iterations must be in [1, {self.max_key}) for class "
+                f"{self.problem_class}, got {self.max_iterations}"
+            )
+        if 2 * self.max_iterations >= self.total_keys:
+            raise CollectiveArgumentError(
+                f"max_iterations {self.max_iterations} mutates key index "
+                f"{2 * self.max_iterations}, past class "
+                f"{self.problem_class}'s {self.total_keys} keys"
             )
 
 
@@ -163,6 +183,19 @@ def generate_keys(params: IsParams) -> np.ndarray:
 _CYCLES_PER_KEY = 4.0
 
 
+def _owner_order(owner_of_bucket: np.ndarray, key_bucket: np.ndarray,
+                 n: int) -> np.ndarray:
+    """The stable permutation that groups keys by owner PE.
+
+    A stable order is unique, so this is ``argsort(owners,
+    kind="stable")`` in any integer dtype; owners in the narrowest
+    unsigned one that holds ``n - 1`` take numpy's radix sort (8- and
+    16-bit keys) instead of a timsort over int64.
+    """
+    owners = owner_of_bucket.astype(np.min_scalar_type(n - 1))
+    return np.argsort(owners[key_bucket], kind="stable")
+
+
 def _is_pe(ctx: XBRTime, params: IsParams, my_keys: np.ndarray,
            test_keys: np.ndarray, test_ranks_by_iter: np.ndarray) -> dict:
     ctx.init()
@@ -213,7 +246,8 @@ def _is_pe(ctx: XBRTime, params: IsParams, my_keys: np.ndarray,
             keys[j - base_index] = max_key - it
 
         # 1. Local bucket histogram.
-        counts = np.bincount(keys >> shift, minlength=n_buckets)
+        key_bucket = keys >> shift
+        counts = np.bincount(key_bucket, minlength=n_buckets)
         hist[:] = counts.astype(np.uint64)
         ctx.charge_stream(keys_addr, 4 * n_keys)
         ctx.charge_stream(hist_addr, 8 * n_buckets, write=True)
@@ -236,12 +270,11 @@ def _is_pe(ctx: XBRTime, params: IsParams, my_keys: np.ndarray,
         bucket_last = np.searchsorted(owner_of_bucket, np.arange(n), "right")
 
         # 4. Redistribute keys with one-sided puts (all-to-all-v).
-        key_bucket = keys >> shift
-        key_owner = owner_of_bucket[key_bucket]
-        order = np.argsort(key_owner, kind="stable")
-        sorted_keys = np.asarray(keys)[order]
+        order = _owner_order(owner_of_bucket, key_bucket, n)
         ctx.compute(n_keys * _CYCLES_PER_KEY * cyc)
-        send_counts = np.bincount(key_owner, minlength=n).astype(np.uint64)
+        bucket_cum = np.concatenate(([0], np.cumsum(counts)))
+        send_counts = (bucket_cum[bucket_last]
+                       - bucket_cum[bucket_first]).astype(np.uint64)
         send_cnt[:] = send_counts
         # Exchange counts so each PE knows its incoming layout.
         ctx.alltoall(recv_cnt_addr, send_cnt_addr, 1, "uint64")
@@ -261,7 +294,7 @@ def _is_pe(ctx: XBRTime, params: IsParams, my_keys: np.ndarray,
         # published offset for this source.
         stage_addr = ctx.private_malloc(4 * max(n_keys, 1))
         stage = ctx.view(stage_addr, "int32", n_keys)
-        stage[:] = sorted_keys
+        stage[:] = keys[order]
         ctx.charge_stream(stage_addr, 4 * n_keys, write=True)
         send_disp = np.concatenate(
             ([0], np.cumsum(send_counts.astype(np.int64))[:-1])
@@ -299,7 +332,10 @@ def _is_pe(ctx: XBRTime, params: IsParams, my_keys: np.ndarray,
             if not 0 <= tk < max_key:
                 continue
             if owner_of_bucket[tk >> shift] == me:
-                rank = rank_before_me + int(np.searchsorted(got, tk, "left"))
+                # An int32 needle: a Python int would first cast all of
+                # ``got`` to int64.
+                rank = rank_before_me + int(
+                    np.searchsorted(got, np.int32(tk), "left"))
                 if rank != int(test_ranks_by_iter[it][t]):
                     partial_ok = False
     ctx.barrier()
@@ -346,14 +382,20 @@ def _oracle_ranks(keys: np.ndarray, test_keys: np.ndarray,
     keys) after the mutations of iterations ``1..it`` — NPB's partial
     verification uses class-specific precomputed tables; scaled classes
     need the oracle recomputed, so we compute it for all classes.
+
+    One sort ranks the test keys in the generated sequence.  Each
+    mutation then moves a rank by one where exactly one of the key's old
+    and new values is below the test key; no index is mutated twice, so
+    the old value is the generated one.
     """
-    work = keys.copy()
-    out = np.zeros((params.max_iterations + 1, test_keys.size), dtype=np.int64)
-    for it in range(1, params.max_iterations + 1):
-        work[it] = it
-        work[it + params.max_iterations] = params.max_key - it
-        s = np.sort(work)
-        out[it] = np.searchsorted(s, test_keys, "left")
+    m = params.max_iterations
+    below = np.searchsorted(np.sort(keys), test_keys, "left")
+    out = np.zeros((m + 1, test_keys.size), dtype=np.int64)
+    for it in range(1, m + 1):
+        for i, new in ((it, it), (it + m, params.max_key - it)):
+            below += np.subtract(new < test_keys, keys[i] < test_keys,
+                                 dtype=np.int64)
+        out[it] = below
     return out
 
 

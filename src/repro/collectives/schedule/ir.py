@@ -54,6 +54,7 @@ Step semantics (mirroring the legacy inline code they replaced):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Union
@@ -697,6 +698,22 @@ class RankProgram:
         yield from self.epilogue
 
 
+def _plain(sk: Skeleton) -> Skeleton:
+    """``sk`` with every section index and block rank a plain ``int``.
+
+    A numpy integer equals and hashes like the int it holds, so one
+    left in a section would become the :func:`barrier_stage` cache key
+    that every later schedule's idle stage of that index renders from.
+    """
+    if all(type(sec.index) is int and all(type(r) is int for r in sec.block)
+           for sec in sk.sections):
+        return sk
+    return sk._replace(sections=tuple(
+        sec._replace(index=operator.index(sec.index),
+                     block=tuple(map(operator.index, sec.block)))
+        for sec in sk.sections))
+
+
 def _sections(sk: Skeleton) -> np.ndarray:
     """Per section of ``sk``: the barriers before it, how many phases
     from there its rows may take, and the first and count of the
@@ -820,7 +837,7 @@ class Schedule:
         that cannot mean anything (see :func:`_refuse`)."""
         cols = rows.columns() if isinstance(rows, Rows) else dict(rows)
         names = [buf.name for buf in buffers] if names is None else names
-        skeletons = tuple(skeletons)
+        skeletons = tuple(map(_plain, skeletons))
         if skeleton_of is not None:
             skeleton_of = np.asarray(skeleton_of, dtype=np.int64)
         _refuse(cols, n_pes, len(names), skeletons, skeleton_of)

@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.bench import nas_is
 from repro.bench.nas_is import (
     CLASS_PARAMS,
     IsParams,
     IsResult,
     _lcg_block,
+    _oracle_ranks,
+    _owner_order,
     _randlc_int,
     generate_keys,
     run_is,
 )
+from repro.errors import CollectiveArgumentError
 from repro.params import MachineConfig
 
 FAST = IsParams(problem_class="S-scaled", max_iterations=3,
@@ -71,10 +77,116 @@ class TestKeyGeneration:
         assert CLASS_PARAMS["S"] == (16, 11)
 
     def test_unknown_class_rejected(self):
-        from repro.errors import CollectiveArgumentError
-
         with pytest.raises(CollectiveArgumentError):
             IsParams(problem_class="Z")
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_no_iteration_rejected(self, iterations):
+        with pytest.raises(CollectiveArgumentError, match="max_iterations"):
+            IsParams(problem_class="S-scaled", max_iterations=iterations)
+
+    @pytest.mark.parametrize("iterations", [2048, 5000])
+    def test_iterations_past_max_key_rejected(self, iterations):
+        """Key ``max_key - it`` would go negative (S-scaled: 2^11)."""
+        with pytest.raises(CollectiveArgumentError, match="max_iterations"):
+            IsParams(problem_class="S-scaled", max_iterations=iterations)
+        IsParams(problem_class="S-scaled", max_iterations=2047)
+
+    def test_iterations_past_key_count_rejected(self, monkeypatch):
+        """Iteration ``it`` mutates key index ``it + max_iterations``;
+        a class of 16 keys below 16 has no index 16."""
+        monkeypatch.setitem(CLASS_PARAMS, "tiny", (4, 4))
+        IsParams(problem_class="tiny", max_iterations=7)
+        with pytest.raises(CollectiveArgumentError, match="key index"):
+            IsParams(problem_class="tiny", max_iterations=8)
+
+
+def _oracle_ranks_reference(keys, test_keys, params):
+    """The brute-force oracle: apply each iteration's two mutations and
+    re-sort every key."""
+    work = keys.copy()
+    out = np.zeros((params.max_iterations + 1, test_keys.size),
+                   dtype=np.int64)
+    for it in range(1, params.max_iterations + 1):
+        work[it] = it
+        work[it + params.max_iterations] = params.max_key - it
+        s = np.sort(work)
+        out[it] = np.searchsorted(s, test_keys, "left")
+    return out
+
+
+class TestOracle:
+    @pytest.mark.parametrize("seed", [314159265.0, 271828183.0])
+    @pytest.mark.parametrize("cls", ["S-scaled", "S", "A-scaled"])
+    def test_matches_per_iteration_sort(self, cls, seed):
+        params = IsParams(problem_class=cls, seed=seed)
+        keys = generate_keys(params)
+        m, top = params.max_iterations, params.max_key
+        # The values the mutations write and overwrite, their
+        # neighbours, and the harness's own kind of draw.
+        edge = [0, 1, 2, m // 2, m, m + 1, top - m, top - m // 2, top - 2,
+                top - 1, top // 2, keys[1], keys[m], keys[m + 1],
+                keys[2 * m]]
+        rng = np.random.default_rng(int(seed))
+        test_keys = np.concatenate(
+            (edge, rng.integers(top // 8, 7 * top // 8, size=5))
+        ).astype(np.int64)
+        got = _oracle_ranks(keys, test_keys, params)
+        assert np.array_equal(
+            got, _oracle_ranks_reference(keys, test_keys, params))
+
+    @pytest.mark.parametrize("iterations", [1, 10, 100])
+    def test_sorts_once(self, iterations, monkeypatch):
+        """The work gate: one sort of the keys, however many iterations
+        the oracle follows."""
+        params = IsParams(problem_class="S-scaled",
+                          max_iterations=iterations)
+        keys = generate_keys(params)
+        sorts = []
+        real_sort = np.sort
+
+        def counting_sort(*args, **kwargs):
+            sorts.append(1)
+            return real_sort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        _oracle_ranks(keys, np.arange(0, params.max_key, 97), params)
+        assert len(sorts) == 1
+
+
+class TestRedistribution:
+    @pytest.mark.parametrize("n", [1, 8, 255, 256, 300, 70_000])
+    def test_order_is_the_stable_int64_argsort(self, n):
+        """Owner counts on both sides of the uint8, uint16 and uint32
+        boundaries."""
+        rng = np.random.default_rng(n)
+        owner_of_bucket = np.sort(rng.integers(0, n, size=4096))
+        owner_of_bucket[-1] = n - 1
+        key_bucket = rng.integers(0, owner_of_bucket.size, size=20_000)
+        want = np.argsort(owner_of_bucket[key_bucket], kind="stable")
+        assert np.array_equal(
+            _owner_order(owner_of_bucket, key_bucket, n), want)
+
+    def test_argsorts_at_most_16_bits(self, monkeypatch):
+        """The work gate: every argsort the kernel runs is over an 8- or
+        16-bit array (numpy's radix sort) up to 65 536 PEs."""
+        widths = []
+        real_argsort = np.argsort
+
+        def recording_argsort(a, *args, **kwargs):
+            caller = sys._getframe(1).f_globals.get("__name__")
+            if caller == nas_is.__name__:
+                widths.append(np.asarray(a).dtype.itemsize)
+            return real_argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording_argsort)
+        key_bucket = np.arange(64) % 16
+        for n in (1, 2, 256, 257, 65_536):
+            owner_of_bucket = np.minimum(np.arange(16), n - 1)
+            _owner_order(owner_of_bucket, key_bucket, n)
+        run_is(fast_config(4), FAST)
+        assert len(widths) == 5 + 4 * FAST.max_iterations
+        assert max(widths) <= 2
 
 
 class TestIsRun:
@@ -99,8 +211,6 @@ class TestIsRun:
         assert a.sim_seconds == b.sim_seconds
 
     def test_key_count_must_match_class(self):
-        from repro.errors import CollectiveArgumentError
-
         with pytest.raises(CollectiveArgumentError):
             run_is(fast_config(2), FAST, np.zeros(10, dtype=np.int64))
 
@@ -108,7 +218,7 @@ class TestIsRun:
         """Section 5.2: IS exercises the reduction and broadcast
         collectives."""
         from repro.runtime import Machine
-        from repro.bench.nas_is import _is_pe, _oracle_ranks
+        from repro.bench.nas_is import _is_pe
 
         keys = generate_keys(FAST)
         rng = np.random.default_rng(5)

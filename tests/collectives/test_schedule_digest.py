@@ -78,6 +78,34 @@ def test_schedule_digests_unchanged(collective, algorithm):
     assert not wrong, f"schedule digests changed: {wrong[:5]}"
 
 
+def test_numpy_section_indices_leave_digests_alone():
+    """A numpy integer equals and hashes like the int it holds, so a
+    schedule whose sections carry ``np.int64`` indices or block ranks
+    must not seed the shared idle-stage cache with them: every later
+    schedule would render ``Stage(index=np.int64(3), ...)``."""
+    from repro.collectives.schedule.ir import (
+        OP_PUT, Buffer, Rows, Schedule, barrier_stage, skeleton)
+
+    barrier_stage.cache_clear()
+    shape = skeleton(0, [(np.int64(i), ()) for i in range(8)], 0)
+    blocked = shape._replace(sections=tuple(
+        sec._replace(block=(np.int64(0), np.int64(1)))
+        if sec.kind == "stage" else sec for sec in shape.sections))
+    rows = Rows()
+    rows.add(0, 1, 0, OP_PUT, (0, 0), (0, 8), 1, 1, 1)
+    for skel in (shape, blocked):
+        sched = Schedule.from_rows(
+            "numpy", "test", 2, 8, rows, [skel],
+            buffers=(Buffer("buf", "user", 16, symmetric=True),))
+        assert "np." not in repr(sched)
+        assert all(type(sec.index) is int and
+                   all(type(r) is int for r in sec.block)
+                   for sec in sched.table.skeletons[0].sections)
+    want = {label: digest for label, digest in _golden().items()
+            if label.startswith("broadcast:binomial ")}
+    assert pair_digests("broadcast", "binomial") == want
+
+
 if __name__ == "__main__":  # pragma: no cover - regeneration helper
     table: dict = {}
     for pair in BUILTIN_ALGORITHMS:
