@@ -50,23 +50,23 @@ and nothing else (``tests/backends/test_context_protocol.py`` reads the
 table above and holds every context class to this list):
 
 * **sim** — the span recorder (``spans``) and the two-sided mailbox
-  calls (``msg_*``, ``schedule_transport``).  Its fault checkpoint runs
-  inside the core's ``_require_active`` whenever an injector is armed.
-  A whole-machine schedule is driven from one thread between its first
-  and last barrier (the executor's replay driver); that is a choice of
-  *driver*, made by the executor from ``machine``, the injector, the
-  transport and the engine, not a seam — the plan, the step interpreter
-  and the ``_transfer`` / barrier calls are the per-rank driver's.  A
-  traced machine (``trace=True``) stays on the per-rank driver, where
-  barrier and stage spans open on each PE's own thread; tracing moves
-  no clock (``tests/sim/test_scheduler_equivalence.py``).
+  calls (``msg_*``, ``schedule_transport``, and the halves of a receive
+  a parked schedule step resumes: ``_msg_open`` traces and opens its
+  span, ``_msg_take`` takes the message or leaves the PE waiting).  Its
+  fault checkpoint runs inside the core's ``_require_active`` whenever
+  an injector is armed.  A PE parked inside a schedule may have its
+  steps run by another PE's thread (the executor's continuations); that
+  is the engine's business, not a seam — the plan, the step
+  interpreter and the ``_transfer`` / barrier / mailbox calls are the
+  same on every thread, traced or not, and tracing moves no clock
+  (``tests/sim/test_scheduler_equivalence.py``).
 * **mp** — the clock (``time_ns`` reads the host, ``compute`` and
   ``charge_*`` are free, ``executing_rank`` is constant), the barrier
   (``_sync``/``barrier_team`` over :class:`~repro.backends.shm.ShmBarrier`,
   team-scoped through ``default_group``) and data movement (the
   ``_transfer`` object: memcpy + ``bump_progress``, lock-serialised AMO).
-* **vec** — the ``schedule_evaluator`` hook (the ranks meet in the
-  executor's rendezvous record, the last one evaluates the group); its
+* **vec** — the ``schedule_evaluator`` hook (the ranks meet in a
+  rendezvous record, the last one evaluates the group); its
   memory-cost provider
   (:class:`~repro.collectives.schedule.evaluate.CostModel` behind
   ``hierarchy_of(pe)``) lives on the world, not the context.

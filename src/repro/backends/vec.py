@@ -5,8 +5,7 @@ cooperative engine for program control flow — init/close, mallocs, raw
 one-sided transfers, barriers, teams — but intercepts every *compiled
 schedule* through the ``schedule_evaluator`` hook of
 :func:`~repro.collectives.schedule.executor.execute_schedule`: the
-first ``n-1`` participants of a collective park at a rendezvous (the
-record the simulator's replay driver also meets in), the
+first ``n-1`` participants of a collective park at a rendezvous, the
 last arrival evaluates the whole schedule for every rank at once with
 :func:`~repro.collectives.schedule.evaluate.evaluate_group`, then
 resumes each peer at its modelled completion time.  Data movement is
@@ -36,7 +35,6 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..collectives.schedule.evaluate import CostModel, evaluate_group
-from ..collectives.schedule.executor import _Rendezvous
 from ..errors import RuntimeStateError, SimulationError
 from ..isa.memory import Memory
 from ..machine.network import Network
@@ -53,6 +51,31 @@ __all__ = ["VecBackend", "VecSession", "VecContext", "VecWorld"]
 #: Sessions run one engine thread per PE; beyond this, use the
 #: standalone evaluator (``evaluate_schedule``) which needs neither.
 MAX_SESSION_PES = 1024
+
+
+class _Rendezvous:
+    """Where the ranks of one group leave what the last of them needs to
+    evaluate a schedule for all: their bound addresses and clocks."""
+
+    __slots__ = ("sched", "dtype", "slots", "count", "same")
+
+    def __init__(self, sched, dtype: np.dtype, n: int):
+        self.sched = sched
+        self.dtype = dtype
+        self.slots: list = [None] * n
+        self.count = 0
+        #: Whether everyone so far brought the first arrival's schedule
+        #: and dtype — by value where identity misses, since a
+        #: ``compile_*`` cache eviction between two ranks' calls hands
+        #: them equal schedules that are different objects.
+        self.same = True
+
+    def join(self, index: int, sched, dtype: np.dtype, slot) -> None:
+        self.slots[index] = slot
+        self.count += 1
+        if not ((sched is self.sched or sched == self.sched)
+                and dtype == self.dtype):
+            self.same = False
 
 
 class VecWorld:

@@ -1,5 +1,5 @@
 """How a compiled :class:`~.ir.Schedule` executes: one plan, one step
-interpreter, two drivers.
+interpreter, one driver.
 
 **The plan.**  The first time a rank executes a schedule, its rows of
 the step table (``Schedule.table``) are lowered into a
@@ -8,13 +8,12 @@ the compile cache): walked section by section of the rank's barrier
 skeleton — prologue, every stage (a :class:`~.ir.Pipeline` round is
 one), epilogue — they become one tuple of small op tuples in execution
 order, buffers by index, barriers where the rows' phases put them and
-stage-span boundaries as ops of their own, the positions of the first
-and last barrier noted; and the checks that do not depend on the call
-(peers in range, counts, strides) are made there, once.
-:func:`execute_schedule` binds a plan to one call (:class:`_RankRun`:
-buffer addresses, dtype, the rank's context, a program counter) and
-allocates and LIFO-frees the schedule's scratch and private buffers
-around it, exception-safe.
+stage-span boundaries as ops of their own; and the checks that do not
+depend on the call (peers in range, counts, strides) are made there,
+once.  :func:`execute_schedule` binds a plan to one call
+(:class:`_RankRun`: buffer addresses, dtype, the rank's context, a
+program counter) and allocates and LIFO-frees the schedule's scratch
+and private buffers around it, exception-safe.
 
 **The interpreter.**  :func:`_advance` is the only step executor, on
 every backend that moves data step by step (the vec backend takes the
@@ -22,33 +21,18 @@ whole schedule through its ``schedule_evaluator`` seam instead).  It
 runs a rank's ops up to the next barrier, which it leaves to the
 driver.
 
-**The per-rank driver** (:func:`_drive`) is each PE running its own
-plan on its own thread or process, with ``ctx.barrier_team`` at the
-barriers (over the rank's block where a ``Section.block`` partitions
-the group; a block of one is no barrier).  It serves mp, teams,
-partitioned schedules, fault-injection runs, the mailbox transport,
-traced runs and the reference scheduler (``fast_paths=False``).
-
-**The replay driver** (:func:`_replay`) serves the simulator when the
-schedule's group is the whole machine.  Every rank runs up to its first
-barrier, arrives there as usual and parks; the last to arrive releases
-the barrier and then interprets *every* rank's steps, on its own
-thread, through the same :class:`~repro.runtime.transfer.TransferEngine`
-and :class:`~repro.runtime.barrier.BarrierController` calls, up to the
-release of the schedule's last barrier, where it hands the machine
-back: the rank that released runs on, the others are runnable at the
-release time.  Between those two barriers every PE of the machine is
-inside this schedule, so the window is closed — nothing else can run,
-wake or be woken — and the replay can order the ranks exactly as the
-engine would: a rank runs until a step at which the transfer engine or
-the barrier would checkpoint (a put or get of at least one element, a
-charged copy, a barrier arrival) *and* another runnable rank's clock is
-strictly smaller; then the smallest ``(clock, rank)`` runs.  Every
-clock, cache line, link reservation and byte is therefore what the
-per-PE threads produce, for one thread switch per rank per collective
-instead of one per rank per stage.  Which driver runs is read off the
-call (group, partition, injector, transport, engine, tracing); there is
-no option, and ``Machine(fast_paths=False)`` is the differential oracle.
+**The driver** (:func:`_drive`) is each PE running its own plan, with
+a barrier at each barrier op (over the rank's block where a
+``Section.block`` partitions the group; a block of one is no barrier).
+On mp and under ``Machine(fast_paths=False)`` (the differential
+oracle) a PE blocks there on its own process or thread.  On the
+simulator's direct-handoff engine it parks at a step boundary instead
+— a barrier, an empty mailbox receive, or before a step that would
+yield to an earlier PE — leaving its :class:`_RankRun` as its
+continuation (``Engine.park``), which whichever thread would wake it
+runs by the engine's own ordering rules ("How a collective executes"
+in ``DESIGN.md``): the same clocks, bytes, trace events and spans as a
+thread per PE, for about one thread switch per rank per collective.
 
 :class:`PreparedCollective` is the compiled form of one *call*: the
 schedule plus the call's bound addresses, span attributes and stats
@@ -61,12 +45,12 @@ prepare again over each survivor group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush, heappushpop
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from ...errors import CollectiveArgumentError
+from ...sim.engine import PEState
 from ..common import charge_elementwise, collective_span, validate_counts
 from ..ops import apply_op, identity_of
 from .ir import (
@@ -101,12 +85,14 @@ _CLOSE = 10   # stage span ends: ()
 
 _CLOSE_OP = (_CLOSE,)
 
+_RUNNING, _RUNNABLE, _BLOCKED = (PEState.RUNNING, PEState.RUNNABLE,
+                                 PEState.BLOCKED)
+
 
 class FlatPlan:
     """One rank's program lowered for execution (see the module doc)."""
 
-    __slots__ = ("ops", "traced_ops", "names", "allocs", "n_barriers",
-                 "first_barrier", "last_barrier")
+    __slots__ = ("ops", "traced_ops", "names", "allocs")
 
     def __init__(self, sched: Schedule, rank: int):
         table = sched.table
@@ -166,9 +152,8 @@ class FlatPlan:
         #: The ops in execution order, with the stage-span boundaries —
         #: what a run that records spans interprets.
         self.traced_ops = tuple(traced)
-        #: The steps alone, for every other run; the barrier positions
-        #: below index this tuple.
-        self.ops = ops = tuple(op for op in traced if op[0] < _OPEN)
+        #: The steps alone, for every other run.
+        self.ops = tuple(op for op in traced if op[0] < _OPEN)
         #: Buffer names the ops index into.
         self.names = tuple(table.names[i] for i in index)
         #: ``(name, is_scratch, nbytes)`` of the buffers this rank
@@ -177,10 +162,6 @@ class FlatPlan:
         self.allocs = tuple(
             (b.name, b.kind == "scratch", b.nbytes) for b in sched.buffers
             if b.kind != "user" and b.held_by(rank))
-        barriers = [pc for pc, op in enumerate(ops) if op[0] == _BARRIER]
-        self.n_barriers = len(barriers)
-        self.first_barrier = barriers[0] if barriers else -1
-        self.last_barrier = barriers[-1] if barriers else -1
 
 
 def plan_of(sched: Schedule, rank: int) -> FlatPlan:
@@ -193,17 +174,19 @@ def plan_of(sched: Schedule, rank: int) -> FlatPlan:
 
 class _RankRun:
     """One rank's plan bound to one call: where its buffers are, what
-    it moves, whose context it runs on and how far it has come."""
+    it moves, whose context it runs on and how far it has come.  Called,
+    it is the rank's continuation (see the module doc)."""
 
-    __slots__ = ("ctx", "sched", "plan", "ops", "pc", "base", "members",
-                 "dtype", "views", "in_stage", "error")
+    __slots__ = ("ctx", "sched", "traced", "ops", "pc", "base", "members",
+                 "dtype", "views", "in_stage", "phase", "inst")
 
     def __init__(self, ctx, sched: Schedule, plan: FlatPlan,
                  addrs: Mapping[str, int], members: tuple, dtype: np.dtype):
         self.ctx = ctx
         self.sched = sched
-        self.plan = plan
-        self.ops = plan.traced_ops if ctx.spans.enabled else plan.ops
+        #: Whether spans are recorded: stage boundaries are ops then.
+        self.traced = ctx.spans.enabled
+        self.ops = plan.traced_ops if self.traced else plan.ops
         #: Index into ``ops`` of the next one to run.
         self.pc = 0
         self.base = [addrs[name] for name in plan.names]
@@ -212,9 +195,12 @@ class _RankRun:
         self.views: dict = {}
         #: Whether a stage span is open.
         self.in_stage = False
-        #: What a step of this rank raised while another rank's thread
-        #: was replaying it; re-raised on the rank's own thread.
-        self.error: BaseException | None = None
+        #: How far the barrier or receive at ``pc`` has come: 0 not
+        #: begun, 1 its span open (a barrier yet to arrive), 2 waiting.
+        self.phase = 0
+        #: The key of the barrier a rank has entered, then the instance
+        #: it arrived at.
+        self.inst = None
 
     def view(self, addr: int, nelems: int, stride: int) -> np.ndarray:
         key = (addr, nelems, stride)
@@ -224,16 +210,96 @@ class _RankRun:
                 addr, self.dtype, nelems, stride)
         return view
 
+    def __call__(self, limit: float, own: bool = False) -> PEState:
+        """Run on from where this rank stands, on the direct-handoff
+        engine, until it parks: ``RUNNABLE`` before a step that yields
+        to a PE runnable at ``limit`` (``Engine.next_clock``),
+        ``BLOCKED`` waiting at a barrier or receive.  ``RUNNING`` means
+        its own thread runs on: the run is over or — if this is not that
+        thread (``own``) — its next step is a send that might block on a
+        full queue."""
+        ctx = self.ctx
+        pe = ctx.pe
+        ops = self.ops
+        while True:  # ``limit`` moves only where a release or send wakes a PE
+            phase = self.phase
+            if phase:  # it stands at a barrier or receive
+                op = ops[self.pc]
+            else:
+                op = _advance(self, limit)
+                if op is None:
+                    return _RUNNING
+            code = op[0]
+            if code == _BARRIER:
+                barriers = ctx.machine.barriers
+                if not phase:
+                    block = op[1]
+                    if ctx._faults is not None:
+                        ctx._require_active()  # the fault checkpoint
+                    key = barriers.enter(ctx.rank, tuple(
+                        self.members[q] for q in block) if block
+                        else self.members)
+                    if key is None:
+                        self.pc += 1  # a barrier of one
+                        continue
+                    self.inst = key
+                    phase = 1
+                if phase == 1:
+                    if pe.clock > limit:
+                        self.phase = 1
+                        return _RUNNABLE
+                    inst, last = barriers.arrive(ctx.rank, self.inst)
+                    self.inst = inst
+                    if not last:
+                        self.phase = 2
+                        return _BLOCKED
+                    pe.advance_to(barriers.release(inst, ctx.rank))
+                    limit = ctx.machine.engine.next_clock()
+                self.phase = 0
+                if self.inst.degraded or self.traced:  # else nothing to do
+                    barriers.leave(ctx.rank, self.inst)
+            elif code == _SEND:
+                _, s, s_off, nelems, stride, peer, tag = op
+                ctx._require_active()
+                if pe.clock > limit:
+                    return _RUNNABLE
+                mailbox = ctx.machine.mailbox
+                if not own and mailbox.depth(self.members[peer]) >= \
+                        mailbox.params.recv_depth:
+                    return _RUNNING
+                ctx.msg_send(self.base[s] + s_off, nelems, stride,
+                             self.members[peer], tag=tag, dtype=self.dtype)
+                limit = ctx.machine.engine.next_clock()
+            elif code == _RECV:
+                _, d, d_off, nelems, stride, peer, tag = op
+                if not phase:
+                    ctx._require_active()
+                    if pe.clock > limit:
+                        return _RUNNABLE
+                    ctx._msg_open("recv", nelems * self.dtype.itemsize,
+                                  nelems, stride, self.members[peer], tag)
+                    self.phase = 2
+                if not ctx._msg_take(self.base[d] + d_off, nelems, stride,
+                                     self.members[peer], tag, self.dtype):
+                    return _BLOCKED
+                self.phase = 0
+            else:  # a step that yields to an earlier PE
+                return _RUNNABLE
+            self.pc += 1
 
-def _advance(run: _RankRun, limit: float | None = None) -> None:
+
+def _advance(run: _RankRun, limit: float | None = None) -> tuple | None:
     """Interpret ``run``'s ops from ``run.pc`` on: the step interpreter.
 
     Stops *at* the next barrier (the driver's business) or past the last
-    op.  With a ``limit`` — the smallest clock among the other runnable
-    ranks, when one thread is replaying them all — it also stops at a
-    step where the transfer engine would yield to that rank: one that
-    checkpoints (a put or get of at least one element, a charged copy)
-    reached with the clock beyond ``limit``.
+    op, and returns the op it stopped at (``None`` past the last).  With
+    a ``limit`` — the smallest clock among the other runnable PEs — it
+    also stops at a send or receive, and at a step where the transfer
+    engine would yield to that PE: one that checkpoints (a put or get of
+    at least one element, a charged copy) reached with the clock beyond
+    ``limit``.  Such a step's fault checkpoint (``_require_active``)
+    comes first, as in the context's own put and get; it does nothing
+    when the step runs at the same clock later.
     """
     ctx = run.ctx
     ops = run.ops
@@ -244,25 +310,24 @@ def _advance(run: _RankRun, limit: float | None = None) -> None:
     # Under fault injection every step is a fault checkpoint, which the
     # context's own put/get make; a clean run goes straight to the
     # data-movement seam (its arguments were checked at lowering).
-    mover = ctx._transfer if ctx._faults is None else ctx
+    faulty = ctx._faults is not None
+    mover = ctx if faulty else ctx._transfer
     pe = ctx.pe if limit is not None else None
     pc = run.pc
     n = len(ops)
     while pc < n:
         op = ops[pc]
         code = op[0]
-        if code == _PUT:
+        if code == _PUT or code == _GET:
             _, d, d_off, s, s_off, nelems, stride, peer = op
-            if pe is not None and nelems and pe.clock > limit:
-                break
-            mover.put(base[d] + d_off, base[s] + s_off, nelems, stride,
-                      members[peer], dtype)
-        elif code == _GET:
-            _, d, d_off, s, s_off, nelems, stride, peer = op
-            if pe is not None and nelems and pe.clock > limit:
-                break
-            mover.get(base[d] + d_off, base[s] + s_off, nelems, stride,
-                      members[peer], dtype)
+            if pe is not None and nelems:
+                if faulty:  # the fault checkpoint comes first (see below)
+                    ctx._require_active()
+                if pe.clock > limit:
+                    break
+            (mover.put if code == _PUT else mover.get)(
+                base[d] + d_off, base[s] + s_off, nelems, stride,
+                members[peer], dtype)
         elif code == _BARRIER:
             break
         elif code == _REDUCE:
@@ -279,8 +344,11 @@ def _advance(run: _RankRun, limit: float | None = None) -> None:
             dst = base[d] + d_off
             src = base[s] + s_off
             if not (skip_noop and (nelems == 0 or dst == src)):
-                if pe is not None and nelems and pe.clock > limit:
-                    break
+                if pe is not None and nelems:
+                    if faulty:
+                        ctx._require_active()
+                    if pe.clock > limit:
+                        break
                 mover.put(dst, src, nelems, stride, ctx.rank, dtype)
         elif code == _OPEN:
             ctx.spans.begin(ctx.rank, "stage", "stage",
@@ -296,6 +364,8 @@ def _advance(run: _RankRun, limit: float | None = None) -> None:
             ctx.charge_stream(dst, step_span_bytes(nelems, stride,
                                                    dtype.itemsize),
                               write=True)
+        elif pe is not None:
+            break  # a send or receive: the driver's, with a limit
         elif code == _SEND:
             _, s, s_off, nelems, stride, peer, tag = op
             ctx.msg_send(base[s] + s_off, nelems, stride, members[peer],
@@ -306,173 +376,28 @@ def _advance(run: _RankRun, limit: float | None = None) -> None:
                          tag=tag, dtype=dtype)
         pc += 1
     run.pc = pc
+    return op if pc < n else None
 
 
-class _Rendezvous:
-    """Where the ranks of one group leave what the last of them needs to
-    run a schedule for all: the vec backend's batch evaluation, the
-    simulator's replay."""
-
-    __slots__ = ("sched", "dtype", "slots", "count", "same")
-
-    def __init__(self, sched: Schedule, dtype: np.dtype, n: int):
-        self.sched = sched
-        self.dtype = dtype
-        self.slots: list = [None] * n
-        self.count = 0
-        #: Whether everyone so far brought the first arrival's schedule
-        #: and dtype — by value where identity misses, since a
-        #: ``compile_*`` cache eviction between two ranks' calls hands
-        #: them equal schedules that are different objects.
-        self.same = True
-
-    def join(self, index: int, sched: Schedule, dtype: np.dtype,
-             slot) -> None:
-        self.slots[index] = slot
-        self.count += 1
-        if not ((sched is self.sched or sched == self.sched)
-                and dtype == self.dtype):
-            self.same = False
-
-
-def _drive(run: _RankRun, replays: bool) -> None:
-    """The per-rank driver: this PE runs its own plan to the end, or —
-    where the schedule ``replays`` — to its first barrier and on from
-    wherever the replay left it."""
+def _drive(run: _RankRun) -> None:
+    """The driver: this PE runs its own plan to the end."""
     ctx = run.ctx
-    n = len(run.ops)
-    # Indexes ``plan.ops``, which is what a replaying run interprets:
-    # replay and span recording exclude each other.
-    first_barrier = run.plan.first_barrier
+    engine = ctx.machine.engine if ctx.machine is not None else None
     try:
-        while True:
-            _advance(run)
-            if run.pc == n:
-                return
-            if replays and run.pc == first_barrier:
-                _meet(run)
-            else:
-                block = run.ops[run.pc][1]
-                ctx.barrier_team(tuple(run.members[q] for q in block)
-                                 if block else run.members)
+        if engine is not None and engine.direct_handoff:
+            # Another thread may run it to the end while it is parked.
+            while run.pc < len(run.ops) and (state := run(
+                    engine.next_clock(), own=True)) is not _RUNNING:
+                engine.park(run, state)
+            return
+        while (op := _advance(run)) is not None:
+            block = op[1]
+            ctx.barrier_team(tuple(run.members[q] for q in block)
+                             if block else run.members)
             run.pc += 1
     finally:
         if run.in_stage:  # a step raised inside a stage span
             ctx.spans.end(ctx.rank)
-
-
-def _replayable(ctx: "XBRTime", members: tuple, sched: Schedule,
-                plan: FlatPlan) -> bool:
-    """Whether this call's barrier-to-barrier window may be replayed
-    from one thread: a whole-machine group on the simulator's
-    direct-handoff engine, one-sided, no fault injector, no tracing
-    (barrier and stage spans are opened on the per-rank driver only),
-    every barrier over the whole group, and a window to speak of."""
-    world = ctx.machine
-    if world is None or ctx._faults is not None or sched.table.partitioned:
-        return False
-    engine = world.engine
-    return (len(members) == ctx.config.n_pes > 1 and plan.n_barriers > 1
-            and engine.direct_handoff and not engine.trace.enabled
-            and ctx.schedule_transport == "onesided")
-
-
-def _meet(run: _RankRun) -> None:
-    """``run`` stands at its first barrier: arrive, and either wait for
-    whoever arrives last to take this rank to its last barrier, or be
-    that one.  Returns with ``run.pc`` at the barrier just passed."""
-    ctx = run.ctx
-    world = ctx.machine
-    engine = world.engine
-    barriers = world.barriers
-    rank = ctx.rank
-    engine.checkpoint()
-    inst, last = barriers.arrive(rank, barriers.members(run.members))
-    rec = inst.rendezvous
-    if rec is None:
-        rec = inst.rendezvous = _Rendezvous(run.sched, run.dtype,
-                                            ctx.config.n_pes)
-    rec.join(rank, run.sched, run.dtype, run)
-    if not last:
-        engine.suspend()
-        if run.error is not None:
-            raise run.error
-        return
-    runs = rec.slots
-    # The window is closed only if every rank is in it — with the same
-    # schedule — to the same last barrier; otherwise this is an ordinary
-    # barrier and every rank carries on alone.
-    if rec.count == len(runs) and rec.same and all(
-            r.plan.n_barriers == run.plan.n_barriers for r in runs):
-        _replay(world, runs, inst, rank)
-    else:
-        ctx.pe.advance_to(barriers.release(inst, rank))
-
-
-def _replay(world, runs: list, inst, me: int) -> None:
-    """The replay driver: rank ``me``'s thread, having completed the
-    arrivals at the first barrier ``inst``, runs every rank from there
-    to the release of the last barrier (see the module doc)."""
-    engine = world.engine
-    barriers = world.barriers
-    pes = engine.pes
-    key = inst.key
-    #: ``(clock, rank)`` heap of the ranks free to run: the engine's own
-    #: run queue is empty for as long as everyone is in here.
-    ready: list[tuple[float, int]] = []
-
-    def wake(rank: int, at_time: float) -> None:
-        runs[rank].pc += 1  # past the barrier it waited at
-        pe = pes[rank]
-        pe.advance_to(at_time)
-        heappush(ready, (pe.clock, rank))
-
-    def hand_back(rank: int, at_time: float) -> None:
-        if rank == me:
-            pes[me].advance_to(at_time)  # made runnable by yield_to
-        else:
-            engine.resume(rank, at_time)
-
-    cur = me
-    while True:
-        # ``cur`` was the last to arrive at ``inst``: it releases, and
-        # runs on first.
-        run = runs[cur]
-        pe = pes[cur]
-        if run.pc == run.plan.last_barrier:
-            pe.advance_to(barriers.release(inst, cur, hand_back))
-            break
-        pe.advance_to(barriers.release(inst, cur, wake))
-        run.pc += 1
-        while True:
-            limit = ready[0][0] if ready else float("inf")
-            try:
-                _advance(run, limit)
-            except BaseException as exc:
-                if cur == me:
-                    raise
-                # The step was ``cur``'s: its own thread raises.  Mine
-                # stays blocked, like every peer of a failed PE.
-                run.error = exc
-                engine.act_as(me)
-                engine.resume(cur)
-                engine.suspend()
-                raise
-            if pe.clock > limit:
-                # What Engine.checkpoint does: someone earlier is
-                # runnable, so queue up and let the earliest run.
-                cur = heappushpop(ready, (pe.clock, cur))[1]
-            else:
-                inst, last = barriers.arrive(cur, key)
-                if last:
-                    break
-                cur = heappop(ready)[1]  # Engine.suspend
-            engine.act_as(cur)
-            run = runs[cur]
-            pe = pes[cur]
-    engine.act_as(me)
-    if cur != me:
-        engine.yield_to(cur)
 
 
 def execute_schedule(ctx: "XBRTime", sched: Schedule,
@@ -516,8 +441,7 @@ def execute_schedule(ctx: "XBRTime", sched: Schedule,
         if hook is not None:
             hook(sched, members, me, addrs, dtype)
             return
-        _drive(_RankRun(ctx, sched, plan, addrs, members, dtype),
-               _replayable(ctx, members, sched, plan))
+        _drive(_RankRun(ctx, sched, plan, addrs, members, dtype))
     finally:
         for is_scratch, addr in reversed(allocated):
             if is_scratch:

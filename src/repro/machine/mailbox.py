@@ -18,8 +18,10 @@ Semantics (matching the ``Send``/``Recv`` IR nodes):
   :class:`~repro.errors.MailboxBackpressureError`.  The retry loop
   keeps the sender runnable, so a stuck receiver surfaces as this
   error instead of a silent scheduler deadlock.
-* **recv** blocks (suspending the PE) until the *first* message from
-  the named source arrives; matching is strictly FIFO per
+* **recv** takes the *first* message from the named source, or finds
+  none and registers the PE as waiting for one: the caller then parks
+  (suspends, or leaves a continuation) until the send that enqueues it
+  resumes the PE.  Matching is strictly FIFO per
   (source, destination) pair.  The message's ``tag`` is then verified —
   a mismatch means sender and receiver disagree on the protocol and
   raises :class:`~repro.errors.MailboxProtocolError`.
@@ -214,23 +216,22 @@ class MailboxRouter:
                 return msg
         return None
 
-    def recv(self, rank: int, src: int, tag: int) -> Message:
-        """Block until the next message from ``src`` arrives; verify tag."""
-        machine = self.machine
-        engine = machine.engine
-        pe = engine.pes[rank]
-        while True:
-            msg = self._match(rank, src)
-            if msg is not None:
-                break
+    def recv(self, rank: int, src: int, tag: int) -> Message | None:
+        """The next message from ``src``, its tag verified — or, with
+        none queued, ``None``: ``rank`` is then registered as waiting,
+        and the matching send's enqueue resumes it to try again."""
+        msg = self._match(rank, src)
+        if msg is None:
             self._waiting[rank] = src
-            engine.suspend()  # woken by the matching send's enqueue
+            return None
         if msg.tag != tag:
             raise MailboxProtocolError(
                 f"PE {rank}: recv from PE {src} expected tag {tag} but "
                 f"the pair's FIFO head is {msg!r} — sender and receiver "
                 f"disagree on message order"
             )
+        machine = self.machine
+        pe = machine.engine.pes[rank]
         pe.advance_to(msg.t_avail)
         pe.advance(self.params.match_ns)
         machine.stats.recvs += 1

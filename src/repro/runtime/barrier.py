@@ -56,7 +56,7 @@ def round_cost_ns(cfg: "MachineConfig", participants: Iterable[int]) -> float:
 class _Pending:
     """One in-progress barrier instance."""
 
-    __slots__ = ("key", "arrivals", "degraded", "rendezvous")
+    __slots__ = ("key", "arrivals", "degraded")
 
     def __init__(self, key: tuple[int, ...]):
         self.key = key
@@ -65,19 +65,17 @@ class _Pending:
         #: Set once on a degraded release: the dead members every
         #: survivor must report (the group-agreement payload).
         self.degraded: frozenset[int] | None = None
-        #: What the arrivals leave for the releaser (the schedule
-        #: executor's replay record); retired with the instance.
-        self.rendezvous = None
 
 
 class BarrierController:
     """Shared barrier state for one machine.
 
-    :meth:`barrier` is the whole operation for a PE on its own thread.
-    Its two halves are public for a thread that runs several PEs'
-    barriers itself (the schedule executor's replay): :meth:`arrive`
-    records one PE's arrival, :meth:`release` prices the instance and
-    wakes the waiters — the only copy of that arithmetic.
+    :meth:`barrier` is the whole operation for a PE on its own thread:
+    :meth:`enter` (the span), ``Engine.checkpoint``, :meth:`arrive`,
+    :meth:`release` by the last to arrive (the only copy of the release
+    arithmetic) or a wait, and :meth:`leave` (a degraded release, the
+    span).  The parts are public for the schedule executor's
+    continuations, which park where :meth:`barrier` would switch.
     """
 
     def __init__(self, machine: "Machine"):
@@ -103,7 +101,29 @@ class BarrierController:
                 self.machine.config, key)
         return key
 
-    # -- the two halves -----------------------------------------------------
+    # -- the parts -----------------------------------------------------------
+
+    def enter(self, rank: int,
+              participants: tuple[int, ...] | None) -> tuple[int, ...] | None:
+        """Open ``rank``'s barrier over ``participants``: its key, or
+        ``None`` for a barrier of one, which completes here (only the
+        round cost)."""
+        machine = self.machine
+        key = self._members.get(participants) or self.members(participants)
+        if participants is not None and rank not in key:
+            raise CollectiveArgumentError(
+                f"PE {rank} called a barrier it does not participate in"
+            )
+        engine = machine.engine
+        if engine.trace.enabled:
+            engine.spans.begin(rank, "op", "barrier",
+                               {"participants": len(key)})
+        if len(key) > 1:
+            return key
+        engine.pes[rank].advance(round_cost_ns(machine.config, key))
+        machine.stats.barriers += 1
+        engine.spans.end(rank)
+        return None
 
     def arrive(self, rank: int, key: tuple[int, ...]) -> tuple[_Pending, bool]:
         """Record ``rank``'s arrival, at its current clock, at the
@@ -113,6 +133,10 @@ class BarrierController:
         member to arrive — in which case the caller must
         :meth:`release` it; otherwise ``rank`` waits to be woken.
         """
+        machine = self.machine
+        engine = machine.engine
+        if engine.trace.enabled:
+            engine.record("barrier", f"arrive ({len(key)} PEs)")
         inst = self._pending.get(key)
         if inst is None:
             inst = self._pending[key] = _Pending(key)
@@ -121,20 +145,33 @@ class BarrierController:
             raise SimulationError(
                 f"PE {rank} re-entered barrier {key} before it completed"
             )
-        arrivals[rank] = self.machine.engine.pes[rank].clock
-        faults = self.machine.faults
+        arrivals[rank] = engine.pes[rank].clock
+        faults = machine.faults
         if faults is None:
             return inst, len(arrivals) == len(key)
         dead = faults.dead_pes
         return inst, all(r in arrivals or r in dead for r in key)
 
-    def release(self, inst: _Pending, waker: int | None,
-                resume=None) -> float:
+    def leave(self, rank: int, inst: _Pending | None) -> None:
+        """Close ``rank``'s barrier once ``inst`` (if it got that far)
+        released it: raises :class:`PeerFailedError` on a degraded
+        release."""
+        engine = self.machine.engine
+        try:
+            if inst is not None and inst.degraded:
+                if engine.trace.enabled:
+                    engine.record("barrier",
+                                  f"degraded: peers {sorted(inst.degraded)} dead")
+                raise PeerFailedError(inst.degraded)
+        finally:
+            if engine.trace.enabled:
+                engine.spans.end(rank)
+
+    def release(self, inst: _Pending, waker: int | None) -> float:
         """Release ``inst``: compute the exit time, wake the arrived
         waiters and retire the instance.  ``waker`` (if not None) is the
         arrived rank doing the waking — it advances itself to the
-        returned time.  ``resume(rank, at_time)`` wakes one waiter
-        (default: :meth:`Engine.resume <repro.sim.engine.Engine.resume>`).
+        returned time.
 
         On a degraded release (some participants dead) the exit time
         additionally pays the failure detector's timeout and
@@ -156,8 +193,7 @@ class BarrierController:
                 inst.degraded = dead_members
         del self._pending[key]
         machine.stats.barriers += 1
-        if resume is None:
-            resume = machine.engine.resume
+        resume = machine.engine.resume
         for other in inst.arrivals:
             if other != waker:
                 resume(other, release)
@@ -190,36 +226,17 @@ class BarrierController:
         Raises :class:`PeerFailedError` on every live participant if any
         member of the set died before the instance released.
         """
-        machine = self.machine
-        key = self.members(participants)
-        if participants is not None and rank not in key:
-            raise CollectiveArgumentError(
-                f"PE {rank} called a barrier it does not participate in"
-            )
-        engine = machine.engine
-        traced = engine.trace.enabled
-        if traced:
-            engine.spans.begin(rank, "op", "barrier",
-                               {"participants": len(key)})
+        key = self.enter(rank, participants)
+        if key is None:
+            return
+        engine = self.machine.engine
+        inst = None
         try:
-            if len(key) == 1:
-                # Degenerate barrier: only the round cost.
-                engine.pes[rank].advance(round_cost_ns(machine.config, key))
-                machine.stats.barriers += 1
-                return
             engine.checkpoint()
-            if traced:
-                engine.record("barrier", f"arrive ({len(key)} PEs)")
             inst, last = self.arrive(rank, key)
             if last:
                 engine.pes[rank].advance_to(self.release(inst, waker=rank))
             else:
                 engine.suspend()  # released by the last live arriver
-            if inst.degraded:
-                if traced:
-                    engine.record("barrier",
-                                  f"degraded: peers {sorted(inst.degraded)} dead")
-                raise PeerFailedError(inst.degraded)
         finally:
-            if traced:
-                engine.spans.end(rank)
+            self.leave(rank, inst)

@@ -282,15 +282,8 @@ class XBRTime(CollectiveAPI):
         self._check_args(nelems, stride, pe)
         nbytes = nelems * dt.itemsize
         machine = self.machine
-        engine = machine.engine
-        engine.checkpoint()
-        traced = engine.trace.enabled
-        if traced:
-            engine.record("send", f"{nbytes}B -> PE{pe} tag={tag}")
-            engine.spans.begin(self.rank, "op", "send", {
-                "bytes": nbytes, "nelems": nelems, "stride": stride,
-                "target": pe, "remote": pe != self.rank, "tag": tag,
-            })
+        machine.engine.checkpoint()
+        self._msg_open("send", nbytes, nelems, stride, pe, tag)
         try:
             payload = None
             if nelems:
@@ -300,8 +293,19 @@ class XBRTime(CollectiveAPI):
                 payload = self._memory.view(src, dt, nelems, stride).copy()
             machine.mailbox.send(self.rank, pe, payload, nbytes, tag)
         finally:
-            if traced:
-                engine.spans.end(self.rank)
+            self.spans.end(self.rank)
+
+    def _msg_open(self, kind: str, nbytes: int, nelems: int, stride: int,
+                  pe: int, tag: int) -> None:
+        """Trace a send or receive and open its span (tracing only)."""
+        engine = self.machine.engine
+        if engine.trace.enabled:
+            arrow = "->" if kind == "send" else "<-"
+            engine.record(kind, f"{nbytes}B {arrow} PE{pe} tag={tag}")
+            engine.spans.begin(self.rank, "op", kind, {
+                "bytes": nbytes, "nelems": nelems, "stride": stride,
+                "target": pe, "remote": pe != self.rank, "tag": tag,
+            })
 
     def _msg_deliver(self, msg, dest: int, nelems: int, stride: int,
                      dt: np.dtype) -> None:
@@ -337,20 +341,25 @@ class XBRTime(CollectiveAPI):
         self._check_args(nelems, stride, pe)
         engine = self.machine.engine
         engine.checkpoint()
-        traced = engine.trace.enabled
-        if traced:
-            nbytes = nelems * dt.itemsize
-            engine.record("recv", f"{nbytes}B <- PE{pe} tag={tag}")
-            engine.spans.begin(self.rank, "op", "recv", {
-                "bytes": nbytes, "nelems": nelems, "stride": stride,
-                "target": pe, "remote": pe != self.rank, "tag": tag,
-            })
+        self._msg_open("recv", nelems * dt.itemsize, nelems, stride, pe, tag)
+        while not self._msg_take(dest, nelems, stride, pe, tag, dt):
+            engine.suspend()  # resumed by the matching send's enqueue
+
+    def _msg_take(self, dest: int, nelems: int, stride: int, pe: int,
+                  tag: int, dt: np.dtype) -> bool:
+        """A receive's second half: take the next message from ``pe``
+        into ``dest`` and close the span — or, with none queued, leave
+        this PE registered as waiting and return ``False``."""
         try:
-            self._msg_deliver(self.machine.mailbox.recv(self.rank, pe, tag),
-                              dest, nelems, stride, dt)
-        finally:
-            if traced:
-                engine.spans.end(self.rank)
+            msg = self.machine.mailbox.recv(self.rank, pe, tag)
+            if msg is None:
+                return False
+            self._msg_deliver(msg, dest, nelems, stride, dt)
+        except BaseException:
+            self.spans.end(self.rank)
+            raise
+        self.spans.end(self.rank)
+        return True
 
     def msg_try_recv(self, dest: int, nelems: int, stride: int,
                      pe: int | None = None,

@@ -16,11 +16,13 @@ PE code interacts with the engine through three primitives:
 * :meth:`Engine.suspend` / :meth:`Engine.resume` — block the calling PE
   until another PE wakes it (used by barriers and two-sided receives).
 
-A PE thread may also run *other* PEs' steps for them while they stay
-blocked (the schedule executor's barrier-to-barrier replay does):
-:meth:`Engine.act_as` says whose step the thread is on, and
-:meth:`Engine.yield_to` ends the arrangement by naming the blocked PE
-that runs next.
+A PE that parks at a point another thread can continue it from (the
+schedule executor's step boundaries) parks with :meth:`Engine.park`,
+leaving a *continuation*.  Where the engine would wake such a PE's
+thread, the thread doing the waking runs the continuation itself
+instead (:attr:`Engine.current`, and every trace record, then names
+the PE whose step it is), and wakes the PE's own thread only when the
+continuation asks for it.
 
 Deadlock (no runnable PE while some are blocked) raises
 :class:`~repro.errors.DeadlockError` instead of hanging.
@@ -49,6 +51,8 @@ from .spans import SpanTracker
 from .trace import EventTrace, SimStats
 
 __all__ = ["PEState", "PEProcess", "Engine"]
+
+_INF = float("inf")
 
 
 class PEState(enum.Enum):
@@ -81,6 +85,13 @@ class PEProcess:
         self._thread: threading.Thread | None = None
         #: Opaque slot for the runtime layer to attach its per-PE context.
         self.context: Any = None
+        #: While parked by :meth:`Engine.park`: what runs the PE on from
+        #: there, on any thread, given :meth:`Engine.next_clock`.  Returns
+        #: the state it leaves the PE in; ``RUNNING`` asks for the PE's
+        #: own thread.
+        self.cont: Callable[[float], PEState] | None = None
+        #: What ``cont`` raised on another thread, for ``park`` to raise.
+        self.raised: BaseException | None = None
 
     # -- clock ---------------------------------------------------------
 
@@ -135,12 +146,13 @@ class Engine:
         self._current: PEProcess | None = None
         self._running = False
         self._direct = direct_handoff
-        #: Blocked PE that the next :meth:`checkpoint` dispatches
-        #: whatever the runnable clocks are (set by :meth:`yield_to`).
-        self._successor: PEProcess | None = None
-        #: Runnable-set heap of ``(clock, rank)`` entries (direct mode).
-        #: Entries are lazily invalidated: one is live iff its PE is
-        #: RUNNABLE and its recorded clock matches the PE's clock.
+        #: Whether ``_handoff`` is running continuations, which must not
+        #: yield or block: the thread running one is not its PE's own.
+        self._inline = False
+        #: Runnable-set heap of ``(clock, rank)`` entries (direct mode):
+        #: exactly the RUNNABLE PEs, each at its clock — a PE is pushed
+        #: when it becomes runnable and popped when it is dispatched,
+        #: and a runnable PE's clock does not move.
         self._runq: list[tuple[float, int]] = []
 
     # -- program entry ---------------------------------------------------
@@ -198,37 +210,6 @@ class Engine:
         """Whether a yielding PE dispatches its successor itself."""
         return self._direct
 
-    def act_as(self, rank: int) -> None:
-        """Attribute what the calling PE thread does next to PE ``rank``.
-
-        For a thread that runs the steps of PEs blocked behind it:
-        :attr:`current` (and with it every trace record) then names the
-        PE whose step it is.  The thread passes its own rank to take
-        its identity back.
-        """
-        self._current = self.pes[rank]
-
-    def yield_to(self, rank: int) -> None:
-        """Hand the machine to blocked PE ``rank``: it runs next,
-        whatever the runnable clocks are, and the caller stays runnable
-        at its own clock.
-
-        The order a barrier release leaves behind when its releaser is
-        not the calling thread's PE: the releaser keeps running and
-        everyone else, the caller included, queues up by ``(clock,
-        rank)``.  The caller parks inside :meth:`checkpoint`.
-        """
-        me = self.current
-        nxt = self.pes[rank]
-        if (not self._direct or me.state is not PEState.RUNNING
-                or nxt.state is not PEState.BLOCKED):
-            raise SimulationError(
-                f"PE {me.rank} ({me.state.value}) cannot yield to PE "
-                f"{rank} ({nxt.state.value})"
-            )
-        self._successor = nxt
-        self.checkpoint()
-
     def checkpoint(self) -> None:
         """Yield; the scheduler resumes the smallest-clock runnable PE.
 
@@ -241,56 +222,50 @@ class Engine:
             me = self.current  # raises: not called from PE code
         if self._direct:
             q = self._runq
-            nxt = self._successor
-            if nxt is not None:
-                self._successor = None
-                heapq.heappush(q, (me.clock, me.rank))
-            else:
-                # Settle the live heap root (see ``_pop_next``); keep
-                # running unless it is strictly earlier than the caller.
-                pes = self.pes
-                while q:
-                    clock, rank = q[0]
-                    nxt = pes[rank]
-                    if nxt.state is not PEState.RUNNABLE:
-                        heapq.heappop(q)
-                    elif nxt.clock != clock:
-                        heapq.heapreplace(q, (nxt.clock, rank))
-                    elif clock < me.clock:
-                        # The root sorts before the caller's entry, so
-                        # one sift swaps them.
-                        heapq.heappushpop(q, (me.clock, me.rank))
-                        break
-                    else:
-                        return
-                else:
-                    return
-            # Hand the baton over from this thread, then park.
-            me.state = PEState.RUNNABLE
-            nxt.state = PEState.RUNNING
-            self._current = nxt
-            nxt._baton.release()
-            me._baton.acquire()
+            if q and q[0][0] < me.clock:
+                if self._inline:
+                    self._refuse_inline(me)
+                # The root sorts before the caller's entry, so one sift
+                # swaps them.
+                nxt = self.pes[heapq.heappushpop(q, (me.clock, me.rank))[1]]
+                me.state = PEState.RUNNABLE
+                self._handoff(me, nxt)
             return
         if self._min_other_runnable_clock() >= me.clock:
             return
         me.state = PEState.RUNNABLE
         self._switch_out(me)
 
+    def park(self, cont: Callable[[float], PEState],
+             state: PEState) -> None:
+        """Park the calling PE as ``state`` — ``RUNNABLE``, yielding to
+        an earlier PE as :meth:`checkpoint` does, or ``BLOCKED`` as
+        :meth:`suspend` does — leaving ``cont`` to run it on from there.
+        Returns when the PE's own thread runs again, raising what
+        ``cont`` raised on another thread."""
+        me = self.current
+        me.cont = cont
+        try:
+            if state is PEState.BLOCKED:
+                self.suspend()
+            else:
+                self.checkpoint()
+        finally:
+            me.cont = None
+        exc, me.raised = me.raised, None
+        if exc is not None:
+            raise exc
+
     def suspend(self) -> None:
         """Block the calling PE until :meth:`resume` is called for it."""
         me = self.current
+        if self._inline:
+            self._refuse_inline(me)
         me.state = PEState.BLOCKED
         if self._direct:
-            nxt = self._pop_next()
-            if nxt is None:
-                # Nothing runnable: let the scheduler thread decide
-                # between completion and deadlock.
-                self._switch_out(me)
-            else:
-                self._handoff(me, nxt)
-            return
-        self._switch_out(me)
+            self._handoff(me, self._pop_next())
+        else:
+            self._switch_out(me)
 
     def resume(self, rank: int, at_time: float | None = None) -> None:
         """Make a blocked PE runnable again, optionally at ``at_time``."""
@@ -299,11 +274,17 @@ class Engine:
             raise SimulationError(
                 f"cannot resume PE {rank} in state {pe.state.value}"
             )
-        if at_time is not None:
-            pe.advance_to(at_time)
+        if at_time is not None and at_time > pe.clock:
+            pe.clock = at_time
         pe.state = PEState.RUNNABLE
         if self._direct:
             heapq.heappush(self._runq, (pe.clock, pe.rank))
+
+    def next_clock(self) -> float:
+        """The clock of the earliest runnable PE (``inf`` if none): how
+        far the running PE may go before :meth:`checkpoint` yields."""
+        q = self._runq
+        return q[0][0] if q else _INF
 
     def record(self, kind: str, detail: str = "") -> None:
         """Trace an event attributed to the current PE."""
@@ -336,29 +317,57 @@ class Engine:
         return best
 
     def _pop_next(self) -> PEProcess | None:
-        """Pop the live ``(clock, rank)``-smallest runnable PE, if any."""
+        """Pop the ``(clock, rank)``-smallest runnable PE, if any."""
+        q = self._runq
+        return self.pes[heapq.heappop(q)[1]] if q else None
+
+    def _handoff(self, me: PEProcess, nxt: PEProcess | None) -> None:
+        """Give the machine to ``nxt`` from ``me``'s thread and return
+        when ``me`` runs again.  A parked PE with a continuation is run
+        here, on this thread; the next PE without one (or whose
+        continuation asks for its own thread) is woken, and ``me``
+        parks."""
         q = self._runq
         pes = self.pes
-        while q:
-            clock, rank = q[0]
-            pe = pes[rank]
-            if pe.state is PEState.RUNNABLE:
-                if pe.clock == clock:
-                    heapq.heappop(q)
-                    return pe
-                # A runnable PE's clock moved since it was enqueued
-                # (defensive: no current caller does this) — re-key it.
-                heapq.heapreplace(q, (pe.clock, rank))
+        running, runnable = PEState.RUNNING, PEState.RUNNABLE
+        self._inline = True
+        while nxt is not me:
+            if nxt is None:
+                # Nothing runnable: let the scheduler thread decide
+                # between completion and deadlock.
+                self._inline = False
+                self._switch_out(me)
+                return
+            nxt.state = running
+            self._current = nxt  # trace records name the PE whose step it is
+            cont = nxt.cont
+            if cont is None:
+                break
+            try:
+                state = cont(q[0][0] if q else _INF)
+            except BaseException as exc:  # noqa: BLE001 - the PE's own
+                nxt.raised = exc            # thread raises it
+                break
+            if state is running:
+                break
+            nxt.state = state
+            if state is runnable:
+                nxt = pes[heapq.heappushpop(q, (nxt.clock, nxt.rank))[1]]
             else:
-                heapq.heappop(q)
-        return None
-
-    def _handoff(self, me: PEProcess, nxt: PEProcess) -> None:
-        """Dispatch ``nxt`` directly from ``me``'s thread, then park."""
-        nxt.state = PEState.RUNNING
-        self._current = nxt
+                nxt = pes[heapq.heappop(q)[1]] if q else None
+        else:
+            self._inline = False
+            me.state = running
+            self._current = me
+            return
+        self._inline = False
         nxt._baton.release()
         me._baton.acquire()
+
+    def _refuse_inline(self, me: PEProcess) -> None:
+        # A continuation parks; it never yields or blocks in place.
+        raise SimulationError(f"PE {me.rank}: a continuation would yield "
+                              "or block on another PE's thread")
 
     def _switch_out(self, me: PEProcess) -> None:
         """Hand control back to the scheduler and wait to be resumed."""

@@ -29,7 +29,8 @@ CONTEXTS = {"sim": XBRTime, "mp": MPContext, "vec": VecContext}
 #: core, once.
 SEAM_OVERRIDES = {
     "sim": {"spans", "schedule_transport", "msg_send", "msg_recv",
-            "msg_try_recv", "msg_probe", "_msg_deliver"},
+            "msg_try_recv", "msg_probe", "_msg_deliver", "_msg_open",
+            "_msg_take"},
     "mp": {"__init__", "release",
            "time_ns", "compute", "charge_access", "charge_stream",
            "executing_rank", "_sync", "barrier_team"},

@@ -1,16 +1,21 @@
-"""The two schedule drivers must be indistinguishable.
+"""Every way a schedule can be driven must be indistinguishable.
 
-On the simulator a whole-machine collective runs barrier-to-barrier on
-one thread (the executor's replay driver); ``Machine(fast_paths=False)``
-keeps every PE on its own thread (the per-rank driver) over the same
-flat plan, and is the oracle here.  Random programs — every builtin
-family and algorithm, ragged and zero counts, a fused superstep flush, a
-non-blocking collective completed at ``wait()``, with seeded user-level
-``put`` / ``get`` / ``put_nb`` / ``compute`` / ``barrier`` traffic
-between the calls so ranks reach each collective at different clocks and
-with transfers in flight — must agree bit for bit on everything the
-machine can show afterwards: per-PE results, final clocks, memory bytes,
-``SimStats``, per-PE cache / TLB counters and the network's link state.
+On the simulator's direct-handoff engine a PE parked inside a schedule
+is continued by whichever thread would wake it (the executor's
+continuations); ``Machine(fast_paths=False)`` keeps every PE on its own
+thread over the same flat plan, and is the oracle here.  Random
+programs — every builtin family and algorithm, ragged and zero counts,
+a fused superstep flush, a non-blocking collective completed at
+``wait()``, with seeded user-level ``put`` / ``get`` / ``put_nb`` /
+``compute`` / ``barrier`` traffic between the calls so ranks reach each
+collective at different clocks and with transfers in flight — must
+agree bit for bit on everything the machine can show afterwards:
+per-PE results, final clocks, memory bytes, ``SimStats``, per-PE cache
+/ TLB counters and the network's link state; under fault injection the
+fired-fault schedule, and with tracing the event stream and the span
+tree.  The directed cases cover concurrent teams, hierarchical
+(partitioned) schedules, the mailbox transport with and without
+backpressure, crashes and drops, and traced runs.
 """
 
 from __future__ import annotations
@@ -29,13 +34,18 @@ from repro.collectives.schedule.ir import (
     OP_COPY,
     OP_GET,
     OP_PUT,
+    OP_RECV,
+    OP_SEND,
     Buffer,
     Rows,
     Schedule,
     skeleton,
 )
 from repro.collectives.teams import Team
+from repro.faults.plan import FaultPlan, RetryConfig, crash, drop, stall
+from repro.params import MailboxParams
 from repro.runtime import Machine
+from repro.sim.spans import build_span_forest, walk
 
 from ..conftest import small_config
 from .helpers import ring_schedule
@@ -58,7 +68,19 @@ def _observe(config, body, **machine_kw):
     machine = Machine(config, **machine_kw)
     results = machine.run(body)
     net = machine.network
-    return {
+    seen = {}
+    if machine.faults is not None:
+        seen["fired"] = machine.faults.fired
+    trace = machine.engine.trace
+    if trace.enabled:
+        seen["events"] = [
+            (e.time_ns, e.pe, e.kind, e.detail, e.span_id, e.parent_id,
+             e.dur_ns, e.attrs) for e in trace]
+        seen["spans"] = [
+            (s.sid, s.parent_id, s.pe, s.kind, s.name, s.t0, s.t1,
+             s.attrs, len(s.children))
+            for s in walk(build_span_forest(trace))]
+    return seen | {
         "results": results,
         "clocks": [pe.clock for pe in machine.engine.pes],
         "memory": [mem.buf for mem in machine.memories],
@@ -71,16 +93,18 @@ def _observe(config, body, **machine_kw):
     }
 
 
-def assert_drivers_agree(n_pes, body, **config_kw):
+def assert_drivers_agree(n_pes, body, machine_kw=None, **config_kw):
     config = small_config(n_pes, **config_kw)
-    replay = _observe(config, body)
-    per_rank = _observe(config, body, fast_paths=False)
-    for pe, (a, b) in enumerate(zip(replay.pop("memory"),
+    machine_kw = machine_kw or {}
+    fast = _observe(config, body, **machine_kw)
+    per_rank = _observe(config, body, fast_paths=False, **machine_kw)
+    for pe, (a, b) in enumerate(zip(fast.pop("memory"),
                                     per_rank.pop("memory"))):
         assert np.array_equal(a, b), f"PE {pe} memory differs"
-    for what in replay:
-        assert replay[what] == per_rank[what], what
-    return replay
+    assert fast.keys() == per_rank.keys()
+    for what in fast:
+        assert fast[what] == per_rank[what], what
+    return fast
 
 
 # -- random programs ----------------------------------------------------------
@@ -380,3 +404,192 @@ def test_team_collectives_side_by_side_then_a_whole_machine_one():
     low = sum(np.arange(6) + 10 * r for r in range(0, 3))
     high = sum(np.arange(6) + 10 * r for r in range(3, n_pes))
     assert seen["results"][0][0][:6] == (3 * low + 5 * high).tolist()
+
+
+# -- what used to keep every PE on its own thread -------------------------------
+
+
+#: One of each family the random programs draw, at a fixed shape.
+_EVERY_FAMILY = [
+    _one("broadcast", algorithm="binomial"),
+    _one("reduce", algorithm="binomial"),
+    _one("allreduce", algorithm="doubling"),
+    _one("allreduce", algorithm="dual-pipelined", segments=2),
+    _one("scan", inclusive=True),
+    _one("alltoall", nelems=2),
+    _one("superstep"),
+    _one("ibroadcast"),
+]
+
+
+def _skewed(n_pes, actions, seed=7):
+    """``actions`` with seeded user traffic before each one."""
+    steps = []
+    for i, act in enumerate(actions):
+        steps += [{"kind": "traffic", "seed": seed + i, "barrier": False},
+                  act]
+    return {"n_pes": n_pes, "seed": seed, "actions": steps}
+
+
+@pytest.mark.parametrize("n_pes", [5, 8])
+def test_concurrent_disjoint_teams_agree(n_pes):
+    """Even and odd PEs each run a stream of team collectives at the
+    same time, from skewed clocks, then meet in a world one."""
+    def body(ctx):
+        ctx.init()
+        me = ctx.my_pe()
+        src = ctx.malloc(8 * 8)
+        dst = ctx.malloc(8 * 8)
+        ctx.view(src, "int64", 8)[:] = np.arange(8) * (me + 1)
+        team = Team(ctx, range(me % 2, n_pes, 2))
+        for k in range(1, 4):
+            ctx.compute(53.0 * ((me * k) % 5))
+            team.allreduce(dst, src, k + 2, 1, "sum", I64)
+            team.broadcast(src, dst, k + 1, 1, k % team.num_pes(), I64)
+            team.reduce(dst, src, 4, 2, 0, "max", I64)
+            team.alltoall(dst, src, 1, I64)
+        ctx.allreduce(dst, src, 8, 1, "sum", "int64")
+        out = ctx.view(dst, "int64", 8).tolist()
+        now = ctx.time_ns
+        ctx.close()
+        return out, now
+
+    assert_drivers_agree(n_pes, body)
+
+
+@pytest.mark.parametrize("layout", ["blocked", "scattered"])
+@pytest.mark.parametrize("n_pes", [6, 8])
+def test_hierarchical_collectives_agree(n_pes, layout):
+    """Hierarchical broadcast and reduce are partitioned schedules:
+    their node-local stages barrier over blocks of the group."""
+    node_map = (tuple(pe % 3 for pe in range(n_pes)) if layout == "scattered"
+                else None)
+
+    def body(ctx):
+        ctx.init()
+        me = ctx.my_pe()
+        src = ctx.malloc(8 * 16)
+        dst = ctx.malloc(8 * 16)
+        ctx.view(src, "int64", 16)[:] = np.arange(16) + 100 * me
+        seen = []
+        for root in range(3):
+            ctx.compute(31.0 * ((me + root) % 4))
+            ctx.broadcast(dst, src, 9, 1, root, "int64",
+                          algorithm="hierarchical")
+            ctx.reduce(src, dst, 7, 2, n_pes - 1 - root, "sum", "int64",
+                       algorithm="hierarchical")
+            seen.append(ctx.view(dst, "int64", 16).tolist())
+        now = ctx.time_ns
+        ctx.close()
+        return seen, now
+
+    assert_drivers_agree(n_pes, body, cores_per_node=3,
+                         pe_node_map=node_map)
+
+
+@pytest.mark.parametrize("n_pes", [3, 8])
+def test_mailbox_transport_agrees(n_pes):
+    """Every family lowered onto send/receive pairs."""
+    case = _skewed(n_pes, _EVERY_FAMILY)
+    assert_drivers_agree(n_pes, _program(case),
+                         machine_kw={"transport": "mailbox"})
+
+
+@pytest.mark.parametrize("late", [0, 3, 6])
+def test_a_send_into_a_full_queue_agrees(late):
+    """Rank 0 sends three messages into rank 1's one-slot queue while
+    rank 1 is still busy with its own gets: the sends meet backpressure,
+    the one step a parked PE's own thread has to take."""
+    rows = Rows()
+    for i in range(3):
+        rows.add(0, 0, 0, OP_SEND, b=(0, 8 * i), nelems=1, peer=1, aux=i)
+        rows.add(1, 0, 0, OP_RECV, a=(0, 32 + 8 * i), nelems=1, peer=0,
+                 aux=i)
+    sched = Schedule.from_rows(
+        "burst", "test", 2, 8, rows, (skeleton(0, (), 0),),
+        buffers=(Buffer("buf", "user", 64, symmetric=True),))
+
+    def body(ctx):
+        ctx.init()
+        buf = ctx.malloc(64)
+        ctx.view(buf, "int64", 8)[:] = np.arange(8) + 10 * ctx.my_pe()
+        if ctx.my_pe() == 1:
+            for _ in range(late):
+                ctx.compute(90.0)
+                ctx.get(buf + 56, buf, 1, 1, 0, "int64")
+        execute_schedule(ctx, sched, ctx.world_group, ctx.rank,
+                         {"buf": buf}, I64)
+        got = ctx.view(buf, "int64", 8).tolist()
+        ctx.close()
+        return got
+
+    seen = assert_drivers_agree(2, body,
+                                mailbox=MailboxParams(recv_depth=1))
+    assert seen["results"][1][4:7] == [0, 1, 2]
+    assert seen["stats"].mbx_stalls > 0
+
+
+def test_stalls_crash_and_resilient_allreduce_agree():
+    """PEs stall and crash inside a schedule; the survivors' degraded
+    barrier and the rebuilt allreduce over them run the same way."""
+    n_pes = 6
+
+    def body(ctx):
+        ctx.init()
+        me = ctx.my_pe()
+        src = ctx.malloc(8 * 8)
+        dst = ctx.malloc(8 * 8)
+        ctx.view(src, "int64", 8)[:] = np.arange(8) + 10 * me
+        out = []
+        for _ in range(4):
+            ctx.compute(170.0 * ((me * 5) % n_pes))
+            res = ctx.resilient_allreduce(dst, src, 8, 1, "sum", "int64")
+            out.append((res.contributors, res.dead, res.restarts,
+                        ctx.view(dst, "int64", 8).tolist()))
+        now = ctx.time_ns
+        ctx.close()
+        return out, now
+
+    # Each call takes about 2.6 us: the stalls and crashes land inside
+    # schedules, where they fire before the step they stop yields.
+    for at_ns in (2_000.0, 4_200.0, 7_000.0):
+        stalls = tuple(stall(pe, t, 90.0 + 40.0 * pe)
+                       for pe in range(n_pes)
+                       for t in np.arange(900.0 + 37.0 * pe, 12_000.0, 410.0))
+        plan = FaultPlan(seed=3, rules=stalls + (
+            crash(2, at_ns), crash(4, at_ns + 2_500.0)))
+        seen = assert_drivers_agree(n_pes, body,
+                                    machine_kw={"faults": plan})
+        assert seen["fired"], "no crash fired"
+
+
+@pytest.mark.parametrize("transport", ["onesided", "mailbox"])
+def test_drops_with_retry_agree(transport):
+    n_pes = 5
+    case = _skewed(n_pes, _EVERY_FAMILY, seed=19)
+    plan = FaultPlan(seed=11, rules=(drop(0.2),))
+    seen = assert_drivers_agree(
+        n_pes, _program(case),
+        machine_kw={"faults": plan, "retry": RetryConfig(),
+                    "transport": transport})
+    assert seen["stats"].retries > 0
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_programs())
+def test_traced_random_programs_agree(case):
+    """A traced run takes the same driver: the events and the span tree
+    come out in the same order with the same times and ids."""
+    seen = assert_drivers_agree(case["n_pes"], _program(case),
+                                machine_kw={"trace": True})
+    assert seen["spans"]
+
+
+@pytest.mark.parametrize("n_pes", [4, 8])
+def test_traced_teams_mailbox_and_hierarchy_agree(n_pes):
+    case = _skewed(n_pes, _EVERY_FAMILY, seed=23)
+    for machine_kw in ({"trace": True},
+                       {"trace": True, "transport": "mailbox"}):
+        assert_drivers_agree(n_pes, _program(case), machine_kw=machine_kw,
+                             cores_per_node=2)

@@ -60,6 +60,30 @@ class TestTlb:
         with pytest.raises(ValueError):
             Tlb(TlbParams(page_bytes=3000))
 
+    @given(entries=st.integers(1, 8),
+           before=st.lists(st.integers(0, 40), max_size=30),
+           first=st.integers(0, 24), n_pages=st.integers(0, 30))
+    def test_access_run_is_per_page_access(self, entries, before, first,
+                                           n_pages):
+        """Runs mostly longer than the TLB, over pages resident before
+        the run both inside and outside it: the same hits, misses and
+        LRU order as one :meth:`Tlb.access` per page."""
+        run, ref = make(entries), make(entries)
+        for page in before:
+            run.access(page)
+            ref.access(page)
+        hits = sum(ref.access(p) for p in range(first, first + n_pages))
+        assert run.access_run(first, n_pages) == (hits, n_pages - hits)
+        assert list(run._entries) == list(ref._entries)
+        assert (run.hits, run.misses) == (ref.hits, ref.misses)
+
+    def test_access_run_longer_than_the_tlb(self):
+        t = make(entries=4)
+        for page in (3, 20, 5):  # 3 and 5 in the run, 20 outside it
+            t.access(page)
+        assert t.access_run(2, 10) == (2, 8)
+        assert list(t._entries) == [8, 9, 10, 11]
+
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=200))
     def test_reference_lru_oracle(self, pages):
         t = make(entries=4)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
@@ -219,80 +221,95 @@ class TestTrace:
         assert t.dropped > 0
 
 
-class TestHandOver:
-    """``act_as`` / ``yield_to``: one PE thread running blocked PEs'
-    steps, then handing the machine back (the schedule replay's needs)."""
+class TestContinuations:
+    """``park``: where the engine would wake a parked PE's thread, the
+    waking thread runs the PE's continuation — as that PE — and wakes the
+    thread only when the continuation asks for it or raises."""
 
-    def test_order_after_yield_to_is_named_pe_then_rank(self):
-        eng = Engine(4)
-        order = []
+    def test_a_continuation_runs_as_its_pe_on_the_waking_thread(self):
+        eng = Engine(2, trace=True)
+        ran_on = []
+
+        def cont(limit):
+            assert eng.current is eng.pes[1]
+            ran_on.append((threading.current_thread().name, limit))
+            eng.record("step", "continued")
+            eng.pes[1].advance(2)
+            return PEState.RUNNING  # now its own thread runs on
 
         def body(pe):
             if pe.rank == 0:
-                pe.advance(10)
-                eng.checkpoint()  # PEs 1-3 run and block meanwhile
-                eng.resume(1, at_time=10)
-                eng.resume(3, at_time=10)
-                eng.pes[2].advance_to(10)
-                eng.yield_to(2)  # all four clocks are equal now
+                pe.advance(1)
+                eng.checkpoint()  # PE 1 parks meanwhile
+                eng.resume(1)
+                pe.advance(5)
+                eng.checkpoint()  # PE 1 is earlier: its continuation runs
             else:
-                eng.suspend()
-            order.append(pe.rank)
-            pe.advance(1)
-            eng.checkpoint()
+                eng.park(cont, PEState.BLOCKED)
+                assert pe.clock == 2 and eng.current is pe
 
         eng.run(body)
-        assert order == [2, 0, 1, 3]
+        assert ran_on == [("pe-0", 6.0)]  # PE 0 waits at 6 ns
+        (event,) = eng.trace.of_kind("step")
+        assert event.pe == 1
 
-    def test_yield_to_needs_a_blocked_target(self):
-        eng = Engine(2)
+    def test_a_continuation_runs_in_clock_order_until_it_parks(self):
+        """Two PEs parked behind PE 0 take turns on PE 0's thread by the
+        engine's rule: a strictly earlier runnable PE goes first, a tie
+        keeps running."""
+        eng = Engine(3)
+        order = []
+
+        def make(pe, steps):
+            def cont(limit):
+                while steps:
+                    if pe.clock > limit:
+                        return PEState.RUNNABLE
+                    order.append((pe.rank, pe.clock))
+                    pe.advance(steps.pop(0))
+                return PEState.RUNNING
+            return cont
 
         def body(pe):
-            if pe.rank == 0:
-                eng.yield_to(1)  # PE 1 is runnable, not blocked
+            if pe.rank:
+                pe.advance(2)
+                eng.park(make(pe, [3, 3, 3]), PEState.RUNNABLE)
+            else:
+                pe.advance(1)
+                eng.checkpoint()  # PEs 1 and 2 park
+                pe.advance(20)
+                eng.checkpoint()
+            order.append((pe.rank, "own"))
 
-        with pytest.raises(SimulationError, match="PE 0 failed") as info:
-            eng.run(body)
-        assert "cannot yield to PE 1" in str(info.value.__cause__)
+        eng.run(body)
+        assert order == [(1, 2.0), (2, 2.0), (2, 5.0), (1, 5.0), (1, 8.0),
+                         (1, "own"), (2, "own"), (0, "own")]
 
-    def test_yield_to_needs_direct_handoff(self):
-        eng = Engine(2, direct_handoff=False)
+    def test_what_a_continuation_raises_is_raised_on_its_own_thread(self):
+        eng = Engine(2)
+
+        def cont(limit):
+            raise ValueError("step failed")
 
         def body(pe):
             if pe.rank == 0:
                 pe.advance(1)
                 eng.checkpoint()
-                eng.yield_to(1)
-            else:
-                eng.suspend()
-
-        with pytest.raises(SimulationError, match="PE 0 failed"):
-            eng.run(body)
-
-    def test_act_as_names_the_pe_whose_step_it_is(self):
-        eng = Engine(2, trace=True)
-
-        def body(pe):
-            if pe.rank == 0:
-                pe.advance(1)
-                eng.checkpoint()  # PE 1 blocks meanwhile
-                eng.act_as(1)
-                assert eng.current is eng.pes[1]
-                eng.record("step", "run for PE 1")
-                eng.act_as(0)
                 eng.resume(1)
+                pe.advance(1)
+                eng.checkpoint()
             else:
-                eng.suspend()
+                eng.park(cont, PEState.BLOCKED)
 
-        eng.run(body)
-        (event,) = eng.trace.of_kind("step")
-        assert event.pe == 1
+        with pytest.raises(SimulationError, match="PE 1 failed") as info:
+            eng.run(body)
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 class TestReplayedSchedules:
-    """The schedule executor's one-thread replay, where it can go wrong:
-    failures must land on the PE whose step failed, and a schedule whose
-    ranks disagree on the barrier count must not hang."""
+    """Where continuations can go wrong: failures must land on the PE
+    whose step failed, and a schedule whose ranks disagree on the
+    barrier count must not hang."""
 
     @pytest.mark.parametrize("fast_paths", [True, False])
     def test_failing_step_fails_the_rank_it_belongs_to(self, fast_paths):

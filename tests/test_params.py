@@ -8,6 +8,7 @@ from repro.params import (
     CacheParams,
     MachineConfig,
     MemoryParams,
+    TlbParams,
     mpi_transport,
     paper_machine,
     rdma_transport,
@@ -36,6 +37,25 @@ class TestCacheParams:
             CacheParams(size_bytes=0, ways=8)
         with pytest.raises(ValueError):
             CacheParams(size_bytes=1000, ways=4, line_bytes=64)
+
+
+class TestTlbParams:
+    @pytest.mark.parametrize("entries", [0, -1])
+    def test_rejects_no_entries(self, entries):
+        with pytest.raises(ValueError, match="at least one entry"):
+            TlbParams(entries=entries)
+
+    @pytest.mark.parametrize("page_bytes", [0, -4096, 3000])
+    def test_rejects_a_page_size_not_a_power_of_two(self, page_bytes):
+        with pytest.raises(ValueError, match="power of two"):
+            TlbParams(page_bytes=page_bytes)
+
+    def test_rejects_a_negative_walk_time(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            TlbParams(walk_ns=-1.0)
+
+    def test_accepts_the_smallest_geometry(self):
+        assert TlbParams(entries=1, page_bytes=1, walk_ns=0.0).entries == 1
 
 
 class TestTransportPresets:
