@@ -198,6 +198,7 @@ class MPContext(CollectiveAPI):
     def release(self) -> None:
         """Drop the segment memories (required before unmapping segments)."""
         self._memories = self._memory = self._transfer = None
+        self._views.clear()
 
     # -- clock seam: wall time, free cost charging -------------------------------
 

@@ -48,10 +48,15 @@ def check_op(op: str, dtype: np.dtype) -> None:
 
 def apply_op(op: str, acc: np.ndarray, value: np.ndarray) -> None:
     """``acc = acc OP value`` elementwise, in place."""
-    check_op(op, acc.dtype)
-    func = _FUNCS[op]
+    func = _FUNCS.get(op)
+    dt = acc.dtype
+    if func is not None and value.dtype == dt and dt.kind in "iu":
+        # Integer array ufuncs wrap (C semantics) without a warning.
+        func(acc, value, out=acc)
+        return
+    check_op(op, dt)
     with np.errstate(over="ignore"):  # C integer semantics: wraparound
-        func(acc, value.astype(acc.dtype, copy=False), out=acc)
+        func(acc, value.astype(dt, copy=False), out=acc)
 
 
 def identity_of(op: str, dtype: np.dtype) -> np.generic:

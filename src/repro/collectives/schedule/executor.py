@@ -15,11 +15,13 @@ once.  :func:`execute_schedule` binds a plan to one call
 program counter) and allocates and LIFO-frees the schedule's scratch
 and private buffers around it, exception-safe.
 
-**The interpreter.**  :func:`_advance` is the only step executor, on
-every backend that moves data step by step (the vec backend takes the
-whole schedule through its ``schedule_evaluator`` seam instead).  It
-runs a rank's ops up to the next barrier, which it leaves to the
-driver.
+**The interpreter.**  Calling a :class:`_RankRun` is the only step
+executor, on every backend that moves data step by step (the vec
+backend takes the whole schedule through its ``schedule_evaluator``
+seam instead): one loop that runs a rank's ops from its program
+counter.  Blocking, it stops at each barrier, which it leaves to the
+driver; on the direct-handoff engine it also meets barriers itself and
+stops wherever the rank must park.
 
 **The driver** (:func:`_drive`) is each PE running its own plan, with
 a barrier at each barrier op (over the rank's block where a
@@ -84,6 +86,9 @@ _OPEN = 9     # stage span begins: (index, attrs)
 _CLOSE = 10   # stage span ends: ()
 
 _CLOSE_OP = (_CLOSE,)
+
+#: Views a context keeps for its local steps before it starts over.
+_MAX_VIEWS = 256
 
 _RUNNING, _RUNNABLE, _BLOCKED = (PEState.RUNNING, PEState.RUNNABLE,
                                  PEState.BLOCKED)
@@ -177,8 +182,8 @@ class _RankRun:
     it moves, whose context it runs on and how far it has come.  Called,
     it is the rank's continuation (see the module doc)."""
 
-    __slots__ = ("ctx", "sched", "traced", "ops", "pc", "base", "members",
-                 "dtype", "views", "in_stage", "phase", "inst")
+    __slots__ = ("ctx", "sched", "traced", "ops", "pc", "members", "dtype",
+                 "in_stage", "phase", "inst", "env")
 
     def __init__(self, ctx, sched: Schedule, plan: FlatPlan,
                  addrs: Mapping[str, int], members: tuple, dtype: np.dtype):
@@ -189,10 +194,8 @@ class _RankRun:
         self.ops = plan.traced_ops if self.traced else plan.ops
         #: Index into ``ops`` of the next one to run.
         self.pc = 0
-        self.base = [addrs[name] for name in plan.names]
         self.members = members
         self.dtype = dtype
-        self.views: dict = {}
         #: Whether a stage span is open.
         self.in_stage = False
         #: How far the barrier or receive at ``pc`` has come: 0 not
@@ -201,182 +204,177 @@ class _RankRun:
         #: The key of the barrier a rank has entered, then the instance
         #: it arrived at.
         self.inst = None
+        # Under fault injection every step is a fault checkpoint, which
+        # the context's own put/get make; a clean run goes straight to the
+        # data-movement seam (its arguments were checked at lowering).
+        faulty = ctx._faults is not None
+        #: What every call of the step loop reads, unpacked in one go:
+        #: the buffers' addresses among it.
+        self.env = (ctx, self.ops, len(self.ops),
+                    [addrs[name] for name in plan.names], members, dtype,
+                    ctx if faulty else ctx._transfer, faulty)
 
     def view(self, addr: int, nelems: int, stride: int) -> np.ndarray:
-        key = (addr, nelems, stride)
-        view = self.views.get(key)
+        """A view of this PE's memory, from the context's cache."""
+        views = self.ctx._views
+        key = (addr, nelems, stride, self.dtype)
+        view = views.get(key)
         if view is None:
-            view = self.views[key] = self.ctx._memory.view(
+            if len(views) >= _MAX_VIEWS:
+                views.clear()
+            view = views[key] = self.ctx._memory.view(
                 addr, self.dtype, nelems, stride)
         return view
 
-    def __call__(self, limit: float, own: bool = False) -> PEState:
-        """Run on from where this rank stands, on the direct-handoff
-        engine, until it parks: ``RUNNABLE`` before a step that yields
-        to a PE runnable at ``limit`` (``Engine.next_clock``),
-        ``BLOCKED`` waiting at a barrier or receive.  ``RUNNING`` means
-        its own thread runs on: the run is over or — if this is not that
-        thread (``own``) — its next step is a send that might block on a
-        full queue."""
-        ctx = self.ctx
-        pe = ctx.pe
-        ops = self.ops
-        while True:  # ``limit`` moves only where a release or send wakes a PE
-            phase = self.phase
-            if phase:  # it stands at a barrier or receive
-                op = ops[self.pc]
-            else:
-                op = _advance(self, limit)
-                if op is None:
-                    return _RUNNING
+    def __call__(self, limit: float | None = None,
+                 own: bool = False) -> PEState:
+        """Run this rank's ops on from ``pc``: the step interpreter.
+
+        Blocking (no ``limit``: mp, ``Machine(fast_paths=False)``), it
+        stops at the next barrier, ``BLOCKED`` with ``pc`` on it for the
+        driver to meet, and sends and receives block in place.
+
+        On the direct-handoff engine ``limit`` is the smallest clock
+        among the other runnable PEs (``Engine.next_clock``), and the
+        rank runs until it parks: ``RUNNABLE`` before a step that would
+        yield to that PE — a checkpoint (a put or get of at least one
+        element, a charged copy, a barrier arrival, a send or receive)
+        reached with the clock beyond ``limit`` — and ``BLOCKED``
+        waiting at a barrier or receive.  Such a step's fault checkpoint
+        (``_require_active``) comes first, as in the context's own put
+        and get; it does nothing when the step runs at the same clock
+        later.  ``limit`` moves only where a release or send wakes a PE.
+
+        ``RUNNING`` means the rank's own thread runs on: the run is over
+        or — if this is not that thread (``own``) — its next step is a
+        send that might block on a full queue.
+        """
+        ctx, ops, n, base, members, dtype, mover, faulty = self.env
+        blocking = limit is None
+        pe = None if blocking else ctx.pe
+        for pc in range(self.pc, n):
+            op = ops[pc]
             code = op[0]
-            if code == _BARRIER:
+            if code == _PUT or code == _GET:
+                _, d, d_off, s, s_off, nelems, stride, peer = op
+                if nelems and not blocking:
+                    if faulty:
+                        ctx._require_active()
+                    if pe.clock > limit:
+                        state = _RUNNABLE
+                        break
+                (mover.put if code == _PUT else mover.get)(
+                    base[d] + d_off, base[s] + s_off, nelems, stride,
+                    members[peer], dtype)
+            elif code == _BARRIER:
+                if blocking:  # the driver's
+                    state = _BLOCKED
+                    break
                 barriers = ctx.machine.barriers
+                phase = self.phase
                 if not phase:
+                    if faulty:
+                        ctx._require_active()
                     block = op[1]
-                    if ctx._faults is not None:
-                        ctx._require_active()  # the fault checkpoint
                     key = barriers.enter(ctx.rank, tuple(
-                        self.members[q] for q in block) if block
-                        else self.members)
-                    if key is None:
-                        self.pc += 1  # a barrier of one
+                        members[q] for q in block) if block else members)
+                    if key is None:  # a barrier of one
                         continue
                     self.inst = key
                     phase = 1
                 if phase == 1:
                     if pe.clock > limit:
                         self.phase = 1
-                        return _RUNNABLE
+                        state = _RUNNABLE
+                        break
                     inst, last = barriers.arrive(ctx.rank, self.inst)
                     self.inst = inst
                     if not last:
                         self.phase = 2
-                        return _BLOCKED
+                        state = _BLOCKED
+                        break
                     pe.advance_to(barriers.release(inst, ctx.rank))
                     limit = ctx.machine.engine.next_clock()
                 self.phase = 0
                 if self.inst.degraded or self.traced:  # else nothing to do
                     barriers.leave(ctx.rank, self.inst)
+            elif code == _REDUCE:
+                _, a, a_off, b, b_off, nelems, stride, charge = op
+                apply_op(self.sched.op, self.view(base[a] + a_off, nelems,
+                                                  stride),
+                         self.view(base[b] + b_off, nelems, stride))
+                charge_elementwise(ctx, charge)
+            elif code == _COPY:
+                _, d, d_off, s, s_off, nelems, stride, skip_noop = op
+                dst = base[d] + d_off
+                src = base[s] + s_off
+                if not (skip_noop and (nelems == 0 or dst == src)):
+                    if nelems and not blocking:
+                        if faulty:
+                            ctx._require_active()
+                        if pe.clock > limit:
+                            state = _RUNNABLE
+                            break
+                    mover.put(dst, src, nelems, stride, ctx.rank, dtype)
+            elif code == _MOVE:
+                _, d, d_off, s, s_off, nelems, stride = op
+                self.view(base[d] + d_off, nelems, stride)[:] = \
+                    self.view(base[s] + s_off, nelems, stride)
+            elif code == _OPEN:
+                ctx.spans.begin(ctx.rank, "stage", "stage",
+                                {"index": op[1], **dict(op[2])})
+                self.in_stage = True
+            elif code == _CLOSE:
+                ctx.spans.end(ctx.rank)
+                self.in_stage = False
+            elif code == _FILL:
+                _, d, d_off, nelems, stride = op
+                dst = base[d] + d_off
+                self.view(dst, nelems, stride)[:] = identity_of(self.sched.op,
+                                                                dtype)
+                ctx.charge_stream(dst, step_span_bytes(nelems, stride,
+                                                       dtype.itemsize),
+                                  write=True)
             elif code == _SEND:
                 _, s, s_off, nelems, stride, peer, tag = op
-                ctx._require_active()
-                if pe.clock > limit:
-                    return _RUNNABLE
-                mailbox = ctx.machine.mailbox
-                if not own and mailbox.depth(self.members[peer]) >= \
-                        mailbox.params.recv_depth:
-                    return _RUNNING
-                ctx.msg_send(self.base[s] + s_off, nelems, stride,
-                             self.members[peer], tag=tag, dtype=self.dtype)
-                limit = ctx.machine.engine.next_clock()
-            elif code == _RECV:
-                _, d, d_off, nelems, stride, peer, tag = op
-                if not phase:
+                if not blocking:
                     ctx._require_active()
                     if pe.clock > limit:
-                        return _RUNNABLE
-                    ctx._msg_open("recv", nelems * self.dtype.itemsize,
-                                  nelems, stride, self.members[peer], tag)
-                    self.phase = 2
-                if not ctx._msg_take(self.base[d] + d_off, nelems, stride,
-                                     self.members[peer], tag, self.dtype):
-                    return _BLOCKED
-                self.phase = 0
-            else:  # a step that yields to an earlier PE
-                return _RUNNABLE
-            self.pc += 1
-
-
-def _advance(run: _RankRun, limit: float | None = None) -> tuple | None:
-    """Interpret ``run``'s ops from ``run.pc`` on: the step interpreter.
-
-    Stops *at* the next barrier (the driver's business) or past the last
-    op, and returns the op it stopped at (``None`` past the last).  With
-    a ``limit`` — the smallest clock among the other runnable PEs — it
-    also stops at a send or receive, and at a step where the transfer
-    engine would yield to that PE: one that checkpoints (a put or get of
-    at least one element, a charged copy) reached with the clock beyond
-    ``limit``.  Such a step's fault checkpoint (``_require_active``)
-    comes first, as in the context's own put and get; it does nothing
-    when the step runs at the same clock later.
-    """
-    ctx = run.ctx
-    ops = run.ops
-    base = run.base
-    members = run.members
-    dtype = run.dtype
-    reduction = run.sched.op
-    # Under fault injection every step is a fault checkpoint, which the
-    # context's own put/get make; a clean run goes straight to the
-    # data-movement seam (its arguments were checked at lowering).
-    faulty = ctx._faults is not None
-    mover = ctx if faulty else ctx._transfer
-    pe = ctx.pe if limit is not None else None
-    pc = run.pc
-    n = len(ops)
-    while pc < n:
-        op = ops[pc]
-        code = op[0]
-        if code == _PUT or code == _GET:
-            _, d, d_off, s, s_off, nelems, stride, peer = op
-            if pe is not None and nelems:
-                if faulty:  # the fault checkpoint comes first (see below)
-                    ctx._require_active()
-                if pe.clock > limit:
-                    break
-            (mover.put if code == _PUT else mover.get)(
-                base[d] + d_off, base[s] + s_off, nelems, stride,
-                members[peer], dtype)
-        elif code == _BARRIER:
-            break
-        elif code == _REDUCE:
-            _, a, a_off, b, b_off, nelems, stride, charge = op
-            apply_op(reduction, run.view(base[a] + a_off, nelems, stride),
-                     run.view(base[b] + b_off, nelems, stride))
-            charge_elementwise(ctx, charge)
-        elif code == _MOVE:
-            _, d, d_off, s, s_off, nelems, stride = op
-            run.view(base[d] + d_off, nelems, stride)[:] = \
-                run.view(base[s] + s_off, nelems, stride)
-        elif code == _COPY:
-            _, d, d_off, s, s_off, nelems, stride, skip_noop = op
-            dst = base[d] + d_off
-            src = base[s] + s_off
-            if not (skip_noop and (nelems == 0 or dst == src)):
-                if pe is not None and nelems:
-                    if faulty:
-                        ctx._require_active()
-                    if pe.clock > limit:
+                        state = _RUNNABLE
                         break
-                mover.put(dst, src, nelems, stride, ctx.rank, dtype)
-        elif code == _OPEN:
-            ctx.spans.begin(ctx.rank, "stage", "stage",
-                            {"index": op[1], **dict(op[2])})
-            run.in_stage = True
-        elif code == _CLOSE:
-            ctx.spans.end(ctx.rank)
-            run.in_stage = False
-        elif code == _FILL:
-            _, d, d_off, nelems, stride = op
-            dst = base[d] + d_off
-            run.view(dst, nelems, stride)[:] = identity_of(reduction, dtype)
-            ctx.charge_stream(dst, step_span_bytes(nelems, stride,
-                                                   dtype.itemsize),
-                              write=True)
-        elif pe is not None:
-            break  # a send or receive: the driver's, with a limit
-        elif code == _SEND:
-            _, s, s_off, nelems, stride, peer, tag = op
-            ctx.msg_send(base[s] + s_off, nelems, stride, members[peer],
-                         tag=tag, dtype=dtype)
-        else:  # _RECV
-            _, d, d_off, nelems, stride, peer, tag = op
-            ctx.msg_recv(base[d] + d_off, nelems, stride, members[peer],
-                         tag=tag, dtype=dtype)
-        pc += 1
-    run.pc = pc
-    return op if pc < n else None
+                    mailbox = ctx.machine.mailbox
+                    if not own and mailbox.depth(members[peer]) >= \
+                            mailbox.params.recv_depth:
+                        state = _RUNNING
+                        break
+                ctx.msg_send(base[s] + s_off, nelems, stride, members[peer],
+                             tag=tag, dtype=dtype)
+                if not blocking:
+                    limit = ctx.machine.engine.next_clock()
+            else:  # _RECV
+                _, d, d_off, nelems, stride, peer, tag = op
+                if blocking:
+                    ctx.msg_recv(base[d] + d_off, nelems, stride,
+                                 members[peer], tag=tag, dtype=dtype)
+                else:
+                    if not self.phase:
+                        ctx._require_active()
+                        if pe.clock > limit:
+                            state = _RUNNABLE
+                            break
+                        ctx._msg_open("recv", nelems * dtype.itemsize,
+                                      nelems, stride, members[peer], tag)
+                        self.phase = 2
+                    if not ctx._msg_take(base[d] + d_off, nelems, stride,
+                                         members[peer], tag, dtype):
+                        state = _BLOCKED
+                        break
+                    self.phase = 0
+        else:
+            pc = n
+            state = _RUNNING
+        self.pc = pc
+        return state
 
 
 def _drive(run: _RankRun) -> None:
@@ -385,13 +383,14 @@ def _drive(run: _RankRun) -> None:
     engine = ctx.machine.engine if ctx.machine is not None else None
     try:
         if engine is not None and engine.direct_handoff:
-            # Another thread may run it to the end while it is parked.
-            while run.pc < len(run.ops) and (state := run(
-                    engine.next_clock(), own=True)) is not _RUNNING:
-                engine.park(run, state)
+            # Another thread may run it on, even to the end, while it is
+            # parked.  A bound method is the cheapest thing to call.
+            step = run.__call__
+            while (state := step(engine.next_clock(), True)) is not _RUNNING:
+                engine.park(step, state)
             return
-        while (op := _advance(run)) is not None:
-            block = op[1]
+        while run() is _BLOCKED:  # at a barrier
+            block = run.ops[run.pc][1]
             ctx.barrier_team(tuple(run.members[q] for q in block)
                              if block else run.members)
             run.pc += 1
@@ -473,6 +472,10 @@ class PreparedCollective:
     def run(self, ctx: "XBRTime") -> None:
         if self.stats_key is not None and self.me == self.stats_rank:
             ctx.count_collective(self.stats_key)
+        if not ctx.spans.enabled:  # no span: skip the no-op context
+            execute_schedule(ctx, self.schedule, self.members, self.me,
+                             self.bindings, self.dtype)
+            return
         with collective_span(ctx, self.name, self.members, **self.attrs):
             execute_schedule(ctx, self.schedule, self.members, self.me,
                              self.bindings, self.dtype)

@@ -28,7 +28,12 @@ Three lookup granularities share that state:
 
 * :meth:`Cache.access` — one line, through memoryviews of the arrays
   (no numpy on this path; it is the GUPs hot path and the reference the
-  batch paths are tested against).
+  batch paths are tested against).  Its :meth:`Cache.touch` first tries
+  a hint, the flat slot it last found or put the line in, and scans the
+  set's row only when that slot no longer holds the line's tag — which
+  is exact, since a tag is unique within a set.  The batch paths do not
+  keep the hints, so theirs go stale and are caught by that test; the
+  hint map starts over once it holds ``min(n_lines, 2048)`` lines.
 * :meth:`Cache.access_run` — consecutive lines.  Accesses to different
   sets touch disjoint rows and so commute; only the order *within* a set
   matters.  A run is therefore cut where the tag changes, each piece
@@ -78,6 +83,11 @@ SCALAR_CUTOVER = 8
 #: loses and a refused attempt (the run had a hit) is wasted on few runs.
 _FILL_MIN_ROUNDS = 12
 
+#: Most entries a cache's :meth:`Cache.touch` hint holds (the L1's whole
+#: 256 lines at paper geometry, a working set's worth of the L2's): about
+#: 0.1 KiB each, so 16 caches of an 8-PE machine stay under 4 MiB.
+_HINT_LINES = 2048
+
 _NO_ROWS = np.empty(0, dtype=np.intp)
 
 
@@ -111,6 +121,8 @@ class Cache:
         self.n_sets = params.n_sets
         self.ways = params.ways
         self._read_row = struct.Struct(f"{self.ways}q").unpack_from
+        #: Entries the touch hint may hold before it starts over.
+        self._hint_cap = min(params.n_lines, _HINT_LINES)
         self._clear()
         self.hits = 0
         self.misses = 0
@@ -124,6 +136,8 @@ class Cache:
         self._tag_mv = memoryview(self._tags.reshape(-1))
         self._key_mv = memoryview(self._keys.reshape(-1))
         self._clock = 0
+        #: line -> the flat slot :meth:`touch` last found or put it in.
+        self._hint: dict[int, int] = {}
 
     def line_of(self, addr: int) -> int:
         """Line address containing byte address ``addr``."""
@@ -143,18 +157,30 @@ class Cache:
 
     def touch(self, line: int, write: bool) -> bool:
         """:meth:`access` returning a plain ``True`` on hit."""
-        n_sets = self.n_sets
-        set_idx = line % n_sets
-        stored = line // n_sets + 1
-        at = set_idx * self.ways
-        read_row = self._read_row
-        row = read_row(self._tag_mv, at << 3)
+        stored = line // self.n_sets + 1
         keys = self._key_mv
+        at = self._hint.get(line)
+        # The hint is the flat slot this path last saw the line in.  It
+        # is exact when that slot still holds the line's stored tag: the
+        # slot lies in the line's set, and a tag is unique within a set.
+        if at is not None and self._tag_mv[at] == stored:
+            self._clock = clock = self._clock + 1
+            self.hits += 1
+            keys[at] = (clock << 1) | write | (keys[at] & 1)
+            return True
+        tags = self._tag_mv
+        hint = self._hint
+        at = line % self.n_sets * self.ways
+        read_row = self._read_row
+        row = read_row(tags, at << 3)
         self._clock = clock = self._clock + 1
+        if len(hint) >= self._hint_cap:
+            hint.clear()
         if stored in row:
             self.hits += 1
             at += row.index(stored)
             keys[at] = (clock << 1) | write | (keys[at] & 1)
+            hint[line] = at
             return True
         self.misses += 1
         if row[-1]:
@@ -169,8 +195,9 @@ class Cache:
             at += krow.index(victim)
         else:
             at += row.index(0)
-        self._tag_mv[at] = stored
+        tags[at] = stored
         keys[at] = (clock << 1) | write
+        hint[line] = at
         return False
 
     # -- batches --------------------------------------------------------------

@@ -16,7 +16,11 @@ Either way an access that touches a few lines costs each with
 :meth:`MemoryHierarchy._access_line` (pure Python, no numpy), and one
 that touches :data:`~repro.machine.cache.SCALAR_CUTOVER` or more goes to
 :meth:`MemoryHierarchy._run_cost`, which hands the whole run to
-:meth:`Cache.access_run` / :meth:`Tlb.access_run`.  Setting
+:meth:`Cache.access_run` / :meth:`Tlb.access_run`.  A dense
+:meth:`MemoryHierarchy.access_strided` of one or two lines — every
+small collective's put and get — makes those one or two
+``_access_line`` calls itself, exactly what ``access_range`` would
+make for it.  Setting
 ``fast_path = False`` on an instance costs every line with
 ``_access_line``; the two are equivalent — identical counters,
 identical cache/TLB state, and identical ns because the grouped cost
@@ -53,6 +57,8 @@ class MemoryHierarchy:
         self._dram_stream_ns = params.dram_stream_ns
         #: line address >> this = page number
         self._page_line_shift = self.tlb.page_shift - self._line_shift
+        #: Ranges of more lines than this are costed in closed form.
+        self._stream_lines = 4 * params.l2.n_lines
         #: Cost runs of ``SCALAR_CUTOVER`` lines or more in batches.  Set
         #: False to cost every line on its own (the oracle the
         #: equivalence tests compare against).
@@ -78,10 +84,9 @@ class MemoryHierarchy:
 
     def _access_line(self, line: int, write: bool, use_tlb: bool = True,
                      stream: bool = False) -> float:
-        ns = 0.0
+        ns = self._l1_ns  # an L1 miss still costs the L1 lookup
         if use_tlb and not self.tlb.access(line >> self._page_line_shift):
-            ns = self._walk_ns
-        ns += self._l1_ns  # an L1 miss still costs the L1 lookup
+            ns = self._walk_ns + ns
         if self.l1.touch(line, write):
             return ns
         ns += self._l2_ns
@@ -159,7 +164,7 @@ class MemoryHierarchy:
         if n_lines == 1:
             return self._access_line(first, write, use_tlb, stream=True)
         p = self.params
-        if n_lines > 4 * self.l2.params.n_lines:
+        if n_lines > self._stream_lines:
             # Streaming regime: charge pipelined DRAM for every line, then
             # leave the caches holding the tail of the sweep so later
             # reuse behaves.
@@ -191,8 +196,12 @@ class MemoryHierarchy:
             # most often (every scalar remote element) of one line.
             span = (nelems - 1) * step + elem_bytes
             first = addr >> self._line_shift
-            if (addr + span - 1) >> self._line_shift == first:
+            last = (addr + span - 1) >> self._line_shift
+            if last == first:
                 return self._access_line(first, write, use_tlb, True)
+            if last == first + 1:  # what ``access_range`` does with two
+                return (self._access_line(first, write, use_tlb, True)
+                        + self._access_line(last, write, use_tlb, True))
             return self.access_range(addr, span, write, use_tlb)
         if stride_elems < 1:
             step = elem_bytes

@@ -11,13 +11,16 @@ class Tlb:
     """Translation look-aside buffer.
 
     Exploits Python dict insertion order for O(1) LRU: a hit re-inserts
-    the page at the back; a miss evicts the front (oldest) entry.
+    the page at the back; a miss evicts the front (oldest) entry.  A hit
+    on the page already at the back moves nothing.
     """
 
     def __init__(self, params: TlbParams):
         self.params = params
         self.page_shift = params.page_bytes.bit_length() - 1
         self._entries: dict[int, None] = {}
+        #: The most recent page (the last key of ``_entries``), or None.
+        self._mru: int | None = None
         self.hits = 0
         self.misses = 0
 
@@ -26,6 +29,10 @@ class Tlb:
 
     def access(self, page: int) -> bool:
         """Touch ``page``; returns True on hit, False on miss (then fills)."""
+        if page == self._mru:
+            self.hits += 1
+            return True
+        self._mru = page
         entries = self._entries
         if page in entries:
             self.hits += 1
@@ -65,6 +72,8 @@ class Tlb:
                 entries[page] = None
         if n_pages > capacity:
             self._entries = dict.fromkeys(range(end - capacity, end))
+        if n_pages > 0:
+            self._mru = end - 1
         misses = n_pages - hits
         self.hits += hits
         self.misses += misses
@@ -76,6 +85,7 @@ class Tlb:
 
     def flush(self) -> None:
         self._entries.clear()
+        self._mru = None
 
     @property
     def occupancy(self) -> int:

@@ -97,7 +97,8 @@ class BarrierController:
             else:
                 key = tuple(sorted(set(participants)))
             self._members[participants] = key
-            self._cost[key] = ceil(log2(len(key))) * round_cost_ns(
+            # A barrier of one is one round (see ``enter``).
+            self._cost[key] = max(1, ceil(log2(len(key)))) * round_cost_ns(
                 self.machine.config, key)
         return key
 
@@ -120,9 +121,10 @@ class BarrierController:
                                {"participants": len(key)})
         if len(key) > 1:
             return key
-        engine.pes[rank].advance(round_cost_ns(machine.config, key))
+        engine.pes[rank].advance(self._cost[key])
         machine.stats.barriers += 1
-        engine.spans.end(rank)
+        if engine.trace.enabled:
+            engine.spans.end(rank)
         return None
 
     def arrive(self, rank: int, key: tuple[int, ...]) -> tuple[_Pending, bool]:
@@ -193,10 +195,8 @@ class BarrierController:
                 inst.degraded = dead_members
         del self._pending[key]
         machine.stats.barriers += 1
-        resume = machine.engine.resume
-        for other in inst.arrivals:
-            if other != waker:
-                resume(other, release)
+        machine.engine.resume_all(
+            [other for other in inst.arrivals if other != waker], release)
         return release
 
     def handle_pe_death(self, dead_rank: int) -> None:

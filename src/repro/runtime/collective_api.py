@@ -138,6 +138,9 @@ class CollectiveAPI:
         self.world_group = tuple(range(config.n_pes))
         self._memories = memories
         self._memory = memories[rank]
+        #: (addr, nelems, stride, dtype) -> a view of this PE's memory,
+        #: kept across calls for the schedule executor's local steps.
+        self._views: dict = {}
         self._heap = heap
         self._scratch = scratch
         self._private = private

@@ -38,10 +38,11 @@ Every operation has the same shape ("Remote-op path" in ``DESIGN.md``):
    and because the access resolves through the requester's OLB to a
    physical address, the target TLB is bypassed (``use_tlb=False``,
    paper section 3.2).
-3. *Move* (:meth:`TransferEngine._move`): one aligned element is one
-   word copied between the two memories' :meth:`Memory.words` views —
-   the ``eld``/``esd`` pair — and only multi-element, misaligned and
-   fault-injected transfers build numpy views.
+3. *Move* (:meth:`TransferEngine._move`): aligned elements are words
+   copied between the two memories' :meth:`Memory.words` views — one
+   word for the ``eld``/``esd`` pair, a strided slice of words for a
+   run — and only misaligned transfers, memories with no word view and
+   fault-injected corruption build numpy views.
 """
 
 from __future__ import annotations
@@ -110,6 +111,8 @@ class TransferEngine:
         self.network = machine.network
         #: This PE's own memory-cost provider.
         self.hier = machine.hierarchy_of(rank)
+        #: pe -> that PE's memory-cost provider.
+        self._hier_of = Memo(machine.hierarchy_of)
         #: nelems -> :func:`loop_overhead_ns`.
         self.loop_ns = Memo(lambda nelems: loop_overhead_ns(cfg, nelems))
         memories = machine.memories
@@ -136,11 +139,17 @@ class TransferEngine:
         """Copy the elements from PE ``spe``'s memory to PE ``dpe``'s."""
         eb = dtype.itemsize
         # Widths are powers of two: both addresses aligned <=> no low bit.
-        if nelems == 1 and not (dest | src) & (eb - 1):
+        if not (dest | src) & (eb - 1):
             dwords = self._words[dpe, eb]
             swords = self._words[spe, eb]
             if dwords is not None and swords is not None:
-                dwords[dest // eb] = swords[src // eb]
+                d0 = dest // eb
+                s0 = src // eb
+                if nelems == 1:
+                    dwords[d0] = swords[s0]
+                else:
+                    reach = (nelems - 1) * stride + 1
+                    dwords[d0:d0 + reach:stride] = swords[s0:s0 + reach:stride]
                 return
         mems = self.machine.memories
         mems[dpe].view(dest, dtype, nelems, stride)[:] = mems[spe].view(
@@ -181,7 +190,7 @@ class TransferEngine:
         timeout = retry.timeout_ns if retry is not None else 0.0
         attempts = 1 + (retry.max_retries if retry is not None else 0)
         # Target-side memory time: the put's write, the get's read.
-        tcost = machine.hierarchy_of(target).access_strided(
+        tcost = self._hier_of[target].access_strided(
             dest if is_put else src, nelems, eb, stride, is_put, False)
         for attempt in range(attempts):
             if is_put:
@@ -275,7 +284,7 @@ class TransferEngine:
             t_free, t_delivered, _ = network.send(clock, rank, target, nbytes)
             if t_free > clock:
                 pe.clock = t_free
-            t_delivered += self.machine.hierarchy_of(target).access_strided(
+            t_delivered += self._hier_of[target].access_strided(
                 dest, nelems, eb, stride, True, False)
             if t_delivered > network.max_delivery:
                 network.max_delivery = t_delivered
@@ -332,7 +341,7 @@ class TransferEngine:
                 self._reliable(False, dest, src, nelems, stride, target,
                                dtype)
                 return
-            rcost = self.machine.hierarchy_of(target).access_strided(
+            rcost = self._hier_of[target].access_strided(
                 src, nelems, eb, stride, False, False)
             t_complete, _ = self.network.fetch(clock, rank, target, nbytes)
             t_complete += rcost
@@ -399,7 +408,7 @@ class TransferEngine:
             network = self.network
             t_free, t_delivered, _ = network.send(clock, rank, target, nbytes)
             pe.clock = t_free if t_free > clock else clock
-            t_delivered += self.machine.hierarchy_of(target).access_strided(
+            t_delivered += self._hier_of[target].access_strided(
                 dest, nelems, eb, stride, True, False)
             if t_delivered > network.max_delivery:
                 network.max_delivery = t_delivered
@@ -456,7 +465,7 @@ class TransferEngine:
                 return TransferHandle("get", nbytes, clock, done=True)
             st.remote_gets += 1
             pe.clock = clock = clock + OLB_LOOKUP_NS
-            rcost = self.machine.hierarchy_of(target).access_strided(
+            rcost = self._hier_of[target].access_strided(
                 src, nelems, eb, stride, False, False)
             t_complete, _ = self.network.fetch(clock, rank, target, nbytes)
             wcost = hier.access_strided(dest, nelems, eb, stride, True)
@@ -501,7 +510,7 @@ class TransferEngine:
                 pe.clock += self.hier.access_strided(addr, 1, 8, 1, True)
             else:
                 clock = pe.clock + OLB_LOOKUP_NS
-                rcost = machine.hierarchy_of(target).access_strided(
+                rcost = self._hier_of[target].access_strided(
                     addr, 1, 8, 1, True, False)
                 # AMOs ride the NIC's reliable execution unit: exempt from
                 # message-fault injection (there is no software retry for

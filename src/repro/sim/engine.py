@@ -243,7 +243,7 @@ class Engine:
         :meth:`suspend` does — leaving ``cont`` to run it on from there.
         Returns when the PE's own thread runs again, raising what
         ``cont`` raised on another thread."""
-        me = self.current
+        me = self._current or self.current  # the property raises
         me.cont = cont
         try:
             if state is PEState.BLOCKED:
@@ -258,7 +258,7 @@ class Engine:
 
     def suspend(self) -> None:
         """Block the calling PE until :meth:`resume` is called for it."""
-        me = self.current
+        me = self._current or self.current  # the property raises
         if self._inline:
             self._refuse_inline(me)
         me.state = PEState.BLOCKED
@@ -269,16 +269,25 @@ class Engine:
 
     def resume(self, rank: int, at_time: float | None = None) -> None:
         """Make a blocked PE runnable again, optionally at ``at_time``."""
-        pe = self.pes[rank]
-        if pe.state is not PEState.BLOCKED:
-            raise SimulationError(
-                f"cannot resume PE {rank} in state {pe.state.value}"
-            )
-        if at_time is not None and at_time > pe.clock:
-            pe.clock = at_time
-        pe.state = PEState.RUNNABLE
-        if self._direct:
-            heapq.heappush(self._runq, (pe.clock, pe.rank))
+        self.resume_all((rank,), at_time)
+
+    def resume_all(self, ranks: Sequence[int],
+                   at_time: float | None = None) -> None:
+        """:meth:`resume` each of ``ranks``: a barrier release wakes all
+        its waiters in one call."""
+        pes = self.pes
+        q = self._runq if self._direct else None
+        for rank in ranks:
+            pe = pes[rank]
+            if pe.state is not PEState.BLOCKED:
+                raise SimulationError(
+                    f"cannot resume PE {rank} in state {pe.state.value}"
+                )
+            if at_time is not None and at_time > pe.clock:
+                pe.clock = at_time
+            pe.state = PEState.RUNNABLE
+            if q is not None:
+                heapq.heappush(q, (pe.clock, rank))
 
     def next_clock(self) -> float:
         """The clock of the earliest runnable PE (``inf`` if none): how

@@ -262,3 +262,86 @@ class TestAgainstIndependentOracle:
         start = n - 3 * n_sets  # 3 resident tags per set lie ahead
         apply_both(cache, oracle, ("run", list(range(start, start + n)), False))
         assert cache.hits == 3 * n_sets
+
+
+class TestTouchHint:
+    """:meth:`Cache.touch` trusts a line's remembered slot only while
+    that slot still holds the line.  The batch paths never update the
+    hint, so every stale case must fall back to the row scan — checked
+    against :class:`ListLru` after every step.  Batches here are long
+    enough (``SCALAR_CUTOVER`` lines over as many sets) not to fall back
+    to ``touch`` themselves."""
+
+    N_SETS, WAYS = cache_mod.SCALAR_CUTOVER, 2
+
+    def _batch(self, kind, tags, write):
+        """Lines with stored tags ``tags`` in every set, as one batch."""
+        n = self.N_SETS
+        runs = [list(range(tag * n, (tag + 1) * n)) for tag in tags]
+        if kind == "run":
+            return [("run", run, write) for run in runs]
+        return [("lines", sorted(sum(runs, [])), write)]
+
+    @pytest.mark.parametrize("batch", ["run", "lines"])
+    @pytest.mark.parametrize("write", [False, True])
+    def test_scalar_touch_after_a_batch_evicts_hinted_lines(self, batch,
+                                                             write):
+        n = self.N_SETS
+        cache, oracle = geometry(n, self.WAYS), ListLru(n, self.WAYS)
+        hinted = [0, n, 3, n + 3]  # both ways of sets 0 and 3
+        for line in hinted:
+            apply_both(cache, oracle, ("one", [line], write))
+        assert all(line in cache._hint for line in hinted)
+        for op in self._batch(batch, [2, 3], not write):  # evicts them
+            apply_both(cache, oracle, op)
+        for line in hinted + [2 * n, 3 * n + 3] + hinted:
+            apply_both(cache, oracle, ("one", [line], write))
+
+    def test_hinted_line_refilled_into_another_way(self):
+        n = self.N_SETS
+        cache, oracle = geometry(n, 4), ListLru(n, 4)
+        line = 0
+        apply_both(cache, oracle, ("one", [line], True))
+        slot = cache._hint[line]
+        # Fill the other three ways of every set, then push the line out
+        # and bring it back by batches: it lands in another way while
+        # the hint still names the old one.
+        for op in self._batch("lines", [1, 2, 3, 4], False):
+            apply_both(cache, oracle, op)
+        for op in self._batch("run", [0], False):
+            apply_both(cache, oracle, op)
+        assert cache._hint[line] == slot
+        assert cache._tag_mv[slot] != line // n + 1  # stale
+        assert cache.probe(line)
+        for step in range(3):
+            apply_both(cache, oracle, ("one", [line], step == 1))
+        assert cache._tag_mv[cache._hint[line]] == line // n + 1
+
+    def test_hint_size_is_bounded(self):
+        c = make(size=1024, ways=2)  # 16 lines
+        for line in range(10 * c.params.n_lines):
+            c.touch(line, line & 1 == 1)
+            assert len(c._hint) <= c.params.n_lines
+        big = Cache(CacheParams(size_bytes=8 << 20, ways=8))
+        for line in range(10 * cache_mod._HINT_LINES):
+            big.touch(line, False)
+            assert len(big._hint) <= cache_mod._HINT_LINES
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(GEOMETRIES), st.lists(st.tuples(
+        st.sampled_from(["one", "one", "one", "run", "lines"]),
+        st.integers(0, 40), st.integers(1, 12), st.booleans()),
+        min_size=1, max_size=40))
+    def test_scalar_heavy_traces(self, geo, steps):
+        """Mostly scalar touches over a few sets, so that hints are
+        made, go stale under batches and are refreshed."""
+        n_sets, ways = geo
+        cache, oracle = geometry(n_sets, ways), ListLru(n_sets, ways)
+        for kind, first, n, write in steps:
+            if kind == "one":
+                lines = [first]
+            elif kind == "run":
+                lines = list(range(first, first + n))
+            else:
+                lines = list(range(first, first + 3 * n, 3))
+            apply_both(cache, oracle, (kind, lines, write))

@@ -92,6 +92,43 @@ class TestRandomizedTraces:
         assert_hierarchies_identical(fast, ref)
 
 
+class TestSmallStridedSpans:
+    """A dense ``access_strided`` of one or two lines costs its lines
+    itself; it must be ``access_range`` over the same span, exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(
+            # Near a page boundary (4096) so that two-line spans straddle
+            # it, or anywhere in a small window.
+            st.one_of(st.integers(4096 - 192, 4096 + 64),
+                      st.integers(0, 1 << 14)),
+            st.integers(1, 16),       # nelems
+            st.sampled_from([1, 2, 4, 8]),  # elem bytes
+            st.integers(1, 8),        # stride (elements)
+            st.booleans(),            # write
+            st.booleans(),            # use_tlb
+        ), min_size=1, max_size=16))
+    def test_matches_access_range(self, ops):
+        kw = dict(
+            l1=CacheParams(size_bytes=1024, ways=2, hit_ns=1.0),
+            l2=CacheParams(size_bytes=4096, ways=4, hit_ns=8.0),
+            tlb=TlbParams(entries=2, page_bytes=4096, walk_ns=128.0),
+        )
+        strided = MemoryHierarchy(MemoryParams(**kw))
+        ranged = MemoryHierarchy(MemoryParams(**kw))
+        for addr, nelems, eb, stride, write, use_tlb in ops:
+            step = eb * stride
+            span = (nelems - 1) * step + eb
+            if step > 64 or (addr + span - 1) // 64 - addr // 64 > 1:
+                continue  # not dense, or more than two lines
+            a = strided.access_strided(addr, nelems, eb, stride, write,
+                                       use_tlb)
+            b = ranged.access_range(addr, span, write, use_tlb)
+            assert a == b  # exact float equality, not approx
+            assert_hierarchies_identical(strided, ranged)
+
+
 class TestBoundaries:
     def test_access_straddling_line_boundary_uses_bulk_path(self):
         """A multi-line scalar access costs the same on both paths."""

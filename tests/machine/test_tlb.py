@@ -96,3 +96,34 @@ class TestTlb:
             elif len(oracle) >= 4:
                 oracle.pop(0)
             oracle.append(p)
+
+    @given(st.lists(st.tuples(st.sampled_from(["one", "one", "run", "flush"]),
+                              st.integers(0, 12), st.integers(0, 6)),
+                    min_size=1, max_size=60))
+    def test_mixed_calls_against_the_oracle(self, calls):
+        """Scalar touches (often of the page just touched, which moves
+        nothing), runs and flushes in any order: the LRU order after
+        each call is the list oracle's."""
+        t = make(entries=4)
+        oracle: list[int] = []
+
+        def touch(p):
+            hit = p in oracle
+            if hit:
+                oracle.remove(p)
+            elif len(oracle) >= 4:
+                oracle.pop(0)
+            oracle.append(p)
+            return hit
+
+        for kind, page, n in calls:
+            if kind == "one":
+                assert t.access(page) == touch(page)
+                assert t.access(page) == touch(page)  # the page at the back
+            elif kind == "run":
+                hits = sum(touch(p) for p in range(page, page + n))
+                assert t.access_run(page, n) == (hits, n - hits)
+            else:
+                t.flush()
+                oracle.clear()
+            assert list(t._entries) == oracle

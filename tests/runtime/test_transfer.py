@@ -381,3 +381,48 @@ class TestPendingBookkeeping:
 
         run(2, body)
         assert seen == {0: True, 1: True}
+
+
+class TestWordMoves:
+    """Aligned runs move as strided slices of the memories' word views;
+    whatever the overlap, the bytes must be numpy view assignment's."""
+
+    @staticmethod
+    def _expected(before: np.ndarray, dest: int, src: int, nelems: int,
+                  stride: int, dtype: np.dtype) -> np.ndarray:
+        out = before.copy()
+        span = ((nelems - 1) * stride + 1) * dtype.itemsize
+        dst = out[dest:dest + span].view(dtype)[::stride]
+        dst[:] = before[src:src + span].view(dtype)[::stride]
+        return out
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 4),
+           st.integers(-20, 20), st.sampled_from(["long", "int", "short"]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_local_put_matches_numpy(self, nelems, stride, shift, typename,
+                                     misaligned, seed):
+        """A charged local copy whose destination starts ``shift``
+        elements before or after its source: inside the source span in
+        both directions, or clear of it; ``misaligned`` moves both ends
+        off the element grid (the numpy fallback)."""
+        dtype = typeinfo(typename).dtype
+        eb = dtype.itemsize
+
+        def body(ctx):
+            ctx.init()
+            buf = ctx.malloc(1024)
+            mem = ctx._memory
+            rng = np.random.default_rng(seed)
+            mem.buf[buf:buf + 1024] = rng.integers(0, 256, 1024,
+                                                   dtype=np.uint8)
+            src = buf + 256 + misaligned
+            dest = src + shift * eb
+            before = mem.buf.copy()
+            ctx.put(dest, src, nelems, stride, ctx.my_pe(), dtype)
+            want = self._expected(before, dest, src, nelems, stride, dtype)
+            same = np.array_equal(mem.buf, want)
+            ctx.close()
+            return same
+
+        assert all(run(1, body))
