@@ -54,10 +54,11 @@ table above and holds every context class to this list):
   a parked schedule step resumes: ``_msg_open`` traces and opens its
   span, ``_msg_take`` takes the message or leaves the PE waiting).  Its
   fault checkpoint runs inside the core's ``_require_active`` whenever
-  an injector is armed.  A PE parked inside a schedule may have its
-  steps run by another PE's thread (the executor's continuations); that
-  is the engine's business, not a seam — the plan, the step
-  interpreter and the ``_transfer`` / barrier / mailbox calls are the
+  an injector is armed.  A PE parked inside a schedule, or inside a
+  step loop it hands to ``ctx.drive``, may have its steps run by
+  another PE's thread (the engine's continuations); that is the
+  engine's business, not a seam — the plan, the step interpreter, the
+  step loop and the ``_transfer`` / barrier / mailbox calls are the
   same on every thread, traced or not, and tracing moves no clock
   (``tests/sim/test_scheduler_equivalence.py``).
 * **mp** — the clock (``time_ns`` reads the host, ``compute`` and

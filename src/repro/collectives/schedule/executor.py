@@ -28,11 +28,11 @@ a barrier at each barrier op (over the rank's block where a
 ``Section.block`` partitions the group; a block of one is no barrier).
 On mp and under ``Machine(fast_paths=False)`` (the differential
 oracle) a PE blocks there on its own process or thread.  On the
-simulator's direct-handoff engine it parks at a step boundary instead
-— a barrier, an empty mailbox receive, or before a step that would
-yield to an earlier PE — leaving its :class:`_RankRun` as its
-continuation (``Engine.park``), which whichever thread would wake it
-runs by the engine's own ordering rules ("How a collective executes"
+simulator's direct-handoff engine ``Engine.drive`` runs it instead,
+parking it at a step boundary — a barrier, an empty mailbox receive,
+or before a step that would yield to an earlier PE — with its
+:class:`_RankRun` as its continuation, which whichever thread would
+wake it runs by the engine's own ordering rules ("How a collective executes"
 in ``DESIGN.md``): the same clocks, bytes, trace events and spans as a
 thread per PE, for about one thread switch per rank per collective.
 
@@ -385,9 +385,7 @@ def _drive(run: _RankRun) -> None:
         if engine is not None and engine.direct_handoff:
             # Another thread may run it on, even to the end, while it is
             # parked.  A bound method is the cheapest thing to call.
-            step = run.__call__
-            while (state := step(engine.next_clock(), True)) is not _RUNNING:
-                engine.park(step, state)
+            engine.drive(run.__call__)
             return
         while run() is _BLOCKED:  # at a barrier
             block = run.ops[run.pc][1]

@@ -9,6 +9,8 @@ user programs use for vectorised work.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
 from ..errors import AddressError
@@ -18,6 +20,21 @@ __all__ = ["Memory"]
 MASK64 = (1 << 64) - 1
 #: ``memoryview`` formats of the unsigned words :meth:`Memory.words` casts to.
 _WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _zeroed(size: int) -> np.ndarray:
+    """``size`` zero bytes, resident only where touched.
+
+    A simulated memory is large and sparsely used (a few pages in each
+    segment), so it is its own anonymous mapping kept out of transparent
+    huge pages: where numpy would ask for them, every touched page could
+    make a whole 2 MiB resident, as many as the mapping's alignment
+    allows — a peak RSS that moves with the address layout.
+    """
+    block = mmap.mmap(-1, size)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # Linux
+        block.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(block, dtype=np.uint8)
 
 
 class Memory:
@@ -33,7 +50,7 @@ class Memory:
         if buf is None:
             if size is None or size <= 0:
                 raise AddressError("memory size must be positive")
-            buf = np.zeros(size, dtype=np.uint8)
+            buf = _zeroed(size)
         elif buf.dtype != np.uint8 or buf.ndim != 1 or buf.size == 0:
             raise AddressError("a wrapped buffer must be a non-empty 1-D "
                                "uint8 array")

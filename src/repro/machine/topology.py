@@ -7,17 +7,22 @@ wire latency with distance, and the ablation benches can compare
 collective performance across topologies.
 
 Graphs are built with :mod:`networkx`; hop counts are precomputed with a
-BFS per node (all edges have unit weight).
+BFS per node (all edges have unit weight).  networkx is an optional
+dependency (the ``topology`` extra), imported only here, when a graph is
+built: the default fully-connected network has no graph and never
+imports it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..errors import NetworkError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["Topology", "build_topology", "TOPOLOGY_NAMES"]
 
@@ -28,6 +33,8 @@ class Topology:
     """A node interconnect graph with precomputed hop counts."""
 
     def __init__(self, name: str, graph: nx.Graph):
+        import networkx as nx
+
         if graph.number_of_nodes() == 0:
             raise NetworkError("topology needs at least one node")
         if graph.number_of_nodes() > 1 and not nx.is_connected(graph):
@@ -87,6 +94,8 @@ def build_topology(name: str, n_nodes: int) -> Topology:
     """
     if n_nodes <= 0:
         raise NetworkError("n_nodes must be positive")
+    import networkx as nx
+
     if name == "fully-connected":
         g = nx.complete_graph(n_nodes)
     elif name == "ring":

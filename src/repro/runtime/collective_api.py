@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
+from importlib import import_module
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -77,6 +78,42 @@ class _DisabledSpans:
 
 
 _NO_SPANS = _DisabledSpans()
+
+
+class _Above:
+    """The front doors' functions from the layers above the core, each
+    imported on its first use and bound here from then on.  Those
+    modules import the core, so the core cannot import them when it is
+    imported itself; and an import statement in a front door would run
+    importlib's Python frames on every call."""
+
+    _WHERE = {
+        "prepare_broadcast": "..collectives.broadcast",
+        "prepare_reduce": "..collectives.reduce",
+        "prepare_scatter": "..collectives.scatter",
+        "prepare_gather": "..collectives.gather",
+        "prepare_allreduce": "..collectives.allreduce",
+        "prepare_reduce_scatter": "..collectives.reduce_scatter",
+        "prepare_scan": "..collectives.scan",
+        "prepare_allgather": "..collectives.extra",
+        "prepare_alltoall": "..collectives.extra",
+        "resilient_broadcast": "..faults.resilient",
+        "resilient_reduce": "..faults.resilient",
+        "resilient_allreduce": "..faults.resilient",
+        "superstep_context": ".superstep",
+    }
+
+    def __getattr__(self, name: str):
+        try:
+            where = self._WHERE[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        value = getattr(import_module(where, __package__), name)
+        setattr(self, name, value)
+        return value
+
+
+_above = _Above()
 
 
 class CollectiveAPI:
@@ -421,6 +458,28 @@ class CollectiveAPI:
         old = self._transfer.amo(addr, value, pe, op)
         return old - (1 << 64) if dt.kind == "i" and old >> 63 else old
 
+    def drive(self, step) -> None:
+        """Run a PE-side step loop to its end.
+
+        ``step(limit=None, own=False)`` is a resumable loop of this PE's
+        operations that keeps its position across calls and returns
+        ``PEState.RUNNING`` at its end.  Given a ``limit``, it keeps the
+        executor's rules: before each operation that yields (a put, get
+        or amo) it makes the fault checkpoint (``_require_active``) when
+        an injector is armed, then returns ``PEState.RUNNABLE`` if this
+        PE's clock is past ``limit``.  On a direct-handoff engine it runs
+        as a continuation (``Engine.drive``), which another PE's thread
+        may call; everywhere else (mp, ``Machine(fast_paths=False)``) it
+        is called once with no limit and runs to its end here, its puts
+        and gets yielding in place.
+        """
+        machine = self.machine
+        engine = machine.engine if machine is not None else None
+        if engine is not None and engine.direct_handoff:
+            engine.drive(step)
+        else:
+            step(None)
+
     def wait(self, handle) -> None:
         """Complete one non-blocking transfer."""
         self._require_active()
@@ -447,9 +506,7 @@ class CollectiveAPI:
         race-free bodies; see :mod:`repro.runtime.superstep`.
         Supersteps do not nest.
         """
-        from .superstep import superstep_context
-
-        return superstep_context(self)
+        return _above.superstep_context(self)
 
     def _issue(self, prepared) -> None:
         """Run one prepared collective now, or queue it on the active
@@ -493,41 +550,36 @@ class CollectiveAPI:
                   algorithm: str = "binomial") -> None:
         """``xbrtime_TYPE_broadcast`` (Algorithm 1)."""
         self._require_active()
-        from ..collectives.broadcast import prepare_broadcast
-
-        self._issue(prepare_broadcast(self, dest, src, nelems, stride, root,
-                                      resolve_dtype(dtype),
-                                      algorithm=algorithm))
+        self._issue(_above.prepare_broadcast(
+            self, dest, src, nelems, stride, root, resolve_dtype(dtype),
+            algorithm=algorithm))
 
     def reduce(self, dest: int, src: int, nelems: int, stride: int,
                root: int, op: str = "sum", dtype: str | np.dtype = "long",
                algorithm: str = "binomial") -> None:
         """``xbrtime_TYPE_reduce_OP`` (Algorithm 2)."""
         self._require_active()
-        from ..collectives.reduce import prepare_reduce
-
-        self._issue(prepare_reduce(self, dest, src, nelems, stride, root, op,
-                                   resolve_dtype(dtype), algorithm=algorithm))
+        self._issue(_above.prepare_reduce(
+            self, dest, src, nelems, stride, root, op, resolve_dtype(dtype),
+            algorithm=algorithm))
 
     def scatter(self, dest: int, src: int, pe_msgs: Sequence[int],
                 pe_disp: Sequence[int], nelems: int, root: int,
                 dtype: str | np.dtype = "long") -> None:
         """``xbrtime_TYPE_scatter`` (Algorithm 3)."""
         self._require_active()
-        from ..collectives.scatter import prepare_scatter
-
-        self._issue(prepare_scatter(self, dest, src, pe_msgs, pe_disp, nelems,
-                                    root, resolve_dtype(dtype)))
+        self._issue(_above.prepare_scatter(
+            self, dest, src, pe_msgs, pe_disp, nelems, root,
+            resolve_dtype(dtype)))
 
     def gather(self, dest: int, src: int, pe_msgs: Sequence[int],
                pe_disp: Sequence[int], nelems: int, root: int,
                dtype: str | np.dtype = "long") -> None:
         """``xbrtime_TYPE_gather`` (Algorithm 4)."""
         self._require_active()
-        from ..collectives.gather import prepare_gather
-
-        self._issue(prepare_gather(self, dest, src, pe_msgs, pe_disp, nelems,
-                                   root, resolve_dtype(dtype)))
+        self._issue(_above.prepare_gather(
+            self, dest, src, pe_msgs, pe_disp, nelems, root,
+            resolve_dtype(dtype)))
 
     # -- extended collectives (paper section 7 future work) --------------------------------
 
@@ -543,12 +595,9 @@ class CollectiveAPI:
         trees — ``segments`` chunks in flight, the large-payload winner
         off power-of-two) or ``"auto"``."""
         self._require_active()
-        from ..collectives.allreduce import prepare_allreduce
-
-        self._issue(prepare_allreduce(self, dest, src, nelems, stride, op,
-                                      resolve_dtype(dtype),
-                                      algorithm=algorithm,
-                                      segments=segments))
+        self._issue(_above.prepare_allreduce(
+            self, dest, src, nelems, stride, op, resolve_dtype(dtype),
+            algorithm=algorithm, segments=segments))
 
     def reduce_scatter(self, dest: int, src: int, pe_msgs: Sequence[int],
                        pe_disp: Sequence[int], nelems: int,
@@ -564,22 +613,18 @@ class CollectiveAPI:
         ``dest`` nor ``src`` needs to be symmetric.
         """
         self._require_active()
-        from ..collectives.reduce_scatter import prepare_reduce_scatter
-
-        self._issue(prepare_reduce_scatter(self, dest, src, pe_msgs, pe_disp,
-                                           nelems, op, resolve_dtype(dtype),
-                                           algorithm=algorithm,
-                                           segments=segments))
+        self._issue(_above.prepare_reduce_scatter(
+            self, dest, src, pe_msgs, pe_disp, nelems, op,
+            resolve_dtype(dtype), algorithm=algorithm, segments=segments))
 
     def scan(self, dest: int, src: int, nelems: int, stride: int,
              op: str = "sum", dtype: str | np.dtype = "long",
              inclusive: bool = True) -> None:
         """Parallel prefix scan (Hillis-Steele, one-sided)."""
         self._require_active()
-        from ..collectives.scan import prepare_scan
-
-        self._issue(prepare_scan(self, dest, src, nelems, stride, op,
-                                 resolve_dtype(dtype), inclusive=inclusive))
+        self._issue(_above.prepare_scan(
+            self, dest, src, nelems, stride, op, resolve_dtype(dtype),
+            inclusive=inclusive))
 
     def allgather(self, dest: int, src: int, pe_msgs: Sequence[int],
                   pe_disp: Sequence[int], nelems: int,
@@ -593,21 +638,16 @@ class CollectiveAPI:
         (dest-direct parallel aggregated trees) or ``"auto"``.
         """
         self._require_active()
-        from ..collectives.extra import prepare_allgather
-
-        self._issue(prepare_allgather(self, dest, src, pe_msgs, pe_disp,
-                                      nelems, resolve_dtype(dtype),
-                                      algorithm=algorithm,
-                                      segments=segments))
+        self._issue(_above.prepare_allgather(
+            self, dest, src, pe_msgs, pe_disp, nelems, resolve_dtype(dtype),
+            algorithm=algorithm, segments=segments))
 
     def alltoall(self, dest: int, src: int, nelems_per_pe: int,
                  dtype: str | np.dtype = "long") -> None:
         """Personalised all-to-all exchange."""
         self._require_active()
-        from ..collectives.extra import prepare_alltoall
-
-        self._issue(prepare_alltoall(self, dest, src, nelems_per_pe,
-                                     resolve_dtype(dtype)))
+        self._issue(_above.prepare_alltoall(
+            self, dest, src, nelems_per_pe, resolve_dtype(dtype)))
 
     # -- resilient collectives (fault-injection runs) ----------------------------------
 
@@ -630,10 +670,9 @@ class CollectiveAPI:
         :class:`~repro.faults.resilient.ResilientResult`."""
         self._require_active()
         self._forbid_superstep("resilient_broadcast")
-        from ..faults.resilient import resilient_broadcast as _rb
-
-        return _rb(self, dest, src, nelems, stride, root,
-                   resolve_dtype(dtype), max_restarts=max_restarts)
+        return _above.resilient_broadcast(
+            self, dest, src, nelems, stride, root, resolve_dtype(dtype),
+            max_restarts=max_restarts)
 
     def resilient_reduce(self, dest: int, src: int, nelems: int,
                          stride: int, root: int, op: str = "sum",
@@ -643,10 +682,9 @@ class CollectiveAPI:
         and reports the contribution mask."""
         self._require_active()
         self._forbid_superstep("resilient_reduce")
-        from ..faults.resilient import resilient_reduce as _rr
-
-        return _rr(self, dest, src, nelems, stride, root, op,
-                   resolve_dtype(dtype), max_restarts=max_restarts)
+        return _above.resilient_reduce(
+            self, dest, src, nelems, stride, root, op, resolve_dtype(dtype),
+            max_restarts=max_restarts)
 
     def resilient_allreduce(self, dest: int, src: int, nelems: int,
                             stride: int, op: str = "sum",
@@ -655,10 +693,9 @@ class CollectiveAPI:
         """Eventually consistent allreduce over the survivors."""
         self._require_active()
         self._forbid_superstep("resilient_allreduce")
-        from ..faults.resilient import resilient_allreduce as _ra
-
-        return _ra(self, dest, src, nelems, stride, op,
-                   resolve_dtype(dtype), max_restarts=max_restarts)
+        return _above.resilient_allreduce(
+            self, dest, src, nelems, stride, op, resolve_dtype(dtype),
+            max_restarts=max_restarts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"{type(self).__name__}(pe={self.rank}/{self.config.n_pes}, "

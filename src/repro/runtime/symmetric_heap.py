@@ -44,6 +44,15 @@ class FreeListAllocator:
 
     Blocks are coalesced on free.  Alignment padding is absorbed into the
     allocated block so ``free`` needs only the address ``alloc`` returned.
+
+    LIFO use is the common case — a collective's private buffers are
+    allocated and freed around every call — and costs no scan.  Every
+    ``alloc`` records how it split its free run; freeing the most
+    recent block undoes that split, which restores exactly the free list
+    the ``alloc`` started from (free runs are never adjacent, so the
+    coalescing ``free`` would rebuild the same run).  An ``alloc`` from
+    that restored list, of the size and alignment the undone one had,
+    redoes the split: first fit would choose the same block.
     """
 
     def __init__(self, base: int, size: int):
@@ -53,8 +62,17 @@ class FreeListAllocator:
         self.size = size
         #: Sorted list of (start, length) free runs.
         self._free: list[tuple[int, int]] = [(base, size)]
-        #: addr returned by alloc -> (block_start, block_length)
-        self._allocated: dict[int, tuple[int, int]] = {}
+        #: addr returned by alloc -> its allocation, ``(addr, nbytes,
+        #: align, i, run, split)``: it split free run ``run``, then
+        #: ``_free[i]``, into the list of runs ``split``.
+        self._allocated: dict[int, tuple] = {}
+        #: The allocations made since the last out-of-order free and not
+        #: yet freed, most recent last.
+        self._undo: list[tuple] = []
+        #: The allocations the most recent LIFO frees undid, the latest
+        #: last; the last one can be redone as long as nothing else
+        #: changed the free list since.
+        self._redo: list[tuple] = []
 
     @property
     def bytes_free(self) -> int:
@@ -70,32 +88,42 @@ class FreeListAllocator:
 
     def alloc(self, nbytes: int, align: int = 16) -> int:
         """Allocate ``nbytes`` with the given alignment; returns address."""
+        redo = self._redo
+        if redo and redo[-1][1] == nbytes and redo[-1][2] == align:
+            entry = redo.pop()
+            addr, _, _, i, _, split = entry
+        else:
+            entry = self._first_fit(nbytes, align)
+            addr, _, _, i, _, split = entry
+            redo.clear()
+        self._free[i:i + 1] = split
+        self._allocated[addr] = entry
+        self._undo.append(entry)
+        return addr
+
+    def _first_fit(self, nbytes: int, align: int) -> tuple:
+        """The undo entry of allocating ``nbytes`` from the first free
+        run that fits."""
         if nbytes <= 0:
             raise AllocationError(f"allocation size must be positive, got {nbytes}")
         if align <= 0 or align & (align - 1):
             raise AllocationError(f"alignment must be a power of two, got {align}")
-        for i, (start, length) in enumerate(self._free):
+        for i, run in enumerate(self._free):
+            start, length = run
             addr = _align_up(start, align)
             pad = addr - start
             need = pad + nbytes
             if need <= length:
+                remaining = length - need
                 # Keep any prefix pad as free space only if it is large
                 # enough to be useful; otherwise absorb it into the block.
                 if pad >= 16:
-                    self._free[i] = (start, pad)
-                    block_start = addr
-                    remaining = length - need
-                    if remaining > 0:
-                        self._free.insert(i + 1, (addr + nbytes, remaining))
-                    self._allocated[addr] = (block_start, nbytes)
+                    split = [(start, pad)]
                 else:
-                    remaining = length - need
-                    if remaining > 0:
-                        self._free[i] = (start + need, remaining)
-                    else:
-                        del self._free[i]
-                    self._allocated[addr] = (start, need)
-                return addr
+                    split = []
+                if remaining > 0:
+                    split.append((start + need, remaining))
+                return (addr, nbytes, align, i, run, split)
         raise AllocationError(
             f"out of memory: need {nbytes} B (align {align}), "
             f"{self.bytes_free} B free but fragmented or insufficient"
@@ -104,11 +132,21 @@ class FreeListAllocator:
     def free(self, addr: int) -> None:
         """Release a block previously returned by :meth:`alloc`."""
         try:
-            start, length = self._allocated.pop(addr)
+            entry = self._allocated.pop(addr)
         except KeyError:
             raise AllocationError(
                 f"free of unallocated address {addr:#x}"
             ) from None
+        undo = self._undo
+        if undo and undo[-1] is entry:
+            undo.pop()
+            _, _, _, i, run, split = entry
+            self._free[i:i + len(split)] = [run]
+            self._redo.append(entry)
+            return
+        undo.clear()
+        self._redo.clear()
+        start, length = self._block(entry)
         # Insert in sorted position and coalesce with neighbours.
         lo, hi = 0, len(self._free)
         while lo < hi:
@@ -119,6 +157,16 @@ class FreeListAllocator:
                 hi = mid
         self._free.insert(lo, (start, length))
         self._coalesce(lo)
+
+    @staticmethod
+    def _block(entry: tuple) -> tuple[int, int]:
+        """``(block_start, block_length)`` of an allocation: the pad
+        before ``addr`` belongs to it unless the pad was kept free."""
+        addr, nbytes, _, _, run, _ = entry
+        start = run[0]
+        if addr - start >= 16:
+            return addr, nbytes
+        return start, addr - start + nbytes
 
     def _coalesce(self, i: int) -> None:
         # Merge with the next block, then with the previous one.
@@ -140,7 +188,7 @@ class FreeListAllocator:
 
     def size_of(self, addr: int) -> int:
         try:
-            return self._allocated[addr][1]
+            return self._block(self._allocated[addr])[1]
         except KeyError:
             raise AllocationError(f"{addr:#x} is not allocated") from None
 

@@ -16,13 +16,16 @@ PE code interacts with the engine through three primitives:
 * :meth:`Engine.suspend` / :meth:`Engine.resume` — block the calling PE
   until another PE wakes it (used by barriers and two-sided receives).
 
-A PE that parks at a point another thread can continue it from (the
-schedule executor's step boundaries) parks with :meth:`Engine.park`,
-leaving a *continuation*.  Where the engine would wake such a PE's
-thread, the thread doing the waking runs the continuation itself
-instead (:attr:`Engine.current`, and every trace record, then names
-the PE whose step it is), and wakes the PE's own thread only when the
-continuation asks for it.
+A PE that parks at a point another thread can continue it from parks
+with :meth:`Engine.park`, leaving a *continuation*.  Where the engine
+would wake such a PE's thread, the thread doing the waking runs the
+continuation itself instead (:attr:`Engine.current`, and every trace
+record, then names the PE whose step it is), and wakes the PE's own
+thread only when the continuation asks for it.  :meth:`Engine.drive`
+runs a PE-side *step loop* that way — the schedule executor's plans,
+GUPs' update stream — provided it keeps one rule: before an operation
+that would yield, it makes that operation's fault checkpoint, then
+stops if its clock is past the earliest other runnable PE's.
 
 Deadlock (no runnable PE while some are blocked) raises
 :class:`~repro.errors.DeadlockError` instead of hanging.
@@ -255,6 +258,23 @@ class Engine:
         exc, me.raised = me.raised, None
         if exc is not None:
             raise exc
+
+    def drive(self, step: Callable[..., PEState]) -> None:
+        """Run the calling PE through ``step`` to its end, parking as a
+        continuation wherever it stops (direct handoff only).
+
+        ``step(limit, own)`` runs the PE on from where it last stopped
+        until its clock would pass ``limit`` (:meth:`next_clock`) before
+        a step that yields, or until it must wait, and returns
+        ``RUNNABLE``, ``BLOCKED`` or — at its end, or to ask for the
+        PE's own thread — ``RUNNING``.  ``own`` tells it whether it runs
+        on that thread.  While the PE is parked, whichever thread would
+        wake it calls ``step(limit)`` itself, so a PE-side loop of
+        checkpointing operations costs no thread switch per yield.
+        """
+        while (state := step(self.next_clock(), True)) is not \
+                PEState.RUNNING:
+            self.park(step, state)
 
     def suspend(self) -> None:
         """Block the calling PE until :meth:`resume` is called for it."""

@@ -105,6 +105,106 @@ class TestFreeListAllocator:
         assert a.n_allocations == 0
 
 
+class _FirstFit:
+    """The first-fit allocator as it was before LIFO reuse: every alloc
+    scans the free list, every free bisects and coalesces.  The oracle
+    for :class:`FreeListAllocator`'s addresses."""
+
+    def __init__(self, base: int, size: int):
+        self.free_runs = [(base, size)]
+        self.blocks: dict[int, tuple[int, int]] = {}
+
+    def alloc(self, nbytes: int, align: int) -> int:
+        for i, (start, length) in enumerate(self.free_runs):
+            addr = (start + align - 1) & ~(align - 1)
+            pad = addr - start
+            need = pad + nbytes
+            if need <= length:
+                if pad >= 16:
+                    self.free_runs[i] = (start, pad)
+                    if length - need > 0:
+                        self.free_runs.insert(i + 1, (addr + nbytes,
+                                                      length - need))
+                    self.blocks[addr] = (addr, nbytes)
+                else:
+                    if length - need > 0:
+                        self.free_runs[i] = (start + need, length - need)
+                    else:
+                        del self.free_runs[i]
+                    self.blocks[addr] = (start, need)
+                return addr
+        raise AllocationError("out of memory")
+
+    def free(self, addr: int) -> None:
+        start, length = self.blocks.pop(addr)
+        runs = self.free_runs
+        i = next((k for k, run in enumerate(runs) if run[0] > start),
+                 len(runs))
+        runs.insert(i, (start, length))
+        if i + 1 < len(runs) and start + length == runs[i + 1][0]:
+            runs[i] = (start, length + runs.pop(i + 1)[1])
+        if i > 0 and runs[i - 1][0] + runs[i - 1][1] == start:
+            runs[i - 1] = (runs[i - 1][0], runs[i - 1][1] + runs.pop(i)[1])
+
+
+#: One allocator operation: allocate (size, alignment), free the most
+#: recent live block, or free the live block at a drawn position.
+_OPS = st.one_of(
+    st.tuples(st.just("alloc"), st.integers(1, 600),
+              st.sampled_from([1, 8, 16, 32, 64, 256])),
+    st.tuples(st.just("pop"), st.just(0), st.just(0)),
+    st.tuples(st.just("free"), st.integers(0, 1 << 16), st.just(0)),
+)
+
+
+class TestLifoReuse:
+    @given(st.lists(_OPS, max_size=120))
+    def test_addresses_stay_first_fit(self, ops):
+        """LIFO frees and re-allocations, mixed with out-of-order frees
+        and out-of-memory refusals, return first fit's addresses and
+        leave its free list."""
+        a = FreeListAllocator(0x1008, 4096)
+        oracle = _FirstFit(0x1008, 4096)
+        live: list[int] = []
+        for op, x, align in ops:
+            if op == "alloc":
+                try:
+                    want = oracle.alloc(x, align)
+                except AllocationError:
+                    with pytest.raises(AllocationError):
+                        a.alloc(x, align)
+                    continue
+                assert a.alloc(x, align) == want
+                assert a.size_of(want) == oracle.blocks[want][1]
+                live.append(want)
+            elif live:
+                addr = live.pop(-1 if op == "pop" else x % len(live))
+                a.free(addr)
+                oracle.free(addr)
+            assert a._free == oracle.free_runs
+        assert a.n_allocations == len(live)
+
+    def test_a_collective_call_pattern_reuses_its_blocks(self):
+        """Alloc two private buffers, free them LIFO, again and again:
+        the same two addresses every time, and no scan after the first
+        pair."""
+        a = FreeListAllocator(0x1000, 1 << 20)
+        a.alloc(40)  # a long-lived block below
+        first = None
+        for _ in range(5):
+            pair = (a.alloc(96), a.alloc(24, 64))
+            a.free(pair[1])
+            a.free(pair[0])
+            first = first or pair
+            assert pair == first
+
+        def no_scan(nbytes, align):
+            raise AssertionError("first-fit scan")
+
+        a._first_fit = no_scan
+        assert (a.alloc(96), a.alloc(24, 64)) == first
+
+
 class TestSymmetricHeap:
     def test_collective_calls_agree(self):
         """Every PE's N-th malloc returns the same address."""

@@ -7,6 +7,11 @@ costs about one dispatch per rank — whatever the group, partition,
 transport or tracing — where a thread per PE and stage cost one per
 rank per stage.  Measured on 8 PEs as the difference between a program
 with ``CALLS`` collectives and the same program with none.
+
+A PE-side loop of remote accesses parks the same way: GUPs' update
+stream runs as a continuation, so its update phase costs a constant
+number of dispatches, where a thread per PE took one per get, put or
+amo that yielded.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bench.gups import GupsParams, _gups_pe
 from repro.collectives.teams import Team
 from repro.params import MachineConfig
 from repro.runtime import Machine
@@ -25,6 +31,9 @@ I64 = np.dtype("int64")
 #: that used to take a thread switch per rank per stage.
 WHOLE_MACHINE_BUDGET = 23
 OTHER_BUDGET = 32
+#: Dispatches GUPs may add on 8 PEs going from 64 to 256 updates per PE
+#: (a thread per PE added 5 313 with get and put, 2 664 with amo).
+GUPS_UPDATES_BUDGET = 16
 
 
 class _CountingBaton:
@@ -110,3 +119,15 @@ def test_whole_machine_collective():
 ], ids=["team-pair", "hierarchical", "mailbox"])
 def test_what_used_to_switch_per_stage(program, config, machine_kw):
     assert per_call(program, config, **machine_kw) <= OTHER_BUDGET
+
+
+def gups(updates: int, use_amo: bool):
+    params = GupsParams(log2_table_size=12, updates_per_pe=updates,
+                        use_amo=use_amo)
+    return lambda ctx: _gups_pe(ctx, params)
+
+
+@pytest.mark.parametrize("use_amo", [False, True], ids=["get-put", "amo"])
+def test_gups_updates_cost_no_dispatch_each(use_amo):
+    assert (dispatches(gups(256, use_amo))
+            - dispatches(gups(64, use_amo))) <= GUPS_UPDATES_BUDGET

@@ -32,18 +32,21 @@ SIZES = (4, 12)
 
 #: Python calls per collective call, all PEs together.  Before the step
 #: loop was one loop and the small-op path lean, the counts were 649,
-#: 738, 998, 1183, 1852, 2308, 1539, 1918, 1607 and 2319, in this order.
+#: 738, 998, 1183, 1852, 2308, 1539, 1918, 1607 and 2319, in this order;
+#: before the front doors bound their ``prepare_*`` once and a LIFO
+#: private buffer stopped scanning the free list, 521, 562, 799, 888,
+#: 1406, 1622, 1186, 1367, 1174 and 1502.
 BUDGETS = {
-    ("broadcast", 4): 550,
-    ("broadcast", 12): 595,
-    ("reduce", 4): 840,
-    ("reduce", 12): 935,
-    ("allreduce", 4): 1480,
-    ("allreduce", 12): 1705,
-    ("scan", 4): 1250,
-    ("scan", 12): 1440,
-    ("alltoall", 4): 1235,
-    ("alltoall", 12): 1580,
+    ("broadcast", 4): 547,
+    ("broadcast", 12): 590,
+    ("reduce", 4): 822,
+    ("reduce", 12): 916,
+    ("allreduce", 4): 1460,
+    ("allreduce", 12): 1686,
+    ("scan", 4): 1229,
+    ("scan", 12): 1419,
+    ("alltoall", 4): 1233,
+    ("alltoall", 12): 1577,
 }
 
 
