@@ -15,18 +15,24 @@ is not atomic, concurrent updates of one cell can lose an update;
 HPCC accepts a run when errors stay at or below 1 % of the updates,
 and so does :attr:`GupsResult.passed`.
 
-Each pass of the update stream is one resumable step loop
-(:class:`_UpdateStream`, run by ``ctx.drive``).  It keeps its update
-index, LCG state and phase — before the get (or amo), before the put —
-across calls, and before each remote operation it makes the fault
-checkpoint and stops once the PE's clock passes the earliest other
-runnable PE's, exactly where a thread per PE would yield.  So on the
-simulator's direct-handoff engine the stream runs as an engine
-continuation, in whichever thread holds the machine, and an update
-phase costs a constant number of thread switches instead of one per
-remote access; on mp and under ``Machine(fast_paths=False)`` the same
-loop runs straight through with its operations yielding in place.
-Clocks, bytes, trace events and spans are the same either way.
+Each pass of the update stream is one generator
+(:func:`_update_stream`) whose primed ``send`` is a step loop for
+``ctx.drive``: the generator's frame keeps the update index, the LCG
+state and where the update in hand stands — before the get (or amo),
+before the put — across yields.  Before each remote operation it makes
+the fault checkpoint and, once the PE's clock passes the earliest other
+runnable PE's, yields ``RUNNABLE`` (``limit = yield RUNNABLE``) exactly
+where a thread per PE would yield.  So on the simulator's
+direct-handoff engine the stream runs as an engine continuation, in
+whichever thread holds the machine, and an update phase costs a
+constant number of thread switches instead of one per remote access;
+on mp and under ``Machine(fast_paths=False)`` one ``send(None)`` runs
+the same loop to its end with its operations yielding in place.  Every
+mode — faults, tracing, ``fidelity="isa"``, amo, vec — runs that one
+loop, and the xor works on the memory's 8-byte word view.  On a clean
+direct-handoff machine each remote get and put is the transfer
+engine's one-word path ("Remote-op path" in ``DESIGN.md``).  Clocks,
+bytes, trace events and spans are the same either way.
 
 The reported metric matches Figure 4: operations (updates) per second,
 total and per PE.  The default table is 2^21 words (16 MiB) — larger
@@ -37,6 +43,7 @@ contention at 8 PEs reproduces the figure's shape.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -140,9 +147,28 @@ class GupsParams:
     #: 1 GHz — the xbrtime call path runs ~150 instructions per update).
     update_overhead_ns: float = 150.0
 
+    def __post_init__(self) -> None:
+        if self.log2_table_size < 0:
+            raise ValueError(f"log2_table_size must be >= 0, not "
+                             f"{self.log2_table_size}")
+        if self.updates_per_pe < 0:
+            raise ValueError(f"updates_per_pe must be >= 0, not "
+                             f"{self.updates_per_pe}")
+        if not (math.isfinite(self.update_overhead_ns)
+                and self.update_overhead_ns >= 0):
+            raise ValueError("update_overhead_ns must be finite and >= 0, "
+                             f"not {self.update_overhead_ns}")
+
     @property
     def table_size(self) -> int:
         return 1 << self.log2_table_size
+
+    def check_pes(self, n_pes: int) -> None:
+        """Refuse a PE count that does not split the table evenly."""
+        if self.table_size % n_pes:
+            raise CollectiveArgumentError(
+                f"table size {self.table_size} not divisible by {n_pes} PEs"
+            )
 
 
 @dataclass(frozen=True)
@@ -184,98 +210,77 @@ class GupsResult:
         return self.errors <= 0.01 * self.total_updates
 
 
-class _UpdateStream:
-    """One pass over a PE's slice of the update stream, as a step loop
-    (:meth:`~repro.runtime.collective_api.CollectiveAPI.drive`).
+def _update_stream(ctx, params: GupsParams, ran: int, updates: int,
+                   table_addr: int, local_size: int, scratch: int):
+    """One pass over a PE's slice of the update stream, as a generator.
 
-    Called, it applies updates from where it stopped.  Given a
-    ``limit``, it stops before a get, put or amo — after that
-    operation's fault checkpoint — once this PE's clock is past
-    ``limit``, and returns ``RUNNABLE``: where a thread per PE would
-    yield inside the operation, so clocks, bytes and traces are that
-    thread's.  With no ``limit`` it runs to the end, each operation
-    yielding in place.  ``own`` (whether this is the PE's own thread)
-    changes nothing here: no operation of the stream can block.
+    Primed (``next``), its ``send`` is a step for
+    :meth:`~repro.runtime.collective_api.CollectiveAPI.drive`.  Sent a
+    ``limit``, it applies updates and yields ``RUNNABLE`` before a get,
+    put or amo — after that operation's fault checkpoint — once this
+    PE's clock is past ``limit``, where a thread per PE would yield
+    inside the operation; the next ``send`` brings the new limit.  Sent
+    ``None``, it runs to the end, each operation yielding in place.  At
+    its end it yields ``RUNNING``, to every ``send`` from then on.
     """
-
-    __slots__ = ("ctx", "params", "table", "table_addr", "local_size",
-                 "scratch", "sview", "ran", "left", "phase", "owner",
-                 "off")
-
-    def __init__(self, ctx, params: GupsParams, ran: int, updates: int,
-                 table: np.ndarray, table_addr: int, scratch: int):
-        self.ctx = ctx
-        self.params = params
-        self.table = table
-        self.table_addr = table_addr
-        self.local_size = len(table)
-        self.scratch = scratch
-        self.sview = ctx.view(scratch, _U64, 1)
-        #: The LCG state of the update in hand (or the last one).
-        self.ran = ran
-        #: Updates not yet begun.
-        self.left = updates
-        #: Where the update in hand stands: 0 done (or none), 1 before
-        #: its get or amo, 2 before its put.
-        self.phase = 0
-        #: The PE and table offset the update in hand goes to.
-        self.owner = self.off = 0
-
-    def __call__(self, limit: float | None = None,
-                 own: bool = False) -> PEState:
-        ctx = self.ctx
-        params = self.params
-        blocking = limit is None
-        pe = None if blocking else ctx.pe
-        # Under fault injection every operation goes through the
-        # context's front door and its checkpoint; a clean run goes
-        # straight to the data-movement seam (its arguments are valid by
-        # construction).
-        faulty = ctx._faults is not None
-        mover = ctx if faulty else ctx._transfer
-        me = ctx.rank
-        mask = params.table_size - 1
-        local_size = self.local_size
-        table_addr = self.table_addr
-        ran, left, phase = self.ran, self.left, self.phase
-        owner, off = self.owner, self.off
-        state = _RUNNING
-        while True:
-            if not phase:
-                if not left:
-                    break
-                left -= 1
-                ran = _lcg_step(ran)
-                owner, off = divmod(_mix64(ran) & mask, local_size)
-                ctx.compute(params.update_overhead_ns)
-                if owner == me:
-                    ctx.charge_access(table_addr + 8 * off, 8, write=False)
-                    ctx.charge_access(table_addr + 8 * off, 8, write=True)
-                    self.table[off] ^= np.uint64(ran)
-                    continue
-                phase = 1
-            if not blocking:
-                if faulty:
-                    ctx._require_active()
-                if pe.clock > limit:
-                    state = _RUNNABLE
-                    break
-            addr = table_addr + 8 * off
-            if params.use_amo:
-                # xBGAS remote atomic: a single fetch-and-xor transaction.
-                mover.amo(addr, ran, owner, "xor")
-                phase = 0
-            elif phase == 1:
-                # OSB idiom: one-sided get, xor locally, one-sided put.
-                mover.get(self.scratch, addr, 1, 1, owner, _U64)
-                self.sview[0] ^= np.uint64(ran)
-                phase = 2
+    limit = yield
+    pe = None if limit is None else ctx.pe
+    # Under fault injection every operation goes through the context's
+    # front door and its checkpoint; a clean run goes straight to the
+    # data-movement seam (its arguments are valid by construction).
+    faulty = ctx._faults is not None
+    mover = ctx if faulty else ctx._transfer
+    compute, charge = ctx.compute, ctx.charge_access
+    overhead = params.update_overhead_ns
+    use_amo = params.use_amo
+    # Where the PEs run in parallel (no engine: mp), an amo run applies
+    # its own updates with the atomic too, or a plain xor would race a
+    # peer's eamoxor.d on the same word; under the engine nothing runs
+    # between the xor's load and its store.
+    local_amo = use_amo and ctx.machine is None
+    me = ctx.rank
+    mask = params.table_size - 1
+    # The table and the scratch word, as 8-byte words of this PE's memory.
+    words = ctx._memory.words(8)
+    t0, s0 = table_addr >> 3, scratch >> 3
+    for _ in range(updates):
+        # _lcg_step, then _mix64, written out: two calls an update.
+        ran = ((ran << 1) & MASK64) ^ (POLY if ran >> 63 else 0)
+        x = ran ^ (ran >> 33)
+        x = (x * 0xFF51AFD7ED558CCD) & MASK64
+        x ^= x >> 33
+        x = (x * 0xC4CEB9FE1A85EC53) & MASK64
+        owner, off = divmod((x ^ (x >> 33)) & mask, local_size)
+        compute(overhead)
+        addr = table_addr + 8 * off
+        if owner == me:
+            charge(addr, 8, False)
+            charge(addr, 8, True)
+            if local_amo:
+                mover.amo(addr, ran, me, "xor")
             else:
-                mover.put(addr, self.scratch, 1, 1, owner, _U64)
-                phase = 0
-        self.ran, self.left, self.phase = ran, left, phase
-        self.owner, self.off = owner, off
-        return state
+                words[t0 + off] ^= ran
+            continue
+        if limit is not None:
+            if faulty:
+                ctx._require_active()
+            if pe.clock > limit:
+                limit = yield _RUNNABLE
+        if use_amo:
+            # xBGAS remote atomic: a single fetch-and-xor transaction.
+            mover.amo(addr, ran, owner, "xor")
+            continue
+        # OSB idiom: one-sided get, xor locally, one-sided put.
+        mover.get(scratch, addr, 1, 1, owner, _U64)
+        words[s0] ^= ran
+        if limit is not None:
+            if faulty:
+                ctx._require_active()
+            if pe.clock > limit:
+                limit = yield _RUNNABLE
+        mover.put(addr, scratch, 1, 1, owner, _U64)
+    while True:  # done: the PE's own thread runs on, whoever asks
+        yield _RUNNING
 
 
 def _gups_pe(ctx: XBRTime, params: GupsParams) -> dict:
@@ -283,10 +288,7 @@ def _gups_pe(ctx: XBRTime, params: GupsParams) -> dict:
     ctx.init()
     me, n = ctx.my_pe(), ctx.num_pes()
     table_size = params.table_size
-    if table_size % n:
-        raise CollectiveArgumentError(
-            f"table size {table_size} not divisible by {n} PEs"
-        )
+    params.check_pes(n)
     local_size = table_size // n
     table_addr = ctx.malloc(8 * local_size)
     table = ctx.view(table_addr, "uint64", local_size)
@@ -309,14 +311,16 @@ def _gups_pe(ctx: XBRTime, params: GupsParams) -> dict:
     start_seed = hpcc_starts((params.seed * n + me) * updates)
     scratch = ctx.private_malloc(8)
 
-    def stream() -> _UpdateStream:
-        """This PE's slice of the global update stream, from the top."""
-        return _UpdateStream(ctx, params, start_seed, updates, table,
-                             table_addr, scratch)
+    def apply_stream() -> None:
+        """Apply this PE's slice of the global update stream once."""
+        stream = _update_stream(ctx, params, start_seed, updates,
+                                table_addr, local_size, scratch)
+        next(stream)
+        ctx.drive(stream.send)
 
     ctx.barrier()
     t0 = ctx.time_ns
-    ctx.drive(stream())
+    apply_stream()
     ctx.barrier()
     t1 = ctx.time_ns
 
@@ -324,7 +328,7 @@ def _gups_pe(ctx: XBRTime, params: GupsParams) -> dict:
     if params.verify:
         # Apply the identical stream again: XOR twice = identity, so the
         # table must return to table[i] = i.
-        ctx.drive(stream())
+        apply_stream()
         ctx.barrier()
         expect = np.arange(base, base + local_size, dtype=np.uint64)
         errors = int(np.count_nonzero(table != expect))
@@ -349,6 +353,7 @@ def run_gups(config: MachineConfig,
              params: GupsParams | None = None) -> GupsResult:
     """Run GUPs on a fresh machine built from ``config``."""
     params = params if params is not None else GupsParams()
+    params.check_pes(config.n_pes)
     machine = Machine(config)
     wall0 = time.perf_counter()
     results = machine.run(_gups_pe, [(params,) for _ in range(config.n_pes)])
@@ -385,6 +390,7 @@ def run_gups_backend(config: MachineConfig,
     from ..backends import get_backend
 
     params = params if params is not None else GupsParams()
+    params.check_pes(config.n_pes)
     wall0 = time.perf_counter()
     results = get_backend(backend).run(
         _gups_pe, [(params,) for _ in range(config.n_pes)],

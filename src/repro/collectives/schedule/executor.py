@@ -226,8 +226,7 @@ class _RankRun:
                 addr, self.dtype, nelems, stride)
         return view
 
-    def __call__(self, limit: float | None = None,
-                 own: bool = False) -> PEState:
+    def __call__(self, limit: float | None = None) -> PEState:
         """Run this rank's ops on from ``pc``: the step interpreter.
 
         Blocking (no ``limit``: mp, ``Machine(fast_paths=False)``), it
@@ -246,8 +245,8 @@ class _RankRun:
         later.  ``limit`` moves only where a release or send wakes a PE.
 
         ``RUNNING`` means the rank's own thread runs on: the run is over
-        or — if this is not that thread (``own``) — its next step is a
-        send that might block on a full queue.
+        or — if this is not that thread (``Engine.inline``) — its next
+        step is a send into a full queue, which may have to wait.
         """
         ctx, ops, n, base, members, dtype, mover, faulty = self.env
         blocking = limit is None
@@ -342,9 +341,11 @@ class _RankRun:
                     if pe.clock > limit:
                         state = _RUNNABLE
                         break
-                    mailbox = ctx.machine.mailbox
-                    if not own and mailbox.depth(members[peer]) >= \
-                            mailbox.params.recv_depth:
+                    machine = ctx.machine
+                    mailbox = machine.mailbox
+                    if mailbox.depth(members[peer]) >= \
+                            mailbox.params.recv_depth and \
+                            machine.engine.inline:
                         state = _RUNNING
                         break
                 ctx.msg_send(base[s] + s_off, nelems, stride, members[peer],

@@ -13,16 +13,18 @@ Two costing entry points:
   phases).
 
 Either way an access that touches a few lines costs each with
-:meth:`MemoryHierarchy._access_line` (pure Python, no numpy), and one
-that touches :data:`~repro.machine.cache.SCALAR_CUTOVER` or more goes to
+:meth:`MemoryHierarchy.access_line`, the one-line primitive (pure
+Python, no numpy; the transfer engine's one-word path calls it
+directly), and one that touches
+:data:`~repro.machine.cache.SCALAR_CUTOVER` or more goes to
 :meth:`MemoryHierarchy._run_cost`, which hands the whole run to
 :meth:`Cache.access_run` / :meth:`Tlb.access_run`.  A dense
 :meth:`MemoryHierarchy.access_strided` of one or two lines — every
 small collective's put and get — makes those one or two
-``_access_line`` calls itself, exactly what ``access_range`` would
+``access_line`` calls itself, exactly what ``access_range`` would
 make for it.  Setting
 ``fast_path = False`` on an instance costs every line with
-``_access_line``; the two are equivalent — identical counters,
+``access_line``; the two are equivalent — identical counters,
 identical cache/TLB state, and identical ns because the grouped cost
 formula regroups exact (dyadic) per-line terms — and the equivalence
 suite asserts it bit for bit.
@@ -48,7 +50,8 @@ class MemoryHierarchy:
         if params.l1.line_bytes != params.l2.line_bytes:
             raise ValueError("L1 and L2 must share a line size")
         self._line_bytes = params.l1.line_bytes
-        self._line_shift = self.l1.line_shift
+        #: byte address >> this = line address (:meth:`access_line`)
+        self.line_shift = self.l1.line_shift
         # The scalar path reads these once per line; ``params`` is frozen.
         self._walk_ns = params.tlb.walk_ns
         self._l1_ns = params.l1.hit_ns
@@ -56,7 +59,7 @@ class MemoryHierarchy:
         self._dram_ns = params.dram_ns
         self._dram_stream_ns = params.dram_stream_ns
         #: line address >> this = page number
-        self._page_line_shift = self.tlb.page_shift - self._line_shift
+        self._page_line_shift = self.tlb.page_shift - self.line_shift
         #: Ranges of more lines than this are costed in closed form.
         self._stream_lines = 4 * params.l2.n_lines
         #: Cost runs of ``SCALAR_CUTOVER`` lines or more in batches.  Set
@@ -75,18 +78,27 @@ class MemoryHierarchy:
         remote accesses resolve through the requester's OLB, so they
         bypass the target core's TLB entirely (paper section 3.2).
         """
-        first = addr >> self._line_shift
-        last = (addr + (size if size > 0 else 1) - 1) >> self._line_shift
+        first = addr >> self.line_shift
+        last = (addr + (size if size > 0 else 1) - 1) >> self.line_shift
         if first == last:
-            return self._access_line(first, write, use_tlb)
+            return self.access_line(first, write, use_tlb)
         return self._lines_cost(first, last - first + 1, write, use_tlb,
                                 stream=False)
 
-    def _access_line(self, line: int, write: bool, use_tlb: bool = True,
-                     stream: bool = False) -> float:
+    def access_line(self, line: int, write: bool, use_tlb: bool = True,
+                    stream: bool = False) -> float:
+        """Cost one access to line address ``line`` (byte address >>
+        :attr:`line_shift`) in ns: the primitive every other entry point
+        is made of.  ``stream`` prices an L2 miss as a pipelined
+        sequential one (``dram_stream_ns``), as a dense range does."""
         ns = self._l1_ns  # an L1 miss still costs the L1 lookup
-        if use_tlb and not self.tlb.access(line >> self._page_line_shift):
-            ns = self._walk_ns + ns
+        if use_tlb:
+            page = line >> self._page_line_shift
+            tlb = self.tlb
+            if page == tlb.mru:  # a hit that moves nothing
+                tlb.hits += 1
+            elif not tlb.access(page):
+                ns = self._walk_ns + ns
         if self.l1.touch(line, write):
             return ns
         ns += self._l2_ns
@@ -104,7 +116,7 @@ class MemoryHierarchy:
             return self._run_cost(first, n_lines, write, use_tlb, stream)
         ns = 0.0
         for line in range(first, first + n_lines):
-            ns += self._access_line(line, write, use_tlb, stream)
+            ns += self.access_line(line, write, use_tlb, stream)
         return ns
 
     def _run_cost(self, first: int, n_lines: int, write: bool,
@@ -112,7 +124,7 @@ class MemoryHierarchy:
         """Bulk-cost the sequential lines ``[first, first+n_lines)``.
 
         Produces the same counters and final cache/TLB state as per-line
-        :meth:`_access_line` calls in ascending order.  The ns total
+        :meth:`access_line` calls in ascending order.  The ns total
         regroups the identical per-line terms by count
         (``count × latency`` per level); every default latency parameter
         is an exact dyadic float and run totals stay far below 2^53, so
@@ -158,11 +170,11 @@ class MemoryHierarchy:
         """
         if nbytes <= 0:
             return 0.0
-        first = addr >> self._line_shift
-        last = (addr + nbytes - 1) >> self._line_shift
+        first = addr >> self.line_shift
+        last = (addr + nbytes - 1) >> self.line_shift
         n_lines = last - first + 1
         if n_lines == 1:
-            return self._access_line(first, write, use_tlb, stream=True)
+            return self.access_line(first, write, use_tlb, stream=True)
         p = self.params
         if n_lines > self._stream_lines:
             # Streaming regime: charge pipelined DRAM for every line, then
@@ -188,21 +200,21 @@ class MemoryHierarchy:
     ) -> float:
         """Cost ``nelems`` accesses of ``elem_bytes`` separated by
         ``stride_elems`` elements (the runtime's strided put/get)."""
-        if nelems <= 0:
-            return 0.0
         step = elem_bytes * stride_elems
-        if stride_elems >= 1 and step <= self._line_bytes:
+        if nelems > 0 and stride_elems >= 1 and step <= self._line_bytes:
             # Dense or near-dense: equivalent to a sequential sweep —
             # most often (every scalar remote element) of one line.
             span = (nelems - 1) * step + elem_bytes
-            first = addr >> self._line_shift
-            last = (addr + span - 1) >> self._line_shift
+            first = addr >> self.line_shift
+            last = (addr + span - 1) >> self.line_shift
             if last == first:
-                return self._access_line(first, write, use_tlb, True)
+                return self.access_line(first, write, use_tlb, True)
             if last == first + 1:  # what ``access_range`` does with two
-                return (self._access_line(first, write, use_tlb, True)
-                        + self._access_line(last, write, use_tlb, True))
+                return (self.access_line(first, write, use_tlb, True)
+                        + self.access_line(last, write, use_tlb, True))
             return self.access_range(addr, span, write, use_tlb)
+        if nelems <= 0:
+            return 0.0
         if stride_elems < 1:
             step = elem_bytes
         ns = 0.0

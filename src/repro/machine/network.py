@@ -89,7 +89,9 @@ class Network:
         self._req_ns = self._send_fixed_ns + 16 * tp.copy_ns_per_byte
         if tp.handshake_ns and 16 > tp.eager_threshold:
             self._req_ns += tp.handshake_ns
-        #: Injection-link and fabric occupancy of a get request.
+        #: Node-bus, injection-link and fabric occupancy of a get request.
+        self._req_bus_ns = (NODE_BUS_NS_PER_MSG
+                            + 16 * tp.intra_gap_ns_per_byte)
         self._req_inj_ns = 16 * tp.inj_ns_per_byte
         self._fabric_gap_ns_per_byte = config.fabric_gap_ns_per_byte
         self._req_fabric_ns = (FABRIC_NS_PER_MSG
@@ -124,20 +126,6 @@ class Network:
             return self._one_hop_ns
         hops = self.route_hops(src_node, dst_node)
         return self.tp.latency_ns * (1.0 + HOP_LATENCY_FACTOR * max(0, hops - 1))
-
-    def _cross_bus(self, node: int, t_ready: float, nbytes: float) -> float:
-        """Serialise one message on a node's shared internal bus.
-
-        Returns the instant the message starts crossing; the sender is
-        backpressured until then.
-        """
-        occ = NODE_BUS_NS_PER_MSG + nbytes * self.tp.intra_gap_ns_per_byte
-        free = self._bus_free[node]
-        t_enter = t_ready if t_ready > free else free
-        self._bus_free[node] = t_enter + occ
-        if t_enter > t_ready:
-            self.stats.fabric_queued_ns += t_enter - t_ready
-        return t_enter
 
     def _land_faulted(self, fault, t_del: float, nbytes: float,
                       gap_ns_per_byte: float) -> float:
@@ -194,8 +182,15 @@ class Network:
                        + nbytes * tp.copy_ns_per_byte)
             if tp.handshake_ns and nbytes > tp.eager_threshold:
                 t_ready += tp.handshake_ns
-            t_enter = self._cross_bus(src_node, t_ready, nbytes)
+            # The node's shared bus serialises the message; the sender is
+            # backpressured until it starts crossing.
             gap = tp.intra_gap_ns_per_byte
+            bus = self._bus_free
+            free = bus[src_node]
+            t_enter = t_ready if t_ready > free else free
+            bus[src_node] = t_enter + (NODE_BUS_NS_PER_MSG + nbytes * gap)
+            if t_enter > t_ready:
+                self.stats.fabric_queued_ns += t_enter - t_ready
             t_del = t_enter + tp.intra_latency_ns + nbytes * gap
         else:
             # Sender CPU, then the source node's injection link...
@@ -259,13 +254,22 @@ class Network:
         if self.injector is not None and faultable and src_pe != dst_pe:
             fault = self.injector.on_message(t_now, src_pe, dst_pe, nbytes)
         if src_node == dst_node:
+            # The request, then the response, crosses the node's bus.
+            gap = tp.intra_gap_ns_per_byte
+            bus = self._bus_free
             t_ready = t_now + tp.o_send + tp.kernel_ns
-            t_req = self._cross_bus(src_node, t_ready, 16)
+            free = bus[src_node]
+            t_req = t_ready if t_ready > free else free
+            free = bus[src_node] = t_req + self._req_bus_ns
+            if t_req > t_ready:
+                self.stats.fabric_queued_ns += t_req - t_ready
             t_arrive = t_req + tp.intra_latency_ns
             if tp.two_sided:
                 t_arrive += tp.o_recv + tp.kernel_ns
-            t_rsp = self._cross_bus(src_node, t_arrive, nbytes)
-            gap = tp.intra_gap_ns_per_byte
+            t_rsp = t_arrive if t_arrive > free else free
+            bus[src_node] = t_rsp + (NODE_BUS_NS_PER_MSG + nbytes * gap)
+            if t_rsp > t_arrive:
+                self.stats.fabric_queued_ns += t_rsp - t_arrive
             t_done = t_rsp + tp.intra_latency_ns + nbytes * gap
         else:
             # The request crosses the source link and the fabric...

@@ -20,7 +20,9 @@ class Tlb:
         self.page_shift = params.page_bytes.bit_length() - 1
         self._entries: dict[int, None] = {}
         #: The most recent page (the last key of ``_entries``), or None.
-        self._mru: int | None = None
+        #: Read-only outside this class: a hit on it moves nothing, so a
+        #: caller may test it inline and count the hit itself.
+        self.mru: int | None = None
         self.hits = 0
         self.misses = 0
 
@@ -29,10 +31,10 @@ class Tlb:
 
     def access(self, page: int) -> bool:
         """Touch ``page``; returns True on hit, False on miss (then fills)."""
-        if page == self._mru:
+        if page == self.mru:
             self.hits += 1
             return True
-        self._mru = page
+        self.mru = page
         entries = self._entries
         if page in entries:
             self.hits += 1
@@ -73,7 +75,7 @@ class Tlb:
         if n_pages > capacity:
             self._entries = dict.fromkeys(range(end - capacity, end))
         if n_pages > 0:
-            self._mru = end - 1
+            self.mru = end - 1
         misses = n_pages - hits
         self.hits += hits
         self.misses += misses
@@ -85,7 +87,7 @@ class Tlb:
 
     def flush(self) -> None:
         self._entries.clear()
-        self._mru = None
+        self.mru = None
 
     @property
     def occupancy(self) -> int:

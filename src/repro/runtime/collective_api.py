@@ -461,17 +461,18 @@ class CollectiveAPI:
     def drive(self, step) -> None:
         """Run a PE-side step loop to its end.
 
-        ``step(limit=None, own=False)`` is a resumable loop of this PE's
-        operations that keeps its position across calls and returns
-        ``PEState.RUNNING`` at its end.  Given a ``limit``, it keeps the
-        executor's rules: before each operation that yields (a put, get
-        or amo) it makes the fault checkpoint (``_require_active``) when
-        an injector is armed, then returns ``PEState.RUNNABLE`` if this
-        PE's clock is past ``limit``.  On a direct-handoff engine it runs
-        as a continuation (``Engine.drive``), which another PE's thread
-        may call; everywhere else (mp, ``Machine(fast_paths=False)``) it
-        is called once with no limit and runs to its end here, its puts
-        and gets yielding in place.
+        ``step(limit)`` is a resumable loop of this PE's operations —
+        a bound method, or a primed generator's ``send`` — that keeps
+        its position across calls and returns ``PEState.RUNNING`` at its
+        end.  Given a ``limit``, it keeps the executor's rules: before
+        each operation that yields (a put, get or amo) it makes the fault
+        checkpoint (``_require_active``) when an injector is armed, then
+        returns ``PEState.RUNNABLE`` if this PE's clock is past
+        ``limit``.  On a direct-handoff engine it runs as a continuation
+        (``Engine.drive``), which another PE's thread may call;
+        everywhere else (mp, ``Machine(fast_paths=False)``) it is called
+        once with ``None`` and runs to its end here, its puts and gets
+        yielding in place.
         """
         machine = self.machine
         engine = machine.engine if machine is not None else None

@@ -110,7 +110,6 @@ class Machine:
         for olb in self.olbs:
             olb.install_default(cfg.n_pes)
         self.barriers = BarrierController(self)
-        self.transfers = [TransferEngine(self, r) for r in range(cfg.n_pes)]
         self.mailbox = MailboxRouter(self)
         self._consumed = False
         #: Functional-core transfer path (``isa`` fidelity), else None.
@@ -127,6 +126,8 @@ class Machine:
 
             self.faults = FaultInjector(self, faults)
             self.network.injector = self.faults
+        # Last: a transfer engine reads which paths this machine allows.
+        self.transfers = [TransferEngine(self, r) for r in range(cfg.n_pes)]
 
     # -- shared-hardware accessors -------------------------------------------
 

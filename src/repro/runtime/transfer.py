@@ -32,7 +32,8 @@ Every operation has the same shape ("Remote-op path" in ``DESIGN.md``):
    of those calls updates shared state, and float addition does not
    reassociate.  Memory time comes from the cost provider
    ``machine.hierarchy_of(pe)`` through its public ``access_strided``
-   only (the vec backend's provider has nothing else).  One-sided
+   (the vec backend's provider has nothing else), or on the word path
+   below through the one-line primitive it is made of.  One-sided
    operations do not involve the target CPU, but its memory system
    still serves the access — cache pollution included deliberately —
    and because the access resolves through the requester's OLB to a
@@ -43,6 +44,21 @@ Every operation has the same shape ("Remote-op path" in ``DESIGN.md``):
    word for the ``eld``/``esd`` pair, a strided slice of words for a
    run — and only misaligned transfers, memories with no word view and
    fault-injected corruption build numpy views.
+
+**The word path.**  A blocking get or put of one aligned 8-byte element
+at stride 1 to another PE — GUPs' every remote access — makes the same
+three steps in one frame: the admit test inline, the yield test inline
+(``Engine.checkpoint`` is called only when the run queue's head is
+earlier), each of its two lines priced by
+:meth:`~repro.machine.memsys.MemoryHierarchy.access_line` (what
+``access_strided`` would call for it), the message by
+``Network.fetch``/``send``, and one word copied.  The charges, their
+float order and their mutation order are the general path's.  It runs
+only on a clean (no fault injector), untraced, ``model``-fidelity,
+direct-handoff machine whose every memory-cost provider offers that
+one-line primitive at one line size — not on the vec backend, whose
+closed-form rows price only ranges — and ``Machine(fast_paths=False)``
+keeps the general path as its oracle.
 """
 
 from __future__ import annotations
@@ -98,6 +114,23 @@ class TransferHandle:
     done: bool = False
 
 
+def _line_priced(machine: "Machine", shift: int) -> bool:
+    """Whether every PE's memory-cost provider prices single lines
+    (``access_line``) of ``1 << shift`` bytes, a line holds an aligned
+    8-byte word, and the PEs' memories are one size, each with an 8-byte
+    word view."""
+    if shift < 3:
+        return False
+    size = machine.memories[0].size
+    for pe, mem in enumerate(machine.memories):
+        hier = machine.hierarchy_of(pe)
+        if (getattr(hier, "line_shift", None) != shift
+                or not hasattr(hier, "access_line")
+                or mem.size != size or mem.words(8) is None):
+            return False
+    return True
+
+
 class TransferEngine:
     """Per-PE implementation of blocking and non-blocking get/put."""
 
@@ -122,6 +155,23 @@ class TransferEngine:
         # transfers are outstanding (handles are kept alive by the dict
         # itself, so ids cannot be recycled while registered).
         self._pending: dict[int, TransferHandle] = {}
+        engine = self.engine
+        shift = getattr(self.hier, "line_shift", 0)
+        #: Whether a one-word remote get/put may take the word path (see
+        #: the module doc); tracing is tested per call.
+        self._word_path = (
+            machine.faults is None and machine.isa_path is None
+            and engine.direct_handoff and _line_priced(machine, shift))
+        #: What the word path reads: the yield test's heap, the trace
+        #: switch, the last word address of every PE's memory, one
+        #: element's loop cost, the line size and (pe -> that PE's
+        #: memory as 8-byte words).
+        self._runq = engine.run_queue
+        self._trace = engine.trace
+        self._last_word = memories[rank].size - 8
+        self._loop1 = self.loop_ns[1]
+        self._line_shift = shift
+        self._words8 = Memo(lambda pe: memories[pe].words(8))
 
     def _reject(self, dpe: int, dest: int, spe: int, src: int,
                 span: int) -> None:
@@ -240,10 +290,38 @@ class TransferEngine:
     ) -> None:
         """One-sided write of ``nelems`` elements to ``target``."""
         st = self.stats
+        rank = self.rank
+        if (nelems == 1 and stride == 1 and target != rank
+                and self._word_path and dtype.itemsize == 8
+                and not (dest | src) & 7
+                and 0 <= dest <= self._last_word
+                and 0 <= src <= self._last_word
+                and not self._trace.enabled):
+            # The word path (module doc): the general path's charges.
+            st.puts += 1
+            st.bytes_put += 8
+            pe = self.pe
+            q = self._runq
+            if q and q[0][0] < pe.clock:
+                self.engine.checkpoint()
+            shift = self._line_shift
+            clock = (pe.clock + self._loop1
+                     + self.hier.access_line(src >> shift, False, True, True)
+                     + OLB_LOOKUP_NS)
+            st.remote_puts += 1
+            network = self.network
+            t_free, t_delivered, _ = network.send(clock, rank, target, 8)
+            pe.clock = t_free if t_free > clock else clock
+            t_delivered += self._hier_of[target].access_line(
+                dest >> shift, True, False, True)
+            if t_delivered > network.max_delivery:
+                network.max_delivery = t_delivered
+            words = self._words8
+            words[target][dest >> 3] = words[rank][src >> 3]
+            return
         if nelems == 0:
             st.puts += 1
             return
-        rank = self.rank
         eb = dtype.itemsize
         span = ((nelems - 1) * stride + 1) * eb
         mems = self.machine.memories
@@ -301,10 +379,37 @@ class TransferEngine:
     ) -> None:
         """One-sided read of ``nelems`` elements from ``target``."""
         st = self.stats
+        rank = self.rank
+        if (nelems == 1 and stride == 1 and target != rank
+                and self._word_path and dtype.itemsize == 8
+                and not (dest | src) & 7
+                and 0 <= dest <= self._last_word
+                and 0 <= src <= self._last_word
+                and not self._trace.enabled):
+            # The word path (module doc): the general path's charges.
+            st.gets += 1
+            st.bytes_got += 8
+            pe = self.pe
+            q = self._runq
+            if q and q[0][0] < pe.clock:
+                self.engine.checkpoint()
+            st.remote_gets += 1
+            clock = pe.clock + self._loop1 + OLB_LOOKUP_NS
+            shift = self._line_shift
+            rcost = self._hier_of[target].access_line(src >> shift, False,
+                                                      False, True)
+            t_complete, _ = self.network.fetch(clock, rank, target, 8)
+            t_complete += rcost
+            if t_complete > clock:
+                clock = t_complete
+            pe.clock = clock + self.hier.access_line(dest >> shift, True,
+                                                     True, True)
+            words = self._words8
+            words[rank][dest >> 3] = words[target][src >> 3]
+            return
         if nelems == 0:
             st.gets += 1
             return
-        rank = self.rank
         eb = dtype.itemsize
         span = ((nelems - 1) * stride + 1) * eb
         mems = self.machine.memories

@@ -17,15 +17,17 @@ PE code interacts with the engine through three primitives:
   until another PE wakes it (used by barriers and two-sided receives).
 
 A PE that parks at a point another thread can continue it from parks
-with :meth:`Engine.park`, leaving a *continuation*.  Where the engine
-would wake such a PE's thread, the thread doing the waking runs the
-continuation itself instead (:attr:`Engine.current`, and every trace
-record, then names the PE whose step it is), and wakes the PE's own
-thread only when the continuation asks for it.  :meth:`Engine.drive`
-runs a PE-side *step loop* that way — the schedule executor's plans,
-GUPs' update stream — provided it keeps one rule: before an operation
-that would yield, it makes that operation's fault checkpoint, then
-stops if its clock is past the earliest other runnable PE's.
+with :meth:`Engine.park`, leaving a *continuation*: a one-argument
+callable, ``cont(limit) -> PEState``.  Where the engine would wake such
+a PE's thread, the thread doing the waking runs the continuation itself
+instead (:attr:`Engine.current`, and every trace record, then names the
+PE whose step it is, and :attr:`Engine.inline` is true), and wakes the
+PE's own thread only when the continuation asks for it.
+:meth:`Engine.drive` runs a PE-side *step loop* that way — the schedule
+executor's bound plans, the ``send`` of GUPs' primed update-stream
+generator — provided it keeps one rule: before an operation that would
+yield, it makes that operation's fault checkpoint, then stops if its
+clock is past the earliest other runnable PE's.
 
 Deadlock (no runnable PE while some are blocked) raises
 :class:`~repro.errors.DeadlockError` instead of hanging.
@@ -213,6 +215,19 @@ class Engine:
         """Whether a yielding PE dispatches its successor itself."""
         return self._direct
 
+    @property
+    def inline(self) -> bool:
+        """Whether the running code is a continuation on a thread that is
+        not its PE's own: it must park, never yield or block in place."""
+        return self._inline
+
+    @property
+    def run_queue(self) -> list[tuple[float, int]]:
+        """The runnable-set heap of ``(clock, rank)`` entries (direct
+        handoff; one list for the engine's life).  Read-only to callers:
+        ``q and q[0][0] < clock`` is :meth:`checkpoint`'s yield test."""
+        return self._runq
+
     def checkpoint(self) -> None:
         """Yield; the scheduler resumes the smallest-clock runnable PE.
 
@@ -259,21 +274,22 @@ class Engine:
         if exc is not None:
             raise exc
 
-    def drive(self, step: Callable[..., PEState]) -> None:
+    def drive(self, step: Callable[[float], PEState]) -> None:
         """Run the calling PE through ``step`` to its end, parking as a
         continuation wherever it stops (direct handoff only).
 
-        ``step(limit, own)`` runs the PE on from where it last stopped
-        until its clock would pass ``limit`` (:meth:`next_clock`) before
-        a step that yields, or until it must wait, and returns
+        ``step(limit)`` runs the PE on from where it last stopped until
+        its clock would pass ``limit`` (:meth:`next_clock`) before a
+        step that yields, or until it must wait, and returns
         ``RUNNABLE``, ``BLOCKED`` or — at its end, or to ask for the
-        PE's own thread — ``RUNNING``.  ``own`` tells it whether it runs
-        on that thread.  While the PE is parked, whichever thread would
-        wake it calls ``step(limit)`` itself, so a PE-side loop of
-        checkpointing operations costs no thread switch per yield.
+        PE's own thread — ``RUNNING``.  The first call runs on that
+        thread; while the PE is parked, whichever thread would wake it
+        calls ``step(limit)`` itself (:attr:`inline` tells the step
+        which), so a PE-side loop of checkpointing operations costs no
+        thread switch per yield.  A bound method and a primed
+        generator's ``send`` are both such steps.
         """
-        while (state := step(self.next_clock(), True)) is not \
-                PEState.RUNNING:
+        while (state := step(self.next_clock())) is not PEState.RUNNING:
             self.park(step, state)
 
     def suspend(self) -> None:

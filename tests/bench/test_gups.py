@@ -14,7 +14,9 @@ from repro.bench.gups import (
     _mix64,
     hpcc_starts,
     run_gups,
+    run_gups_backend,
 )
+from repro.errors import CollectiveArgumentError
 from repro.params import MachineConfig
 
 FAST = GupsParams(log2_table_size=12, updates_per_pe=256)
@@ -93,9 +95,9 @@ class TestGupsRun:
         assert res.passed and res.errors == 0
 
     def test_table_divisibility_enforced(self):
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError):
+        # Refused on the caller's thread, before any PE starts: the
+        # error itself, not a SimulationError wrapping a PE's failure.
+        with pytest.raises(CollectiveArgumentError, match="not divisible"):
             run_gups(fast_config(3), FAST)  # 2^12 % 3 != 0
 
     def test_deterministic(self):
@@ -113,3 +115,42 @@ class TestGupsRun:
         calls = m.stats.collective_calls
         assert any(k.startswith("broadcast") for k in calls)
         assert any(k.startswith("reduce:sum") for k in calls)
+
+
+class TestGupsParamsBounds:
+    """Bad parameters are refused where they are given, not after the PE
+    threads have started (where they died as an ``OverflowError`` in
+    PE 0, a "negative time advance" mid-run, or a wrapped error)."""
+
+    def test_negative_table_size(self):
+        with pytest.raises(ValueError, match="log2_table_size"):
+            GupsParams(log2_table_size=-1)
+
+    def test_negative_update_count(self):
+        with pytest.raises(ValueError, match="updates_per_pe"):
+            GupsParams(updates_per_pe=-4)
+
+    @pytest.mark.parametrize("ns", [-1.0, float("nan"), float("inf")])
+    def test_bad_update_overhead(self, ns):
+        with pytest.raises(ValueError, match="update_overhead_ns"):
+            GupsParams(update_overhead_ns=ns)
+
+    def test_edges_are_accepted(self):
+        params = GupsParams(log2_table_size=0, updates_per_pe=0,
+                            update_overhead_ns=0.0)
+        assert params.table_size == 1
+        res = run_gups(fast_config(1), params)
+        assert res.total_updates == 0 and res.errors == 0
+
+    @pytest.mark.parametrize("backend", ["sim", "vec", "mp"])
+    def test_table_smaller_than_the_machine(self, backend, monkeypatch):
+        """2^2 words on 8 PEs: refused before any backend starts."""
+        import repro.backends as backends
+
+        def no_backend(name):
+            raise AssertionError("a backend was started")
+
+        monkeypatch.setattr(backends, "get_backend", no_backend)
+        with pytest.raises(CollectiveArgumentError, match="not divisible"):
+            run_gups_backend(fast_config(8), GupsParams(log2_table_size=2),
+                             backend=backend)

@@ -2,8 +2,8 @@
 thread per PE.
 
 On the direct-handoff engine each PE's update loop
-(:class:`~repro.bench.gups._UpdateStream`) parks as an engine
-continuation before any get, put or amo that would yield, and whichever
+(:func:`~repro.bench.gups._update_stream`, a generator) parks as an
+engine continuation before any get, put or amo that would yield, and whichever
 thread would wake the PE runs its updates on.  ``Machine(fast_paths=False)``
 runs the same loop to its end on each PE's own thread, every operation
 yielding in place, and is the oracle: per-PE results, final clocks,
@@ -150,3 +150,14 @@ def test_mp_runs_the_stream_to_the_end(use_amo):
     assert res.total_updates == 512 and res.passed
     if use_amo:  # atomics lose no update, whatever the interleaving
         assert res.errors == 0
+
+
+def test_mp_amo_run_loses_no_update_of_its_own():
+    """On mp the PEs run in parallel: a 16-word table makes a PE's own
+    updates and its peer's ``eamoxor.d`` hit the same words all the
+    time, and an amo run must still lose none of them (a plain xor for
+    the local ones lost about every word)."""
+    params = GupsParams(log2_table_size=4, updates_per_pe=4096, seed=3,
+                        use_amo=True)
+    res = run_gups_backend(_backend_config(2), params, backend="mp")
+    assert res.total_updates == 8192 and res.errors == 0

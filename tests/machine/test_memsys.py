@@ -73,7 +73,7 @@ class TestRanges:
         h2 = make(l2_kb=16)
         slow = 0.0
         for line in range(n // 64):
-            slow += h2._access_line(line, False, stream=True)
+            slow += h2.access_line(line, False, stream=True)
         # The closed form assumes every line goes to DRAM; the sweep's
         # first lines also do (cold), so totals agree up to TLB detail.
         assert fast == pytest.approx(slow, rel=0.05)

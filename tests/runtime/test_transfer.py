@@ -426,3 +426,133 @@ class TestWordMoves:
             return same
 
         assert all(run(1, body))
+
+
+# -- the one-word path against the general path -------------------------------
+
+_LINE, _PAGE, _BUF = 64, 4096, 8192
+_WIDTHS = {"long": 8, "int": 4, "short": 2, "char": 1, "longdouble": 16}
+
+
+@st.composite
+def _word_op(draw, n_pes: int):
+    """One single-element get or put, biased towards the word path: an
+    aligned ``long`` at stride 1 to another PE."""
+    issuer = draw(st.integers(0, n_pes - 1))
+    word = draw(st.booleans())
+    typename = "long" if word else draw(st.sampled_from(sorted(_WIDTHS)))
+    width = _WIDTHS[typename]
+
+    def offset():
+        mode = draw(st.sampled_from(
+            ("aligned", "line-end", "any", "straddle-line", "straddle-page")
+            if not word else ("aligned", "line-end")))
+        if mode == "aligned":
+            return draw(st.integers(0, _BUF // width - 1)) * width
+        if mode == "line-end":
+            return _LINE * draw(st.integers(1, _BUF // _LINE)) - width
+        if mode == "any":
+            return draw(st.integers(0, _BUF - width))
+        if mode == "straddle-line":
+            return (_LINE * draw(st.integers(1, _BUF // _LINE - 1))
+                    - draw(st.integers(1, max(width - 1, 1))))
+        return _PAGE - draw(st.integers(1, max(width - 1, 1)))
+
+    return (
+        issuer,
+        draw(st.sampled_from(("get", "put"))),
+        typename,
+        1 if word else draw(st.sampled_from((1, 2, 7, 9, 40))),
+        draw(st.integers(0, n_pes - 1).filter(lambda t: t != issuer))
+        if word else draw(st.integers(0, n_pes - 1)),
+        (draw(st.integers(0, 1)), offset()),
+        (draw(st.integers(0, 1)), offset()),
+        draw(st.sampled_from((0.0, 3.0, 40.0, 900.0))),
+    )
+
+
+@st.composite
+def _word_programs(draw):
+    n_pes = draw(st.integers(2, 8))
+    cores = draw(st.sampled_from((1, 2, 4, 8)))
+    ops = draw(st.lists(_word_op(n_pes), min_size=1, max_size=40))
+    return n_pes, cores, ops
+
+
+def _word_program_pe(ctx, ops):
+    ctx.init()
+    me = ctx.my_pe()
+    bufs = (ctx.malloc(_BUF, _PAGE), ctx.private_malloc(_BUF, _PAGE))
+    rng = np.random.default_rng(me)
+    for base in bufs:
+        ctx.view(base, "uint8", _BUF)[:] = rng.integers(0, 256, _BUF,
+                                                        dtype=np.uint8)
+    ctx.barrier()
+    for issuer, kind, typename, stride, target, dest, src, ns in ops:
+        if issuer != me:
+            continue
+        ctx.compute(ns)
+        (ctx.get if kind == "get" else ctx.put)(
+            bufs[dest[0]] + dest[1], bufs[src[0]] + src[1], 1, stride,
+            target, typename)
+    ctx.barrier()
+    ctx.close()
+
+
+def _machine_state(machine: Machine) -> dict:
+    import dataclasses
+
+    net = machine.network
+    hiers = [machine.hierarchy_of(r) for r in range(machine.config.n_pes)]
+    return {
+        "clocks": [pe.clock for pe in machine.engine.pes],
+        "stats": dataclasses.asdict(machine.stats),
+        "caches": [(h.stat_tuple(), h.l1.writebacks, h.l2.writebacks,
+                    h.l1.lru_state(), h.l2.lru_state()) for h in hiers],
+        "tlbs": [(list(h.tlb._entries), h.tlb.mru) for h in hiers],
+        "network": (list(net._bus_free), list(net._link_free),
+                    list(net._fabric_free), net.max_delivery,
+                    net.stats.fabric_queued_ns),
+        "bytes": [bytes(m.buf) for m in machine.memories],
+    }
+
+
+class TestWordPath:
+    """A remote get or put of one aligned 8-byte element at stride 1 is
+    priced line by line in one frame on a clean direct-handoff machine;
+    every other single element takes the general path.  Whatever mix of
+    the two a program makes, the machine must end exactly where
+    ``Machine(fast_paths=False)`` — the general path throughout — ends."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_word_programs())
+    def test_word_path_matches_the_general_path(self, program):
+        n_pes, cores, ops = program
+        cfg = small_config(n_pes, cores_per_node=cores,
+                           memory_bytes_per_pe=256 * 1024,
+                           symmetric_heap_bytes=128 * 1024,
+                           collective_scratch_bytes=32 * 1024)
+        states = []
+        for fast in (True, False):
+            machine = Machine(cfg, fast_paths=fast)
+            machine.run(_word_program_pe, [(ops,)] * n_pes)
+            states.append(_machine_state(machine))
+        word, general = states
+        for what in word:
+            assert word[what] == general[what], what
+
+    def test_only_a_plain_direct_machine_takes_it(self):
+        from repro.backends.vec import VecWorld
+        from repro.faults import FaultPlan
+
+        cfg = small_config(2)
+
+        def word_path(machine):
+            return machine.transfers[0]._word_path
+
+        assert word_path(Machine(cfg))
+        assert word_path(Machine(cfg, trace=True))  # tested per call
+        assert not word_path(Machine(cfg, fast_paths=False))
+        assert not word_path(Machine(cfg, faults=FaultPlan(seed=1)))
+        assert not word_path(Machine(small_config(2, fidelity="isa")))
+        assert not word_path(VecWorld(cfg))

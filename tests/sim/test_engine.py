@@ -306,6 +306,153 @@ class TestContinuations:
         assert isinstance(info.value.__cause__, ValueError)
 
 
+class TestGeneratorContinuations:
+    """The continuation protocol is one callable, ``cont(limit) ->
+    PEState``: a primed generator's ``send`` is one, as GUPs' update
+    stream is, and so is the executor's bound plan."""
+
+    @staticmethod
+    def _stream(eng, pe, steps, log):
+        limit = yield
+        for _ in range(steps):
+            if pe.clock > limit:
+                limit = yield PEState.RUNNABLE
+            log.append((pe.rank, pe.clock, threading.current_thread().name,
+                        eng.inline))
+            pe.advance(3)
+        while True:
+            yield PEState.RUNNING
+
+    def test_a_primed_send_parks_and_runs_on_other_threads(self):
+        eng = Engine(3)
+        log = []
+
+        def body(pe):
+            if pe.rank:
+                pe.advance(2)
+                stream = self._stream(eng, pe, 3, log)
+                next(stream)
+                eng.drive(stream.send)
+            else:
+                pe.advance(1)
+                eng.checkpoint()  # PEs 1 and 2 park before their first step
+                pe.advance(20)
+                eng.checkpoint()  # ... and run on this thread
+            log.append((pe.rank, "own", threading.current_thread().name,
+                        eng.inline))
+
+        eng.run(body)
+        steps = [entry for entry in log if entry[1] != "own"]
+        # The clock order of the thread-per-PE engine.  PE 0's thread
+        # runs the others' steps as continuations until PE 1's stream
+        # ends; the scheduler then wakes PE 2's own thread, which takes
+        # its last step itself.
+        assert steps == [(1, 2.0, "pe-0", True), (2, 2.0, "pe-0", True),
+                         (2, 5.0, "pe-0", True), (1, 5.0, "pe-0", True),
+                         (1, 8.0, "pe-0", True), (2, 8.0, "pe-2", False)]
+        assert sorted(entry for entry in log if entry[1] == "own") == [
+            (0, "own", "pe-0", False), (1, "own", "pe-1", False),
+            (2, "own", "pe-2", False)]
+        assert [pe.clock for pe in eng.pes] == [21.0, 11.0, 11.0]
+
+    def test_what_a_generator_raises_is_raised_on_its_own_thread(self):
+        eng = Engine(2)
+        raised_on = []
+
+        def stream(pe):
+            limit = yield
+            if pe.clock > limit:
+                limit = yield PEState.RUNNABLE
+            assert threading.current_thread().name == "pe-0"
+            raise ValueError("update failed")
+
+        def body(pe):
+            if pe.rank == 0:
+                pe.advance(1)
+                eng.checkpoint()  # PE 1 parks at 5
+                pe.advance(10)
+                eng.checkpoint()  # PE 1's step runs here, and raises
+                return
+            pe.advance(5)
+            gen = stream(pe)
+            next(gen)
+            try:
+                eng.drive(gen.send)
+            except ValueError:
+                raised_on.append(threading.current_thread().name)
+                raise
+
+        with pytest.raises(SimulationError, match="PE 1 failed") as info:
+            eng.run(body)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert raised_on == ["pe-1"]
+
+    def test_a_send_into_a_full_queue_wakes_the_senders_own_thread(
+            self, monkeypatch):
+        """A continuation must not wait out backpressure on another PE's
+        thread: before a send into a full queue the executor returns
+        ``RUNNING`` when ``Engine.inline``, and the rank's own thread
+        takes the send."""
+        import numpy as np
+
+        from repro.collectives.schedule import execute_schedule, executor
+        from repro.collectives.schedule.ir import (
+            OP_RECV,
+            OP_SEND,
+            Buffer,
+            Rows,
+            Schedule,
+            skeleton,
+        )
+        from repro.params import MachineConfig, MailboxParams
+        from repro.runtime.context import Machine
+
+        rows = Rows()
+        for i in range(3):
+            rows.add(0, 0, 0, OP_SEND, b=(0, 8 * i), nelems=1, peer=1, aux=i)
+            rows.add(1, 0, 0, OP_RECV, a=(0, 32 + 8 * i), nelems=1, peer=0,
+                     aux=i)
+        sched = Schedule.from_rows(
+            "burst", "test", 2, 8, rows, (skeleton(0, (), 0),),
+            buffers=(Buffer("buf", "user", 64, symmetric=True),))
+        asked = []
+        step = executor._RankRun.__call__
+
+        def watched(run, limit=None):
+            state = step(run, limit)
+            engine = run.ctx.machine.engine
+            if state is PEState.RUNNING and run.pc < len(run.ops):
+                asked.append((run.ctx.rank, engine.inline,
+                              threading.current_thread().name))
+            return state
+
+        monkeypatch.setattr(executor._RankRun, "__call__", watched)
+
+        def body(ctx):
+            ctx.init()
+            buf = ctx.malloc(64)
+            ctx.view(buf, "int64", 8)[:] = np.arange(8) + 10 * ctx.my_pe()
+            if ctx.my_pe() == 1:
+                for _ in range(3):  # busy while rank 0's sends pile up
+                    ctx.compute(90.0)
+                    ctx.get(buf + 56, buf, 1, 1, 0, "int64")
+            execute_schedule(ctx, sched, ctx.world_group, ctx.rank,
+                             {"buf": buf}, np.dtype("int64"))
+            got = ctx.view(buf, "int64", 8).tolist()
+            ctx.close()
+            return got
+
+        machine = Machine(MachineConfig(
+            n_pes=2, mailbox=MailboxParams(recv_depth=1)),
+            transport="mailbox")
+        results = machine.run(body)
+        assert results[1][4:7] == [0, 1, 2]
+        assert machine.stats.mbx_stalls > 0
+        # Rank 0's plan was continued on rank 1's thread and handed back.
+        assert asked and all(rank == 0 and inline and name == "pe-1"
+                             for rank, inline, name in asked)
+
+
 class TestReplayedSchedules:
     """Where continuations can go wrong: failures must land on the PE
     whose step failed, and a schedule whose ranks disagree on the

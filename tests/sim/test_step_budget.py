@@ -9,6 +9,11 @@ over ``CALLS`` warm 8-PE calls of each of the workload's five
 collectives at 4 and 12 elements, net of the same program with no
 calls, per collective call.
 
+GUPs (the paper's Figure 4 kernel) is gated the same way per update:
+its remote get-xor-put (or amo) is one step of a PE's update stream, a
+generator resumed as an engine continuation, and each get or put one
+frame per layer (the transfer engine's one-word path).
+
 The budgets are the counts measured when they were set (Python 3.11)
 plus about 5 % headroom.  Python 3.12 inlines comprehensions, which
 only lowers the counts.  A change that adds a Python frame to every
@@ -22,6 +27,7 @@ import sys
 
 import pytest
 
+from repro.bench.gups import GupsParams, _gups_pe
 from repro.params import MachineConfig
 from repro.runtime import Machine
 
@@ -35,19 +41,28 @@ SIZES = (4, 12)
 #: 738, 998, 1183, 1852, 2308, 1539, 1918, 1607 and 2319, in this order;
 #: before the front doors bound their ``prepare_*`` once and a LIFO
 #: private buffer stopped scanning the free list, 521, 562, 799, 888,
-#: 1406, 1622, 1186, 1367, 1174 and 1502.
+#: 1406, 1622, 1186, 1367, 1174 and 1502; before the node bus was priced
+#: inline and a hit on the TLB's most recent page cost no call, 521, 562,
+#: 783, 872, 1390, 1606, 1170, 1351, 1174 and 1502.
 BUDGETS = {
-    ("broadcast", 4): 547,
-    ("broadcast", 12): 590,
-    ("reduce", 4): 822,
-    ("reduce", 12): 916,
-    ("allreduce", 4): 1460,
-    ("allreduce", 12): 1686,
-    ("scan", 4): 1229,
-    ("scan", 12): 1419,
-    ("alltoall", 4): 1233,
-    ("alltoall", 12): 1577,
+    ("broadcast", 4): 530,
+    ("broadcast", 12): 564,
+    ("reduce", 4): 803,
+    ("reduce", 12): 870,
+    ("allreduce", 4): 1384,
+    ("allreduce", 12): 1552,
+    ("scan", 4): 1173,
+    ("scan", 12): 1311,
+    ("alltoall", 4): 1098,
+    ("alltoall", 12): 1367,
 }
+
+
+#: Python calls per GUPs update on 8 PEs (2^14 words, verification on:
+#: both passes count), get-xor-put and amo.  While the update stream was
+#: a re-entered step object and every get and put took the general
+#: transfer path, 31.8 and 15.7; now 16.8 and 10.9.
+GUPS_BUDGETS = {False: 17.6, True: 11.5}
 
 
 def program(name: str, nelems: int, calls: int):
@@ -76,6 +91,20 @@ def program(name: str, nelems: int, calls: int):
         ctx.close()
 
     return body
+
+
+def gups(updates: int, use_amo: bool):
+    """GUPs on every PE with ``updates`` updates per PE."""
+    params = GupsParams(log2_table_size=14, updates_per_pe=updates,
+                        use_amo=use_amo)
+    return lambda ctx: _gups_pe(ctx, params)
+
+
+def calls_per_update(use_amo: bool) -> float:
+    """Calls that going from 64 to 256 updates per PE adds, per update."""
+    added = (python_calls(gups(256, use_amo))
+             - python_calls(gups(64, use_amo)))
+    return added / (N_PES * (256 - 64) * 2)  # two passes: verify is on
 
 
 def python_calls(body) -> int:
@@ -119,6 +148,8 @@ def _warm():
     for name in COLLECTIVES:
         for nelems in SIZES:
             python_calls(program(name, nelems, 0))
+    for use_amo in GUPS_BUDGETS:
+        python_calls(gups(64, use_amo))
 
 
 def test_counts_are_deterministic():
@@ -133,8 +164,20 @@ def test_step_budget(name, nelems):
     assert got <= BUDGETS[name, nelems], (name, nelems, got)
 
 
+@pytest.mark.parametrize("use_amo", sorted(GUPS_BUDGETS),
+                         ids=["get-put", "amo"])
+def test_gups_update_budget(use_amo):
+    got = calls_per_update(use_amo)
+    assert got <= GUPS_BUDGETS[use_amo], ("amo" if use_amo else "get-put",
+                                          got)
+
+
 if __name__ == "__main__":  # pragma: no cover - prints the counts
     for name in COLLECTIVES:
         for nelems in SIZES:
             python_calls(program(name, nelems, 0))
             print(name, nelems, calls_per_collective(name, nelems))
+    for use_amo in sorted(GUPS_BUDGETS):
+        python_calls(gups(64, use_amo))
+        print("gups", "amo" if use_amo else "get-put",
+              calls_per_update(use_amo))
