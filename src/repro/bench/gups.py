@@ -52,6 +52,7 @@ import numpy as np
 from ..errors import CollectiveArgumentError
 from ..params import MachineConfig
 from ..runtime.context import Machine, XBRTime
+from ..runtime.symmetric_heap import check_footprint
 from ..sim.engine import PEState
 
 __all__ = ["POLY", "hpcc_starts", "GupsParams", "GupsResult", "run_gups",
@@ -169,6 +170,15 @@ class GupsParams:
             raise CollectiveArgumentError(
                 f"table size {self.table_size} not divisible by {n_pes} PEs"
             )
+
+    def check_config(self, config: MachineConfig) -> None:
+        """:meth:`check_pes`, and refuse a table slice that does not fit
+        the symmetric heap beside the parameter and error buffers."""
+        self.check_pes(config.n_pes)
+        check_footprint(
+            config, f"GUPs with a 2^{self.log2_table_size}-word table",
+            heap=(8 * (self.table_size // config.n_pes), 8 * 2, 8),
+            private=(8, 8))
 
 
 @dataclass(frozen=True)
@@ -353,7 +363,7 @@ def run_gups(config: MachineConfig,
              params: GupsParams | None = None) -> GupsResult:
     """Run GUPs on a fresh machine built from ``config``."""
     params = params if params is not None else GupsParams()
-    params.check_pes(config.n_pes)
+    params.check_config(config)
     machine = Machine(config)
     wall0 = time.perf_counter()
     results = machine.run(_gups_pe, [(params,) for _ in range(config.n_pes)])
@@ -390,7 +400,7 @@ def run_gups_backend(config: MachineConfig,
     from ..backends import get_backend
 
     params = params if params is not None else GupsParams()
-    params.check_pes(config.n_pes)
+    params.check_config(config)
     wall0 = time.perf_counter()
     results = get_backend(backend).run(
         _gups_pe, [(params,) for _ in range(config.n_pes)],

@@ -16,7 +16,9 @@ the NPB MPI/SHMEM structure; each iteration
    order by one stable radix partition: a stable argsort of each key's
    owner in the narrowest unsigned dtype that holds ``n_pes - 1`` (8 or
    16 bits up to 65 536 PEs, which numpy sorts by radix in linear time);
-5. sorts/ranks its received key range locally;
+5. ranks its received keys locally: they all lie in the PE's own
+   contiguous key range, so a counting sort over that range gives the
+   sorted sequence in linear time;
 6. checks the ranks of five tracked test keys (*partial verification*)
    against an oracle.
 
@@ -43,6 +45,7 @@ import numpy as np
 from ..errors import CollectiveArgumentError
 from ..params import MachineConfig
 from ..runtime.context import Machine, XBRTime
+from ..runtime.symmetric_heap import check_footprint
 
 __all__ = ["IsParams", "IsResult", "CLASS_PARAMS", "run_is", "generate_keys"]
 
@@ -101,6 +104,32 @@ class IsParams:
                 f"{2 * self.max_iterations}, past class "
                 f"{self.problem_class}'s {self.total_keys} keys"
             )
+
+    def recv_cap(self, n_pes: int) -> int:
+        """Keys a PE's receive buffer holds: the equal share plus slack
+        for bucket-granularity imbalance (a PE can exceed its share by at
+        most the largest bucket, which is ~2x the mean bucket for NPB's
+        Gaussian keys)."""
+        total = self.total_keys
+        return max(total // n_pes + total // 32 + 4 * self.max_iterations,
+                   64)
+
+    def check_config(self, config: MachineConfig) -> None:
+        """Refuse, before any PE starts, a PE count that does not split
+        the keys evenly or a class whose buffers do not fit a PE: the
+        symmetric mallocs of :func:`_is_pe` against the symmetric heap,
+        its staging buffer against the private segment."""
+        n = config.n_pes
+        if self.total_keys % n:
+            raise CollectiveArgumentError(
+                f"total keys {self.total_keys} not divisible by {n} PEs"
+            )
+        n_keys = self.total_keys // n
+        check_footprint(
+            config, f"NAS IS class {self.problem_class} on {n} PEs",
+            heap=(4 * n_keys, 8 * self.n_buckets, 8 * self.n_buckets,
+                  8 * n, 8 * n, 4 * self.recv_cap(n), 8 * n, 8, 8, 8),
+            private=(4 * n_keys, 8))
 
 
 @dataclass(frozen=True)
@@ -196,12 +225,18 @@ def _owner_order(owner_of_bucket: np.ndarray, key_bucket: np.ndarray,
     return np.argsort(owners[key_bucket], kind="stable")
 
 
+def _rank_keys(got: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``np.sort(got)`` for keys that all lie in ``[lo, hi)``: a counting
+    sort, one bincount over the range and one repeat of its values."""
+    counts = np.bincount(got - lo, minlength=hi - lo)
+    return np.repeat(np.arange(lo, hi, dtype=got.dtype), counts)
+
+
 def _is_pe(ctx: XBRTime, params: IsParams, my_keys: np.ndarray,
            test_keys: np.ndarray, test_ranks_by_iter: np.ndarray) -> dict:
     ctx.init()
     me, n = ctx.my_pe(), ctx.num_pes()
     n_keys = my_keys.size
-    total_keys = params.total_keys
     max_key = params.max_key
     n_buckets = params.n_buckets
     shift = max(0, (max_key.bit_length() - 1) - params.log2_n_buckets)
@@ -217,12 +252,7 @@ def _is_pe(ctx: XBRTime, params: IsParams, my_keys: np.ndarray,
     ghist_addr = ctx.malloc(8 * n_buckets)      # global bucket counts
     send_cnt_addr = ctx.malloc(8 * n)           # keys for each target PE
     recv_cnt_addr = ctx.malloc(8 * n)           # keys from each source PE
-    # Receive buffer: the equal share plus slack for bucket-granularity
-    # imbalance (a PE can exceed its share by at most the largest bucket,
-    # which is ~2x the mean bucket for NPB's Gaussian keys).
-    recv_cap = max(
-        total_keys // n + total_keys // 32 + 4 * params.max_iterations, 64
-    )
+    recv_cap = params.recv_cap(n)
     recv_addr = ctx.malloc(4 * recv_cap)
     ready_addr = ctx.malloc(8 * n)              # per-source recv offsets
 
@@ -245,8 +275,10 @@ def _is_pe(ctx: XBRTime, params: IsParams, my_keys: np.ndarray,
         if base_index <= j < base_index + n_keys:
             keys[j - base_index] = max_key - it
 
-        # 1. Local bucket histogram.
-        key_bucket = keys >> shift
+        # 1. Local bucket histogram.  Bucket ids in intp, numpy's index
+        #    type: the bincount and the owner lookup below would each
+        #    convert an int32 array again.
+        key_bucket = (keys >> shift).astype(np.intp)
         counts = np.bincount(key_bucket, minlength=n_buckets)
         hist[:] = counts.astype(np.uint64)
         ctx.charge_stream(keys_addr, 4 * n_keys)
@@ -315,8 +347,10 @@ def _is_pe(ctx: XBRTime, params: IsParams, my_keys: np.ndarray,
         ctx.private_free(stage_addr)
         ctx.barrier()
 
-        # 5. Local ranking: sort the received key range.
-        got = np.sort(recv[:total_recv])
+        # 5. Local ranking: every received key lies in my buckets' key
+        #    range, so a counting sort over it sorts them.
+        got = _rank_keys(recv[:total_recv], int(bucket_first[me]) << shift,
+                         int(bucket_last[me]) << shift)
         recv[:total_recv] = got
         ctx.charge_stream(recv_addr, 4 * total_recv, write=True)
         if total_recv:
@@ -407,6 +441,7 @@ def run_is(config: MachineConfig, params: IsParams | None = None,
     PE-count sweep (generation is untimed but slow in pure Python).
     """
     params = params if params is not None else IsParams()
+    params.check_config(config)
     if keys is None:
         keys = generate_keys(params)
     if keys.size != params.total_keys:
@@ -414,10 +449,6 @@ def run_is(config: MachineConfig, params: IsParams | None = None,
             f"key array has {keys.size} keys, class needs {params.total_keys}"
         )
     n = config.n_pes
-    if params.total_keys % n:
-        raise CollectiveArgumentError(
-            f"total keys {params.total_keys} not divisible by {n} PEs"
-        )
     chunk = params.total_keys // n
     rng = np.random.default_rng(5)
     test_keys = rng.integers(params.max_key // 8, 7 * params.max_key // 8,

@@ -18,7 +18,7 @@ collectives that take an element stride a stride of 2.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .ir import Schedule
 
@@ -235,14 +235,18 @@ def builtin_schedules(
     pe_counts: Sequence[int] = tuple(range(1, 17)),
     nelems: int = 12,
     itemsize: int = 8,
+    pairs: Collection[tuple[str, str]] | None = None,
 ) -> Iterator[tuple[str, Schedule]]:
     """Yield ``(label, schedule)`` for every builtin algorithm and shape.
 
-    Covers every :data:`BUILTIN_ALGORITHMS` pair at each PE count in
-    ``pe_counts`` with degenerate, uniform and ragged call shapes, and
-    the collectives in :data:`STRIDED` at stride 2 as well.
+    Covers every :data:`BUILTIN_ALGORITHMS` pair (or only those in
+    ``pairs``) at each PE count in ``pe_counts`` with degenerate, uniform
+    and ragged call shapes, and the collectives in :data:`STRIDED` at
+    stride 2 as well.
     """
     for collective, algorithm in BUILTIN_ALGORITHMS:
+        if pairs is not None and (collective, algorithm) not in pairs:
+            continue
         for n_pes in pe_counts:
             for stride in (1, 2) if collective in STRIDED else (1,):
                 tag = f" stride={stride}" if stride > 1 else ""

@@ -41,9 +41,12 @@ Three lookup granularities share that state:
   is one round of the batch primitive :meth:`Cache._touch_sets` (compare,
   find the hit way or the smallest key, scatter).  Pieces are issued in
   ascending order, which is the per-set access order, so the result is
-  exact.  A run many times longer than ``n_sets`` (every L1 run of NAS
-  IS) that can be shown to miss on every line is filled in closed form
-  instead (:meth:`Cache._fill_run`).
+  exact.  Two shapes skip the rounds: a run that gives every set
+  ``ways`` lines and finds no resident tag among the first ``ways`` of
+  any set's sequence misses throughout and is written in closed form
+  (:meth:`Cache._overwrite`; most long L1 runs of NAS IS), and a
+  one-round run repeated while the slots it was last seen in still hold
+  its tag is one round of hits (:meth:`Cache._rehit`).
 * :meth:`Cache.access_lines` — ascending distinct lines, not contiguous:
   round ``r`` takes the ``r``-th line of every set.
 
@@ -76,12 +79,9 @@ __all__ = ["CacheLevelResult", "Cache", "SCALAR_CUTOVER"]
 #: batch.
 SCALAR_CUTOVER = 8
 
-#: :meth:`Cache._fill_run` costs the same whatever the run length — 30 us
-#: on the 32 x 8 L1, 5 ms on the 16384 x 8 L2 (it sorts the whole state)
-#: — and rounds cost per line: measured break-even is 4 rounds on that
-#: L1 and 12 on that L2.  The larger is used, so a long L2 run never
-#: loses and a refused attempt (the run had a hit) is wasted on few runs.
-_FILL_MIN_ROUNDS = 12
+#: Most runs a cache's :meth:`Cache._rehit` hint holds before it starts
+#: over (an 8-PE NAS IS cache holds up to 28), as int32 slots.
+_HINT_RUNS = 32
 
 #: Most entries a cache's :meth:`Cache.touch` hint holds (the L1's whole
 #: 256 lines at paper geometry, a working set's worth of the L2's): about
@@ -123,6 +123,7 @@ class Cache:
         self._read_row = struct.Struct(f"{self.ways}q").unpack_from
         #: Entries the touch hint may hold before it starts over.
         self._hint_cap = min(params.n_lines, _HINT_LINES)
+        self._way_index = np.arange(self.ways)
         self._clear()
         self.hits = 0
         self.misses = 0
@@ -133,11 +134,16 @@ class Cache:
         self._keys = _zero_pages(self.n_sets, self.ways)
         # Flat views for the scalar path: element reads and writes on a
         # memoryview cost a fraction of numpy scalar indexing.
-        self._tag_mv = memoryview(self._tags.reshape(-1))
-        self._key_mv = memoryview(self._keys.reshape(-1))
+        self._flat_tags = self._tags.reshape(-1)
+        self._flat_keys = self._keys.reshape(-1)
+        self._tag_mv = memoryview(self._flat_tags)
+        self._key_mv = memoryview(self._flat_keys)
         self._clock = 0
         #: line -> the flat slot :meth:`touch` last found or put it in.
         self._hint: dict[int, int] = {}
+        #: (first line, n lines) -> the flat slots a one-round run's
+        #: lines were last found or put in.
+        self._run_hint: dict[tuple[int, int], np.ndarray] = {}
 
     def line_of(self, addr: int) -> int:
         """Line address containing byte address ``addr``."""
@@ -202,12 +208,15 @@ class Cache:
 
     # -- batches --------------------------------------------------------------
 
-    def _touch_sets(self, sets, stored, write: bool) -> np.ndarray:
+    def _touch_sets(self, sets, stored, write: bool,
+                    hint: tuple[int, int] | None = None) -> np.ndarray:
         """Touch one line in each of k distinct sets.
 
         ``sets`` is a slice of consecutive sets with ``stored`` their one
         common stored tag, or an index array with ``stored`` the array of
         per-set stored tags.  Returns the positions (0..k-1) that missed.
+        With a ``hint`` key (slices only) the flat slots now holding the
+        lines are kept for :meth:`_rehit`.
         """
         contiguous = isinstance(sets, slice)
         tags = self._tags[sets]  # views for a slice, copies for indices
@@ -239,45 +248,66 @@ class Cache:
         if not contiguous:
             self._tags[sets] = tags
             self._keys[sets] = keys
+        elif hint is not None:
+            if len(self._run_hint) >= _HINT_RUNS:
+                self._run_hint.clear()
+            found = np.concatenate((hit_at, fill_at)) if n_hit < k else hit_at
+            self._run_hint[hint] = (found + sets.start * ways).astype(np.int32)
         self.hits += n_hit
         self.misses += k - n_hit
         return missed
 
-    def _fill_run(self, first_line: int, n_lines: int, write: bool) -> bool:
-        """Apply a run of at least ``n_sets`` lines in closed form if every
-        line of it misses; return False, with nothing changed, if not.
+    def _rehit(self, slots: np.ndarray, stored: int, write: bool) -> bool:
+        """Touch a one-round run again through the ``slots`` it was last
+        seen in, if each still holds the run's one stored tag (then each
+        holds its line, since a tag is unique within its set): one round
+        of all hits.  Returns False, with nothing changed, if not."""
+        if not (self._flat_tags.take(slots) == stored).all():
+            return False
+        keys = self._flat_keys
+        self._clock += 1
+        stamp = (self._clock << 1) | write
+        keys.put(slots, stamp if write else (keys.take(slots) & 1) | stamp)
+        self.hits += len(slots)
+        return True
 
-        Set ``s`` receives ``cnt[s]`` consecutive ascending tags from
-        ``lo[s]``.  While they all miss, the n-th of them replaces the
-        way holding the n-th smallest key.  So a resident line whose tag
-        lies ``ahead`` accesses into its set's sequence has been evicted
-        by the time the run reaches it iff ``ahead`` exceeds the number
-        of ways with a smaller key (its ``rank``) — and the first line
-        for which that fails is a hit.  The test is exact both ways.
+    def _overwrite(self, first_line: int, n_lines: int, write: bool) -> bool:
+        """Apply a run of at least ``n_sets * ways`` lines in closed form
+        if its first ``ways`` lines in every set miss; return False, with
+        nothing changed, if not.
+
+        Those misses evict every resident line (and write back the dirty
+        ones), so every later line is new too: the run misses throughout,
+        a write run pushes out all but the last ``ways`` of its own lines
+        in each set, and those stay, oldest in way 0.  Line ``l`` is
+        stamped in round ``l // n_sets - first_line // n_sets``, as the
+        rounds would stamp it.
         """
         n_sets = self.n_sets
         ways = self.ways
         tags = self._tags
         keys = self._keys
-        offset = (np.arange(n_sets) - first_line) % n_sets
-        cnt = ((n_lines - 1 - offset) // n_sets + 1)[:, None]
-        lo = ((first_line + offset) // n_sets + 1)[:, None]
-        rank = keys.argsort(axis=1, kind="stable").argsort(axis=1)
-        ahead = tags - lo
-        if ((ahead >= 0) & (ahead < cnt) & (ahead <= rank)).any():
+        first = first_line // n_sets + 1
+        # A set's sequence starts at tag ``first``, or one later for the
+        # sets the run reaches only after wrapping; empty ways (tag 0)
+        # come out negative, hence huge unsigned.
+        ahead = tags - first
+        ahead[:first_line % n_sets] -= 1
+        if (ahead.view(np.uint64) < ways).any():
             return False
-        keep = np.minimum(cnt, ways)
-        replaced = rank < cnt
+        last_line = first_line + n_lines - 1
+        last = last_line // n_sets + 1
         self.misses += n_lines
-        self.writebacks += int(np.count_nonzero(keys[replaced] & 1))
+        self.writebacks += int(np.count_nonzero(keys & 1))
         if write:
-            # Lines of the run itself pushed out by its later lines.
-            self.writebacks += n_lines - int(keep.sum())
-        # The way of rank j ends up with the (cnt - keep + j)-th access.
-        nth = cnt - keep + rank
-        np.copyto(tags, lo + nth, where=replaced)
-        np.copyto(keys, ((self._clock + 1 + nth) << 1) | write, where=replaced)
-        self._clock += int(cnt.max())
+            self.writebacks += n_lines - n_sets * ways
+        np.add(self._way_index, last - ways + 1, out=tags)
+        tags[last_line % n_sets + 1:] -= 1
+        np.add(tags, self._clock + 1 - first, out=keys)
+        keys <<= 1
+        if write:
+            keys |= 1
+        self._clock += last - first + 1
         return True
 
     def _touch_each(self, lines, write: bool) -> list[int]:
@@ -305,13 +335,21 @@ class Cache:
             return 0, 0, None
         n_sets = self.n_sets
         end = first_line + n_lines
-        if n_lines >= _FILL_MIN_ROUNDS * n_sets and self._fill_run(
+        if n_lines >= n_sets * self.ways and self._overwrite(
                 first_line, n_lines, write):
             return 0, n_lines, None
         if min(n_lines, n_sets) < SCALAR_CUTOVER:
             parts = [self._touch_each(range(first_line, end), write)]
             misses = len(parts[0])
         else:
+            hint = None
+            if n_lines <= n_sets - first_line % n_sets:
+                # One round, one stored tag: re-hit its slots or keep them.
+                hint = (first_line, n_lines)
+                slots = self._run_hint.get(hint)
+                if slots is not None and self._rehit(
+                        slots, first_line // n_sets + 1, write):
+                    return n_lines, 0, None
             misses = 0
             parts = []
             line = first_line
@@ -319,7 +357,7 @@ class Cache:
                 set_idx = line % n_sets
                 k = min(end - line, n_sets - set_idx)
                 rows = self._touch_sets(slice(set_idx, set_idx + k),
-                                        line // n_sets + 1, write)
+                                        line // n_sets + 1, write, hint)
                 misses += len(rows)
                 if collect_missed and len(rows):
                     parts.append(rows + line)

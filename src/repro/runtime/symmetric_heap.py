@@ -10,7 +10,9 @@ The pieces:
 
 * :func:`segment_layout` — the Figure-2 address map of one PE, the one
   place the private / scratch / symmetric-heap boundaries are computed;
-  every backend builds its allocators from it.
+  every backend builds its allocators from it, and
+  :func:`check_footprint` refuses a program that would not fit it
+  before any PE starts.
 * :class:`FreeListAllocator` — a first-fit free-list allocator with
   coalescing, also used for each PE's private segment.
 * :class:`SymmetricHeap` — wraps one allocator with a *collective call
@@ -21,15 +23,16 @@ The pieces:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from ..errors import AllocationError
+from ..errors import AllocationError, CollectiveArgumentError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..params import MachineConfig
 
 __all__ = ["CODE_REGION_BYTES", "SegmentLayout", "segment_layout",
-           "FreeListAllocator", "SymmetricHeap", "ScratchStack"]
+           "check_footprint", "FreeListAllocator", "SymmetricHeap",
+           "ScratchStack"]
 
 #: Low memory reserved for generated code in ``isa`` fidelity.
 CODE_REGION_BYTES = 64 * 1024
@@ -328,9 +331,12 @@ class SegmentLayout(NamedTuple):
         return SymmetricHeap(self.heap_base + self.scratch_bytes,
                              self.heap_bytes, n_pes)
 
+    @property
+    def private_bytes(self) -> int:
+        return self.heap_base - CODE_REGION_BYTES
+
     def private_allocator(self) -> FreeListAllocator:
-        return FreeListAllocator(CODE_REGION_BYTES,
-                                 self.heap_base - CODE_REGION_BYTES)
+        return FreeListAllocator(CODE_REGION_BYTES, self.private_bytes)
 
 
 def segment_layout(config: "MachineConfig") -> SegmentLayout:
@@ -341,3 +347,26 @@ def segment_layout(config: "MachineConfig") -> SegmentLayout:
         scratch_bytes=scratch,
         heap_bytes=config.symmetric_heap_bytes - scratch,
     )
+
+
+def check_footprint(config: "MachineConfig", what: str,
+                    heap: Iterable[int], private: Iterable[int] = ()) -> None:
+    """Refuse a program whose live allocations do not fit one PE.
+
+    ``heap`` and ``private`` are the byte sizes a PE holds at once in its
+    symmetric heap and its private segment; each is padded to the
+    allocators' 16-byte alignment.  Raises
+    :class:`~repro.errors.CollectiveArgumentError` naming what is needed
+    and what ``config`` has, so a benchmark can refuse a class that does
+    not fit before any PE starts, not fail inside one.
+    """
+    layout = segment_layout(config)
+    for segment, sizes, have in (
+            ("symmetric heap", heap, layout.heap_bytes),
+            ("private segment", private, layout.private_bytes)):
+        need = sum(_align_up(n, 16) for n in sizes)
+        if need > have:
+            raise CollectiveArgumentError(
+                f"{what} needs {need} B of {segment} per PE but the "
+                f"configuration has {have} B"
+            )

@@ -16,6 +16,7 @@ from repro.bench.nas_is import (
     _oracle_ranks,
     _owner_order,
     _randlc_int,
+    _rank_keys,
     generate_keys,
     run_is,
 )
@@ -187,6 +188,44 @@ class TestRedistribution:
         run_is(fast_config(4), FAST)
         assert len(widths) == 5 + 4 * FAST.max_iterations
         assert max(widths) <= 2
+
+
+class TestRanking:
+    """The counting sort that ranks a PE's received keys gives the bytes
+    ``np.sort`` gives, at the edges of the PE's key range."""
+
+    MAX_KEY = FAST.max_key
+    SHIFT = 5  # FAST: 2^11 keys in 2^6 buckets
+
+    @pytest.mark.parametrize("first,last,keys", [
+        (3, 9, []),                               # an empty receive
+        (7, 7, []),                               # a PE owning no bucket
+        (12, 13, [12 << 5, 13 * 32 - 1, 12 << 5]),  # one bucket, both ends
+        (0, 2, [1, 2, 3, 0, 3, 2]),               # the tweak keys ``it``
+        (60, 64, [MAX_KEY - 1, MAX_KEY - 2, MAX_KEY - 3, 60 << 5]),
+        (0, 64, [0, MAX_KEY - 1]),                # the whole key range
+    ])
+    def test_matches_np_sort(self, first, last, keys):
+        got = np.array(keys, dtype=np.int32)
+        out = _rank_keys(got, first << self.SHIFT, last << self.SHIFT)
+        assert out.dtype == np.int32
+        assert out.tobytes() == np.sort(got).tobytes()
+
+    @pytest.mark.parametrize("n_pes", [1, 2, 4])
+    def test_every_rank_in_a_run_matches_np_sort(self, monkeypatch, n_pes):
+        ranked = []
+
+        def checked(got, lo, hi):
+            out = _rank_keys(got, lo, hi)
+            assert out.tobytes() == np.sort(got).tobytes()
+            ranked.append(got.size)
+            return out
+
+        monkeypatch.setattr(nas_is, "_rank_keys", checked)
+        res = run_is(fast_config(n_pes), FAST)
+        assert res.partial_verified and res.full_verified
+        assert len(ranked) == n_pes * FAST.max_iterations
+        assert sum(ranked) == FAST.total_keys * FAST.max_iterations
 
 
 class TestIsRun:

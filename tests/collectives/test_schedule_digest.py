@@ -58,10 +58,9 @@ def schedule_digest(sched) -> str:
 
 
 def pair_digests(collective: str, algorithm: str) -> dict:
-    prefix = f"{collective}:{algorithm} "
     return {label: schedule_digest(sched)
-            for label, sched in builtin_schedules(PE_COUNTS)
-            if label.startswith(prefix)}
+            for label, sched in builtin_schedules(
+                PE_COUNTS, pairs={(collective, algorithm)})}
 
 
 def _golden() -> dict:

@@ -143,12 +143,13 @@ def apply_both(cache: Cache, oracle: ListLru, op) -> None:
 
 
 def run_lengths(n_sets, ways):
-    """The run lengths at which access_run changes strategy."""
+    """The run lengths at which access_run changes strategy: the scalar
+    cutover, one round, and the overwrite (every set given ``ways``
+    lines)."""
     cut = cache_mod.SCALAR_CUTOVER
-    fill = cache_mod._FILL_MIN_ROUNDS * n_sets
+    whole = n_sets * ways
     return sorted({1, cut - 1, cut, cut + 1, n_sets - 1, n_sets, n_sets + 1,
-                   n_sets * ways - 1, n_sets * ways, n_sets * ways + 1,
-                   4 * n_sets + 1, fill - 1, fill, fill + n_sets // 2 + 1}
+                   4 * n_sets + 1, whole - 1, whole, whole + 1, 2 * whole}
                   - {0, -1})
 
 
@@ -158,7 +159,7 @@ GEOMETRIES = [(1, 1), (1, 4), (4, 1), (8, 2), (16, 4), (32, 8), (64, 2)]
 @st.composite
 def traces(draw):
     n_sets, ways = draw(st.sampled_from(GEOMETRIES))
-    span = 3 * cache_mod._FILL_MIN_ROUNDS * n_sets
+    span = 36 * n_sets  # past every boundary length, 2 * n_sets * ways
     ops = []
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(st.sampled_from(["one", "run", "run", "lines"]))
@@ -345,3 +346,131 @@ class TestTouchHint:
             else:
                 lines = list(range(first, first + 3 * n, 3))
             apply_both(cache, oracle, (kind, lines, write))
+
+
+class TestRunShortcuts:
+    """:meth:`Cache.access_run`'s two ways round its rounds, against
+    :class:`ListLru`: a one-round run re-hit through the slots it
+    remembered (exact only while each slot still holds the run's tag),
+    and the closed-form overwrite of a run that gives every set ``ways``
+    lines (taken only when no resident tag lies among the first ``ways``
+    of any set's sequence)."""
+
+    GEOMETRIES = [(cache_mod.SCALAR_CUTOVER, 2), (16, 4), (32, 8), (64, 2)]
+
+    @staticmethod
+    def rounds(cache: Cache) -> list:
+        """Record each :meth:`Cache._touch_sets` round ``cache`` takes."""
+        taken = []
+        touch_sets = cache._touch_sets
+
+        def counted(*args, **kwargs):
+            taken.append(args[0])
+            return touch_sets(*args, **kwargs)
+
+        cache._touch_sets = counted
+        return taken
+
+    @pytest.mark.parametrize("evict_by", ["one", "run"])
+    @pytest.mark.parametrize("write", [False, True])
+    def test_repeat_hits_then_goes_stale_on_one_evicted_line(
+            self, evict_by, write):
+        n_sets, ways = 16, 4
+        cache, oracle = geometry(n_sets, ways), ListLru(n_sets, ways)
+        taken = self.rounds(cache)
+        run = ("run", list(range(3, 13)), write)
+        apply_both(cache, oracle, run)
+        apply_both(cache, oracle, ("run", run[1], not write))
+        apply_both(cache, oracle, run)
+        assert len(taken) == 1  # both repeats re-hit the slots
+        # ``ways`` other lines of one run line's set push that line out.
+        for m in range(1, ways + 1):
+            apply_both(cache, oracle, (evict_by, [7 + m * n_sets], False))
+        assert not cache.probe(7)
+        apply_both(cache, oracle, run)  # stale: one miss, a round
+        assert len(taken) == 2 and oracle.misses == 10 + ways + 1
+        apply_both(cache, oracle, run)  # the round refreshed the slots
+        assert len(taken) == 2
+
+    def test_stale_slot_after_the_line_returns_to_another_way(self):
+        n_sets, ways = 16, 4
+        cache, oracle = geometry(n_sets, ways), ListLru(n_sets, ways)
+        taken = self.rounds(cache)
+        run = ("run", list(range(0, 16)), True)
+        apply_both(cache, oracle, run)
+        slot = cache._run_hint[0, 16][5]
+        for m in range(1, ways + 1):
+            apply_both(cache, oracle, ("one", [5 + m * n_sets], False))
+        apply_both(cache, oracle, ("one", [5], False))  # back, elsewhere
+        assert cache._tag_mv[slot] != 1
+        apply_both(cache, oracle, run)  # every line hits, through a round
+        assert len(taken) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_repeated_runs_with_evictions_between(self, data):
+        n_sets, ways = data.draw(st.sampled_from(self.GEOMETRIES))
+        cache, oracle = geometry(n_sets, ways), ListLru(n_sets, ways)
+        cut = cache_mod.SCALAR_CUTOVER
+        starts = st.integers(0, 4 * n_sets - cut)
+        runs = []
+        for first in data.draw(st.lists(starts, min_size=1, max_size=3)):
+            room = n_sets - first % n_sets
+            if room < cut:
+                first += room
+                room = n_sets
+            runs.append((first, data.draw(st.integers(cut, room))))
+        for _ in range(data.draw(st.integers(1, 16))):
+            first, n = data.draw(st.sampled_from(runs))
+            apply_both(cache, oracle, ("run", list(range(first, first + n)),
+                                       data.draw(st.booleans())))
+            between = data.draw(st.sampled_from(
+                ["none", "one", "short", "run", "long"]))
+            write = data.draw(st.booleans())
+            if between in ("one", "short"):
+                # Lines of another tag in one run line's set: ``ways``
+                # of them evict it; fewer may not.
+                line = first + data.draw(st.integers(0, n - 1))
+                for m in range(data.draw(st.integers(1, ways))):
+                    other = line + (m + 1) * n_sets
+                    apply_both(cache, oracle, (
+                        "one" if between == "one" else "run",
+                        [other], write))
+            elif between != "none":
+                length = (n_sets * ways + data.draw(st.integers(-1, n_sets))
+                          if between == "long"
+                          else data.draw(st.integers(1, 2 * n_sets)))
+                start = data.draw(starts)
+                apply_both(cache, oracle,
+                           ("run", list(range(start, start + length)), write))
+
+    @pytest.mark.parametrize("write", [False, True])
+    def test_overwrite_refuses_a_resident_tag_reached_in_time(self, write):
+        """A resident line at the ``ways``-th place of its set's sequence
+        and most recently used survives the ``ways - 1`` misses before it:
+        a hit, so the run must take its rounds."""
+        n_sets, ways = 32, 8
+        cache, oracle = geometry(n_sets, ways), ListLru(n_sets, ways)
+        first = 5
+        target = first + (ways - 1) * n_sets
+        apply_both(cache, oracle, ("one", [target], True))
+        apply_both(cache, oracle,
+                   ("run", list(range(first, first + n_sets * ways)), write))
+        assert cache.hits == 1
+
+    @pytest.mark.parametrize("write", [False, True])
+    def test_overwrite_refused_yet_every_line_misses(self, write):
+        """The converse: the resident line in range is the least recent
+        of a full set, so the misses before it evict it — refused by the
+        test, all misses by the rounds."""
+        n_sets, ways = 32, 8
+        cache, oracle = geometry(n_sets, ways), ListLru(n_sets, ways)
+        first = 5
+        target = first + (ways - 1) * n_sets
+        for line in [target] + [target + m * n_sets for m in range(9, 16)]:
+            apply_both(cache, oracle, ("one", [line], True))
+        taken = self.rounds(cache)
+        n = 2 * n_sets * ways
+        apply_both(cache, oracle, ("run", list(range(first, first + n)), write))
+        assert cache.hits == 0 and len(taken) > 0
+        assert cache.writebacks == oracle.writebacks > 0
