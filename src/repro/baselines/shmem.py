@@ -29,9 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..collectives.allreduce import prepare_allreduce
-from ..collectives.broadcast import prepare_broadcast
-from ..collectives.extra import prepare_allgather
+from ..collectives.request import COLLECTIVES, prepare
 from ..errors import CollectiveArgumentError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -103,8 +101,8 @@ class ShmemAPI:
                pe_size: int | None) -> None:
         members = self._members(pe_start, log_pe_stride, pe_size)
         ctx = self.ctx
-        ctx._issue(prepare_broadcast(
-            ctx, dest, source, nelems, 1, pe_root,
+        ctx._issue(prepare(
+            ctx, COLLECTIVES["broadcast"], dest, source, nelems, 1, pe_root,
             np.dtype(f"u{elem_bytes}"), group=members,
             copy_to_root_dest=False,
         ))
@@ -140,9 +138,9 @@ class ShmemAPI:
             raise CollectiveArgumentError(f"unknown reduction op {op!r}")
         members = self._members(pe_start, log_pe_stride, pe_size)
         ctx = self.ctx
-        ctx._issue(prepare_allreduce(ctx, dest, source, nreduce, 1, op,
-                                     _REDUCTION_TYPES[typename],
-                                     group=members))
+        ctx._issue(prepare(ctx, COLLECTIVES["allreduce"], dest, source,
+                           nreduce, 1, op, _REDUCTION_TYPES[typename],
+                           group=members))
 
     def __getattr__(self, name: str):
         # shmem_<type>_<op>_to_all convenience: e.g. long_sum_to_all.
@@ -168,9 +166,10 @@ class ShmemAPI:
         members = self._members(pe_start, log_pe_stride, pe_size)
         n = len(members)
         ctx = self.ctx
-        ctx._issue(prepare_allgather(
-            ctx, dest, source, [nelems] * n, [i * nelems for i in range(n)],
-            nelems * n, np.dtype(f"u{elem_bytes}"), group=members))
+        ctx._issue(prepare(
+            ctx, COLLECTIVES["allgather"], dest, source, [nelems] * n,
+            [i * nelems for i in range(n)], nelems * n,
+            np.dtype(f"u{elem_bytes}"), group=members))
 
     def fcollect32(self, dest: int, source: int, nelems: int, **kw) -> None:
         self.fcollect(4, dest, source, nelems, **kw)
@@ -195,12 +194,12 @@ class ShmemAPI:
         cnt_src = ctx.scratch_alloc(8)
         cnt_all = ctx.scratch_alloc(8 * n)
         ctx.view(cnt_src, "long", 1)[0] = nelems
-        prepare_allgather(ctx, cnt_all, cnt_src, [1] * n, list(range(n)), n,
-                          np.dtype(np.int64), group=members).run(ctx)
+        prepare(ctx, COLLECTIVES["allgather"], cnt_all, cnt_src, [1] * n,
+                list(range(n)), n, np.dtype(np.int64), group=members).run(ctx)
         counts = [int(c) for c in ctx.view(cnt_all, "long", n)]
         disp = [sum(counts[:i]) for i in range(n)]
-        ctx._issue(prepare_allgather(ctx, dest, source, counts, disp,
-                                     sum(counts), dtype, group=members))
+        ctx._issue(prepare(ctx, COLLECTIVES["allgather"], dest, source,
+                           counts, disp, sum(counts), dtype, group=members))
         ctx.scratch_free(cnt_all)
         ctx.scratch_free(cnt_src)
 

@@ -85,6 +85,11 @@ class IsParams:
     def n_buckets(self) -> int:
         return 1 << self.log2_n_buckets
 
+    @property
+    def bucket_shift(self) -> int:
+        """A key's bucket is ``key >> bucket_shift``."""
+        return max(0, (self.max_key.bit_length() - 1) - self.log2_n_buckets)
+
     def __post_init__(self) -> None:
         if self.problem_class not in CLASS_PARAMS:
             raise CollectiveArgumentError(
@@ -105,31 +110,40 @@ class IsParams:
                 f"{self.problem_class}'s {self.total_keys} keys"
             )
 
-    def recv_cap(self, n_pes: int) -> int:
+    def recv_cap(self, n_pes: int, keys: np.ndarray | None = None) -> int:
         """Keys a PE's receive buffer holds: the equal share plus slack
-        for bucket-granularity imbalance (a PE can exceed its share by at
-        most the largest bucket, which is ~2x the mean bucket for NPB's
-        Gaussian keys)."""
+        for bucket-granularity imbalance.  A PE exceeds its share by at
+        most the largest bucket, which is about twice the mean of 1 024
+        buckets for NPB's keys — the slack without ``keys``; with them,
+        at least their largest bucket (each iteration moves two keys)."""
         total = self.total_keys
-        return max(total // n_pes + total // 32 + 4 * self.max_iterations,
-                   64)
+        slack = 4 * self.max_iterations
+        cap = max(total // n_pes + total // 32 + slack, 64)
+        if keys is not None:
+            largest = int(np.bincount(keys >> self.bucket_shift).max())
+            cap = max(cap, total // n_pes + largest + slack)
+        return cap
 
-    def check_config(self, config: MachineConfig) -> None:
+    def check_config(self, config: MachineConfig,
+                     keys: np.ndarray | None = None) -> int:
         """Refuse, before any PE starts, a PE count that does not split
         the keys evenly or a class whose buffers do not fit a PE: the
         symmetric mallocs of :func:`_is_pe` against the symmetric heap,
-        its staging buffer against the private segment."""
+        its staging buffer against the private segment.  Returns the
+        receive buffer's capacity (:meth:`recv_cap`) it checked."""
         n = config.n_pes
         if self.total_keys % n:
             raise CollectiveArgumentError(
                 f"total keys {self.total_keys} not divisible by {n} PEs"
             )
         n_keys = self.total_keys // n
+        recv_cap = self.recv_cap(n, keys)
         check_footprint(
             config, f"NAS IS class {self.problem_class} on {n} PEs",
             heap=(4 * n_keys, 8 * self.n_buckets, 8 * self.n_buckets,
-                  8 * n, 8 * n, 4 * self.recv_cap(n), 8 * n, 8, 8, 8),
+                  8 * n, 8 * n, 4 * recv_cap, 8 * n, 8, 8, 8),
             private=(4 * n_keys, 8))
+        return recv_cap
 
 
 @dataclass(frozen=True)
@@ -233,13 +247,14 @@ def _rank_keys(got: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def _is_pe(ctx: XBRTime, params: IsParams, my_keys: np.ndarray,
-           test_keys: np.ndarray, test_ranks_by_iter: np.ndarray) -> dict:
+           test_keys: np.ndarray, test_ranks_by_iter: np.ndarray,
+           recv_cap: int) -> dict:
     ctx.init()
     me, n = ctx.my_pe(), ctx.num_pes()
     n_keys = my_keys.size
     max_key = params.max_key
     n_buckets = params.n_buckets
-    shift = max(0, (max_key.bit_length() - 1) - params.log2_n_buckets)
+    shift = params.bucket_shift
     cyc = ctx.machine.config.cycle_ns
 
     # Working arrays in simulated memory.
@@ -252,7 +267,6 @@ def _is_pe(ctx: XBRTime, params: IsParams, my_keys: np.ndarray,
     ghist_addr = ctx.malloc(8 * n_buckets)      # global bucket counts
     send_cnt_addr = ctx.malloc(8 * n)           # keys for each target PE
     recv_cnt_addr = ctx.malloc(8 * n)           # keys from each source PE
-    recv_cap = params.recv_cap(n)
     recv_addr = ctx.malloc(4 * recv_cap)
     ready_addr = ctx.malloc(8 * n)              # per-source recv offsets
 
@@ -441,13 +455,14 @@ def run_is(config: MachineConfig, params: IsParams | None = None,
     PE-count sweep (generation is untimed but slow in pure Python).
     """
     params = params if params is not None else IsParams()
-    params.check_config(config)
+    params.check_config(config)  # before the keys: they take a while
     if keys is None:
         keys = generate_keys(params)
     if keys.size != params.total_keys:
         raise CollectiveArgumentError(
             f"key array has {keys.size} keys, class needs {params.total_keys}"
         )
+    recv_cap = params.check_config(config, keys)
     n = config.n_pes
     chunk = params.total_keys // n
     rng = np.random.default_rng(5)
@@ -455,7 +470,8 @@ def run_is(config: MachineConfig, params: IsParams | None = None,
                              size=5, dtype=np.int64)
     test_ranks = _oracle_ranks(keys, test_keys, params)
     args = [
-        (params, keys[r * chunk:(r + 1) * chunk], test_keys, test_ranks)
+        (params, keys[r * chunk:(r + 1) * chunk], test_keys, test_ranks,
+         recv_cap)
         for r in range(n)
     ]
     machine = Machine(config)

@@ -46,20 +46,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..errors import CollectiveArgumentError
 from .binomial import n_stages
-from .common import (
-    call_attrs,
-    resolve_group,
-    span_bytes,
-    validate_counts,
-)
-from .ops import check_op
-from .schedule.executor import PreparedCollective
+from .common import span_bytes
 from .schedule.ir import (
     AUX_COPY,
     AUX_MOVE,
@@ -74,13 +66,8 @@ from .schedule.ir import (
     skeleton,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runtime.context import XBRTime
+__all__ = ["compile_allreduce", "auto_segments"]
 
-__all__ = ["prepare_allreduce", "compile_allreduce"]
-
-#: Algorithms :func:`compile_allreduce` accepts.
-ALGORITHMS = ("doubling", "rabenseifner", "ring", "dual-pipelined")
 
 def auto_segments(nbytes: int) -> int:
     """Default segment count for a dual-pipelined payload of ``nbytes``.
@@ -93,60 +80,6 @@ def auto_segments(nbytes: int) -> int:
     1 MiB (see ``BENCH_pipeline.json``).
     """
     return max(2, min(64, isqrt(max(nbytes, 0) // 1024)))
-
-
-def prepare_allreduce(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    nelems: int,
-    stride: int,
-    op: str,
-    dtype: np.dtype,
-    *,
-    algorithm: str = "doubling",
-    segments: int | None = None,
-    group: Sequence[int] | None = None,
-) -> PreparedCollective:
-    """Reduction-to-all: every PE ends with the full reduction at
-    ``dest`` (which may be private — each PE writes its own copy
-    locally).  ``algorithm`` is ``"doubling"`` (latency-optimal),
-    ``"rabenseifner"`` or ``"ring"`` (bandwidth-optimal),
-    ``"dual-pipelined"`` (pipelined dual-root trees, ``segments``
-    chunks in flight) or ``"auto"``.  Validates, selects and compiles —
-    everything but the execution."""
-    validate_counts(nelems, stride)
-    check_op(op, dtype)
-    if segments is not None and segments < 1:
-        raise CollectiveArgumentError("segments must be >= 1")
-    members, me = resolve_group(ctx, group)
-    n_pes = len(members)
-    if n_pes > 1 and not ctx.is_symmetric(src):
-        raise CollectiveArgumentError(
-            "allreduce src must be a symmetric address"
-        )
-    if algorithm == "auto":
-        from .tuning import select_algorithm
-
-        algorithm = select_algorithm(
-            "allreduce", nelems * dtype.itemsize, n_pes,
-            ctx.config.topology,
-        )
-    if algorithm not in ALGORITHMS:
-        raise CollectiveArgumentError(
-            f"unknown allreduce algorithm {algorithm!r}"
-        )
-    sched = compile_allreduce(n_pes, nelems, stride, dtype.itemsize, op,
-                              algorithm=algorithm, segments=segments)
-    attrs = call_attrs(ctx, dtype, algorithm=algorithm, op=op, nelems=nelems)
-    if algorithm == "dual-pipelined":
-        attrs["segments"] = segments or auto_segments(nelems * dtype.itemsize)
-    return PreparedCollective(
-        name="allreduce", members=members, me=me, dtype=dtype,
-        attrs=attrs,
-        schedule=sched, bindings={"dest": dest, "src": src},
-        stats_key=f"allreduce:{algorithm}", stats_rank=0,
-    )
 
 
 def compile_allreduce(n_pes: int, nelems: int, stride: int, itemsize: int,

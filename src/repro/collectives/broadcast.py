@@ -23,20 +23,12 @@ solution"); ``auto`` asks :mod:`~repro.collectives.tuning`.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..errors import CollectiveArgumentError
 from .binomial import n_stages
-from .common import (
-    call_attrs,
-    resolve_group,
-    span_bytes,
-    validate_counts,
-    validate_root,
-)
-from .schedule.executor import PreparedCollective
+from .common import span_bytes
 from .schedule.ir import (
     AUX_COPY,
     OP_COPY,
@@ -48,69 +40,7 @@ from .schedule.ir import (
     skeleton,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runtime.context import XBRTime
-
-__all__ = ["prepare_broadcast", "compile_broadcast"]
-
-#: Algorithms :func:`compile_broadcast` accepts.
-ALGORITHMS = ("binomial", "linear", "ring")
-
-
-def prepare_broadcast(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    nelems: int,
-    stride: int,
-    root: int,
-    dtype: np.dtype,
-    *,
-    algorithm: str = "binomial",
-    group: Sequence[int] | None = None,
-    copy_to_root_dest: bool = True,
-) -> PreparedCollective:
-    """``xbrtime_TYPE_broadcast(dest, src, nelems, stride, root)``:
-    validate, select and compile — everything but the execution.
-
-    The caller runs the result: the context's dispatcher at once or at
-    a superstep's flush, a non-blocking handle at ``wait()``.
-    ``copy_to_root_dest=False`` gives OpenSHMEM ``shmem_broadcast``
-    semantics, where the root's ``dest`` is *not* updated (section 4.7).
-    """
-    validate_counts(nelems, stride)
-    members, me = resolve_group(ctx, group)
-    n_pes = len(members)
-    validate_root(root, n_pes)
-    if n_pes > 1 and not ctx.is_symmetric(dest):
-        raise CollectiveArgumentError(
-            f"broadcast dest {dest:#x} must be a symmetric (shared-segment) "
-            "address"
-        )
-    if algorithm == "auto":
-        from .tuning import select_algorithm
-
-        algorithm = select_algorithm(
-            "broadcast", nelems * dtype.itemsize, n_pes,
-            ctx.config.topology,
-        )
-    attrs = call_attrs(ctx, dtype, algorithm=algorithm, root=root,
-                       nelems=nelems)
-    if algorithm == "hierarchical":
-        from .hierarchy import compile_hierarchical_broadcast
-
-        sched = compile_hierarchical_broadcast(
-            tuple(map(ctx.config.node_of, members)), root, nelems, stride,
-            dtype.itemsize, copy_to_root_dest)
-    else:
-        sched = compile_broadcast(n_pes, root, nelems, stride,
-                                  dtype.itemsize, algorithm=algorithm,
-                                  copy_to_root_dest=copy_to_root_dest)
-    return PreparedCollective(
-        name="broadcast", members=members, me=me, dtype=dtype, attrs=attrs,
-        schedule=sched, bindings={"dest": dest, "src": src},
-        stats_key=f"broadcast:{algorithm}", stats_rank=root,
-    )
+__all__ = ["compile_broadcast"]
 
 
 def compile_broadcast(n_pes: int, root: int, nelems: int, stride: int,

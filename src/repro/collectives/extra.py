@@ -5,7 +5,7 @@ notes that "they can be combined together to accomplish the semantics of
 several more complex operations" (section 4.2).  This module provides
 those compositions plus a personalised all-to-all:
 
-* :func:`prepare_allgather` — gather-to-all (OpenSHMEM ``collect``;
+* allgather — gather-to-all (OpenSHMEM ``collect``;
   ``fcollect`` is the equal-counts case).  Three algorithms: the
   default ``"tree"`` (gather to rank 0, broadcast back, chained into
   one schedule by :func:`~.schedule.fuse.chain_schedules`), a
@@ -19,33 +19,27 @@ those compositions plus a personalised all-to-all:
   copy), which is the measured win at large payloads.  ``"pat"`` also
   accepts ``segments > 1`` to pipeline each block through the schedule
   IR's :class:`~.schedule.ir.Pipeline` rounds.
-* :func:`prepare_alltoall` — personalised all-to-all exchange built
+* alltoall — personalised all-to-all exchange built
   from one-sided puts (each PE deposits its block directly at the
   destination offset of every peer).
 
-Like every collective module's ``prepare_*``, both validate, select and
-compile a call and return a
-:class:`~repro.collectives.schedule.PreparedCollective`; the caller
-runs it (``ctx.allgather`` / ``ctx.alltoall`` issue it through the
-context's dispatcher).
+Both are compilers only: their records in :mod:`~.request` validate
+and select a call and compile it through the functions here
+(``ctx.allgather`` / ``ctx.alltoall`` issue it through the context's
+dispatcher).
 
-Reduction-to-all is :func:`~repro.collectives.allreduce.prepare_allreduce`.
+Reduction-to-all is :func:`~repro.collectives.allreduce.compile_allreduce`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..errors import CollectiveArgumentError
 from .broadcast import compile_broadcast
-from .common import call_attrs, resolve_group
 from .gather import compile_gather
 from .reduce_scatter import coalesce_runs, pat_width_steps
-from .scatter import _validate
-from .schedule.executor import PreparedCollective
 from .schedule.fuse import chain_schedules
 from .schedule.ir import (
     AUX_PLACE,
@@ -59,70 +53,9 @@ from .schedule.ir import (
     skeleton,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runtime.context import XBRTime
-
-__all__ = ["prepare_allgather", "prepare_alltoall", "compile_allgather",
+__all__ = ["compile_allgather",
            "compile_allgather_pat", "compile_allgather_tree",
            "compile_alltoall"]
-
-
-def prepare_allgather(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    pe_msgs: Sequence[int],
-    pe_disp: Sequence[int],
-    nelems: int,
-    dtype: np.dtype,
-    *,
-    algorithm: str = "tree",
-    segments: int = 1,
-    group: Sequence[int] | None = None,
-) -> PreparedCollective:
-    """Gather-to-all (OpenSHMEM ``collect``): every PE ends with all
-    contributions at ``dest`` (symmetric), laid out by ``pe_disp``.
-
-    ``algorithm="tree"`` chains a gather and a broadcast through rank 0
-    (the historical default); ``"dissemination"`` compiles the ⌈log₂N⌉-stage
-    doubling exchange; ``"pat"`` compiles the dest-direct aggregated
-    trees (``segments`` chunks of every block in flight); ``"auto"``
-    asks :mod:`~repro.collectives.tuning`.
-    """
-    if segments < 1:
-        raise CollectiveArgumentError("segments must be >= 1")
-    members, me = resolve_group(ctx, group)
-    n_pes = len(members)
-    if n_pes > 1 and not ctx.is_symmetric(dest):
-        raise CollectiveArgumentError("allgather dest must be symmetric")
-    _validate(pe_msgs, pe_disp, nelems, n_pes, "allgather", disjoint=True)
-    if algorithm == "auto":
-        from .tuning import select_algorithm
-
-        algorithm = select_algorithm(
-            "allgather", nelems * dtype.itemsize, n_pes,
-            ctx.config.topology,
-        )
-    if algorithm == "pat":
-        sched = compile_allgather_pat(n_pes, tuple(pe_msgs), tuple(pe_disp),
-                                      nelems, dtype.itemsize, segments)
-    elif algorithm == "dissemination":
-        sched = compile_allgather(n_pes, tuple(pe_msgs), tuple(pe_disp),
-                                  nelems, dtype.itemsize)
-    elif algorithm == "tree":
-        sched = compile_allgather_tree(n_pes, tuple(pe_msgs),
-                                       tuple(pe_disp), nelems,
-                                       dtype.itemsize)
-    else:
-        raise CollectiveArgumentError(
-            f"unknown allgather algorithm {algorithm!r}"
-        )
-    return PreparedCollective(
-        name="allgather", members=members, me=me, dtype=dtype,
-        attrs=call_attrs(ctx, dtype, algorithm=algorithm, nelems=nelems),
-        schedule=sched, bindings={"dest": dest, "src": src},
-        stats_key=f"allgather:{algorithm}", stats_rank=0,
-    )
 
 
 @lru_cache(maxsize=256)
@@ -277,37 +210,6 @@ def compile_allgather_pat(n_pes: int, counts: tuple[int, ...],
         (pipeline_skeleton(1, S, len(ladder), (("phase", "pat-bcast"),),
                            0),),
         buffers=buffers, deliver=_ag_deliver(counts, disps, eb, n_pes))
-
-
-def prepare_alltoall(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    nelems_per_pe: int,
-    dtype: np.dtype,
-    *,
-    group: Sequence[int] | None = None,
-) -> PreparedCollective:
-    """Personalised all-to-all: block ``j`` of ``src`` on PE ``i`` lands
-    as block ``i`` of ``dest`` on PE ``j``.
-
-    Implemented with one-sided puts in a rotated order (PE ``i`` starts
-    at peer ``i``, then walks the ring) so the messages of a stage
-    spread across distinct targets instead of all hitting PE 0 at once.
-    """
-    if nelems_per_pe < 0:
-        raise CollectiveArgumentError("nelems_per_pe must be >= 0")
-    members, me = resolve_group(ctx, group)
-    n = len(members)
-    if n > 1 and not ctx.is_symmetric(dest):
-        raise CollectiveArgumentError("alltoall dest must be symmetric")
-    sched = compile_alltoall(n, nelems_per_pe, dtype.itemsize)
-    return PreparedCollective(
-        name="alltoall", members=members, me=me, dtype=dtype,
-        attrs=call_attrs(ctx, dtype, nelems=nelems_per_pe),
-        schedule=sched, bindings={"dest": dest, "src": src},
-        stats_key="alltoall:rotated", stats_rank=0,
-    )
 
 
 @lru_cache(maxsize=256)

@@ -17,22 +17,18 @@ rank.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .binomial import n_stages
-from .common import call_attrs, resolve_group, validate_root
 from .scatter import (
     _DEST,
     _S,
     _SRC,
     _io_buffers,
     _one_block,
-    _validate,
     adjusted_displacements,
 )
-from .schedule.executor import PreparedCollective
 from .schedule.ir import (
     AUX_PLACE,
     OP_COPY,
@@ -43,38 +39,7 @@ from .schedule.ir import (
     skeleton,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runtime.context import XBRTime
-
-__all__ = ["prepare_gather", "compile_gather"]
-
-
-def prepare_gather(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    pe_msgs: Sequence[int],
-    pe_disp: Sequence[int],
-    nelems: int,
-    root: int,
-    dtype: np.dtype,
-    *,
-    group: Sequence[int] | None = None,
-) -> PreparedCollective:
-    """``xbrtime_TYPE_gather(dest, src, pe_msgs, pe_disp, nelems,
-    root)``: validate and compile — everything but the execution."""
-    members, me = resolve_group(ctx, group)
-    n_pes = len(members)
-    validate_root(root, n_pes)
-    _validate(pe_msgs, pe_disp, nelems, n_pes, "gather")
-    sched = compile_gather(n_pes, root, tuple(pe_msgs), tuple(pe_disp),
-                           nelems, dtype.itemsize)
-    return PreparedCollective(
-        name="gather", members=members, me=me, dtype=dtype,
-        attrs=call_attrs(ctx, dtype, root=root, nelems=nelems),
-        schedule=sched, bindings={"dest": dest, "src": src},
-        stats_key="gather:binomial", stats_rank=root,
-    )
+__all__ = ["compile_gather"]
 
 
 @lru_cache(maxsize=256)

@@ -1,8 +1,8 @@
 """Non-blocking collectives (paper section 7 future work).
 
 Modelled as *deferred* collectives: initiation validates the call and
-*compiles* its schedule (via the collective's ``prepare_*``
-function), returning a handle that holds the ready-to-run
+*compiles* its schedule (via :func:`~repro.collectives.request.prepare`
+on the collective's record), returning a handle that holds the ready-to-run
 :class:`~repro.collectives.schedule.PreparedCollective`; the operation
 executes when every participant waits on its handle.  Argument errors
 therefore surface at initiation — where the faulty call site is — while
@@ -27,10 +27,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from ..errors import CollectiveArgumentError
-from .broadcast import prepare_broadcast
-from .gather import prepare_gather
-from .reduce import prepare_reduce
-from .scatter import prepare_scatter
+from .request import COLLECTIVES, prepare
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
@@ -104,25 +101,29 @@ class CollectiveHandle:
         return self.done
 
 
-def _initiate(ctx: "XBRTime", name: str, prepared) -> CollectiveHandle:
-    return CollectiveHandle(name=name, _prepared=prepared,
-                            initiator=ctx.rank, _ctx=ctx)
+def _initiate(ctx: "XBRTime", name: str, *args,
+              group: Sequence[int] | None) -> CollectiveHandle:
+    """Prepare the call of ``name`` less its ``i`` and hold it."""
+    return CollectiveHandle(
+        name=name, _prepared=prepare(ctx, COLLECTIVES[name[1:]], *args,
+                                     group=group),
+        initiator=ctx.rank, _ctx=ctx)
 
 
 def ibroadcast(ctx: "XBRTime", dest: int, src: int, nelems: int, stride: int,
                root: int, dtype: np.dtype,
                group: Sequence[int] | None = None) -> CollectiveHandle:
     """Non-blocking broadcast (Algorithm 1, deferred)."""
-    return _initiate(ctx, "ibroadcast", prepare_broadcast(
-        ctx, dest, src, nelems, stride, root, dtype, group=group))
+    return _initiate(ctx, "ibroadcast", dest, src, nelems, stride, root,
+                     dtype, group=group)
 
 
 def ireduce(ctx: "XBRTime", dest: int, src: int, nelems: int, stride: int,
             root: int, op: str, dtype: np.dtype,
             group: Sequence[int] | None = None) -> CollectiveHandle:
     """Non-blocking reduction (Algorithm 2, deferred)."""
-    return _initiate(ctx, "ireduce", prepare_reduce(
-        ctx, dest, src, nelems, stride, root, op, dtype, group=group))
+    return _initiate(ctx, "ireduce", dest, src, nelems, stride, root, op,
+                     dtype, group=group)
 
 
 def iscatter(ctx: "XBRTime", dest: int, src: int, pe_msgs: Sequence[int],
@@ -130,8 +131,8 @@ def iscatter(ctx: "XBRTime", dest: int, src: int, pe_msgs: Sequence[int],
              dtype: np.dtype,
              group: Sequence[int] | None = None) -> CollectiveHandle:
     """Non-blocking scatter (Algorithm 3, deferred)."""
-    return _initiate(ctx, "iscatter", prepare_scatter(
-        ctx, dest, src, pe_msgs, pe_disp, nelems, root, dtype, group=group))
+    return _initiate(ctx, "iscatter", dest, src, pe_msgs, pe_disp, nelems,
+                     root, dtype, group=group)
 
 
 def igather(ctx: "XBRTime", dest: int, src: int, pe_msgs: Sequence[int],
@@ -139,5 +140,5 @@ def igather(ctx: "XBRTime", dest: int, src: int, pe_msgs: Sequence[int],
             dtype: np.dtype,
             group: Sequence[int] | None = None) -> CollectiveHandle:
     """Non-blocking gather (Algorithm 4, deferred)."""
-    return _initiate(ctx, "igather", prepare_gather(
-        ctx, dest, src, pe_msgs, pe_disp, nelems, root, dtype, group=group))
+    return _initiate(ctx, "igather", dest, src, pe_msgs, pe_disp, nelems,
+                     root, dtype, group=group)

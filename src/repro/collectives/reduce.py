@@ -27,21 +27,12 @@ bitwise and/or/xor for the non-floating-point types (section 4.4).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..errors import CollectiveArgumentError
 from .binomial import n_stages
-from .common import (
-    call_attrs,
-    resolve_group,
-    span_bytes,
-    validate_counts,
-    validate_root,
-)
-from .ops import check_op
-from .schedule.executor import PreparedCollective
+from .common import span_bytes
 from .schedule.ir import (
     AUX_COPY,
     OP_COPY,
@@ -53,68 +44,7 @@ from .schedule.ir import (
     skeleton,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runtime.context import XBRTime
-
-__all__ = ["prepare_reduce", "compile_reduce"]
-
-#: Algorithms :func:`compile_reduce` accepts.
-ALGORITHMS = ("binomial", "linear")
-
-
-def prepare_reduce(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    nelems: int,
-    stride: int,
-    root: int,
-    op: str,
-    dtype: np.dtype,
-    *,
-    algorithm: str = "binomial",
-    group: Sequence[int] | None = None,
-) -> PreparedCollective:
-    """``xbrtime_TYPE_reduce_OP(dest, src, nelems, stride, root)``:
-    validate, select and compile — everything but the execution.
-
-    ``src`` must be a symmetric address (partners read it / the shared
-    scratch one-sidedly); ``dest`` is significant only on the root and
-    may be private.
-    """
-    validate_counts(nelems, stride)
-    check_op(op, dtype)
-    members, me = resolve_group(ctx, group)
-    n_pes = len(members)
-    validate_root(root, n_pes)
-    if n_pes > 1 and not ctx.is_symmetric(src):
-        raise CollectiveArgumentError(
-            f"reduce src {src:#x} must be a symmetric (shared-segment) "
-            "address (paper section 4.4)"
-        )
-    if algorithm == "auto":
-        from .tuning import select_algorithm
-
-        algorithm = select_algorithm(
-            "reduce", nelems * dtype.itemsize, n_pes,
-            ctx.config.topology,
-        )
-    attrs = call_attrs(ctx, dtype, algorithm=algorithm, root=root, op=op,
-                       nelems=nelems)
-    if algorithm == "hierarchical":
-        from .hierarchy import compile_hierarchical_reduce
-
-        sched = compile_hierarchical_reduce(
-            tuple(map(ctx.config.node_of, members)), root, nelems, stride,
-            dtype.itemsize, op)
-    else:
-        sched = compile_reduce(n_pes, root, nelems, stride, dtype.itemsize,
-                               op, algorithm=algorithm)
-    return PreparedCollective(
-        name="reduce", members=members, me=me, dtype=dtype, attrs=attrs,
-        schedule=sched, bindings={"dest": dest, "src": src},
-        stats_key=f"reduce:{op}:{algorithm}", stats_rank=root,
-    )
+__all__ = ["compile_reduce"]
 
 
 def compile_reduce(n_pes: int, root: int, nelems: int, stride: int,

@@ -40,16 +40,11 @@ writes its offsets ``[0, grab)`` — disjoint because ``grab <= w``.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..errors import CollectiveArgumentError
 from .allreduce import _A, _pull_and_fold
-from .common import call_attrs, resolve_group
-from .ops import check_op
-from .scatter import _validate
-from .schedule.executor import PreparedCollective
 from .schedule.ir import (
     AUX_PLACE,
     OP_COPY,
@@ -60,14 +55,7 @@ from .schedule.ir import (
     skeleton,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runtime.context import XBRTime
-
-__all__ = ["prepare_reduce_scatter",
-           "compile_reduce_scatter", "pat_width_steps", "coalesce_runs"]
-
-#: Algorithms :func:`compile_reduce_scatter` accepts.
-ALGORITHMS = ("ring", "pat")
+__all__ = ["compile_reduce_scatter", "pat_width_steps", "coalesce_runs"]
 
 
 def pat_width_steps(n_pes: int) -> tuple[tuple[int, int], ...]:
@@ -116,56 +104,6 @@ def coalesce_runs(lo: np.ndarray, hi: np.ndarray) -> tuple:
     last = np.flatnonzero(is_open)
     runs.append((last, run_lo[last], run_hi[last]))
     return tuple(map(np.concatenate, zip(*runs)))
-
-
-def prepare_reduce_scatter(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    pe_msgs: Sequence[int],
-    pe_disp: Sequence[int],
-    nelems: int,
-    op: str,
-    dtype: np.dtype,
-    *,
-    algorithm: str = "auto",
-    segments: int = 1,
-    group: Sequence[int] | None = None,
-) -> PreparedCollective:
-    """Reduce-scatter: PE ``r`` ends with the reduction of the
-    ``pe_msgs[r]`` elements at displacement ``pe_disp[r]`` in its
-    ``dest``.  ``algorithm`` is ``"ring"``, ``"pat"`` or ``"auto"``;
-    ``segments`` (PAT only) pipelines each block in S chunks.
-    Validates, selects and compiles — everything but the execution."""
-    check_op(op, dtype)
-    if segments < 1:
-        raise CollectiveArgumentError("segments must be >= 1")
-    members, me = resolve_group(ctx, group)
-    n_pes = len(members)
-    _validate(pe_msgs, pe_disp, nelems, n_pes, "reduce_scatter",
-              disjoint=True)
-    if algorithm == "auto":
-        from .tuning import select_algorithm
-
-        algorithm = select_algorithm(
-            "reduce_scatter", nelems * dtype.itemsize, n_pes,
-            ctx.config.topology,
-        )
-    if algorithm not in ALGORITHMS:
-        raise CollectiveArgumentError(
-            f"unknown reduce_scatter algorithm {algorithm!r}"
-        )
-    sched = compile_reduce_scatter(
-        n_pes, tuple(pe_msgs), tuple(pe_disp), nelems, dtype.itemsize, op,
-        algorithm=algorithm, segments=segments,
-    )
-    return PreparedCollective(
-        name="reduce_scatter", members=members, me=me, dtype=dtype,
-        attrs=call_attrs(ctx, dtype, algorithm=algorithm, op=op,
-                         nelems=nelems),
-        schedule=sched, bindings={"dest": dest, "src": src},
-        stats_key=f"reduce_scatter:{algorithm}", stats_rank=0,
-    )
 
 
 @lru_cache(maxsize=256)

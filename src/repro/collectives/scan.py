@@ -17,20 +17,11 @@ i.e. all of them except float bitwise, which are rejected anyway).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..errors import CollectiveArgumentError
 from .binomial import n_stages
-from .common import (
-    call_attrs,
-    resolve_group,
-    span_bytes,
-    validate_counts,
-)
-from .ops import check_op
-from .schedule.executor import PreparedCollective
+from .common import span_bytes
 from .schedule.ir import (
     AUX_COPY,
     AUX_MOVE,
@@ -44,44 +35,7 @@ from .schedule.ir import (
     skeleton,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runtime.context import XBRTime
-
-__all__ = ["prepare_scan", "compile_scan"]
-
-
-def prepare_scan(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    nelems: int,
-    stride: int,
-    op: str,
-    dtype: np.dtype,
-    *,
-    inclusive: bool = True,
-    group: Sequence[int] | None = None,
-) -> PreparedCollective:
-    """Prefix scan: PE k ends with ``src_0 OP src_1 OP ... OP src_k``
-    (inclusive) or ``... OP src_{k-1}`` (exclusive; identity on PE 0)
-    at its local ``dest``.  Validates and compiles — everything but the
-    execution."""
-    validate_counts(nelems, stride)
-    check_op(op, dtype)
-    members, me = resolve_group(ctx, group)
-    n_pes = len(members)
-    if n_pes > 1 and not ctx.is_symmetric(src):
-        raise CollectiveArgumentError("scan src must be a symmetric address")
-    kind = "inclusive" if inclusive else "exclusive"
-    sched = compile_scan(n_pes, nelems, stride, dtype.itemsize, op,
-                         inclusive)
-    return PreparedCollective(
-        name="scan", members=members, me=me, dtype=dtype,
-        attrs=call_attrs(ctx, dtype, inclusive=inclusive, op=op,
-                         nelems=nelems),
-        schedule=sched, bindings={"dest": dest, "src": src},
-        stats_key=f"scan:{kind}", stats_rank=0,
-    )
+__all__ = ["compile_scan"]
 
 
 #: Buffer indices of every scan schedule.

@@ -27,14 +27,11 @@ the schedule's step-table rows directly.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..errors import CollectiveArgumentError
 from .binomial import n_stages
-from .common import call_attrs, resolve_group, validate_root
-from .schedule.executor import PreparedCollective
 from .schedule.ir import (
     AUX_PLACE,
     OP_COPY,
@@ -45,11 +42,7 @@ from .schedule.ir import (
     skeleton,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runtime.context import XBRTime
-
-__all__ = ["prepare_scatter", "compile_scatter",
-           "adjusted_displacements"]
+__all__ = ["compile_scatter", "adjusted_displacements"]
 
 
 def adjusted_displacements(
@@ -60,63 +53,6 @@ def adjusted_displacements(
     return np.concatenate(
         ([0], np.cumsum(np.roll(np.asarray(pe_msgs, dtype=np.int64),
                                 -root)))).tolist()
-
-
-def _validate(pe_msgs: Sequence[int], pe_disp: Sequence[int], nelems: int,
-              n_pes: int, what: str, *, disjoint: bool = False) -> None:
-    """Check the per-PE counts and displacements; ``disjoint`` also
-    rejects two non-empty blocks that overlap (a collective that writes
-    every block into one buffer would race on the shared bytes)."""
-    if len(pe_msgs) != n_pes or len(pe_disp) != n_pes:
-        raise CollectiveArgumentError(
-            f"{what}: pe_msgs/pe_disp must have one entry per PE "
-            f"({n_pes}), got {len(pe_msgs)}/{len(pe_disp)}"
-        )
-    if any(m < 0 for m in pe_msgs):
-        raise CollectiveArgumentError(f"{what}: negative pe_msgs entry")
-    if any(d < 0 for d in pe_disp):
-        raise CollectiveArgumentError(f"{what}: negative pe_disp entry")
-    total = sum(pe_msgs)
-    if total != nelems:
-        raise CollectiveArgumentError(
-            f"{what}: sum(pe_msgs)={total} does not match nelems={nelems}"
-        )
-    if disjoint:
-        blocks = sorted((d, d + m, pe) for pe, (m, d)
-                        in enumerate(zip(pe_msgs, pe_disp)) if m)
-        for (_, end, a), (lo, _, b) in zip(blocks, blocks[1:]):
-            if lo < end:
-                raise CollectiveArgumentError(
-                    f"{what}: the blocks of PEs {min(a, b)} and "
-                    f"{max(a, b)} overlap (pe_disp/pe_msgs)")
-
-
-def prepare_scatter(
-    ctx: "XBRTime",
-    dest: int,
-    src: int,
-    pe_msgs: Sequence[int],
-    pe_disp: Sequence[int],
-    nelems: int,
-    root: int,
-    dtype: np.dtype,
-    *,
-    group: Sequence[int] | None = None,
-) -> PreparedCollective:
-    """``xbrtime_TYPE_scatter(dest, src, pe_msgs, pe_disp, nelems,
-    root)``: validate and compile — everything but the execution."""
-    members, me = resolve_group(ctx, group)
-    n_pes = len(members)
-    validate_root(root, n_pes)
-    _validate(pe_msgs, pe_disp, nelems, n_pes, "scatter")
-    sched = compile_scatter(n_pes, root, tuple(pe_msgs), tuple(pe_disp),
-                            nelems, dtype.itemsize)
-    return PreparedCollective(
-        name="scatter", members=members, me=me, dtype=dtype,
-        attrs=call_attrs(ctx, dtype, root=root, nelems=nelems),
-        schedule=sched, bindings={"dest": dest, "src": src},
-        stats_key="scatter:binomial", stats_rank=root,
-    )
 
 
 def _io_buffers(n_pes: int, root: int, counts: tuple[int, ...],

@@ -21,12 +21,7 @@ import numpy as np
 
 from ..errors import CollectiveArgumentError
 from ..runtime.collective_api import resolve_dtype
-from .allreduce import prepare_allreduce
-from .broadcast import prepare_broadcast
-from .extra import prepare_alltoall
-from .gather import prepare_gather
-from .reduce import prepare_reduce
-from .scatter import prepare_scatter
+from .request import COLLECTIVES, prepare
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.context import XBRTime
@@ -77,49 +72,43 @@ class Team:
     # Each call is issued through the context's dispatcher, so inside
     # ``ctx.superstep()`` it defers in call order like a world call.
 
+    def _issue(self, name: str, *args) -> None:
+        ctx = self.ctx
+        ctx._issue(prepare(ctx, COLLECTIVES[name], *args,
+                           group=self.members))
+
     def broadcast(self, dest: int, src: int, nelems: int, stride: int,
                   root: int, dtype: str | np.dtype = "long") -> None:
-        ctx = self.ctx
-        ctx._issue(prepare_broadcast(ctx, dest, src, nelems, stride, root,
-                                     resolve_dtype(dtype),
-                                     group=self.members))
+        self._issue("broadcast", dest, src, nelems, stride, root,
+                    resolve_dtype(dtype))
 
     def reduce(self, dest: int, src: int, nelems: int, stride: int,
                root: int, op: str = "sum",
                dtype: str | np.dtype = "long") -> None:
-        ctx = self.ctx
-        ctx._issue(prepare_reduce(ctx, dest, src, nelems, stride, root, op,
-                                  resolve_dtype(dtype), group=self.members))
+        self._issue("reduce", dest, src, nelems, stride, root, op,
+                    resolve_dtype(dtype))
 
     def scatter(self, dest: int, src: int, pe_msgs: Sequence[int],
                 pe_disp: Sequence[int], nelems: int, root: int,
                 dtype: str | np.dtype = "long") -> None:
-        ctx = self.ctx
-        ctx._issue(prepare_scatter(ctx, dest, src, pe_msgs, pe_disp, nelems,
-                                   root, resolve_dtype(dtype),
-                                   group=self.members))
+        self._issue("scatter", dest, src, pe_msgs, pe_disp, nelems, root,
+                    resolve_dtype(dtype))
 
     def gather(self, dest: int, src: int, pe_msgs: Sequence[int],
                pe_disp: Sequence[int], nelems: int, root: int,
                dtype: str | np.dtype = "long") -> None:
-        ctx = self.ctx
-        ctx._issue(prepare_gather(ctx, dest, src, pe_msgs, pe_disp, nelems,
-                                  root, resolve_dtype(dtype),
-                                  group=self.members))
+        self._issue("gather", dest, src, pe_msgs, pe_disp, nelems, root,
+                    resolve_dtype(dtype))
 
     def allreduce(self, dest: int, src: int, nelems: int, stride: int,
                   op: str = "sum", dtype: str | np.dtype = "long") -> None:
-        ctx = self.ctx
-        ctx._issue(prepare_allreduce(ctx, dest, src, nelems, stride, op,
-                                     resolve_dtype(dtype),
-                                     group=self.members))
+        self._issue("allreduce", dest, src, nelems, stride, op,
+                    resolve_dtype(dtype))
 
     def alltoall(self, dest: int, src: int, nelems_per_pe: int,
                  dtype: str | np.dtype = "long") -> None:
-        ctx = self.ctx
-        ctx._issue(prepare_alltoall(ctx, dest, src, nelems_per_pe,
-                                    resolve_dtype(dtype),
-                                    group=self.members))
+        self._issue("alltoall", dest, src, nelems_per_pe,
+                    resolve_dtype(dtype))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Team(members={self.members}, me={self.ctx.rank})"

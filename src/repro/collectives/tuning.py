@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import CollectiveArgumentError
+from .request import COLLECTIVES
 
 __all__ = ["SelectionPolicy", "DEFAULT_POLICY", "select_algorithm"]
 
@@ -75,14 +76,6 @@ class SelectionPolicy:
 
 DEFAULT_POLICY = SelectionPolicy()
 
-_SUPPORTED = {
-    "broadcast": ("binomial", "linear", "ring"),
-    "reduce": ("binomial", "linear"),
-    "allreduce": ("doubling", "rabenseifner", "ring", "dual-pipelined"),
-    "allgather": ("tree", "dissemination", "pat"),
-    "reduce_scatter": ("ring", "pat"),
-}
-
 
 def select_algorithm(
     op: str,
@@ -91,8 +84,11 @@ def select_algorithm(
     topology: str = "fully-connected",
     policy: SelectionPolicy = DEFAULT_POLICY,
 ) -> str:
-    """Pick an algorithm for ``op`` moving ``nbytes`` across ``n_pes``."""
-    if op not in _SUPPORTED:
+    """Pick an algorithm for ``op`` moving ``nbytes`` across ``n_pes``:
+    one its record compiles, for a collective whose record takes an
+    ``algorithm`` (see :mod:`~.request`)."""
+    desc = COLLECTIVES.get(op)
+    if desc is None or not desc.auto:
         raise CollectiveArgumentError(
             f"no selection rule for collective {op!r}"
         )

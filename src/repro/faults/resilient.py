@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..collectives.common import resolve_group, validate_root
+from ..collectives.request import COLLECTIVES, prepare
 from ..collectives.virtual_rank import remap_root
 from ..errors import PeerFailedError
 
@@ -105,8 +106,6 @@ def resilient_broadcast(
     new root's current ``dest`` contents; data the root never sent
     cannot be recovered.
     """
-    from ..collectives.broadcast import prepare_broadcast
-
     members, _ = resolve_group(ctx, group)
     validate_root(root, len(members))
     root_world = members[root]
@@ -114,8 +113,8 @@ def resilient_broadcast(
     def attempt(live: tuple[int, ...]) -> None:
         new_root = remap_root(members, root, live)
         local_src = src if ctx.rank == root_world else dest
-        prepare_broadcast(ctx, dest, local_src, nelems, stride,
-                          live.index(new_root), dtype, group=live).run(ctx)
+        prepare(ctx, COLLECTIVES["broadcast"], dest, local_src, nelems,
+                stride, live.index(new_root), dtype, group=live).run(ctx)
 
     restarts, live = _run_attempts(ctx, members, max_restarts, attempt)
     return ResilientResult(
@@ -138,15 +137,13 @@ def resilient_reduce(
     ``dest`` on :attr:`ResilientResult.root`; the contribution mask
     names the ranks whose values are in it.
     """
-    from ..collectives.reduce import prepare_reduce
-
     members, _ = resolve_group(ctx, group)
     validate_root(root, len(members))
 
     def attempt(live: tuple[int, ...]) -> None:
         new_root = remap_root(members, root, live)
-        prepare_reduce(ctx, dest, src, nelems, stride, live.index(new_root),
-                       op, dtype, group=live).run(ctx)
+        prepare(ctx, COLLECTIVES["reduce"], dest, src, nelems, stride,
+                live.index(new_root), op, dtype, group=live).run(ctx)
 
     restarts, live = _run_attempts(ctx, members, max_restarts, attempt)
     return ResilientResult(
@@ -167,13 +164,11 @@ def resilient_allreduce(
     Every surviving PE ends with the same partial reduction in ``dest``
     plus the contribution mask saying which ranks are folded in.
     """
-    from ..collectives.allreduce import prepare_allreduce
-
     members, _ = resolve_group(ctx, group)
 
     def attempt(live: tuple[int, ...]) -> None:
-        prepare_allreduce(ctx, dest, src, nelems, stride, op, dtype,
-                          group=live).run(ctx)
+        prepare(ctx, COLLECTIVES["allreduce"], dest, src, nelems, stride, op,
+                dtype, group=live).run(ctx)
 
     restarts, live = _run_attempts(ctx, members, max_restarts, attempt)
     return ResilientResult(

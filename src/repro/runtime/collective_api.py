@@ -81,22 +81,15 @@ _NO_SPANS = _DisabledSpans()
 
 
 class _Above:
-    """The front doors' functions from the layers above the core, each
-    imported on its first use and bound here from then on.  Those
-    modules import the core, so the core cannot import them when it is
-    imported itself; and an import statement in a front door would run
-    importlib's Python frames on every call."""
+    """The front doors' names from the layers above the core (the
+    collectives' request module among them), each imported on its first
+    use and bound here from then on.  Those modules import the core, so
+    the core cannot import them when it is imported itself; and an
+    import statement in a front door would run importlib's Python frames
+    on every call."""
 
     _WHERE = {
-        "prepare_broadcast": "..collectives.broadcast",
-        "prepare_reduce": "..collectives.reduce",
-        "prepare_scatter": "..collectives.scatter",
-        "prepare_gather": "..collectives.gather",
-        "prepare_allreduce": "..collectives.allreduce",
-        "prepare_reduce_scatter": "..collectives.reduce_scatter",
-        "prepare_scan": "..collectives.scan",
-        "prepare_allgather": "..collectives.extra",
-        "prepare_alltoall": "..collectives.extra",
+        "request": "..collectives",
         "resilient_broadcast": "..faults.resilient",
         "resilient_reduce": "..faults.resilient",
         "resilient_allreduce": "..faults.resilient",
@@ -551,36 +544,36 @@ class CollectiveAPI:
                   algorithm: str = "binomial") -> None:
         """``xbrtime_TYPE_broadcast`` (Algorithm 1)."""
         self._require_active()
-        self._issue(_above.prepare_broadcast(
-            self, dest, src, nelems, stride, root, resolve_dtype(dtype),
-            algorithm=algorithm))
+        self._issue(_above.request.prepare(
+            self, _above.request.COLLECTIVES["broadcast"], dest, src,
+            nelems, stride, root, resolve_dtype(dtype), algorithm=algorithm))
 
     def reduce(self, dest: int, src: int, nelems: int, stride: int,
                root: int, op: str = "sum", dtype: str | np.dtype = "long",
                algorithm: str = "binomial") -> None:
         """``xbrtime_TYPE_reduce_OP`` (Algorithm 2)."""
         self._require_active()
-        self._issue(_above.prepare_reduce(
-            self, dest, src, nelems, stride, root, op, resolve_dtype(dtype),
-            algorithm=algorithm))
+        self._issue(_above.request.prepare(
+            self, _above.request.COLLECTIVES["reduce"], dest, src, nelems,
+            stride, root, op, resolve_dtype(dtype), algorithm=algorithm))
 
     def scatter(self, dest: int, src: int, pe_msgs: Sequence[int],
                 pe_disp: Sequence[int], nelems: int, root: int,
                 dtype: str | np.dtype = "long") -> None:
         """``xbrtime_TYPE_scatter`` (Algorithm 3)."""
         self._require_active()
-        self._issue(_above.prepare_scatter(
-            self, dest, src, pe_msgs, pe_disp, nelems, root,
-            resolve_dtype(dtype)))
+        self._issue(_above.request.prepare(
+            self, _above.request.COLLECTIVES["scatter"], dest, src, pe_msgs,
+            pe_disp, nelems, root, resolve_dtype(dtype)))
 
     def gather(self, dest: int, src: int, pe_msgs: Sequence[int],
                pe_disp: Sequence[int], nelems: int, root: int,
                dtype: str | np.dtype = "long") -> None:
         """``xbrtime_TYPE_gather`` (Algorithm 4)."""
         self._require_active()
-        self._issue(_above.prepare_gather(
-            self, dest, src, pe_msgs, pe_disp, nelems, root,
-            resolve_dtype(dtype)))
+        self._issue(_above.request.prepare(
+            self, _above.request.COLLECTIVES["gather"], dest, src, pe_msgs,
+            pe_disp, nelems, root, resolve_dtype(dtype)))
 
     # -- extended collectives (paper section 7 future work) --------------------------------
 
@@ -596,9 +589,10 @@ class CollectiveAPI:
         trees — ``segments`` chunks in flight, the large-payload winner
         off power-of-two) or ``"auto"``."""
         self._require_active()
-        self._issue(_above.prepare_allreduce(
-            self, dest, src, nelems, stride, op, resolve_dtype(dtype),
-            algorithm=algorithm, segments=segments))
+        self._issue(_above.request.prepare(
+            self, _above.request.COLLECTIVES["allreduce"], dest, src,
+            nelems, stride, op, resolve_dtype(dtype), algorithm=algorithm,
+            segments=segments))
 
     def reduce_scatter(self, dest: int, src: int, pe_msgs: Sequence[int],
                        pe_disp: Sequence[int], nelems: int,
@@ -614,18 +608,19 @@ class CollectiveAPI:
         ``dest`` nor ``src`` needs to be symmetric.
         """
         self._require_active()
-        self._issue(_above.prepare_reduce_scatter(
-            self, dest, src, pe_msgs, pe_disp, nelems, op,
-            resolve_dtype(dtype), algorithm=algorithm, segments=segments))
+        self._issue(_above.request.prepare(
+            self, _above.request.COLLECTIVES["reduce_scatter"], dest, src,
+            pe_msgs, pe_disp, nelems, op, resolve_dtype(dtype),
+            algorithm=algorithm, segments=segments))
 
     def scan(self, dest: int, src: int, nelems: int, stride: int,
              op: str = "sum", dtype: str | np.dtype = "long",
              inclusive: bool = True) -> None:
         """Parallel prefix scan (Hillis-Steele, one-sided)."""
         self._require_active()
-        self._issue(_above.prepare_scan(
-            self, dest, src, nelems, stride, op, resolve_dtype(dtype),
-            inclusive=inclusive))
+        self._issue(_above.request.prepare(
+            self, _above.request.COLLECTIVES["scan"], dest, src, nelems,
+            stride, op, resolve_dtype(dtype), inclusive=inclusive))
 
     def allgather(self, dest: int, src: int, pe_msgs: Sequence[int],
                   pe_disp: Sequence[int], nelems: int,
@@ -639,16 +634,18 @@ class CollectiveAPI:
         (dest-direct parallel aggregated trees) or ``"auto"``.
         """
         self._require_active()
-        self._issue(_above.prepare_allgather(
-            self, dest, src, pe_msgs, pe_disp, nelems, resolve_dtype(dtype),
-            algorithm=algorithm, segments=segments))
+        self._issue(_above.request.prepare(
+            self, _above.request.COLLECTIVES["allgather"], dest, src, pe_msgs,
+            pe_disp, nelems, resolve_dtype(dtype), algorithm=algorithm,
+            segments=segments))
 
     def alltoall(self, dest: int, src: int, nelems_per_pe: int,
                  dtype: str | np.dtype = "long") -> None:
         """Personalised all-to-all exchange."""
         self._require_active()
-        self._issue(_above.prepare_alltoall(
-            self, dest, src, nelems_per_pe, resolve_dtype(dtype)))
+        self._issue(_above.request.prepare(
+            self, _above.request.COLLECTIVES["alltoall"], dest, src,
+            nelems_per_pe, resolve_dtype(dtype)))
 
     # -- resilient collectives (fault-injection runs) ----------------------------------
 

@@ -332,8 +332,7 @@ def _collective_program(ctx, spec: dict) -> bytes:
         # Hierarchical broadcast and reduce (one partitioned schedule
         # each) at a non-zero root over the world, then over a team —
         # every other rank, in descending order — through ``group=``.
-        from repro.collectives.broadcast import prepare_broadcast
-        from repro.collectives.reduce import prepare_reduce
+        from repro.collectives import COLLECTIVES, prepare
 
         team = tuple(range(n - 1, -1, -2))
         bufs = {name: _alloc_strided(ctx, nelems, stride, dt.itemsize)
@@ -344,12 +343,14 @@ def _collective_program(ctx, spec: dict) -> bytes:
         for group, tag, at in ((None, "w", root),
                                (team, "t", root % len(team))):
             if group is None or me in group:
-                ctx._issue(prepare_broadcast(
-                    ctx, bufs["b" + tag], bufs["src"], nelems, stride, at,
-                    dt, algorithm="hierarchical", group=group))
-                ctx._issue(prepare_reduce(
-                    ctx, bufs["r" + tag], bufs["src"], nelems, stride, at,
-                    op, dt, algorithm="hierarchical", group=group))
+                ctx._issue(prepare(ctx, COLLECTIVES["broadcast"],
+                                   bufs["b" + tag], bufs["src"], nelems,
+                                   stride, at, dt, algorithm="hierarchical",
+                                   group=group))
+                ctx._issue(prepare(ctx, COLLECTIVES["reduce"],
+                                   bufs["r" + tag], bufs["src"], nelems,
+                                   stride, at, op, dt,
+                                   algorithm="hierarchical", group=group))
         ctx.barrier()
         out = read(bufs["bw"], nelems)
         if me == root:

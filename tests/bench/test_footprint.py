@@ -114,15 +114,29 @@ def test_footprint_covers_what_a_small_run_allocates(monkeypatch, bench):
     if bench == "gups":
         params = GupsParams(log2_table_size=12, updates_per_pe=64)
         seen = peaks(monkeypatch, lambda: run_gups(config, params))
+        check = params.check_config
     else:
+        # 64 buckets: the keys' largest bucket, not the default slack,
+        # sizes the receive buffer.
         params = IsParams(problem_class="S-scaled", max_iterations=2,
                           log2_n_buckets=6)
         seen = peaks(monkeypatch, lambda: run_is(config, params))
+        keys = is_mod.generate_keys(params)
+        assert params.recv_cap(4, keys) > params.recv_cap(4)
+
+        def check(config):
+            params.check_config(config, keys)
     layout = segment_layout(config)
     heap = seen[layout.heap_base + layout.scratch_bytes]
     private = seen[CODE_REGION_BYTES]
-    params.check_config(shrunk(config, heap + 15, private + 15))
+    check(shrunk(config, heap + 15, private + 15))
     for short in (shrunk(config, heap - 1, private),
                   shrunk(config, heap, private - 1)):
         with pytest.raises(CollectiveArgumentError, match="needs"):
-            params.check_config(short)
+            check(short)
+    if bench == "is":
+        # The heap alone one byte short (room in the private segment):
+        # the receive buffer the keys need is counted.
+        with pytest.raises(CollectiveArgumentError,
+                           match="needs .* of symmetric heap"):
+            check(shrunk(config, heap - 1, private + 15))

@@ -236,6 +236,16 @@ class TestIsRun:
         assert res.full_verified
         assert res.sim_seconds > 0
 
+    def test_receive_buffer_holds_the_largest_bucket(self):
+        """With 64 buckets the largest holds ~2.7x the mean, past the
+        default slack of total/32 keys: the buffer is sized from the
+        keys, and the run that overflowed it verifies."""
+        config = fast_config(8)
+        assert FAST.recv_cap(8, generate_keys(FAST)) > FAST.recv_cap(8)
+        res = run_is(config, FAST)
+        assert res.partial_verified
+        assert res.full_verified
+
     def test_mops_accounting(self):
         res = IsResult(n_pes=2, problem_class="S", total_keys=1 << 16,
                        iterations=10, sim_seconds=1e-2,
@@ -267,8 +277,8 @@ class TestIsRun:
         n = 2
         chunk = FAST.total_keys // n
         m = Machine(fast_config(n))
-        m.run(_is_pe, [(FAST, keys[r * chunk:(r + 1) * chunk], tk, tr)
-                       for r in range(n)])
+        m.run(_is_pe, [(FAST, keys[r * chunk:(r + 1) * chunk], tk, tr,
+                        FAST.recv_cap(n, keys)) for r in range(n)])
         calls = m.stats.collective_calls
         assert any(k.startswith("reduce:sum") for k in calls)
         assert any(k.startswith("broadcast") for k in calls)

@@ -61,10 +61,10 @@ def run_broadcast(n_pes, nelems, stride, root, dtype, data,
         ctx.view(dest, dtype, nelems, stride)[:] = 0
         if ctx.my_pe() == root:
             ctx.view(src, dtype, nelems, stride)[:] = data
-        from repro.collectives.broadcast import prepare_broadcast
+        from repro.collectives import COLLECTIVES, prepare
 
-        prepare_broadcast(ctx, dest, src, nelems, stride, root, dtype,
-                          algorithm=algorithm).run(ctx)
+        prepare(ctx, COLLECTIVES["broadcast"], dest, src, nelems, stride,
+                root, dtype, algorithm=algorithm).run(ctx)
         ctx.barrier()
         got = np.array(ctx.view(dest, dtype, nelems, stride), copy=True)
         ctx.close()
@@ -83,10 +83,10 @@ def run_reduce(n_pes, nelems, stride, root, op, dtype, per_pe_data,
         src = ctx.malloc(max(span, 16))
         dest = ctx.private_malloc(max(span, 16))
         ctx.view(src, dtype, nelems, stride)[:] = per_pe_data[me]
-        from repro.collectives.reduce import prepare_reduce
+        from repro.collectives import COLLECTIVES, prepare
 
-        prepare_reduce(ctx, dest, src, nelems, stride, root, op, dtype,
-                       algorithm=algorithm).run(ctx)
+        prepare(ctx, COLLECTIVES["reduce"], dest, src, nelems, stride, root,
+                op, dtype, algorithm=algorithm).run(ctx)
         got = None
         if me == root:
             got = np.array(ctx.view(dest, dtype, nelems, stride), copy=True)
@@ -110,10 +110,10 @@ def run_scatter(n_pes, pe_msgs, pe_disp, root, dtype, src_data, **cfg_kw):
         dest = ctx.private_malloc(max(max(pe_msgs, default=1), 1) * eb + 16)
         if me == root:
             ctx.view(src, dtype, len(src_data))[:] = src_data
-        from repro.collectives.scatter import prepare_scatter
+        from repro.collectives import COLLECTIVES, prepare
 
-        prepare_scatter(ctx, dest, src, pe_msgs, pe_disp, nelems, root,
-                        dtype).run(ctx)
+        prepare(ctx, COLLECTIVES["scatter"], dest, src, pe_msgs, pe_disp,
+                nelems, root, dtype).run(ctx)
         got = np.array(ctx.view(dest, dtype, pe_msgs[me]), copy=True)
         ctx.close()
         return got
@@ -133,10 +133,10 @@ def run_gather(n_pes, pe_msgs, pe_disp, root, dtype, per_pe_data, **cfg_kw):
         src = ctx.malloc(max(max(pe_msgs, default=1), 1) * eb + 16)
         dest = ctx.private_malloc(max(dest_len * eb, 16))
         ctx.view(src, dtype, pe_msgs[me])[:] = per_pe_data[me]
-        from repro.collectives.gather import prepare_gather
+        from repro.collectives import COLLECTIVES, prepare
 
-        prepare_gather(ctx, dest, src, pe_msgs, pe_disp, nelems, root,
-                       dtype).run(ctx)
+        prepare(ctx, COLLECTIVES["gather"], dest, src, pe_msgs, pe_disp,
+                nelems, root, dtype).run(ctx)
         got = None
         if me == root:
             got = np.array(ctx.view(dest, dtype, dest_len), copy=True)

@@ -115,11 +115,10 @@ class TestAlgorithms:
                 src = ctx.private_malloc(8 * nelems)
                 ctx.barrier()
                 t0 = ctx.pe.clock
-                from repro.collectives.broadcast import prepare_broadcast
+                from repro.collectives import COLLECTIVES, prepare
 
-                prepare_broadcast(ctx, dest, src, nelems, 1, 0,
-                                  np.dtype(np.int64),
-                                  algorithm=algorithm).run(ctx)
+                prepare(ctx, COLLECTIVES["broadcast"], dest, src, nelems, 1,
+                        0, np.dtype(np.int64), algorithm=algorithm).run(ctx)
                 ctx.barrier()
                 dt = ctx.pe.clock - t0
                 ctx.close()

@@ -93,9 +93,10 @@ def test_broadcast_matches_oracle(case):
         ctx.view(dest, dt, nelems, stride)[:] = 0
         if ctx.my_pe() == root:
             ctx.view(src, dt, nelems, stride)[:] = data
-        from repro.collectives.broadcast import prepare_broadcast
+        from repro.collectives import COLLECTIVES, prepare
 
-        prepare_broadcast(ctx, dest, src, nelems, stride, root, dt).run(ctx)
+        prepare(ctx, COLLECTIVES["broadcast"], dest, src, nelems, stride,
+                root, dt).run(ctx)
         got = np.array(ctx.view(dest, dt, nelems, stride), copy=True)
         ctx.close()
         return got
@@ -119,10 +120,10 @@ def test_reduce_matches_oracle(case):
         src = ctx.malloc(nbytes)
         dest = ctx.private_malloc(nbytes)
         ctx.view(src, dt, nelems, stride)[:] = data[ctx.my_pe()]
-        from repro.collectives.reduce import prepare_reduce
+        from repro.collectives import COLLECTIVES, prepare
 
-        prepare_reduce(ctx, dest, src, nelems, stride, root, op,
-                       dt).run(ctx)
+        prepare(ctx, COLLECTIVES["reduce"], dest, src, nelems, stride, root,
+                op, dt).run(ctx)
         got = np.array(ctx.view(dest, dt, nelems, stride), copy=True)
         ctx.close()
         return got
@@ -149,10 +150,10 @@ def test_scatter_matches_oracle(case, msgs_seed):
         dest = ctx.malloc(max(max(pe_msgs) * dt.itemsize, 16))
         if me == root:
             ctx.view(src, dt, nelems, 1)[:] = data
-        from repro.collectives.scatter import prepare_scatter
+        from repro.collectives import COLLECTIVES, prepare
 
-        prepare_scatter(ctx, dest, src, pe_msgs, pe_disp, nelems, root,
-                        dt).run(ctx)
+        prepare(ctx, COLLECTIVES["scatter"], dest, src, pe_msgs, pe_disp,
+                nelems, root, dt).run(ctx)
         got = np.array(ctx.view(dest, dt, pe_msgs[me], 1), copy=True)
         ctx.close()
         return got
@@ -181,10 +182,10 @@ def test_gather_matches_oracle(case, msgs_seed):
         dest = ctx.malloc(max(nelems * dt.itemsize, 16))
         lo = pe_disp[me]
         ctx.view(src, dt, pe_msgs[me], 1)[:] = data[lo:lo + pe_msgs[me]]
-        from repro.collectives.gather import prepare_gather
+        from repro.collectives import COLLECTIVES, prepare
 
-        prepare_gather(ctx, dest, src, pe_msgs, pe_disp, nelems, root,
-                       dt).run(ctx)
+        prepare(ctx, COLLECTIVES["gather"], dest, src, pe_msgs, pe_disp,
+                nelems, root, dt).run(ctx)
         got = np.array(ctx.view(dest, dt, nelems, 1), copy=True)
         ctx.close()
         return got
@@ -209,10 +210,10 @@ def test_allreduce_matches_oracle(case, algorithm):
         src = ctx.malloc(nbytes)
         dest = ctx.private_malloc(nbytes)
         ctx.view(src, dt, nelems, stride)[:] = data[ctx.my_pe()]
-        from repro.collectives.allreduce import prepare_allreduce
+        from repro.collectives import COLLECTIVES, prepare
 
-        prepare_allreduce(ctx, dest, src, nelems, stride, op, dt,
-                          algorithm=algorithm).run(ctx)
+        prepare(ctx, COLLECTIVES["allreduce"], dest, src, nelems, stride, op,
+                dt, algorithm=algorithm).run(ctx)
         got = np.array(ctx.view(dest, dt, nelems, stride), copy=True)
         ctx.close()
         return got
@@ -243,10 +244,10 @@ def test_scan_matches_oracle(case, inclusive):
         src = ctx.malloc(nbytes)
         dest = ctx.private_malloc(nbytes)
         ctx.view(src, dt, nelems, stride)[:] = data[ctx.my_pe()]
-        from repro.collectives.scan import prepare_scan
+        from repro.collectives import COLLECTIVES, prepare
 
-        prepare_scan(ctx, dest, src, nelems, stride, op, dt,
-                     inclusive=inclusive).run(ctx)
+        prepare(ctx, COLLECTIVES["scan"], dest, src, nelems, stride, op, dt,
+                inclusive=inclusive).run(ctx)
         got = np.array(ctx.view(dest, dt, nelems, stride), copy=True)
         ctx.close()
         return got

@@ -65,7 +65,7 @@ class TestHierarchicalBroadcast:
     def test_root_dest_left_alone(self, algorithm):
         """``copy_to_root_dest=False`` (OpenSHMEM semantics) leaves the
         root's ``dest`` as it was, whatever the algorithm."""
-        from repro.collectives.broadcast import prepare_broadcast
+        from repro.collectives import COLLECTIVES, prepare
 
         def body(ctx):
             ctx.init()
@@ -74,9 +74,9 @@ class TestHierarchicalBroadcast:
             ctx.view(dest, "long", 4)[:] = -1
             ctx.view(src, "long", 4)[:] = 100
             ctx.barrier()
-            prepare_broadcast(ctx, dest, src, 4, 1, 5, np.dtype(np.int64),
-                              algorithm=algorithm,
-                              copy_to_root_dest=False).run(ctx)
+            prepare(ctx, COLLECTIVES["broadcast"], dest, src, 4, 1, 5,
+                    np.dtype(np.int64), algorithm=algorithm,
+                    copy_to_root_dest=False).run(ctx)
             got = list(ctx.view(dest, "long", 4))
             ctx.close()
             return got

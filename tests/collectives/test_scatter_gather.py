@@ -86,10 +86,10 @@ class TestScatter:
         ([2, 2], [0, -1], 4, "negative"),    # negative displacement
     ])
     def test_validation(self, msgs, disp, nelems, needle):
-        from repro.collectives.scatter import _validate
+        from repro.collectives.request import check_layout
 
         with pytest.raises(CollectiveArgumentError, match=needle):
-            _validate(msgs, disp, nelems, 2, "scatter")
+            check_layout(msgs, disp, nelems, 2, "scatter")
 
 
 class TestGather:

@@ -223,11 +223,11 @@ class TestCrossoverTable:
         assert select_algorithm(op, nbytes, n_pes) == expected
 
     def test_every_choice_is_a_supported_algorithm(self):
-        """The table only ever names algorithms the compilers accept."""
-        from repro.collectives.tuning import _SUPPORTED
+        """The table only ever names algorithms the records compile."""
+        from repro.collectives import COLLECTIVES
 
         for op, _, _, expected in _CROSSOVER_TABLE:
-            assert expected in _SUPPORTED[op], (op, expected)
+            assert expected in COLLECTIVES[op].compilers, (op, expected)
 
     def test_table_covers_every_policy_field(self):
         """Adding a threshold to SelectionPolicy without extending the

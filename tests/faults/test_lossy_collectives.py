@@ -122,11 +122,10 @@ class TestLossyCollectives:
             src = ctx.malloc(8 * self.NELEMS)
             dest = ctx.private_malloc(8 * self.NELEMS)
             ctx.view(src, "long", self.NELEMS)[:] = per_pe[me]
-            from repro.collectives.allreduce import prepare_allreduce
+            from repro.collectives import COLLECTIVES, prepare
 
-            prepare_allreduce(ctx, dest, src, self.NELEMS, 1, "sum",
-                              np.dtype(np.int64),
-                              algorithm=algorithm).run(ctx)
+            prepare(ctx, COLLECTIVES["allreduce"], dest, src, self.NELEMS, 1,
+                    "sum", np.dtype(np.int64), algorithm=algorithm).run(ctx)
             got = np.array(ctx.view(dest, "long", self.NELEMS), copy=True)
             ctx.close()
             return got

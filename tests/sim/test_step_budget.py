@@ -43,18 +43,21 @@ SIZES = (4, 12)
 #: private buffer stopped scanning the free list, 521, 562, 799, 888,
 #: 1406, 1622, 1186, 1367, 1174 and 1502; before the node bus was priced
 #: inline and a hit on the TLB's most recent page cost no call, 521, 562,
-#: 783, 872, 1390, 1606, 1170, 1351, 1174 and 1502.
+#: 783, 872, 1390, 1606, 1170, 1351, 1174 and 1502; before one
+#: ``prepare`` read each collective's record in place of nine
+#: ``prepare_*`` chains, 505, 537, 765, 829, 1318, 1478, 1117, 1249, 1046
+#: and 1302.
 BUDGETS = {
-    ("broadcast", 4): 530,
-    ("broadcast", 12): 564,
-    ("reduce", 4): 803,
-    ("reduce", 12): 870,
-    ("allreduce", 4): 1384,
-    ("allreduce", 12): 1552,
-    ("scan", 4): 1173,
-    ("scan", 12): 1311,
-    ("alltoall", 4): 1098,
-    ("alltoall", 12): 1367,
+    ("broadcast", 4): 505,
+    ("broadcast", 12): 538,
+    ("reduce", 4): 769,
+    ("reduce", 12): 836,
+    ("allreduce", 4): 1358,
+    ("allreduce", 12): 1526,
+    ("scan", 4): 1147,
+    ("scan", 12): 1286,
+    ("alltoall", 4): 1089,
+    ("alltoall", 12): 1358,
 }
 
 
