@@ -6,8 +6,8 @@ the payload's segments: every segment is reduced up one tree and
 broadcast down it again, and with S segments in flight the trees stay
 full — each round moves only ``~1/S`` of the payload on the critical
 path instead of the whole thing.  In the schedule IR this is a
-``Pipeline`` block: S segment step-tuples per tree level, lowered into
-a barrier-separated wavefront.
+pipeline block: S segments per tree level, laid out as a
+barrier-separated wavefront of step-table rounds.
 
 Part one runs the same PE program under ``algorithm="ring"`` and
 ``algorithm="dual-pipelined"`` on the simulator and checks the results

@@ -173,12 +173,14 @@ class GupsParams:
 
     def check_config(self, config: MachineConfig) -> None:
         """:meth:`check_pes`, and refuse a table slice that does not fit
-        the symmetric heap beside the parameter and error buffers."""
+        the symmetric heap beside the parameter and error buffers, or a
+        private segment that cannot hold the update scratch word, the
+        error count's output word and the closing reduce's work word."""
         self.check_pes(config.n_pes)
         check_footprint(
             config, f"GUPs with a 2^{self.log2_table_size}-word table",
             heap=(8 * (self.table_size // config.n_pes), 8 * 2, 8),
-            private=(8, 8))
+            private=(8, 8, 8))
 
 
 @dataclass(frozen=True)

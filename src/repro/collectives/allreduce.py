@@ -23,7 +23,7 @@ flavours:
   back down *two* interleaved binary trees (even segments through the
   tree rooted at 0, odd ones through the tree rooted at N/2, so the
   inner/leaf roles swap and per-rank bandwidth balances).  Compiled
-  through the schedule IR's :class:`~.schedule.ir.Pipeline` block, the
+  through the schedule IR's pipeline block, the
   reduce of segment k overlaps the broadcast of segment k-Δ: the whole
   allreduce finishes in ``2·depth + S - 1`` pipelined rounds instead of
   the ring's ``2·(N-1)``, which is the large-payload round-count win at
@@ -339,7 +339,7 @@ def _compile_dual_pipelined(n_pes: int, nelems: int, stride: int,
     rank 0, tree 1 at rank N/2, so a rank that is inner in one tree is
     (almost always) a leaf in the other.  Even payload segments reduce
     up and broadcast down tree 0, odd segments tree 1.  Everything is
-    one :class:`~.schedule.ir.Pipeline` block of ``2·depth`` step
+    one pipeline block of ``2·depth`` step
     groups:
 
     * reduce group ``depth-1-d`` — parents at depth ``d`` pull each

@@ -18,7 +18,7 @@ those compositions plus a personalised all-to-all:
   no unrotate epilogue (the dissemination variant's per-rank full-vector
   copy), which is the measured win at large payloads.  ``"pat"`` also
   accepts ``segments > 1`` to pipeline each block through the schedule
-  IR's :class:`~.schedule.ir.Pipeline` rounds.
+  IR's pipeline-block rounds.
 * alltoall — personalised all-to-all exchange built
   from one-sided puts (each PE deposits its block directly at the
   destination offset of every peer).
@@ -166,7 +166,7 @@ def compile_allgather_pat(n_pes: int, counts: tuple[int, ...],
     broadcast tree and the N trees run in aggregate — no rotation
     scratch, no unrotate epilogue, and ring-adjacent blocks coalesce
     into single contiguous gets.  With ``segments > 1`` each block is
-    cut into S chunks pipelined through a :class:`~.schedule.ir.Pipeline`
+    cut into S chunks pipelined through a pipeline block
     (segment ``k`` is forwarded as soon as the upstream step delivered
     it, at the price of per-block per-segment gets).
 

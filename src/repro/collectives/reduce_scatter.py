@@ -25,9 +25,9 @@ Two compiled algorithms:
   Blocks stay at their natural ``pe_disp`` offsets throughout (no
   rotation scratch), so ring-adjacent blocks coalesce into single
   strided gets.  With ``segments > 1`` each block is additionally cut
-  into S chunks flowing through a :class:`~.schedule.ir.Pipeline`
-  block: segment ``k`` of step ``j`` folds as soon as segment ``k`` of
-  step ``j-1`` delivered, hiding per-round latency on large payloads.
+  into S chunks flowing through a pipeline block: segment ``k`` of
+  step ``j`` folds as soon as segment ``k`` of step ``j-1`` delivered,
+  hiding per-round latency on large payloads.
 
 Hazard freedom (checked mechanically by the schedule linter): at the
 ring stage ``s`` rank ``r`` reads its left neighbour's block

@@ -2,10 +2,9 @@
 
 An *algorithm* no longer walks the binomial tree inline; it **compiles**
 ``(n_pes, root, counts/displacements, op)`` into a :class:`~.ir.Schedule`
-— per-rank lists of stages of primitive steps (:class:`~.ir.Put`,
-:class:`~.ir.Get`, :class:`~.ir.Reduce`, :class:`~.ir.Copy`,
-:class:`~.ir.Fill`, :class:`~.ir.Barrier`), held as one step table (the
-regular algorithms emit it directly; the tree is a view of it) — and a
+— per-rank stages of primitive put, get, reduce, copy and fill steps
+between barriers, held as one step table (:class:`~.ir.StepTable`,
+which every compiler emits directly) — and a
 single executor (:func:`~.executor.execute_schedule`) runs the schedule
 over the runtime context.  Blocking, non-blocking and fault-resilient
 execution all drive the same compiled schedule: non-blocking
@@ -22,39 +21,14 @@ builtin algorithm so CI can lint them all (``python -m
 repro.collectives.schedule``).
 """
 
-from .ir import (
-    BARRIER,
-    Barrier,
-    Buffer,
-    Copy,
-    Fill,
-    Get,
-    Put,
-    RankProgram,
-    Recv,
-    Reduce,
-    Schedule,
-    Send,
-    Stage,
-)
+from .ir import Buffer, Schedule
 from .executor import PreparedCollective, execute_schedule
 from .lint import LintIssue, lint_schedule
 from .mailbox import lower_to_mailbox, max_fan_in
 
 __all__ = [
-    "BARRIER",
-    "Barrier",
     "Buffer",
-    "Copy",
-    "Fill",
-    "Get",
-    "Put",
-    "RankProgram",
-    "Recv",
-    "Reduce",
     "Schedule",
-    "Send",
-    "Stage",
     "PreparedCollective",
     "execute_schedule",
     "LintIssue",

@@ -49,8 +49,8 @@ An evaluation is three passes over the table:
    order groups run in (see :func:`_collect_groups`) is part of the
    model.
 
-Nothing here walks the dataclass tree: the evaluator reads only the
-table's columns and barrier counts.
+Nothing here walks a schedule step by step: the evaluator reads only
+the table's columns and barrier counts.
 
 Entry points:
 

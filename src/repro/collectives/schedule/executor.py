@@ -5,8 +5,8 @@ interpreter, one driver.
 the step table (``Schedule.table``) are lowered into a
 :class:`FlatPlan` (:func:`plan_of`, kept in ``Schedule.plans`` beside
 the compile cache): walked section by section of the rank's barrier
-skeleton — prologue, every stage (a :class:`~.ir.Pipeline` round is
-one), epilogue — they become one tuple of small op tuples in execution
+skeleton — prologue, every stage (a pipeline round is one),
+epilogue — they become one tuple of small op tuples in execution
 order, buffers by index, barriers where the rows' phases put them and
 stage-span boundaries as ops of their own; and the checks that do not
 depend on the call (peers in range, counts, strides) are made there,

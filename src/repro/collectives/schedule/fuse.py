@@ -1,7 +1,7 @@
 """Composing compiled schedules into one schedule.
 
 Three transforms go table to table: they renumber buffer indices, add
-rows and lay out skeletons, and never read or build a tree.  Two turn
+rows and lay out skeletons, and never read a step at a time.  Two turn
 a superstep's deferred collectives into fewer, larger executions:
 
 * :func:`compile_widened` merges K same-shape calls of **one**
@@ -20,7 +20,7 @@ a superstep's deferred collectives into fewer, larger executions:
   phases are front-aligned (a schedule with fewer phases simply idles
   through the extras).  Stage slots follow one rule: where every
   contributor's slot has the same shape — a stage's barrier count, or a
-  :class:`~.ir.Pipeline` block's segments and groups — they merge
+  pipeline block's segments and groups — they merge
   barrier chunk by barrier chunk, one schedule after another; otherwise
   they run back to back.
 
@@ -184,7 +184,7 @@ def fuse_schedules(scheds: tuple) -> Schedule:
     # place among the section's barriers (a prologue or epilogue tail
     # after the last shared one); within a fused phase, input by input —
     # so a merged pipeline round is not in group order, and its rows
-    # name no group (the tree view reads the round as its stage).
+    # name no group (``repr`` shows the round as its stage).
     names = [f"r{i}:{buf.name}" for i, s in enumerate(scheds)
              for buf in s.buffers]
     maps = _renamed(tables, [lambda name, i=i: f"r{i}:{name}"

@@ -1,4 +1,4 @@
-"""IR of compiled collective schedules: a step table, readable as a tree.
+"""IR of compiled collective schedules: one step table.
 
 A :class:`Schedule` is a pure, immutable description of one collective
 call: which buffers it touches and, for every group rank, which
@@ -12,11 +12,10 @@ non-barrier step plus a record of each rank's barrier structure (its
 :class:`Skeleton` of prologue, stage and epilogue :class:`Section`\\ s).
 Every compiler and every rewrite of a schedule (the mailbox lowering,
 widening and fusion) emits it as numpy columns (:class:`Rows`), a step
-of a :class:`Pipeline` block with its group, and ``from_rows`` refuses
-a row that cannot mean anything.  The evaluator, the linter and the
-executor's ``FlatPlan`` read nothing else.  The tree of frozen
-dataclasses (:attr:`Schedule.programs`) is a read-only view rebuilt from
-the rows the first time ``repr`` asks for it (see "Schedule lowering" in
+of a pipeline block with its group, and ``from_rows`` refuses a row
+that cannot mean anything.  The evaluator, the linter and the
+executor's ``FlatPlan`` read nothing else; ``repr`` renders its text
+from the rows (:meth:`StepTable.text`, see "Schedule lowering" in
 ``DESIGN.md``).
 
 Addressing is symbolic: steps name buffers (see :class:`Buffer`) plus a
@@ -26,63 +25,64 @@ are group-relative — the executor maps them through the member tuple,
 exactly like the legacy tree walks mapped ``log_part`` through
 ``members``.
 
-Step semantics (mirroring the legacy inline code they replaced):
+Step semantics, by a row's opcode (mirroring the legacy inline code
+they replaced):
 
-* :class:`Put` / :class:`Get` — one-sided strided transfer to/from
-  ``peer`` (never self; local movement is :class:`Copy`).
-* :class:`Copy` — local strided copy.  ``charged=True`` costs like a
-  put-to-self; ``skip_noop=True`` adds the ``local_copy`` guard (no-op
-  when empty or src == dst).  ``charged=False`` is the raw
-  ``view[:] = view`` used by double-buffered algorithms (simulator
-  cost-free by design — the charge is folded into the Reduce that
-  follows).
-* :class:`Reduce` — fold ``operand`` into ``acc`` with the schedule's
+* put / get — one-sided strided transfer to/from ``peer`` (never self;
+  local movement is a copy).
+* copy — local strided copy.  ``charged`` costs like a put-to-self;
+  ``skip_noop`` adds the ``local_copy`` guard (no-op when empty or src
+  == dst).  An uncharged copy is the raw ``view[:] = view`` used by
+  double-buffered algorithms (simulator cost-free by design — the
+  charge is folded into the reduce that follows).
+* reduce — fold the operand into the accumulator with the schedule's
   operator and charge ``charge_elems`` elements of ALU work.
-* :class:`Fill` — write the operator identity (exclusive-scan rank 0).
-* :class:`Barrier` — team barrier over the group, or the rank's
-  ``block`` of it (:class:`Section`).
-* :class:`Send` / :class:`Recv` — two-sided mailbox message steps, the
-  lowered form :mod:`.mailbox` produces from remote :class:`Put` /
-  :class:`Get` steps.  ``Send`` reads ``nelems`` strided elements from
-  the local ``src`` buffer and enqueues them for ``peer``; ``Recv``
-  blocks until the matching message from ``peer`` arrives and scatters
-  it into the local ``dst`` buffer.  Matching is FIFO per (sender,
-  receiver) pair with the ``tag`` checked on arrival, so a lowering
-  that reorders messages between the same pair is a protocol error the
-  linter flags.
+* fill — write the operator identity (exclusive-scan rank 0).
+* send / recv — two-sided mailbox message steps, the lowered form
+  :mod:`.mailbox` produces from remote puts and gets.  A send reads
+  ``nelems`` strided elements from a local buffer and enqueues them for
+  ``peer``; it completes once the message sits in the peer's receive
+  queue, and blocks only on backpressure.  A recv blocks until the
+  matching message from ``peer`` arrives and scatters it into a local
+  buffer.  Matching is FIFO per (sender, receiver) pair with the
+  ``tag`` checked on arrival, so a lowering that reorders messages
+  between the same pair is a protocol error the linter flags.
+  ``nelems == 0`` is a payload-free control message (the request half
+  of a lowered get).
+
+A barrier is no row: a rank's skeleton places it, over the group or the
+rank's ``block`` of it (:class:`Section`).
+
+A *pipeline block* is a software-pipelined stage: the payload is split
+into S = ``segments`` chunks and the work into G ordered step groups,
+and segment ``k`` of group ``g`` may proceed as soon as segment ``k`` of
+group ``g - 1`` has delivered.  The block lowers to ``G + S - 1``
+barrier-separated rounds, round ``t`` running segment ``t - g`` of every
+group ``g`` with ``0 <= t - g < S`` — the classic software-pipeline
+wavefront.  Each round is one section, tagged ``("pipeline", index)``,
+``("round", t)`` and ``("segments", S)`` on top of the block's own span
+attrs, and each of its rows records its group.  A rank with nothing to
+do in a round still joins its barrier, which is what keeps the
+schedule deadlock-free.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
 __all__ = [
     "Buffer",
-    "Put",
-    "Get",
-    "Copy",
-    "Reduce",
-    "Fill",
-    "Send",
-    "Recv",
-    "Barrier",
-    "BARRIER",
-    "Step",
-    "Stage",
-    "Pipeline",
-    "RankProgram",
     "Schedule",
     "StepTable",
     "Section",
     "Skeleton",
     "Rows",
     "skeleton",
-    "barrier_stage",
     "pipeline_skeleton",
     "step_span_bytes",
 ]
@@ -122,209 +122,10 @@ class Buffer:
         return self.ranks is None or rank in self.ranks
 
 
-@dataclass(frozen=True)
-class Put:
-    """One-sided strided put: write ``peer``'s ``dst`` from local ``src``."""
-
-    kind = "put"
-    dst: str
-    dst_off: int
-    src: str
-    src_off: int
-    nelems: int
-    stride: int
-    peer: int
-
-
-@dataclass(frozen=True)
-class Get:
-    """One-sided strided get: read ``peer``'s ``src`` into local ``dst``."""
-
-    kind = "get"
-    dst: str
-    dst_off: int
-    src: str
-    src_off: int
-    nelems: int
-    stride: int
-    peer: int
-
-
-@dataclass(frozen=True)
-class Copy:
-    """Local strided copy (see module docstring for the two flags)."""
-
-    kind = "copy"
-    dst: str
-    dst_off: int
-    src: str
-    src_off: int
-    nelems: int
-    stride: int
-    charged: bool = True
-    skip_noop: bool = True
-
-
-@dataclass(frozen=True)
-class Reduce:
-    """``acc = acc OP operand`` elementwise + ``charge_elems`` ALU charge."""
-
-    kind = "reduce"
-    acc: str
-    acc_off: int
-    operand: str
-    operand_off: int
-    nelems: int
-    stride: int
-    charge_elems: int
-
-
-@dataclass(frozen=True)
-class Fill:
-    """Write the reduction operator's identity element into ``dst``."""
-
-    kind = "fill"
-    dst: str
-    dst_off: int
-    nelems: int
-    stride: int
-
-
-@dataclass(frozen=True)
-class Send:
-    """Two-sided send: enqueue local ``src`` elements for ``peer``.
-
-    Completes once the message sits in the peer's receive queue (eager
-    buffered semantics) — it blocks only on backpressure, never on the
-    peer posting its :class:`Recv`.  ``nelems == 0`` sends a payload-free
-    control message (the request half of a lowered :class:`Get`).
-    """
-
-    kind = "send"
-    src: str
-    src_off: int
-    nelems: int
-    stride: int
-    peer: int
-    tag: int = 0
-
-
-@dataclass(frozen=True)
-class Recv:
-    """Two-sided receive: block for ``peer``'s message, scatter to ``dst``.
-
-    Matching is strictly FIFO per (peer, self) pair; ``tag`` is verified
-    on arrival.  ``nelems == 0`` consumes a payload-free control message
-    without touching ``dst``.
-    """
-
-    kind = "recv"
-    dst: str
-    dst_off: int
-    nelems: int
-    stride: int
-    peer: int
-    tag: int = 0
-
-
-@dataclass(frozen=True)
-class Barrier:
-    """Team barrier over the full group, or over ``block`` — the group
-    ranks this rank meets there (see :class:`Section`)."""
-
-    kind = "barrier"
-    block: tuple = ()
-
-    def __repr__(self) -> str:
-        return f"Barrier(block={self.block!r})" if self.block else "Barrier()"
-
-
-#: Shared barrier instance (the node is stateless).
-BARRIER = Barrier()
-
-Step = Union[Put, Get, Copy, Reduce, Fill, Send, Recv, Barrier]
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One tree stage: its steps run inside a ``stage`` span.
-
-    ``index`` and ``attrs`` feed the span tagging
-    (:func:`repro.collectives.common.stage_span`), so metrics fold
-    per-stage message counts exactly as they did for the inline walks.
-    """
-
-    index: int
-    steps: tuple
-    attrs: tuple = ()
-
-
-@lru_cache(maxsize=1 << 14)
-def barrier_stage(index: int, attrs: tuple = (), block: tuple = ()) -> Stage:
-    """The shared ``Stage(index, (Barrier(block),), attrs)``.
-
-    What a rank with nothing to do in a stage carries — most of a large
-    tree (a 4096-PE binomial broadcast has 45 000 of them in 49 152
-    stages), so the tree view takes the one frozen node per ``(index,
-    attrs)`` from here instead of building an equal one per rank.
-    """
-    return Stage(index, (Barrier(block),), attrs)
-
-
 def _round_attrs(attrs: tuple, index: int, t: int, segments: int) -> tuple:
-    """The span attrs of round ``t`` of the :class:`Pipeline` block at
-    ``index``: the block's own, then its pipeline tags."""
+    """The span attrs of round ``t`` of the pipeline block at ``index``:
+    the block's own, then its pipeline tags."""
     return attrs + (("pipeline", index), ("round", t), ("segments", segments))
-
-
-@dataclass(frozen=True)
-class Pipeline:
-    """A software-pipelined stage block: ``segments`` × step groups.
-
-    The payload is split into S = ``segments`` chunks and the work into
-    G ordered step ``groups``; ``groups[g][k]`` is the step tuple group
-    ``g`` performs on segment ``k``.  Segment ``k`` of group ``g`` may
-    proceed as soon as segment ``k`` of group ``g-1`` has delivered, so
-    the block lowers to ``G + S - 1`` barrier-separated rounds where
-    round ``t`` runs segment ``t - g`` of every group ``g`` with
-    ``0 <= t - g < S`` — the classic software-pipeline wavefront.  A
-    group that is idle for a rank simply carries empty step tuples; the
-    rank still joins every round barrier, which is what keeps the
-    lowered schedule deadlock-free.
-
-    Group step tuples must not contain :class:`Barrier` — the lowering
-    appends exactly one team barrier per round.  Lowered stages are
-    tagged ``("pipeline", index)``, ``("round", t)`` and
-    ``("segments", S)`` on top of ``attrs`` so metrics and the span
-    tree can fold per-round message counts like any other stage.  In
-    the step table each round is one section and each of its rows
-    records its group.
-    """
-
-    index: int
-    segments: int
-    groups: tuple  # G entries; groups[g][k] = step tuple for segment k
-    attrs: tuple = ()
-
-    @property
-    def rounds(self) -> int:
-        return len(self.groups) + self.segments - 1 if self.groups else 0
-
-    def round_groups(self, t: int) -> list:
-        """Round ``t``'s ``(group, steps)`` pairs, in group order."""
-        return [(g, self.groups[g][t - g])
-                for g in range(max(0, t - self.segments + 1),
-                               min(t, len(self.groups) - 1) + 1)]
-
-    def lower(self) -> tuple:
-        """The equivalent barrier-separated :class:`Stage` tuple."""
-        stages = []
-        for t in range(self.rounds):
-            steps = [s for _, run in self.round_groups(t) for s in run]
-            attrs = _round_attrs(self.attrs, self.index, t, self.segments)
-            stages.append(Stage(self.index + t, (*steps, BARRIER), attrs)
-                          if steps else barrier_stage(self.index + t, attrs))
-        return tuple(stages)
 
 
 # Step-table opcodes, numbered in kind-name order: the evaluator runs the
@@ -333,23 +134,62 @@ class Pipeline:
 OP_COPY, OP_FILL, OP_GET, OP_PUT, OP_RECV, OP_REDUCE, OP_SEND = range(1, 8)
 OP_NAMES = ("?", "copy", "fill", "get", "put", "recv", "reduce", "send")
 
-#: ``aux`` of a copy row, ``2 * charged + skip_noop``: a :class:`Copy`
-#: with its defaults, one with ``charged=False`` and one with
-#: ``skip_noop=False`` (how the vector collectives place their blocks).
+#: ``aux`` of a copy row, ``2 * charged + skip_noop``: a copy with both
+#: flags, an uncharged one and one that is not skipped when a no-op (how
+#: the vector collectives place their blocks).
 AUX_COPY, AUX_MOVE, AUX_PLACE = 3, 1, 2
+
+#: A step's text by opcode, over the row's written buffer and offset,
+#: read buffer and offset, ``nelems``, ``stride``, ``peer``, ``aux`` and
+#: a copy's ``charged`` and ``skip_noop`` flags: the fields each kind of
+#: step has, named and ordered as the schedule digests pin them.
+_STEP_TEXT = (
+    "?",
+    "Copy(dst={0!r}, dst_off={1}, src={2!r}, src_off={3}, nelems={4}, "
+    "stride={5}, charged={8}, skip_noop={9})",
+    "Fill(dst={0!r}, dst_off={1}, nelems={4}, stride={5})",
+    "Get(dst={0!r}, dst_off={1}, src={2!r}, src_off={3}, nelems={4}, "
+    "stride={5}, peer={6})",
+    "Put(dst={0!r}, dst_off={1}, src={2!r}, src_off={3}, nelems={4}, "
+    "stride={5}, peer={6})",
+    "Recv(dst={0!r}, dst_off={1}, nelems={4}, stride={5}, peer={6}, "
+    "tag={7})",
+    "Reduce(acc={0!r}, acc_off={1}, operand={2!r}, operand_off={3}, "
+    "nelems={4}, stride={5}, charge_elems={7})",
+    "Send(src={2!r}, src_off={3}, nelems={4}, stride={5}, peer={6}, "
+    "tag={7})",
+)
+
+
+def _tuple_text(items: list) -> str:
+    """``items``' texts as a tuple's ``repr`` shows them."""
+    if len(items) == 1:
+        return f"({items[0]},)"
+    return f"({', '.join(items)})"
+
+
+def _section_text(sec: "Section", items: list, texts: list) -> list:
+    """The texts of a section's items (:meth:`StepTable._parts`): a
+    row's, or at each gap a barrier over the section's block."""
+    bar = f"Barrier(block={sec.block!r})" if sec.block else "Barrier()"
+    return [bar if k is None else texts[k] for k in items]
 
 
 class Section(NamedTuple):
     """One contiguous part of a rank's program: its prologue, one stage
-    (each round of a :class:`Pipeline` block is one) or its epilogue.
+    (each round of a pipeline block is one) or its epilogue.
     Its barriers meet ``block``, the group ranks of a partition of the
-    group the rank is in (``()``: the group; one rank: no barrier)."""
+    group the rank is in (``()``: the group; one rank: no barrier).
+    Prologue and epilogue steps (entry barriers, staging copies, final
+    reorders) run outside any stage span: the metrics layer counts their
+    barriers as ``entry_barriers`` and their remote ops as
+    ``extra_messages``."""
 
     kind: str        # "prologue" | "stage" | "epilogue"
     index: int       # the stage's span index; -1 outside stages
     attrs: tuple     # the stage's span attrs
     nbars: int       # barriers among its steps
-    pipeline: int = -1  # index of the Pipeline block a round lowers
+    pipeline: int = -1  # index of the pipeline block a round lowers
     round: int = -1     # which round of that block
     block: tuple = ()   # the ranks its barriers meet
 
@@ -358,7 +198,7 @@ class Skeleton(NamedTuple):
     """A rank's barrier structure: its sections in program order, and
     the per-slot stage signature the linter's deadlock pass compares
     across ranks — a stage's index, or ``("pipeline", index, segments,
-    groups)`` for a :class:`Pipeline` block — with each such block's
+    groups)`` for a pipeline block — with each such block's
     own span attrs (a block of no groups has no round to carry them)."""
 
     sections: tuple
@@ -383,8 +223,8 @@ def skeleton(prologue: int, stages, epilogue: int) -> Skeleton:
 
 def pipeline_skeleton(prologue: int, segments: int, n_groups: int,
                       attrs: tuple, epilogue: int) -> Skeleton:
-    """The skeleton of a program whose one stage is a :class:`Pipeline`
-    block at index 0 of ``n_groups`` groups over ``segments`` segments:
+    """The skeleton of a program whose one stage is a pipeline block at
+    index 0 of ``n_groups`` groups over ``segments`` segments:
     one single-barrier section per round, between ``prologue`` and
     ``epilogue`` barrier counts."""
     rounds = n_groups + segments - 1 if n_groups else 0
@@ -420,7 +260,7 @@ class Rows:
         position in the rank's :class:`Skeleton`) after ``phase``
         barriers; ``a`` and ``b`` are ``(buffer index, byte offset)``,
         ``peer`` defaults to the rank itself (a local step) and
-        ``group`` is the :class:`Pipeline` group of a round's step."""
+        ``group`` is the pipeline group of a round's step."""
         values = (rank, section, phase, op, *a, *b, nelems, stride,
                   rank if peer is None else peer, aux, group)
         shapes = [np.shape(v) for v in values]
@@ -453,21 +293,24 @@ def _slots(rank: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return np.arange(n) - np.repeat(starts, np.diff(np.append(starts, n)))
 
 
-def _pipeline(entry: tuple, attrs: tuple, block: list, steps: list,
-              group: list) -> "Pipeline | None":
-    """The :class:`Pipeline` node ``block`` — the ``(section, items)``
-    of one block's rounds, as :meth:`StepTable._parts` gives them, each
-    its rows and then its barrier — reads as; ``None`` when a row names
-    no group (a fused round's rows run schedule by schedule)."""
+def _pipeline_text(entry: tuple, attrs: tuple, block: list, texts: list,
+                   group: list) -> "str | None":
+    """The text of the pipeline block ``block`` — the
+    ``(section, items)`` of its rounds, as :meth:`StepTable._parts`
+    gives them, each its rows and then its barrier — regrouped by each
+    row's group; ``None`` when a row names no group."""
     _, index, segments, n_groups = entry
-    groups = [[()] * segments for _ in range(n_groups)]
+    cells = [[[] for _ in range(segments)] for _ in range(n_groups)]
     for t, (_, items) in enumerate(block):
         for k in items[:-1]:
             g = group[k]
             if g < 0:
                 return None
-            groups[g][t - g] += (steps[k],)
-    return Pipeline(index, segments, tuple(map(tuple, groups)), attrs)
+            cells[g][t - g].append(texts[k])
+    groups = _tuple_text([_tuple_text([_tuple_text(seg) for seg in row])
+                          for row in cells])
+    return (f"Pipeline(index={index!r}, segments={segments!r}, "
+            f"groups={groups}, attrs={attrs!r})")
 
 
 class StepTable:
@@ -476,7 +319,7 @@ class StepTable:
 
     One ``int64`` row per non-barrier step, ranks in order and each
     rank's steps in program order (prologue, stages with every
-    :class:`Pipeline` expanded to its rounds, epilogue).  The columns,
+    pipeline block expanded to its rounds, epilogue).  The columns,
     each an attribute holding one contiguous vector:
 
     ``rank``
@@ -503,7 +346,7 @@ class StepTable:
         ``tag`` of a send or recv, ``charge_elems`` of a reduce,
         ``2 * charged + skip_noop`` of a copy, else 0;
     ``group``
-        the step's group in its :class:`Pipeline` block (its segment is
+        the step's group in its pipeline block (its segment is
         the round less the group); ``-1`` outside one.
 
     A put writes ``a`` on ``peer`` and a get reads ``b`` on ``peer``;
@@ -521,7 +364,7 @@ class StepTable:
 
     COLUMNS = ("rank", "phase", "slot", "op", "a_buf", "a_off", "b_buf",
                "b_off", "nelems", "stride", "peer", "aux", "group")
-    #: The columns a step is made of, in :meth:`_step`'s argument order.
+    #: The columns a step is made of.
     _STEP = ("op", "a_buf", "a_off", "b_buf", "b_off", "nelems", "stride",
              "peer", "aux")
     __slots__ = COLUMNS + ("names", "n_declared", "section", "skeletons",
@@ -577,82 +420,70 @@ class StepTable:
 
     def rows_of(self, rows: slice) -> list:
         """The columns a step is made of, over ``rows``, as lists of
-        ints in :meth:`_step`'s argument order."""
+        ints in :attr:`_STEP` order."""
         return [getattr(self, name)[rows].tolist() for name in self._STEP]
 
-    def _step(self, op, a_buf, a_off, b_buf, b_off, nelems, stride, peer,
-              aux) -> Step:
+    def _texts(self, rows: slice) -> list:
+        """The text of each step over ``rows``."""
         names = self.names
-        if op == OP_PUT:
-            return Put(names[a_buf], a_off, names[b_buf], b_off, nelems,
-                       stride, peer)
-        if op == OP_GET:
-            return Get(names[a_buf], a_off, names[b_buf], b_off, nelems,
-                       stride, peer)
-        if op == OP_COPY:
-            return Copy(names[a_buf], a_off, names[b_buf], b_off, nelems,
-                        stride, bool(aux & 2), bool(aux & 1))
-        if op == OP_REDUCE:
-            return Reduce(names[a_buf], a_off, names[b_buf], b_off, nelems,
-                          stride, aux)
-        if op == OP_FILL:
-            return Fill(names[a_buf], a_off, nelems, stride)
-        if op == OP_SEND:
-            return Send(names[b_buf], b_off, nelems, stride, peer, aux)
-        return Recv(names[a_buf], a_off, nelems, stride, peer, aux)
+        return [_STEP_TEXT[op].format(names[a], a_off, names[b], b_off,
+                                      nelems, stride, peer, aux,
+                                      bool(aux & 2), bool(aux & 1))
+                for op, a, a_off, b, b_off, nelems, stride, peer, aux
+                in zip(*self.rows_of(rows))]
 
-    def step(self, row: int) -> Step:
-        """Row ``row`` as its step node (for messages)."""
-        return self._step(*(int(getattr(self, name)[row])
-                            for name in self._STEP))
+    def step_text(self, row: int) -> str:
+        """Row ``row``'s text (for messages)."""
+        return self._texts(slice(row, row + 1))[0]
 
-    def programs(self) -> tuple:
-        """The tree these rows are read as: one :class:`RankProgram` per
-        rank.  A :class:`Pipeline` block reads as its node, rebuilt from each
-        row's group, unless a row of it names none; then it reads as
-        the stages it lowers to."""
+    def text(self) -> str:
+        """Every rank's program as ``repr`` shows it: its prologue, its
+        stages and its epilogue, each step's text from its row and a
+        barrier over its section's block at each gap.  A pipeline block
+        shows as its groups of segments, regrouped by each row's group,
+        unless a row of it names none (a fused round's rows run schedule
+        by schedule); then it shows as its rounds."""
         n = len(self.skeleton_of)
         starts = np.searchsorted(self.rank, np.arange(n + 1)).tolist()
-        steps = [self._step(*values)
-                 for values in zip(*self.rows_of(slice(None)))]
+        texts = self._texts(slice(None))
         phase, owner = self.phase.tolist(), self.section.tolist()
         group = self.group.tolist()
-        programs = []
-        for r in range(n):
-            lo, hi = starts[r], starts[r + 1]
-            mine = steps[lo:hi]
-            parts = self._parts(r, phase[lo:hi], owner[lo:hi])
+        return _tuple_text([
+            self._rank_text(r, texts[lo:hi],
+                            self._parts(r, phase[lo:hi], owner[lo:hi]),
+                            group[lo:hi])
+            for r, lo, hi in zip(range(n), starts, starts[1:])])
 
-            def body(sec, items):
-                bar = Barrier(sec.block)
-                return tuple(bar if k is None else mine[k] for k in items)
+    def _rank_text(self, rank: int, texts: list, parts: list,
+                   group: list) -> str:
+        def body(sec, items):
+            return _tuple_text(_section_text(sec, items, texts))
 
-            def stage(sec, items):
-                if items == [None]:
-                    return barrier_stage(sec.index, sec.attrs, sec.block)
-                return Stage(sec.index, body(sec, items), sec.attrs)
+        def stage(sec, items):
+            return (f"Stage(index={sec.index!r}, steps={body(sec, items)}, "
+                    f"attrs={sec.attrs!r})")
 
-            stages = []
-            at = 1  # parts[0] is the prologue
-            shape = self.skeletons[self.skeleton_of[r]]
-            attrs = iter(shape.pipelines)
-            for entry in shape.signature:
-                if not isinstance(entry, tuple):
-                    stages.append(stage(*parts[at]))
-                    at += 1
-                    continue
-                width = entry[3] + entry[2] - 1 if entry[3] else 0
-                block = parts[at:at + width]
-                pipe = _pipeline(entry, next(attrs), block, mine,
-                                 group[lo:hi])
-                if pipe is None:
-                    stages.extend(stage(*part) for part in block)
-                else:
-                    stages.append(pipe)
-                at += width
-            programs.append(RankProgram(r, body(*parts[0]), tuple(stages),
-                                        body(*parts[-1])))
-        return tuple(programs)
+        stages = []
+        at = 1  # parts[0] is the prologue
+        shape = self.skeletons[self.skeleton_of[rank]]
+        attrs = iter(shape.pipelines)
+        for entry in shape.signature:
+            if not isinstance(entry, tuple):
+                stages.append(stage(*parts[at]))
+                at += 1
+                continue
+            width = entry[3] + entry[2] - 1 if entry[3] else 0
+            block = parts[at:at + width]
+            at += width
+            pipe = _pipeline_text(entry, next(attrs), block, texts, group)
+            if pipe is None:
+                stages.extend(stage(*part) for part in block)
+            else:
+                stages.append(pipe)
+        return (f"RankProgram(rank={rank!r}, "
+                f"prologue={body(*parts[0])}, "
+                f"stages={_tuple_text(stages)}, "
+                f"epilogue={body(*parts[-1])})")
 
     def same(self, other: "StepTable") -> bool:
         """Whether ``other`` holds the same rows and barrier record."""
@@ -665,45 +496,26 @@ class StepTable:
                 == [other.skeletons[i] for i in other.skeleton_of.tolist()])
 
 
-@dataclass(frozen=True)
-class RankProgram:
-    """Everything one group rank does: prologue, staged steps, epilogue.
-
-    ``stages`` holds :class:`Stage` nodes and/or :class:`Pipeline`
-    blocks; :meth:`lowered_stages` gives the flat barrier-separated form.
-
-    Prologue/epilogue steps run outside any stage span (entry barriers,
-    staging copies, final reorders — the metrics layer counts their
-    barriers as ``entry_barriers`` and their remote ops as
-    ``extra_messages``, matching the legacy shape).
-    """
-
+class _RankSteps(NamedTuple):
+    table: StepTable
     rank: int
-    prologue: tuple = ()
-    stages: tuple = ()
-    epilogue: tuple = ()
 
-    def lowered_stages(self) -> Iterator[Stage]:
-        """Stages with every :class:`Pipeline` block expanded to rounds."""
-        for stage in self.stages:
-            if isinstance(stage, Pipeline):
-                yield from stage.lower()
-            else:
-                yield stage
-
-    def all_steps(self) -> Iterator[Step]:
-        yield from self.prologue
-        for stage in self.lowered_stages():
-            yield from stage.steps
-        yield from self.epilogue
+    def all_steps(self) -> Iterator[str]:
+        """Each step's text and each barrier's, in program order."""
+        rows, parts = self.table.layout(self.rank)
+        texts = self.table._texts(rows)
+        for sec, items in parts:
+            yield from _section_text(sec, items, texts)
 
 
 def _plain(sk: Skeleton) -> Skeleton:
     """``sk`` with every section index and block rank a plain ``int``.
 
-    A numpy integer equals and hashes like the int it holds, so one
-    left in a section would become the :func:`barrier_stage` cache key
-    that every later schedule's idle stage of that index renders from.
+    A numpy integer equals and hashes like the int it holds, but it
+    does not print or serialise like one: a section's index becomes its
+    stage span's ``index`` attribute, which the Chrome-trace JSON must
+    encode, and both reach the text ``repr`` renders, which the digests
+    pin.
     """
     if all(type(sec.index) is int and all(type(r) is int for r in sec.block)
            for sec in sk.sections):
@@ -717,7 +529,7 @@ def _plain(sk: Skeleton) -> Skeleton:
 def _sections(sk: Skeleton) -> np.ndarray:
     """Per section of ``sk``: the barriers before it, how many phases
     from there its rows may take, and the first and count of the
-    :class:`Pipeline` groups with a segment in it (none outside a
+    pipeline groups with a segment in it (none outside a
     round)."""
     secs = sk.sections
     nbars = np.array([sec.nbars for sec in secs], dtype=np.int64)
@@ -799,7 +611,7 @@ def _refuse(cols: dict, n_pes: int, n_names: int, skeletons: tuple,
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Schedule:
-    """A compiled collective: buffers + one :class:`RankProgram` per rank.
+    """A compiled collective: buffers + one program per rank, as rows.
 
     ``deliver`` declares the byte ranges the collective contracts to
     write — tuples ``(rank, buffer, lo, hi)`` — which the linter checks
@@ -807,9 +619,9 @@ class Schedule:
     data-conservation pass).
 
     Made by :meth:`from_rows`; the header fields and :attr:`table` are
-    all it holds.  ``programs`` is the tree view, built from the table
-    the first time it is read; equality compares headers and tables and
-    the hash covers the header, so neither builds a tree.
+    all it holds.  Equality compares headers and tables, the hash
+    covers the header, and ``repr`` renders each rank's program from
+    the rows (:meth:`StepTable.text`).
     """
 
     collective: str
@@ -869,21 +681,17 @@ class Schedule:
                 f"algorithm={self.algorithm!r}, n_pes={self.n_pes!r}, "
                 f"itemsize={self.itemsize!r}, root={self.root!r}, "
                 f"op={self.op!r}, buffers={self.buffers!r}, "
-                f"programs={self.programs!r}, deliver={self.deliver!r})")
-
-    @cached_property
-    def programs(self) -> tuple:
-        """The tree view (:meth:`StepTable.programs`), built once."""
-        return self.table.programs()
+                f"programs={self.table.text()}, deliver={self.deliver!r})")
 
     def _skeleton(self, rank: int) -> Skeleton:
         if not 0 <= rank < self.n_pes:
             raise IndexError(f"rank {rank} outside [0, {self.n_pes})")
         return self.table.skeletons[self.table.skeleton_of[rank]]
 
-    def program(self, rank: int) -> RankProgram:
+    def program(self, rank: int) -> "_RankSteps":
+        """``rank``'s steps, read in program order by ``all_steps()``."""
         self._skeleton(rank)
-        return self.programs[rank]
+        return _RankSteps(self.table, rank)
 
     @cached_property
     def plans(self) -> list:
@@ -919,7 +727,7 @@ class Schedule:
         """One-line human summary (used by the lint CLI).
 
         Read off the rank's skeleton signature: a stage renders as
-        ``1`` and a Pipeline block as ``pipe(G×S→R)`` — ``G`` wavefront
+        ``1`` and a pipeline block as ``pipe(G×S→R)`` — ``G`` wavefront
         groups over ``S`` segments lowering to ``R`` rounds — instead
         of disappearing into the flat lowered-stage count.
         """

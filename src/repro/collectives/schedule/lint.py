@@ -14,7 +14,7 @@ the inline tree walks hard to extend safely:
   barriers that open and close its phase: two blocks are not
   synchronised with each other there.
 * **matched put/get pairs** — every remote step names a peer inside the
-  group, never itself (local movement must be :class:`~.ir.Copy`), and
+  group, never itself (local movement must be a copy), and
   only touches buffers the peer actually holds, remotely accessible
   (symmetric) ones at that.
 * **bounds** — every access fits the declared extent of its buffer on
@@ -33,7 +33,7 @@ the inline tree walks hard to extend safely:
   ordered recv list on length, tag and element count (FIFO matching is
   per pair), and no recv may precede its matching send's barrier phase
   (that ordering is a guaranteed deadlock).
-* **pipelined hazards** — :class:`~.ir.Pipeline` blocks must agree on
+* **pipelined hazards** — pipeline blocks must agree on
   segment/group counts across ranks (deadlock freedom with segment
   counts) and respect **cross-segment ordering**: no remote read of
   bytes any rank writes in a later round of the same pipeline.
@@ -45,18 +45,18 @@ span.  All builtin algorithms lint clean at 1–16 PEs (enforced in CI
 via ``python -m repro.collectives.schedule``).
 
 Every pass reads the schedule's step table (:class:`~.ir.StepTable`,
-``Schedule.table``) and its barrier record — never the dataclass tree —
-and works on whole columns: masks for peers, visibility and bounds, a
-sort-and-count sweep for phase overlap, merged write runs for
-conservation, a stable group-by for message matching.  The structure
-passes compare each rank's :class:`~.ir.Skeleton`; a row's section in it
-names the pipeline round the cross-segment pass needs.  A row that
-cannot mean anything never reaches them: ``Schedule.from_rows`` refuses
-it.  What a vector
+``Schedule.table``) and its barrier record, never a step at a time, and
+works on whole columns: masks for peers, visibility and bounds, a
+sort-and-count sweep for phase overlap and, once per round, for
+cross-segment ordering, merged write runs for conservation, a stable
+group-by for message matching.  The structure passes compare each
+rank's :class:`~.ir.Skeleton`; a row's section in it names the pipeline
+round the cross-segment pass needs.  A row that cannot mean anything
+never reaches them: ``Schedule.from_rows`` refuses it.  What a vector
 pass flags is then *worded* by a scalar loop over just those rows or
-keys, in the order a walk of the tree would have met them;
-``tests/collectives/lint_reference.py`` is that walk, kept as the
-oracle.  An access whose target PE lies outside the group is the peers
+keys, in the order a walk of each rank's rows in program order would
+meet them; ``tests/collectives/lint_reference.py`` is that walk, kept
+as the oracle.  An access whose target PE lies outside the group is the peers
 pass's finding and takes no part in the memory passes; an access of
 zero bytes touches nothing.
 """
@@ -109,7 +109,7 @@ class _Accesses:
     """Every memory access of a table's steps, as parallel vectors.
 
     ``row`` is the step's table row; ``order`` ranks accesses the way a
-    walk of the tree meets them — by row, and within a step the operand
+    walk of the rows meets them — by row, and within a step the operand
     read (``b``), then a reduce's read of its accumulator, then the
     operand written (``a``) — which is the order issues are reported in;
     ``pe`` owns the memory touched, ``origin`` is the rank executing the
@@ -225,7 +225,7 @@ def _runs(sorted_ids: np.ndarray) -> list:
 
 def _check_structure(table: StepTable, issues: list) -> None:
     """Every rank must agree with rank 0 on its stage signature — a
-    :class:`~.ir.Pipeline` whose segment or group count differs between
+    pipeline block whose segment or group count differs between
     ranks lowers to a different number of rounds, so some rank would
     wait at a barrier nobody else reaches (deadlock with segment counts)
     — and on its barrier count."""
@@ -476,42 +476,52 @@ def _check_pipelines(table: StepTable, acc: _Accesses,
     that do not match the producing group's.
 
     A row's section in its rank's skeleton says which pipeline block
-    and which round of it the row runs in.
+    and which round of it the row runs in.  One sort-and-count sweep per
+    round ``t`` finds the remote reads of round ``t`` that some write of
+    a later round overlaps, keyed by ``(pipeline, pe, buffer)``; only
+    those reads are worded, each against its key's writes in program
+    order.
     """
     sections = [sec for sk in table.skeletons for sec in sk.sections]
     if all(sec.pipeline < 0 for sec in sections):
         return
     first = np.cumsum([0] + [len(sk.sections) for sk in table.skeletons])
-    pipe = np.array([sec.pipeline for sec in sections], dtype=np.int64)
     at = (first[:-1][table.skeleton_of[table.rank[acc.row]]]
           + table.section[acc.row])
-    of = pipe[at]
-    turn = np.array([sec.round for sec in sections], dtype=np.int64)[at]
-    for index in np.unique(of[of >= 0]).tolist():
-        live = np.flatnonzero((of == index) & (acc.hi > acc.lo))
-        live = live[np.argsort(acc.order[live])]
-        rounds, pes, bufs, los, his, modes, origins = (
-            x[live].tolist() for x in (turn, acc.pe, acc.buf, acc.lo,
-                                       acc.hi, acc.mode, acc.origin))
-        by_target: dict = {}
-        for t, pe, buf, lo, hi, mode, org in zip(
-                rounds, pes, bufs, los, his, modes, origins):
-            if mode == _LW or mode == _RW:
-                by_target.setdefault((pe, buf), []).append((t, lo, hi, org))
-        for t_r, pe, buf, lo, hi, mode, org in zip(
-                rounds, pes, bufs, los, his, modes, origins):
-            if mode != _RR:
-                continue
-            for t_w, w_lo, w_hi, w_org in by_target.get((pe, buf), ()):
-                if t_w > t_r and _overlap(lo, hi, w_lo, w_hi):
-                    issues.append(LintIssue(
-                        "pipeline",
-                        f"cross-segment ordering: rank {org} reads "
-                        f"{table.names[buf]!r} bytes "
-                        f"[{max(lo, w_lo)}, {min(hi, w_hi)}) "
-                        f"on rank {pe} in round {t_r}, written by rank "
-                        f"{w_org} only in round {t_w}", rank=pe,
-                        phase=t_r))
+    of, turn = (np.array([getattr(sec, name) for sec in sections],
+                         dtype=np.int64)[at] for name in ("pipeline", "round"))
+    live = np.flatnonzero((of >= 0) & (acc.hi > acc.lo) & (acc.mode != _LR))
+    of, turn, pe, buf, lo, hi, mode, origin, order = (
+        x[live] for x in (of, turn, acc.pe, acc.buf, acc.lo, acc.hi,
+                          acc.mode, acc.origin, acc.order))
+    key = _dense(of, pe, buf)
+    writes, reads = np.flatnonzero(mode != _RR), np.flatnonzero(mode == _RR)
+    stale = np.zeros(len(reads), dtype=bool)
+    for t in np.unique(turn[reads]).tolist():
+        later = writes[turn[writes] > t]
+        now = np.flatnonzero(turn[reads] == t)
+        if len(later):
+            y = reads[now]
+            stale[now] = _count_overlaps(key[later], lo[later], hi[later],
+                                         key[y], lo[y], hi[y]) > 0
+    flagged = reads[stale]
+    flagged = flagged[np.lexsort((order[flagged], of[flagged]))]
+    writes = writes[np.isin(key[writes], key[flagged])]
+    by_target: dict = {}
+    for j in writes[np.argsort(order[writes])].tolist():
+        by_target.setdefault(int(key[j]), []).append(
+            (int(turn[j]), int(lo[j]), int(hi[j]), int(origin[j])))
+    for j in flagged.tolist():
+        t_r, r_lo, r_hi, on = int(turn[j]), int(lo[j]), int(hi[j]), int(pe[j])
+        for t_w, w_lo, w_hi, w_org in by_target[int(key[j])]:
+            if t_w > t_r and _overlap(r_lo, r_hi, w_lo, w_hi):
+                issues.append(LintIssue(
+                    "pipeline",
+                    f"cross-segment ordering: rank {int(origin[j])} reads "
+                    f"{table.names[buf[j]]!r} bytes [{max(r_lo, w_lo)}, "
+                    f"{min(r_hi, w_hi)}) on rank {on} in round {t_r}, "
+                    f"written by rank {w_org} only in round {t_w}", rank=on,
+                    phase=t_r))
 
 
 def _check_message_matching(table: StepTable, n: int, issues: list) -> None:
@@ -668,7 +678,7 @@ def _check_fused_prefixes(sched: Schedule, issues: list) -> None:
         pair = sorted({owners[table.a_buf[i]], owners[table.b_buf[i]]})
         issues.append(LintIssue(
             "fused",
-            f"step {table.step(i)!r} mixes buffers of requests {pair} "
+            f"step {table.step_text(i)} mixes buffers of requests {pair} "
             "(cross-request aliasing)", rank=int(table.rank[i])))
 
 

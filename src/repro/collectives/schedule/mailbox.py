@@ -2,10 +2,10 @@
 
 :func:`lower_to_mailbox` rewrites the remote put / get rows of a
 schedule's :class:`~.ir.StepTable` into matched send / recv rows, table
-to table (no tree is read or built).  Each rank keeps its skeleton, a
-:class:`~.ir.Pipeline` round read as the plain stage it lowers to (span
-attrs kept), so the executor, the vec evaluator, the linter and the
-span tracer all run the result unmodified.
+to table (no step is read alone).  Each rank keeps its skeleton, a
+pipeline round read as the plain stage it lowers to (span attrs kept),
+so the executor, the vec evaluator, the linter and the span tracer all
+run the result unmodified.
 
 The rewrite works one *barrier phase* at a time — the rows between two
 consecutive barriers, aligned across ranks (barrier counts are
@@ -73,7 +73,7 @@ def lower(sched: Schedule) -> Schedule:
     if len(selfish):
         raise ValueError(
             f"{label} rank {t.rank[selfish[0]]} has a remote step "
-            f"targeting itself: {t.step(int(selfish[0]))!r}")
+            f"targeting itself: {t.step_text(int(selfish[0]))}")
     ph = t.phase
     put = np.flatnonzero((t.op == OP_PUT) & (t.nelems > 0))
     get = np.flatnonzero((t.op == OP_GET) & (t.nelems > 0))

@@ -69,6 +69,34 @@ class TestRefusedBeforeAnyPe:
                                     max_iterations=1))
 
 
+@pytest.mark.parametrize("n_pes", [2, 4])
+def test_gups_private_segment_holds_the_closing_reduce(n_pes):
+    """The closing error reduce takes a private work word beside the
+    update scratch word and its output word: 32 B of private segment is
+    refused, and the smallest segment the check accepts runs and
+    verifies."""
+    params = GupsParams(log2_table_size=12, updates_per_pe=64)
+
+    def config(private: int) -> MachineConfig:
+        return MachineConfig(
+            n_pes=n_pes, symmetric_heap_bytes=1 << 20,
+            collective_scratch_bytes=1 << 16,
+            memory_bytes_per_pe=(1 << 20) + CODE_REGION_BYTES + private)
+
+    def accepts(private: int) -> bool:
+        try:
+            params.check_config(config(private))
+        except CollectiveArgumentError:
+            return False
+        return True
+
+    with pytest.raises(CollectiveArgumentError,
+                       match="needs 48 B of private segment"):
+        params.check_config(config(32))
+    smallest = next(p for p in range(0, 129) if accepts(p))
+    assert run_gups(config(smallest), params).verified
+
+
 @pytest.mark.parametrize("n_pes", PE_COUNTS)
 def test_the_paper_records_still_fit(n_pes):
     """Every configuration Figures 4 and 5 run passes the check."""
@@ -130,13 +158,12 @@ def test_footprint_covers_what_a_small_run_allocates(monkeypatch, bench):
     heap = seen[layout.heap_base + layout.scratch_bytes]
     private = seen[CODE_REGION_BYTES]
     check(shrunk(config, heap + 15, private + 15))
-    for short in (shrunk(config, heap - 1, private),
-                  shrunk(config, heap, private - 1)):
-        with pytest.raises(CollectiveArgumentError, match="needs"):
-            check(short)
-    if bench == "is":
-        # The heap alone one byte short (room in the private segment):
-        # the receive buffer the keys need is counted.
+    # Each segment one byte short with room to spare in the other, so
+    # the refusal names the short one.
+    for short, segment in (
+            (shrunk(config, heap - 1, private + 15), "symmetric heap"),
+            (shrunk(config, heap + 15, private - 1), "private segment")):
         with pytest.raises(CollectiveArgumentError,
-                           match="needs .* of symmetric heap"):
-            check(shrunk(config, heap - 1, private + 15))
+                           match=f"needs .* of {segment}"):
+            check(short)
+

@@ -4,8 +4,8 @@ The linter in ``repro.collectives.schedule.lint`` runs every pass on the
 columnar :class:`~repro.collectives.schedule.ir.StepTable` — sorts,
 sweeps and ``searchsorted`` — and keeps an exact scalar loop only to
 render what those flag.  This module is the other way of computing the
-same verdict: the per-step walk of the dataclass tree and the all-pairs
-overlap loop the linter had before the table existed (commit 4ab22ab),
+same verdict: a per-step walk of every rank's program and the all-pairs
+overlap loops the linter had before the table existed (commit 4ab22ab),
 kept here as the oracle ``test_lint_oracle.py`` compares against, the
 way ``ListLru`` stands behind the array-backed cache.  It must produce
 the same issues in the same order.
@@ -16,24 +16,65 @@ group is the peers pass's finding alone (the old bounds loop indexed a
 per-rank extent tuple with it), an access of zero bytes takes no part
 in the phase-overlap pass (it touches nothing), and a strided write
 covers the hole after its last element in the conservation pass (two
-chunks of one strided payload left that hole "uncovered").  The cross-segment
-pass visits a pipeline's steps in lowered round order, as the table
-stores them.
+chunks of one strided payload left that hole "uncovered").
 
-It reads the schedule's tree view (``Schedule.programs``), so it checks
-only what the view can express: a malformed pipeline block, a step of no
-known kind and a program list that does not match the ranks are rows
-``Schedule.from_rows`` refuses, and have no reference here.
+It walks each rank's rows one at a time in program order, as
+``table.layout(r)`` lays them out — a barrier over the section's block
+at each gap — so it reads a schedule only the way ``all_steps`` shows
+it, never through the linter's vectors.  The cross-segment pass takes a
+step's pipeline block and round from its section, so a fused round,
+whose rows name no group, is checked like any other.  A malformed
+pipeline block, a step of no known kind and a barrier record that does
+not match the ranks are rows ``Schedule.from_rows`` refuses, and have no
+reference here.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterator, NamedTuple
 
-from repro.collectives.schedule.ir import Pipeline, Schedule, step_span_bytes
+from repro.collectives.schedule.ir import OP_NAMES, Schedule, step_span_bytes
 from repro.collectives.schedule.lint import LintIssue
 
 __all__ = ["reference_lint", "reference_lint_fused"]
+
+
+class _Step(NamedTuple):
+    """One row, read alone: ``dst`` is the operand written (a reduce's
+    accumulator), ``src`` the operand read (a reduce's operand), each
+    ``None`` where the kind has none; ``aux`` is a send's or recv's tag."""
+
+    kind: str
+    dst: str
+    dst_off: int
+    src: str
+    src_off: int
+    nelems: int
+    stride: int
+    peer: int
+    aux: int
+    row: int
+
+
+@lru_cache(maxsize=256)
+def _walk(sched: Schedule, rank: int) -> tuple:
+    """``rank``'s program, step by step: ``(section, step)``, the step
+    ``None`` for a barrier (kept per schedule: every pass walks it)."""
+    t = sched.table
+    rows, parts = t.layout(rank)
+    steps = [_Step(OP_NAMES[op], t.names[a] if a >= 0 else None, a_off,
+                   t.names[b] if b >= 0 else None, b_off, nelems, stride,
+                   peer, aux, i)
+             for i, (op, a, a_off, b, b_off, nelems, stride, peer, aux)
+             in enumerate(zip(*t.rows_of(rows)), rows.start)]
+    return tuple((sec, None if k is None else steps[k])
+                 for sec, items in parts for k in items)
+
+
+def _steps(sched: Schedule, rank: int) -> Iterator[_Step]:
+    """``rank``'s steps in program order, barriers as ``None``."""
+    return (step for _, step in _walk(sched, rank))
 
 
 # One memory access: (phase, pe, buffer, lo, hi, mode, origin_rank)
@@ -42,7 +83,7 @@ __all__ = ["reference_lint", "reference_lint_fused"]
 _Access = tuple
 
 
-def _step_accesses(step, rank: int, itemsize: int) -> Iterator[tuple]:
+def _step_accesses(step: _Step, rank: int, itemsize: int) -> Iterator[tuple]:
     """Accesses of one non-barrier step: (pe, buffer, lo, hi, mode)."""
     kind = step.kind
     span = step_span_bytes(step.nelems, step.stride, itemsize)
@@ -56,10 +97,9 @@ def _step_accesses(step, rank: int, itemsize: int) -> Iterator[tuple]:
         yield (rank, step.src, step.src_off, step.src_off + span, "lr")
         yield (rank, step.dst, step.dst_off, step.dst_off + span, "lw")
     elif kind == "reduce":
-        yield (rank, step.operand, step.operand_off,
-               step.operand_off + span, "lr")
-        yield (rank, step.acc, step.acc_off, step.acc_off + span, "lr")
-        yield (rank, step.acc, step.acc_off, step.acc_off + span, "lw")
+        yield (rank, step.src, step.src_off, step.src_off + span, "lr")
+        yield (rank, step.dst, step.dst_off, step.dst_off + span, "lr")
+        yield (rank, step.dst, step.dst_off, step.dst_off + span, "lw")
     elif kind == "fill":
         yield (rank, step.dst, step.dst_off, step.dst_off + span, "lw")
     elif kind == "send":
@@ -74,8 +114,8 @@ def _step_accesses(step, rank: int, itemsize: int) -> Iterator[tuple]:
 def _accesses(sched: Schedule, rank: int) -> Iterator[_Access]:
     """Yield every access of ``rank``'s program, tagged by barrier phase."""
     phase = 0
-    for step in sched.program(rank).all_steps():
-        if step.kind == "barrier":
+    for step in _steps(sched, rank):
+        if step is None:
             phase += 1
             continue
         for pe, name, lo, hi, mode in _step_accesses(step, rank,
@@ -85,32 +125,26 @@ def _accesses(sched: Schedule, rank: int) -> Iterator[_Access]:
 
 
 def _barrier_count(sched: Schedule, rank: int) -> int:
-    return sum(1 for s in sched.program(rank).all_steps()
-               if s.kind == "barrier")
+    return sum(1 for step in _steps(sched, rank) if step is None)
 
 
-def _stage_signature(prog) -> list:
+def _stage_signature(sched: Schedule, rank: int) -> list:
     """Per-slot shape: plain stage index, or pipeline (index, S, G).
 
-    Ranks must agree on this signature — a :class:`~.ir.Pipeline` whose
-    segment or group count differs between ranks lowers to a different
-    number of rounds, so some rank would wait at a barrier nobody else
-    reaches (deadlock with segment counts).
+    Ranks must agree on this signature — a pipeline block whose segment
+    or group count differs between ranks lowers to a different number of
+    rounds, so some rank would wait at a barrier nobody else reaches
+    (deadlock with segment counts).
     """
-    sig = []
-    for st in prog.stages:
-        if isinstance(st, Pipeline):
-            sig.append(("pipeline", st.index, st.segments, len(st.groups)))
-        else:
-            sig.append(st.index)
-    return sig
+    t = sched.table
+    return list(t.skeletons[t.skeleton_of[rank]].signature)
 
 
 def _check_structure(sched: Schedule, issues: list) -> None:
-    ref_sig = _stage_signature(sched.program(0))
+    ref_sig = _stage_signature(sched, 0)
     ref_barriers = _barrier_count(sched, 0)
     for r in range(sched.n_pes):
-        sig = _stage_signature(sched.program(r))
+        sig = _stage_signature(sched, r)
         if sig != ref_sig:
             issues.append(LintIssue(
                 "deadlock",
@@ -131,12 +165,10 @@ def _check_scope(sched: Schedule, issues: list) -> None:
     barriers around its phase."""
     n = sched.n_pes
     every = tuple(range(n))
-    blocks = [[step.block or every
-               for step in sched.program(r).all_steps()
-               if step.kind == "barrier"] for r in range(n)]
-    if all(not step.block for r in range(n)
-           for step in sched.program(r).all_steps()
-           if step.kind == "barrier"):
+    blocks = [[sec.block or every for sec, step in _walk(sched, r)
+               if step is None] for r in range(n)]
+    if all(not sec.block for r in range(n)
+           for sec, step in _walk(sched, r) if step is None):
         return
     for b in range(max(map(len, blocks))):
         for r in range(n):
@@ -151,8 +183,8 @@ def _check_scope(sched: Schedule, issues: list) -> None:
                     "one block of a partition", rank=r, phase=b))
     for r in range(n):
         phase = 0
-        for step in sched.program(r).all_steps():
-            if step.kind == "barrier":
+        for step in _steps(sched, r):
+            if step is None:
                 phase += 1
                 continue
             if step.kind not in ("put", "get", "send", "recv") \
@@ -200,10 +232,10 @@ def _check_steps(sched: Schedule, issues: list) -> None:
     n = sched.n_pes
     names = {buf.name: buf for buf in sched.buffers}
     for r in range(n):
-        for step in sched.program(r).all_steps():
-            kind = step.kind
-            if kind == "barrier":
+        for step in _steps(sched, r):
+            if step is None:
                 continue
+            kind = step.kind
             if kind in ("put", "get", "send", "recv"):
                 if not 0 <= step.peer < n:
                     issues.append(LintIssue(
@@ -308,28 +340,26 @@ def _check_pipelines(sched: Schedule, issues: list) -> None:
     staleness bugs segmentation introduces, e.g. segment boundaries
     that do not match the producing group's.
     """
-    # Cross-segment ordering over all ranks' aligned pipeline blocks.
+    # Cross-segment ordering over all ranks' aligned pipeline blocks:
+    # per block, (rank, round, step) in rank and then program order.
     by_index: dict = {}
     for r in range(sched.n_pes):
-        for pipe in sched.program(r).stages:
-            if isinstance(pipe, Pipeline):
-                by_index.setdefault(pipe.index, []).append((r, pipe))
-    for index, pipes in sorted(by_index.items()):
+        for sec, step in _walk(sched, r):
+            if step is not None and sec.round >= 0:
+                by_index.setdefault(sec.pipeline, []).append(
+                    (r, sec.round, step))
+    for index, steps in sorted(by_index.items()):
         writes: list = []   # (round, pe, buffer, lo, hi, origin)
         reads: list = []    # remote reads: (round, pe, buffer, lo, hi, origin)
-        for r, pipe in pipes:
-            for t in range(pipe.rounds):
-                for g in range(max(0, t - pipe.segments + 1),
-                               min(t, len(pipe.groups) - 1) + 1):
-                    for step in pipe.groups[g][t - g]:
-                        for pe, name, lo, hi, mode in _step_accesses(
-                                step, r, sched.itemsize):
-                            if hi <= lo or not 0 <= pe < sched.n_pes:
-                                continue
-                            if mode in ("lw", "rw"):
-                                writes.append((t, pe, name, lo, hi, r))
-                            elif mode == "rr":
-                                reads.append((t, pe, name, lo, hi, r))
+        for r, t, step in steps:
+            for pe, name, lo, hi, mode in _step_accesses(step, r,
+                                                         sched.itemsize):
+                if hi <= lo or not 0 <= pe < sched.n_pes:
+                    continue
+                if mode in ("lw", "rw"):
+                    writes.append((t, pe, name, lo, hi, r))
+                elif mode == "rr":
+                    reads.append((t, pe, name, lo, hi, r))
         by_target: dict = {}
         for t, pe, name, lo, hi, org in writes:
             by_target.setdefault((pe, name), []).append((t, lo, hi, org))
@@ -363,16 +393,15 @@ def _check_message_matching(sched: Schedule, issues: list) -> None:
     recvs: dict = {}
     for r in range(n):
         phase = 0
-        for step in sched.program(r).all_steps():
-            kind = step.kind
-            if kind == "barrier":
+        for step in _steps(sched, r):
+            if step is None:
                 phase += 1
-            elif kind == "send" and 0 <= step.peer < n:
+            elif step.kind == "send" and 0 <= step.peer < n:
                 sends.setdefault((r, step.peer), []).append(
-                    (phase, step.tag, step.nelems))
-            elif kind == "recv" and 0 <= step.peer < n:
+                    (phase, step.aux, step.nelems))
+            elif step.kind == "recv" and 0 <= step.peer < n:
                 recvs.setdefault((step.peer, r), []).append(
-                    (phase, step.tag, step.nelems))
+                    (phase, step.aux, step.nelems))
     for src, dst in sorted(set(sends) | set(recvs)):
         ss = sends.get((src, dst), [])
         rr = recvs.get((src, dst), [])
@@ -412,8 +441,8 @@ def _check_conservation(sched: Schedule, issues: list) -> None:
     too (``nelems * stride * itemsize`` bytes from its start)."""
     written: dict = {}
     for r in range(sched.n_pes):
-        for step in sched.program(r).all_steps():
-            if step.kind == "barrier":
+        for step in _steps(sched, r):
+            if step is None:
                 continue
             reach = step.nelems * step.stride * sched.itemsize
             for pe, name, lo, hi, mode in _step_accesses(step, r,
@@ -451,21 +480,6 @@ def reference_lint(sched: Schedule) -> list:
     return issues
 
 
-def _step_buffer_names(step) -> tuple:
-    kind = step.kind
-    if kind == "barrier":
-        return ()
-    if kind == "reduce":
-        return (step.acc, step.operand)
-    if kind == "fill":
-        return (step.dst,)
-    if kind == "send":
-        return (step.src,)
-    if kind == "recv":
-        return (step.dst,)
-    return (step.dst, step.src)
-
-
 def _check_fused_prefixes(sched: Schedule, issues: list) -> None:
     """Fused-schedule isolation: every buffer belongs to exactly one
     sub-request (``r{i}:`` prefix) and no step mixes two requests'
@@ -478,14 +492,17 @@ def _check_fused_prefixes(sched: Schedule, issues: list) -> None:
                 f"buffer {buf.name!r} carries no request prefix — it is "
                 "not attributable to any fused sub-request"))
     for r in range(sched.n_pes):
-        for step in sched.program(r).all_steps():
-            owners = {name.split(":", 1)[0]
-                      for name in _step_buffer_names(step)}
+        for step in _steps(sched, r):
+            if step is None:
+                continue
+            owners = {name.split(":", 1)[0] for name in (step.dst, step.src)
+                      if name is not None}
             if len(owners) > 1:
                 issues.append(LintIssue(
                     "fused",
-                    f"step {step!r} mixes buffers of requests "
-                    f"{sorted(owners)} (cross-request aliasing)", rank=r))
+                    f"step {sched.table.step_text(step.row)} mixes buffers "
+                    f"of requests {sorted(owners)} (cross-request "
+                    "aliasing)", rank=r))
 
 
 def _check_fused_conservation(sched: Schedule, issues: list) -> None:

@@ -186,3 +186,67 @@ class TestPeNodeMap:
         assert cfg.node_members(0) == (0, 4)
         assert cfg.node_members(3) == (3, 7)
         assert cfg.n_nodes == 4
+
+
+class TestTeamOrder:
+    """A team whose members are not in ascending world order: ``nodes``
+    lists each member's node in group order, and each node is led by its
+    lowest *group* rank (the root in the root's node), not its lowest
+    world PE.  Members (6, 1, 5, 2) on two nodes of four PEs: node 1
+    holds group ranks 0 and 2 (PEs 6 and 5), so group rank 0 — PE 6 —
+    leads it."""
+
+    MEMBERS = (6, 1, 5, 2)
+    ROOT = 1  # group rank 1: PE 1, on node 0
+
+    def test_leaders_are_lowest_group_ranks(self):
+        from repro.collectives.hierarchy import node_layout
+
+        cfg = small_config(8, cores_per_node=4)
+        nodes = tuple(map(cfg.node_of, self.MEMBERS))
+        assert nodes == (1, 0, 1, 0)
+        groups, leaders = node_layout(nodes, self.ROOT)
+        assert groups == [(1, 3), (0, 2)]
+        assert leaders == [1, 0]
+
+    @pytest.mark.parametrize("collective", ["broadcast", "reduce"])
+    def test_agrees_with_flat_binomial(self, collective):
+        from repro.collectives.request import COLLECTIVES, prepare
+
+        members, root = self.MEMBERS, self.ROOT
+
+        def run_with(algorithm):
+            def body(ctx):
+                ctx.init()
+                me = ctx.my_pe()
+                src = ctx.malloc(8 * 5)
+                dest = ctx.malloc(8 * 5)
+                ctx.view(src, "long", 5)[:] = (me + 1) * np.arange(1, 6)
+                ctx.view(dest, "long", 5)[:] = -1
+                cross = None
+                if me in members:
+                    args = (dest, src, 5, 1, root) + (
+                        ("sum",) if collective == "reduce" else ())
+                    call = prepare(ctx, COLLECTIVES[collective], *args,
+                                   np.dtype(np.int64), group=members,
+                                   algorithm=algorithm)
+                    t = call.schedule.table
+                    node = np.array([ctx.config.node_of(m) for m in members])
+                    remote = np.flatnonzero(t.rank != t.peer)
+                    cross = {(int(t.rank[i]), int(t.peer[i])) for i in remote
+                             if node[t.rank[i]] != node[t.peer[i]]}
+                    ctx._issue(call)
+                ctx.barrier()
+                got = ctx.view(dest, "long", 5).tobytes()
+                ctx.close()
+                return got, cross
+
+            return Machine(small_config(8, cores_per_node=4)).run(body)
+
+        flat, tiered = run_with("binomial"), run_with("hierarchical")
+        assert [got for got, _ in tiered] == [got for got, _ in flat]
+        # Only the two leaders talk across nodes: the root (group rank 1)
+        # and group rank 0, PE 6 — not PE 5, node 1's lowest world PE.
+        assert {pair for _, cross in tiered if cross
+                for pair in cross} <= {(0, 1), (1, 0)}
+        assert any(cross for _, cross in tiered)

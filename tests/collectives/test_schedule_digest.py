@@ -1,16 +1,17 @@
 """Frozen digests of every registry schedule, in each of its forms.
 
-A compiled schedule is read four ways: its dataclass tree (``repr``,
-``describe`` per rank), its step table (the twelve columns, the
-per-rank barrier counts and the buffer names) and its mailbox lowering
-(``repr``).  One digest per registry shape — sha256 over all four — pins
-them together, so a compiler that emits its step table directly must
-still produce, through its lazily rebuilt tree, exactly the tree the
-tree-building compiler produced.  The digests were generated on commit
-e115b60, when most compilers still built the tree, with nothing but
-the registry's stride-2 shapes added to it; every compiler has emitted
-rows since (a ``Pipeline`` block rebuilt from each row's group), and
-not one digest has changed.
+A compiled schedule is read four ways: its text (``repr``, rendered
+from its rows, and ``describe`` per rank), its step table (the twelve
+columns, the per-rank barrier counts and the buffer names) and its
+mailbox lowering (``repr``).  One digest per registry shape — sha256
+over all four — pins them together, so a compiler that emits its step
+table directly must still produce exactly the text the tree-building
+compiler produced.  The digests were generated on commit e115b60, when
+most compilers still built a tree of step objects, with nothing but the
+registry's stride-2 shapes added to it; every compiler has emitted rows
+since, ``repr`` has rendered straight from them since the tree was
+deleted (a pipeline block regrouped by each row's group), and not one
+digest has changed.
 
 To regenerate after an *intended* change to a compiler:
 ``PYTHONPATH=src python tests/collectives/test_schedule_digest.py``.
@@ -78,14 +79,13 @@ def test_schedule_digests_unchanged(collective, algorithm):
 
 
 def test_numpy_section_indices_leave_digests_alone():
-    """A numpy integer equals and hashes like the int it holds, so a
-    schedule whose sections carry ``np.int64`` indices or block ranks
-    must not seed the shared idle-stage cache with them: every later
-    schedule would render ``Stage(index=np.int64(3), ...)``."""
+    """A numpy integer equals and hashes like the int it holds but
+    prints as ``np.int64(3)``: a schedule whose sections carry
+    ``np.int64`` indices or block ranks holds and renders them as plain
+    ints, and leaves every registry digest alone."""
     from repro.collectives.schedule.ir import (
-        OP_PUT, Buffer, Rows, Schedule, barrier_stage, skeleton)
+        OP_PUT, Buffer, Rows, Schedule, skeleton)
 
-    barrier_stage.cache_clear()
     shape = skeleton(0, [(np.int64(i), ()) for i in range(8)], 0)
     blocked = shape._replace(sections=tuple(
         sec._replace(block=(np.int64(0), np.int64(1)))

@@ -202,8 +202,8 @@ class TestFuseSchedules:
                                       alone.buffer("dest", r))
 
     def test_fused_pipeline_reads_as_its_rounds(self):
-        """The tree view of a fused Pipeline block is the stages it
-        lowers to, so ``repr`` works; ``describe`` still names the
+        """The text of a fused pipeline block, whose rows name no
+        group, is the rounds it lowers to; ``describe`` still names the
         block."""
         a = compile_allreduce(8, 64, 1, 8, "sum",
                               algorithm="dual-pipelined", segments=4)

@@ -12,8 +12,9 @@ per algorithm family:
   quadratic compile path fails loudly instead of slowing every sweep;
 * total step-object counts grow O(N log N), the direct structural
   check for the same regression;
-* every compiler stays tree-free on the hot path: lint, evaluation and
-  execution never build the tree of a schedule.
+* the hot path never reads a schedule as text: lint, evaluation,
+  execution and the rewrites never call ``Schedule.program`` or render
+  a step's text from its row.
 
 Ring, linear, alltoall and dissemination-allgather schedules are
 inherently Θ(N²) total steps (every rank touches every other rank or
@@ -47,7 +48,7 @@ from repro.collectives.reduce_scatter import compile_reduce_scatter
 from repro.collectives.scan import compile_scan
 from repro.collectives.scatter import compile_scatter
 from repro.collectives.schedule.evaluate import evaluate_schedule
-from repro.collectives.schedule.ir import RankProgram
+from repro.collectives.schedule.ir import Schedule, StepTable
 from repro.collectives.schedule.lint import lint_schedule
 from repro.collectives.schedule.registry import BUILTIN_ALGORITHMS
 from repro.runtime.context import Machine
@@ -62,6 +63,19 @@ def _ragged(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         disps.append(acc)
         acc += c
     return counts, tuple(disps), acc
+
+
+def _count_text_reads(monkeypatch) -> list:
+    """A one-item list counting the calls of ``Schedule.program`` and of
+    the row renderer every text goes through (``StepTable._texts``)."""
+    calls = [0]
+    for owner, name in ((Schedule, "program"), (StepTable, "_texts")):
+        def counted(*args, _real=getattr(owner, name), **kwargs):
+            calls[0] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def _total_steps(sched) -> int:
@@ -257,23 +271,10 @@ def test_lint_evaluate_and_execute_build_no_tree(collective, algorithm,
                                                  monkeypatch):
     """The perf gate with no clock in it: for every compiler, linting
     its schedule, evaluating it twice and running it once on the
-    simulator build no ``RankProgram`` and walk none — the tree stays a
-    view nobody on the hot path asks for."""
-    built = walks = 0
-    init, walk = RankProgram.__init__, RankProgram.all_steps
-
-    def counted_init(self, *args, **kwargs):
-        nonlocal built
-        built += 1
-        init(self, *args, **kwargs)
-
-    def counted_walk(self):
-        nonlocal walks
-        walks += 1
-        return walk(self)
-
-    monkeypatch.setattr(RankProgram, "__init__", counted_init)
-    monkeypatch.setattr(RankProgram, "all_steps", counted_walk)
+    simulator never call ``program()`` nor render a step's text — the
+    text is for ``repr`` and messages, which the hot path never asks
+    for."""
+    calls = _count_text_reads(monkeypatch)
     sched = _compile(collective, algorithm, 48, 5, 37)
     assert lint_schedule(sched) == []
     first = evaluate_schedule(sched, collect_data=False)
@@ -281,7 +282,7 @@ def test_lint_evaluate_and_execute_build_no_tree(collective, algorithm,
     assert first.elapsed_ns == again.elapsed_ns > 0
     machine = Machine(small_config(8))
     assert all(machine.run(_run_once, [(collective, algorithm)] * 8))
-    assert (built, walks) == (0, 0)
+    assert calls == [0]
 
 
 def _flush_once(ctx) -> bool:
@@ -313,8 +314,8 @@ def test_rewrites_build_no_tree(monkeypatch):
     """The same gate for the rewrites of a schedule: lowering row-built
     schedules onto the mailbox, widening and fusing them, linting and
     evaluating the results, one mailbox-transport run and one fused
-    superstep flush construct no ``RankProgram`` — the rewrites read and
-    write rows."""
+    superstep flush never call ``program()`` nor render a step's text —
+    the rewrites read and write rows."""
     from repro.collectives import allreduce, broadcast, reduce
     from repro.collectives.schedule.fuse import (compile_widened,
                                                  fuse_schedules)
@@ -325,15 +326,7 @@ def test_rewrites_build_no_tree(monkeypatch):
                   broadcast._compile_binomial, reduce._compile_binomial,
                   compile_widened, fuse_schedules):
         cache.cache_clear()  # every schedule below made and rewritten here
-    built = 0
-    init = RankProgram.__init__
-
-    def counted_init(self, *args, **kwargs):
-        nonlocal built
-        built += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(RankProgram, "__init__", counted_init)
+    calls = _count_text_reads(monkeypatch)
     ring = compile_allreduce(24, 29, 1, 8, "sum", algorithm="ring")
     rab = compile_allreduce(24, 29, 1, 8, "sum", algorithm="rabenseifner")
     gets = compile_reduce(24, 5, 29, 1, 8, "sum", algorithm="binomial")
@@ -353,4 +346,4 @@ def test_rewrites_build_no_tree(monkeypatch):
     assert machine.stats.sends > 0
     machine = Machine(small_config(8))
     assert all(machine.run(_flush_once))
-    assert built == 0
+    assert calls == [0]

@@ -1,21 +1,21 @@
-"""Every compiler's tree view reads its step-table rows back.
+"""Every compiler's rows read back as the text ``repr`` renders.
 
 Each compiler writes its :class:`~repro.collectives.schedule.ir.StepTable`
-directly; its tree of dataclasses is a read-only view rebuilt from those
-rows — a :class:`~repro.collectives.schedule.ir.Pipeline` block from
-each row's group.  Every rank's view must walk the same steps as its
-rows laid out by section (``table.layout``, a barrier over the
-section's block at each gap), and carry the stage signature of its
-skeleton, for every registry pair, over PE counts, roots, empty, single
-and ragged payloads (with a zero-count PE and out-of-order, gapped
-displacements), segment counts, strides, element sizes and node
-layouts.  Comparing and hashing such schedules reads the table and
-never builds the tree.
+directly, and ``repr`` renders each rank's program straight from those
+rows — a pipeline block regrouped by each row's group, or shown as its
+rounds when a row of it names none.  For every registry pair, over PE
+counts, roots, empty, single and ragged payloads (with a zero-count PE
+and out-of-order, gapped displacements), segment counts, strides,
+element sizes and node layouts: every rank's ``program(r).all_steps()``
+walks its rows in order with a barrier over its section's block at each
+gap, and the text holds one ``Pipeline(`` per such block and one
+``Stage(`` per plain stage or round.  Comparing and hashing such
+schedules reads the table and renders no text.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.collectives.allreduce import compile_allreduce
@@ -36,7 +36,6 @@ from repro.collectives.reduce_scatter import compile_reduce_scatter
 from repro.collectives.scan import compile_scan
 from repro.collectives.scatter import compile_scatter
 from repro.collectives.schedule.fuse import compile_widened, fuse_schedules
-from repro.collectives.schedule.ir import Barrier, Pipeline
 from repro.collectives.schedule.registry import BUILTIN_ALGORITHMS
 
 
@@ -116,38 +115,69 @@ def compiled(draw):
                                   segments=segments)
 
 
+def _shapes(table, r: int) -> tuple[int, int]:
+    """How many ``Pipeline(`` and ``Stage(`` rank ``r``'s text holds: a
+    block is one pipeline unless a row of it names no group, then it is
+    its rounds; a plain stage is one stage."""
+    shape = table.skeletons[table.skeleton_of[r]]
+    rows = table.span(r)
+    section, group = table.section[rows], table.group[rows]
+    pipes = stages = 0
+    at = 1  # sections[0] is the prologue
+    for entry in shape.signature:
+        if not isinstance(entry, tuple):
+            stages += 1
+            at += 1
+            continue
+        width = entry[3] + entry[2] - 1 if entry[3] else 0
+        mine = (section >= at) & (section < at + width)
+        if (group[mine] >= 0).all():
+            pipes += 1
+        else:
+            stages += width
+        at += width
+    return pipes, stages
+
+
+#: Two pipelined allreduces fused: their merged rounds name no group.
+_FUSED_ROUNDS = fuse_schedules((compile_allreduce(
+    5, 7, 1, 8, "sum", algorithm="dual-pipelined", segments=2),) * 2)
+
+
 @settings(max_examples=300, deadline=None)
 @given(compiled())
-def test_rows_equal_the_walk_of_their_tree(sched):
+@example(_FUSED_ROUNDS)
+def test_text_walks_the_rows(sched):
     table = sched.table
+    pipes = stages = 0
     for r in range(sched.n_pes):
-        rows, parts = table.layout(r)
-        laid_out = [Barrier(sec.block) if k is None
-                    else table.step(rows.start + k)
-                    for sec, items in parts for k in items]
-        view = sched.program(r)
-        assert list(view.all_steps()) == laid_out, r
-        signature = tuple(
-            ("pipeline", st.index, st.segments, len(st.groups))
-            if isinstance(st, Pipeline) else st.index for st in view.stages)
-        assert signature == \
-            table.skeletons[table.skeleton_of[r]].signature, r
+        rows = table.span(r)
+        steps = list(sched.program(r).all_steps())
+        assert len(steps) == \
+            rows.stop - rows.start + int(table.barriers[r]), r
+        assert [s for s in steps if not s.startswith("Barrier(")] == \
+            [table.step_text(i) for i in range(rows.start, rows.stop)], r
+        p, s = _shapes(table, r)
+        pipes, stages = pipes + p, stages + s
+    text = repr(sched)
+    assert text.count("Pipeline(") == pipes
+    assert text.count("Stage(") == stages
 
 
-def test_equality_and_hash_read_the_table_not_the_tree(monkeypatch):
+def test_equality_and_hash_read_the_table_not_the_text(monkeypatch):
     """Two equal schedules built from rows (the compile cache evicted
     between them, as the replay's rendezvous can see) compare equal and
-    hash alike without building either tree; a different shape does
+    hash alike without rendering a step's text; a different shape does
     not compare equal."""
     from repro.collectives import allreduce
-    from repro.collectives.schedule.ir import RankProgram
+    from repro.collectives.schedule.ir import StepTable
 
-    def no_tree(*args, **kwargs):
-        raise AssertionError("a RankProgram was built")
+    def no_text(*args, **kwargs):
+        raise AssertionError("a step's text was rendered")
 
     first = compile_allreduce(12, 9, 1, 8, "sum", algorithm="rabenseifner")
     allreduce._compile_folded.cache_clear()
-    monkeypatch.setattr(RankProgram, "__init__", no_tree)
+    monkeypatch.setattr(StepTable, "_texts", no_text)
     again = compile_allreduce(12, 9, 1, 8, "sum", algorithm="rabenseifner")
     other = compile_allreduce(12, 9, 2, 8, "sum", algorithm="rabenseifner")
     assert again is not first
