@@ -199,6 +199,7 @@ class MPContext(CollectiveAPI):
         """Drop the segment memories (required before unmapping segments)."""
         self._memories = self._memory = self._transfer = None
         self._views.clear()
+        self._prepared.clear()  # their bound ops hold views too
 
     # -- clock seam: wall time, free cost charging -------------------------------
 

@@ -30,6 +30,8 @@ from itertools import accumulate
 from types import ModuleType
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from ..errors import CollectiveArgumentError
 from . import allreduce, broadcast, extra, gather, hierarchy, reduce
 from . import reduce_scatter, scan, scatter
@@ -130,6 +132,10 @@ class Collective:
         derive("auto", "algorithm" in self.options)
 
 
+#: Prepared calls a context keeps before it starts over.
+_MAX_PREPARED = 256
+
+
 def prepare(ctx: "XBRTime", desc: Collective, *args,
             group: Sequence[int] | None = None,
             **kw) -> PreparedCollective:
@@ -139,7 +145,30 @@ def prepare(ctx: "XBRTime", desc: Collective, *args,
     context's default group) runs it on a subset, with group-relative
     roots.  The caller runs the result: the context's dispatcher at
     once or at a superstep's flush, a non-blocking handle at ``wait()``.
+
+    A context keeps what it prepared (none under
+    ``Machine(fast_paths=False)``) and hands a repeated call the same
+    object while the compiler function on its module is the one that
+    compiled it.  Calls are the same when their record, arguments and
+    their types (a numpy integer is an int), ``group``, keywords and
+    whether spans are recorded are; :data:`_MAX_PREPARED` calls kept,
+    the context starts over.
     """
+    memo = ctx._prepared
+    if memo is not None:
+        traced, options = ctx.spans.enabled, tuple(kw.items())
+        prepared = _kept(memo, (desc, args, tuple(map(type, args)), group,
+                                options, traced))
+        if prepared is not None:
+            return prepared
+    # A numpy integer is an int from here on, and per-PE counts a tuple:
+    # span attributes, the stats key and the compile cache see one kind
+    # of number whatever came in, and the call has a key.
+    args, group = tuple(map(_plain, args)), _plain(group)
+    if memo is not None:
+        key = (desc, args, tuple(map(type, args)), group, options, traced)
+        if (prepared := _kept(memo, key)) is not None:
+            return prepared
     opts = {**desc.options, **kw}
     if len(args) != len(desc.params) or len(opts) != len(desc.options):
         raise TypeError(f"{desc.name} takes {desc.params} and the keywords "
@@ -203,10 +232,41 @@ def prepare(ctx: "XBRTime", desc: Collective, *args,
                disps, nodes, algorithm, segments,
                opts.get("inclusive", True), opts.get("copy_to_root_dest")),
         dtype if ctx.spans.enabled else None)
-    return PreparedCollective(
+    function = getattr(compiler.module, compiler.function)
+    prepared = PreparedCollective(
         desc.name, members, me, dtype,
-        compiler.build(compile_args, compile_kwargs), attrs,
+        function(*compile_args, **compile_kwargs), attrs,
         {"dest": dest, "src": src}, stats_key, root)
+    if memo is not None:
+        if len(memo) >= _MAX_PREPARED:
+            memo.clear()
+        try:
+            memo[key] = (prepared, compiler, function)
+        except TypeError:  # an argument no call can be keyed by
+            pass
+    return prepared
+
+
+def _kept(memo: dict, key: tuple) -> PreparedCollective | None:
+    """The call kept under ``key``, while the compiler function that
+    compiled it is still the one on its module."""
+    try:
+        prepared, compiler, function = memo[key]
+    except (KeyError, TypeError):  # not kept; a list among the arguments
+        return None
+    return (prepared if getattr(compiler.module, compiler.function)
+            is function else None)
+
+
+def _plain(value):
+    """``value`` with a numpy integer made an int and a sequence (per-PE
+    counts, a group) a tuple of such."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (list, tuple, range, np.ndarray)):
+        return tuple(int(v) if isinstance(v, np.integer) else v
+                     for v in value)
+    return value
 
 
 #: The roles of a call, in the order :func:`prepare` hands them to

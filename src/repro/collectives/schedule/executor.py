@@ -10,38 +10,39 @@ epilogue — they become one tuple of small op tuples in execution
 order, buffers by index, barriers where the rows' phases put them and
 stage-span boundaries as ops of their own; and the checks that do not
 depend on the call (peers in range, counts, strides) are made there,
-once.  :func:`execute_schedule` binds a plan to one call
-(:class:`_RankRun`: buffer addresses, dtype, the rank's context, a
-program counter) and allocates and LIFO-frees the schedule's scratch
-and private buffers around it, exception-safe.
+once.  :func:`execute_schedule` allocates and LIFO-frees the schedule's
+scratch and private buffers around a run, exception-safe, and binds the
+plan to the call (:func:`_bind`: absolute addresses, world peers, the
+local steps' views, each barrier's member key, each reduction's charge
+in ns).
 
-**The interpreter.**  Calling a :class:`_RankRun` is the only step
-executor, on every backend that moves data step by step (the vec
-backend takes the whole schedule through its ``schedule_evaluator``
-seam instead): one loop that runs a rank's ops from its program
-counter.  Blocking, it stops at each barrier, which it leaves to the
-driver; on the direct-handoff engine it also meets barriers itself and
-stops wherever the rank must park.
+**The interpreter** (:func:`_steps`), a generator over the bound ops
+whose frame holds how far the rank has come, is the only step executor
+on every backend that moves data step by step (the vec backend takes
+the whole schedule through its ``schedule_evaluator`` seam instead).
 
-**The driver** (:func:`_drive`) is each PE running its own plan, with
-a barrier at each barrier op (over the rank's block where a
-``Section.block`` partitions the group; a block of one is no barrier).
-On mp and under ``Machine(fast_paths=False)`` (the differential
-oracle) a PE blocks there on its own process or thread.  On the
-simulator's direct-handoff engine ``Engine.drive`` runs it instead,
-parking it at a step boundary — a barrier, an empty mailbox receive,
-or before a step that would yield to an earlier PE — with its
-:class:`_RankRun` as its continuation, which whichever thread would
-wake it runs by the engine's own ordering rules ("How a collective executes"
-in ``DESIGN.md``): the same clocks, bytes, trace events and spans as a
-thread per PE, for about one thread switch per rank per collective.
+**The driver** is the context's ``drive``, as for GUPs' update stream:
+each PE runs its own ops, with a barrier at each barrier op (over the
+rank's block where a ``Section.block`` partitions the group; a block of
+one is no barrier).  On mp and under ``Machine(fast_paths=False)`` (the
+differential oracle) a PE blocks there on its own process or thread.
+On the simulator's direct-handoff engine ``Engine.drive`` runs it
+instead, parking it at a step boundary — a barrier, an empty mailbox
+receive, or before a step that would yield to an earlier PE — with the
+generator's ``send`` as its continuation, which whichever thread would
+wake it runs by the engine's own ordering rules ("How a collective
+executes" in ``DESIGN.md``): the same clocks, bytes, trace events and
+spans as a thread per PE, for about one thread switch per rank per
+collective.
 
 :class:`PreparedCollective` is the compiled form of one *call*: the
 schedule plus the call's bound addresses, span attributes and stats
 key — every collective is one, a composed one chained.  Blocking
 collectives prepare and run immediately; non-blocking
 ones prepare at initiation and run at ``wait()``; resilient wrappers
-prepare again over each survivor group.
+prepare again over each survivor group.  A context keeps the calls it
+prepared, so a repeated call is the same object, and it keeps its bound
+ops while its scratch and private buffers land where they did.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 
 from ...errors import CollectiveArgumentError
 from ...sim.engine import PEState
-from ..common import charge_elementwise, collective_span, validate_counts
+from ..common import collective_span, validate_counts
 from ..ops import apply_op, identity_of
 from .ir import (
     OP_COPY,
@@ -97,7 +98,7 @@ _RUNNING, _RUNNABLE, _BLOCKED = (PEState.RUNNING, PEState.RUNNABLE,
 class FlatPlan:
     """One rank's program lowered for execution (see the module doc)."""
 
-    __slots__ = ("ops", "traced_ops", "names", "allocs")
+    __slots__ = ("ops", "names", "allocs")
 
     def __init__(self, sched: Schedule, rank: int):
         table = sched.table
@@ -144,21 +145,19 @@ class FlatPlan:
 
         # Pipeline blocks are already rounds of their own here, so every
         # backend replays the step order the linter checked.
-        traced: list = []
+        seq: list = []
         for sec, items in parts:
             if sec.kind == "stage":
-                traced.append((_OPEN, sec.index, sec.attrs))
+                seq.append((_OPEN, sec.index, sec.attrs))
             # A block of one rank is no barrier.
-            traced.extend((_BARRIER, sec.block) if k is None else lower(k)
+            seq.extend((_BARRIER, sec.block) if k is None else lower(k)
                           for k in items
                           if k is not None or len(sec.block) != 1)
             if sec.kind == "stage":
-                traced.append(_CLOSE_OP)
-        #: The ops in execution order, with the stage-span boundaries —
-        #: what a run that records spans interprets.
-        self.traced_ops = tuple(traced)
-        #: The steps alone, for every other run.
-        self.ops = tuple(op for op in traced if op[0] < _OPEN)
+                seq.append(_CLOSE_OP)
+        #: The ops in execution order, with the stage-span boundaries
+        #: that only a run recording spans binds.
+        self.ops = tuple(seq)
         #: Buffer names the ops index into.
         self.names = tuple(table.names[i] for i in index)
         #: ``(name, is_scratch, nbytes)`` of the buffers this rank
@@ -177,237 +176,212 @@ def plan_of(sched: Schedule, rank: int) -> FlatPlan:
     return plan
 
 
-class _RankRun:
-    """One rank's plan bound to one call: where its buffers are, what
-    it moves, whose context it runs on and how far it has come.  Called,
-    it is the rank's continuation (see the module doc)."""
+def _view(ctx, addr: int, nelems: int, stride: int,
+          dtype: np.dtype) -> np.ndarray:
+    """A view of this PE's memory, from the context's cache."""
+    views = ctx._views
+    key = (addr, nelems, stride, dtype)
+    view = views.get(key)
+    if view is None:
+        if len(views) >= _MAX_VIEWS:
+            views.clear()
+        view = views[key] = ctx._memory.view(addr, dtype, nelems, stride)
+    return view
 
-    __slots__ = ("ctx", "sched", "traced", "ops", "pc", "members", "dtype",
-                 "in_stage", "phase", "inst", "env")
 
-    def __init__(self, ctx, sched: Schedule, plan: FlatPlan,
-                 addrs: Mapping[str, int], members: tuple, dtype: np.dtype):
-        self.ctx = ctx
-        self.sched = sched
-        #: Whether spans are recorded: stage boundaries are ops then.
-        self.traced = ctx.spans.enabled
-        self.ops = plan.traced_ops if self.traced else plan.ops
-        #: Index into ``ops`` of the next one to run.
-        self.pc = 0
-        self.members = members
-        self.dtype = dtype
-        #: Whether a stage span is open.
-        self.in_stage = False
-        #: How far the barrier or receive at ``pc`` has come: 0 not
-        #: begun, 1 its span open (a barrier yet to arrive), 2 waiting.
-        self.phase = 0
-        #: The key of the barrier a rank has entered, then the instance
-        #: it arrived at.
-        self.inst = None
-        # Under fault injection every step is a fault checkpoint, which
-        # the context's own put/get make; a clean run goes straight to the
-        # data-movement seam (its arguments were checked at lowering).
-        faulty = ctx._faults is not None
-        #: What every call of the step loop reads, unpacked in one go:
-        #: the buffers' addresses among it.
-        self.env = (ctx, self.ops, len(self.ops),
-                    [addrs[name] for name in plan.names], members, dtype,
-                    ctx if faulty else ctx._transfer, faulty)
+def _bind(ctx, plan: FlatPlan, addrs: Mapping[str, int], members: tuple,
+          dtype: np.dtype, traced: bool) -> tuple:
+    """``plan``'s ops bound to one call's addresses, for the step loop:
+    a put or get names its addresses and world peer (a charged copy is
+    a put to this PE, or gone if it cannot move anything), a local step
+    its views, a reduction its charge in ns, a barrier its team and —
+    where the loop may skip ``BarrierController.enter`` (untraced, more
+    than one member) — its member key."""
+    base = [addrs[name] for name in plan.names]
+    machine = ctx.machine
+    barriers = machine.barriers if machine is not None else None
+    cycle_ns = ctx.config.cycle_ns
+    bound = []
+    for op in plan.ops:
+        code = op[0]
+        if code >= _OPEN:  # _OPEN, _CLOSE
+            if traced:
+                bound.append(op)
+        elif code == _PUT or code == _GET:
+            _, d, d_off, s, s_off, nelems, stride, peer = op
+            bound.append((code, base[d] + d_off, base[s] + s_off, nelems,
+                          stride, members[peer]))
+        elif code == _BARRIER:
+            block = op[1]
+            team = tuple(members[q] for q in block) if block else members
+            key = barriers.members(team) if barriers and not traced else ()
+            bound.append((code, team, key if len(key) > 1 else None))
+        elif code == _REDUCE:
+            _, a, a_off, b, b_off, nelems, stride, charge = op
+            bound.append((code,
+                          _view(ctx, base[a] + a_off, nelems, stride, dtype),
+                          _view(ctx, base[b] + b_off, nelems, stride, dtype),
+                          charge * 2.0 * cycle_ns))  # charge_elementwise's
+        elif code == _COPY:  # a put to this PE
+            _, d, d_off, s, s_off, nelems, stride, skip_noop = op
+            dst, src = base[d] + d_off, base[s] + s_off
+            if not (skip_noop and (nelems == 0 or dst == src)):
+                bound.append((_PUT, dst, src, nelems, stride, ctx.rank))
+        elif code == _MOVE:
+            _, d, d_off, s, s_off, nelems, stride = op
+            bound.append((code,
+                          _view(ctx, base[d] + d_off, nelems, stride, dtype),
+                          _view(ctx, base[s] + s_off, nelems, stride, dtype)))
+        elif code == _FILL:
+            _, d, d_off, nelems, stride = op
+            dst = base[d] + d_off
+            bound.append((code, _view(ctx, dst, nelems, stride, dtype), dst,
+                          step_span_bytes(nelems, stride, dtype.itemsize)))
+        else:  # _SEND, _RECV
+            _, x, x_off, nelems, stride, peer, tag = op
+            bound.append((code, base[x] + x_off, nelems, stride,
+                          members[peer], tag))
+    return tuple(bound)
 
-    def view(self, addr: int, nelems: int, stride: int) -> np.ndarray:
-        """A view of this PE's memory, from the context's cache."""
-        views = self.ctx._views
-        key = (addr, nelems, stride, self.dtype)
-        view = views.get(key)
-        if view is None:
-            if len(views) >= _MAX_VIEWS:
-                views.clear()
-            view = views[key] = self.ctx._memory.view(
-                addr, self.dtype, nelems, stride)
-        return view
 
-    def __call__(self, limit: float | None = None) -> PEState:
-        """Run this rank's ops on from ``pc``: the step interpreter.
+def _steps(ctx, ops: tuple, dtype: np.dtype, reduce_op, traced: bool):
+    """One rank's bound ops, as a generator: the step interpreter.
 
-        Blocking (no ``limit``: mp, ``Machine(fast_paths=False)``), it
-        stops at the next barrier, ``BLOCKED`` with ``pc`` on it for the
-        driver to meet, and sends and receives block in place.
+    Primed (``next``), its ``send`` is a step for
+    :meth:`~repro.runtime.collective_api.CollectiveAPI.drive`.
 
-        On the direct-handoff engine ``limit`` is the smallest clock
-        among the other runnable PEs (``Engine.next_clock``), and the
-        rank runs until it parks: ``RUNNABLE`` before a step that would
-        yield to that PE — a checkpoint (a put or get of at least one
-        element, a charged copy, a barrier arrival, a send or receive)
-        reached with the clock beyond ``limit`` — and ``BLOCKED``
-        waiting at a barrier or receive.  Such a step's fault checkpoint
-        (``_require_active``) comes first, as in the context's own put
-        and get; it does nothing when the step runs at the same clock
-        later.  ``limit`` moves only where a release or send wakes a PE.
+    Sent ``None`` (mp, ``Machine(fast_paths=False)``), it runs to the
+    end: each barrier is the context's ``barrier_team`` and sends and
+    receives block in place.
 
-        ``RUNNING`` means the rank's own thread runs on: the run is over
-        or — if this is not that thread (``Engine.inline``) — its next
-        step is a send into a full queue, which may have to wait.
-        """
-        ctx, ops, n, base, members, dtype, mover, faulty = self.env
-        blocking = limit is None
-        pe = None if blocking else ctx.pe
-        for pc in range(self.pc, n):
-            op = ops[pc]
+    On the direct-handoff engine it is sent a ``limit``, the smallest
+    clock among the other runnable PEs (``Engine.next_clock``), and runs
+    until the rank parks: it yields ``RUNNABLE`` before a step that
+    would yield to that PE — a checkpoint (a put or get of at least one
+    element, a charged copy, a barrier arrival, a send or receive)
+    reached with the clock beyond ``limit`` — and ``BLOCKED`` waiting at
+    a barrier or receive; the next ``send`` brings the new limit and
+    runs that step.  Such a step's fault checkpoint (``_require_active``)
+    comes first, as in the context's own put and get.  ``limit`` moves
+    only where a release or send wakes a PE.
+
+    It yields ``RUNNING`` at its end, to every ``send`` from then on, and
+    — if this is not the rank's own thread (``Engine.inline``) — before
+    a send into a full queue, which may have to wait: the rank's own
+    thread sends it.
+    """
+    limit = yield
+    blocking = limit is None
+    rank = ctx.rank
+    # Under fault injection every step is a fault checkpoint, which the
+    # context's own put/get make; a clean run goes straight to the
+    # data-movement seam (its arguments were checked at lowering).
+    faulty = ctx._faults is not None
+    mover = ctx if faulty else ctx._transfer
+    if not blocking:
+        pe = ctx.pe
+        machine = ctx.machine
+        barriers, engine = machine.barriers, machine.engine
+    in_stage = False
+    try:
+        for op in ops:
             code = op[0]
             if code == _PUT or code == _GET:
-                _, d, d_off, s, s_off, nelems, stride, peer = op
+                _, dst, src, nelems, stride, peer = op
                 if nelems and not blocking:
                     if faulty:
                         ctx._require_active()
                     if pe.clock > limit:
-                        state = _RUNNABLE
-                        break
+                        limit = yield _RUNNABLE
                 (mover.put if code == _PUT else mover.get)(
-                    base[d] + d_off, base[s] + s_off, nelems, stride,
-                    members[peer], dtype)
+                    dst, src, nelems, stride, peer, dtype)
             elif code == _BARRIER:
-                if blocking:  # the driver's
-                    state = _BLOCKED
-                    break
-                barriers = ctx.machine.barriers
-                phase = self.phase
-                if not phase:
-                    if faulty:
-                        ctx._require_active()
-                    block = op[1]
-                    key = barriers.enter(ctx.rank, tuple(
-                        members[q] for q in block) if block else members)
+                if blocking:
+                    ctx.barrier_team(op[1])
+                    continue
+                if faulty:
+                    ctx._require_active()
+                key = op[2]
+                if key is None:
+                    key = barriers.enter(rank, op[1])
                     if key is None:  # a barrier of one
                         continue
-                    self.inst = key
-                    phase = 1
-                if phase == 1:
-                    if pe.clock > limit:
-                        self.phase = 1
-                        state = _RUNNABLE
-                        break
-                    inst, last = barriers.arrive(ctx.rank, self.inst)
-                    self.inst = inst
-                    if not last:
-                        self.phase = 2
-                        state = _BLOCKED
-                        break
-                    pe.advance_to(barriers.release(inst, ctx.rank))
-                    limit = ctx.machine.engine.next_clock()
-                self.phase = 0
-                if self.inst.degraded or self.traced:  # else nothing to do
-                    barriers.leave(ctx.rank, self.inst)
+                if pe.clock > limit:
+                    limit = yield _RUNNABLE
+                inst, last = barriers.arrive(rank, key)
+                if last:
+                    pe.advance_to(barriers.release(inst, rank))
+                    limit = engine.next_clock()
+                else:
+                    limit = yield _BLOCKED
+                if inst.degraded or traced:  # else nothing to do
+                    barriers.leave(rank, inst)
             elif code == _REDUCE:
-                _, a, a_off, b, b_off, nelems, stride, charge = op
-                apply_op(self.sched.op, self.view(base[a] + a_off, nelems,
-                                                  stride),
-                         self.view(base[b] + b_off, nelems, stride))
-                charge_elementwise(ctx, charge)
-            elif code == _COPY:
-                _, d, d_off, s, s_off, nelems, stride, skip_noop = op
-                dst = base[d] + d_off
-                src = base[s] + s_off
-                if not (skip_noop and (nelems == 0 or dst == src)):
-                    if nelems and not blocking:
-                        if faulty:
-                            ctx._require_active()
-                        if pe.clock > limit:
-                            state = _RUNNABLE
-                            break
-                    mover.put(dst, src, nelems, stride, ctx.rank, dtype)
+                apply_op(reduce_op, op[1], op[2])
+                if blocking:
+                    ctx.compute(op[3])
+                else:
+                    pe.clock += op[3]  # what ``compute`` would do
             elif code == _MOVE:
-                _, d, d_off, s, s_off, nelems, stride = op
-                self.view(base[d] + d_off, nelems, stride)[:] = \
-                    self.view(base[s] + s_off, nelems, stride)
+                op[1][:] = op[2]
             elif code == _OPEN:
-                ctx.spans.begin(ctx.rank, "stage", "stage",
+                ctx.spans.begin(rank, "stage", "stage",
                                 {"index": op[1], **dict(op[2])})
-                self.in_stage = True
+                in_stage = True
             elif code == _CLOSE:
-                ctx.spans.end(ctx.rank)
-                self.in_stage = False
+                ctx.spans.end(rank)
+                in_stage = False
             elif code == _FILL:
-                _, d, d_off, nelems, stride = op
-                dst = base[d] + d_off
-                self.view(dst, nelems, stride)[:] = identity_of(self.sched.op,
-                                                                dtype)
-                ctx.charge_stream(dst, step_span_bytes(nelems, stride,
-                                                       dtype.itemsize),
-                                  write=True)
+                op[1][:] = identity_of(reduce_op, dtype)
+                ctx.charge_stream(op[2], op[3], write=True)
             elif code == _SEND:
-                _, s, s_off, nelems, stride, peer, tag = op
+                _, src, nelems, stride, peer, tag = op
                 if not blocking:
                     ctx._require_active()
                     if pe.clock > limit:
-                        state = _RUNNABLE
-                        break
-                    machine = ctx.machine
+                        limit = yield _RUNNABLE
                     mailbox = machine.mailbox
-                    if mailbox.depth(members[peer]) >= \
-                            mailbox.params.recv_depth and \
-                            machine.engine.inline:
-                        state = _RUNNING
-                        break
-                ctx.msg_send(base[s] + s_off, nelems, stride, members[peer],
-                             tag=tag, dtype=dtype)
+                    if mailbox.depth(peer) >= mailbox.params.recv_depth \
+                            and engine.inline:
+                        limit = yield _RUNNING
+                ctx.msg_send(src, nelems, stride, peer, tag=tag,
+                             dtype=dtype)
                 if not blocking:
-                    limit = ctx.machine.engine.next_clock()
+                    limit = engine.next_clock()
             else:  # _RECV
-                _, d, d_off, nelems, stride, peer, tag = op
+                _, dst, nelems, stride, peer, tag = op
                 if blocking:
-                    ctx.msg_recv(base[d] + d_off, nelems, stride,
-                                 members[peer], tag=tag, dtype=dtype)
-                else:
-                    if not self.phase:
-                        ctx._require_active()
-                        if pe.clock > limit:
-                            state = _RUNNABLE
-                            break
-                        ctx._msg_open("recv", nelems * dtype.itemsize,
-                                      nelems, stride, members[peer], tag)
-                        self.phase = 2
-                    if not ctx._msg_take(base[d] + d_off, nelems, stride,
-                                         members[peer], tag, dtype):
-                        state = _BLOCKED
-                        break
-                    self.phase = 0
-        else:
-            pc = n
-            state = _RUNNING
-        self.pc = pc
-        return state
-
-
-def _drive(run: _RankRun) -> None:
-    """The driver: this PE runs its own plan to the end."""
-    ctx = run.ctx
-    engine = ctx.machine.engine if ctx.machine is not None else None
-    try:
-        if engine is not None and engine.direct_handoff:
-            # Another thread may run it on, even to the end, while it is
-            # parked.  A bound method is the cheapest thing to call.
-            engine.drive(run.__call__)
-            return
-        while run() is _BLOCKED:  # at a barrier
-            block = run.ops[run.pc][1]
-            ctx.barrier_team(tuple(run.members[q] for q in block)
-                             if block else run.members)
-            run.pc += 1
+                    ctx.msg_recv(dst, nelems, stride, peer, tag=tag,
+                                 dtype=dtype)
+                    continue
+                ctx._require_active()
+                if pe.clock > limit:
+                    limit = yield _RUNNABLE
+                ctx._msg_open("recv", nelems * dtype.itemsize, nelems,
+                              stride, peer, tag)
+                while not ctx._msg_take(dst, nelems, stride, peer, tag,
+                                        dtype):
+                    limit = yield _BLOCKED
     finally:
-        if run.in_stage:  # a step raised inside a stage span
-            ctx.spans.end(ctx.rank)
+        if in_stage:  # a step raised inside a stage span
+            ctx.spans.end(rank)
+    while True:  # done: the rank's own thread runs on, whoever asks
+        yield _RUNNING
 
 
-def execute_schedule(ctx: "XBRTime", sched: Schedule,
-                     members: tuple, me: int,
-                     bindings: Mapping[str, int], dtype: np.dtype) -> None:
+def execute_schedule(ctx: "XBRTime", sched: Schedule, members: tuple,
+                     me: int, bindings: Mapping[str, int], dtype: np.dtype,
+                     traced: bool | None = None,
+                     keeper: "PreparedCollective | None" = None) -> None:
     """Run ``sched``'s program for group rank ``me`` on this PE.
 
     ``bindings`` maps the schedule's *user* buffer names to concrete
     addresses; scratch and private buffers are allocated here (zero
     simulated cost, so allocation never perturbs timing) and freed LIFO
     on exit, including on exceptions — a resilient retry restarts from a
-    clean scratch stack.
+    clean scratch stack.  ``traced`` says whether spans are recorded
+    (the context's ``spans.enabled`` if not given), and ``keeper`` keeps
+    the bound ops from one run to the next (:class:`PreparedCollective`).
 
     A context may take over whole-schedule execution through its
     ``schedule_evaluator`` seam (the vec backend's batch rendezvous —
@@ -421,41 +395,60 @@ def execute_schedule(ctx: "XBRTime", sched: Schedule,
     fused, inherits the two-sided transport with no per-algorithm code.
     """
     hook = ctx.schedule_evaluator
-    if hook is None and ctx.schedule_transport == "mailbox":
-        from .mailbox import lower_to_mailbox
+    kept = keeper._bound if keeper is not None else None
+    if kept is not None and kept[0] is ctx:
+        plan, traced = kept[1], kept[3]
+    else:
+        kept = None
+        if traced is None:
+            traced = ctx.spans.enabled
+        if hook is None and ctx.schedule_transport == "mailbox":
+            from .mailbox import lower_to_mailbox
 
-        sched = lower_to_mailbox(sched)
-    plan = plan_of(sched, me)
-    addrs: dict[str, int] = dict(bindings)
-    allocated: list[tuple[bool, int]] = []
+            sched = lower_to_mailbox(sched)
+        plan = plan_of(sched, me)
+    allocs = plan.allocs
+    allocated: list[int] = []
+    # The allocations, then the frees, are one fault checkpoint each: a
+    # second at the same clock does nothing.
     try:
-        for name, is_scratch, nbytes in plan.allocs:
-            if is_scratch:
-                addr = ctx.scratch_alloc(nbytes)
-            else:
-                addr = ctx.private_malloc(nbytes)
-            addrs[name] = addr
-            allocated.append((is_scratch, addr))
-        if hook is not None:
-            hook(sched, members, me, addrs, dtype)
-            return
-        _drive(_RankRun(ctx, sched, plan, addrs, members, dtype))
+        if allocs:
+            ctx._require_active()
+        for _name, is_scratch, nbytes in allocs:
+            allocated.append((ctx._scratch if is_scratch
+                              else ctx._private).alloc(nbytes))
+        if kept is not None and kept[2] == allocated:
+            ops = kept[4]
+        else:
+            addrs = dict(bindings)
+            addrs.update(zip([name for name, _s, _n in allocs], allocated))
+            if hook is not None:
+                hook(sched, members, me, addrs, dtype)
+                return
+            ops = _bind(ctx, plan, addrs, members, dtype, traced)
+            if keeper is not None:
+                keeper._bound = (ctx, plan, allocated.copy(), traced, ops)
+        steps = _steps(ctx, ops, dtype, sched.op, traced)
+        next(steps)
+        ctx.drive(steps.send)
     finally:
-        for is_scratch, addr in reversed(allocated):
-            if is_scratch:
-                ctx.scratch_free(addr)
-            else:
-                ctx.private_free(addr)
+        if allocated:
+            ctx._require_active()
+            for (_name, is_scratch, _n), addr in zip(
+                    reversed(allocs[:len(allocated)]), reversed(allocated)):
+                (ctx._scratch if is_scratch else ctx._private).free(addr)
 
 
 @dataclass
 class PreparedCollective:
     """One compiled collective call, ready to execute.
 
-    ``run`` performs exactly what the legacy blocking front-ends did
-    after validation: count the call in ``stats.collective_calls`` (on
-    ``stats_rank`` only), open the ``collective`` span, execute the
-    schedule.
+    ``run`` counts the call in ``stats.collective_calls`` (on
+    ``stats_rank`` only), opens the ``collective`` span and executes the
+    schedule.  A prepared call run again — the context keeps its
+    prepared calls (:func:`~repro.collectives.request.prepare`) — reuses
+    its bound ops while the scratch and private addresses it allocates
+    are the ones they were bound to.
     """
 
     name: str
@@ -467,14 +460,22 @@ class PreparedCollective:
     bindings: Mapping = field(default_factory=dict)
     stats_key: str = None  # type: ignore[assignment]
     stats_rank: int = None  # type: ignore[assignment]
+    #: ``(ctx, plan, allocated addresses, traced, bound ops)`` of the
+    #: last run.
+    _bound: tuple = field(default=None, init=False, repr=False,
+                          compare=False)
 
     def run(self, ctx: "XBRTime") -> None:
         if self.stats_key is not None and self.me == self.stats_rank:
             ctx.count_collective(self.stats_key)
-        if not ctx.spans.enabled:  # no span: skip the no-op context
+        kept = self._bound
+        # A context records spans for its whole life or not at all.
+        traced = kept[3] if kept is not None and kept[0] is ctx \
+            else ctx.spans.enabled
+        if not traced:  # no span: skip the no-op context
             execute_schedule(ctx, self.schedule, self.members, self.me,
-                             self.bindings, self.dtype)
+                             self.bindings, self.dtype, False, self)
             return
         with collective_span(ctx, self.name, self.members, **self.attrs):
             execute_schedule(ctx, self.schedule, self.members, self.me,
-                             self.bindings, self.dtype)
+                             self.bindings, self.dtype, True, self)

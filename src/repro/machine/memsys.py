@@ -207,9 +207,31 @@ class MemoryHierarchy:
             span = (nelems - 1) * step + elem_bytes
             first = addr >> self.line_shift
             last = (addr + span - 1) >> self.line_shift
-            if last == first:
-                return self.access_line(first, write, use_tlb, True)
-            if last == first + 1:  # what ``access_range`` does with two
+            if last - first < 2:
+                # One or two lines that hit L1 on their touch hints, on
+                # the TLB's most recent page if asked: priced here as the
+                # ``access_line`` calls below would price them.
+                l1 = self.l1
+                tags, a, b = l1._tag_mv, l1._hint.get(first), l1._hint.get(last)
+                if (a is not None and b is not None and self.fast_path
+                        and tags[a] == first // l1.n_sets + 1
+                        and tags[b] == last // l1.n_sets + 1
+                        and (not use_tlb or first >> self._page_line_shift
+                             == last >> self._page_line_shift
+                             == self.tlb.mru)):
+                    n = 1 + last - first
+                    if use_tlb:
+                        self.tlb.hits += n
+                    keys, clock = l1._key_mv, l1._clock
+                    for at in (a, b)[:n]:
+                        clock += 1
+                        keys[at] = (clock << 1) | write | (keys[at] & 1)
+                    l1._clock = clock
+                    l1.hits += n
+                    return self._l1_ns if n == 1 else self._l1_ns + self._l1_ns
+                if last == first:
+                    return self.access_line(first, write, use_tlb, True)
+                # what ``access_range`` does with two
                 return (self.access_line(first, write, use_tlb, True)
                         + self.access_line(last, write, use_tlb, True))
             return self.access_range(addr, span, write, use_tlb)

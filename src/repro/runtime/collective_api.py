@@ -157,6 +157,8 @@ class CollectiveAPI:
         self.machine = world
         self.pe = pe
         self._transfer = world.transfers[rank]
+        if not getattr(world, "fast_paths", True):
+            self._prepared = None  # the oracle prepares every call afresh
 
     def _init_core(self, rank: int, config: MachineConfig,
                    memories: Sequence[Memory], heap: SymmetricHeap,
@@ -171,6 +173,8 @@ class CollectiveAPI:
         #: (addr, nelems, stride, dtype) -> a view of this PE's memory,
         #: kept across calls for the schedule executor's local steps.
         self._views: dict = {}
+        #: A call's key -> its prepared form (``collectives.request.prepare``).
+        self._prepared: dict | None = {}
         self._heap = heap
         self._scratch = scratch
         self._private = private

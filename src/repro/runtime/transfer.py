@@ -23,22 +23,23 @@ Every operation has the same shape ("Remote-op path" in ``DESIGN.md``):
 1. *Admit.*  Both operands are bounds-checked once, before anything
    else: a rejected transfer raises :class:`AddressError` having
    yielded to nobody, charged nothing and counted nothing.
-2. *Yield* (``Engine.checkpoint``), then *charge*: the PE's clock is
-   carried in a local through a fixed sequence of float additions and
-   written back once.  The sequence — and the order in which the two
-   memory hierarchies and the network are touched (get: target
-   hierarchy, ``Network.fetch``, own hierarchy; put: own read,
-   ``Network.send``, target write) — is part of the model: every one
-   of those calls updates shared state, and float addition does not
-   reassociate.  Memory time comes from the cost provider
-   ``machine.hierarchy_of(pe)`` through its public ``access_strided``
-   (the vec backend's provider has nothing else), or on the word path
-   below through the one-line primitive it is made of.  One-sided
-   operations do not involve the target CPU, but its memory system
-   still serves the access — cache pollution included deliberately —
-   and because the access resolves through the requester's OLB to a
-   physical address, the target TLB is bypassed (``use_tlb=False``,
-   paper section 3.2).
+2. *Yield* (``Engine.checkpoint``, which a blocking get or put on a
+   direct-handoff engine calls only when the run queue's head is
+   earlier), then *charge*: the PE's clock is carried in a local through
+   a fixed sequence of float additions and written back once.  The
+   sequence — and the order in which the two memory hierarchies and the
+   network are touched (get: target hierarchy, ``Network.fetch``, own
+   hierarchy; put: own read, ``Network.send``, target write) — is part
+   of the model: every one of those calls updates shared state, and
+   float addition does not reassociate.  Memory time comes from the cost
+   provider ``machine.hierarchy_of(pe)`` through its public
+   ``access_strided`` (the vec backend's provider has nothing else), or
+   on the word path below through the one-line primitive it is made of.
+   One-sided operations do not involve the target CPU, but its memory
+   system still serves the access — cache pollution included
+   deliberately — and because the access resolves through the
+   requester's OLB to a physical address, the target TLB is bypassed
+   (``use_tlb=False``, paper section 3.2).
 3. *Move* (:meth:`TransferEngine._move`): aligned elements are words
    copied between the two memories' :meth:`Memory.words` views — one
    word for the ``eld``/``esd`` pair, a strided slice of words for a
@@ -162,6 +163,9 @@ class TransferEngine:
         self._word_path = (
             machine.faults is None and machine.isa_path is None
             and engine.direct_handoff and _line_priced(machine, shift))
+        #: Whether every yield is ``Engine.checkpoint``'s to decide: the
+        #: scheduler-bounce oracle keeps no run queue to test inline.
+        self._bounce = not engine.direct_handoff
         #: What the word path reads: the yield test's heap, the trace
         #: switch, the last word address of every PE's memory, one
         #: element's loop cost, the line size and (pe -> that PE's
@@ -332,7 +336,9 @@ class TransferEngine:
         st.puts += 1
         st.bytes_put += nbytes
         engine = self.engine
-        engine.checkpoint()
+        q = self._runq
+        if self._bounce or q and q[0][0] < self.pe.clock:
+            engine.checkpoint()
         traced = engine.trace.enabled
         if traced:
             engine.record("put", f"{nbytes}B -> PE{target} @{dest:#x}")
@@ -420,7 +426,9 @@ class TransferEngine:
         st.gets += 1
         st.bytes_got += nbytes
         engine = self.engine
-        engine.checkpoint()
+        q = self._runq
+        if self._bounce or q and q[0][0] < self.pe.clock:
+            engine.checkpoint()
         traced = engine.trace.enabled
         if traced:
             engine.record("get", f"{nbytes}B <- PE{target} @{src:#x}")

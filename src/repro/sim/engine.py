@@ -289,7 +289,8 @@ class Engine:
         thread switch per yield.  A bound method and a primed
         generator's ``send`` are both such steps.
         """
-        while (state := step(self.next_clock())) is not PEState.RUNNING:
+        q = self._runq  # :meth:`next_clock`, read inline
+        while (state := step(q[0][0] if q else _INF)) is not PEState.RUNNING:
             self.park(step, state)
 
     def suspend(self) -> None:

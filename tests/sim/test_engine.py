@@ -416,17 +416,21 @@ class TestGeneratorContinuations:
             "burst", "test", 2, 8, rows, (skeleton(0, (), 0),),
             buffers=(Buffer("buf", "user", 64, symmetric=True),))
         asked = []
-        step = executor._RankRun.__call__
+        steps = executor._steps
 
-        def watched(run, limit=None):
-            state = step(run, limit)
-            engine = run.ctx.machine.engine
-            if state is PEState.RUNNING and run.pc < len(run.ops):
-                asked.append((run.ctx.rank, engine.inline,
-                              threading.current_thread().name))
-            return state
+        def watched(ctx, ops, *rest):
+            inner = steps(ctx, ops, *rest)
+            limit = yield next(inner)
+            while True:
+                state = inner.send(limit)
+                # Rank 0 sends three messages; a RUNNING before the last
+                # of them is a request for its own thread.
+                if state is PEState.RUNNING and ctx.machine.stats.sends < 3:
+                    asked.append((ctx.rank, ctx.machine.engine.inline,
+                                  threading.current_thread().name))
+                limit = yield state
 
-        monkeypatch.setattr(executor._RankRun, "__call__", watched)
+        monkeypatch.setattr(executor, "_steps", watched)
 
         def body(ctx):
             ctx.init()
