@@ -241,7 +241,8 @@ class MPContext(CollectiveAPI):
 
 
 def _worker_main(rank: int, config: MachineConfig, token: str,
-                 barrier_lock, amo_locks, task_q, result_q) -> None:
+                 baseline: tuple, barrier_lock, amo_locks, task_q,
+                 result_q) -> None:
     """The PE worker loop: attach segments, then serve tasks forever.
 
     Messages on ``task_q``:
@@ -270,9 +271,9 @@ def _worker_main(rank: int, config: MachineConfig, token: str,
                         control_bytes(config.n_pes), create=False)
     ctl = ControlBlock(segs.control, config.n_pes)
     barrier = ShmBarrier(ctl, rank, config.n_pes, barrier_lock)
-    # A replacement worker attaching mid-session adopts the live barrier
-    # state; on a freshly zeroed control block this is a no-op.
-    barrier.attach_sync()
+    # The barrier state the parent read at spawn: a replacement worker
+    # attaching mid-session adopts the live state as it was then.
+    barrier.attach_sync(baseline)
     memories = [
         Memory(buf=np.frombuffer(seg.buf, dtype=np.uint8)
                [:config.memory_bytes_per_pe])
@@ -427,8 +428,9 @@ class MPSession(BackendSession):
     def _spawn(self, rank: int):
         proc = self._mp.Process(
             target=_worker_main,
-            args=(rank, self.config, self.token, self._barrier_lock,
-                  self._amo_locks, self._task_qs[rank], self._result_q),
+            args=(rank, self.config, self.token, self._ctl.baseline(rank),
+                  self._barrier_lock, self._amo_locks, self._task_qs[rank],
+                  self._result_q),
             name=f"xbgas-pe{rank}",
             daemon=True,
         )
@@ -482,8 +484,8 @@ class MPSession(BackendSession):
 
         Reuses the existing shared segments (layout unchanged — nothing
         is unlinked or re-created) and leaves shared sync state alone:
-        the replacement adopts the live barrier baseline via
-        ``attach_sync`` on startup.  This is the crash-isolation path of
+        the replacement adopts the live barrier baseline, read here at
+        spawn, via ``attach_sync`` on startup.  This is the crash-isolation path of
         team-scoped serving — one tenant's dead worker must not quiesce
         the pool.
         """

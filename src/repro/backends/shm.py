@@ -282,6 +282,12 @@ class ControlBlock:
     def signals(self, src: int, dst: int) -> int:
         return self._cells[self._sig_idx(src, dst)]
 
+    def baseline(self, rank: int) -> tuple[int, dict[int, int]]:
+        """The barrier state of an idle PE ``rank``: the world sense and
+        the signals each peer has sent it (:meth:`ShmBarrier.attach_sync`)."""
+        return self.wb_sense(), {src: n for src in range(self.n_pes)
+                                 if (n := self.signals(src, rank))}
+
     def reset_sync_state(self) -> None:
         """Zero barrier counters and the signal table (recovery path).
 
@@ -390,21 +396,21 @@ class ShmBarrier:
         self._sense = 0
         self._consumed.clear()
 
-    def attach_sync(self) -> None:
-        """Adopt the *current* shared barrier state as this PE's baseline.
+    def attach_sync(self, baseline: tuple | None = None) -> None:
+        """Adopt ``baseline`` (:meth:`ControlBlock.baseline`; the
+        *current* shared state if not given) as this PE's own.
 
-        Two callers: a replacement worker attaching to a live session
-        (in-place slot rebuild — shared cells were never zeroed), and a
-        survivor of a failed team-scoped run discarding stale signals
-        its dead peers left unconsumed.  The invariant restored is the
-        idle-PE one: local sense equals the shared sense, and every
-        signal currently in the table counts as already consumed.  On a
-        freshly zeroed control block this is identical to the default
-        constructor state.
+        Two callers: a worker starting up, which adopts the baseline its
+        parent read when it spawned the worker — while no run held the
+        rank, so no peer can have signalled it since — and a survivor of
+        a failed team-scoped run discarding stale signals its dead peers
+        left unconsumed (no peer signals it while its run is repaired).
+        The invariant restored is the idle-PE one: local sense equals the
+        shared sense, and every signal sent so far counts as consumed.
+        A starting worker must not read the state itself: a peer handed
+        their next run first may already have signalled it, and that
+        signal would count as consumed — a team barrier that never
+        completes.
         """
-        self._sense = self.ctl.wb_sense()
-        self._consumed = {
-            src: self.ctl.signals(src, self.rank)
-            for src in range(self.n_pes)
-            if self.ctl.signals(src, self.rank)
-        }
+        self._sense, consumed = baseline or self.ctl.baseline(self.rank)
+        self._consumed = dict(consumed)

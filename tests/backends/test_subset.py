@@ -8,8 +8,13 @@ the payload-scaled watchdog.
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 
+from repro.backends.mp import MPSession
+from repro.backends.shm import ShmBarrier
 from repro.errors import RuntimeStateError, WorkerFailedError
 
 from ..conftest import small_config
@@ -110,3 +115,51 @@ def test_payload_scales_the_watchdog_deadline(mp_sessions):
                             payload_nbytes=nbytes)
     assert ticket.limit == pytest.approx(21.0)
     assert session.wait(ticket) == [1, 1]
+
+
+def _rank_zero_exits(ctx):
+    """World rank 0 dies hard inside its team run; its peer is unwound."""
+    ctx.init()
+    if ctx.my_pe() == 0:
+        os._exit(23)
+    ctx.barrier()
+    return "unreachable"
+
+
+@pytest.fixture
+def late_rank_zero(monkeypatch):
+    """Worker processes forked from here build rank 0's barrier a second
+    late: its team peer signals it before it attaches, as a slow worker
+    start on a loaded host does."""
+    build = ShmBarrier.__init__
+
+    def late(self, ctl, rank, n_pes, lock):
+        if rank == 0:
+            time.sleep(1.0)
+        build(self, ctl, rank, n_pes, lock)
+
+    monkeypatch.setattr(ShmBarrier, "__init__", late)
+
+
+def test_workers_start_from_the_barrier_state_at_spawn(late_rank_zero):
+    """A worker adopts the barrier state its parent read at spawn, not
+    the state it finds once it runs: a leader that attached after its
+    peer's signal would count the signal as consumed and wait for the
+    next one until the watchdog."""
+    with MPSession(small_config(3), timeout=5.0) as session:
+        assert session.wait(session.submit(_team_sum, ranks=(0, 1))) \
+            == [1, 1]
+
+
+def test_a_rebuilt_slot_starts_from_a_clean_slate(late_rank_zero):
+    """After a hard crash the replacement worker starts from the barrier
+    state of the slot when it was rebuilt, whenever it attaches, and
+    serves its team's next run at once."""
+    with MPSession(small_config(3), timeout=5.0) as session:
+        assert session.wait(session.submit(_team_sum, ranks=(0, 1))) \
+            == [1, 1]
+        with pytest.raises(WorkerFailedError, match="died"):
+            session.wait(session.submit(_rank_zero_exits, ranks=(0, 1)))
+        assert session.wait(session.submit(_team_sum, ranks=(0, 1))) \
+            == [1, 1]
+        assert session.run(_team_sum) == [3, 3, 3]

@@ -43,8 +43,7 @@ from repro.collectives.schedule.ir import (
     pipeline_skeleton,
     skeleton,
 )
-from repro.collectives.schedule.registry import (BUILTIN_ALGORITHMS,
-                                                  builtin_schedules)
+from repro.collectives.schedule.registry import BUILTIN_ALGORITHMS
 from repro.params import MachineConfig, MailboxParams
 
 from ..conftest import small_config
@@ -53,7 +52,7 @@ from .helpers import ring_schedule
 PE_COUNTS = (1, 2, 3, 5, 8, 16)
 
 
-def _family_schedules(collective: str, algorithm: str):
+def _family_schedules(builtin_schedules, collective: str, algorithm: str):
     """Every builtin shape of one family at the sampled PE counts."""
     for label, sched in builtin_schedules(PE_COUNTS, nelems=12):
         if (sched.collective, sched.algorithm) == (collective, algorithm):
@@ -79,11 +78,13 @@ def _seed_inputs(sched: Schedule, seed: int):
 
 @pytest.mark.parametrize(("collective", "algorithm"), BUILTIN_ALGORITHMS,
                          ids=[f"{c}:{a}" for c, a in BUILTIN_ALGORITHMS])
-def test_family_lowers_equivalently(collective, algorithm):
+def test_family_lowers_equivalently(collective, algorithm,
+                                    builtin_schedules):
     """Lowered ≡ one-sided, lint-clean, bounded fan-in — every shape."""
     cfg = MachineConfig(n_pes=2)  # resized per schedule by the evaluator
     checked = 0
-    for label, sched in _family_schedules(collective, algorithm):
+    for label, sched in _family_schedules(builtin_schedules, collective,
+                                          algorithm):
         lowered = lower_to_mailbox(sched)
         assert lowered.algorithm == sched.algorithm + "+mailbox"
         assert lowered.n_pes == sched.n_pes
@@ -119,7 +120,7 @@ def test_family_lowers_equivalently(collective, algorithm):
     assert checked > 0, "registry yielded no schedules for this family"
 
 
-def test_lowering_is_cached_and_pure():
+def test_lowering_is_cached_and_pure(builtin_schedules):
     sched = next(s for _, s in builtin_schedules((4,), nelems=8))
     assert lower_to_mailbox(sched) is lower_to_mailbox(sched)
     # And the input schedule is untouched: no send/recv leaked into it.
@@ -301,7 +302,7 @@ def test_evaluator_raises_on_deadlocked_lowering():
         evaluate_schedule(_future_send(), MachineConfig(n_pes=2))
 
 
-def test_evaluator_charges_mailbox_costs():
+def test_evaluator_charges_mailbox_costs(builtin_schedules):
     """Lowered schedules pay header + routing + match time — they are
     modelled as slower, never faster, than the one-sided original."""
     sched = next(s for label, s in builtin_schedules((8,), nelems=64)

@@ -26,14 +26,12 @@ from repro.collectives.schedule.ir import (
     pipeline_skeleton,
     skeleton,
 )
-from repro.collectives.schedule.registry import (
-    BUILTIN_ALGORITHMS,
-    builtin_schedules,
-)
+from repro.collectives.schedule.registry import BUILTIN_ALGORITHMS
 
 
 @pytest.mark.parametrize("collective,algorithm", BUILTIN_ALGORITHMS)
-def test_builtin_algorithms_lint_clean(collective, algorithm):
+def test_builtin_algorithms_lint_clean(collective, algorithm,
+                                       builtin_schedules):
     seen = 0
     for label, sched in builtin_schedules():
         if not label.startswith(f"{collective}:{algorithm} "):
