@@ -484,8 +484,8 @@ class MPSession(BackendSession):
 
         Reuses the existing shared segments (layout unchanged — nothing
         is unlinked or re-created) and leaves shared sync state alone:
-        the replacement adopts the live barrier baseline, read here at
-        spawn, via ``attach_sync`` on startup.  This is the crash-isolation path of
+        the replacement adopts the live barrier baseline read at spawn
+        (``attach_sync``).  This is the crash-isolation path of
         team-scoped serving — one tenant's dead worker must not quiesce
         the pool.
         """

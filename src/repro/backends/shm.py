@@ -400,17 +400,12 @@ class ShmBarrier:
         """Adopt ``baseline`` (:meth:`ControlBlock.baseline`; the
         *current* shared state if not given) as this PE's own.
 
-        Two callers: a worker starting up, which adopts the baseline its
-        parent read when it spawned the worker — while no run held the
-        rank, so no peer can have signalled it since — and a survivor of
-        a failed team-scoped run discarding stale signals its dead peers
-        left unconsumed (no peer signals it while its run is repaired).
-        The invariant restored is the idle-PE one: local sense equals the
-        shared sense, and every signal sent so far counts as consumed.
-        A starting worker must not read the state itself: a peer handed
-        their next run first may already have signalled it, and that
-        signal would count as consumed — a team barrier that never
-        completes.
+        Two callers: a starting worker, with the baseline its parent read
+        at spawn, while no run held the rank (read in the worker, a peer
+        may have signalled it already, a signal then never awaited); and
+        a survivor of a failed team-scoped run discarding stale signals
+        its dead peers left.  Either way the PE is idle: local sense
+        equals the shared sense, and every signal sent counts as consumed.
         """
         self._sense, consumed = baseline or self.ctl.baseline(self.rank)
         self._consumed = dict(consumed)

@@ -146,13 +146,11 @@ def prepare(ctx: "XBRTime", desc: Collective, *args,
     roots.  The caller runs the result: the context's dispatcher at
     once or at a superstep's flush, a non-blocking handle at ``wait()``.
 
-    A context keeps what it prepared (none under
-    ``Machine(fast_paths=False)``) and hands a repeated call the same
-    object while the compiler function on its module is the one that
-    compiled it.  Calls are the same when their record, arguments and
-    their types (a numpy integer is an int), ``group``, keywords and
-    whether spans are recorded are; :data:`_MAX_PREPARED` calls kept,
-    the context starts over.
+    A context keeps what it prepared (not under ``fast_paths=False``):
+    a call with the same record, arguments and their types (a numpy
+    integer is an int), ``group``, keywords and spans on or off gets the
+    same object while its compiler function on its module is unchanged.
+    Holding :data:`_MAX_PREPARED` calls, a context starts over.
     """
     memo = ctx._prepared
     if memo is not None:
@@ -251,11 +249,13 @@ def _kept(memo: dict, key: tuple) -> PreparedCollective | None:
     """The call kept under ``key``, while the compiler function that
     compiled it is still the one on its module."""
     try:
-        prepared, compiler, function = memo[key]
-    except (KeyError, TypeError):  # not kept; a list among the arguments
+        kept = memo.get(key)
+    except TypeError:  # an unhashable argument: a list of counts
         return None
-    return (prepared if getattr(compiler.module, compiler.function)
-            is function else None)
+    if kept is not None and getattr(kept[1].module,
+                                    kept[1].function) is kept[2]:
+        return kept[0]
+    return None
 
 
 def _plain(value):

@@ -208,9 +208,8 @@ class MemoryHierarchy:
             first = addr >> self.line_shift
             last = (addr + span - 1) >> self.line_shift
             if last - first < 2:
-                # One or two lines that hit L1 on their touch hints, on
-                # the TLB's most recent page if asked: priced here as the
-                # ``access_line`` calls below would price them.
+                # L1 hits on the touch hints, on the TLB's most recent
+                # page if asked: priced as ``access_line`` would.
                 l1 = self.l1
                 tags, a, b = l1._tag_mv, l1._hint.get(first), l1._hint.get(last)
                 if (a is not None and b is not None and self.fast_path

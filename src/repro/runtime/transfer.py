@@ -163,8 +163,7 @@ class TransferEngine:
         self._word_path = (
             machine.faults is None and machine.isa_path is None
             and engine.direct_handoff and _line_priced(machine, shift))
-        #: Whether every yield is ``Engine.checkpoint``'s to decide: the
-        #: scheduler-bounce oracle keeps no run queue to test inline.
+        #: No run queue to test inline (the scheduler-bounce oracle).
         self._bounce = not engine.direct_handoff
         #: What the word path reads: the yield test's heap, the trace
         #: switch, the last word address of every PE's memory, one
